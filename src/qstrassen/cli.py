@@ -15,10 +15,8 @@ import csv
 import io
 import json
 import math
-import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -577,12 +575,16 @@ def _solution_block(sol) -> dict:
 def _run_check(prob: LoadedProblem, cfg: SolverConfig, _args) -> tuple[dict, int]:
     _expect_kind(prob, "coupling", "check")
     x_sub = Subspace(prob.d1 * prob.d2, prob.basis)
-    verdict, cert, value, sol = _decide(prob.rho1, prob.rho2, x_sub, cfg)
+    verdict, cert, value, sol, sup = _decide(prob.rho1, prob.rho2, x_sub, cfg)
+    supported = None
+    if sup is not None:
+        supported = {"status": sup.status, "iterations": sup.iterations, "gap": sup.gap}
     report = {
         "command": "check",
         "verdict": bool(verdict),
         "mu_value": value,
         "solution": _solution_block(sol),
+        "supported": supported,
     }
     if cert is not None:
         cmat = cert.mat
@@ -886,20 +888,6 @@ def _write_output(text: str, path: str | None) -> None:
             sys.stdout.write("\n")
 
 
-def _worker_count(n_files: int) -> int:
-    raw = os.environ.get("QSTRASSEN_THREADS", "")
-    if raw:
-        try:
-            cap = int(raw)
-        except ValueError as exc:
-            raise CliError(f"QSTRASSEN_THREADS must be an integer, got {raw!r}") from exc
-        if cap < 1:
-            raise CliError(f"QSTRASSEN_THREADS must be positive, got {cap}")
-    else:
-        cap = os.cpu_count() or 1
-    return max(1, min(cap, n_files))
-
-
 # ---------------------------------------------------------------------------
 # Argument parsing and dispatch
 
@@ -989,25 +977,16 @@ def _cmd_run(args) -> int:
     codes: dict[str, int] = {}
     errors: dict[str, str] = {}
 
-    def work(path: str) -> None:
+    for path in files:
         try:
-            report, code = _execute_file(command, path, args)
-            reports[path] = report
-            codes[path] = code
+            reports[path], codes[path] = _execute_file(command, path, args)
         except CliError as exc:
             errors[path] = str(exc)
         except (ValueError, np.linalg.LinAlgError) as exc:
             errors[path] = f"{path}: {exc}"
-
-    if len(files) == 1:
-        work(files[0])
-    else:
-        with ThreadPoolExecutor(max_workers=_worker_count(len(files))) as pool:
-            list(pool.map(work, files))
-
-    for path in files:
         if path in errors:
             print(errors[path], file=sys.stderr)
+
     if len(files) == 1:
         if files[0] in errors:
             return 1

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -45,6 +46,7 @@ __all__ = [
     "MarginalSdpSolution",
     "DualityCertificateReport",
     "FMinSolution",
+    "SupportedOverlapSolution",
     "solve_marginal_sdp",
     "solve_f_min",
     "solve_f_min_full",
@@ -175,27 +177,33 @@ class MarginalSdpSolution:
     primal_history: tuple = ()
 
 
-def _support_scale_bisect(t2x, t1x, r1, r2, allow: float) -> float:
-    """Largest t in [0,1] with t*tr_2 X <= rho1 and t*tr_1 X <= rho2 (allow slack)."""
+def _support_scale(m1, m2, r1, r2, allow: float) -> float:
+    """Largest t in [0, 1] with t*m1 <= r1 + allow*I and t*m2 <= r2 + allow*I.
 
-    def ok(t: float) -> bool:
-        return (
-            _min_eig(r1 - t * t2x) >= -allow
-            and _min_eig(r2 - t * t1x) >= -allow
-        )
-
-    if ok(1.0):
-        return 1.0
-    if not ok(0.0):
-        return 0.0
-    lo, hi = 0.0, 1.0
-    for _ in range(50):
-        mid = 0.5 * (lo + hi)
-        if ok(mid):
-            lo = mid
-        else:
-            hi = mid
-    return lo
+    With R_a = R + allow*I > 0 the condition t*M <= R_a reads
+    t * lambda_max(R_a^{-1/2} M R_a^{-1/2}) <= 1, so each marginal bounds t in
+    closed form (one eigh of R, one eigvalsh of the whitened M). The root is
+    backed off by a relative 1e-12 and confirmed with the exact test
+    min_eig(R - t*M) >= -allow on both marginals; a failed confirmation backs
+    off further, down to 0. Returns 0 when lambda_min(R) + allow <= 0, where
+    no t passes.
+    """
+    t = 1.0
+    for m, r in ((m1, r1), (m2, r2)):
+        w, v = np.linalg.eigh(hermitize(r))
+        if w[0] + allow <= 0.0:
+            return 0.0
+        k = v / np.sqrt(w + allow)
+        top = _max_eig(k.conj().T @ m @ k)
+        if top * t > 1.0:
+            t = (1.0 - 1e-12) / top
+    shrink = 1e-12
+    while t > 0.0 and not (
+        _min_eig(r1 - t * m1) >= -allow and _min_eig(r2 - t * m2) >= -allow
+    ):
+        shrink *= 16.0
+        t = t * (1.0 - shrink) if shrink < 1.0 else 0.0
+    return t
 
 
 def _support_projector(r: np.ndarray, tol) -> np.ndarray | None:
@@ -219,15 +227,45 @@ def solve_marginal_sdp(
     The returned primal value is attained by the returned X (feasible up to
     1e-12), the dual value by the returned Y (feasible after an exact identity
     shift repair), so the reported gap is a two-sided optimality certificate.
-    Status is ``optimal`` when gap and both ADMM residuals fall below
-    cfg.gap_tol, ``max_iters`` when the budget runs out first, and
-    ``infeasible_numerics`` only on NaN/Inf breakdown.
+    The solve stops with status ``optimal`` at the first checkpoint (every 25
+    iterations) where that certified gap is at most cfg.gap_tol; the ADMM
+    residuals only steer the penalty. Status is ``max_iters`` when the budget
+    runs out first, and ``infeasible_numerics`` only on NaN/Inf breakdown.
     """
-    d1, d2 = problem.d1, problem.d2
+    return _solve_overlap(
+        problem.objective.mat, problem.rho1.mat, problem.rho2.mat, cfg, warm_start
+    )
+
+
+def _shift_to_dominate(y1: np.ndarray, y2: np.ndarray, a: np.ndarray):
+    """Identity shifts of (Y1, Y2) until Y1 (x) I + I (x) Y2 >= A holds exactly.
+
+    Each round adds half the measured violation to both blocks, which raises
+    the dual value <rho1, Y1> + <rho2, Y2> by that violation times the mean
+    marginal trace.
+    """
+    eye1 = np.eye(y1.shape[0])
+    eye2 = np.eye(y2.shape[0])
+    for _ in range(3):
+        viol = _min_eig(np.kron(y1, eye2) + np.kron(eye1, y2) - a)
+        if viol >= 0:
+            break
+        shift = 0.5 * (-viol) + 1e-15
+        y1 = y1 + shift * eye1
+        y2 = y2 + shift * eye2
+    return y1, y2
+
+
+def _solve_overlap(
+    a: np.ndarray,
+    r1: np.ndarray,
+    r2: np.ndarray,
+    cfg: SolverConfig = DEFAULT_CONFIG,
+    warm_start: dict | None = None,
+) -> MarginalSdpSolution:
+    """``solve_marginal_sdp`` on raw matrices; A only needs 0 <= A <= I."""
+    d1, d2 = r1.shape[0], r2.shape[0]
     dim = d1 * d2
-    a = problem.objective.mat
-    r1 = problem.rho1.mat
-    r2 = problem.rho2.mat
     eye1 = np.eye(d1)
     eye2 = np.eye(d2)
     det = 1.0 + d1 + d2
@@ -281,7 +319,7 @@ def solve_marginal_sdp(
         xc = wx if qkron is None else hermitize(qkron @ wx @ qkron)
         t2x = partial_trace_2(xc, d1, d2)
         t1x = partial_trace_1(xc, d1, d2)
-        t = _support_scale_bisect(t2x, t1x, r1, r2, allow)
+        t = _support_scale(t2x, t1x, r1, r2, allow)
         val = t * _hs(a, xc)
         if val > best_primal:
             best_primal = val
@@ -299,13 +337,7 @@ def solve_marginal_sdp(
         low2 = _min_eig(y2)
         if low2 < 0:
             y2 = y2 - low2 * eye2
-        for _ in range(3):
-            viol = _min_eig(np.kron(y1, eye2) + np.kron(eye1, y2) - a)
-            if viol >= 0:
-                break
-            shift = 0.5 * (-viol) + 1e-15
-            y1 = y1 + shift * eye1
-            y2 = y2 + shift * eye2
+        y1, y2 = _shift_to_dominate(y1, y2, a)
         dval = _hs(r1, y1) + _hs(r2, y2)
         if dval < best_dual:
             best_dual = dval
@@ -361,7 +393,7 @@ def solve_marginal_sdp(
                 break
             certify()
             gap = best_dual - best_primal
-            if gap <= cfg.gap_tol and pres <= cfg.gap_tol and dres <= cfg.gap_tol:
+            if gap <= cfg.gap_tol:
                 status = "optimal"
                 break
             if pres > _BALANCE_RATIO * dres:
@@ -506,7 +538,10 @@ def solve_f_min_full(
     tr C <= tr rho1 + tr rho2 (no minimizer lies outside, since f grows at
     least as 2||X||_1 minus that constant). The upper value is f evaluated at
     an exactly PSD iterate, the lower bound comes from repaired epigraph
-    multipliers, so the pair brackets the true minimum.
+    multipliers, so the pair brackets the true minimum. The solve stops with
+    status ``optimal`` at the first checkpoint where value - lower_bound is at
+    most cfg.gap_tol, else ends at ``max_iters`` (or ``infeasible_numerics``
+    on NaN/Inf breakdown); the ADMM residuals only steer the penalty.
     """
     r1 = hermitize(rho1.mat if isinstance(rho1, HermitianOperator) else as_matrix(rho1))
     r2 = hermitize(rho2.mat if isinstance(rho2, HermitianOperator) else as_matrix(rho2))
@@ -656,7 +691,7 @@ def solve_f_min_full(
                 break
             certify()
             gap = best_upper - best_lower
-            if gap <= cfg.gap_tol and pres <= cfg.gap_tol and dres <= cfg.gap_tol:
+            if gap <= cfg.gap_tol:
                 status = "optimal"
                 break
             if pres > _BALANCE_RATIO * dres:
@@ -706,17 +741,35 @@ def solve_f_min(
     return sol.value, sol.X
 
 
+class SupportedOverlapSolution(NamedTuple):
+    """Certified output of the support-constrained overlap program.
+
+    ``value`` is attained by ``X`` and ``value + gap`` is a repaired dual
+    bound. A named tuple, so positional access works too: ``[0]`` value,
+    ``[1]`` X, ``[2]`` gap.
+    """
+
+    value: float
+    X: BipartiteOperator
+    gap: float
+    iterations: int
+    status: str
+
+
 def solve_supported_overlap(
     x_sub: Subspace, rho1, rho2, cfg: SolverConfig = DEFAULT_CONFIG
-) -> tuple[float, BipartiteOperator, float]:
+) -> SupportedOverlapSolution:
     """Maximize tr X over PSD X supported exactly in the subspace with dominated marginals.
 
     The value equals 1 precisely when a coupling supported in the subspace
     exists, and is never above the overlap optimum mu. Unlike the overlap
     program, the optimizer here carries no mass outside the subspace by
     construction (X = V C V^* throughout), which makes it the right source for
-    coupling certificates. Returns (value, X, gap); the value is attained by
-    the returned X, which is feasible up to ~1e-12.
+    coupling certificates. The value is attained by the returned X, which is
+    feasible up to ~1e-12. The solve stops with status ``optimal`` at the
+    first checkpoint where the certified gap is at most cfg.gap_tol, else ends
+    at ``max_iters`` (or ``infeasible_numerics`` on NaN/Inf breakdown); the
+    ADMM residuals only steer the penalty.
     """
     r1 = hermitize(rho1.mat if isinstance(rho1, HermitianOperator) else as_matrix(rho1))
     r2 = hermitize(rho2.mat if isinstance(rho2, HermitianOperator) else as_matrix(rho2))
@@ -761,7 +814,7 @@ def solve_supported_overlap(
         cf = wc
         m1 = hermitize((mm1 @ cf.reshape(-1)).reshape(d1, d1))
         m2 = hermitize((mm2 @ cf.reshape(-1)).reshape(d2, d2))
-        t = _support_scale_bisect(m1, m2, r1, r2, allow)
+        t = _support_scale(m1, m2, r1, r2, allow)
         val = t * _tr(cf)
         if val > best_value:
             best_value = val
@@ -831,7 +884,7 @@ def solve_supported_overlap(
                 break
             certify()
             gap = best_dual - best_value
-            if gap <= cfg.gap_tol and pres <= cfg.gap_tol and dres <= cfg.gap_tol:
+            if gap <= cfg.gap_tol:
                 status = "optimal"
                 break
             if pres > _BALANCE_RATIO * dres:
@@ -847,4 +900,10 @@ def solve_supported_overlap(
 
     if math.isinf(best_dual):
         certify()
-    return best_value, BipartiteOperator(best_x, d1, d2), abs(best_dual - best_value)
+    return SupportedOverlapSolution(
+        value=best_value,
+        X=BipartiteOperator(best_x, d1, d2),
+        gap=abs(best_dual - best_value),
+        iterations=it,
+        status=status,
+    )

@@ -22,7 +22,6 @@ from .bipartite import (
     BipartiteOperator,
     DensityOperator,
     Subspace,
-    compress_subspace_h2_finite,
     orthonormalize,
     partial_trace_1,
     partial_trace_2,
@@ -33,6 +32,12 @@ from .sdp import (
     MarginalSdpProblem,
     MarginalSdpSolution,
     SolverConfig,
+    SupportedOverlapSolution,
+    _hs,
+    _max_eig,
+    _min_eig,
+    _shift_to_dominate,
+    _solve_overlap,
     solve_f_min_full,
     solve_marginal_sdp,
     solve_supported_overlap,
@@ -125,6 +130,41 @@ def _zero_solution(d1: int, d2: int) -> MarginalSdpSolution:
     )
 
 
+def _lift_solution(
+    sol: MarginalSdpSolution,
+    u1: np.ndarray,
+    u2: np.ndarray,
+    a: np.ndarray,
+    r1: np.ndarray,
+    r2: np.ndarray,
+    shift: float,
+) -> MarginalSdpSolution:
+    """Embed a solution of the support-compressed program into the full one.
+
+    X maps through the isometry U1 (x) U2. Each Y_i gains shift * (I - Q_i) on
+    the support complement, which costs nothing since tr rho_i (I - Q_i) = 0.
+    What the complement shift leaves of the violation of
+    Y1 (x) I + I (x) Y2 >= A is a Schur-complement term at most
+    1 / (4 (shift - 1)), which the identity shift repair closes; the dual
+    value rises by exactly that repair.
+    """
+    d1, d2 = u1.shape[0], u2.shape[0]
+    lift = np.kron(u1, u2)
+    y1 = u1 @ sol.Y[0].mat @ u1.conj().T + shift * (np.eye(d1) - u1 @ u1.conj().T)
+    y2 = u2 @ sol.Y[1].mat @ u2.conj().T + shift * (np.eye(d2) - u2 @ u2.conj().T)
+    y1, y2 = _shift_to_dominate(hermitize(y1), hermitize(y2), a)
+    dual = _hs(r1, y1) + _hs(r2, y2)
+    adjoint_viol = -_min_eig(np.kron(y1, np.eye(d2)) + np.kron(np.eye(d1), y2) - a)
+    return replace(
+        sol,
+        X=BipartiteOperator(hermitize(lift @ sol.X.mat @ lift.conj().T), d1, d2),
+        Y=(HermitianOperator(y1), HermitianOperator(y2)),
+        dual_value=dual,
+        gap=abs(dual - sol.primal_value),
+        residuals={**sol.residuals, "adjoint_violation": max(0.0, adjoint_viol)},
+    )
+
+
 def mu(
     rho1,
     rho2,
@@ -135,12 +175,14 @@ def mu(
 
     Value 1 (within solver tolerance) is equivalent to the existence of a
     coupling of (rho1, rho2) supported inside the subspace. When a marginal is
-    singular the problem is first restricted to the support factors, replacing
-    the subspace by its intersection with the support product: the decision is
-    unchanged (any coupling lives inside the supports), though sub-maximal
-    values refer to the restricted program. The returned solution carries the
-    optimizer embedded back into the original ambient space; its dual pair and
-    dual value certify the restricted program.
+    singular the program is solved on the support product S = supp rho1 (x)
+    supp rho2, with the subspace projector P compressed to Q P Q: every
+    dominated operator lives on S, so this is the same program and the same
+    optimum. Its solution is lifted back to the ambient space, the dual pair
+    with a shift on the support complements, so the returned X and Y are
+    feasible for the original program and [primal, dual] brackets its
+    optimum. The compressed program is solved to half of cfg.gap_tol and the
+    lift costs at most the other half.
     """
     r1 = _as_density(rho1, "rho1")
     r2 = _as_density(rho2, "rho2")
@@ -151,86 +193,53 @@ def mu(
         )
     u1 = _support_isometry(r1.mat, DEFAULT_TOL)
     u2 = _support_isometry(r2.mat, DEFAULT_TOL)
-    restricted = u1.shape[1] < d1 or u2.shape[1] < d2
-    embed1, embed2 = None, None
-    if restricted:
-        embed1, embed2 = u1, u2
-        p_sub = x_sub.projector.mat
-        p_supp = np.kron(u1 @ u1.conj().T, u2 @ u2.conj().T)
-        w, v = np.linalg.eigh(hermitize(p_sub + p_supp))
-        keep = w > 2.0 - 1e-9
-        if not keep.any():
-            # The subspace misses the support product entirely: no dominated
-            # operator has any overlap, so the optimum is exactly 0.
-            return 0.0, _zero_solution(d1, d2)
-        lift = np.kron(u1, u2)
-        inner = lift.conj().T @ v[:, keep]
-        basis = orthonormalize(
-            [inner[:, j] for j in range(inner.shape[1])],
-            u1.shape[1] * u2.shape[1],
-            DEFAULT_TOL.subspace_drop,
-        )
-        work_sub = Subspace(u1.shape[1] * u2.shape[1], basis)
-        work_r1 = hermitize(u1.conj().T @ r1.mat @ u1)
-        work_r2 = hermitize(u2.conj().T @ r2.mat @ u2)
-        wd1, wd2 = u1.shape[1], u2.shape[1]
+    p_sub = x_sub.projector.mat
+    if u1.shape[1] == d1 and u2.shape[1] == d2:
+        problem = MarginalSdpProblem(BipartiteOperator(p_sub, d1, d2), r1.mat, r2.mat)
+        sol = solve_marginal_sdp(problem, cfg)
+        return sol.primal_value, sol
+    lift = np.kron(u1, u2)
+    a = hermitize(lift.conj().T @ p_sub @ lift)
+    if _max_eig(a) <= 1e-12:
+        # The subspace is orthogonal to the support product: no dominated
+        # operator has any overlap, so the optimum is exactly 0.
+        sol = _zero_solution(u1.shape[1], u2.shape[1])
     else:
-        work_sub = x_sub
-        work_r1 = r1.mat
-        work_r2 = r2.mat
-        wd1, wd2 = d1, d2
-
-    # Factor-1 shrink: when the subspace's factor-1 slices together with the
-    # support of rho1 span a proper subspace, the program compresses exactly.
-    # After the support restriction above this never reduces anything (the
-    # support is full there), so the step is a guarded no-op kept for inputs
-    # that arrive pre-restricted.
-    if wd2 <= 8 and work_sub.dim * wd2 < wd1:
-        embedding, compressed = compress_subspace_h2_finite(work_sub, wd1, wd2)
-        pp = embedding @ embedding.conj().T
-        outside = trace_norm(work_r1 - pp @ work_r1 @ pp)
-        if embedding.shape[1] < wd1 and outside <= 1e-11:
-            work_sub = compressed
-            work_r1 = hermitize(embedding.conj().T @ work_r1 @ embedding)
-            wd1 = embedding.shape[1]
-            embed1 = embedding if embed1 is None else embed1 @ embedding
-
-    problem = MarginalSdpProblem(
-        BipartiteOperator(work_sub.projector, wd1, wd2),
-        work_r1,
-        work_r2,
-    )
-    sol = solve_marginal_sdp(problem, cfg)
-    if embed1 is not None or embed2 is not None:
-        e1 = embed1 if embed1 is not None else np.eye(d1)
-        e2 = embed2 if embed2 is not None else np.eye(d2)
-        lift = np.kron(e1, e2)
-        x_full = hermitize(lift @ sol.X.mat @ lift.conj().T)
-        y1_full = hermitize(e1 @ sol.Y[0].mat @ e1.conj().T)
-        y2_full = hermitize(e2 @ sol.Y[1].mat @ e2.conj().T)
-        sol = replace(
-            sol,
-            X=BipartiteOperator(x_full, d1, d2),
-            Y=(HermitianOperator(y1_full), HermitianOperator(y2_full)),
+        sol = _solve_overlap(
+            a,
+            hermitize(u1.conj().T @ r1.mat @ u1),
+            hermitize(u2.conj().T @ r2.mat @ u2),
+            replace(cfg, gap_tol=0.5 * cfg.gap_tol),
         )
+    sol = _lift_solution(sol, u1, u2, p_sub, r1.mat, r2.mat, 1.0 + 0.5 / cfg.gap_tol)
     return sol.primal_value, sol
 
 
 def _decide(
     rho1, rho2, x_sub: Subspace, cfg: SolverConfig
-) -> tuple[bool, DensityOperator | None, float, MarginalSdpSolution]:
+) -> tuple[
+    bool,
+    DensityOperator | None,
+    float,
+    MarginalSdpSolution,
+    SupportedOverlapSolution | None,
+]:
+    """Verdict, certificate, mu value, the mu solve, and the supported solve.
+
+    The supported solve is None when mu already falls below 1 - eps_decision.
+    """
     r1 = _as_density(rho1, "rho1")
     r2 = _as_density(rho2, "rho2")
     value, sol = mu(r1, r2, x_sub, cfg)
     eps = cfg.eps_decision
     if value < 1.0 - eps:
-        return False, None, value, sol
+        return False, None, value, sol, None
     # Polish: re-solve with the support constraint built in, so the candidate
     # certificate has no mass outside the subspace at all.
-    sup_value, x_sup, _ = solve_supported_overlap(x_sub, r1.op, r2.op, cfg)
-    if sup_value < 1.0 - eps or sup_value <= 0.0:
-        return False, None, value, sol
-    rho_hat = hermitize(x_sup.mat / sup_value)
+    sup = solve_supported_overlap(x_sub, r1.op, r2.op, cfg)
+    if sup.value < 1.0 - eps or sup.value <= 0.0:
+        return False, None, value, sol, sup
+    rho_hat = hermitize(sup.X.mat / sup.value)
     p = x_sub.projector.mat
     off = np.eye(x_sub.ambient_dim) - p
     supp_leak = trace_norm(off @ rho_hat @ off)
@@ -238,8 +247,8 @@ def _decide(
         partial_trace_1(rho_hat, r1.dim, r2.dim) - r2.mat
     )
     if supp_leak > 1e-7 or marg_err > 10.0 * eps:
-        return False, None, value, sol
-    return True, DensityOperator(rho_hat), value, sol
+        return False, None, value, sol, sup
+    return True, DensityOperator(rho_hat), value, sol, sup
 
 
 def has_coupling(
@@ -255,7 +264,7 @@ def has_coupling(
     the subspace at most 1e-7 and total marginal error at most
     10 * eps_decision. Ties resolve toward false.
     """
-    verdict, cert, _, _ = _decide(rho1, rho2, x_sub, cfg)
+    verdict, cert, _, _, _ = _decide(rho1, rho2, x_sub, cfg)
     return verdict, cert
 
 
@@ -604,7 +613,7 @@ def classical_quantum_consistency(
         e[i * n + j] = 1.0
         vecs.append(e)
     sub = Subspace(m * n, np.column_stack(vecs))
-    verdict, cert, value, sol = _decide(rho1, rho2, sub, cfg)
+    verdict, cert, value, sol, _ = _decide(rho1, rho2, sub, cfg)
     return ClassicalQuantumReport(
         classical_feasible=feasible,
         quantum_verdict=verdict,

@@ -220,3 +220,32 @@ def all_subsets(items):
     """All subsets of a finite iterable, as tuples."""
     items = list(items)
     return itertools.chain.from_iterable(itertools.combinations(items, r) for r in range(len(items) + 1))
+
+
+def support_scale_bisect(m1, m2, r1, r2, allow: float, steps: int = 50) -> float:
+    """Largest t in [0, 1] with t*m1 <= r1 and t*m2 <= r2 up to ``allow``, by bisection.
+
+    The feasibility test is min_eig(r - t*m) >= -allow on both marginals. It
+    holds on an interval [0, t*] when it holds at 0, so ``steps`` halvings pin
+    t* to 2^-steps from below. Returns 0 when even t = 0 fails the test.
+    """
+
+    def min_eig(m):
+        m = np.asarray(m, dtype=complex)
+        return float(np.linalg.eigvalsh((m + m.conj().T) / 2)[0])
+
+    def ok(t: float) -> bool:
+        return min_eig(r1 - t * m1) >= -allow and min_eig(r2 - t * m2) >= -allow
+
+    if ok(1.0):
+        return 1.0
+    if not ok(0.0):
+        return 0.0
+    lo, hi = 0.0, 1.0
+    for _ in range(steps):
+        mid = 0.5 * (lo + hi)
+        if ok(mid):
+            lo = mid
+        else:
+            hi = mid
+    return lo

@@ -3,7 +3,7 @@
 Covers the canonical JSON encoding (bitwise round trips), the problem-file
 codecs and their rejection messages, generator determinism, every runner
 through ``main`` with its exit-code contract, and the output plumbing
-(json/csv, --out, batch runs, worker caps).
+(json/csv, --out, multi-file batch runs).
 """
 
 from __future__ import annotations
@@ -30,7 +30,6 @@ from qstrassen.cli import (
     save_problem,
     vec_to_pairs,
     _parse_dims,
-    _worker_count,
 )
 from qstrassen.sdp import DEFAULT_CONFIG
 
@@ -291,6 +290,10 @@ def test_main_check_feasible_handcrafted(tmp_path, capsys):
     assert report["certificate_marginal_error"] <= 1e-3
     assert report["kind"] == "coupling"
     assert "wall_time" in report["timings"]
+    supported = report["supported"]
+    assert supported["status"] == "optimal"
+    assert supported["iterations"] >= 1
+    assert 0.0 <= supported["gap"] <= report["config"]["gap_tol"]
 
 
 def test_main_check_infeasible_generated(tmp_path, capsys):
@@ -303,6 +306,9 @@ def test_main_check_infeasible_generated(tmp_path, capsys):
     report = json.loads(out)
     assert report["verdict"] is False
     assert "certificate" not in report
+    # mu already falls short of 1 - eps, so the supported solve never runs
+    assert report["mu_value"] < 1.0 - report["config"]["eps_decision"]
+    assert report["supported"] is None
 
 
 def test_main_mu_reports_duality_block(tmp_path, capsys):
@@ -524,29 +530,15 @@ def test_parse_dims_variants():
         _parse_dims("banana")
 
 
-def test_worker_count_env_handling(monkeypatch):
-    monkeypatch.setenv("QSTRASSEN_THREADS", "2")
-    assert _worker_count(8) == 2
-    assert _worker_count(1) == 1
-    monkeypatch.setenv("QSTRASSEN_THREADS", "abc")
-    with pytest.raises(CliError, match="must be an integer"):
-        _worker_count(4)
-    monkeypatch.setenv("QSTRASSEN_THREADS", "0")
-    with pytest.raises(CliError, match="must be positive"):
-        _worker_count(4)
-    monkeypatch.delenv("QSTRASSEN_THREADS")
-    assert _worker_count(2) >= 1
-
-
-def test_batch_respects_thread_cap(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("QSTRASSEN_THREADS", "2")
+def test_batch_respects_thread_cap(tmp_path, capsys):
+    # multi-file runs go file by file and key the combined report by path
     paths = [
         write_json(tmp_path, f"c{i}.json", generate_instance({"kind": "classical", "dims": (2, 2), "seed": i}))
         for i in range(4)
     ]
     code, out, _ = run_main(capsys, ["classical", *paths])
     assert code == 0
-    assert len(json.loads(out)) == 4
+    assert list(json.loads(out)) == sorted(paths)
 
 
 def test_save_problem_returns_canonical_text(tmp_path):

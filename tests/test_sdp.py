@@ -13,11 +13,14 @@ import numpy as np
 import pytest
 
 from qstrassen.bipartite import BipartiteOperator, Subspace, partial_trace_1, partial_trace_2
+from qstrassen.cli import generate_instance, problem_from_dict
+from qstrassen.fibers import FiberSpec, _dist_solve
 from qstrassen.linalg import hermitize, trace_norm
 from qstrassen.sdp import (
     DEFAULT_CONFIG,
     MarginalSdpProblem,
     SolverConfig,
+    _support_scale,
     solve_f_min,
     solve_f_min_full,
     solve_marginal_sdp,
@@ -25,7 +28,7 @@ from qstrassen.sdp import (
     verify_duality_certificates,
 )
 
-from oracles import golden_section_min
+from oracles import golden_section_min, support_scale_bisect
 
 
 def crand(rng, p, q):
@@ -263,9 +266,12 @@ def test_f_min_rejects_ambient_mismatch():
 
 def test_supported_overlap_reaches_one_on_feasible_instance():
     sub = bell_subspace()
-    value, x, gap = solve_supported_overlap(sub, np.eye(2) / 2, np.eye(2) / 2)
+    sol = solve_supported_overlap(sub, np.eye(2) / 2, np.eye(2) / 2)
+    value, x = sol.value, sol.X
+    assert sol.status == "optimal"
+    assert sol.iterations >= 1
     assert value >= 1.0 - 1e-4
-    assert gap <= 1e-5
+    assert sol.gap <= 1e-5
     # support containment is structural: P X P = X at working precision
     p = sub.projector.mat
     assert np.max(np.abs(p @ x.mat @ p - x.mat)) < 1e-12
@@ -276,10 +282,10 @@ def test_supported_overlap_reaches_one_on_feasible_instance():
 
 
 def test_supported_overlap_zero_on_obstruction():
-    value, _, _ = solve_supported_overlap(
+    sol = solve_supported_overlap(
         corner_subspace(), np.diag([0.0, 1.0]), np.diag([1.0, 0.0])
     )
-    assert value <= 1e-9
+    assert sol.value <= 1e-9
 
 
 def test_supported_overlap_never_exceeds_overlap_dual():
@@ -287,11 +293,136 @@ def test_supported_overlap_never_exceeds_overlap_dual():
     r1 = np.diag([a, 1 - a])
     r2 = np.diag([b, 1 - b])
     sub = corner_subspace()
-    nu, _, _ = solve_supported_overlap(sub, r1, r2)
+    nu = solve_supported_overlap(sub, r1, r2).value
     sol = solve_marginal_sdp(problem_for(sub, r1, r2))
     assert nu <= sol.dual_value + 1e-9
 
 
 def test_supported_overlap_value_is_trace_of_returned_point():
-    value, x, _ = solve_supported_overlap(bell_subspace(), np.eye(2) / 2, np.eye(2) / 2)
-    assert abs(value - float(np.trace(x.mat).real)) < 1e-9
+    sol = solve_supported_overlap(bell_subspace(), np.eye(2) / 2, np.eye(2) / 2)
+    assert abs(sol.value - float(np.trace(sol.X.mat).real)) < 1e-9
+
+
+# ---------------------------------------------------------------------------
+# stop rule: optimal exactly when the certified bracket is within gap_tol
+
+
+def random_state(rng, d, rank=None):
+    g = crand(rng, d, rank or d)
+    rho = g @ g.conj().T
+    return rho / np.trace(rho).real
+
+
+def generated(kind, dims, seed, **spec):
+    return problem_from_dict(generate_instance({"kind": kind, "dims": dims, "seed": seed, **spec}))
+
+
+def stop_rule_cases(max_iters):
+    """(solver, gap, status) of every gap-checked solve on generated 2x3 and 3x3 instances.
+
+    The f-minimizer runs whole warm-started ladder chains, as ``f_ladder``
+    does; their later levels close the bracket long before the ADMM
+    residuals settle.
+    """
+    cfg = SolverConfig(max_iters=max_iters)
+    out = []
+    for seed in range(3):
+        for dims in ((2, 3), (3, 3)):
+            p = generated("coupling", dims, seed, feasible=seed != 1)
+            sub = Subspace(p.d1 * p.d2, p.basis)
+            obj = BipartiteOperator(sub.projector.mat, p.d1, p.d2)
+            sol = solve_marginal_sdp(MarginalSdpProblem(obj, p.rho1, p.rho2), cfg)
+            out.append(("marginal", sol.gap, sol.status))
+            sup = solve_supported_overlap(sub, p.rho1, p.rho2, cfg)
+            out.append(("supported", sup.gap, sup.status))
+            p = generated("f_ladder", dims, seed)
+            warm = None
+            for n in range(1, p.n_max + 1):
+                chain = Subspace(p.d1 * p.d2, p.basis[:, :n])
+                fmin, warm = solve_f_min_full(p.rho1, p.rho2, chain, cfg, warm)
+                out.append(("f_min", fmin.gap, fmin.status))
+            p = generated("fiber_dist", dims, seed)
+            upper, lower, _, _, status = _dist_solve(p.beta, FiberSpec(p.rho1, p.rho2), cfg)
+            out.append(("dist", upper - lower, status))
+    return out
+
+
+@pytest.mark.parametrize("max_iters", [25, 50, 100, 200, 400])
+def test_status_is_optimal_exactly_when_gap_within_tolerance(max_iters):
+    cases = stop_rule_cases(max_iters)
+    for name, gap, status in cases:
+        assert status in ("optimal", "max_iters"), (name, status)
+        assert (status == "optimal") == (gap <= DEFAULT_CONFIG.gap_tol), (name, gap, status)
+
+
+def test_stop_rule_cases_cover_both_outcomes():
+    statuses = {status for m in (25, 400) for _, _, status in stop_rule_cases(m)}
+    assert statuses == {"optimal", "max_iters"}
+
+
+# ---------------------------------------------------------------------------
+# closed-form support scale against the bisection oracle
+
+
+def passes_scale_test(t, m1, m2, r1, r2, allow):
+    return (
+        np.linalg.eigvalsh(hermitize(r1 - t * m1))[0] >= -allow
+        and np.linalg.eigvalsh(hermitize(r2 - t * m2))[0] >= -allow
+    )
+
+
+def scale_cases():
+    rng = np.random.default_rng(11)
+    for trial in range(60):
+        d1 = int(rng.integers(1, 5))
+        d2 = int(rng.integers(1, 5))
+        kind = trial % 3
+        if kind == 0:  # full-rank marginals
+            r1, r2 = random_state(rng, d1), random_state(rng, d2)
+        else:  # rank-deficient rho1
+            r1 = random_state(rng, d1, max(1, d1 - 1)) if d1 > 1 else np.zeros((1, 1))
+            r2 = random_state(rng, d2)
+        m1 = random_state(rng, d1) * rng.uniform(0.1, 3.0)
+        m2 = random_state(rng, d2) * rng.uniform(0.1, 3.0)
+        if kind == 2:  # keep m1 on supp rho1, so t > 0 survives the singular bound
+            w, v = np.linalg.eigh(r1)
+            keep = v[:, w > 1e-12]
+            m1 = keep @ keep.conj().T @ m1 @ keep @ keep.conj().T
+        allow = float(rng.choice([1e-12, 1e-9, 1e-6]))
+        yield m1, m2, r1, r2, allow
+
+
+def test_support_scale_matches_bisection_oracle():
+    seen = set()
+    for m1, m2, r1, r2, allow in scale_cases():
+        t = _support_scale(m1, m2, r1, r2, allow)
+        ref = support_scale_bisect(m1, m2, r1, r2, allow)
+        assert abs(t - ref) <= 1e-10
+        assert 0.0 <= t <= 1.0
+        assert t == 0.0 or passes_scale_test(t, m1, m2, r1, r2, allow)
+        seen.add("one" if t == 1.0 else "zero" if t < 1e-6 else "interior")
+    assert seen == {"one", "zero", "interior"}
+
+
+def test_support_scale_is_zero_below_the_slack():
+    # lambda_min(R) < -allow: not even t = 0 passes, and both methods return 0
+    r1 = np.diag([0.6, -1e-9])
+    r2 = np.diag([0.5, 0.5 - 1e-9])
+    m = np.eye(2) / 2
+    assert _support_scale(m, m, r1, r2, 1e-12) == 0.0
+    assert support_scale_bisect(m, m, r1, r2, 1e-12) == 0.0
+    # at lambda_min(R) + allow = 0 exactly the closed form also returns 0
+    assert _support_scale(m, m, np.diag([0.5, -1e-12]), r2, 1e-12) == 0.0
+
+
+def test_support_scale_singular_marginal_with_leak():
+    # M puts mass on the kernel of R: only t <= allow / leak passes
+    r1 = np.diag([1.0, 0.0])
+    r2 = np.eye(2) / 2
+    m1 = np.diag([0.5, 0.5])
+    m2 = np.eye(2) / 4
+    for allow in (1e-12, 1e-9):
+        t = _support_scale(m1, m2, r1, r2, allow)
+        assert abs(t - support_scale_bisect(m1, m2, r1, r2, allow)) <= 1e-10
+        assert abs(t - 2.0 * allow) <= 1e-6 * allow
+        assert passes_scale_test(t, m1, m2, r1, r2, allow)

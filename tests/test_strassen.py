@@ -11,13 +11,14 @@ import numpy as np
 import pytest
 
 from qstrassen.bipartite import (
+    BipartiteOperator,
     DensityOperator,
     Subspace,
     partial_trace_1,
     partial_trace_2,
 )
 from qstrassen.linalg import trace_norm
-from qstrassen.sdp import SolverConfig
+from qstrassen.sdp import MarginalSdpProblem, SolverConfig, verify_duality_certificates
 from qstrassen.strassen import (
     ClassicalInstance,
     classical_quantum_consistency,
@@ -88,6 +89,32 @@ def test_mu_handles_singular_marginals_by_support_restriction():
     assert value >= 1.0 - 1e-4
     # the lifted optimizer still lives in the original ambient space
     assert sol.X.d1 == 2 and sol.X.d2 == 2
+
+
+def test_mu_dual_pair_certifies_the_full_program_with_singular_marginal():
+    # rank-2 rho1 on C^3, full-rank rho2, a random 4-dim subspace of C^9: the
+    # solve runs on supp rho1 (x) C^3 and its dual pair is lifted back
+    rng = np.random.default_rng(0)
+    r1 = random_state(rng, 3, 2)
+    r2 = random_state(rng, 3, 3)
+    q, _ = np.linalg.qr(crand(rng, 9, 4))
+    sub = Subspace(9, q)
+    value, sol = mu(r1, r2, sub)
+    assert sol.status == "optimal"
+    assert sol.gap <= CFG.gap_tol
+    assert sol.primal_value <= value <= sol.dual_value
+    problem = MarginalSdpProblem(BipartiteOperator(sub.projector.mat, 3, 3), r1, r2)
+    rep = verify_duality_certificates(problem, sol)
+    assert rep.passed
+    assert rep.dual_feasibility_margin >= -1e-9
+    y1, y2 = sol.Y[0].mat, sol.Y[1].mat
+    dual = float(np.vdot(r1, y1).real + np.vdot(r2, y2).real)
+    assert abs(dual - sol.dual_value) <= 1e-9
+    # the returned X attains the value in the original program
+    x = sol.X.mat
+    assert abs(float(np.vdot(sub.projector.mat, x).real) - value) <= 1e-9
+    assert np.linalg.eigvalsh(r1 - partial_trace_2(x, 3, 3)).min() >= -1e-9
+    assert np.linalg.eigvalsh(r2 - partial_trace_1(x, 3, 3)).min() >= -1e-9
 
 
 def test_mu_zero_when_subspace_misses_support():
