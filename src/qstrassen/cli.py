@@ -4,7 +4,7 @@ File format "qstrassen/1" is JSON with matrices stored as nested arrays of
 [re, im] pairs in the composite-index order (i, p) -> i * d2 + p. Reports
 echo the solver config and carry wall-clock timings separately from value
 fields, so reruns are bit-identical in every value field. Exit codes: 0 when
-a verdict or certified value was reached (including verdict false), 2 when
+a verdict or certified value was reached (including no_coupling), 2 when
 the outcome is undecided, 1 on errors.
 """
 
@@ -578,10 +578,15 @@ def _run_check(prob: LoadedProblem, cfg: SolverConfig, _args) -> tuple[dict, int
     verdict, cert, value, sol, sup = _decide(prob.rho1, prob.rho2, x_sub, cfg)
     supported = None
     if sup is not None:
-        supported = {"status": sup.status, "iterations": sup.iterations, "gap": sup.gap}
+        supported = {
+            "status": sup.status,
+            "iterations": sup.iterations,
+            "gap": sup.gap,
+            "dual": sup.dual,
+        }
     report = {
         "command": "check",
-        "verdict": bool(verdict),
+        "verdict": verdict,
         "mu_value": value,
         "solution": _solution_block(sol),
         "supported": supported,
@@ -593,7 +598,7 @@ def _run_check(prob: LoadedProblem, cfg: SolverConfig, _args) -> tuple[dict, int
             trace_norm(partial_trace_2(cmat, prob.d1, prob.d2) - prob.rho1)
             + trace_norm(partial_trace_1(cmat, prob.d1, prob.d2) - prob.rho2)
         )
-    return report, 0
+    return report, 2 if verdict == "undecided" else 0
 
 
 def _run_mu(prob: LoadedProblem, cfg: SolverConfig, _args) -> tuple[dict, int]:

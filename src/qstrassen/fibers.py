@@ -29,7 +29,7 @@ from .sdp import (
     _hs,
     _max_eig,
     _min_eig,
-    _support_scale,
+    _support_scaler,
     _tr,
 )
 
@@ -112,13 +112,17 @@ def glue_coupling(gamma_trunc: BipartiteOperator, fiber: FiberSpec) -> Bipartite
     return BipartiteOperator(g + np.kron(delta1, delta2) / tau, d1, d2)
 
 
-def _repair_to_member(candidate: np.ndarray, fiber: FiberSpec) -> np.ndarray:
-    """Exact fiber member near a PSD candidate: scale into domination, then glue."""
+def _repair_to_member(candidate: np.ndarray, fiber: FiberSpec, support_scale) -> np.ndarray:
+    """Exact fiber member near a PSD candidate: scale into domination, then glue.
+
+    ``support_scale`` is ``_support_scaler`` of the fiber marginals with
+    allow 1e-12, factored once per solve.
+    """
     d1, d2 = fiber.d1, fiber.d2
-    g = psd_project(hermitize(candidate))
+    g = psd_project(candidate)
     m1 = partial_trace_2(g, d1, d2)
     m2 = partial_trace_1(g, d1, d2)
-    s = _support_scale(m1, m2, fiber.rho1.mat, fiber.rho2.mat, 1e-12)
+    s = support_scale(m1, m2)
     member = glue_coupling(BipartiteOperator(s * g, d1, d2), fiber)
     return member.mat
 
@@ -159,9 +163,12 @@ def _dist_solve(beta: np.ndarray, fiber: FiberSpec, cfg: SolverConfig):
     r2 = fiber.rho2.mat
     tr_fiber = _tr(r1)
     eye = np.eye(dim)
+    support_scale = _support_scaler(r1, r2, 1e-12)
 
     sigma = cfg.penalty_init
-    gamma = _repair_to_member(np.kron(r1, r2) / max(tr_fiber, 1e-300), fiber)
+    gamma = _repair_to_member(
+        np.kron(r1, r2) / max(tr_fiber, 1e-300), fiber, support_scale
+    )
     gbig = np.zeros((2 * dim, 2 * dim), dtype=complex)
     wg = gamma.astype(complex).copy()
     wbig = gbig.copy()
@@ -179,7 +186,7 @@ def _dist_solve(beta: np.ndarray, fiber: FiberSpec, cfg: SolverConfig):
 
     def certify() -> None:
         nonlocal best_upper, best_member, best_lower
-        member = _repair_to_member(wg, fiber)
+        member = _repair_to_member(wg, fiber, support_scale)
         val = trace_norm(beta - member)
         if val < best_upper:
             best_upper = val
@@ -236,8 +243,8 @@ def _dist_solve(beta: np.ndarray, fiber: FiberSpec, cfg: SolverConfig):
         gbig = np.block([[wa, off], [off.conj().T, wb]])
         gh = _RELAX * gamma + (1.0 - _RELAX) * wg
         gbigh = _RELAX * gbig + (1.0 - _RELAX) * wbig
-        wg_new = psd_project(hermitize(gh + lg))
-        wbig_new = psd_project(hermitize(gbigh + lbig))
+        wg_new = psd_project(gh + lg)
+        wbig_new = psd_project(gbigh + lbig)
         dres = sigma * math.sqrt(
             np.linalg.norm(wg_new - wg) ** 2 + np.linalg.norm(wbig_new - wbig) ** 2
         )
@@ -303,7 +310,7 @@ def _sample_member(fiber: FiberSpec, objective: np.ndarray, cfg: SolverConfig) -
         target = wg - lg + objective / sigma
         gamma = _project_marginal_affine(target, r1, r2, d1, d2)
         gh = _RELAX * gamma + (1.0 - _RELAX) * wg
-        wg_new = psd_project(hermitize(gh + lg))
+        wg_new = psd_project(gh + lg)
         dres = sigma * float(np.linalg.norm(wg_new - wg))
         lg = lg + gh - wg_new
         wg = wg_new
@@ -319,7 +326,7 @@ def _sample_member(fiber: FiberSpec, objective: np.ndarray, cfg: SolverConfig) -
             elif dres > _BALANCE_RATIO * pres:
                 sigma /= _BALANCE_SCALE
                 lg *= _BALANCE_SCALE
-    return _repair_to_member(wg, fiber)
+    return _repair_to_member(wg, fiber, _support_scaler(r1, r2, 1e-12))
 
 
 @dataclass(frozen=True)

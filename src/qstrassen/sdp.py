@@ -177,33 +177,42 @@ class MarginalSdpSolution:
     primal_history: tuple = ()
 
 
-def _support_scale(m1, m2, r1, r2, allow: float) -> float:
-    """Largest t in [0, 1] with t*m1 <= r1 + allow*I and t*m2 <= r2 + allow*I.
+def _support_scaler(r1, r2, allow: float):
+    """Support scale against fixed marginal bounds: scale(m1, m2) -> t.
 
-    With R_a = R + allow*I > 0 the condition t*M <= R_a reads
-    t * lambda_max(R_a^{-1/2} M R_a^{-1/2}) <= 1, so each marginal bounds t in
-    closed form (one eigh of R, one eigvalsh of the whitened M). The root is
-    backed off by a relative 1e-12 and confirmed with the exact test
+    t is the largest value in [0, 1] with t*m1 <= r1 + allow*I and
+    t*m2 <= r2 + allow*I. With R_a = R + allow*I > 0 the condition t*M <= R_a
+    reads t * lambda_max(R_a^{-1/2} M R_a^{-1/2}) <= 1, so each marginal bounds
+    t in closed form. The whiteners R_a^{-1/2} depend only on the bounds, so
+    they are factored here once (one eigh per marginal) and each call costs
+    one eigvalsh per marginal plus the confirmation. The root is backed off by
+    a relative 1e-12 and confirmed with the exact test
     min_eig(R - t*M) >= -allow on both marginals; a failed confirmation backs
-    off further, down to 0. Returns 0 when lambda_min(R) + allow <= 0, where
-    no t passes.
+    off further, down to 0. Every call returns 0 when
+    lambda_min(R) + allow <= 0, where no t passes.
     """
-    t = 1.0
-    for m, r in ((m1, r1), (m2, r2)):
+    whiteners = []
+    for r in (r1, r2):
         w, v = np.linalg.eigh(hermitize(r))
         if w[0] + allow <= 0.0:
-            return 0.0
-        k = v / np.sqrt(w + allow)
-        top = _max_eig(k.conj().T @ m @ k)
-        if top * t > 1.0:
-            t = (1.0 - 1e-12) / top
-    shrink = 1e-12
-    while t > 0.0 and not (
-        _min_eig(r1 - t * m1) >= -allow and _min_eig(r2 - t * m2) >= -allow
-    ):
-        shrink *= 16.0
-        t = t * (1.0 - shrink) if shrink < 1.0 else 0.0
-    return t
+            return lambda m1, m2: 0.0
+        whiteners.append(v / np.sqrt(w + allow))
+
+    def scale(m1, m2) -> float:
+        t = 1.0
+        for m, k in zip((m1, m2), whiteners):
+            top = _max_eig(k.conj().T @ m @ k)
+            if top * t > 1.0:
+                t = (1.0 - 1e-12) / top
+        shrink = 1e-12
+        while t > 0.0 and not (
+            _min_eig(r1 - t * m1) >= -allow and _min_eig(r2 - t * m2) >= -allow
+        ):
+            shrink *= 16.0
+            t = t * (1.0 - shrink) if shrink < 1.0 else 0.0
+        return t
+
+    return scale
 
 
 def _support_projector(r: np.ndarray, tol) -> np.ndarray | None:
@@ -270,6 +279,7 @@ def _solve_overlap(
     eye2 = np.eye(d2)
     det = 1.0 + d1 + d2
     allow = max(_FEAS_SLACK, 2.0 * max(0.0, -_min_eig(r1), -_min_eig(r2)))
+    support_scale = _support_scaler(r1, r2, allow)
     q1 = _support_projector(r1, DEFAULT_TOL)
     q2 = _support_projector(r2, DEFAULT_TOL)
     qkron = None
@@ -288,12 +298,12 @@ def _solve_overlap(
     ls2 = np.zeros_like(s2)
     if warm_start:
         x0 = as_matrix(warm_start.get("X", x))
-        wx = psd_project(hermitize(x0))
+        wx = psd_project(x0)
         x = wx.copy()
         s1 = r1 - partial_trace_2(x, d1, d2)
         s2 = r2 - partial_trace_1(x, d1, d2)
-        ws1 = psd_project(hermitize(s1))
-        ws2 = psd_project(hermitize(s2))
+        ws1 = psd_project(s1)
+        ws2 = psd_project(s2)
         sigma = float(warm_start.get("sigma", sigma))
         if "Y1" in warm_start:
             ls1 = -hermitize(as_matrix(warm_start["Y1"])) / sigma
@@ -319,7 +329,7 @@ def _solve_overlap(
         xc = wx if qkron is None else hermitize(qkron @ wx @ qkron)
         t2x = partial_trace_2(xc, d1, d2)
         t1x = partial_trace_1(xc, d1, d2)
-        t = _support_scale(t2x, t1x, r1, r2, allow)
+        t = support_scale(t2x, t1x)
         val = t * _hs(a, xc)
         if val > best_primal:
             best_primal = val
@@ -369,9 +379,9 @@ def _solve_overlap(
         xh = _RELAX * x + (1.0 - _RELAX) * wx
         s1h = _RELAX * s1 + (1.0 - _RELAX) * ws1
         s2h = _RELAX * s2 + (1.0 - _RELAX) * ws2
-        wx_new = psd_project(hermitize(xh + lx))
-        ws1_new = psd_project(hermitize(s1h + ls1))
-        ws2_new = psd_project(hermitize(s2h + ls2))
+        wx_new = psd_project(xh + lx)
+        ws1_new = psd_project(s1h + ls1)
+        ws2_new = psd_project(s2h + ls2)
         dres = sigma * math.sqrt(
             np.linalg.norm(wx_new - wx) ** 2
             + np.linalg.norm(ws1_new - ws1) ** 2
@@ -669,8 +679,8 @@ def solve_f_min_full(
         g1h = _RELAX * g1 + (1.0 - _RELAX) * wg1
         g2h = _RELAX * g2 + (1.0 - _RELAX) * wg2
         wc_new = _psd_trace_cap_project(ch + lc, cap)
-        wg1_new = psd_project(hermitize(g1h + lg1))
-        wg2_new = psd_project(hermitize(g2h + lg2))
+        wg1_new = psd_project(g1h + lg1)
+        wg2_new = psd_project(g2h + lg2)
         dres = sigma * math.sqrt(
             np.linalg.norm(wc_new - wc) ** 2
             + np.linalg.norm(wg1_new - wg1) ** 2
@@ -744,9 +754,9 @@ def solve_f_min(
 class SupportedOverlapSolution(NamedTuple):
     """Certified output of the support-constrained overlap program.
 
-    ``value`` is attained by ``X`` and ``value + gap`` is a repaired dual
-    bound. A named tuple, so positional access works too: ``[0]`` value,
-    ``[1]`` X, ``[2]`` gap.
+    ``value`` is attained by ``X`` and ``dual`` is a repaired dual bound, so
+    value <= optimum <= dual and ``gap`` is |dual - value|. A named tuple, so
+    positional access works too: ``[0]`` value, ``[1]`` X, ``[2]`` gap.
     """
 
     value: float
@@ -754,10 +764,15 @@ class SupportedOverlapSolution(NamedTuple):
     gap: float
     iterations: int
     status: str
+    dual: float
 
 
 def solve_supported_overlap(
-    x_sub: Subspace, rho1, rho2, cfg: SolverConfig = DEFAULT_CONFIG
+    x_sub: Subspace,
+    rho1,
+    rho2,
+    cfg: SolverConfig = DEFAULT_CONFIG,
+    threshold: float | None = None,
 ) -> SupportedOverlapSolution:
     """Maximize tr X over PSD X supported exactly in the subspace with dominated marginals.
 
@@ -769,7 +784,9 @@ def solve_supported_overlap(
     feasible up to ~1e-12. The solve stops with status ``optimal`` at the
     first checkpoint where the certified gap is at most cfg.gap_tol, else ends
     at ``max_iters`` (or ``infeasible_numerics`` on NaN/Inf breakdown); the
-    ADMM residuals only steer the penalty.
+    ADMM residuals only steer the penalty. With a ``threshold`` the solve
+    also stops, with status ``decided``, at the first checkpoint where the
+    bracket lies on one side of it: value >= threshold or dual < threshold.
     """
     r1 = hermitize(rho1.mat if isinstance(rho1, HermitianOperator) else as_matrix(rho1))
     r2 = hermitize(rho2.mat if isinstance(rho2, HermitianOperator) else as_matrix(rho2))
@@ -793,6 +810,7 @@ def solve_supported_overlap(
     big[k1:, k1:] += mm2 @ mm2.conj().T
     big_inv = np.linalg.inv(big)
     allow = max(_FEAS_SLACK, 2.0 * max(0.0, -_min_eig(r1), -_min_eig(r2)))
+    support_scale = _support_scaler(r1, r2, allow)
     eyen = np.eye(n)
 
     sigma = cfg.penalty_init
@@ -814,7 +832,7 @@ def solve_supported_overlap(
         cf = wc
         m1 = hermitize((mm1 @ cf.reshape(-1)).reshape(d1, d1))
         m2 = hermitize((mm2 @ cf.reshape(-1)).reshape(d2, d2))
-        t = _support_scale(m1, m2, r1, r2, allow)
+        t = support_scale(m1, m2)
         val = t * _tr(cf)
         if val > best_value:
             best_value = val
@@ -861,9 +879,9 @@ def solve_supported_overlap(
         ch = _RELAX * c + (1.0 - _RELAX) * wc
         s1h = _RELAX * s1 + (1.0 - _RELAX) * ws1
         s2h = _RELAX * s2 + (1.0 - _RELAX) * ws2
-        wc_new = psd_project(hermitize(ch + lc))
-        ws1_new = psd_project(hermitize(s1h + ls1))
-        ws2_new = psd_project(hermitize(s2h + ls2))
+        wc_new = psd_project(ch + lc)
+        ws1_new = psd_project(s1h + ls1)
+        ws2_new = psd_project(s2h + ls2)
         dres = sigma * math.sqrt(
             np.linalg.norm(wc_new - wc) ** 2
             + np.linalg.norm(ws1_new - ws1) ** 2
@@ -887,6 +905,11 @@ def solve_supported_overlap(
             if gap <= cfg.gap_tol:
                 status = "optimal"
                 break
+            if threshold is not None and (
+                best_value >= threshold or best_dual < threshold
+            ):
+                status = "decided"
+                break
             if pres > _BALANCE_RATIO * dres:
                 sigma *= _BALANCE_SCALE
                 lc /= _BALANCE_SCALE
@@ -906,4 +929,5 @@ def solve_supported_overlap(
         gap=abs(best_dual - best_value),
         iterations=it,
         status=status,
+        dual=best_dual,
     )

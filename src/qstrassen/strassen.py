@@ -218,7 +218,7 @@ def mu(
 def _decide(
     rho1, rho2, x_sub: Subspace, cfg: SolverConfig
 ) -> tuple[
-    bool,
+    str,
     DensityOperator | None,
     float,
     MarginalSdpSolution,
@@ -226,19 +226,27 @@ def _decide(
 ]:
     """Verdict, certificate, mu value, the mu solve, and the supported solve.
 
-    The supported solve is None when mu already falls below 1 - eps_decision.
+    The verdict is ``coupling`` when the normalized supported optimizer passes
+    the certificate checks, ``no_coupling`` when the dual bound of mu or of
+    the supported solve falls below 1 - eps_decision, else ``undecided``. The
+    supported solve is None when mu's dual bound already refutes a coupling;
+    otherwise it stops as soon as its bracket clears 1 - eps_decision.
     """
     r1 = _as_density(rho1, "rho1")
     r2 = _as_density(rho2, "rho2")
     value, sol = mu(r1, r2, x_sub, cfg)
     eps = cfg.eps_decision
-    if value < 1.0 - eps:
-        return False, None, value, sol, None
+    threshold = 1.0 - eps
+    if sol.dual_value < threshold:
+        return "no_coupling", None, value, sol, None
     # Polish: re-solve with the support constraint built in, so the candidate
-    # certificate has no mass outside the subspace at all.
-    sup = solve_supported_overlap(x_sub, r1.op, r2.op, cfg)
-    if sup.value < 1.0 - eps or sup.value <= 0.0:
-        return False, None, value, sol, sup
+    # certificate has no mass outside the subspace at all. A value at or above
+    # the threshold bounds the normalized certificate's marginal error by
+    # 4 * eps, since its marginals are dominated and its trace is >= 1 - eps.
+    sup = solve_supported_overlap(x_sub, r1.op, r2.op, cfg, threshold=threshold)
+    verdict = "no_coupling" if sup.dual < threshold else "undecided"
+    if sup.value < threshold or sup.value <= 0.0:
+        return verdict, None, value, sol, sup
     rho_hat = hermitize(sup.X.mat / sup.value)
     p = x_sub.projector.mat
     off = np.eye(x_sub.ambient_dim) - p
@@ -247,8 +255,8 @@ def _decide(
         partial_trace_1(rho_hat, r1.dim, r2.dim) - r2.mat
     )
     if supp_leak > 1e-7 or marg_err > 10.0 * eps:
-        return False, None, value, sol, sup
-    return True, DensityOperator(rho_hat), value, sol, sup
+        return verdict, None, value, sol, sup
+    return "coupling", DensityOperator(rho_hat), value, sol, sup
 
 
 def has_coupling(
@@ -259,13 +267,13 @@ def has_coupling(
 ) -> tuple[bool, DensityOperator | None]:
     """Decide coupling existence; on success return a certificate state.
 
-    The verdict is true only when the overlap optimum reaches 1 - eps_decision
-    and the normalized certificate passes direct checks: support leak outside
-    the subspace at most 1e-7 and total marginal error at most
-    10 * eps_decision. Ties resolve toward false.
+    The verdict is true only when the support-constrained overlap reaches
+    1 - eps_decision and the normalized certificate passes direct checks:
+    support leak outside the subspace at most 1e-7 and total marginal error
+    at most 10 * eps_decision. Ties and undecided runs resolve toward false.
     """
     verdict, cert, _, _, _ = _decide(rho1, rho2, x_sub, cfg)
-    return verdict, cert
+    return verdict == "coupling", cert
 
 
 def _coerce_basis(x_basis, ambient: int | None = None) -> np.ndarray:
@@ -614,10 +622,11 @@ def classical_quantum_consistency(
         vecs.append(e)
     sub = Subspace(m * n, np.column_stack(vecs))
     verdict, cert, value, sol, _ = _decide(rho1, rho2, sub, cfg)
+    coupled = verdict == "coupling"
     return ClassicalQuantumReport(
         classical_feasible=feasible,
-        quantum_verdict=verdict,
-        agree=(feasible == verdict),
+        quantum_verdict=coupled,
+        agree=(feasible == coupled),
         mu_value=value,
         dual_value=sol.dual_value,
         classical_coupling=coupling,

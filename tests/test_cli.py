@@ -285,15 +285,19 @@ def test_main_check_feasible_handcrafted(tmp_path, capsys):
     code, out, _ = run_main(capsys, ["check", path])
     assert code == 0
     report = json.loads(out)
-    assert report["verdict"] is True
+    assert report["verdict"] == "coupling"
     assert report["mu_value"] >= 1.0 - 1e-4
     assert report["certificate_marginal_error"] <= 1e-3
     assert report["kind"] == "coupling"
     assert "wall_time" in report["timings"]
     supported = report["supported"]
-    assert supported["status"] == "optimal"
+    threshold = 1.0 - report["config"]["eps_decision"]
+    assert supported["status"] in ("optimal", "decided")
     assert supported["iterations"] >= 1
-    assert 0.0 <= supported["gap"] <= report["config"]["gap_tol"]
+    assert supported["gap"] >= 0.0
+    assert supported["dual"] < threshold or (
+        supported["dual"] - supported["gap"] >= threshold
+    )
 
 
 def test_main_check_infeasible_generated(tmp_path, capsys):
@@ -304,11 +308,29 @@ def test_main_check_infeasible_generated(tmp_path, capsys):
     code, out, _ = run_main(capsys, ["check", path])
     assert code == 0
     report = json.loads(out)
-    assert report["verdict"] is False
+    assert report["verdict"] == "no_coupling"
     assert "certificate" not in report
-    # mu already falls short of 1 - eps, so the supported solve never runs
-    assert report["mu_value"] < 1.0 - report["config"]["eps_decision"]
+    # mu's dual bound already falls short of 1 - eps, so the supported solve
+    # never runs
+    assert report["solution"]["dual_value"] < 1.0 - report["config"]["eps_decision"]
     assert report["supported"] is None
+
+
+def test_main_check_undecided_at_max_iters(tmp_path, capsys):
+    # 25 iterations leave the mu bracket around 1 - eps: nothing refutes a
+    # coupling and no certificate passes, so the run is undecided (exit 2),
+    # not a no_coupling answer.
+    path = str(tmp_path / "g.json")
+    run_main(capsys, ["gen", "--kind", "coupling", "--dims", "3x3", "--seed", "7", "--out", path])
+    code, out, _ = run_main(capsys, ["check", path, "--max-iters", "25"])
+    report = json.loads(out)
+    threshold = 1.0 - report["config"]["eps_decision"]
+    assert report["solution"]["status"] == "max_iters"
+    assert report["solution"]["dual_value"] >= threshold
+    assert report["supported"]["dual"] >= threshold
+    assert report["verdict"] == "undecided"
+    assert "certificate" not in report
+    assert code == 2
 
 
 def test_main_mu_reports_duality_block(tmp_path, capsys):

@@ -20,7 +20,7 @@ from qstrassen.sdp import (
     DEFAULT_CONFIG,
     MarginalSdpProblem,
     SolverConfig,
-    _support_scale,
+    _support_scaler,
     solve_f_min,
     solve_f_min_full,
     solve_marginal_sdp,
@@ -303,6 +303,46 @@ def test_supported_overlap_value_is_trace_of_returned_point():
     assert abs(sol.value - float(np.trace(sol.X.mat).real)) < 1e-9
 
 
+# Values of the full solve (no threshold), recorded before the threshold stop
+# existed: (dims, seed, feasible) -> (value, gap, iterations).
+SUPPORTED_GOLDEN = {
+    ((2, 3), 0, True): (0.9999994559618473, 6.136124490740968e-07, 300),
+    ((3, 3), 1, True): (0.9999994907967467, 9.176873789762396e-07, 1350),
+    ((2, 4), 15, False): (0.9951427227936618, 7.880290886497221e-07, 975),
+}
+
+
+def golden_instance(dims, seed, feasible):
+    p = generated("coupling", dims, seed, feasible=feasible)
+    return Subspace(p.d1 * p.d2, p.basis), p.rho1, p.rho2
+
+
+def test_supported_overlap_without_threshold_reproduces_full_solve():
+    for (dims, seed, feasible), (value, gap, iterations) in SUPPORTED_GOLDEN.items():
+        sol = solve_supported_overlap(*golden_instance(dims, seed, feasible))
+        assert sol.status == "optimal"
+        assert sol.iterations == iterations
+        assert abs(sol.value - value) <= 1e-12
+        assert abs(sol.gap - gap) <= 1e-12
+        assert abs(sol.dual - (value + gap)) <= 1e-12
+
+
+def test_supported_overlap_threshold_only_stops_early():
+    # The threshold changes no iterate: a decided solve equals the full solve
+    # cut at the same iteration, and its bracket lies on one side.
+    for key in SUPPORTED_GOLDEN:
+        sub, r1, r2 = golden_instance(*key)
+        for threshold in (0.5, 0.99, 1.0 - 1e-4, 1.0 + 1e-3):
+            sol = solve_supported_overlap(sub, r1, r2, threshold=threshold)
+            assert sol.status == "decided", (key, threshold)
+            assert sol.value >= threshold or sol.dual < threshold
+            cut = solve_supported_overlap(
+                sub, r1, r2, SolverConfig(max_iters=sol.iterations)
+            )
+            assert (cut.value, cut.dual, cut.gap) == (sol.value, sol.dual, sol.gap)
+            assert np.array_equal(cut.X.mat, sol.X.mat)
+
+
 # ---------------------------------------------------------------------------
 # stop rule: optimal exactly when the certified bracket is within gap_tol
 
@@ -395,7 +435,7 @@ def scale_cases():
 def test_support_scale_matches_bisection_oracle():
     seen = set()
     for m1, m2, r1, r2, allow in scale_cases():
-        t = _support_scale(m1, m2, r1, r2, allow)
+        t = _support_scaler(r1, r2, allow)(m1, m2)
         ref = support_scale_bisect(m1, m2, r1, r2, allow)
         assert abs(t - ref) <= 1e-10
         assert 0.0 <= t <= 1.0
@@ -409,10 +449,10 @@ def test_support_scale_is_zero_below_the_slack():
     r1 = np.diag([0.6, -1e-9])
     r2 = np.diag([0.5, 0.5 - 1e-9])
     m = np.eye(2) / 2
-    assert _support_scale(m, m, r1, r2, 1e-12) == 0.0
+    assert _support_scaler(r1, r2, 1e-12)(m, m) == 0.0
     assert support_scale_bisect(m, m, r1, r2, 1e-12) == 0.0
     # at lambda_min(R) + allow = 0 exactly the closed form also returns 0
-    assert _support_scale(m, m, np.diag([0.5, -1e-12]), r2, 1e-12) == 0.0
+    assert _support_scaler(np.diag([0.5, -1e-12]), r2, 1e-12)(m, m) == 0.0
 
 
 def test_support_scale_singular_marginal_with_leak():
@@ -422,7 +462,7 @@ def test_support_scale_singular_marginal_with_leak():
     m1 = np.diag([0.5, 0.5])
     m2 = np.eye(2) / 4
     for allow in (1e-12, 1e-9):
-        t = _support_scale(m1, m2, r1, r2, allow)
+        t = _support_scaler(r1, r2, allow)(m1, m2)
         assert abs(t - support_scale_bisect(m1, m2, r1, r2, allow)) <= 1e-10
         assert abs(t - 2.0 * allow) <= 1e-6 * allow
         assert passes_scale_test(t, m1, m2, r1, r2, allow)

@@ -17,10 +17,13 @@ from qstrassen.bipartite import (
     partial_trace_1,
     partial_trace_2,
 )
+from qstrassen import sdp, strassen
+from qstrassen.cli import generate_instance, problem_from_dict
 from qstrassen.linalg import trace_norm
 from qstrassen.sdp import MarginalSdpProblem, SolverConfig, verify_duality_certificates
 from qstrassen.strassen import (
     ClassicalInstance,
+    _decide,
     classical_quantum_consistency,
     classical_strassen,
     f_ladder,
@@ -178,6 +181,83 @@ def test_has_coupling_on_random_constructed_instance():
         partial_trace_1(cert.mat, 3, 3) - r2
     )
     assert marg_err <= 1e-3
+
+
+# ---------------------------------------------------------------------------
+# _decide: the supported solve stops once its bracket clears 1 - eps
+
+
+@pytest.fixture(scope="module")
+def decide_cases():
+    """(feasible, marginals, _decide, _decide with a full supported solve) per instance.
+
+    Generated coupling instances from 2x3 to 4x4, half infeasible; seeds 15
+    (2x4) and 26 (2x3) are infeasible with mu within eps_decision of 1, so only
+    the supported solve can refute them.
+    """
+    specs = [
+        {"dims": dims, "seed": seed, "feasible": feasible}
+        for dims in ((2, 3), (3, 3), (2, 4), (3, 4), (4, 4))
+        for seed in (0, 1)
+        for feasible in (True, False)
+    ]
+    specs += [
+        {"dims": (2, 4), "seed": 15, "feasible": False},
+        {"dims": (2, 3), "seed": 26, "feasible": False},
+    ]
+    cases = []
+    for spec in specs:
+        if spec["dims"] == (2, 3) and not spec["feasible"]:
+            spec["subspace_dim"] = 3  # with 4 the perturbed marginals stay feasible
+        p = problem_from_dict(generate_instance({"kind": "coupling", **spec}))
+        sub = Subspace(p.d1 * p.d2, p.basis)
+        decided = _decide(p.rho1, p.rho2, sub, CFG)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(
+                strassen,
+                "solve_supported_overlap",
+                lambda *args, threshold=None: sdp.solve_supported_overlap(*args),
+            )
+            full = _decide(p.rho1, p.rho2, sub, CFG)
+        cases.append((spec["feasible"], p, decided, full))
+    return cases
+
+
+def test_threshold_stop_keeps_every_verdict(decide_cases):
+    verdicts = set()
+    for feasible, _, decided, full in decide_cases:
+        assert decided[0] == full[0], (feasible, decided[0], full[0])
+        assert decided[2] == full[2]  # mu is solved the same way
+        verdicts.add(decided[0])
+    assert verdicts == {"coupling", "no_coupling"}
+
+
+def test_decided_coupling_certificate_within_four_eps(decide_cases):
+    eps = CFG.eps_decision
+    seen = 0
+    for _, p, (verdict, cert, _, _, sup), _ in decide_cases:
+        if verdict != "coupling" or sup.status != "decided":
+            continue
+        seen += 1
+        assert sup.value >= 1.0 - eps
+        marg_err = trace_norm(partial_trace_2(cert.mat, p.d1, p.d2) - p.rho1) + trace_norm(
+            partial_trace_1(cert.mat, p.d1, p.d2) - p.rho2
+        )
+        assert marg_err <= 4.0 * eps + 1e-9
+    assert seen > 0
+
+
+def test_decided_refutation_only_on_infeasible(decide_cases):
+    threshold = 1.0 - CFG.eps_decision
+    seen = 0
+    for feasible, _, (verdict, cert, _, sol, sup), _ in decide_cases:
+        if sup is None or sup.status != "decided" or verdict == "coupling":
+            continue
+        seen += 1
+        assert not feasible
+        assert verdict == "no_coupling" and cert is None
+        assert sup.dual < threshold <= sol.dual_value
+    assert seen > 0
 
 
 # ---------------------------------------------------------------------------
