@@ -12,7 +12,6 @@ two fibers by sampling extreme-leaning members.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,12 +19,9 @@ import numpy as np
 from .bipartite import BipartiteOperator, partial_trace_1, partial_trace_2
 from .linalg import HermitianOperator, as_matrix, hermitize, psd_project, trace_norm
 from .sdp import (
-    _BALANCE_RATIO,
-    _BALANCE_SCALE,
-    _CHECK_EVERY,
-    _RELAX,
     DEFAULT_CONFIG,
     SolverConfig,
+    _admm,
     _hs,
     _max_eig,
     _min_eig,
@@ -129,12 +125,13 @@ def _repair_to_member(candidate: np.ndarray, fiber: FiberSpec, support_scale) ->
 
 def _project_marginal_affine(
     gt: np.ndarray, r1: np.ndarray, r2: np.ndarray, d1: int, d2: int
-) -> np.ndarray:
+) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray]]:
     """Orthogonal projection onto {gamma : tr_2 gamma = r1, tr_1 gamma = r2}.
 
-    The normal operator of the marginal map has a one-dimensional kernel along
-    (I, -I); any multiplier choice within it yields the same projected point,
-    so the trace split below is made symmetric.
+    Returns the projected point gt - (M1 (x) I + I (x) M2) and the corrections
+    (M1, M2). The normal operator of the marginal map has a one-dimensional
+    kernel along (I, -I); any multiplier choice within it yields the same
+    projected point, so the trace split below is made symmetric.
     """
     rr1 = partial_trace_2(gt, d1, d2) - r1
     rr2 = partial_trace_1(gt, d1, d2) - r2
@@ -143,7 +140,7 @@ def _project_marginal_affine(
     t2 = tau / (2.0 * d1)
     m1 = (rr1 - t2 * np.eye(d1)) / d2
     m2 = (rr2 - t1 * np.eye(d2)) / d1
-    return gt - np.kron(m1, np.eye(d2)) - np.kron(np.eye(d1), m2)
+    return gt - np.kron(m1, np.eye(d2)) - np.kron(np.eye(d1), m2), (m1, m2)
 
 
 def _dist_solve(beta: np.ndarray, fiber: FiberSpec, cfg: SolverConfig):
@@ -165,28 +162,33 @@ def _dist_solve(beta: np.ndarray, fiber: FiberSpec, cfg: SolverConfig):
     eye = np.eye(dim)
     support_scale = _support_scaler(r1, r2, 1e-12)
 
-    sigma = cfg.penalty_init
     gamma = _repair_to_member(
         np.kron(r1, r2) / max(tr_fiber, 1e-300), fiber, support_scale
     )
-    gbig = np.zeros((2 * dim, 2 * dim), dtype=complex)
-    wg = gamma.astype(complex).copy()
-    wbig = gbig.copy()
-    lg = np.zeros_like(wg)
-    lbig = np.zeros_like(gbig)
+    w = [gamma.astype(complex).copy(), np.zeros((2 * dim, 2 * dim), dtype=complex)]
+    lam = [np.zeros_like(b) for b in w]
 
     best_upper = trace_norm(beta - gamma)
     best_member = gamma.copy()
     best_lower = 0.0
-    status = "max_iters"
-    pres = dres = math.inf
-    it = 0
-    last_m1 = np.zeros((d1, d1), dtype=complex)
-    last_m2 = np.zeros((d2, d2), dtype=complex)
+    corrections = ()
 
-    def certify() -> None:
+    def affine(w, lam, sigma):
+        nonlocal corrections
+        tbig = w[1] - lam[1]
+        wa = tbig[:dim, :dim] - eye / (2.0 * sigma)
+        wb = tbig[dim:, dim:] - eye / (2.0 * sigma)
+        e0 = 0.5 * (tbig[:dim, dim:] + tbig[dim:, :dim].conj().T)
+        # e0 is a general matrix even for Hermitian consensus state; the
+        # variable space is Hermitian, so project the target onto it first.
+        target = hermitize((w[0] - lam[0] + 2.0 * (beta - e0)) / 3.0)
+        gamma, corrections = _project_marginal_affine(target, r1, r2, d1, d2)
+        off = beta - gamma
+        return gamma, np.block([[wa, off], [off.conj().T, wb]])
+
+    def certify(w, lam, sigma, pres, dres):
         nonlocal best_upper, best_member, best_lower
-        member = _repair_to_member(wg, fiber, support_scale)
+        member = _repair_to_member(w[0], fiber, support_scale)
         val = trace_norm(beta - member)
         if val < best_upper:
             best_upper = val
@@ -195,7 +197,7 @@ def _dist_solve(beta: np.ndarray, fiber: FiberSpec, cfg: SolverConfig):
         # <Z, beta - gamma> needs the opposite sign of the block that pairs
         # with beta - gamma inside the cone), clipped to the unit spectral
         # ball; closed-form completions of Y then give valid bounds.
-        ybig = hermitize(-sigma * lbig)
+        ybig = hermitize(-sigma * lam[1])
         k = ybig[:dim, dim:]
         z = -(k + k.conj().T)
         zw, zv = np.linalg.eigh(hermitize(z))
@@ -205,10 +207,11 @@ def _dist_solve(beta: np.ndarray, fiber: FiberSpec, cfg: SolverConfig):
             best_lower = lower
         # Marginal-constraint multiplier recovered from the projection step:
         # the gamma subproblem KKT reads 3 sigma (gamma - target) + Phi*(Y) = 0,
-        # so Y = 3 sigma M at the computed correction M.
+        # so Y = 3 sigma M at the latest correction M.
+        m1, m2 = corrections
         for sign in (1.0, -1.0):
-            y1 = sign * 3.0 * sigma * last_m1
-            y2 = sign * 3.0 * sigma * last_m2
+            y1 = sign * 3.0 * sigma * m1
+            y2 = sign * 3.0 * sigma * m2
             viol = _min_eig(
                 np.kron(hermitize(y1), np.eye(d2))
                 + np.kron(np.eye(d1), hermitize(y2))
@@ -220,58 +223,12 @@ def _dist_solve(beta: np.ndarray, fiber: FiberSpec, cfg: SolverConfig):
             cand = _hs(z, beta) - _hs(hermitize(y1), r1) - _hs(hermitize(y2), r2)
             if cand > best_lower:
                 best_lower = cand
+        return "optimal" if best_upper - best_lower <= cfg.gap_tol else None
 
-    while it < cfg.max_iters:
-        it += 1
-        tbig = wbig - lbig
-        wa = tbig[:dim, :dim] - eye / (2.0 * sigma)
-        wb = tbig[dim:, dim:] - eye / (2.0 * sigma)
-        e0 = 0.5 * (tbig[:dim, dim:] + tbig[dim:, :dim].conj().T)
-        g0 = wg - lg
-        # e0 is a general matrix even for Hermitian consensus state; the
-        # variable space is Hermitian, so project the target onto it first.
-        target = hermitize((g0 + 2.0 * (beta - e0)) / 3.0)
-        rr1 = partial_trace_2(target, d1, d2) - r1
-        rr2 = partial_trace_1(target, d1, d2) - r2
-        tau = 0.5 * (_tr(rr1) + _tr(rr2))
-        t1 = tau / (2.0 * d2)
-        t2 = tau / (2.0 * d1)
-        last_m1 = (rr1 - t2 * np.eye(d1)) / d2
-        last_m2 = (rr2 - t1 * np.eye(d2)) / d1
-        gamma = target - np.kron(last_m1, np.eye(d2)) - np.kron(np.eye(d1), last_m2)
-        off = beta - gamma
-        gbig = np.block([[wa, off], [off.conj().T, wb]])
-        gh = _RELAX * gamma + (1.0 - _RELAX) * wg
-        gbigh = _RELAX * gbig + (1.0 - _RELAX) * wbig
-        wg_new = psd_project(gh + lg)
-        wbig_new = psd_project(gbigh + lbig)
-        dres = sigma * math.sqrt(
-            np.linalg.norm(wg_new - wg) ** 2 + np.linalg.norm(wbig_new - wbig) ** 2
-        )
-        lg = lg + gh - wg_new
-        lbig = lbig + gbigh - wbig_new
-        wg, wbig = wg_new, wbig_new
-        pres = math.sqrt(
-            np.linalg.norm(gamma - wg) ** 2 + np.linalg.norm(gbig - wbig) ** 2
-        )
-        if it % _CHECK_EVERY == 0 or it == cfg.max_iters:
-            if not np.isfinite(gamma).all():
-                status = "infeasible_numerics"
-                break
-            certify()
-            gap = best_upper - best_lower
-            if gap <= cfg.gap_tol:
-                status = "optimal"
-                break
-            if pres > _BALANCE_RATIO * dres:
-                sigma *= _BALANCE_SCALE
-                lg /= _BALANCE_SCALE
-                lbig /= _BALANCE_SCALE
-            elif dres > _BALANCE_RATIO * pres:
-                sigma /= _BALANCE_SCALE
-                lg *= _BALANCE_SCALE
-                lbig *= _BALANCE_SCALE
-
+    status, it, _, _, _ = _admm(
+        affine, (psd_project, psd_project), w, lam, cfg.penalty_init,
+        cfg.max_iters, certify,
+    )
     return best_upper, best_lower, best_member, it, status
 
 
@@ -299,33 +256,26 @@ def dist_to_fiber(
 
 
 def _sample_member(fiber: FiberSpec, objective: np.ndarray, cfg: SolverConfig) -> np.ndarray:
-    """A fiber member leaning toward max <objective, gamma> (feasibility certified)."""
+    """A fiber member leaning toward max <objective, gamma> (feasibility certified).
+
+    The one solve without a bracket: it stops once both ADMM residuals are at
+    most cfg.gap_tol, and the iterate is then repaired into an exact member.
+    """
     d1, d2 = fiber.d1, fiber.d2
     r1, r2 = fiber.rho1.mat, fiber.rho2.mat
-    sigma = cfg.penalty_init
     wg = np.kron(r1, r2).astype(complex) / max(_tr(r1), 1e-300)
-    lg = np.zeros_like(wg)
-    gamma = wg.copy()
-    for it in range(1, cfg.max_iters + 1):
-        target = wg - lg + objective / sigma
-        gamma = _project_marginal_affine(target, r1, r2, d1, d2)
-        gh = _RELAX * gamma + (1.0 - _RELAX) * wg
-        wg_new = psd_project(gh + lg)
-        dres = sigma * float(np.linalg.norm(wg_new - wg))
-        lg = lg + gh - wg_new
-        wg = wg_new
-        pres = float(np.linalg.norm(gamma - wg))
-        if it % _CHECK_EVERY == 0:
-            if not np.isfinite(gamma).all():
-                break
-            if pres <= cfg.gap_tol and dres <= cfg.gap_tol:
-                break
-            if pres > _BALANCE_RATIO * dres:
-                sigma *= _BALANCE_SCALE
-                lg /= _BALANCE_SCALE
-            elif dres > _BALANCE_RATIO * pres:
-                sigma /= _BALANCE_SCALE
-                lg *= _BALANCE_SCALE
+
+    def affine(w, lam, sigma):
+        target = w[0] - lam[0] + objective / sigma
+        return (_project_marginal_affine(target, r1, r2, d1, d2)[0],)
+
+    def certify(w, lam, sigma, pres, dres):
+        return "optimal" if pres <= cfg.gap_tol and dres <= cfg.gap_tol else None
+
+    _, _, (wg,), _, _ = _admm(
+        affine, (psd_project,), [wg], [np.zeros_like(wg)], cfg.penalty_init,
+        cfg.max_iters, certify,
+    )
     return _repair_to_member(wg, fiber, _support_scaler(r1, r2, 1e-12))
 
 

@@ -1,7 +1,7 @@
 """Splitting solvers for the two structured conic programs behind coupling tests.
 
-Both programs share one template: a linear objective over an affine slice of a
-product of PSD cones. ``solve_marginal_sdp`` handles the overlap program
+Both programs are a linear objective over an affine slice of a product of PSD
+cones. ``solve_marginal_sdp`` handles the overlap program
 
     maximize  <A, X>   subject to   tr_2 X + S1 = rho1,  tr_1 X + S2 = rho2,
                                     X >= 0, S1 >= 0, S2 >= 0,
@@ -15,10 +15,13 @@ epigraphs.
 The method is a two-block ADMM with over-relaxation and residual balancing:
 one block is projected onto the affine slice (closed form, derived from the
 marginal map's normal equations), the other onto the PSD cones (the only
-expensive kernel). Reported values are certified: the primal value is
-evaluated at an exactly feasible restoration of the iterate, the dual value
-at an exactly feasible repair of the multipliers, so primal <= optimum <= dual
-holds up to the stated feasibility slack (~1e-12), not merely in the limit.
+expensive kernel). One driver, ``_admm``, runs the iteration for every solver
+here and in ``fibers``; each solver supplies only its affine step, its cone
+projections and its certify checkpoint. Reported values are certified: the
+primal value is evaluated at an exactly feasible restoration of the iterate,
+the dual value at an exactly feasible repair of the multipliers, so
+primal <= optimum <= dual holds up to the stated feasibility slack (~1e-12),
+not merely in the limit.
 """
 
 from __future__ import annotations
@@ -105,18 +108,15 @@ class MarginalSdpProblem:
     legitimately differ.
     """
 
-    __slots__ = ("objective", "rho1", "rho2", "mode", "require_equal_traces")
+    __slots__ = ("objective", "rho1", "rho2", "require_equal_traces")
 
     def __init__(
         self,
         objective: BipartiteOperator,
         rho1,
         rho2,
-        mode: str = "max_overlap",
         require_equal_traces: bool = True,
     ):
-        if mode not in ("max_overlap", "min_f"):
-            raise ValueError(f"unknown mode {mode!r}")
         r1 = rho1 if isinstance(rho1, HermitianOperator) else HermitianOperator(rho1)
         r2 = rho2 if isinstance(rho2, HermitianOperator) else HermitianOperator(rho2)
         if r1.dim != objective.d1 or r2.dim != objective.d2:
@@ -133,15 +133,13 @@ class MarginalSdpProblem:
                 f"Sigma membership violated: |tr rho1 - tr rho2| = "
                 f"{abs(r1.trace() - r2.trace()):.3e} exceeds 1e-9"
             )
-        if mode == "max_overlap":
-            a = objective.mat
-            idem = float(np.max(np.abs(a @ a - a)))
-            if idem > 1e-9:
-                raise ValueError(f"objective is not a projector: ||A^2 - A|| = {idem:.3e}")
+        a = objective.mat
+        idem = float(np.max(np.abs(a @ a - a)))
+        if idem > 1e-9:
+            raise ValueError(f"objective is not a projector: ||A^2 - A|| = {idem:.3e}")
         object.__setattr__(self, "objective", objective)
         object.__setattr__(self, "rho1", r1)
         object.__setattr__(self, "rho2", r2)
-        object.__setattr__(self, "mode", mode)
         object.__setattr__(self, "require_equal_traces", bool(require_equal_traces))
 
     def __setattr__(self, name, value):
@@ -226,6 +224,59 @@ def _support_projector(r: np.ndarray, tol) -> np.ndarray | None:
     return vk @ vk.conj().T
 
 
+def _admm(affine, project, w, lam, sigma: float, max_iters: int, certify):
+    """The one ADMM loop: over-relaxation, checkpoints and residual balancing.
+
+    ``w`` holds the consensus blocks and ``lam`` their scaled multipliers.
+    Each iteration takes one point per block on the affine set from
+    ``affine(w, lam, sigma)``, over-relaxes it, projects each block with its
+    ``project`` entry and updates the multipliers. Every _CHECK_EVERY
+    iterations and at the last one the checkpoint ends the solve with status
+    ``infeasible_numerics`` when the first affine block is not finite, then
+    lets ``certify(w, lam, sigma, pres, dres)`` update the caller's bracket
+    and return a stop status or None, and otherwise balances the penalty
+    against the primal and dual residuals. Returns
+    (status, iterations, w, lam, sigma); status is ``max_iters`` when the
+    budget runs out first.
+    """
+    status = "max_iters"
+    it = 0
+    while it < max_iters:
+        it += 1
+        x = affine(w, lam, sigma)
+        w_old = w
+        w = []
+        lam_new = []
+        for xb, wb, lb, proj in zip(x, w_old, lam, project):
+            h = _RELAX * xb + (1.0 - _RELAX) * wb
+            wn = proj(h + lb)
+            w.append(wn)
+            lam_new.append(lb + h - wn)
+        lam = lam_new
+        if it % _CHECK_EVERY == 0 or it == max_iters:
+            if not np.isfinite(x[0]).all():
+                status = "infeasible_numerics"
+                break
+            # The residuals are read only here, so only checkpoints pay for them.
+            dsq = psq = 0.0
+            for xb, wb, wn in zip(x, w_old, w):
+                dsq += np.linalg.norm(wn - wb) ** 2
+                psq += np.linalg.norm(xb - wn) ** 2
+            dres = sigma * math.sqrt(dsq)
+            pres = math.sqrt(psq)
+            stop = certify(w, lam, sigma, pres, dres)
+            if stop is not None:
+                status = stop
+                break
+            if pres > _BALANCE_RATIO * dres:
+                sigma *= _BALANCE_SCALE
+                lam = [lb / _BALANCE_SCALE for lb in lam]
+            elif dres > _BALANCE_RATIO * pres:
+                sigma /= _BALANCE_SCALE
+                lam = [lb * _BALANCE_SCALE for lb in lam]
+    return status, it, w, lam, sigma
+
+
 def solve_marginal_sdp(
     problem: MarginalSdpProblem,
     cfg: SolverConfig = DEFAULT_CONFIG,
@@ -287,46 +338,55 @@ def _solve_overlap(
         qkron = np.kron(q1 if q1 is not None else eye1, q2 if q2 is not None else eye2)
 
     sigma = cfg.penalty_init
-    x = np.zeros((dim, dim), dtype=complex)
-    s1 = r1.astype(complex).copy()
-    s2 = r2.astype(complex).copy()
-    wx = np.zeros_like(x)
-    ws1 = psd_project(s1)
-    ws2 = psd_project(s2)
-    lx = np.zeros_like(x)
-    ls1 = np.zeros_like(s1)
-    ls2 = np.zeros_like(s2)
+    w = [
+        np.zeros((dim, dim), dtype=complex),
+        psd_project(r1.astype(complex)),
+        psd_project(r2.astype(complex)),
+    ]
+    lam = [np.zeros_like(b) for b in w]
     if warm_start:
-        x0 = as_matrix(warm_start.get("X", x))
-        wx = psd_project(x0)
-        x = wx.copy()
-        s1 = r1 - partial_trace_2(x, d1, d2)
-        s2 = r2 - partial_trace_1(x, d1, d2)
-        ws1 = psd_project(s1)
-        ws2 = psd_project(s2)
+        wx = psd_project(as_matrix(warm_start.get("X", w[0])))
+        w = [
+            wx,
+            psd_project(r1 - partial_trace_2(wx, d1, d2)),
+            psd_project(r2 - partial_trace_1(wx, d1, d2)),
+        ]
         sigma = float(warm_start.get("sigma", sigma))
-        if "Y1" in warm_start:
-            ls1 = -hermitize(as_matrix(warm_start["Y1"])) / sigma
-        if "Y2" in warm_start:
-            ls2 = -hermitize(as_matrix(warm_start["Y2"])) / sigma
+        for k in (1, 2):
+            if f"Y{k}" in warm_start:
+                lam[k] = -hermitize(as_matrix(warm_start[f"Y{k}"])) / sigma
 
     best_primal = -math.inf
-    best_x = np.zeros_like(x)
+    best_x = np.zeros_like(w[0])
     best_t2x = np.zeros_like(r1)
     best_t1x = np.zeros_like(r2)
     best_dual = math.inf
     best_y1 = eye1.astype(complex)
     best_y2 = eye2.astype(complex)
     history: list[float] = []
-    status = "max_iters"
-    pres = dres = math.inf
-    it = 0
 
-    def certify() -> None:
+    def affine(w, lam, sigma):
+        # Project (wx - lx + a/sigma, ws - ls) onto the affine slice
+        # tr_2 X + S1 = rho1, tr_1 X + S2 = rho2 via the normal equations of
+        # the marginal map (a 2x2 trace system plus identity shifts).
+        v = w[0] - lam[0] + a / sigma
+        g1 = w[1] - lam[1]
+        g2 = w[2] - lam[2]
+        rr1 = partial_trace_2(v, d1, d2) + g1 - r1
+        rr2 = partial_trace_1(v, d1, d2) + g2 - r2
+        a1 = _tr(rr1)
+        a2 = _tr(rr2)
+        tm1 = ((1.0 + d1) * a1 - d1 * a2) / det
+        tm2 = ((1.0 + d2) * a2 - d2 * a1) / det
+        m1 = (rr1 - tm2 * eye1) / (1.0 + d2)
+        m2 = (rr2 - tm1 * eye2) / (1.0 + d1)
+        return v - np.kron(m1, eye2) - np.kron(eye1, m2), g1 - m1, g2 - m2
+
+    def certify(w, lam, sigma, pres, dres):
         nonlocal best_primal, best_x, best_dual, best_y1, best_y2, best_t2x, best_t1x
         # Primal restoration: clamp to the PSD cone and the marginal supports,
         # then scale down until domination holds exactly.
-        xc = wx if qkron is None else hermitize(qkron @ wx @ qkron)
+        xc = w[0] if qkron is None else hermitize(qkron @ w[0] @ qkron)
         t2x = partial_trace_2(xc, d1, d2)
         t1x = partial_trace_1(xc, d1, d2)
         t = support_scale(t2x, t1x)
@@ -339,8 +399,8 @@ def _solve_overlap(
         history.append(best_primal)
         # Dual repair: multipliers for the slack cones are PSD by construction;
         # an identity shift enforces Y1 (x) I + I (x) Y2 >= A exactly.
-        y1 = hermitize(-sigma * ls1)
-        y2 = hermitize(-sigma * ls2)
+        y1 = hermitize(-sigma * lam[1])
+        y2 = hermitize(-sigma * lam[2])
         low1 = _min_eig(y1)
         if low1 < 0:
             y1 = y1 - low1 * eye1
@@ -353,72 +413,14 @@ def _solve_overlap(
             best_dual = dval
             best_y1 = y1
             best_y2 = y2
+        return "optimal" if best_dual - best_primal <= cfg.gap_tol else None
 
-    while it < cfg.max_iters:
-        it += 1
-        # Block 1: project (wx - lx + a/sigma, ws - ls) onto the affine slice
-        # tr_2 X + S1 = rho1, tr_1 X + S2 = rho2 via the normal equations of
-        # the marginal map (a 2x2 trace system plus identity shifts).
-        v = wx - lx + a / sigma
-        v1m = partial_trace_2(v, d1, d2)
-        v2m = partial_trace_1(v, d1, d2)
-        g1 = ws1 - ls1
-        g2 = ws2 - ls2
-        rr1 = v1m + g1 - r1
-        rr2 = v2m + g2 - r2
-        a1 = _tr(rr1)
-        a2 = _tr(rr2)
-        tm1 = ((1.0 + d1) * a1 - d1 * a2) / det
-        tm2 = ((1.0 + d2) * a2 - d2 * a1) / det
-        m1 = (rr1 - tm2 * eye1) / (1.0 + d2)
-        m2 = (rr2 - tm1 * eye2) / (1.0 + d1)
-        x = v - np.kron(m1, eye2) - np.kron(eye1, m2)
-        s1 = g1 - m1
-        s2 = g2 - m2
-        # Block 2: over-relaxed PSD projections.
-        xh = _RELAX * x + (1.0 - _RELAX) * wx
-        s1h = _RELAX * s1 + (1.0 - _RELAX) * ws1
-        s2h = _RELAX * s2 + (1.0 - _RELAX) * ws2
-        wx_new = psd_project(xh + lx)
-        ws1_new = psd_project(s1h + ls1)
-        ws2_new = psd_project(s2h + ls2)
-        dres = sigma * math.sqrt(
-            np.linalg.norm(wx_new - wx) ** 2
-            + np.linalg.norm(ws1_new - ws1) ** 2
-            + np.linalg.norm(ws2_new - ws2) ** 2
-        )
-        lx = lx + xh - wx_new
-        ls1 = ls1 + s1h - ws1_new
-        ls2 = ls2 + s2h - ws2_new
-        wx, ws1, ws2 = wx_new, ws1_new, ws2_new
-        pres = math.sqrt(
-            np.linalg.norm(x - wx) ** 2
-            + np.linalg.norm(s1 - ws1) ** 2
-            + np.linalg.norm(s2 - ws2) ** 2
-        )
-
-        if it % _CHECK_EVERY == 0 or it == cfg.max_iters:
-            if not np.isfinite(x).all():
-                status = "infeasible_numerics"
-                break
-            certify()
-            gap = best_dual - best_primal
-            if gap <= cfg.gap_tol:
-                status = "optimal"
-                break
-            if pres > _BALANCE_RATIO * dres:
-                sigma *= _BALANCE_SCALE
-                lx /= _BALANCE_SCALE
-                ls1 /= _BALANCE_SCALE
-                ls2 /= _BALANCE_SCALE
-            elif dres > _BALANCE_RATIO * pres:
-                sigma /= _BALANCE_SCALE
-                lx *= _BALANCE_SCALE
-                ls1 *= _BALANCE_SCALE
-                ls2 *= _BALANCE_SCALE
-
+    project = (psd_project, psd_project, psd_project)
+    status, it, w, lam, sigma = _admm(
+        affine, project, w, lam, sigma, cfg.max_iters, certify
+    )
     if not history:
-        certify()
+        certify(w, lam, sigma, math.inf, math.inf)
     adjoint_viol = max(
         0.0,
         -_min_eig(np.kron(best_y1, eye2) + np.kron(eye1, best_y2) - a),
@@ -533,6 +535,28 @@ def _f_value(x: np.ndarray, r1: np.ndarray, r2: np.ndarray, d1: int, d2: int) ->
     )
 
 
+def _subspace_marginal_maps(rho1, rho2, x_sub: Subspace):
+    """Hermitian marginals, the basis V of ``x_sub`` and the marginal maps on C.
+
+    mm1 and mm2 are the matrices of C -> tr_2(V C V^*) and C -> tr_1(V C V^*)
+    acting on row-major flattened coefficient matrices C.
+    """
+    r1 = hermitize(rho1.mat if isinstance(rho1, HermitianOperator) else as_matrix(rho1))
+    r2 = hermitize(rho2.mat if isinstance(rho2, HermitianOperator) else as_matrix(rho2))
+    d1 = r1.shape[0]
+    d2 = r2.shape[0]
+    if x_sub.ambient_dim != d1 * d2:
+        raise ValueError(
+            f"subspace ambient dim {x_sub.ambient_dim} does not match {d1}*{d2}"
+        )
+    n = x_sub.dim
+    vbasis = x_sub.basis
+    vr = vbasis.reshape(d1, d2, n)
+    mm1 = np.einsum("ipl,jpm->ijlm", vr, vr.conj()).reshape(d1 * d1, n * n)
+    mm2 = np.einsum("ipl,iqm->pqlm", vr, vr.conj()).reshape(d2 * d2, n * n)
+    return r1, r2, vbasis, mm1, mm2
+
+
 def solve_f_min_full(
     rho1,
     rho2,
@@ -553,19 +577,8 @@ def solve_f_min_full(
     most cfg.gap_tol, else ends at ``max_iters`` (or ``infeasible_numerics``
     on NaN/Inf breakdown); the ADMM residuals only steer the penalty.
     """
-    r1 = hermitize(rho1.mat if isinstance(rho1, HermitianOperator) else as_matrix(rho1))
-    r2 = hermitize(rho2.mat if isinstance(rho2, HermitianOperator) else as_matrix(rho2))
-    d1 = r1.shape[0]
-    d2 = r2.shape[0]
-    if x_sub.ambient_dim != d1 * d2:
-        raise ValueError(
-            f"subspace ambient dim {x_sub.ambient_dim} does not match {d1}*{d2}"
-        )
-    n = x_sub.dim
-    vbasis = x_sub.basis
-    vr = vbasis.reshape(d1, d2, n)
-    mm1 = np.einsum("ipl,jpm->ijlm", vr, vr.conj()).reshape(d1 * d1, n * n)
-    mm2 = np.einsum("ipl,iqm->pqlm", vr, vr.conj()).reshape(d2 * d2, n * n)
+    r1, r2, vbasis, mm1, mm2 = _subspace_marginal_maps(rho1, rho2, x_sub)
+    d1, d2, n = r1.shape[0], r2.shape[0], x_sub.dim
     normal = (
         np.eye(n * n)
         + 2.0 * (mm1.conj().T @ mm1)
@@ -581,17 +594,10 @@ def solve_f_min_full(
         return (mm.conj().T @ z.reshape(-1)).reshape(n, n)
 
     sigma = cfg.penalty_init
-    c = np.zeros((n, n), dtype=complex)
-    g1 = np.zeros((2 * d1, 2 * d1), dtype=complex)
-    g2 = np.zeros((2 * d2, 2 * d2), dtype=complex)
-    wc = c.copy()
-    wg1 = g1.copy()
-    wg2 = g2.copy()
-    lc = c.copy()
-    lg1 = g1.copy()
-    lg2 = g2.copy()
+    w = [np.zeros((k, k), dtype=complex) for k in (n, 2 * d1, 2 * d2)]
+    lam = [np.zeros_like(b) for b in w]
     best_upper = _tr(r1) + _tr(r2)  # f at X = 0, always an admissible point
-    best_c = np.zeros_like(c)
+    best_c = np.zeros_like(w[0])
     best_lower = 0.0
     if warm_start:
         prev = as_matrix(warm_start["C"])
@@ -604,12 +610,12 @@ def solve_f_min_full(
             out[: old.shape[0], : old.shape[1]] = old
             return out
 
-        wc = pad(as_matrix(warm_start["WC"]))
-        lc = pad(as_matrix(warm_start["LC"]))
-        wg1 = as_matrix(warm_start["WG1"]).copy()
-        wg2 = as_matrix(warm_start["WG2"]).copy()
-        lg1 = as_matrix(warm_start["LG1"]).copy()
-        lg2 = as_matrix(warm_start["LG2"]).copy()
+        w = [pad(as_matrix(warm_start["WC"]))] + [
+            as_matrix(warm_start[k]).copy() for k in ("WG1", "WG2")
+        ]
+        lam = [pad(as_matrix(warm_start["LC"]))] + [
+            as_matrix(warm_start[k]).copy() for k in ("LG1", "LG2")
+        ]
         sigma = float(warm_start.get("sigma", sigma))
         # The padded previous minimizer spans the same operator on the larger
         # level, so its mismatch value carries over verbatim; seeding it keeps
@@ -619,22 +625,42 @@ def solve_f_min_full(
         if seed < best_upper:
             best_upper = seed
             best_c = cpad
-    status = "max_iters"
-    pres = dres = math.inf
-    it = 0
 
-    def certify() -> None:
+    def affine(w, lam, sigma):
+        tg1 = w[1] - lam[1]
+        tg2 = w[2] - lam[2]
+        wa1 = tg1[:d1, :d1] - np.eye(d1) / (2.0 * sigma)
+        wb1 = tg1[d1:, d1:] - np.eye(d1) / (2.0 * sigma)
+        a10 = 0.5 * (tg1[:d1, d1:] + tg1[d1:, :d1].conj().T)
+        wa2 = tg2[:d2, :d2] - np.eye(d2) / (2.0 * sigma)
+        wb2 = tg2[d2:, d2:] - np.eye(d2) / (2.0 * sigma)
+        a20 = 0.5 * (tg2[:d2, d2:] + tg2[d2:, :d2].conj().T)
+        rhs = (
+            (w[0] - lam[0]).reshape(-1)
+            + 2.0 * (mm1.conj().T @ (r1 + a10).reshape(-1))
+            + 2.0 * (mm2.conj().T @ (r2 + a20).reshape(-1))
+        )
+        c = hermitize((normal_inv @ rhs).reshape(n, n))
+        off1 = lmap(c, mm1, d1) - r1
+        off2 = lmap(c, mm2, d2) - r2
+        return (
+            c,
+            np.block([[wa1, off1], [off1.conj().T, wb1]]),
+            np.block([[wa2, off2], [off2.conj().T, wb2]]),
+        )
+
+    def certify(w, lam, sigma, pres, dres):
         nonlocal best_upper, best_c, best_lower
-        x = vbasis @ wc @ vbasis.conj().T
+        x = vbasis @ w[0] @ vbasis.conj().T
         val = _f_value(x, r1, r2, d1, d2)
         if val < best_upper:
             best_upper = val
-            best_c = wc.copy()
+            best_c = w[0].copy()
         # Multiplier blocks of the epigraph cones: the off-diagonal block of
         # each (PSD) multiplier yields a test matrix Z with ||Z||_inf <= 1 at
         # optimality; repair shifts restore the sign constraint exactly.
-        y1 = hermitize(-sigma * lg1)
-        y2 = hermitize(-sigma * lg2)
+        y1 = hermitize(-sigma * lam[1])
+        y2 = hermitize(-sigma * lam[2])
         z1 = y1[:d1, d1:]
         z1 = z1 + z1.conj().T
         z2 = y2[:d2, d2:]
@@ -653,67 +679,12 @@ def solve_f_min_full(
         lower = (_hs(z1, r1) + _hs(z2, r2)) / scale
         if lower > best_lower:
             best_lower = lower
+        return "optimal" if best_upper - best_lower <= cfg.gap_tol else None
 
-    while it < cfg.max_iters:
-        it += 1
-        tg1 = wg1 - lg1
-        tg2 = wg2 - lg2
-        wa1 = tg1[:d1, :d1] - np.eye(d1) / (2.0 * sigma)
-        wb1 = tg1[d1:, d1:] - np.eye(d1) / (2.0 * sigma)
-        a10 = 0.5 * (tg1[:d1, d1:] + tg1[d1:, :d1].conj().T)
-        wa2 = tg2[:d2, :d2] - np.eye(d2) / (2.0 * sigma)
-        wb2 = tg2[d2:, d2:] - np.eye(d2) / (2.0 * sigma)
-        a20 = 0.5 * (tg2[:d2, d2:] + tg2[d2:, :d2].conj().T)
-        c0 = wc - lc
-        rhs = (
-            c0.reshape(-1)
-            + 2.0 * (mm1.conj().T @ (r1 + a10).reshape(-1))
-            + 2.0 * (mm2.conj().T @ (r2 + a20).reshape(-1))
-        )
-        c = hermitize((normal_inv @ rhs).reshape(n, n))
-        off1 = lmap(c, mm1, d1) - r1
-        off2 = lmap(c, mm2, d2) - r2
-        g1 = np.block([[wa1, off1], [off1.conj().T, wb1]])
-        g2 = np.block([[wa2, off2], [off2.conj().T, wb2]])
-        ch = _RELAX * c + (1.0 - _RELAX) * wc
-        g1h = _RELAX * g1 + (1.0 - _RELAX) * wg1
-        g2h = _RELAX * g2 + (1.0 - _RELAX) * wg2
-        wc_new = _psd_trace_cap_project(ch + lc, cap)
-        wg1_new = psd_project(g1h + lg1)
-        wg2_new = psd_project(g2h + lg2)
-        dres = sigma * math.sqrt(
-            np.linalg.norm(wc_new - wc) ** 2
-            + np.linalg.norm(wg1_new - wg1) ** 2
-            + np.linalg.norm(wg2_new - wg2) ** 2
-        )
-        lc = lc + ch - wc_new
-        lg1 = lg1 + g1h - wg1_new
-        lg2 = lg2 + g2h - wg2_new
-        wc, wg1, wg2 = wc_new, wg1_new, wg2_new
-        pres = math.sqrt(
-            np.linalg.norm(c - wc) ** 2
-            + np.linalg.norm(g1 - wg1) ** 2
-            + np.linalg.norm(g2 - wg2) ** 2
-        )
-        if it % _CHECK_EVERY == 0 or it == cfg.max_iters:
-            if not np.isfinite(c).all():
-                status = "infeasible_numerics"
-                break
-            certify()
-            gap = best_upper - best_lower
-            if gap <= cfg.gap_tol:
-                status = "optimal"
-                break
-            if pres > _BALANCE_RATIO * dres:
-                sigma *= _BALANCE_SCALE
-                lc /= _BALANCE_SCALE
-                lg1 /= _BALANCE_SCALE
-                lg2 /= _BALANCE_SCALE
-            elif dres > _BALANCE_RATIO * pres:
-                sigma /= _BALANCE_SCALE
-                lc *= _BALANCE_SCALE
-                lg1 *= _BALANCE_SCALE
-                lg2 *= _BALANCE_SCALE
+    project = (lambda h: _psd_trace_cap_project(h, cap), psd_project, psd_project)
+    status, it, w, lam, sigma = _admm(
+        affine, project, w, lam, sigma, cfg.max_iters, certify
+    )
 
     x_best = hermitize(vbasis @ best_c @ vbasis.conj().T)
     residuals = {
@@ -723,12 +694,12 @@ def solve_f_min_full(
     }
     warm_out = {
         "C": best_c,
-        "WC": wc,
-        "LC": lc,
-        "WG1": wg1,
-        "WG2": wg2,
-        "LG1": lg1,
-        "LG2": lg2,
+        "WC": w[0],
+        "LC": lam[0],
+        "WG1": w[1],
+        "WG2": w[2],
+        "LG1": lam[1],
+        "LG2": lam[2],
         "sigma": sigma,
     }
     sol = FMinSolution(
@@ -788,19 +759,8 @@ def solve_supported_overlap(
     also stops, with status ``decided``, at the first checkpoint where the
     bracket lies on one side of it: value >= threshold or dual < threshold.
     """
-    r1 = hermitize(rho1.mat if isinstance(rho1, HermitianOperator) else as_matrix(rho1))
-    r2 = hermitize(rho2.mat if isinstance(rho2, HermitianOperator) else as_matrix(rho2))
-    d1 = r1.shape[0]
-    d2 = r2.shape[0]
-    if x_sub.ambient_dim != d1 * d2:
-        raise ValueError(
-            f"subspace ambient dim {x_sub.ambient_dim} does not match {d1}*{d2}"
-        )
-    n = x_sub.dim
-    vbasis = x_sub.basis
-    vr = vbasis.reshape(d1, d2, n)
-    mm1 = np.einsum("ipl,jpm->ijlm", vr, vr.conj()).reshape(d1 * d1, n * n)
-    mm2 = np.einsum("ipl,iqm->pqlm", vr, vr.conj()).reshape(d2 * d2, n * n)
+    r1, r2, vbasis, mm1, mm2 = _subspace_marginal_maps(rho1, rho2, x_sub)
+    d1, d2, n = r1.shape[0], r2.shape[0], x_sub.dim
     k1 = d1 * d1
     k2 = d2 * d2
     big = np.eye(k1 + k2, dtype=complex)
@@ -814,22 +774,37 @@ def solve_supported_overlap(
     eyen = np.eye(n)
 
     sigma = cfg.penalty_init
-    wc = np.zeros((n, n), dtype=complex)
-    ws1 = psd_project(r1.astype(complex))
-    ws2 = psd_project(r2.astype(complex))
-    lc = np.zeros_like(wc)
-    ls1 = np.zeros((d1, d1), dtype=complex)
-    ls2 = np.zeros((d2, d2), dtype=complex)
+    w = [
+        np.zeros((n, n), dtype=complex),
+        psd_project(r1.astype(complex)),
+        psd_project(r2.astype(complex)),
+    ]
+    lam = [np.zeros_like(b) for b in w]
 
     best_value = 0.0
     best_x = np.zeros((d1 * d2, d1 * d2), dtype=complex)
     best_dual = math.inf
-    status = "max_iters"
-    it = 0
 
-    def certify() -> None:
+    def affine(w, lam, sigma):
+        c0 = w[0] - lam[0] + eyen / sigma
+        t1 = w[1] - lam[1]
+        t2 = w[2] - lam[2]
+        l1c0 = (mm1 @ c0.reshape(-1)).reshape(d1, d1)
+        l2c0 = (mm2 @ c0.reshape(-1)).reshape(d2, d2)
+        rhs = np.concatenate(
+            [(l1c0 + t1 - r1).reshape(-1), (l2c0 + t2 - r2).reshape(-1)]
+        )
+        msol = big_inv @ rhs
+        m1 = msol[:k1].reshape(d1, d1)
+        m2 = msol[k1:].reshape(d2, d2)
+        c = c0 - (mm1.conj().T @ m1.reshape(-1)).reshape(n, n) - (
+            mm2.conj().T @ m2.reshape(-1)
+        ).reshape(n, n)
+        return c, t1 - m1, t2 - m2
+
+    def certify(w, lam, sigma, pres, dres):
         nonlocal best_value, best_x, best_dual
-        cf = wc
+        cf = w[0]
         m1 = hermitize((mm1 @ cf.reshape(-1)).reshape(d1, d1))
         m2 = hermitize((mm2 @ cf.reshape(-1)).reshape(d2, d2))
         t = support_scale(m1, m2)
@@ -837,8 +812,8 @@ def solve_supported_overlap(
         if val > best_value:
             best_value = val
             best_x = hermitize(vbasis @ (t * cf) @ vbasis.conj().T)
-        y1 = hermitize(-sigma * ls1)
-        y2 = hermitize(-sigma * ls2)
+        y1 = hermitize(-sigma * lam[1])
+        y2 = hermitize(-sigma * lam[2])
         low = min(_min_eig(y1), _min_eig(y2))
         if low < 0:
             y1 = y1 - low * np.eye(d1)
@@ -857,72 +832,18 @@ def solve_supported_overlap(
         dval = _hs(r1, y1) + _hs(r2, y2)
         if dval < best_dual:
             best_dual = dval
+        if best_dual - best_value <= cfg.gap_tol:
+            return "optimal"
+        if threshold is not None and (best_value >= threshold or best_dual < threshold):
+            return "decided"
+        return None
 
-    while it < cfg.max_iters:
-        it += 1
-        c0 = wc - lc + eyen / sigma
-        t1 = ws1 - ls1
-        t2 = ws2 - ls2
-        l1c0 = (mm1 @ c0.reshape(-1)).reshape(d1, d1)
-        l2c0 = (mm2 @ c0.reshape(-1)).reshape(d2, d2)
-        rhs = np.concatenate(
-            [(l1c0 + t1 - r1).reshape(-1), (l2c0 + t2 - r2).reshape(-1)]
-        )
-        msol = big_inv @ rhs
-        m1 = msol[:k1].reshape(d1, d1)
-        m2 = msol[k1:].reshape(d2, d2)
-        c = c0 - (mm1.conj().T @ m1.reshape(-1)).reshape(n, n) - (
-            mm2.conj().T @ m2.reshape(-1)
-        ).reshape(n, n)
-        s1 = t1 - m1
-        s2 = t2 - m2
-        ch = _RELAX * c + (1.0 - _RELAX) * wc
-        s1h = _RELAX * s1 + (1.0 - _RELAX) * ws1
-        s2h = _RELAX * s2 + (1.0 - _RELAX) * ws2
-        wc_new = psd_project(ch + lc)
-        ws1_new = psd_project(s1h + ls1)
-        ws2_new = psd_project(s2h + ls2)
-        dres = sigma * math.sqrt(
-            np.linalg.norm(wc_new - wc) ** 2
-            + np.linalg.norm(ws1_new - ws1) ** 2
-            + np.linalg.norm(ws2_new - ws2) ** 2
-        )
-        lc = lc + ch - wc_new
-        ls1 = ls1 + s1h - ws1_new
-        ls2 = ls2 + s2h - ws2_new
-        wc, ws1, ws2 = wc_new, ws1_new, ws2_new
-        pres = math.sqrt(
-            np.linalg.norm(c - wc) ** 2
-            + np.linalg.norm(s1 - ws1) ** 2
-            + np.linalg.norm(s2 - ws2) ** 2
-        )
-        if it % _CHECK_EVERY == 0 or it == cfg.max_iters:
-            if not np.isfinite(c).all():
-                status = "infeasible_numerics"
-                break
-            certify()
-            gap = best_dual - best_value
-            if gap <= cfg.gap_tol:
-                status = "optimal"
-                break
-            if threshold is not None and (
-                best_value >= threshold or best_dual < threshold
-            ):
-                status = "decided"
-                break
-            if pres > _BALANCE_RATIO * dres:
-                sigma *= _BALANCE_SCALE
-                lc /= _BALANCE_SCALE
-                ls1 /= _BALANCE_SCALE
-                ls2 /= _BALANCE_SCALE
-            elif dres > _BALANCE_RATIO * pres:
-                sigma /= _BALANCE_SCALE
-                lc *= _BALANCE_SCALE
-                ls1 *= _BALANCE_SCALE
-                ls2 *= _BALANCE_SCALE
-
+    project = (psd_project, psd_project, psd_project)
+    status, it, w, lam, sigma = _admm(
+        affine, project, w, lam, sigma, cfg.max_iters, certify
+    )
     if math.isinf(best_dual):
-        certify()
+        certify(w, lam, sigma, math.inf, math.inf)
     return SupportedOverlapSolution(
         value=best_value,
         X=BipartiteOperator(best_x, d1, d2),

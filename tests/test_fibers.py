@@ -13,10 +13,12 @@ import numpy as np
 import pytest
 
 from qstrassen.bipartite import BipartiteOperator, partial_trace_1, partial_trace_2
+from qstrassen.cli import generate_instance, problem_from_dict
 from qstrassen.fibers import (
     FiberSpec,
     SemidistanceBound,
     _dist_solve,
+    _sample_member,
     dist_to_fiber,
     glue_coupling,
     semidistance_lower_bound,
@@ -191,6 +193,72 @@ def test_dist_accepts_wrapped_input():
     beta = BipartiteOperator(bell_state(), 2, 2)
     dist, _ = dist_to_fiber(beta, fiber)
     assert dist <= 1e-6
+
+
+def generated_fiber(dims, seed):
+    p = problem_from_dict(
+        generate_instance({"kind": "fiber_dist", "dims": dims, "seed": seed})
+    )
+    return p.beta, FiberSpec(p.rho1, p.rho2)
+
+
+# Reference results on generated instances; the solver must reproduce the
+# iterations and status exactly and the values to 1e-12:
+# (dims, seed, max_iters) -> (upper, lower, iterations, status).
+DIST_GOLDEN = {
+    ((2, 3), 0, 50_000): (0.7491710966325283, 0.7491703971032349, 450, "optimal"),
+    ((3, 3), 1, 50_000): (0.38259589446944536, 0.3825952428793211, 425, "optimal"),
+    ((2, 2), 2, 50): (0.35533309455132633, 0.3553117234457819, 50, "max_iters"),
+}
+
+
+def test_dist_solve_reproduces_golden_values():
+    for (dims, seed, max_iters), golden in DIST_GOLDEN.items():
+        beta, fiber = generated_fiber(dims, seed)
+        upper, lower, member, iterations, status = _dist_solve(
+            beta, fiber, SolverConfig(max_iters=max_iters)
+        )
+        assert (iterations, status) == golden[2:]
+        assert abs(upper - golden[0]) <= 1e-12
+        assert abs(lower - golden[1]) <= 1e-12
+        assert abs(trace_norm(beta - member) - upper) <= 1e-12
+
+
+# Reference members sampled with the semidistance sampler's settings
+# (gap_tol 1e-5) and its first objective: (dims, seed, max_iters) -> member.
+SAMPLE_GOLDEN = {
+    ((2, 2), 0, 4000): [
+        [(0.21628442483413537+0j), (-0.041427302954226856+0.13862101262714094j),
+         (-0.08817790875918317-0.11877540555242627j), (-0.2756474167058874-0.16205120471453774j)],
+        [(-0.041427302954226856-0.13862101262714094j), (0.14173371045352998+0j),
+         (-0.05139223036861258+0.09215140935741208j), (-0.02050773402979969+0.2512885187122663j)],
+        [(-0.08817790875918317+0.11877540555242627j), (-0.05139223036861258-0.09215140935741208j),
+         (0.10623929436051005+0j), (0.2191970511730727-0.08646276338303381j)],
+        [(-0.2756474167058874+0.16205120471453774j), (-0.02050773402979969-0.2512885187122663j),
+         (0.2191970511730727+0.08646276338303381j), (0.5357425703518246+0j)],
+    ],
+    ((2, 2), 1, 50): [
+        [(0.2168178787544203+0j), (-0.10320870778546473+0.03731493657160807j),
+         (-0.007354591464998386+0.0008002722599780093j), (-0.17986846927484576-0.19435783185521183j)],
+        [(-0.10320870778546473-0.03731493657160807j), (0.0777459709107467+0j),
+         (0.00676421184335402-0.08101108529729738j), (0.07497471616364193+0.12319241397943885j)],
+        [(-0.007354591464998386-0.0008002722599780093j), (0.00676421184335402+0.08101108529729738j),
+         (0.3519307022453967+0j), (0.014636303760318577+0.1076078732523785j)],
+        [(-0.17986846927484576+0.19435783185521183j), (0.07497471616364193-0.12319241397943885j),
+         (0.014636303760318577-0.1076078732523785j), (0.35350544808943624+0j)],
+    ],
+}
+
+
+def test_sample_member_reproduces_golden_members():
+    for (dims, seed, max_iters), golden in SAMPLE_GOLDEN.items():
+        _, fiber = generated_fiber(dims, seed)
+        rng = np.random.default_rng(7)
+        objective = hermitize(crand(rng, 4, 4))
+        objective /= np.linalg.norm(objective)
+        cfg = SolverConfig(gap_tol=1e-5, max_iters=max_iters)
+        member = _sample_member(fiber, objective, cfg)
+        assert np.max(np.abs(member - np.array(golden))) <= 1e-12
 
 
 # ---------------------------------------------------------------------------

@@ -67,8 +67,6 @@ def test_solver_config_validation():
 
 def test_problem_rejects_bad_data():
     sub = bell_subspace()
-    with pytest.raises(ValueError, match="unknown mode"):
-        problem_for(sub, np.eye(2) / 2, np.eye(2) / 2, mode="nope")
     with pytest.raises(ValueError, match="do not match objective factors"):
         problem_for(sub, np.eye(3), np.eye(2))
     with pytest.raises(ValueError, match="not PSD"):
@@ -79,7 +77,7 @@ def test_problem_rejects_bad_data():
         MarginalSdpProblem(BipartiteOperator(np.eye(4) * 0.5, 2, 2), np.eye(2) / 2, np.eye(2) / 2)
     prob = problem_for(sub, np.eye(2) / 2, np.eye(2) / 2)
     with pytest.raises(AttributeError, match="immutable"):
-        prob.mode = "min_f"
+        prob.require_equal_traces = False
 
 
 def test_problem_allows_unequal_traces_when_relaxed():
@@ -341,6 +339,68 @@ def test_supported_overlap_threshold_only_stops_early():
             )
             assert (cut.value, cut.dual, cut.gap) == (sol.value, sol.dual, sol.gap)
             assert np.array_equal(cut.X.mat, sol.X.mat)
+
+
+# Reference results on generated instances; the solver must reproduce the
+# iterations and status exactly and the values to 1e-12:
+# (dims, seed, feasible, max_iters) -> (primal, dual, iterations, status).
+MARGINAL_GOLDEN = {
+    ((2, 3), 0, True, 50_000): (0.9999999057931761, 1.0000000411868895, 175, "optimal"),
+    ((3, 3), 1, False, 50_000): (0.9990745865825683, 0.9990752143068797, 175, "optimal"),
+    ((3, 3), 2, True, 50): (0.9971560706349208, 1.0012666338199223, 50, "max_iters"),
+}
+
+
+def test_marginal_sdp_reproduces_golden_values():
+    for (dims, seed, feasible, max_iters), golden in MARGINAL_GOLDEN.items():
+        sub, r1, r2 = golden_instance(dims, seed, feasible)
+        obj = BipartiteOperator(sub.projector.mat, *dims)
+        sol = solve_marginal_sdp(
+            MarginalSdpProblem(obj, r1, r2), SolverConfig(max_iters=max_iters)
+        )
+        primal, dual, iterations, status = golden
+        assert (sol.iterations, sol.status) == (iterations, status)
+        assert abs(sol.primal_value - primal) <= 1e-12
+        assert abs(sol.dual_value - dual) <= 1e-12
+
+
+# Warm-started f-ladder chains, one entry per level:
+# (dims, seed, max_iters) -> [(value, lower_bound, iterations, status), ...].
+F_MIN_CHAIN_GOLDEN = {
+    ((2, 3), 0, 50_000): [
+        (1.313520275044532, 1.3135202439516336, 100, "optimal"),
+        (0.720186191461468, 0.7201861604070006, 100, "optimal"),
+        (0.4272075214692814, 0.4272070380628201, 125, "optimal"),
+        (4.800428620578789e-07, 0.0, 100, "optimal"),
+        (1.5660695052815271e-09, 0.0, 25, "optimal"),
+        (9.659299848215814e-14, 0.0, 25, "optimal"),
+    ],
+    ((3, 3), 1, 50): [
+        (1.4750440638113531, 1.4750215745124393, 50, "max_iters"),
+        (0.9645199575104342, 0.9644905720390008, 50, "max_iters"),
+        (0.7430104100242118, 0.7430050638634672, 50, "max_iters"),
+        (0.006363356249557627, 0.0, 50, "max_iters"),
+        (0.0016409389072196616, 0.0, 50, "max_iters"),
+        (7.046966898477753e-06, 0.0, 50, "max_iters"),
+        (1.993760171635597e-08, 0.0, 25, "optimal"),
+        (2.0171458120338134e-11, 0.0, 25, "optimal"),
+    ],
+}
+
+
+def test_f_min_chain_reproduces_golden_values():
+    for (dims, seed, max_iters), levels in F_MIN_CHAIN_GOLDEN.items():
+        p = generated("f_ladder", dims, seed)
+        assert p.n_max == len(levels)
+        warm = None
+        for n, (value, lower, iterations, status) in enumerate(levels, start=1):
+            chain = Subspace(p.d1 * p.d2, p.basis[:, :n])
+            sol, warm = solve_f_min_full(
+                p.rho1, p.rho2, chain, SolverConfig(max_iters=max_iters), warm
+            )
+            assert (sol.iterations, sol.status) == (iterations, status), (dims, n)
+            assert abs(sol.value - value) <= 1e-12
+            assert abs(sol.lower_bound - lower) <= 1e-12
 
 
 # ---------------------------------------------------------------------------

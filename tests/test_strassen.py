@@ -260,6 +260,34 @@ def test_decided_refutation_only_on_infeasible(decide_cases):
     assert seen > 0
 
 
+def test_mu_refutation_carries_a_feasible_dual_pair():
+    # Every no_coupling that _decide takes from mu alone must rest on a dual
+    # pair feasible for the original program, whose value is the reported
+    # dual bound and lies below 1 - eps.
+    threshold = 1.0 - CFG.eps_decision
+    seen = 0
+    for dims in ((2, 2), (2, 3), (2, 4)):
+        for seed in range(30):
+            spec = {"kind": "coupling", "dims": dims, "seed": seed, "feasible": False}
+            p = problem_from_dict(generate_instance({**spec, "subspace_dim": 3}))
+            sub = Subspace(p.d1 * p.d2, p.basis)
+            verdict, cert, _, sol, sup = _decide(p.rho1, p.rho2, sub, CFG)
+            if sup is not None:
+                continue
+            seen += 1
+            assert verdict == "no_coupling" and cert is None
+            y1, y2 = sol.Y[0].mat, sol.Y[1].mat
+            adjoint = (
+                np.kron(y1, np.eye(p.d2)) + np.kron(np.eye(p.d1), y2) - sub.projector.mat
+            )
+            assert np.linalg.eigvalsh(adjoint)[0] >= -1e-9, (dims, seed)
+            assert min(np.linalg.eigvalsh(y1)[0], np.linalg.eigvalsh(y2)[0]) >= -1e-9
+            value = np.vdot(p.rho1, y1).real + np.vdot(p.rho2, y2).real
+            assert abs(value - sol.dual_value) <= 1e-12
+            assert sol.dual_value < threshold
+    assert seen >= 50
+
+
 # ---------------------------------------------------------------------------
 # f ladder
 
