@@ -251,11 +251,12 @@ def _check_state(r: np.ndarray, name: str) -> None:
         raise CliError(f"{name} is not PSD: min eigenvalue {low:.3e}")
 
 
-def _check_sigma(r1: np.ndarray, r2: np.ndarray) -> None:
+def _check_sigma(r1: np.ndarray, r2: np.ndarray, names=("rho1", "rho2")) -> None:
     dev = abs(float(np.trace(r1).real) - float(np.trace(r2).real))
     if dev > 1e-9:
         raise CliError(
-            f"Sigma membership violated: |tr rho1 - tr rho2| = {dev:.3e} exceeds 1e-9"
+            f"Sigma membership violated: |tr {names[0]} - tr {names[1]}| = {dev:.3e} "
+            "exceeds 1e-9"
         )
 
 
@@ -279,14 +280,7 @@ def problem_from_dict(obj, source: str = "<memory>") -> LoadedProblem:
         raise CliError("metadata must be an object")
 
     if kind == "classical":
-        dims = _require(obj, "dims", kind)
-        if (
-            not isinstance(dims, list)
-            or len(dims) != 2
-            or not all(isinstance(d, int) and not isinstance(d, bool) and d >= 1 for d in dims)
-        ):
-            raise CliError("dims must be a pair of positive integers")
-        m, n = dims
+        m, n = _load_dims(obj, kind)
         mu1 = _require(obj, "mu1", kind)
         mu2 = _require(obj, "mu2", kind)
         edges = _require(obj, "edges", kind)
@@ -328,11 +322,7 @@ def problem_from_dict(obj, source: str = "<memory>") -> LoadedProblem:
             rho2_b = _load_hermitian(_require(obj, "rho2_b", kind), d2, "rho2_b")
             _check_state(rho1_b, "rho1_b")
             _check_state(rho2_b, "rho2_b")
-            dev = abs(float(np.trace(rho1_b).real) - float(np.trace(rho2_b).real))
-            if dev > 1e-9:
-                raise CliError(
-                    f"Sigma membership violated: |tr rho1_b - tr rho2_b| = {dev:.3e} exceeds 1e-9"
-                )
+            _check_sigma(rho1_b, rho2_b, ("rho1_b", "rho2_b"))
         if beta is None and rho1_b is None:
             raise CliError("fiber_dist problem needs either beta or a second fiber (rho1_b, rho2_b)")
         return LoadedProblem(
@@ -583,6 +573,7 @@ def _run_check(prob: LoadedProblem, cfg: SolverConfig, _args) -> tuple[dict, int
             "iterations": sup.iterations,
             "gap": sup.gap,
             "dual": sup.dual,
+            "dual_pair": [mat_to_pairs(y.mat) for y in sup.Y],
         }
     report = {
         "command": "check",

@@ -1,25 +1,28 @@
-"""Splitting solvers for the two structured conic programs behind coupling tests.
+"""Splitting solvers for the conic programs behind coupling tests.
 
-Both programs are a linear objective over an affine slice of a product of PSD
-cones. ``solve_marginal_sdp`` handles the overlap program
+The overlap program, over PSD coefficient matrices C,
 
-    maximize  <A, X>   subject to   tr_2 X + S1 = rho1,  tr_1 X + S2 = rho2,
-                                    X >= 0, S1 >= 0, S2 >= 0,
+    maximize  <B, C>   subject to   tr_2(V C V^*) <= rho1,  tr_1(V C V^*) <= rho2,
 
-whose optimal value mu equals 1 exactly when a coupling supported in the
-subspace behind A exists. ``solve_f_min`` minimizes the marginal mismatch
+is solved by one core, ``_overlap_core``. With V = I and B the subspace
+projector (``solve_marginal_sdp``) its value mu equals 1 exactly when a
+coupling supported in the subspace exists; with V a basis of the subspace and
+B = I (``solve_supported_overlap``) every feasible V C V^* lies in the
+subspace, which makes it the source of coupling certificates. Singular
+marginals are compressed to their supports before the core runs and the
+solution is lifted back after. ``solve_f_min`` minimizes the marginal mismatch
 f(X) = ||tr_2 X - rho1||_1 + ||tr_1 X - rho2||_1 over PSD X supported in a
 given subspace, with the trace norms encoded through their semidefinite
 epigraphs.
 
 The method is a two-block ADMM with over-relaxation and residual balancing:
-one block is projected onto the affine slice (closed form, derived from the
-marginal map's normal equations), the other onto the PSD cones (the only
-expensive kernel). One driver, ``_admm``, runs the iteration for every solver
-here and in ``fibers``; each solver supplies only its affine step, its cone
-projections and its certify checkpoint. Reported values are certified: the
-primal value is evaluated at an exactly feasible restoration of the iterate,
-the dual value at an exactly feasible repair of the multipliers, so
+one block is projected onto the affine slice (through the normal matrix of the
+marginal maps), the other onto the PSD cones (the only expensive kernel). One
+driver, ``_admm``, runs the iteration for every solver here and in
+``fibers``; each solver supplies only its affine step, its cone projections
+and its certify checkpoint. Reported values are certified: the primal value
+is evaluated at an exactly feasible restoration of the iterate, the dual value
+at an exactly feasible repair of the multipliers, so
 primal <= optimum <= dual holds up to the stated feasibility slack (~1e-12),
 not merely in the limit.
 """
@@ -27,12 +30,18 @@ not merely in the limit.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
 
-from .bipartite import BipartiteOperator, Subspace, partial_trace_1, partial_trace_2
+from .bipartite import (
+    BipartiteOperator,
+    Subspace,
+    _kron_sum_mat,
+    partial_trace_1,
+    partial_trace_2,
+)
 from .linalg import (
     DEFAULT_TOL,
     HermitianOperator,
@@ -213,17 +222,6 @@ def _support_scaler(r1, r2, allow: float):
     return scale
 
 
-def _support_projector(r: np.ndarray, tol) -> np.ndarray | None:
-    """Projector onto the support of a PSD matrix, or None when full rank."""
-    w, v = np.linalg.eigh(hermitize(r))
-    top = max(w[-1], 0.0)
-    keep = w > tol.support_rel * top if top > 0 else np.zeros_like(w, dtype=bool)
-    if keep.all():
-        return None
-    vk = v[:, keep]
-    return vk @ vk.conj().T
-
-
 def _admm(affine, project, w, lam, sigma: float, max_iters: int, certify):
     """The one ADMM loop: over-relaxation, checkpoints and residual balancing.
 
@@ -277,6 +275,239 @@ def _admm(affine, project, w, lam, sigma: float, max_iters: int, certify):
     return status, it, w, lam, sigma
 
 
+def _shift_to_dominate(y1: np.ndarray, y2: np.ndarray, adjoint, b: np.ndarray):
+    """Identity shifts of (Y1, Y2) until adjoint(Y1, Y2) >= B holds exactly.
+
+    The adjoint maps identity shifts to identity shifts, so each round adds
+    half the measured violation to both blocks, which raises the dual value
+    <rho1, Y1> + <rho2, Y2> by that violation times the mean marginal trace.
+    """
+    for _ in range(3):
+        viol = _min_eig(adjoint(y1, y2) - b)
+        if viol >= 0:
+            break
+        shift = 0.5 * (-viol) + 1e-15
+        y1 = y1 + shift * np.eye(y1.shape[0])
+        y2 = y2 + shift * np.eye(y2.shape[0])
+    return y1, y2
+
+
+def _subspace_marginal_maps(rho1, rho2, x_sub: Subspace):
+    """Hermitian marginals, the basis V of ``x_sub`` and its marginal maps.
+
+    mm1 and mm2 are the matrices of L1: C -> tr_2(V C V^*) and
+    L2: C -> tr_1(V C V^*) acting on row-major flattened coefficient matrices
+    C; ``maps`` holds the functions L = (L1, L2) and L^* built from them.
+    """
+    r1 = hermitize(rho1.mat if isinstance(rho1, HermitianOperator) else as_matrix(rho1))
+    r2 = hermitize(rho2.mat if isinstance(rho2, HermitianOperator) else as_matrix(rho2))
+    d1 = r1.shape[0]
+    d2 = r2.shape[0]
+    if x_sub.ambient_dim != d1 * d2:
+        raise ValueError(
+            f"subspace ambient dim {x_sub.ambient_dim} does not match {d1}*{d2}"
+        )
+    n = x_sub.dim
+    vbasis = x_sub.basis
+    vr = vbasis.reshape(d1, d2, n)
+    mm1 = np.einsum("ipl,jpm->ijlm", vr, vr.conj()).reshape(d1 * d1, n * n)
+    mm2 = np.einsum("ipl,iqm->pqlm", vr, vr.conj()).reshape(d2 * d2, n * n)
+    mm1h = mm1.conj().T
+    mm2h = mm2.conj().T
+
+    def lmap(c):
+        c = c.reshape(-1)
+        return (mm1 @ c).reshape(d1, d1), (mm2 @ c).reshape(d2, d2)
+
+    def ladj(y1, y2):
+        return (mm1h @ y1.reshape(-1) + mm2h @ y2.reshape(-1)).reshape(n, n)
+
+    return r1, r2, vbasis, (mm1, mm2), (lmap, ladj)
+
+
+def _full_space_maps(d1: int, d2: int):
+    """The marginal maps for V = I: the partial traces and their adjoint.
+
+    These avoid the dense d^2 x (d1 d2)^2 map matrices, whose products OpenBLAS
+    runs on several threads from 4x4 on, doubling the CPU time of a solve.
+    """
+
+    def lmap(c):
+        return partial_trace_2(c, d1, d2), partial_trace_1(c, d1, d2)
+
+    return lmap, _kron_sum_mat
+
+
+class _Overlap(NamedTuple):
+    """Bracket of one core solve: ``c`` attains ``value``, ``y`` attains ``dual``."""
+
+    value: float
+    c: np.ndarray
+    dual: float
+    y: tuple
+    history: list
+    iterations: int
+    status: str
+
+
+def _overlap_core(
+    b: np.ndarray,
+    r1: np.ndarray,
+    r2: np.ndarray,
+    maps: tuple,
+    cfg: SolverConfig,
+    warm_start: dict | None = None,
+    threshold: float | None = None,
+) -> _Overlap:
+    """The one overlap solve: max <B, C> over PSD C with dominated marginals.
+
+    The constraints are tr_2(V C V^*) <= rho1 and tr_1(V C V^*) <= rho2, and
+    ``maps`` holds the functions L: C -> (tr_2(V C V^*), tr_1(V C V^*)) and
+    its adjoint L^*: V = I and B = P is the overlap program, V the subspace
+    basis and B = I the supported one. The affine step projects (C, S1, S2)
+    onto {L1 C + S1 = rho1, L2 C + S2 = rho2} through the normal matrix
+    I + L L^*, built once from the maps. At each checkpoint the iterate is
+    scaled down until its marginals are dominated (the certified primal), and
+    the slack multipliers are shifted per block to PSD and then by the
+    identity until L^*(Y1, Y2) >= B holds (the certified dual). The solve
+    stops with ``optimal`` once dual - primal <= cfg.gap_tol and, given a
+    ``threshold``, with ``decided`` once primal >= threshold or
+    dual < threshold. ``warm_start`` may carry a coefficient matrix "X", the
+    dual pair "Y1", "Y2" and the penalty "sigma".
+    """
+    d1, d2, n = r1.shape[0], r2.shape[0], b.shape[0]
+    k1 = d1 * d1
+    lmap, ladj = maps
+    big = np.eye(k1 + d2 * d2, dtype=complex)
+    for k, unit in enumerate(big.copy()):
+        l1, l2 = lmap(ladj(unit[:k1].reshape(d1, d1), unit[k1:].reshape(d2, d2)))
+        big[:, k] += np.concatenate([l1.reshape(-1), l2.reshape(-1)])
+    big_inv = np.linalg.inv(big)
+    allow = max(_FEAS_SLACK, 2.0 * max(0.0, -_min_eig(r1), -_min_eig(r2)))
+    support_scale = _support_scaler(r1, r2, allow)
+
+    sigma = cfg.penalty_init
+    w = [
+        np.zeros((n, n), dtype=complex),
+        psd_project(r1.astype(complex)),
+        psd_project(r2.astype(complex)),
+    ]
+    lam = [np.zeros_like(blk) for blk in w]
+    if warm_start:
+        wx = psd_project(as_matrix(warm_start.get("X", w[0])))
+        m1, m2 = lmap(wx)
+        w = [wx, psd_project(r1 - m1), psd_project(r2 - m2)]
+        sigma = float(warm_start.get("sigma", sigma))
+        for k in (1, 2):
+            if f"Y{k}" in warm_start:
+                lam[k] = -hermitize(as_matrix(warm_start[f"Y{k}"])) / sigma
+
+    best = {
+        "value": 0.0,
+        "c": np.zeros((n, n), dtype=complex),
+        "dual": math.inf,
+        "y": (np.eye(d1, dtype=complex), np.eye(d2, dtype=complex)),
+    }
+    history: list[float] = []
+
+    def affine(w, lam, sigma):
+        c0 = w[0] - lam[0] + b / sigma
+        t1 = w[1] - lam[1]
+        t2 = w[2] - lam[2]
+        l1c0, l2c0 = lmap(c0)
+        rhs = np.concatenate(
+            [(l1c0 + t1 - r1).reshape(-1), (l2c0 + t2 - r2).reshape(-1)]
+        )
+        msol = big_inv @ rhs
+        m1 = msol[:k1].reshape(d1, d1)
+        m2 = msol[k1:].reshape(d2, d2)
+        return c0 - ladj(m1, m2), t1 - m1, t2 - m2
+
+    def certify(w, lam, sigma, pres, dres):
+        cf = w[0]
+        t = support_scale(*(hermitize(m) for m in lmap(cf)))
+        val = t * _hs(b, cf)
+        if val > best["value"]:
+            best.update(value=val, c=t * cf)
+        history.append(best["value"])
+        # Dual repair: each slack multiplier is shifted to PSD, then both by
+        # the identity until L^*(Y1, Y2) >= B holds exactly.
+        y1, y2 = (hermitize(-sigma * lb) for lb in lam[1:])
+        y1, y2 = (y - min(0.0, _min_eig(y)) * np.eye(len(y)) for y in (y1, y2))
+        y1, y2 = _shift_to_dominate(y1, y2, ladj, b)
+        dval = _hs(r1, y1) + _hs(r2, y2)
+        if dval < best["dual"]:
+            best.update(dual=dval, y=(y1, y2))
+        if best["dual"] - best["value"] <= cfg.gap_tol:
+            return "optimal"
+        if threshold is not None and (
+            best["value"] >= threshold or best["dual"] < threshold
+        ):
+            return "decided"
+        return None
+
+    project = (psd_project, psd_project, psd_project)
+    status, it, w, lam, sigma = _admm(
+        affine, project, w, lam, sigma, cfg.max_iters, certify
+    )
+    if not history:
+        certify(w, lam, sigma, math.inf, math.inf)
+    return _Overlap(history=history, iterations=it, status=status, **best)
+
+
+def _support_isometry(mat: np.ndarray) -> np.ndarray:
+    """Orthonormal basis of the support of a PSD matrix (DEFAULT_TOL cut)."""
+    w, v = np.linalg.eigh(hermitize(mat))
+    return v[:, w > DEFAULT_TOL.support_rel * max(float(w[-1]), 0.0)]
+
+
+def _marginal_solution(sol: _Overlap, a, r1, r2) -> MarginalSdpSolution:
+    """Wrap a core solve of the overlap program (V = I, B = A) with its residuals."""
+    d1, d2 = r1.shape[0], r2.shape[0]
+    y1, y2 = sol.y
+    residuals = {
+        "psd_violation": max(0.0, -_min_eig(sol.c)),
+        "constraint_violation": max(
+            0.0,
+            _max_eig(partial_trace_2(sol.c, d1, d2) - r1),
+            _max_eig(partial_trace_1(sol.c, d1, d2) - r2),
+        ),
+        "adjoint_violation": max(0.0, -_min_eig(_kron_sum_mat(y1, y2) - a)),
+    }
+    return MarginalSdpSolution(
+        X=BipartiteOperator(hermitize(sol.c), d1, d2),
+        Y=(HermitianOperator(y1), HermitianOperator(y2)),
+        primal_value=sol.value,
+        dual_value=sol.dual,
+        gap=abs(sol.dual - sol.value),
+        residuals=residuals,
+        iterations=sol.iterations,
+        status=sol.status,
+        primal_history=tuple(sol.history),
+    )
+
+
+def _lift(sol: _Overlap, u1, u2, a, r1, r2, shift: float) -> _Overlap:
+    """Embed a solve of the support-compressed program into the full one.
+
+    C maps through the isometry U1 (x) U2. Each Y_i gains shift * (I - Q_i) on
+    the support complement, which costs nothing since tr rho_i (I - Q_i) = 0.
+    What the complement shift leaves of the violation of
+    Y1 (x) I + I (x) Y2 >= A is a Schur-complement term at most
+    1 / (4 (shift - 1)), which the identity shift repair closes; the dual
+    value rises by exactly that repair.
+    """
+    lift = np.kron(u1, u2)
+    y1, y2 = (
+        hermitize(u @ y @ u.conj().T + shift * (np.eye(len(u)) - u @ u.conj().T))
+        for u, y in zip((u1, u2), sol.y)
+    )
+    y1, y2 = _shift_to_dominate(y1, y2, _kron_sum_mat, a)
+    return sol._replace(
+        c=lift @ sol.c @ lift.conj().T, dual=_hs(r1, y1) + _hs(r2, y2), y=(y1, y2)
+    )
+
+
 def solve_marginal_sdp(
     problem: MarginalSdpProblem,
     cfg: SolverConfig = DEFAULT_CONFIG,
@@ -291,158 +522,40 @@ def solve_marginal_sdp(
     iterations) where that certified gap is at most cfg.gap_tol; the ADMM
     residuals only steer the penalty. Status is ``max_iters`` when the budget
     runs out first, and ``infeasible_numerics`` only on NaN/Inf breakdown.
+
+    When a marginal is singular the program is solved on the support product
+    S = supp rho1 (x) supp rho2, with the objective compressed to Q A Q (and a
+    warm start compressed the same way): every dominated operator lives on S,
+    so this is the same program and the same optimum. The compressed program
+    is solved to half of cfg.gap_tol and lifted back, the dual pair with a
+    shift on the support complements, which costs at most the other half.
     """
-    return _solve_overlap(
-        problem.objective.mat, problem.rho1.mat, problem.rho2.mat, cfg, warm_start
-    )
-
-
-def _shift_to_dominate(y1: np.ndarray, y2: np.ndarray, a: np.ndarray):
-    """Identity shifts of (Y1, Y2) until Y1 (x) I + I (x) Y2 >= A holds exactly.
-
-    Each round adds half the measured violation to both blocks, which raises
-    the dual value <rho1, Y1> + <rho2, Y2> by that violation times the mean
-    marginal trace.
-    """
-    eye1 = np.eye(y1.shape[0])
-    eye2 = np.eye(y2.shape[0])
-    for _ in range(3):
-        viol = _min_eig(np.kron(y1, eye2) + np.kron(eye1, y2) - a)
-        if viol >= 0:
-            break
-        shift = 0.5 * (-viol) + 1e-15
-        y1 = y1 + shift * eye1
-        y2 = y2 + shift * eye2
-    return y1, y2
-
-
-def _solve_overlap(
-    a: np.ndarray,
-    r1: np.ndarray,
-    r2: np.ndarray,
-    cfg: SolverConfig = DEFAULT_CONFIG,
-    warm_start: dict | None = None,
-) -> MarginalSdpSolution:
-    """``solve_marginal_sdp`` on raw matrices; A only needs 0 <= A <= I."""
-    d1, d2 = r1.shape[0], r2.shape[0]
-    dim = d1 * d2
-    eye1 = np.eye(d1)
-    eye2 = np.eye(d2)
-    det = 1.0 + d1 + d2
-    allow = max(_FEAS_SLACK, 2.0 * max(0.0, -_min_eig(r1), -_min_eig(r2)))
-    support_scale = _support_scaler(r1, r2, allow)
-    q1 = _support_projector(r1, DEFAULT_TOL)
-    q2 = _support_projector(r2, DEFAULT_TOL)
-    qkron = None
-    if q1 is not None or q2 is not None:
-        qkron = np.kron(q1 if q1 is not None else eye1, q2 if q2 is not None else eye2)
-
-    sigma = cfg.penalty_init
-    w = [
-        np.zeros((dim, dim), dtype=complex),
-        psd_project(r1.astype(complex)),
-        psd_project(r2.astype(complex)),
-    ]
-    lam = [np.zeros_like(b) for b in w]
-    if warm_start:
-        wx = psd_project(as_matrix(warm_start.get("X", w[0])))
-        w = [
-            wx,
-            psd_project(r1 - partial_trace_2(wx, d1, d2)),
-            psd_project(r2 - partial_trace_1(wx, d1, d2)),
-        ]
-        sigma = float(warm_start.get("sigma", sigma))
-        for k in (1, 2):
-            if f"Y{k}" in warm_start:
-                lam[k] = -hermitize(as_matrix(warm_start[f"Y{k}"])) / sigma
-
-    best_primal = -math.inf
-    best_x = np.zeros_like(w[0])
-    best_t2x = np.zeros_like(r1)
-    best_t1x = np.zeros_like(r2)
-    best_dual = math.inf
-    best_y1 = eye1.astype(complex)
-    best_y2 = eye2.astype(complex)
-    history: list[float] = []
-
-    def affine(w, lam, sigma):
-        # Project (wx - lx + a/sigma, ws - ls) onto the affine slice
-        # tr_2 X + S1 = rho1, tr_1 X + S2 = rho2 via the normal equations of
-        # the marginal map (a 2x2 trace system plus identity shifts).
-        v = w[0] - lam[0] + a / sigma
-        g1 = w[1] - lam[1]
-        g2 = w[2] - lam[2]
-        rr1 = partial_trace_2(v, d1, d2) + g1 - r1
-        rr2 = partial_trace_1(v, d1, d2) + g2 - r2
-        a1 = _tr(rr1)
-        a2 = _tr(rr2)
-        tm1 = ((1.0 + d1) * a1 - d1 * a2) / det
-        tm2 = ((1.0 + d2) * a2 - d2 * a1) / det
-        m1 = (rr1 - tm2 * eye1) / (1.0 + d2)
-        m2 = (rr2 - tm1 * eye2) / (1.0 + d1)
-        return v - np.kron(m1, eye2) - np.kron(eye1, m2), g1 - m1, g2 - m2
-
-    def certify(w, lam, sigma, pres, dres):
-        nonlocal best_primal, best_x, best_dual, best_y1, best_y2, best_t2x, best_t1x
-        # Primal restoration: clamp to the PSD cone and the marginal supports,
-        # then scale down until domination holds exactly.
-        xc = w[0] if qkron is None else hermitize(qkron @ w[0] @ qkron)
-        t2x = partial_trace_2(xc, d1, d2)
-        t1x = partial_trace_1(xc, d1, d2)
-        t = support_scale(t2x, t1x)
-        val = t * _hs(a, xc)
-        if val > best_primal:
-            best_primal = val
-            best_x = t * xc
-            best_t2x = t * t2x
-            best_t1x = t * t1x
-        history.append(best_primal)
-        # Dual repair: multipliers for the slack cones are PSD by construction;
-        # an identity shift enforces Y1 (x) I + I (x) Y2 >= A exactly.
-        y1 = hermitize(-sigma * lam[1])
-        y2 = hermitize(-sigma * lam[2])
-        low1 = _min_eig(y1)
-        if low1 < 0:
-            y1 = y1 - low1 * eye1
-        low2 = _min_eig(y2)
-        if low2 < 0:
-            y2 = y2 - low2 * eye2
-        y1, y2 = _shift_to_dominate(y1, y2, a)
-        dval = _hs(r1, y1) + _hs(r2, y2)
-        if dval < best_dual:
-            best_dual = dval
-            best_y1 = y1
-            best_y2 = y2
-        return "optimal" if best_dual - best_primal <= cfg.gap_tol else None
-
-    project = (psd_project, psd_project, psd_project)
-    status, it, w, lam, sigma = _admm(
-        affine, project, w, lam, sigma, cfg.max_iters, certify
-    )
-    if not history:
-        certify(w, lam, sigma, math.inf, math.inf)
-    adjoint_viol = max(
-        0.0,
-        -_min_eig(np.kron(best_y1, eye2) + np.kron(eye1, best_y2) - a),
-    )
-    residuals = {
-        "psd_violation": max(0.0, -_min_eig(best_x)),
-        "constraint_violation": max(
-            0.0, _max_eig(best_t2x - r1), _max_eig(best_t1x - r2)
-        ),
-        "adjoint_violation": adjoint_viol,
-    }
-    return MarginalSdpSolution(
-        X=BipartiteOperator(hermitize(best_x), d1, d2),
-        Y=(HermitianOperator(best_y1), HermitianOperator(best_y2)),
-        primal_value=best_primal,
-        dual_value=best_dual,
-        gap=abs(best_dual - best_primal),
-        residuals=residuals,
-        iterations=it,
-        status=status,
-        primal_history=tuple(history),
-    )
+    a, r1, r2 = problem.objective.mat, problem.rho1.mat, problem.rho2.mat
+    u1 = _support_isometry(r1)
+    u2 = _support_isometry(r2)
+    if u1.shape == r1.shape and u2.shape == r2.shape:
+        maps = _full_space_maps(len(r1), len(r2))
+        sol = _overlap_core(a, r1, r2, maps, cfg, warm_start)
+        return _marginal_solution(sol, a, r1, r2)
+    lift = np.kron(u1, u2)
+    ac = hermitize(lift.conj().T @ a @ lift)
+    k1, k2 = u1.shape[1], u2.shape[1]
+    if ac.size == 0 or _max_eig(ac) <= 1e-12:
+        # The objective is orthogonal to the support product: no dominated
+        # operator has any overlap, so the optimum is exactly 0.
+        y0 = (np.zeros((k1, k1)), np.zeros((k2, k2)))
+        sol = _Overlap(0.0, np.zeros_like(ac), 0.0, y0, [0.0], 0, "optimal")
+    else:
+        warm = dict(warm_start or {})
+        for key, u in (("X", lift), ("Y1", u1), ("Y2", u2)):
+            if key in warm:
+                warm[key] = u.conj().T @ as_matrix(warm[key]) @ u
+        rc1 = hermitize(u1.conj().T @ r1 @ u1)
+        rc2 = hermitize(u2.conj().T @ r2 @ u2)
+        half = replace(cfg, gap_tol=0.5 * cfg.gap_tol)
+        sol = _overlap_core(ac, rc1, rc2, _full_space_maps(k1, k2), half, warm)
+    lifted = _lift(sol, u1, u2, a, r1, r2, 1.0 + 0.5 / cfg.gap_tol)
+    return _marginal_solution(lifted, a, r1, r2)
 
 
 @dataclass(frozen=True)
@@ -469,15 +582,12 @@ def verify_duality_certificates(
     is feasible within 1e-7, and that weak duality holds against the returned
     primal value.
     """
-    d1, d2 = problem.d1, problem.d2
     a = problem.objective.mat
-    eye1 = np.eye(d1)
-    eye2 = np.eye(d2)
-    trivial_margin = _min_eig(2.0 * np.eye(d1 * d2) - a)
+    trivial_margin = _min_eig(2.0 * np.eye(problem.d1 * problem.d2) - a)
     trivial_value = problem.rho1.trace() + problem.rho2.trace()
     y1 = solution.Y[0].mat
     y2 = solution.Y[1].mat
-    dual_margin = _min_eig(np.kron(y1, eye2) + np.kron(eye1, y2) - a)
+    dual_margin = _min_eig(_kron_sum_mat(y1, y2) - a)
     dual_psd = min(_min_eig(y1), _min_eig(y2))
     slack = solution.dual_value - solution.primal_value
     passed = (
@@ -535,28 +645,6 @@ def _f_value(x: np.ndarray, r1: np.ndarray, r2: np.ndarray, d1: int, d2: int) ->
     )
 
 
-def _subspace_marginal_maps(rho1, rho2, x_sub: Subspace):
-    """Hermitian marginals, the basis V of ``x_sub`` and the marginal maps on C.
-
-    mm1 and mm2 are the matrices of C -> tr_2(V C V^*) and C -> tr_1(V C V^*)
-    acting on row-major flattened coefficient matrices C.
-    """
-    r1 = hermitize(rho1.mat if isinstance(rho1, HermitianOperator) else as_matrix(rho1))
-    r2 = hermitize(rho2.mat if isinstance(rho2, HermitianOperator) else as_matrix(rho2))
-    d1 = r1.shape[0]
-    d2 = r2.shape[0]
-    if x_sub.ambient_dim != d1 * d2:
-        raise ValueError(
-            f"subspace ambient dim {x_sub.ambient_dim} does not match {d1}*{d2}"
-        )
-    n = x_sub.dim
-    vbasis = x_sub.basis
-    vr = vbasis.reshape(d1, d2, n)
-    mm1 = np.einsum("ipl,jpm->ijlm", vr, vr.conj()).reshape(d1 * d1, n * n)
-    mm2 = np.einsum("ipl,iqm->pqlm", vr, vr.conj()).reshape(d2 * d2, n * n)
-    return r1, r2, vbasis, mm1, mm2
-
-
 def solve_f_min_full(
     rho1,
     rho2,
@@ -577,7 +665,7 @@ def solve_f_min_full(
     most cfg.gap_tol, else ends at ``max_iters`` (or ``infeasible_numerics``
     on NaN/Inf breakdown); the ADMM residuals only steer the penalty.
     """
-    r1, r2, vbasis, mm1, mm2 = _subspace_marginal_maps(rho1, rho2, x_sub)
+    r1, r2, vbasis, (mm1, mm2), (lmap, ladj) = _subspace_marginal_maps(rho1, rho2, x_sub)
     d1, d2, n = r1.shape[0], r2.shape[0], x_sub.dim
     normal = (
         np.eye(n * n)
@@ -586,12 +674,6 @@ def solve_f_min_full(
     )
     normal_inv = np.linalg.inv(normal)
     cap = _tr(r1) + _tr(r2)
-
-    def lmap(c: np.ndarray, mm: np.ndarray, d: int) -> np.ndarray:
-        return (mm @ c.reshape(-1)).reshape(d, d)
-
-    def lmap_adj(z: np.ndarray, mm: np.ndarray) -> np.ndarray:
-        return (mm.conj().T @ z.reshape(-1)).reshape(n, n)
 
     sigma = cfg.penalty_init
     w = [np.zeros((k, k), dtype=complex) for k in (n, 2 * d1, 2 * d2)]
@@ -641,8 +723,9 @@ def solve_f_min_full(
             + 2.0 * (mm2.conj().T @ (r2 + a20).reshape(-1))
         )
         c = hermitize((normal_inv @ rhs).reshape(n, n))
-        off1 = lmap(c, mm1, d1) - r1
-        off2 = lmap(c, mm2, d2) - r2
+        l1c, l2c = lmap(c)
+        off1 = l1c - r1
+        off2 = l2c - r2
         return (
             c,
             np.block([[wa1, off1], [off1.conj().T, wb1]]),
@@ -665,7 +748,7 @@ def solve_f_min_full(
         z1 = z1 + z1.conj().T
         z2 = y2[:d2, d2:]
         z2 = z2 + z2.conj().T
-        s = hermitize(lmap_adj(z1, mm1) + lmap_adj(z2, mm2))
+        s = hermitize(ladj(z1, z2))
         top = _max_eig(s)
         if top > 0:
             delta = 0.5 * top + 1e-15
@@ -725,7 +808,8 @@ def solve_f_min(
 class SupportedOverlapSolution(NamedTuple):
     """Certified output of the support-constrained overlap program.
 
-    ``value`` is attained by ``X`` and ``dual`` is a repaired dual bound, so
+    ``value`` is attained by ``X`` and ``dual`` by the dual pair ``Y``, which
+    satisfies Y_i >= 0 and V^*(Y1 (x) I + I (x) Y2)V >= I, so
     value <= optimum <= dual and ``gap`` is |dual - value|. A named tuple, so
     positional access works too: ``[0]`` value, ``[1]`` X, ``[2]`` gap.
     """
@@ -736,6 +820,7 @@ class SupportedOverlapSolution(NamedTuple):
     iterations: int
     status: str
     dual: float
+    Y: tuple[HermitianOperator, HermitianOperator]
 
 
 def solve_supported_overlap(
@@ -759,96 +844,16 @@ def solve_supported_overlap(
     also stops, with status ``decided``, at the first checkpoint where the
     bracket lies on one side of it: value >= threshold or dual < threshold.
     """
-    r1, r2, vbasis, mm1, mm2 = _subspace_marginal_maps(rho1, rho2, x_sub)
-    d1, d2, n = r1.shape[0], r2.shape[0], x_sub.dim
-    k1 = d1 * d1
-    k2 = d2 * d2
-    big = np.eye(k1 + k2, dtype=complex)
-    big[:k1, :k1] += mm1 @ mm1.conj().T
-    big[:k1, k1:] += mm1 @ mm2.conj().T
-    big[k1:, :k1] += mm2 @ mm1.conj().T
-    big[k1:, k1:] += mm2 @ mm2.conj().T
-    big_inv = np.linalg.inv(big)
-    allow = max(_FEAS_SLACK, 2.0 * max(0.0, -_min_eig(r1), -_min_eig(r2)))
-    support_scale = _support_scaler(r1, r2, allow)
-    eyen = np.eye(n)
-
-    sigma = cfg.penalty_init
-    w = [
-        np.zeros((n, n), dtype=complex),
-        psd_project(r1.astype(complex)),
-        psd_project(r2.astype(complex)),
-    ]
-    lam = [np.zeros_like(b) for b in w]
-
-    best_value = 0.0
-    best_x = np.zeros((d1 * d2, d1 * d2), dtype=complex)
-    best_dual = math.inf
-
-    def affine(w, lam, sigma):
-        c0 = w[0] - lam[0] + eyen / sigma
-        t1 = w[1] - lam[1]
-        t2 = w[2] - lam[2]
-        l1c0 = (mm1 @ c0.reshape(-1)).reshape(d1, d1)
-        l2c0 = (mm2 @ c0.reshape(-1)).reshape(d2, d2)
-        rhs = np.concatenate(
-            [(l1c0 + t1 - r1).reshape(-1), (l2c0 + t2 - r2).reshape(-1)]
-        )
-        msol = big_inv @ rhs
-        m1 = msol[:k1].reshape(d1, d1)
-        m2 = msol[k1:].reshape(d2, d2)
-        c = c0 - (mm1.conj().T @ m1.reshape(-1)).reshape(n, n) - (
-            mm2.conj().T @ m2.reshape(-1)
-        ).reshape(n, n)
-        return c, t1 - m1, t2 - m2
-
-    def certify(w, lam, sigma, pres, dres):
-        nonlocal best_value, best_x, best_dual
-        cf = w[0]
-        m1 = hermitize((mm1 @ cf.reshape(-1)).reshape(d1, d1))
-        m2 = hermitize((mm2 @ cf.reshape(-1)).reshape(d2, d2))
-        t = support_scale(m1, m2)
-        val = t * _tr(cf)
-        if val > best_value:
-            best_value = val
-            best_x = hermitize(vbasis @ (t * cf) @ vbasis.conj().T)
-        y1 = hermitize(-sigma * lam[1])
-        y2 = hermitize(-sigma * lam[2])
-        low = min(_min_eig(y1), _min_eig(y2))
-        if low < 0:
-            y1 = y1 - low * np.eye(d1)
-            y2 = y2 - low * np.eye(d2)
-        for _ in range(3):
-            s = hermitize(
-                (mm1.conj().T @ y1.reshape(-1)).reshape(n, n)
-                + (mm2.conj().T @ y2.reshape(-1)).reshape(n, n)
-            )
-            viol = _min_eig(s - eyen)
-            if viol >= 0:
-                break
-            shift = 0.5 * (-viol) + 1e-15
-            y1 = y1 + shift * np.eye(d1)
-            y2 = y2 + shift * np.eye(d2)
-        dval = _hs(r1, y1) + _hs(r2, y2)
-        if dval < best_dual:
-            best_dual = dval
-        if best_dual - best_value <= cfg.gap_tol:
-            return "optimal"
-        if threshold is not None and (best_value >= threshold or best_dual < threshold):
-            return "decided"
-        return None
-
-    project = (psd_project, psd_project, psd_project)
-    status, it, w, lam, sigma = _admm(
-        affine, project, w, lam, sigma, cfg.max_iters, certify
-    )
-    if math.isinf(best_dual):
-        certify(w, lam, sigma, math.inf, math.inf)
+    r1, r2, vbasis, _, maps = _subspace_marginal_maps(rho1, rho2, x_sub)
+    sol = _overlap_core(np.eye(x_sub.dim), r1, r2, maps, cfg, threshold=threshold)
     return SupportedOverlapSolution(
-        value=best_value,
-        X=BipartiteOperator(best_x, d1, d2),
-        gap=abs(best_dual - best_value),
-        iterations=it,
-        status=status,
-        dual=best_dual,
+        value=sol.value,
+        X=BipartiteOperator(
+            hermitize(vbasis @ sol.c @ vbasis.conj().T), r1.shape[0], r2.shape[0]
+        ),
+        gap=abs(sol.dual - sol.value),
+        iterations=sol.iterations,
+        status=sol.status,
+        dual=sol.dual,
+        Y=(HermitianOperator(sol.y[0]), HermitianOperator(sol.y[1])),
     )

@@ -13,7 +13,7 @@ and serves as an independent cross-check of the quantum pipeline.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -26,18 +26,13 @@ from .bipartite import (
     partial_trace_1,
     partial_trace_2,
 )
-from .linalg import HermitianOperator, DEFAULT_TOL, hermitize, trace_norm
+from .linalg import DEFAULT_TOL, hermitize, trace_norm
 from .sdp import (
     DEFAULT_CONFIG,
     MarginalSdpProblem,
     MarginalSdpSolution,
     SolverConfig,
     SupportedOverlapSolution,
-    _hs,
-    _max_eig,
-    _min_eig,
-    _shift_to_dominate,
-    _solve_overlap,
     solve_f_min_full,
     solve_marginal_sdp,
     solve_supported_overlap,
@@ -100,71 +95,6 @@ def _as_density(rho, name: str) -> DensityOperator:
         raise ValueError(f"{name}: {exc}") from exc
 
 
-def _support_isometry(mat: np.ndarray, tol) -> np.ndarray:
-    w, v = np.linalg.eigh(hermitize(mat))
-    top = max(float(w[-1]), 0.0)
-    keep = w > tol.support_rel * top if top > 0 else np.zeros_like(w, dtype=bool)
-    return v[:, keep]
-
-
-def _zero_solution(d1: int, d2: int) -> MarginalSdpSolution:
-    dim = d1 * d2
-    zero = np.zeros((dim, dim), dtype=complex)
-    return MarginalSdpSolution(
-        X=BipartiteOperator(zero, d1, d2),
-        Y=(
-            HermitianOperator(np.zeros((d1, d1))),
-            HermitianOperator(np.zeros((d2, d2))),
-        ),
-        primal_value=0.0,
-        dual_value=0.0,
-        gap=0.0,
-        residuals={
-            "psd_violation": 0.0,
-            "constraint_violation": 0.0,
-            "adjoint_violation": 0.0,
-        },
-        iterations=0,
-        status="optimal",
-        primal_history=(0.0,),
-    )
-
-
-def _lift_solution(
-    sol: MarginalSdpSolution,
-    u1: np.ndarray,
-    u2: np.ndarray,
-    a: np.ndarray,
-    r1: np.ndarray,
-    r2: np.ndarray,
-    shift: float,
-) -> MarginalSdpSolution:
-    """Embed a solution of the support-compressed program into the full one.
-
-    X maps through the isometry U1 (x) U2. Each Y_i gains shift * (I - Q_i) on
-    the support complement, which costs nothing since tr rho_i (I - Q_i) = 0.
-    What the complement shift leaves of the violation of
-    Y1 (x) I + I (x) Y2 >= A is a Schur-complement term at most
-    1 / (4 (shift - 1)), which the identity shift repair closes; the dual
-    value rises by exactly that repair.
-    """
-    d1, d2 = u1.shape[0], u2.shape[0]
-    lift = np.kron(u1, u2)
-    y1 = u1 @ sol.Y[0].mat @ u1.conj().T + shift * (np.eye(d1) - u1 @ u1.conj().T)
-    y2 = u2 @ sol.Y[1].mat @ u2.conj().T + shift * (np.eye(d2) - u2 @ u2.conj().T)
-    y1, y2 = _shift_to_dominate(hermitize(y1), hermitize(y2), a)
-    dual = _hs(r1, y1) + _hs(r2, y2)
-    adjoint_viol = -_min_eig(np.kron(y1, np.eye(d2)) + np.kron(np.eye(d1), y2) - a)
-    return replace(
-        sol,
-        X=BipartiteOperator(hermitize(lift @ sol.X.mat @ lift.conj().T), d1, d2),
-        Y=(HermitianOperator(y1), HermitianOperator(y2)),
-        dual_value=dual,
-        gap=abs(dual - sol.primal_value),
-        residuals={**sol.residuals, "adjoint_violation": max(0.0, adjoint_viol)},
-    )
-
-
 def mu(
     rho1,
     rho2,
@@ -174,15 +104,10 @@ def mu(
     """Optimal overlap of a marginal-dominated PSD operator with the subspace.
 
     Value 1 (within solver tolerance) is equivalent to the existence of a
-    coupling of (rho1, rho2) supported inside the subspace. When a marginal is
-    singular the program is solved on the support product S = supp rho1 (x)
-    supp rho2, with the subspace projector P compressed to Q P Q: every
-    dominated operator lives on S, so this is the same program and the same
-    optimum. Its solution is lifted back to the ambient space, the dual pair
-    with a shift on the support complements, so the returned X and Y are
-    feasible for the original program and [primal, dual] brackets its
-    optimum. The compressed program is solved to half of cfg.gap_tol and the
-    lift costs at most the other half.
+    coupling of (rho1, rho2) supported inside the subspace. Singular
+    marginals are handled by ``solve_marginal_sdp`` (support compression and
+    lift), so the returned X and Y are feasible for the original program and
+    [primal, dual] brackets its optimum.
     """
     r1 = _as_density(rho1, "rho1")
     r2 = _as_density(rho2, "rho2")
@@ -191,27 +116,8 @@ def mu(
         raise ValueError(
             f"subspace ambient dim {x_sub.ambient_dim} does not match {d1}*{d2}"
         )
-    u1 = _support_isometry(r1.mat, DEFAULT_TOL)
-    u2 = _support_isometry(r2.mat, DEFAULT_TOL)
-    p_sub = x_sub.projector.mat
-    if u1.shape[1] == d1 and u2.shape[1] == d2:
-        problem = MarginalSdpProblem(BipartiteOperator(p_sub, d1, d2), r1.mat, r2.mat)
-        sol = solve_marginal_sdp(problem, cfg)
-        return sol.primal_value, sol
-    lift = np.kron(u1, u2)
-    a = hermitize(lift.conj().T @ p_sub @ lift)
-    if _max_eig(a) <= 1e-12:
-        # The subspace is orthogonal to the support product: no dominated
-        # operator has any overlap, so the optimum is exactly 0.
-        sol = _zero_solution(u1.shape[1], u2.shape[1])
-    else:
-        sol = _solve_overlap(
-            a,
-            hermitize(u1.conj().T @ r1.mat @ u1),
-            hermitize(u2.conj().T @ r2.mat @ u2),
-            replace(cfg, gap_tol=0.5 * cfg.gap_tol),
-        )
-    sol = _lift_solution(sol, u1, u2, p_sub, r1.mat, r2.mat, 1.0 + 0.5 / cfg.gap_tol)
+    objective = BipartiteOperator(x_sub.projector.mat, d1, d2)
+    sol = solve_marginal_sdp(MarginalSdpProblem(objective, r1.mat, r2.mat), cfg)
     return sol.primal_value, sol
 
 

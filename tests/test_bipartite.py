@@ -143,6 +143,16 @@ def test_adjoint_marginal_pairing_identity():
         assert abs(lhs - rhs) < 1e-11
 
 
+def test_adjoint_marginal_equals_kron_reference():
+    # the broadcast form must give exactly the entries of the np.kron formula
+    rng = np.random.default_rng(7)
+    for d1, d2 in ((1, 1), (1, 3), (3, 1), (2, 5), (4, 4)):
+        y1 = herm(rng, d1)
+        y2 = herm(rng, d2)
+        ref = np.kron(y1, np.eye(d2)) + np.kron(np.eye(d1), y2)
+        assert np.array_equal(adjoint_marginal(y1, y2).mat, ref)
+
+
 def test_adjoint_marginal_kernel_direction():
     # (I, -I) is in the kernel of the adjoint map
     out = adjoint_marginal(np.eye(3), -np.eye(5))

@@ -166,6 +166,13 @@ def test_problem_rejects_invariant_violations():
         problem_from_dict(coupling_file(dims=[2]))
     with pytest.raises(CliError, match="missing required field"):
         problem_from_dict({k: v for k, v in coupling_file().items() if k != "rho1"})
+    classical = {"version": FORMAT_VERSION, "kind": "classical", "dims": [2, 0],
+                 "mu1": [0.5, 0.5], "mu2": [1.0], "edges": [[0, 0]]}
+    with pytest.raises(CliError, match="dims must be a pair"):
+        problem_from_dict(classical)
+    fiber = coupling_file(kind="fiber_dist", rho1_b=eye_pairs(2, 0.5), rho2_b=eye_pairs(2, 0.3))
+    with pytest.raises(CliError, match=r"\|tr rho1_b - tr rho2_b\|"):
+        problem_from_dict(fiber)
 
 
 def test_problem_config_and_seed_validation():
@@ -331,6 +338,30 @@ def test_main_check_undecided_at_max_iters(tmp_path, capsys):
     assert report["verdict"] == "undecided"
     assert "certificate" not in report
     assert code == 2
+
+
+def test_main_check_supported_refutation_carries_its_dual_pair(tmp_path, capsys):
+    # mu's dual (0.99996) does not refute a coupling here; the supported
+    # solve's dual does, and the report carries that pair as a witness
+    path = str(tmp_path / "g.json")
+    run_main(capsys, ["gen", "--kind", "coupling", "--dims", "2x4", "--seed", "15",
+                      "--infeasible", "--out", path])
+    code, out, _ = run_main(capsys, ["check", path])
+    report = json.loads(out)
+    threshold = 1.0 - report["config"]["eps_decision"]
+    assert code == 0
+    assert report["verdict"] == "no_coupling"
+    assert report["solution"]["dual_value"] >= threshold
+    supported = report["supported"]
+    assert supported["dual"] < threshold
+    prob = load_problem(path)
+    y1, y2 = (pairs_to_mat(y, d, d, "Y") for y, d in zip(supported["dual_pair"], (2, 4)))
+    assert min(np.linalg.eigvalsh(y1)[0], np.linalg.eigvalsh(y2)[0]) >= -1e-9
+    v = prob.basis
+    adjoint = v.conj().T @ (np.kron(y1, np.eye(4)) + np.kron(np.eye(2), y2)) @ v
+    assert np.linalg.eigvalsh(adjoint - np.eye(v.shape[1]))[0] >= -1e-9
+    value = np.vdot(prob.rho1, y1).real + np.vdot(prob.rho2, y2).real
+    assert abs(value - supported["dual"]) <= 1e-12
 
 
 def test_main_mu_reports_duality_block(tmp_path, capsys):

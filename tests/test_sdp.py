@@ -111,6 +111,21 @@ def test_overlap_on_orthogonal_obstruction():
     assert sol.dual_value <= 1e-4
 
 
+def test_overlap_with_zero_marginal_is_exactly_zero():
+    # rho1 = 0 (a truncated ladder level can give one): the support of rho1 is
+    # empty, so every dominated operator is 0 and the certified bracket is [0, 0]
+    prob = MarginalSdpProblem(
+        BipartiteOperator(bell_subspace().projector.mat, 2, 2),
+        np.zeros((2, 2)),
+        np.eye(2) / 2,
+        require_equal_traces=False,
+    )
+    sol = solve_marginal_sdp(prob)
+    assert (sol.status, sol.iterations) == ("optimal", 0)
+    assert sol.primal_value == 0.0 and abs(sol.dual_value) <= 1e-12
+    assert verify_duality_certificates(prob, sol).passed
+
+
 def test_overlap_corner_value_is_min_of_weights():
     # X = c e00 e00^*: c <= a from factor 1, c <= b from factor 2, so mu = min(a, b)
     a, b = 0.3, 0.55

@@ -130,6 +130,41 @@ def test_mu_zero_when_subspace_misses_support():
     assert sol.iterations == 0
 
 
+def singular_instance():
+    """A state on span(e0, e1) (x) C^3, so rho1 has rank 2, and a random 4-dim subspace."""
+    rng = np.random.default_rng(3)
+    rho = np.zeros((3, 3, 3, 3), dtype=complex)
+    rho[:2, :, :2, :] = random_state(rng, 6, 6).reshape(2, 3, 2, 3)
+    rho = rho.reshape(9, 9)
+    q, _ = np.linalg.qr(crand(rng, 9, 4))
+    return partial_trace_2(rho, 3, 3), partial_trace_1(rho, 3, 3), Subspace(9, q)
+
+
+def test_marginal_sdp_certifies_singular_marginal_like_mu():
+    # solve_marginal_sdp itself compresses to the support product, so a
+    # direct solve (as sdp_ladder makes) is as certified as mu
+    r1, r2, sub = singular_instance()
+    assert np.linalg.matrix_rank(r1, tol=1e-12) == 2
+    problem = MarginalSdpProblem(BipartiteOperator(sub.projector.mat, 3, 3), r1, r2)
+    sol = sdp.solve_marginal_sdp(problem, SolverConfig(max_iters=20_000))
+    assert sol.status == "optimal"
+    assert sol.gap <= CFG.gap_tol
+    assert verify_duality_certificates(problem, sol).passed
+    value, _ = mu(r1, r2, sub)
+    assert abs(sol.primal_value - value) <= CFG.gap_tol
+
+
+def test_sdp_ladder_top_level_optimal_with_singular_marginal():
+    r1, r2, sub = singular_instance()
+    rep = sdp_ladder(
+        DensityOperator(r1), DensityOperator(r2), sub, 3, SolverConfig(max_iters=5000)
+    )
+    top = rep.levels[-1]
+    assert top.level == (3, 3)
+    assert top.status == "optimal"
+    assert top.gap <= CFG.gap_tol
+
+
 def test_mu_rejects_bad_inputs():
     with pytest.raises(ValueError, match="rho1"):
         mu(np.diag([1.5, -0.5]), np.eye(2) / 2, bell_subspace())
