@@ -12,13 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import (
-    DEFAULT_TOL,
-    HermitianOperator,
-    ToleranceConfig,
-    as_matrix,
-    hermitize,
-)
+from .linalg import DEFAULT_TOL, HermitianOperator, as_matrix, hermitize
 
 __all__ = [
     "BipartiteOperator",
@@ -52,10 +46,10 @@ class BipartiteOperator:
 
     __slots__ = ("d1", "d2", "op")
 
-    def __init__(self, mat, d1: int, d2: int, tol: ToleranceConfig = DEFAULT_TOL):
+    def __init__(self, mat, d1: int, d2: int):
         if d1 < 1 or d2 < 1:
             raise ValueError(f"factor dimensions must be positive, got ({d1}, {d2})")
-        op = mat if isinstance(mat, HermitianOperator) else HermitianOperator(mat, tol)
+        op = mat if isinstance(mat, HermitianOperator) else HermitianOperator(mat)
         if op.dim != d1 * d2:
             raise ValueError(f"operator dim {op.dim} does not equal d1*d2 = {d1 * d2}")
         object.__setattr__(self, "d1", d1)
@@ -78,17 +72,17 @@ class BipartiteOperator:
 
 
 class DensityOperator:
-    """PSD Hermitian operator with a prescribed trace (1 for normalized states)."""
+    """PSD Hermitian operator with a prescribed trace (1 for normalized states), both to 1e-9."""
 
     __slots__ = ("op", "trace_target")
 
-    def __init__(self, mat, trace_target: float = 1.0, psd_tol: float = 1e-9, trace_tol: float = 1e-9):
+    def __init__(self, mat, trace_target: float = 1.0):
         op = mat if isinstance(mat, HermitianOperator) else HermitianOperator(mat)
         eigs = np.linalg.eigvalsh(op.mat)
-        if eigs[0] < -psd_tol:
+        if eigs[0] < -1e-9:
             raise ValueError(f"density operator is not PSD: min eigenvalue {eigs[0]:.3e}")
         tr = float(np.trace(op.mat).real)
-        if abs(tr - trace_target) > trace_tol:
+        if abs(tr - trace_target) > 1e-9:
             raise ValueError(f"trace {tr!r} deviates from target {trace_target!r} by {abs(tr - trace_target):.3e}")
         object.__setattr__(self, "op", op)
         object.__setattr__(self, "trace_target", float(trace_target))
@@ -113,7 +107,7 @@ class Subspace:
 
     __slots__ = ("ambient_dim", "basis", "_projector")
 
-    def __init__(self, ambient_dim: int, basis, tol: ToleranceConfig = DEFAULT_TOL):
+    def __init__(self, ambient_dim: int, basis):
         b = np.asarray(basis, dtype=complex)
         if b.ndim != 2 or b.shape[0] != ambient_dim:
             raise ValueError(f"basis must be {ambient_dim} x k, got shape {b.shape}")
@@ -121,8 +115,8 @@ class Subspace:
             raise EmptySubspaceError("subspace needs at least one basis vector")
         gram = b.conj().T @ b
         dev = float(np.max(np.abs(gram - np.eye(b.shape[1]))))
-        if dev > tol.orthonormal:
-            raise ValueError(f"basis is not orthonormal: Gram deviation {dev:.3e} exceeds {tol.orthonormal:g}")
+        if dev > DEFAULT_TOL.orthonormal:
+            raise ValueError(f"basis is not orthonormal: Gram deviation {dev:.3e} exceeds {DEFAULT_TOL.orthonormal:g}")
         b = b.copy()
         b.setflags(write=False)
         object.__setattr__(self, "ambient_dim", int(ambient_dim))
@@ -205,14 +199,14 @@ def marginal_pair(f, d1: int | None = None, d2: int | None = None):
     return t2, t1
 
 
-def adjoint_marginal(y1, y2, tol: ToleranceConfig = DEFAULT_TOL) -> BipartiteOperator:
+def adjoint_marginal(y1, y2) -> BipartiteOperator:
     """Adjoint of the marginal map: (Y1, Y2) -> Y1 (x) I + I (x) Y2.
 
     Satisfies the pairing identity <(tr_2 X, tr_1 X), (Y1, Y2)> = <X, Y1 (x) I + I (x) Y2>.
     """
     m1 = hermitize(y1)
     m2 = hermitize(y2)
-    return BipartiteOperator(_kron_sum_mat(m1, m2), m1.shape[0], m2.shape[0], tol)
+    return BipartiteOperator(_kron_sum_mat(m1, m2), m1.shape[0], m2.shape[0])
 
 
 def orthonormalize(vectors, ambient_dim: int, drop_tol: float) -> np.ndarray:
@@ -241,15 +235,15 @@ def orthonormalize(vectors, ambient_dim: int, drop_tol: float) -> np.ndarray:
     return np.column_stack(basis)
 
 
-def subspace_from_vectors(ambient_dim: int, vectors, tol: ToleranceConfig = DEFAULT_TOL) -> Subspace:
+def subspace_from_vectors(ambient_dim: int, vectors) -> Subspace:
     """Build a Subspace from a spanning set (orthonormalized, rank deficiency tolerated).
 
     Raises EmptySubspaceError when every vector is degenerate.
     """
-    basis = orthonormalize(vectors, ambient_dim, tol.subspace_drop)
+    basis = orthonormalize(vectors, ambient_dim, DEFAULT_TOL.subspace_drop)
     if basis.shape[1] == 0:
         raise EmptySubspaceError("all spanning vectors were dropped as degenerate")
-    return Subspace(ambient_dim, basis, tol)
+    return Subspace(ambient_dim, basis)
 
 
 def truncation_projector(n1: int, n2: int, d1: int, d2: int) -> BipartiteOperator:
@@ -264,9 +258,7 @@ def truncation_projector(n1: int, n2: int, d1: int, d2: int) -> BipartiteOperato
     return BipartiteOperator(proj, d1, d2)
 
 
-def compress_subspace_h2_finite(
-    x: Subspace, d1: int, d2: int, tol: ToleranceConfig = DEFAULT_TOL
-) -> tuple[np.ndarray, Subspace]:
+def compress_subspace_h2_finite(x: Subspace, d1: int, d2: int) -> tuple[np.ndarray, Subspace]:
     """Shrink the first factor to the span of the subspace's factor-1 slices.
 
     Writing each basis vector as x_l = sum_p u_{l,p} (x) e_p, the vectors
@@ -279,17 +271,17 @@ def compress_subspace_h2_finite(
         raise ValueError(f"subspace ambient dim {x.ambient_dim} does not match {d1}*{d2}")
     vr = x.basis.reshape(d1, d2, x.dim)
     slices = [vr[:, p, l] for l in range(x.dim) for p in range(d2)]
-    embedding = orthonormalize(slices, d1, tol.subspace_drop)
+    embedding = orthonormalize(slices, d1, DEFAULT_TOL.subspace_drop)
     r = embedding.shape[1]
     if r == 0:
         raise EmptySubspaceError("subspace has no factor-1 content")
     compressed = np.einsum("ir,ipl->rpl", embedding.conj(), vr).reshape(r * d2, x.dim)
     # The compression is an isometry on the subspace, so columns stay orthonormal;
     # re-orthonormalize anyway to shed roundoff before the Subspace validation.
-    basis = orthonormalize(compressed.T, r * d2, tol.subspace_drop)
+    basis = orthonormalize(compressed.T, r * d2, DEFAULT_TOL.subspace_drop)
     if basis.shape[1] != x.dim:
         raise ValueError("compression unexpectedly dropped subspace directions")
-    return embedding, Subspace(r * d2, basis, tol)
+    return embedding, Subspace(r * d2, basis)
 
 
 @dataclass(frozen=True)

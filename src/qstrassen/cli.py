@@ -30,6 +30,7 @@ from .bipartite import (
 )
 from .fibers import FiberSpec, _dist_solve, semidistance_lower_bound
 from .linalg import (
+    DEFAULT_TOL,
     check_hs_product_bound,
     check_sv_product_bound,
     check_trace_inequality,
@@ -54,7 +55,6 @@ from .strassen import (
 
 FORMAT_VERSION = "qstrassen/1"
 KINDS = ("coupling", "f_ladder", "sdp_ladder", "fiber_dist", "classical")
-_QUANTUM_KINDS = ("coupling", "f_ladder", "sdp_ladder", "fiber_dist")
 
 
 class CliError(Exception):
@@ -238,9 +238,9 @@ def _load_basis(obj, dim: int, name: str = "basis") -> np.ndarray:
     cols = [pairs_to_vec(v, dim, f"{name}[{i}]") for i, v in enumerate(obj)]
     basis = np.stack(cols, axis=1)
     gram_dev = float(np.max(np.abs(basis.conj().T @ basis - np.eye(len(cols)))))
-    if gram_dev > 1e-9:
+    if gram_dev > DEFAULT_TOL.orthonormal:
         raise CliError(
-            f"{name} is not orthonormal within 1e-9: Gram deviation {gram_dev:.3e}"
+            f"{name} is not orthonormal within {DEFAULT_TOL.orthonormal:g}: Gram deviation {gram_dev:.3e}"
         )
     return basis
 

@@ -16,15 +16,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bipartite import BipartiteOperator, partial_trace_1, partial_trace_2
+from .bipartite import BipartiteOperator, _kron_sum_mat, partial_trace_1, partial_trace_2
 from .linalg import HermitianOperator, as_matrix, hermitize, psd_project, trace_norm
 from .sdp import (
     DEFAULT_CONFIG,
     SolverConfig,
     _admm,
+    _epigraph_mean,
+    _epigraph_point,
+    _epigraph_test,
     _hs,
     _max_eig,
     _min_eig,
+    _shift_to_dominate,
     _support_scaler,
     _tr,
 )
@@ -70,13 +74,9 @@ class FiberSpec:
         return self.rho2.dim
 
     def product_coupling(self) -> BipartiteOperator:
-        """The canonical member rho1 (x) rho2 / tr rho1."""
-        t = self.rho1.trace()
-        if t <= 0:
-            raise ValueError("fiber marginals have zero trace")
-        return BipartiteOperator(
-            np.kron(self.rho1.mat, self.rho2.mat) / t, self.d1, self.d2
-        )
+        """The canonical member rho1 (x) rho2 / tr rho1 (0, the only member, at trace 0)."""
+        t = max(self.rho1.trace(), 1e-300)
+        return BipartiteOperator(np.kron(self.rho1.mat, self.rho2.mat) / t, self.d1, self.d2)
 
     def __repr__(self) -> str:
         return f"FiberSpec(d1={self.d1}, d2={self.d2}, trace={self.rho1.trace():.6g})"
@@ -140,7 +140,7 @@ def _project_marginal_affine(
     t2 = tau / (2.0 * d1)
     m1 = (rr1 - t2 * np.eye(d1)) / d2
     m2 = (rr2 - t1 * np.eye(d2)) / d1
-    return gt - np.kron(m1, np.eye(d2)) - np.kron(np.eye(d1), m2), (m1, m2)
+    return gt - _kron_sum_mat(m1, m2), (m1, m2)
 
 
 def _dist_solve(beta: np.ndarray, fiber: FiberSpec, cfg: SolverConfig):
@@ -159,12 +159,9 @@ def _dist_solve(beta: np.ndarray, fiber: FiberSpec, cfg: SolverConfig):
     r1 = fiber.rho1.mat
     r2 = fiber.rho2.mat
     tr_fiber = _tr(r1)
-    eye = np.eye(dim)
     support_scale = _support_scaler(r1, r2, 1e-12)
 
-    gamma = _repair_to_member(
-        np.kron(r1, r2) / max(tr_fiber, 1e-300), fiber, support_scale
-    )
+    gamma = _repair_to_member(fiber.product_coupling().mat, fiber, support_scale)
     w = [gamma.astype(complex).copy(), np.zeros((2 * dim, 2 * dim), dtype=complex)]
     lam = [np.zeros_like(b) for b in w]
 
@@ -176,15 +173,13 @@ def _dist_solve(beta: np.ndarray, fiber: FiberSpec, cfg: SolverConfig):
     def affine(w, lam, sigma):
         nonlocal corrections
         tbig = w[1] - lam[1]
-        wa = tbig[:dim, :dim] - eye / (2.0 * sigma)
-        wb = tbig[dim:, dim:] - eye / (2.0 * sigma)
-        e0 = 0.5 * (tbig[:dim, dim:] + tbig[dim:, :dim].conj().T)
-        # e0 is a general matrix even for Hermitian consensus state; the
-        # variable space is Hermitian, so project the target onto it first.
+        # The epigraph target of beta - gamma is a general matrix even for a
+        # Hermitian consensus state; the variable space is Hermitian, so
+        # project the target onto it first.
+        e0 = _epigraph_mean(tbig)
         target = hermitize((w[0] - lam[0] + 2.0 * (beta - e0)) / 3.0)
         gamma, corrections = _project_marginal_affine(target, r1, r2, d1, d2)
-        off = beta - gamma
-        return gamma, np.block([[wa, off], [off.conj().T, wb]])
+        return gamma, _epigraph_point(tbig, sigma, beta - gamma)
 
     def certify(w, lam, sigma, pres, dres):
         nonlocal best_upper, best_member, best_lower
@@ -197,9 +192,7 @@ def _dist_solve(beta: np.ndarray, fiber: FiberSpec, cfg: SolverConfig):
         # <Z, beta - gamma> needs the opposite sign of the block that pairs
         # with beta - gamma inside the cone), clipped to the unit spectral
         # ball; closed-form completions of Y then give valid bounds.
-        ybig = hermitize(-sigma * lam[1])
-        k = ybig[:dim, dim:]
-        z = -(k + k.conj().T)
+        z = -_epigraph_test(lam[1], sigma)
         zw, zv = np.linalg.eigh(hermitize(z))
         z = (zv * np.clip(zw, -1.0, 1.0)) @ zv.conj().T
         lower = _hs(z, beta) - _max_eig(z) * tr_fiber
@@ -207,20 +200,12 @@ def _dist_solve(beta: np.ndarray, fiber: FiberSpec, cfg: SolverConfig):
             best_lower = lower
         # Marginal-constraint multiplier recovered from the projection step:
         # the gamma subproblem KKT reads 3 sigma (gamma - target) + Phi*(Y) = 0,
-        # so Y = 3 sigma M at the latest correction M.
-        m1, m2 = corrections
+        # so Y = 3 sigma M at the latest correction M, shifted by the identity
+        # until Y1 (x) I + I (x) Y2 >= Z holds.
         for sign in (1.0, -1.0):
-            y1 = sign * 3.0 * sigma * m1
-            y2 = sign * 3.0 * sigma * m2
-            viol = _min_eig(
-                np.kron(hermitize(y1), np.eye(d2))
-                + np.kron(np.eye(d1), hermitize(y2))
-                - z
-            )
-            if viol < 0:
-                y1 = y1 + 0.5 * (-viol + 1e-15) * np.eye(d1)
-                y2 = y2 + 0.5 * (-viol + 1e-15) * np.eye(d2)
-            cand = _hs(z, beta) - _hs(hermitize(y1), r1) - _hs(hermitize(y2), r2)
+            y1, y2 = (hermitize(sign * 3.0 * sigma * m) for m in corrections)
+            y1, y2 = _shift_to_dominate(y1, y2, _kron_sum_mat, z)
+            cand = _hs(z, beta) - _hs(y1, r1) - _hs(y2, r2)
             if cand > best_lower:
                 best_lower = cand
         return "optimal" if best_upper - best_lower <= cfg.gap_tol else None
@@ -263,7 +248,7 @@ def _sample_member(fiber: FiberSpec, objective: np.ndarray, cfg: SolverConfig) -
     """
     d1, d2 = fiber.d1, fiber.d2
     r1, r2 = fiber.rho1.mat, fiber.rho2.mat
-    wg = np.kron(r1, r2).astype(complex) / max(_tr(r1), 1e-300)
+    wg = fiber.product_coupling().mat.astype(complex)
 
     def affine(w, lam, sigma):
         target = w[0] - lam[0] + objective / sigma

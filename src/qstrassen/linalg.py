@@ -7,8 +7,8 @@ builds on. Conventions used throughout:
 - eigenvalues and singular values are returned sorted nonincreasing;
 - complex scalars are ordinary double-precision complex numbers, no arbitrary
   precision anywhere;
-- every tolerance lives in a :class:`ToleranceConfig` and can be overridden
-  per call.
+- the package-wide tolerances are the constants of ``DEFAULT_TOL``, a
+  :class:`ToleranceConfig`.
 
 All functions are pure; values are immutable after construction and safe to
 share across threads.
@@ -45,18 +45,14 @@ _MAGNITUDE_GUARD = 1e150
 
 @dataclass(frozen=True)
 class ToleranceConfig:
-    """Central numeric tolerances, overridable per call.
+    """Central numeric tolerances; the package reads them from ``DEFAULT_TOL``.
 
-    hermitize:   allowed Hermitian asymmetry before/after symmetrization
-    psd_floor:   how negative an eigenvalue may be and still count as PSD
     reconstruction: relative factorization residual for eig/SVD outputs
     orthonormal: Gram-matrix deviation allowed for orthonormal vector sets
     subspace_drop: Gram-Schmidt residual norm below which a vector is dropped
     support_rel: relative eigenvalue threshold for support detection
     """
 
-    hermitize: float = 1e-12
-    psd_floor: float = 1e-10
     reconstruction: float = 1e-9
     orthonormal: float = 1e-10
     subspace_drop: float = 1e-10
@@ -105,7 +101,7 @@ class HermitianOperator:
 
     __slots__ = ("mat",)
 
-    def __init__(self, mat, tol: ToleranceConfig = DEFAULT_TOL):
+    def __init__(self, mat):
         m = as_matrix(mat)
         if m.shape[0] != m.shape[1]:
             raise ValueError(f"Hermitian operator must be square, got shape {m.shape}")
@@ -142,7 +138,17 @@ class SingularSpectrum:
     right_vectors: np.ndarray
 
 
-def hermitian_eig(h, tol: ToleranceConfig = DEFAULT_TOL, check: bool = False):
+def _eigh(m: np.ndarray):
+    """np.linalg.eigh (ascending eigenvalues) with the package's error type."""
+    try:
+        return np.linalg.eigh(m)
+    except np.linalg.LinAlgError as exc:
+        raise EigendecompositionError(
+            f"eigendecomposition did not converge for dim {m.shape[0]}: {exc}"
+        ) from exc
+
+
+def hermitian_eig(h, check: bool = False):
     """Eigendecomposition of a Hermitian matrix.
 
     Parameters
@@ -151,7 +157,7 @@ def hermitian_eig(h, tol: ToleranceConfig = DEFAULT_TOL, check: bool = False):
         Input matrix; it is symmetrized before factorization.
     check : bool
         When True, verify the reconstruction residual
-        ||V diag(w) V* - H||_F <= tol.reconstruction * max(1, ||H||_2)
+        ||V diag(w) V* - H||_F <= DEFAULT_TOL.reconstruction * max(1, ||H||_2)
         and raise EigendecompositionError if it fails.
 
     Returns
@@ -160,17 +166,12 @@ def hermitian_eig(h, tol: ToleranceConfig = DEFAULT_TOL, check: bool = False):
         matching orthonormal eigenvector columns.
     """
     m = hermitize(h)
-    try:
-        w, v = np.linalg.eigh(m)
-    except np.linalg.LinAlgError as exc:
-        raise EigendecompositionError(
-            f"eigendecomposition did not converge for dim {m.shape[0]}: {exc}"
-        ) from exc
+    w, v = _eigh(m)
     w = w[::-1].copy()
     v = v[:, ::-1].copy()
     if check:
         resid = float(np.linalg.norm((v * w) @ v.conj().T - m))
-        bound = tol.reconstruction * max(1.0, float(np.abs(w).max(initial=0.0)))
+        bound = DEFAULT_TOL.reconstruction * max(1.0, float(np.abs(w).max(initial=0.0)))
         if resid > bound:
             raise EigendecompositionError(
                 f"eigendecomposition residual {resid:.3e} exceeds {bound:.3e}", residual=resid
@@ -178,18 +179,17 @@ def hermitian_eig(h, tol: ToleranceConfig = DEFAULT_TOL, check: bool = False):
     return w, v
 
 
-def psd_project(h, tol: ToleranceConfig = DEFAULT_TOL):
+def psd_project(h):
     """Frobenius-nearest positive semidefinite matrix.
 
     Negative eigenvalues are clipped to zero in the input's own eigenbasis.
     Returns a HermitianOperator when given one, otherwise a plain array.
     """
-    w, v = hermitian_eig(h, tol)
-    w = np.maximum(w, 0.0)
-    out = (v * w) @ v.conj().T
+    w, v = _eigh(hermitize(h))
+    out = (v * np.maximum(w, 0.0)) @ v.conj().T
     out = (out + out.conj().T) / 2
     if isinstance(h, HermitianOperator):
-        return HermitianOperator(out, tol)
+        return HermitianOperator(out)
     return out
 
 
@@ -226,7 +226,7 @@ def trace_norm(a) -> float:
     return schatten_norm(a, 1)
 
 
-def singular_values(a, tol: ToleranceConfig = DEFAULT_TOL, check: bool = False) -> SingularSpectrum:
+def singular_values(a, check: bool = False) -> SingularSpectrum:
     """Full singular value decomposition as a SingularSpectrum.
 
     The returned triple satisfies A = sum_i s_i g_i f_i^* with g/f the left
@@ -243,7 +243,7 @@ def singular_values(a, tol: ToleranceConfig = DEFAULT_TOL, check: bool = False) 
     if check:
         resid = float(np.linalg.norm((u * s) @ vh - m))
         top = float(s[0]) if s.size else 0.0
-        if resid > tol.reconstruction * max(1.0, top):
+        if resid > DEFAULT_TOL.reconstruction * max(1.0, top):
             raise EigendecompositionError(f"SVD residual {resid:.3e} too large", residual=resid)
     return spec
 
@@ -345,7 +345,7 @@ def _check_orthonormal(v: np.ndarray, tol: float, name: str) -> None:
         raise ValueError(f"{name} is not orthonormal: Gram deviation {dev:.3e} exceeds {tol:g}")
 
 
-def check_trace_inequality(l, xs, ys, tol: ToleranceConfig = DEFAULT_TOL) -> TraceInequalityBound:
+def check_trace_inequality(l, xs, ys) -> TraceInequalityBound:
     """Check sum_i |<L x_i, y_i>| against the sum of L's top singular values.
 
     xs and ys are matrices whose columns are the two orthonormal vector sets;
@@ -365,8 +365,8 @@ def check_trace_inequality(l, xs, ys, tol: ToleranceConfig = DEFAULT_TOL) -> Tra
         )
     if n > min(lm.shape):
         raise ValueError(f"cardinality {n} exceeds min dimension {min(lm.shape)} of L")
-    _check_orthonormal(x, tol.orthonormal, "xs")
-    _check_orthonormal(y, tol.orthonormal, "ys")
+    _check_orthonormal(x, DEFAULT_TOL.orthonormal, "xs")
+    _check_orthonormal(y, DEFAULT_TOL.orthonormal, "ys")
     pair = np.einsum("ij,ik,kj->j", y.conj(), lm, x)
     lhs = float(np.sum(np.abs(pair)))
     rhs = float(np.sum(_svdvals(lm)[:n]))

@@ -24,7 +24,8 @@ and its certify checkpoint. Reported values are certified: the primal value
 is evaluated at an exactly feasible restoration of the iterate, the dual value
 at an exactly feasible repair of the multipliers, so
 primal <= optimum <= dual holds up to the stated feasibility slack (~1e-12),
-not merely in the limit.
+not merely in the limit. The four fields of ``SolverConfig`` are the only
+knobs; that slack and the support cut are fixed constants.
 """
 
 from __future__ import annotations
@@ -275,7 +276,7 @@ def _admm(affine, project, w, lam, sigma: float, max_iters: int, certify):
     return status, it, w, lam, sigma
 
 
-def _shift_to_dominate(y1: np.ndarray, y2: np.ndarray, adjoint, b: np.ndarray):
+def _shift_to_dominate(y1: np.ndarray, y2: np.ndarray, adjoint, b: np.ndarray | float):
     """Identity shifts of (Y1, Y2) until adjoint(Y1, Y2) >= B holds exactly.
 
     The adjoint maps identity shifts to identity shifts, so each round adds
@@ -295,9 +296,9 @@ def _shift_to_dominate(y1: np.ndarray, y2: np.ndarray, adjoint, b: np.ndarray):
 def _subspace_marginal_maps(rho1, rho2, x_sub: Subspace):
     """Hermitian marginals, the basis V of ``x_sub`` and its marginal maps.
 
-    mm1 and mm2 are the matrices of L1: C -> tr_2(V C V^*) and
-    L2: C -> tr_1(V C V^*) acting on row-major flattened coefficient matrices
-    C; ``maps`` holds the functions L = (L1, L2) and L^* built from them.
+    ``maps`` holds the functions L = (L1, L2), with L1: C -> tr_2(V C V^*) and
+    L2: C -> tr_1(V C V^*), and L^*. They apply the maps' matrices on
+    row-major flattened coefficient matrices C.
     """
     r1 = hermitize(rho1.mat if isinstance(rho1, HermitianOperator) else as_matrix(rho1))
     r2 = hermitize(rho2.mat if isinstance(rho2, HermitianOperator) else as_matrix(rho2))
@@ -322,7 +323,7 @@ def _subspace_marginal_maps(rho1, rho2, x_sub: Subspace):
     def ladj(y1, y2):
         return (mm1h @ y1.reshape(-1) + mm2h @ y2.reshape(-1)).reshape(n, n)
 
-    return r1, r2, vbasis, (mm1, mm2), (lmap, ladj)
+    return r1, r2, vbasis, (lmap, ladj)
 
 
 def _full_space_maps(d1: int, d2: int):
@@ -645,6 +646,34 @@ def _f_value(x: np.ndarray, r1: np.ndarray, r2: np.ndarray, d1: int, d2: int) ->
     )
 
 
+# A trace norm ||A||_1 enters a program through its semidefinite epigraph: the
+# block [[W_a, A], [A^*, W_b]] >= 0 with cost (tr W_a + tr W_b) / 2. The three
+# helpers below are its affine step and its dual test matrix, shared by
+# solve_f_min_full and the fiber distance.
+
+
+def _epigraph_mean(t: np.ndarray) -> np.ndarray:
+    """Mean of the off-diagonal blocks of a 2d x 2d epigraph target: A's target."""
+    d = t.shape[0] // 2
+    return 0.5 * (t[:d, d:] + t[d:, :d].conj().T)
+
+
+def _epigraph_point(t: np.ndarray, sigma: float, a: np.ndarray) -> np.ndarray:
+    """The affine epigraph block: t's diagonal blocks less I/(2 sigma), A off the diagonal."""
+    d = t.shape[0] // 2
+    out = t - np.eye(2 * d) / (2.0 * sigma)
+    out[:d, d:] = a
+    out[d:, :d] = a.conj().T
+    return out
+
+
+def _epigraph_test(lam: np.ndarray, sigma: float) -> np.ndarray:
+    """Test matrix K + K^* from the off-diagonal block K of the cone multiplier -sigma * lam."""
+    d = lam.shape[0] // 2
+    k = hermitize(-sigma * lam)[:d, d:]
+    return k + k.conj().T
+
+
 def solve_f_min_full(
     rho1,
     rho2,
@@ -665,13 +694,12 @@ def solve_f_min_full(
     most cfg.gap_tol, else ends at ``max_iters`` (or ``infeasible_numerics``
     on NaN/Inf breakdown); the ADMM residuals only steer the penalty.
     """
-    r1, r2, vbasis, (mm1, mm2), (lmap, ladj) = _subspace_marginal_maps(rho1, rho2, x_sub)
+    r1, r2, vbasis, (lmap, ladj) = _subspace_marginal_maps(rho1, rho2, x_sub)
     d1, d2, n = r1.shape[0], r2.shape[0], x_sub.dim
-    normal = (
-        np.eye(n * n)
-        + 2.0 * (mm1.conj().T @ mm1)
-        + 2.0 * (mm2.conj().T @ mm2)
-    )
+    # The normal matrix I + 2 L^* L of the C-step, built column by column.
+    normal = np.eye(n * n, dtype=complex)
+    for k, unit in enumerate(normal.copy()):
+        normal[:, k] += 2.0 * ladj(*lmap(unit)).reshape(-1)
     normal_inv = np.linalg.inv(normal)
     cap = _tr(r1) + _tr(r2)
 
@@ -711,25 +739,15 @@ def solve_f_min_full(
     def affine(w, lam, sigma):
         tg1 = w[1] - lam[1]
         tg2 = w[2] - lam[2]
-        wa1 = tg1[:d1, :d1] - np.eye(d1) / (2.0 * sigma)
-        wb1 = tg1[d1:, d1:] - np.eye(d1) / (2.0 * sigma)
-        a10 = 0.5 * (tg1[:d1, d1:] + tg1[d1:, :d1].conj().T)
-        wa2 = tg2[:d2, :d2] - np.eye(d2) / (2.0 * sigma)
-        wb2 = tg2[d2:, d2:] - np.eye(d2) / (2.0 * sigma)
-        a20 = 0.5 * (tg2[:d2, d2:] + tg2[d2:, :d2].conj().T)
-        rhs = (
-            (w[0] - lam[0]).reshape(-1)
-            + 2.0 * (mm1.conj().T @ (r1 + a10).reshape(-1))
-            + 2.0 * (mm2.conj().T @ (r2 + a20).reshape(-1))
-        )
+        rhs = (w[0] - lam[0]).reshape(-1) + 2.0 * ladj(
+            r1 + _epigraph_mean(tg1), r2 + _epigraph_mean(tg2)
+        ).reshape(-1)
         c = hermitize((normal_inv @ rhs).reshape(n, n))
         l1c, l2c = lmap(c)
-        off1 = l1c - r1
-        off2 = l2c - r2
         return (
             c,
-            np.block([[wa1, off1], [off1.conj().T, wb1]]),
-            np.block([[wa2, off2], [off2.conj().T, wb2]]),
+            _epigraph_point(tg1, sigma, l1c - r1),
+            _epigraph_point(tg2, sigma, l2c - r2),
         )
 
     def certify(w, lam, sigma, pres, dres):
@@ -741,19 +759,11 @@ def solve_f_min_full(
             best_c = w[0].copy()
         # Multiplier blocks of the epigraph cones: the off-diagonal block of
         # each (PSD) multiplier yields a test matrix Z with ||Z||_inf <= 1 at
-        # optimality; repair shifts restore the sign constraint exactly.
-        y1 = hermitize(-sigma * lam[1])
-        y2 = hermitize(-sigma * lam[2])
-        z1 = y1[:d1, d1:]
-        z1 = z1 + z1.conj().T
-        z2 = y2[:d2, d2:]
-        z2 = z2 + z2.conj().T
-        s = hermitize(ladj(z1, z2))
-        top = _max_eig(s)
-        if top > 0:
-            delta = 0.5 * top + 1e-15
-            z1 = z1 - delta * np.eye(d1)
-            z2 = z2 - delta * np.eye(d2)
+        # optimality; the identity-shift repair of -Z restores the sign
+        # constraint L^*(Z1, Z2) <= 0 exactly.
+        y1, y2 = (-_epigraph_test(lb, sigma) for lb in lam[1:])
+        y1, y2 = _shift_to_dominate(y1, y2, ladj, 0.0)
+        z1, z2 = -y1, -y2
         scale = max(
             1.0,
             float(np.max(np.abs(np.linalg.eigvalsh(hermitize(z1))))),
@@ -844,7 +854,7 @@ def solve_supported_overlap(
     also stops, with status ``decided``, at the first checkpoint where the
     bracket lies on one side of it: value >= threshold or dual < threshold.
     """
-    r1, r2, vbasis, _, maps = _subspace_marginal_maps(rho1, rho2, x_sub)
+    r1, r2, vbasis, maps = _subspace_marginal_maps(rho1, rho2, x_sub)
     sol = _overlap_core(np.eye(x_sub.dim), r1, r2, maps, cfg, threshold=threshold)
     return SupportedOverlapSolution(
         value=sol.value,

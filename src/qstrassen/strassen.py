@@ -182,19 +182,12 @@ def has_coupling(
     return verdict == "coupling", cert
 
 
-def _coerce_basis(x_basis, ambient: int | None = None) -> np.ndarray:
+def _coerce_basis(x_basis, ambient: int) -> np.ndarray:
     b = np.asarray(x_basis, dtype=complex)
-    if b.ndim == 1:
-        b = b.reshape(-1, 1)
     if b.ndim != 2:
         raise ValueError("basis must be a matrix of column vectors")
-    if ambient is not None and b.shape[0] != ambient:
-        if b.shape[1] == ambient:
-            b = b.T
-        else:
-            raise ValueError(
-                f"basis vectors have length {b.shape[0]}, expected {ambient}"
-            )
+    if b.shape[0] != ambient:
+        raise ValueError(f"basis vectors have length {b.shape[0]}, expected {ambient}")
     return b
 
 
@@ -211,9 +204,11 @@ def f_ladder(
     n basis vectors; the sequence is nonincreasing and reaches 0 in the limit
     exactly when a coupling exists in the full span. Inputs are normalized to
     unit mean trace and the factor recorded as ``scale``. The verdict is
-    ``coupling_exists`` when the last level falls below eps_decision,
-    ``no_coupling`` when certified lower bounds stay above eps_decision across
-    a stalled trailing window, else ``undecided``.
+    ``coupling_exists`` when the last level falls below eps_decision and
+    ``no_coupling`` when the last level spans the whole chain (n_max equals
+    the number of basis vectors) and its certified lower bound is above
+    eps_decision; a truncated chain says nothing about the full span, so
+    anything else is ``undecided``.
     """
     r1 = hermitize(np.asarray(rho1.mat if hasattr(rho1, "mat") else rho1, dtype=complex))
     r2 = hermitize(np.asarray(rho2.mat if hasattr(rho2, "mat") else rho2, dtype=complex))
@@ -246,12 +241,9 @@ def f_ladder(
             )
         )
     last = levels[-1]
-    window = levels[-min(_STALL_WINDOW, len(levels)):]
     if last.value < eps:
         verdict = "coupling_exists"
-    elif all(lv.lower_bound > eps for lv in window) and all(
-        lv.value - last.value <= cfg.gap_tol for lv in window
-    ):
+    elif n_max == basis.shape[1] and last.lower_bound > eps:
         verdict = "no_coupling"
     else:
         verdict = "undecided"

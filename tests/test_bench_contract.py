@@ -1,0 +1,69 @@
+"""The traced benchmark still runs against the package.
+
+``bench/run.py`` wraps solver functions by name (``strassen.solve_f_min_full``,
+``fibers._dist_solve``, ``sdp.psd_project``, ...) and reads their results by
+position and field. A rename or a changed result shape in ``src/`` would only
+show when the benchmark runs; this test runs one traced pass over tiny
+instances of every benchmarked command instead, in a few seconds.
+"""
+
+from __future__ import annotations
+
+import importlib.util
+import sys
+from pathlib import Path
+
+import qstrassen
+import qstrassen.cli as cli
+
+BENCH = Path(__file__).resolve().parent.parent / "bench"
+
+
+def load_bench_run():
+    if str(BENCH) not in sys.path:
+        sys.path.append(str(BENCH))  # run.py imports its siblings checks and tracing
+    spec = importlib.util.spec_from_file_location("bench_run", BENCH / "run.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+# (command, [(generator spec, generator seed), ...]); the seeds are the file
+# indices the benchmark itself would give these specs.
+OPS = [
+    ("check", [({"kind": "coupling", "dims": [2, 3]}, 0)]),
+    (
+        "mu",
+        [
+            ({"kind": "coupling", "dims": [2, 3]}, 0),
+            ({"kind": "coupling", "dims": [2, 3], "feasible": False, "subspace_dim": 3}, 1),
+        ],
+    ),
+    ("ladder-f", [({"kind": "f_ladder", "dims": [2, 2]}, 8)]),
+    ("ladder-sdp", [({"kind": "sdp_ladder", "dims": [2, 2]}, 0)]),
+    ("fiber-dist", [({"kind": "fiber_dist", "dims": [2, 3]}, 1)]),
+]
+
+
+def test_traced_pass_covers_every_wrapped_solver(tmp_path):
+    run = load_bench_run()
+    ops = []
+    for command, files in OPS:
+        paths = []
+        for spec, index in files:
+            path = tmp_path / f"{index:03d}-{len(ops)}-{len(paths)}.json"
+            cli.save_problem(run.make_instance(cli, spec, index, 1), str(path))
+            paths.append(str(path))
+        op = run.Op(command, paths, [])
+        op.inputs = [run.checks.load_input(p) for p in paths]
+        ops.append(op)
+    result, tracer = run.traced_pass(cli, qstrassen, ops)
+    assert result["failures"] == []
+    assert len(result["lat"]) == len(OPS)
+    counts = tracer.counters
+    for key in ("sdp.marginal.iters_sum", "sdp.fmin.iters_sum", "fibers.dist.iters_sum"):
+        assert counts[key] > 0, key
+    assert counts["psd_project.calls"] > 0
+    metrics = run.layer_metrics(tracer, result)
+    assert metrics["sdp.supported.calls"] == 1
+    assert metrics["fibers.dist.calls"] == 1

@@ -162,6 +162,10 @@ def test_problem_rejects_invariant_violations():
         problem_from_dict(coupling_file(rho2=eye_pairs(2, 0.3)))
     with pytest.raises(CliError, match="not orthonormal"):
         problem_from_dict(coupling_file(basis=[[[0.9, 0.0], [0.0, 0.0], [0.0, 0.0], [0.0, 0.0]]]))
+    # Gram deviation 5e-10: above the Subspace tolerance 1e-10, so the loader
+    # must reject it rather than hand a basis to a solver that will.
+    with pytest.raises(CliError, match="not orthonormal within 1e-10"):
+        problem_from_dict(coupling_file(basis=[[[math.sqrt(1.0 + 5e-10), 0.0], [0.0, 0.0], [0.0, 0.0], [0.0, 0.0]]]))
     with pytest.raises(CliError, match="dims must be a pair"):
         problem_from_dict(coupling_file(dims=[2]))
     with pytest.raises(CliError, match="missing required field"):
@@ -392,6 +396,26 @@ def test_main_ladder_f(tmp_path, capsys):
     assert report["verdict"] == "coupling_exists"
     values = [row["value"] for row in report["levels"]]
     assert all(values[i + 1] <= values[i] + 2e-6 for i in range(len(values) - 1))
+
+
+def test_main_ladder_f_truncated_chain_exits_undecided(tmp_path, capsys):
+    e = np.eye(9)
+    chain = [e[0], e[1], e[2], (e[4] + e[8]) / np.sqrt(2.0)]
+    obj = coupling_file(
+        kind="f_ladder",
+        dims=[3, 3],
+        rho1=eye_pairs(3, 1.0 / 3.0),
+        rho2=eye_pairs(3, 1.0 / 3.0),
+        basis=[vec_to_pairs(v) for v in chain],
+        n_max=4,
+    )
+    path = write_json(tmp_path, "chain.json", obj)
+    code, out, _ = run_main(capsys, ["ladder-f", path, "--levels", "3"])
+    assert code == 2
+    assert json.loads(out)["verdict"] == "undecided"
+    code, out, _ = run_main(capsys, ["ladder-f", path])
+    assert code == 0
+    assert json.loads(out)["verdict"] == "coupling_exists"
 
 
 def test_main_ladder_sdp(tmp_path, capsys):

@@ -368,6 +368,23 @@ def test_f_ladder_no_coupling_on_obstruction():
     assert rep.levels[0].lower_bound > rep.eps_decision
 
 
+def truncation_chain():
+    # rho1 = rho2 = I/3 on 3x3: the first three vectors |0,p> cannot couple
+    # the pair (f = 4/3), the fourth completes (|0,0> + |1,1> + |2,2>)/sqrt 3.
+    e = np.eye(9, dtype=complex)
+    return np.column_stack([e[0], e[1], e[2], (e[4] + e[8]) / np.sqrt(2.0)])
+
+
+def test_f_ladder_truncated_chain_is_undecided():
+    basis = truncation_chain()
+    rep = f_ladder(np.eye(3) / 3, np.eye(3) / 3, basis, 3)
+    assert rep.verdict == "undecided"
+    assert all(lv.lower_bound > rep.eps_decision for lv in rep.levels)
+    rep = f_ladder(np.eye(3) / 3, np.eye(3) / 3, basis, 4)
+    assert rep.verdict == "coupling_exists"
+    assert rep.levels[-1].value < rep.eps_decision
+
+
 def test_f_ladder_normalizes_subnormalized_inputs():
     rep = f_ladder(np.eye(2) / 4, np.eye(2) / 4, bell_subspace().basis, 1)
     assert abs(rep.scale - 0.5) < 1e-12
