@@ -839,6 +839,7 @@ def solve_supported_overlap(
     rho2,
     cfg: SolverConfig = DEFAULT_CONFIG,
     threshold: float | None = None,
+    warm_start: MarginalSdpSolution | None = None,
 ) -> SupportedOverlapSolution:
     """Maximize tr X over PSD X supported exactly in the subspace with dominated marginals.
 
@@ -853,9 +854,38 @@ def solve_supported_overlap(
     ADMM residuals only steer the penalty. With a ``threshold`` the solve
     also stops, with status ``decided``, at the first checkpoint where the
     bracket lies on one side of it: value >= threshold or dual < threshold.
+
+    ``warm_start`` may be the overlap solve of the same marginals and
+    subspace. Its optimizer starts the iterate as V^* X V, and its dual pair
+    starts the multipliers: Y1 (x) I + I (x) Y2 >= P implies
+    V^*(Y1 (x) I + I (x) Y2)V >= I, so the pair is already feasible here. On
+    a singular marginal each Y_i is first compressed to Q_i Y_i Q_i, Q_i the
+    support projector of rho_i: the overlap solve lifts its pair with a
+    shift of about 0.5 / gap_tol on the support complement, which costs it
+    nothing but would swamp the multipliers here. The bracket is still
+    certified from this solve's own iterates, so a warm start changes only
+    the iteration count. A warm start whose shapes do not match the
+    marginals and the subspace raises ``ValueError``.
     """
     r1, r2, vbasis, maps = _subspace_marginal_maps(rho1, rho2, x_sub)
-    sol = _overlap_core(np.eye(x_sub.dim), r1, r2, maps, cfg, threshold=threshold)
+    warm = None
+    if warm_start is not None:
+        x, ys = warm_start.X.mat, [y.mat for y in warm_start.Y]
+        got = (x.shape, ys[0].shape, ys[1].shape)
+        want = ((x_sub.ambient_dim,) * 2, r1.shape, r2.shape)
+        if got != want:
+            raise ValueError(
+                f"warm start shapes (X, Y1, Y2) {got} do not match the problem's {want}"
+            )
+        for k, r in enumerate((r1, r2)):
+            u = _support_isometry(r)
+            if u.shape != r.shape:
+                q = u @ u.conj().T
+                ys[k] = q @ ys[k] @ q
+        warm = {"X": vbasis.conj().T @ x @ vbasis, "Y1": ys[0], "Y2": ys[1]}
+    sol = _overlap_core(
+        np.eye(x_sub.dim), r1, r2, maps, cfg, warm_start=warm, threshold=threshold
+    )
     return SupportedOverlapSolution(
         value=sol.value,
         X=BipartiteOperator(

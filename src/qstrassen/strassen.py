@@ -136,7 +136,9 @@ def _decide(
     the certificate checks, ``no_coupling`` when the dual bound of mu or of
     the supported solve falls below 1 - eps_decision, else ``undecided``. The
     supported solve is None when mu's dual bound already refutes a coupling;
-    otherwise it stops as soon as its bracket clears 1 - eps_decision.
+    otherwise it starts from mu's solution (see ``solve_supported_overlap``
+    for the support compression of mu's dual pair) and stops as soon as its
+    bracket clears 1 - eps_decision.
     """
     r1 = _as_density(rho1, "rho1")
     r2 = _as_density(rho2, "rho2")
@@ -149,7 +151,11 @@ def _decide(
     # certificate has no mass outside the subspace at all. A value at or above
     # the threshold bounds the normalized certificate's marginal error by
     # 4 * eps, since its marginals are dominated and its trace is >= 1 - eps.
-    sup = solve_supported_overlap(x_sub, r1.op, r2.op, cfg, threshold=threshold)
+    # mu's dual pair is feasible for this program and its optimizer is a
+    # near-optimal start, so the re-solve begins from mu's solution.
+    sup = solve_supported_overlap(
+        x_sub, r1.op, r2.op, cfg, threshold=threshold, warm_start=sol
+    )
     verdict = "no_coupling" if sup.dual < threshold else "undecided"
     if sup.value < threshold or sup.value <= 0.0:
         return verdict, None, value, sol, sup

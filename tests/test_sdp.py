@@ -316,6 +316,14 @@ def test_supported_overlap_value_is_trace_of_returned_point():
     assert abs(sol.value - float(np.trace(sol.X.mat).real)) < 1e-9
 
 
+def test_supported_overlap_rejects_mismatched_warm_start():
+    # a 2x2 overlap solve cannot start a 2x3 supported solve
+    warm = solve_marginal_sdp(problem_for(bell_subspace(), np.eye(2) / 2, np.eye(2) / 2))
+    sub, r1, r2 = golden_instance((2, 3), 0, True)
+    with pytest.raises(ValueError, match=r"\(4, 4\).*\(6, 6\)"):
+        solve_supported_overlap(sub, r1, r2, warm_start=warm)
+
+
 # Values of the full solve (no threshold), recorded before the threshold stop
 # existed: (dims, seed, feasible) -> (value, gap, iterations).
 SUPPORTED_GOLDEN = {

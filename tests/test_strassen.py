@@ -226,6 +226,9 @@ def test_has_coupling_on_random_constructed_instance():
 def decide_cases():
     """(feasible, marginals, _decide, _decide with a full supported solve) per instance.
 
+    The full supported solve is cold and runs to gap_tol: the reference that
+    both the threshold stop and the warm start from mu are measured against.
+
     Generated coupling instances from 2x3 to 4x4, half infeasible; seeds 15
     (2x4) and 26 (2x3) are infeasible with mu within eps_decision of 1, so only
     the supported solve can refute them.
@@ -251,7 +254,9 @@ def decide_cases():
             mp.setattr(
                 strassen,
                 "solve_supported_overlap",
-                lambda *args, threshold=None: sdp.solve_supported_overlap(*args),
+                lambda *args, threshold=None, warm_start=None: (
+                    sdp.solve_supported_overlap(*args)
+                ),
             )
             full = _decide(p.rho1, p.rho2, sub, CFG)
         cases.append((spec["feasible"], p, decided, full))
@@ -293,6 +298,44 @@ def test_decided_refutation_only_on_infeasible(decide_cases):
         assert verdict == "no_coupling" and cert is None
         assert sup.dual < threshold <= sol.dual_value
     assert seen > 0
+
+
+def test_warm_start_cuts_supported_iterations(decide_cases):
+    # Started from mu's solution, each supported solve takes no more
+    # iterations than a cold thresholded one, and the total falls at least 5x.
+    threshold = 1.0 - CFG.eps_decision
+    warm = cold = 0
+    for _, p, (_, _, _, _, sup), _ in decide_cases:
+        if sup is None:
+            continue
+        sub = Subspace(p.d1 * p.d2, p.basis)
+        ref = sdp.solve_supported_overlap(sub, p.rho1, p.rho2, CFG, threshold=threshold)
+        assert sup.iterations <= ref.iterations, (p.d1, p.d2)
+        warm += sup.iterations
+        cold += ref.iterations
+    assert 0 < 5 * warm <= cold
+
+
+def test_decide_warm_start_with_rank_deficient_marginal():
+    # A state on span(e0, e1) (x) C^3, so rho1 has rank 2, in its range plus
+    # two random vectors. mu lifts its dual pair with a shift of about
+    # 0.5 / gap_tol on ker rho1; unless the supported re-solve compresses the
+    # pair to supp rho1 before starting from it, that shift swamps the
+    # multipliers and the re-solve runs to max_iters.
+    rng = np.random.default_rng(4)
+    rho = np.zeros((3, 3, 3, 3), dtype=complex)
+    rho[:2, :, :2, :] = random_state(rng, 6, 3).reshape(2, 3, 2, 3)
+    rho = rho.reshape(9, 9)
+    w, v = np.linalg.eigh(rho)
+    q, _ = np.linalg.qr(np.hstack([v[:, w > 1e-12 * w[-1]], crand(rng, 9, 2)]))
+    sub = Subspace(9, q)
+    r1, r2 = partial_trace_2(rho, 3, 3), partial_trace_1(rho, 3, 3)
+    assert np.linalg.matrix_rank(r1, tol=1e-12) == 2
+    verdict, cert, _, _, sup = _decide(r1, r2, sub, CFG)
+    assert verdict == "coupling" and cert is not None
+    assert sup.status in {"optimal", "decided"}
+    cold = sdp.solve_supported_overlap(sub, r1, r2, CFG, threshold=1.0 - CFG.eps_decision)
+    assert sup.iterations <= cold.iterations
 
 
 def test_mu_refutation_carries_a_feasible_dual_pair():
