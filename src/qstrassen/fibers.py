@@ -28,6 +28,7 @@ from .sdp import (
     _hs,
     _max_eig,
     _min_eig,
+    _psd_project_blocks,
     _shift_to_dominate,
     _support_scaler,
     _tr,
@@ -211,7 +212,7 @@ def _dist_solve(beta: np.ndarray, fiber: FiberSpec, cfg: SolverConfig):
         return "optimal" if best_upper - best_lower <= cfg.gap_tol else None
 
     status, it, _, _, _ = _admm(
-        affine, (psd_project, psd_project), w, lam, cfg.penalty_init,
+        affine, _psd_project_blocks, w, lam, cfg.penalty_init,
         cfg.max_iters, certify,
     )
     return best_upper, best_lower, best_member, it, status
@@ -258,7 +259,7 @@ def _sample_member(fiber: FiberSpec, objective: np.ndarray, cfg: SolverConfig) -
         return "optimal" if pres <= cfg.gap_tol and dres <= cfg.gap_tol else None
 
     _, _, (wg,), _, _ = _admm(
-        affine, (psd_project,), [wg], [np.zeros_like(wg)], cfg.penalty_init,
+        affine, _psd_project_blocks, [wg], [np.zeros_like(wg)], cfg.penalty_init,
         cfg.max_iters, certify,
     )
     return _repair_to_member(wg, fiber, _support_scaler(r1, r2, 1e-12))

@@ -84,12 +84,17 @@ def as_matrix(a) -> np.ndarray:
     return m
 
 
+def _herm_part(m: np.ndarray) -> np.ndarray:
+    """(M + M*)/2 of a matrix or of each matrix in a stack (..., n, n)."""
+    return (m + m.conj().swapaxes(-1, -2)) / 2
+
+
 def hermitize(a) -> np.ndarray:
     """Return the Hermitian part (A + A*)/2 as a fresh array."""
     m = as_matrix(a)
     if m.shape[0] != m.shape[1]:
         raise ValueError(f"cannot hermitize a non-square matrix of shape {m.shape}")
-    return (m + m.conj().T) / 2
+    return _herm_part(m)
 
 
 class HermitianOperator:
@@ -144,7 +149,7 @@ def _eigh(m: np.ndarray):
         return np.linalg.eigh(m)
     except np.linalg.LinAlgError as exc:
         raise EigendecompositionError(
-            f"eigendecomposition did not converge for dim {m.shape[0]}: {exc}"
+            f"eigendecomposition did not converge for dim {m.shape[-1]}: {exc}"
         ) from exc
 
 
@@ -180,17 +185,23 @@ def hermitian_eig(h, check: bool = False):
 
 
 def psd_project(h):
-    """Frobenius-nearest positive semidefinite matrix.
+    """Frobenius-nearest positive semidefinite matrix, or one per matrix of a stack.
 
     Negative eigenvalues are clipped to zero in the input's own eigenbasis.
+    A stack of shape (..., n, n) is projected matrix by matrix through one
+    stacked ``eigh``; each result is bitwise equal to the single projection.
     Returns a HermitianOperator when given one, otherwise a plain array.
     """
-    w, v = _eigh(hermitize(h))
-    out = (v * np.maximum(w, 0.0)) @ v.conj().T
-    out = (out + out.conj().T) / 2
     if isinstance(h, HermitianOperator):
-        return HermitianOperator(out)
-    return out
+        return HermitianOperator(psd_project(h.mat))
+    m = np.asarray(h, dtype=complex)
+    if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
+        raise ValueError(f"expected a square matrix or a stack of them, got shape {m.shape}")
+    w, v = _eigh(_herm_part(m))
+    w = np.maximum(w, 0.0)
+    if m.ndim > 2:
+        w = w[..., None, :]
+    return _herm_part((v * w) @ v.conj().swapaxes(-1, -2))
 
 
 def _guard_magnitude(m: np.ndarray) -> None:

@@ -19,10 +19,14 @@ The method is a two-block ADMM with over-relaxation and residual balancing:
 one block is projected onto the affine slice (through the normal matrix of the
 marginal maps), the other onto the PSD cones (the only expensive kernel). One
 driver, ``_admm``, runs the iteration for every solver here and in
-``fibers``; each solver supplies only its affine step, its cone projections
-and its certify checkpoint. Reported values are certified: the primal value
-is evaluated at an exactly feasible restoration of the iterate, the dual value
-at an exactly feasible repair of the multipliers, so
+``fibers``; each solver supplies only its affine step, one callable that
+projects the list of cone blocks, and its certify checkpoint. Blocks of equal
+shape share one stacked ``eigh`` (``_psd_project_blocks``). The penalty is
+balanced on relative residuals (Boyd et al. 2011, section 3.4.1): the primal
+residual over the larger of the affine and cone iterates' norms against the
+dual residual over the multipliers' norm. Reported values are certified: the
+primal value is evaluated at an exactly feasible restoration of the iterate,
+the dual value at an exactly feasible repair of the multipliers, so
 primal <= optimum <= dual holds up to the stated feasibility slack (~1e-12),
 not merely in the limit. The four fields of ``SolverConfig`` are the only
 knobs; that slack and the support cut are fixed constants.
@@ -228,52 +232,75 @@ def _admm(affine, project, w, lam, sigma: float, max_iters: int, certify):
 
     ``w`` holds the consensus blocks and ``lam`` their scaled multipliers.
     Each iteration takes one point per block on the affine set from
-    ``affine(w, lam, sigma)``, over-relaxes it, projects each block with its
-    ``project`` entry and updates the multipliers. Every _CHECK_EVERY
+    ``affine(w, lam, sigma)``, over-relaxes it, projects the shifted blocks
+    with one ``project`` call (a list of blocks in, the list of their cone
+    projections out) and updates the multipliers. Every _CHECK_EVERY
     iterations and at the last one the checkpoint ends the solve with status
     ``infeasible_numerics`` when the first affine block is not finite, then
     lets ``certify(w, lam, sigma, pres, dres)`` update the caller's bracket
-    and return a stop status or None, and otherwise balances the penalty
-    against the primal and dual residuals. Returns
-    (status, iterations, w, lam, sigma); status is ``max_iters`` when the
-    budget runs out first.
+    and return a stop status or None, given the absolute primal and dual
+    residuals. Otherwise it balances the penalty on the relative residuals,
+    pres / max(||x||, ||w||) against dres / (sigma ||lam||) with the norms
+    taken over all blocks, and leaves it alone when either normaliser is 0.
+    Returns (status, iterations, w, lam, sigma); status is ``max_iters`` when
+    the budget runs out first.
     """
     status = "max_iters"
     it = 0
     while it < max_iters:
         it += 1
         x = affine(w, lam, sigma)
+        h = [_RELAX * xb + (1.0 - _RELAX) * wb for xb, wb in zip(x, w)]
         w_old = w
-        w = []
-        lam_new = []
-        for xb, wb, lb, proj in zip(x, w_old, lam, project):
-            h = _RELAX * xb + (1.0 - _RELAX) * wb
-            wn = proj(h + lb)
-            w.append(wn)
-            lam_new.append(lb + h - wn)
-        lam = lam_new
+        w = project([hb + lb for hb, lb in zip(h, lam)])
+        lam = [lb + hb - wn for lb, hb, wn in zip(lam, h, w)]
         if it % _CHECK_EVERY == 0 or it == max_iters:
             if not np.isfinite(x[0]).all():
                 status = "infeasible_numerics"
                 break
             # The residuals are read only here, so only checkpoints pay for them.
-            dsq = psq = 0.0
-            for xb, wb, wn in zip(x, w_old, w):
-                dsq += np.linalg.norm(wn - wb) ** 2
-                psq += np.linalg.norm(xb - wn) ** 2
-            dres = sigma * math.sqrt(dsq)
-            pres = math.sqrt(psq)
+            dres = sigma * _norm(wn - wb for wb, wn in zip(w_old, w))
+            pres = _norm(xb - wn for xb, wn in zip(x, w))
             stop = certify(w, lam, sigma, pres, dres)
             if stop is not None:
                 status = stop
                 break
-            if pres > _BALANCE_RATIO * dres:
+            pscale = max(_norm(x), _norm(w))
+            dscale = sigma * _norm(lam)
+            if pscale == 0.0 or dscale == 0.0:
+                continue
+            prel, drel = pres / pscale, dres / dscale
+            if prel > _BALANCE_RATIO * drel:
                 sigma *= _BALANCE_SCALE
                 lam = [lb / _BALANCE_SCALE for lb in lam]
-            elif dres > _BALANCE_RATIO * pres:
+            elif drel > _BALANCE_RATIO * prel:
                 sigma /= _BALANCE_SCALE
                 lam = [lb * _BALANCE_SCALE for lb in lam]
     return status, it, w, lam, sigma
+
+
+def _norm(blocks) -> float:
+    """Frobenius norm of a list of blocks taken together."""
+    return math.sqrt(sum(np.linalg.norm(b) ** 2 for b in blocks))
+
+
+def _psd_project_blocks(blocks: list) -> list:
+    """PSD projection of every block, with one stacked ``eigh`` per shared block shape.
+
+    A block whose shape no other block has is projected on its own: stacking
+    it would only add a copy.
+    """
+    out = list(blocks)
+    by_shape: dict = {}
+    for k, blk in enumerate(blocks):
+        by_shape.setdefault(blk.shape, []).append(k)
+    for ks in by_shape.values():
+        if len(ks) == 1:
+            out[ks[0]] = psd_project(blocks[ks[0]])
+            continue
+        for k, proj in zip(ks, psd_project(np.stack([blocks[k] for k in ks]))):
+            out[k] = proj
+    return out
 
 
 def _shift_to_dominate(y1: np.ndarray, y2: np.ndarray, adjoint, b: np.ndarray | float):
@@ -447,9 +474,8 @@ def _overlap_core(
             return "decided"
         return None
 
-    project = (psd_project, psd_project, psd_project)
     status, it, w, lam, sigma = _admm(
-        affine, project, w, lam, sigma, cfg.max_iters, certify
+        affine, _psd_project_blocks, w, lam, sigma, cfg.max_iters, certify
     )
     if not history:
         certify(w, lam, sigma, math.inf, math.inf)
@@ -774,7 +800,9 @@ def solve_f_min_full(
             best_lower = lower
         return "optimal" if best_upper - best_lower <= cfg.gap_tol else None
 
-    project = (lambda h: _psd_trace_cap_project(h, cap), psd_project, psd_project)
+    def project(blocks):
+        return [_psd_trace_cap_project(blocks[0], cap)] + _psd_project_blocks(blocks[1:])
+
     status, it, w, lam, sigma = _admm(
         affine, project, w, lam, sigma, cfg.max_iters, certify
     )

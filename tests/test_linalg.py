@@ -156,7 +156,21 @@ def test_psd_project_preserves_type():
     rng = np.random.default_rng(7)
     h = herm(rng, 3)
     assert isinstance(psd_project(h), np.ndarray)
-    assert isinstance(psd_project(HermitianOperator(h)), HermitianOperator)
+    out = psd_project(HermitianOperator(h))
+    assert isinstance(out, HermitianOperator)
+    assert np.array_equal(out.mat, psd_project(h))
+
+
+def test_psd_project_stack_equals_single_projections():
+    rng = np.random.default_rng(12)
+    for n in (2, 5, 9):
+        stack = np.stack([herm(rng, n), crand(rng, n, n)])
+        out = psd_project(stack)
+        assert out.shape == (2, n, n)
+        for k in range(2):
+            assert np.array_equal(out[k], psd_project(stack[k]))
+    with pytest.raises(ValueError, match="square"):
+        psd_project(np.zeros((2, 3, 4)))
 
 
 def test_psd_project_fixes_psd_input():

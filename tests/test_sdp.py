@@ -20,6 +20,7 @@ from qstrassen.sdp import (
     DEFAULT_CONFIG,
     MarginalSdpProblem,
     SolverConfig,
+    _admm,
     _support_scaler,
     solve_f_min,
     solve_f_min_full,
@@ -325,11 +326,13 @@ def test_supported_overlap_rejects_mismatched_warm_start():
 
 
 # Values of the full solve (no threshold), recorded before the threshold stop
-# existed: (dims, seed, feasible) -> (value, gap, iterations).
+# existed: (dims, seed, feasible) -> (value, gap, iterations). The (2, 4) entry
+# was re-recorded when the penalty balancing moved to relative residuals
+# (975 -> 575 iterations; the old and new certified brackets overlap).
 SUPPORTED_GOLDEN = {
     ((2, 3), 0, True): (0.9999994559618473, 6.136124490740968e-07, 300),
     ((3, 3), 1, True): (0.9999994907967467, 9.176873789762396e-07, 1350),
-    ((2, 4), 15, False): (0.9951427227936618, 7.880290886497221e-07, 975),
+    ((2, 4), 15, False): (0.9951427259963151, 8.090280881889456e-07, 575),
 }
 
 
@@ -481,6 +484,46 @@ def test_status_is_optimal_exactly_when_gap_within_tolerance(max_iters):
 def test_stop_rule_cases_cover_both_outcomes():
     statuses = {status for m in (25, 400) for _, _, status in stop_rule_cases(m)}
     assert statuses == {"optimal", "max_iters"}
+
+
+# ---------------------------------------------------------------------------
+# penalty balancing on relative residuals
+
+
+def test_admm_zero_multipliers_leave_sigma_unchanged():
+    # The identity projection keeps every multiplier exactly 0 while the
+    # iterate still moves toward the fixed affine point, so at the checkpoint
+    # the dual residual is far above the primal one. The relative rule has a
+    # zero dual normaliser there and must leave sigma alone.
+    target = np.diag([1.0, 2.0]).astype(complex)
+    seen = []
+
+    def certify(w, lam, sigma, pres, dres):
+        seen.append((pres, dres, max(float(np.linalg.norm(lb)) for lb in lam)))
+
+    w0 = [np.zeros((2, 2), dtype=complex)]
+    status, it, _, _, sigma = _admm(
+        lambda w, lam, sigma: [target], list, w0, [np.zeros_like(w0[0])], 100.0, 25, certify
+    )
+    assert (status, it, sigma) == ("max_iters", 25, 100.0)
+    [(pres, dres, lam_max)] = seen
+    assert lam_max == 0.0
+    assert dres > 10.0 * pres > 0.0
+
+
+def test_relative_balancing_cuts_overlap_iterations():
+    # Generated 4x4 coupling instances. With balancing on the absolute
+    # residuals sigma never left 1.0 on them and the solves took 3,650
+    # iterations in total; on relative residuals they take 3,075.
+    total = 0
+    for seed in range(6):
+        for feasible in (True, False):
+            sub, r1, r2 = golden_instance((4, 4), seed, feasible)
+            obj = BipartiteOperator(sub.projector.mat, 4, 4)
+            sol = solve_marginal_sdp(MarginalSdpProblem(obj, r1, r2))
+            assert sol.status == "optimal"
+            total += sol.iterations
+    assert total <= 0.85 * 3650
 
 
 # ---------------------------------------------------------------------------
