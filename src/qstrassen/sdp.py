@@ -366,6 +366,28 @@ def _full_space_maps(d1: int, d2: int):
     return lmap, _kron_sum_mat
 
 
+def _marginal_normal_solver(maps: tuple, d1: int, d2: int, weight: float):
+    """Solver of (I + weight L L^*)(M1, M2) = (V1, V2) on the marginal space.
+
+    The matrix has side d1^2 + d2^2 whatever the subspace dimension; it is
+    built column by column from the maps L and L^* of ``maps`` and inverted
+    once, so each call is one product.
+    """
+    lmap, ladj = maps
+    k1 = d1 * d1
+    big = np.eye(k1 + d2 * d2, dtype=complex)
+    for k, unit in enumerate(big.copy()):
+        l1, l2 = lmap(ladj(unit[:k1].reshape(d1, d1), unit[k1:].reshape(d2, d2)))
+        big[:, k] += weight * np.concatenate([l1.reshape(-1), l2.reshape(-1)])
+    big_inv = np.linalg.inv(big)
+
+    def solve(v1, v2):
+        msol = big_inv @ np.concatenate([v1.reshape(-1), v2.reshape(-1)])
+        return msol[:k1].reshape(d1, d1), msol[k1:].reshape(d2, d2)
+
+    return solve
+
+
 class _Overlap(NamedTuple):
     """Bracket of one core solve: ``c`` attains ``value``, ``y`` attains ``dual``."""
 
@@ -404,13 +426,8 @@ def _overlap_core(
     dual pair "Y1", "Y2" and the penalty "sigma".
     """
     d1, d2, n = r1.shape[0], r2.shape[0], b.shape[0]
-    k1 = d1 * d1
     lmap, ladj = maps
-    big = np.eye(k1 + d2 * d2, dtype=complex)
-    for k, unit in enumerate(big.copy()):
-        l1, l2 = lmap(ladj(unit[:k1].reshape(d1, d1), unit[k1:].reshape(d2, d2)))
-        big[:, k] += np.concatenate([l1.reshape(-1), l2.reshape(-1)])
-    big_inv = np.linalg.inv(big)
+    normal_solve = _marginal_normal_solver(maps, d1, d2, 1.0)
     allow = max(_FEAS_SLACK, 2.0 * max(0.0, -_min_eig(r1), -_min_eig(r2)))
     support_scale = _support_scaler(r1, r2, allow)
 
@@ -443,12 +460,7 @@ def _overlap_core(
         t1 = w[1] - lam[1]
         t2 = w[2] - lam[2]
         l1c0, l2c0 = lmap(c0)
-        rhs = np.concatenate(
-            [(l1c0 + t1 - r1).reshape(-1), (l2c0 + t2 - r2).reshape(-1)]
-        )
-        msol = big_inv @ rhs
-        m1 = msol[:k1].reshape(d1, d1)
-        m2 = msol[k1:].reshape(d2, d2)
+        m1, m2 = normal_solve(l1c0 + t1 - r1, l2c0 + t2 - r2)
         return c0 - ladj(m1, m2), t1 - m1, t2 - m2
 
     def certify(w, lam, sigma, pres, dres):
@@ -700,12 +712,32 @@ def _epigraph_test(lam: np.ndarray, sigma: float) -> np.ndarray:
     return k + k.conj().T
 
 
+def _f_min_c_step(maps: tuple, d1: int, d2: int):
+    """The C-step of ``solve_f_min_full``: step(U, G1, G2) -> C.
+
+    C minimizes ||C - U||^2 + 2 ||L C - G||^2, so (I + 2 L^*L) C = U + 2 L^*G,
+    a system of side n^2 on the coefficient space. By the matrix inversion
+    lemma (Boyd et al. 2011, section 4.2) its solution is
+    C = U + 2 L^*(I + 2 L L^*)^{-1}(G - L U), one solve of side d1^2 + d2^2
+    on the marginal space.
+    """
+    lmap, ladj = maps
+    normal_solve = _marginal_normal_solver(maps, d1, d2, 2.0)
+
+    def step(u, g1, g2):
+        l1u, l2u = lmap(u)
+        return u + 2.0 * ladj(*normal_solve(g1 - l1u, g2 - l2u))
+
+    return step
+
+
 def solve_f_min_full(
     rho1,
     rho2,
     x_sub: Subspace,
     cfg: SolverConfig = DEFAULT_CONFIG,
     warm_start: dict | None = None,
+    threshold: float | None = None,
 ) -> tuple[FMinSolution, dict]:
     """Minimize f(X) = ||tr_2 X - rho1||_1 + ||tr_1 X - rho2||_1 over PSD X in a subspace.
 
@@ -719,14 +751,19 @@ def solve_f_min_full(
     status ``optimal`` at the first checkpoint where value - lower_bound is at
     most cfg.gap_tol, else ends at ``max_iters`` (or ``infeasible_numerics``
     on NaN/Inf breakdown); the ADMM residuals only steer the penalty.
+
+    ``warm_start`` is the warm dict a previous solve returned, on the same
+    marginals and a subspace whose basis starts with the previous one; its
+    minimizer, padded with zeros, seeds the value. With a ``threshold`` the
+    solve also stops, with status ``decided``, at the first checkpoint where
+    the value is below it; a value in [0, threshold) then brackets the
+    minimum, and the gap may exceed cfg.gap_tol. A seeded value already below
+    the threshold returns at 0 iterations with the incoming warm dict.
     """
-    r1, r2, vbasis, (lmap, ladj) = _subspace_marginal_maps(rho1, rho2, x_sub)
+    r1, r2, vbasis, maps = _subspace_marginal_maps(rho1, rho2, x_sub)
+    lmap, ladj = maps
     d1, d2, n = r1.shape[0], r2.shape[0], x_sub.dim
-    # The normal matrix I + 2 L^* L of the C-step, built column by column.
-    normal = np.eye(n * n, dtype=complex)
-    for k, unit in enumerate(normal.copy()):
-        normal[:, k] += 2.0 * ladj(*lmap(unit)).reshape(-1)
-    normal_inv = np.linalg.inv(normal)
+    c_step = _f_min_c_step(maps, d1, d2)
     cap = _tr(r1) + _tr(r2)
 
     sigma = cfg.penalty_init
@@ -765,10 +802,9 @@ def solve_f_min_full(
     def affine(w, lam, sigma):
         tg1 = w[1] - lam[1]
         tg2 = w[2] - lam[2]
-        rhs = (w[0] - lam[0]).reshape(-1) + 2.0 * ladj(
-            r1 + _epigraph_mean(tg1), r2 + _epigraph_mean(tg2)
-        ).reshape(-1)
-        c = hermitize((normal_inv @ rhs).reshape(n, n))
+        c = hermitize(
+            c_step(w[0] - lam[0], r1 + _epigraph_mean(tg1), r2 + _epigraph_mean(tg2))
+        )
         l1c, l2c = lmap(c)
         return (
             c,
@@ -798,30 +834,37 @@ def solve_f_min_full(
         lower = (_hs(z1, r1) + _hs(z2, r2)) / scale
         if lower > best_lower:
             best_lower = lower
-        return "optimal" if best_upper - best_lower <= cfg.gap_tol else None
+        if best_upper - best_lower <= cfg.gap_tol:
+            return "optimal"
+        if threshold is not None and best_upper < threshold:
+            return "decided"
+        return None
 
     def project(blocks):
         return [_psd_trace_cap_project(blocks[0], cap)] + _psd_project_blocks(blocks[1:])
 
-    status, it, w, lam, sigma = _admm(
-        affine, project, w, lam, sigma, cfg.max_iters, certify
-    )
+    if warm_start and threshold is not None and best_upper < threshold:
+        status, it, warm_out = "decided", 0, warm_start
+    else:
+        status, it, w, lam, sigma = _admm(
+            affine, project, w, lam, sigma, cfg.max_iters, certify
+        )
+        warm_out = {
+            "C": best_c,
+            "WC": w[0],
+            "LC": lam[0],
+            "WG1": w[1],
+            "WG2": w[2],
+            "LG1": lam[1],
+            "LG2": lam[2],
+            "sigma": sigma,
+        }
 
     x_best = hermitize(vbasis @ best_c @ vbasis.conj().T)
     residuals = {
         "psd_violation": max(0.0, -_min_eig(x_best)),
         "constraint_violation": max(0.0, _tr(best_c) - cap),
         "adjoint_violation": max(0.0, best_lower - best_upper),
-    }
-    warm_out = {
-        "C": best_c,
-        "WC": w[0],
-        "LC": lam[0],
-        "WG1": w[1],
-        "WG2": w[2],
-        "LG1": lam[1],
-        "LG2": lam[2],
-        "sigma": sigma,
     }
     sol = FMinSolution(
         value=best_upper,
@@ -838,7 +881,11 @@ def solve_f_min_full(
 def solve_f_min(
     rho1, rho2, x_sub: Subspace, cfg: SolverConfig = DEFAULT_CONFIG
 ) -> tuple[float, BipartiteOperator]:
-    """Minimum of the marginal mismatch f over PSD X supported in ``x_sub``."""
+    """Minimum of the marginal mismatch f over PSD X supported in ``x_sub``.
+
+    There is no threshold here: the solve runs until its certified gap is
+    within cfg.gap_tol (or the budget runs out).
+    """
     sol, _ = solve_f_min_full(rho1, rho2, x_sub, cfg)
     return sol.value, sol.X
 

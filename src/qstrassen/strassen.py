@@ -215,6 +215,12 @@ def f_ladder(
     the number of basis vectors) and its certified lower bound is above
     eps_decision; a truncated chain says nothing about the full span, so
     anything else is ``undecided``.
+
+    A level stops with status ``decided`` once its certified value is below
+    eps_decision, since that already settles ``coupling_exists``; its value
+    then lies in [0, eps_decision) and its gap can exceed gap_tol. A level
+    whose seed (the previous level's minimizer) is already below eps_decision
+    returns at 0 iterations. Levels above eps_decision run to gap_tol.
     """
     r1 = hermitize(np.asarray(rho1.mat if hasattr(rho1, "mat") else rho1, dtype=complex))
     r2 = hermitize(np.asarray(rho2.mat if hasattr(rho2, "mat") else rho2, dtype=complex))
@@ -233,7 +239,7 @@ def f_ladder(
     for n in range(1, n_max + 1):
         sub = Subspace(d1 * d2, basis[:, :n])
         tic = time.perf_counter()
-        sol, warm = solve_f_min_full(r1n, r2n, sub, cfg, warm_start=warm)
+        sol, warm = solve_f_min_full(r1n, r2n, sub, cfg, warm_start=warm, threshold=eps)
         levels.append(
             LadderLevel(
                 level=n,

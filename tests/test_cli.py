@@ -396,6 +396,14 @@ def test_main_ladder_f(tmp_path, capsys):
     assert report["verdict"] == "coupling_exists"
     values = [row["value"] for row in report["levels"]]
     assert all(values[i + 1] <= values[i] + 2e-6 for i in range(len(values) - 1))
+    statuses = [row["status"] for row in report["levels"]]
+    assert set(statuses) <= {"optimal", "decided"}
+    assert "decided" in statuses  # levels below eps_decision stop there
+    code, out, _ = run_main(capsys, ["ladder-f", path, "--format", "csv"])
+    assert code == 0
+    rows = [line.split(",") for line in out.strip().splitlines()]
+    status = rows[0].index("status")
+    assert [row[status] for row in rows[1:]] == statuses
 
 
 def test_main_ladder_f_truncated_chain_exits_undecided(tmp_path, capsys):

@@ -21,6 +21,8 @@ from qstrassen.sdp import (
     MarginalSdpProblem,
     SolverConfig,
     _admm,
+    _f_min_c_step,
+    _subspace_marginal_maps,
     _support_scaler,
     solve_f_min,
     solve_f_min_full,
@@ -29,7 +31,7 @@ from qstrassen.sdp import (
     verify_duality_certificates,
 )
 
-from oracles import golden_section_min, support_scale_bisect
+from oracles import f_min_c_step_dense, golden_section_min, support_scale_bisect
 
 
 def crand(rng, p, q):
@@ -269,6 +271,19 @@ def test_f_min_warm_start_keeps_values_nonincreasing():
     assert sol2.value <= sol1.value + 2e-6
 
 
+@pytest.mark.parametrize("dims, n", [((3, 3), 2), ((4, 3), 12), ((2, 6), 12)])
+def test_f_min_c_step_matches_dense_normal_equations(dims, n):
+    # n^2 below d1^2 + d2^2 on 3x3, above it on 4x3 and 2x6.
+    d1, d2 = dims
+    rng = np.random.default_rng(n + d1)
+    sub = Subspace(d1 * d2, np.linalg.qr(crand(rng, d1 * d2, n))[0])
+    _, _, vbasis, maps = _subspace_marginal_maps(np.eye(d1) / d1, np.eye(d2) / d2, sub)
+    u, g1, g2 = (hermitize(crand(rng, k, k)) for k in (n, d1, d2))
+    step = _f_min_c_step(maps, d1, d2)
+    want = f_min_c_step_dense(vbasis, d1, d2, u, g1, g2)
+    assert np.max(np.abs(step(u, g1, g2) - want)) <= 1e-12
+
+
 def test_f_min_rejects_ambient_mismatch():
     with pytest.raises(ValueError, match="does not match"):
         solve_f_min(np.eye(2) / 2, np.eye(2) / 2, Subspace(6, np.eye(6)[:, :1]))
@@ -427,6 +442,33 @@ def test_f_min_chain_reproduces_golden_values():
             assert (sol.iterations, sol.status) == (iterations, status), (dims, n)
             assert abs(sol.value - value) <= 1e-12
             assert abs(sol.lower_bound - lower) <= 1e-12
+
+
+def test_f_min_chain_threshold_stops_levels_below_it():
+    # Thresholded chains decide each level once its value is below 1e-4 and
+    # never take more iterations than the gap_tol run of the golden table;
+    # a level seeded below the threshold returns at once with its warm dict.
+    threshold = 1e-4
+    decided = seeded = 0
+    for (dims, seed, max_iters), levels in F_MIN_CHAIN_GOLDEN.items():
+        p = generated("f_ladder", dims, seed)
+        cfg = SolverConfig(max_iters=max_iters)
+        warm, prev = None, None
+        for n, (_, _, iterations, _) in enumerate(levels, start=1):
+            chain = Subspace(p.d1 * p.d2, p.basis[:, :n])
+            sol, out = solve_f_min_full(p.rho1, p.rho2, chain, cfg, warm, threshold)
+            assert sol.iterations <= iterations, (dims, n)
+            assert sol.lower_bound <= sol.value
+            if sol.status == "decided":
+                decided += 1
+                assert sol.value < threshold
+            if prev is not None and prev.value < threshold:
+                seeded += 1
+                assert (sol.status, sol.iterations) == ("decided", 0)
+                assert abs(sol.value - prev.value) <= 1e-12
+                assert out is warm
+            warm, prev = out, sol
+    assert decided >= 4 and seeded >= 3
 
 
 # ---------------------------------------------------------------------------

@@ -428,6 +428,27 @@ def test_f_ladder_truncated_chain_is_undecided():
     assert rep.levels[-1].value < rep.eps_decision
 
 
+@pytest.mark.parametrize("seed", [12, 13])
+def test_f_ladder_levels_stop_at_eps(seed, monkeypatch):
+    # Run to gap_tol, level 4 of these chains stalled above it: 8,725
+    # iterations on seed 12 and the whole 50,000 budget on seed 13, although
+    # its value was below eps_decision early on.
+    iterations = []
+    solve = strassen.solve_f_min_full
+
+    def counted(*args, **kwargs):
+        sol, warm = solve(*args, **kwargs)
+        iterations.append(sol.iterations)
+        return sol, warm
+
+    monkeypatch.setattr(strassen, "solve_f_min_full", counted)
+    p = problem_from_dict(generate_instance({"kind": "f_ladder", "dims": (3, 3), "seed": seed}))
+    rep = f_ladder(p.rho1, p.rho2, p.basis, p.n_max)
+    assert rep.verdict == "coupling_exists"
+    assert all(lv.status in ("optimal", "decided") for lv in rep.levels)
+    assert len(iterations) == p.n_max and max(iterations) <= 2_500
+
+
 def test_f_ladder_normalizes_subnormalized_inputs():
     rep = f_ladder(np.eye(2) / 4, np.eye(2) / 4, bell_subspace().basis, 1)
     assert abs(rep.scale - 0.5) < 1e-12
