@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import DEFAULT_TOL, HermitianOperator, as_matrix, hermitize
+from .linalg import DEFAULT_TOL, HermitianOperator, _identity, as_matrix, hermitize
 
 __all__ = [
     "BipartiteOperator",
@@ -152,11 +152,12 @@ def _trace1_mat(m: np.ndarray, d1: int, d2: int) -> np.ndarray:
 def _kron_sum_mat(y1: np.ndarray, y2: np.ndarray) -> np.ndarray:
     """Y1 (x) I + I (x) Y2 as a raw matrix, the adjoint of (tr_2, tr_1).
 
-    Broadcast products give the same entries as np.kron at a third of its cost.
+    Broadcast products against the cached identities give the same entries
+    as np.kron at a third of its cost.
     """
     d1, d2 = y1.shape[0], y2.shape[0]
-    out = y1[:, None, :, None] * np.eye(d2)[:, None, :]
-    out = out + np.eye(d1)[:, None, :, None] * y2[:, None, :]
+    out = y1[:, None, :, None] * _identity(d2)[:, None, :]
+    out = out + _identity(d1)[:, None, :, None] * y2[:, None, :]
     return out.reshape(d1 * d2, d1 * d2)
 
 

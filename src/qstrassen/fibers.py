@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bipartite import BipartiteOperator, _kron_sum_mat, partial_trace_1, partial_trace_2
-from .linalg import HermitianOperator, as_matrix, hermitize, psd_project, trace_norm
+from .linalg import HermitianOperator, _identity, as_matrix, hermitize, psd_project, trace_norm
 from .sdp import (
     DEFAULT_CONFIG,
     SolverConfig,
@@ -28,7 +28,6 @@ from .sdp import (
     _hs,
     _max_eig,
     _min_eig,
-    _psd_project_blocks,
     _shift_to_dominate,
     _support_scaler,
     _tr,
@@ -139,8 +138,8 @@ def _project_marginal_affine(
     tau = 0.5 * (_tr(rr1) + _tr(rr2))
     t1 = tau / (2.0 * d2)
     t2 = tau / (2.0 * d1)
-    m1 = (rr1 - t2 * np.eye(d1)) / d2
-    m2 = (rr2 - t1 * np.eye(d2)) / d1
+    m1 = (rr1 - t2 * _identity(d1)) / d2
+    m2 = (rr2 - t1 * _identity(d2)) / d1
     return gt - _kron_sum_mat(m1, m2), (m1, m2)
 
 
@@ -212,7 +211,7 @@ def _dist_solve(beta: np.ndarray, fiber: FiberSpec, cfg: SolverConfig):
         return "optimal" if best_upper - best_lower <= cfg.gap_tol else None
 
     status, it, _, _, _ = _admm(
-        affine, _psd_project_blocks, w, lam, cfg.penalty_init,
+        affine, None, w, lam, cfg.penalty_init,
         cfg.max_iters, certify,
     )
     return best_upper, best_lower, best_member, it, status
@@ -259,7 +258,7 @@ def _sample_member(fiber: FiberSpec, objective: np.ndarray, cfg: SolverConfig) -
         return "optimal" if pres <= cfg.gap_tol and dres <= cfg.gap_tol else None
 
     _, _, (wg,), _, _ = _admm(
-        affine, _psd_project_blocks, [wg], [np.zeros_like(wg)], cfg.penalty_init,
+        affine, None, [wg], [np.zeros_like(wg)], cfg.penalty_init,
         cfg.max_iters, certify,
     )
     return _repair_to_member(wg, fiber, _support_scaler(r1, r2, 1e-12))

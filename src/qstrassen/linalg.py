@@ -17,6 +17,7 @@ share across threads.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -86,7 +87,17 @@ def as_matrix(a) -> np.ndarray:
 
 def _herm_part(m: np.ndarray) -> np.ndarray:
     """(M + M*)/2 of a matrix or of each matrix in a stack (..., n, n)."""
-    return (m + m.conj().swapaxes(-1, -2)) / 2
+    out = m + m.conj().swapaxes(-1, -2)
+    out /= 2
+    return out
+
+
+@lru_cache(maxsize=None)
+def _identity(n: int) -> np.ndarray:
+    """The real n x n identity, built once and read-only, for the solvers' hot loops."""
+    eye = np.eye(n)
+    eye.setflags(write=False)
+    return eye
 
 
 def hermitize(a) -> np.ndarray:
@@ -198,7 +209,7 @@ def psd_project(h):
     if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
         raise ValueError(f"expected a square matrix or a stack of them, got shape {m.shape}")
     w, v = _eigh(_herm_part(m))
-    w = np.maximum(w, 0.0)
+    np.maximum(w, 0.0, out=w)
     if m.ndim > 2:
         w = w[..., None, :]
     return _herm_part((v * w) @ v.conj().swapaxes(-1, -2))

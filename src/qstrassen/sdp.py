@@ -19,12 +19,15 @@ The method is a two-block ADMM with over-relaxation and residual balancing:
 one block is projected onto the affine slice (through the normal matrix of the
 marginal maps), the other onto the PSD cones (the only expensive kernel). One
 driver, ``_admm``, runs the iteration for every solver here and in
-``fibers``; each solver supplies only its affine step, one callable that
-projects the list of cone blocks, and its certify checkpoint. Blocks of equal
-shape share one stacked ``eigh`` (``_psd_project_blocks``). The penalty is
-balanced on relative residuals (Boyd et al. 2011, section 3.4.1): the primal
-residual over the larger of the affine and cone iterates' norms against the
-dual residual over the multipliers' norm. Reported values are certified: the
+``fibers``; each solver supplies only its affine step, its certify checkpoint
+and, for f_min's trace-capped coefficient block, that block's own projector.
+The driver keeps the iterate, the multipliers and the affine point in flat
+buffers, updates them with whole-buffer in-place ufuncs, and projects each
+run of equal-shape cone blocks, fixed once per solve, with one stacked
+``eigh`` on a view of the buffer. The penalty is balanced on relative
+residuals (Boyd et al. 2011, section 3.4.1): the primal residual over the
+larger of the affine and cone iterates' norms against the dual residual over
+the multipliers' norm. Reported values are certified: the
 primal value is evaluated at an exactly feasible restoration of the iterate,
 the dual value at an exactly feasible repair of the multipliers, so
 primal <= optimum <= dual holds up to the stated feasibility slack (~1e-12),
@@ -50,6 +53,7 @@ from .bipartite import (
 from .linalg import (
     DEFAULT_TOL,
     HermitianOperator,
+    _identity,
     as_matrix,
     hermitize,
     psd_project,
@@ -227,80 +231,113 @@ def _support_scaler(r1, r2, allow: float):
     return scale
 
 
-def _admm(affine, project, w, lam, sigma: float, max_iters: int, certify):
+def _admm(affine, own, w, lam, sigma: float, max_iters: int, certify):
     """The one ADMM loop: over-relaxation, checkpoints and residual balancing.
 
     ``w`` holds the consensus blocks and ``lam`` their scaled multipliers.
+    ``own``, when given, projects the first block on its own (one block in,
+    its projection out); every other block is projected onto the PSD cone.
     Each iteration takes one point per block on the affine set from
     ``affine(w, lam, sigma)``, over-relaxes it, projects the shifted blocks
-    with one ``project`` call (a list of blocks in, the list of their cone
-    projections out) and updates the multipliers. Every _CHECK_EVERY
-    iterations and at the last one the checkpoint ends the solve with status
+    and updates the multipliers. Every _CHECK_EVERY iterations and at the
+    last one the checkpoint ends the solve with status
     ``infeasible_numerics`` when the first affine block is not finite, then
     lets ``certify(w, lam, sigma, pres, dres)`` update the caller's bracket
     and return a stop status or None, given the absolute primal and dual
     residuals. Otherwise it balances the penalty on the relative residuals,
     pres / max(||x||, ||w||) against dres / (sigma ||lam||) with the norms
     taken over all blocks, and leaves it alone when either normaliser is 0.
-    Returns (status, iterations, w, lam, sigma); status is ``max_iters`` when
-    the budget runs out first.
+    Returns (status, iterations, w, lam, sigma) with blocks that own their
+    memory; status is ``max_iters`` when the budget runs out first.
+
+    The iterate, the multipliers and the affine point each live in one flat
+    buffer, and ``affine`` and ``certify`` see the blocks as views into them,
+    valid for the call only. The iterate is double-buffered: each projection
+    writes the other half, so the previous iterate stays there for the dual
+    residual. The cone blocks are laid out by shape, so that blocks of equal
+    shape form one run, fixed here once per solve; each run is one
+    ``psd_project`` call (one stacked ``eigh``) on a reshaped slice. The
+    over-relaxation, the shift and the multiplier update are whole-buffer
+    ufuncs, in place, in the same floating-point order as block by block.
     """
+    # Layout: the block with its own projector first, then the cone blocks
+    # grouped by shape. A run of one block keeps its 2-D shape, since
+    # stacking it would gain nothing.
+    shapes = [blk.shape for blk in w]
+    first = 0 if own is None else 1
+    by_shape: dict = {}
+    for k in range(first, len(w)):
+        by_shape.setdefault(shapes[k], []).append(k)
+    spans, pos = [None] * len(w), 0
+    for k in [*range(first), *(k for ks in by_shape.values() for k in ks)]:
+        spans[k] = slice(pos, pos + w[k].size)
+        pos += w[k].size
+    runs = []
+    for shape, ks in by_shape.items():
+        run = slice(spans[ks[0]].start, spans[ks[-1]].stop)
+        runs.append((run, shape if len(ks) == 1 else (len(ks), *shape)))
+    blocks = list(zip(spans, shapes))
+
+    def views(buf, cuts):
+        return [buf[s].reshape(shape) for s, shape in cuts]
+
+    wbuf = [np.empty(pos, dtype=complex) for _ in range(2)]
+    lbuf, xbuf, hbuf, zbuf = (np.empty(pos, dtype=complex) for _ in range(4))
+    wv = [views(half, blocks) for half in wbuf]
+    wr = [views(half, runs) for half in wbuf]
+    lv, xv, zv = views(lbuf, blocks), views(xbuf, blocks), views(zbuf, blocks)
+    zr = views(zbuf, runs)
+    for dst, blk in zip(wv[0] + lv, list(w) + list(lam)):
+        dst[...] = blk
+
     status = "max_iters"
-    it = 0
+    it = cur = 0
     while it < max_iters:
         it += 1
-        x = affine(w, lam, sigma)
-        h = [_RELAX * xb + (1.0 - _RELAX) * wb for xb, wb in zip(x, w)]
-        w_old = w
-        w = project([hb + lb for hb, lb in zip(h, lam)])
-        lam = [lb + hb - wn for lb, hb, wn in zip(lam, h, w)]
+        for dst, xb in zip(xv, affine(wv[cur], lv, sigma)):
+            dst[...] = xb
+        # h = RELAX x + (1 - RELAX) w; the cone step projects h + lam into
+        # the other iterate buffer; lam += h - w_new.
+        np.multiply(_RELAX, xbuf, out=hbuf)
+        np.multiply(1.0 - _RELAX, wbuf[cur], out=zbuf)
+        hbuf += zbuf
+        np.add(hbuf, lbuf, out=zbuf)
+        cur = 1 - cur
+        if own is not None:
+            wv[cur][0][...] = own(zv[0])
+        for dst, src in zip(wr[cur], zr):
+            dst[...] = psd_project(src)
+        lbuf += hbuf
+        lbuf -= wbuf[cur]
         if it % _CHECK_EVERY == 0 or it == max_iters:
-            if not np.isfinite(x[0]).all():
+            if not np.isfinite(xv[0]).all():
                 status = "infeasible_numerics"
                 break
             # The residuals are read only here, so only checkpoints pay for them.
+            w, w_old = wv[cur], wv[1 - cur]
             dres = sigma * _norm(wn - wb for wb, wn in zip(w_old, w))
-            pres = _norm(xb - wn for xb, wn in zip(x, w))
-            stop = certify(w, lam, sigma, pres, dres)
+            pres = _norm(xb - wn for xb, wn in zip(xv, w))
+            stop = certify(w, lv, sigma, pres, dres)
             if stop is not None:
                 status = stop
                 break
-            pscale = max(_norm(x), _norm(w))
-            dscale = sigma * _norm(lam)
+            pscale = max(_norm(xv), _norm(w))
+            dscale = sigma * _norm(lv)
             if pscale == 0.0 or dscale == 0.0:
                 continue
             prel, drel = pres / pscale, dres / dscale
             if prel > _BALANCE_RATIO * drel:
                 sigma *= _BALANCE_SCALE
-                lam = [lb / _BALANCE_SCALE for lb in lam]
+                lbuf /= _BALANCE_SCALE
             elif drel > _BALANCE_RATIO * prel:
                 sigma /= _BALANCE_SCALE
-                lam = [lb * _BALANCE_SCALE for lb in lam]
-    return status, it, w, lam, sigma
+                lbuf *= _BALANCE_SCALE
+    return status, it, [b.copy() for b in wv[cur]], [b.copy() for b in lv], sigma
 
 
 def _norm(blocks) -> float:
     """Frobenius norm of a list of blocks taken together."""
     return math.sqrt(sum(np.linalg.norm(b) ** 2 for b in blocks))
-
-
-def _psd_project_blocks(blocks: list) -> list:
-    """PSD projection of every block, with one stacked ``eigh`` per shared block shape.
-
-    A block whose shape no other block has is projected on its own: stacking
-    it would only add a copy.
-    """
-    out = list(blocks)
-    by_shape: dict = {}
-    for k, blk in enumerate(blocks):
-        by_shape.setdefault(blk.shape, []).append(k)
-    for ks in by_shape.values():
-        if len(ks) == 1:
-            out[ks[0]] = psd_project(blocks[ks[0]])
-            continue
-        for k, proj in zip(ks, psd_project(np.stack([blocks[k] for k in ks]))):
-            out[k] = proj
-    return out
 
 
 def _shift_to_dominate(y1: np.ndarray, y2: np.ndarray, adjoint, b: np.ndarray | float):
@@ -380,9 +417,12 @@ def _marginal_normal_solver(maps: tuple, d1: int, d2: int, weight: float):
         l1, l2 = lmap(ladj(unit[:k1].reshape(d1, d1), unit[k1:].reshape(d2, d2)))
         big[:, k] += weight * np.concatenate([l1.reshape(-1), l2.reshape(-1)])
     big_inv = np.linalg.inv(big)
+    rhs = np.empty(len(big), dtype=complex)
 
     def solve(v1, v2):
-        msol = big_inv @ np.concatenate([v1.reshape(-1), v2.reshape(-1)])
+        rhs[:k1] = v1.reshape(-1)
+        rhs[k1:] = v2.reshape(-1)
+        msol = big_inv @ rhs
         return msol[:k1].reshape(d1, d1), msol[k1:].reshape(d2, d2)
 
     return solve
@@ -454,9 +494,13 @@ def _overlap_core(
         "y": (np.eye(d1, dtype=complex), np.eye(d2, dtype=complex)),
     }
     history: list[float] = []
+    b_scaled = (None, None)  # (sigma, b / sigma), renewed when sigma changes
 
     def affine(w, lam, sigma):
-        c0 = w[0] - lam[0] + b / sigma
+        nonlocal b_scaled
+        if b_scaled[0] != sigma:
+            b_scaled = (sigma, b / sigma)
+        c0 = w[0] - lam[0] + b_scaled[1]
         t1 = w[1] - lam[1]
         t2 = w[2] - lam[2]
         l1c0, l2c0 = lmap(c0)
@@ -486,9 +530,7 @@ def _overlap_core(
             return "decided"
         return None
 
-    status, it, w, lam, sigma = _admm(
-        affine, _psd_project_blocks, w, lam, sigma, cfg.max_iters, certify
-    )
+    status, it, w, lam, sigma = _admm(affine, None, w, lam, sigma, cfg.max_iters, certify)
     if not history:
         certify(w, lam, sigma, math.inf, math.inf)
     return _Overlap(history=history, iterations=it, status=status, **best)
@@ -699,7 +741,7 @@ def _epigraph_mean(t: np.ndarray) -> np.ndarray:
 def _epigraph_point(t: np.ndarray, sigma: float, a: np.ndarray) -> np.ndarray:
     """The affine epigraph block: t's diagonal blocks less I/(2 sigma), A off the diagonal."""
     d = t.shape[0] // 2
-    out = t - np.eye(2 * d) / (2.0 * sigma)
+    out = t - _identity(2 * d) / (2.0 * sigma)
     out[:d, d:] = a
     out[d:, :d] = a.conj().T
     return out
@@ -840,14 +882,12 @@ def solve_f_min_full(
             return "decided"
         return None
 
-    def project(blocks):
-        return [_psd_trace_cap_project(blocks[0], cap)] + _psd_project_blocks(blocks[1:])
-
     if warm_start and threshold is not None and best_upper < threshold:
         status, it, warm_out = "decided", 0, warm_start
     else:
         status, it, w, lam, sigma = _admm(
-            affine, project, w, lam, sigma, cfg.max_iters, certify
+            affine, lambda c: _psd_trace_cap_project(c, cap), w, lam, sigma,
+            cfg.max_iters, certify,
         )
         warm_out = {
             "C": best_c,

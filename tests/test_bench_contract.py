@@ -10,6 +10,7 @@ instances of every benchmarked command instead, in a few seconds.
 from __future__ import annotations
 
 import importlib.util
+import json
 import sys
 from pathlib import Path
 
@@ -45,10 +46,9 @@ OPS = [
 ]
 
 
-def test_traced_pass_covers_every_wrapped_solver(tmp_path):
-    run = load_bench_run()
+def build_ops(run, tmp_path, specs) -> list:
     ops = []
-    for command, files in OPS:
+    for command, files in specs:
         paths = []
         for spec, index in files:
             path = tmp_path / f"{index:03d}-{len(ops)}-{len(paths)}.json"
@@ -57,6 +57,12 @@ def test_traced_pass_covers_every_wrapped_solver(tmp_path):
         op = run.Op(command, paths, [])
         op.inputs = [run.checks.load_input(p) for p in paths]
         ops.append(op)
+    return ops
+
+
+def test_traced_pass_covers_every_wrapped_solver(tmp_path):
+    run = load_bench_run()
+    ops = build_ops(run, tmp_path, OPS)
     result, tracer = run.traced_pass(cli, qstrassen, ops)
     assert result["failures"] == []
     assert len(result["lat"]) == len(OPS)
@@ -71,3 +77,27 @@ def test_traced_pass_covers_every_wrapped_solver(tmp_path):
     # 150 iterations and 452 projections.
     assert metrics["sdp.supported.proj_calls"] < 100
     assert metrics["fibers.dist.calls"] == 1
+
+
+def test_traced_projections_cover_every_iteration(tmp_path):
+    # Every ADMM iteration projects at least once, so the traced
+    # psd_project count of the check and mu ops is at least their solves'
+    # iterations. A driver that bound psd_project anywhere but the sdp
+    # module global would escape the tracer and read 0 here.
+    run = load_bench_run()
+    tracer = run.tracing.Tracer()
+    run.install_tracer(tracer, qstrassen)
+    reports = []
+    try:
+        for op in build_ops(run, tmp_path, OPS[:2]):
+            _, code, text, error = run.call(cli, op.argv, tracer)
+            assert (code, error) == (0, None), op.argv
+            report = json.loads(text)
+            reports += [report] if "command" in report else list(report.values())
+    finally:
+        tracer.uninstall()
+    iterations = sum(
+        r[key]["iterations"] for r in reports for key in ("solution", "supported") if key in r
+    )
+    assert len(reports) == 3 and iterations > 0
+    assert tracer.counters["psd_project.calls"] >= iterations

@@ -12,6 +12,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+import qstrassen.sdp as sdp
 from qstrassen.bipartite import BipartiteOperator, Subspace, partial_trace_1, partial_trace_2
 from qstrassen.cli import generate_instance, problem_from_dict
 from qstrassen.fibers import FiberSpec, _dist_solve
@@ -566,6 +567,97 @@ def test_relative_balancing_cuts_overlap_iterations():
             assert sol.status == "optimal"
             total += sol.iterations
     assert total <= 0.85 * 3650
+
+
+# ---------------------------------------------------------------------------
+# the driver's flat buffers
+
+
+def admm_projection_counts(monkeypatch, solve):
+    """(iterations, shapes of the psd_project calls) of every _admm run in ``solve()``."""
+    runs = []
+    real_admm, real_project = sdp._admm, sdp.psd_project
+
+    def counted_admm(*args):
+        calls = []
+
+        def counted_project(h):
+            calls.append(np.shape(h))
+            return real_project(h)
+
+        monkeypatch.setattr(sdp, "psd_project", counted_project)
+        try:
+            out = real_admm(*args)
+        finally:
+            monkeypatch.setattr(sdp, "psd_project", real_project)
+        runs.append((out[1], calls))
+        return out
+
+    monkeypatch.setattr(sdp, "_admm", counted_admm)
+    solve()
+    return runs
+
+
+def full_rank_instance(dims, k, seed):
+    rng = np.random.default_rng(seed)
+    basis = np.linalg.qr(crand(rng, dims[0] * dims[1], k))[0]
+    sub = Subspace(dims[0] * dims[1], basis)
+    return sub, random_state(rng, dims[0]), random_state(rng, dims[1])
+
+
+@pytest.mark.parametrize(
+    "solver, dims, k, per_iteration",
+    [
+        # C, S1 and S2 are all 3x3: one stacked run.
+        ("supported", (3, 3), 3, [(3, 3, 3)]),
+        # C is 9x9, then both 3x3 slacks stacked.
+        ("mu", (3, 3), 3, [(9, 9), (2, 3, 3)]),
+        # C (6x6), S1 (2x2) and S2 (3x3) each alone.
+        ("mu", (2, 3), 3, [(6, 6), (2, 2), (3, 3)]),
+        # The trace-capped C has its own projector and stays out of the run
+        # of the two 6x6 epigraph blocks, although it is 6x6 too.
+        ("f_min", (3, 3), 6, [(2, 6, 6)]),
+    ],
+)
+def test_admm_projects_each_shape_run_once_per_iteration(
+    monkeypatch, solver, dims, k, per_iteration
+):
+    sub, r1, r2 = full_rank_instance(dims, k, seed=3)
+    cfg = SolverConfig(max_iters=60)
+    solve = {
+        "supported": lambda: solve_supported_overlap(sub, r1, r2, cfg),
+        "mu": lambda: solve_marginal_sdp(
+            MarginalSdpProblem(BipartiteOperator(sub.projector.mat, *dims), r1, r2), cfg
+        ),
+        "f_min": lambda: solve_f_min_full(r1, r2, sub, cfg),
+    }[solver]
+    [(iterations, calls)] = admm_projection_counts(monkeypatch, solve)
+    assert iterations > 0
+    assert calls == per_iteration * iterations
+
+
+def test_admm_returns_blocks_that_own_their_memory():
+    # f_min's warm dict carries the returned blocks into the next ladder
+    # level, so no block may alias another or the driver's next solve.
+    rng = np.random.default_rng(5)
+    targets = [hermitize(crand(rng, 3, 3)) for _ in range(3)]
+    w0 = [np.zeros((3, 3), dtype=complex) for _ in targets]
+
+    def solve():
+        _, _, w, lam, _ = _admm(
+            lambda w, lam, sigma: targets, lambda c: 0.5 * c, w0,
+            [np.zeros_like(b) for b in w0], 1.0, 30, lambda *args: None,
+        )
+        return w + lam
+
+    first, second = solve(), solve()
+    blocks = first + second
+    for i, a in enumerate(blocks):
+        assert a.flags.owndata
+        for b in blocks[i + 1:]:
+            assert not np.shares_memory(a, b)
+    for a, b in zip(first, second):
+        assert np.array_equal(a, b)
 
 
 # ---------------------------------------------------------------------------
