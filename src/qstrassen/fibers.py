@@ -111,8 +111,8 @@ def glue_coupling(gamma_trunc: BipartiteOperator, fiber: FiberSpec) -> Bipartite
 def _repair_to_member(candidate: np.ndarray, fiber: FiberSpec, support_scale) -> np.ndarray:
     """Exact fiber member near a PSD candidate: scale into domination, then glue.
 
-    ``support_scale`` is ``_support_scaler`` of the fiber marginals with
-    allow 1e-12, factored once per solve.
+    ``support_scale`` is ``_support_scaler`` of the fiber marginals,
+    factored once per solve.
     """
     d1, d2 = fiber.d1, fiber.d2
     g = psd_project(candidate)
@@ -159,7 +159,7 @@ def _dist_solve(beta: np.ndarray, fiber: FiberSpec, cfg: SolverConfig):
     r1 = fiber.rho1.mat
     r2 = fiber.rho2.mat
     tr_fiber = _tr(r1)
-    support_scale = _support_scaler(r1, r2, 1e-12)
+    support_scale = _support_scaler(r1, r2)
 
     gamma = _repair_to_member(fiber.product_coupling().mat, fiber, support_scale)
     w = [gamma.astype(complex).copy(), np.zeros((2 * dim, 2 * dim), dtype=complex)]
@@ -261,7 +261,7 @@ def _sample_member(fiber: FiberSpec, objective: np.ndarray, cfg: SolverConfig) -
         affine, None, [wg], [np.zeros_like(wg)], cfg.penalty_init,
         cfg.max_iters, certify,
     )
-    return _repair_to_member(wg, fiber, _support_scaler(r1, r2, 1e-12))
+    return _repair_to_member(wg, fiber, _support_scaler(r1, r2))
 
 
 @dataclass(frozen=True)

@@ -193,26 +193,26 @@ class MarginalSdpSolution:
     primal_history: tuple = ()
 
 
-def _support_scaler(r1, r2, allow: float):
+def _support_scaler(r1, r2):
     """Support scale against fixed marginal bounds: scale(m1, m2) -> t.
 
-    t is the largest value in [0, 1] with t*m1 <= r1 + allow*I and
-    t*m2 <= r2 + allow*I. With R_a = R + allow*I > 0 the condition t*M <= R_a
-    reads t * lambda_max(R_a^{-1/2} M R_a^{-1/2}) <= 1, so each marginal bounds
-    t in closed form. The whiteners R_a^{-1/2} depend only on the bounds, so
-    they are factored here once (one eigh per marginal) and each call costs
-    one eigvalsh per marginal plus the confirmation. The root is backed off by
-    a relative 1e-12 and confirmed with the exact test
-    min_eig(R - t*M) >= -allow on both marginals; a failed confirmation backs
-    off further, down to 0. Every call returns 0 when
-    lambda_min(R) + allow <= 0, where no t passes.
+    t is the largest value in [0, 1] with t*m1 <= r1 + s*I and
+    t*m2 <= r2 + s*I, s = _FEAS_SLACK. With R_s = R + s*I > 0 the condition
+    t*M <= R_s reads t * lambda_max(R_s^{-1/2} M R_s^{-1/2}) <= 1, so each
+    marginal bounds t in closed form. The whiteners R_s^{-1/2} depend only on
+    the bounds, so they are factored here once (one eigh per marginal) and
+    each call costs one eigvalsh per marginal plus the confirmation. The root
+    is backed off by a relative 1e-12 and confirmed with the exact test
+    min_eig(R - t*M) >= -s on both marginals; a failed confirmation backs off
+    further, down to 0. Every call returns 0 when lambda_min(R) + s <= 0,
+    where no t passes.
     """
     whiteners = []
     for r in (r1, r2):
         w, v = np.linalg.eigh(hermitize(r))
-        if w[0] + allow <= 0.0:
+        if w[0] + _FEAS_SLACK <= 0.0:
             return lambda m1, m2: 0.0
-        whiteners.append(v / np.sqrt(w + allow))
+        whiteners.append(v / np.sqrt(w + _FEAS_SLACK))
 
     def scale(m1, m2) -> float:
         t = 1.0
@@ -222,7 +222,7 @@ def _support_scaler(r1, r2, allow: float):
                 t = (1.0 - 1e-12) / top
         shrink = 1e-12
         while t > 0.0 and not (
-            _min_eig(r1 - t * m1) >= -allow and _min_eig(r2 - t * m2) >= -allow
+            _min_eig(r1 - t * m1) >= -_FEAS_SLACK and _min_eig(r2 - t * m2) >= -_FEAS_SLACK
         ):
             shrink *= 16.0
             t = t * (1.0 - shrink) if shrink < 1.0 else 0.0
@@ -357,23 +357,32 @@ def _shift_to_dominate(y1: np.ndarray, y2: np.ndarray, adjoint, b: np.ndarray | 
     return y1, y2
 
 
-def _subspace_marginal_maps(rho1, rho2, x_sub: Subspace):
-    """Hermitian marginals, the basis V of ``x_sub`` and its marginal maps.
-
-    ``maps`` holds the functions L = (L1, L2), with L1: C -> tr_2(V C V^*) and
-    L2: C -> tr_1(V C V^*), and L^*. They apply the maps' matrices on
-    row-major flattened coefficient matrices C.
-    """
+def _subspace_marginals(rho1, rho2, x_sub: Subspace):
+    """Hermitian marginals and the basis V of ``x_sub``, checked against each other."""
     r1 = hermitize(rho1.mat if isinstance(rho1, HermitianOperator) else as_matrix(rho1))
     r2 = hermitize(rho2.mat if isinstance(rho2, HermitianOperator) else as_matrix(rho2))
-    d1 = r1.shape[0]
-    d2 = r2.shape[0]
+    d1, d2 = r1.shape[0], r2.shape[0]
     if x_sub.ambient_dim != d1 * d2:
-        raise ValueError(
-            f"subspace ambient dim {x_sub.ambient_dim} does not match {d1}*{d2}"
-        )
-    n = x_sub.dim
-    vbasis = x_sub.basis
+        raise ValueError(f"subspace ambient dim {x_sub.ambient_dim} does not match {d1}*{d2}")
+    return r1, r2, x_sub.basis
+
+
+def _marginal_maps(vbasis: np.ndarray | None, d1: int, d2: int):
+    """The maps L = (L1, L2), L1: C -> tr_2(V C V^*), L2: C -> tr_1(V C V^*), and L^*.
+
+    For a basis V they apply the maps' matrices on row-major flattened
+    coefficient matrices C. ``vbasis`` None stands for V = I: the maps are
+    then the partial traces and their adjoint, which avoid the dense
+    d^2 x (d1 d2)^2 map matrices, whose products OpenBLAS runs on several
+    threads from 4x4 on, doubling the CPU time of a solve.
+    """
+    if vbasis is None:
+
+        def lmap(c):
+            return partial_trace_2(c, d1, d2), partial_trace_1(c, d1, d2)
+
+        return lmap, _kron_sum_mat
+    n = vbasis.shape[1]
     vr = vbasis.reshape(d1, d2, n)
     mm1 = np.einsum("ipl,jpm->ijlm", vr, vr.conj()).reshape(d1 * d1, n * n)
     mm2 = np.einsum("ipl,iqm->pqlm", vr, vr.conj()).reshape(d2 * d2, n * n)
@@ -387,20 +396,7 @@ def _subspace_marginal_maps(rho1, rho2, x_sub: Subspace):
     def ladj(y1, y2):
         return (mm1h @ y1.reshape(-1) + mm2h @ y2.reshape(-1)).reshape(n, n)
 
-    return r1, r2, vbasis, (lmap, ladj)
-
-
-def _full_space_maps(d1: int, d2: int):
-    """The marginal maps for V = I: the partial traces and their adjoint.
-
-    These avoid the dense d^2 x (d1 d2)^2 map matrices, whose products OpenBLAS
-    runs on several threads from 4x4 on, doubling the CPU time of a solve.
-    """
-
-    def lmap(c):
-        return partial_trace_2(c, d1, d2), partial_trace_1(c, d1, d2)
-
-    return lmap, _kron_sum_mat
+    return lmap, ladj
 
 
 def _marginal_normal_solver(maps: tuple, d1: int, d2: int, weight: float):
@@ -468,8 +464,7 @@ def _overlap_core(
     d1, d2, n = r1.shape[0], r2.shape[0], b.shape[0]
     lmap, ladj = maps
     normal_solve = _marginal_normal_solver(maps, d1, d2, 1.0)
-    allow = max(_FEAS_SLACK, 2.0 * max(0.0, -_min_eig(r1), -_min_eig(r2)))
-    support_scale = _support_scaler(r1, r2, allow)
+    support_scale = _support_scaler(r1, r2)
 
     sigma = cfg.penalty_init
     w = [
@@ -536,10 +531,11 @@ def _overlap_core(
     return _Overlap(history=history, iterations=it, status=status, **best)
 
 
-def _support_isometry(mat: np.ndarray) -> np.ndarray:
-    """Orthonormal basis of the support of a PSD matrix (DEFAULT_TOL cut)."""
+def _support_split(mat: np.ndarray):
+    """Orthonormal eigenbases of the support of a PSD matrix (DEFAULT_TOL cut) and of its complement."""
     w, v = np.linalg.eigh(hermitize(mat))
-    return v[:, w > DEFAULT_TOL.support_rel * max(float(w[-1]), 0.0)]
+    on = w > DEFAULT_TOL.support_rel * max(float(w[-1]), 0.0)
+    return v[:, on], v[:, ~on]
 
 
 def _marginal_solution(sol: _Overlap, a, r1, r2) -> MarginalSdpSolution:
@@ -568,25 +564,65 @@ def _marginal_solution(sol: _Overlap, a, r1, r2) -> MarginalSdpSolution:
     )
 
 
-def _lift(sol: _Overlap, u1, u2, a, r1, r2, shift: float) -> _Overlap:
-    """Embed a solve of the support-compressed program into the full one.
+def _overlap_on_support(b, r1, r2, vbasis, cfg: SolverConfig, warm_start=None, threshold=None):
+    """``_overlap_core`` on the support product S = supp rho1 (x) supp rho2.
 
-    C maps through the isometry U1 (x) U2. Each Y_i gains shift * (I - Q_i) on
-    the support complement, which costs nothing since tr rho_i (I - Q_i) = 0.
-    What the complement shift leaves of the violation of
-    Y1 (x) I + I (x) Y2 >= A is a Schur-complement term at most
-    1 / (4 (shift - 1)), which the identity shift repair closes; the dual
-    value rises by exactly that repair.
+    V is ``vbasis`` (None for V = I). Dominated operators live on S, so where
+    a marginal is singular R, a basis of the c with V c in S (U1 (x) U2 for
+    V = I), compresses B, the marginals, V and a warm start to the same
+    program, solved to half of gap_tol; C embeds back as R C R^*. Each Y_i
+    gains s W_i W_i^* (W_i the complement eigenvectors of rho_i), with
+    s = (1 + 0.5 / gap_tol) / g, g the least squared singular value of
+    (I - Q) V off R (Q projects on S), then shifts to PSD and by the identity
+    until it dominates B, and the status is re-read from this bracket. Where
+    the lift's rounding (up to s eps d1 d2) exceeds gap_tol, or its bracket
+    neither closes nor decides, the core solves the full space and keeps the
+    better primal. A vanishing R^* B R gives 0 at 0 iterations.
     """
+    d1, d2 = len(r1), len(r2)
+    maps = _marginal_maps(vbasis, d1, d2)
+    (u1, w1), (u2, w2) = _support_split(r1), _support_split(r2)
+    if w1.size + w2.size == 0:
+        return _overlap_core(b, r1, r2, maps, cfg, warm_start, threshold)
     lift = np.kron(u1, u2)
-    y1, y2 = (
-        hermitize(u @ y @ u.conj().T + shift * (np.eye(len(u)) - u @ u.conj().T))
-        for u, y in zip((u1, u2), sol.y)
-    )
-    y1, y2 = _shift_to_dominate(y1, y2, _kron_sum_mat, a)
-    return sol._replace(
-        c=lift @ sol.c @ lift.conj().T, dual=_hs(r1, y1) + _hs(r2, y2), y=(y1, y2)
-    )
+    k1, k2 = u1.shape[1], u2.shape[1]
+    keep, vc, gain = lift, None, 1.0
+    if vbasis is not None:
+        _, sv, wh = np.linalg.svd(vbasis - lift @ (lift.conj().T @ vbasis))
+        inside = sv <= DEFAULT_TOL.subspace_drop
+        keep = wh[inside].conj().T
+        vc = lift.conj().T @ vbasis @ keep
+        gain = float(np.min(sv[~inside] ** 2, initial=1.0))
+    bc = hermitize(keep.conj().T @ b @ keep)
+    if bc.size == 0 or _max_eig(bc) <= 1e-12:
+        y0 = (np.zeros((k1, k1)), np.zeros((k2, k2)))  # the optimum is exactly 0
+        sol = _Overlap(0.0, np.zeros_like(bc), 0.0, y0, [0.0], 0, "optimal")
+    else:
+        warm = dict(warm_start or {})
+        for key, u in (("X", keep), ("Y1", u1), ("Y2", u2)):
+            if key in warm:
+                warm[key] = u.conj().T @ as_matrix(warm[key]) @ u
+        rc1, rc2 = (hermitize(u.conj().T @ r @ u) for u, r in ((u1, r1), (u2, r2)))
+        half = replace(cfg, gap_tol=0.5 * cfg.gap_tol)
+        sol = _overlap_core(bc, rc1, rc2, _marginal_maps(vc, k1, k2), half, warm, threshold)
+    c = keep @ sol.c @ keep.conj().T
+    shift = (1.0 + 0.5 / cfg.gap_tol) / gain
+    if shift * np.finfo(float).eps * d1 * d2 <= cfg.gap_tol:
+        y1, y2 = (
+            hermitize(u @ y @ u.conj().T + shift * (w @ w.conj().T))
+            for u, w, y in zip((u1, u2), (w1, w2), sol.y)
+        )
+        y1, y2 = (y - min(0.0, _min_eig(y)) * np.eye(len(y)) for y in (y1, y2))
+        y1, y2 = _shift_to_dominate(y1, y2, maps[1], b)
+        dual, status = _hs(r1, y1) + _hs(r2, y2), sol.status
+        decides = threshold is not None and (sol.value >= threshold or dual < threshold)
+        if status in ("optimal", "decided"):
+            status = "optimal" if dual - sol.value <= cfg.gap_tol else "decided" if decides else None
+        if status is not None:
+            return sol._replace(c=c, dual=dual, y=(y1, y2), status=status)
+    full = _overlap_core(b, r1, r2, maps, cfg, warm_start, threshold)
+    full = full._replace(iterations=sol.iterations + full.iterations)
+    return full._replace(value=sol.value, c=c) if sol.value > full.value else full
 
 
 def solve_marginal_sdp(
@@ -603,40 +639,12 @@ def solve_marginal_sdp(
     iterations) where that certified gap is at most cfg.gap_tol; the ADMM
     residuals only steer the penalty. Status is ``max_iters`` when the budget
     runs out first, and ``infeasible_numerics`` only on NaN/Inf breakdown.
-
-    When a marginal is singular the program is solved on the support product
-    S = supp rho1 (x) supp rho2, with the objective compressed to Q A Q (and a
-    warm start compressed the same way): every dominated operator lives on S,
-    so this is the same program and the same optimum. The compressed program
-    is solved to half of cfg.gap_tol and lifted back, the dual pair with a
-    shift on the support complements, which costs at most the other half.
+    A singular marginal is handled by ``_overlap_on_support``, which solves on
+    the support product and lifts the solution back.
     """
     a, r1, r2 = problem.objective.mat, problem.rho1.mat, problem.rho2.mat
-    u1 = _support_isometry(r1)
-    u2 = _support_isometry(r2)
-    if u1.shape == r1.shape and u2.shape == r2.shape:
-        maps = _full_space_maps(len(r1), len(r2))
-        sol = _overlap_core(a, r1, r2, maps, cfg, warm_start)
-        return _marginal_solution(sol, a, r1, r2)
-    lift = np.kron(u1, u2)
-    ac = hermitize(lift.conj().T @ a @ lift)
-    k1, k2 = u1.shape[1], u2.shape[1]
-    if ac.size == 0 or _max_eig(ac) <= 1e-12:
-        # The objective is orthogonal to the support product: no dominated
-        # operator has any overlap, so the optimum is exactly 0.
-        y0 = (np.zeros((k1, k1)), np.zeros((k2, k2)))
-        sol = _Overlap(0.0, np.zeros_like(ac), 0.0, y0, [0.0], 0, "optimal")
-    else:
-        warm = dict(warm_start or {})
-        for key, u in (("X", lift), ("Y1", u1), ("Y2", u2)):
-            if key in warm:
-                warm[key] = u.conj().T @ as_matrix(warm[key]) @ u
-        rc1 = hermitize(u1.conj().T @ r1 @ u1)
-        rc2 = hermitize(u2.conj().T @ r2 @ u2)
-        half = replace(cfg, gap_tol=0.5 * cfg.gap_tol)
-        sol = _overlap_core(ac, rc1, rc2, _full_space_maps(k1, k2), half, warm)
-    lifted = _lift(sol, u1, u2, a, r1, r2, 1.0 + 0.5 / cfg.gap_tol)
-    return _marginal_solution(lifted, a, r1, r2)
+    sol = _overlap_on_support(a, r1, r2, None, cfg, warm_start)
+    return _marginal_solution(sol, a, r1, r2)
 
 
 @dataclass(frozen=True)
@@ -802,7 +810,8 @@ def solve_f_min_full(
     minimum, and the gap may exceed cfg.gap_tol. A seeded value already below
     the threshold returns at 0 iterations with the incoming warm dict.
     """
-    r1, r2, vbasis, maps = _subspace_marginal_maps(rho1, rho2, x_sub)
+    r1, r2, vbasis = _subspace_marginals(rho1, rho2, x_sub)
+    maps = _marginal_maps(vbasis, len(r1), len(r2))
     lmap, ladj = maps
     d1, d2, n = r1.shape[0], r2.shape[0], x_sub.dim
     c_step = _f_min_c_step(maps, d1, d2)
@@ -973,34 +982,25 @@ def solve_supported_overlap(
     ``warm_start`` may be the overlap solve of the same marginals and
     subspace. Its optimizer starts the iterate as V^* X V, and its dual pair
     starts the multipliers: Y1 (x) I + I (x) Y2 >= P implies
-    V^*(Y1 (x) I + I (x) Y2)V >= I, so the pair is already feasible here. On
-    a singular marginal each Y_i is first compressed to Q_i Y_i Q_i, Q_i the
-    support projector of rho_i: the overlap solve lifts its pair with a
-    shift of about 0.5 / gap_tol on the support complement, which costs it
-    nothing but would swamp the multipliers here. The bracket is still
-    certified from this solve's own iterates, so a warm start changes only
-    the iteration count. A warm start whose shapes do not match the
+    V^*(Y1 (x) I + I (x) Y2)V >= I, so the pair is already feasible here. As
+    for mu, ``_overlap_on_support`` compresses a singular marginal's program
+    and the warm pair (Y_i as U_i^* Y_i U_i) to the support product. The
+    bracket is certified from this solve's own iterates, so a warm start
+    changes only the iteration count; one whose shapes do not match the
     marginals and the subspace raises ``ValueError``.
     """
-    r1, r2, vbasis, maps = _subspace_marginal_maps(rho1, rho2, x_sub)
+    r1, r2, vbasis = _subspace_marginals(rho1, rho2, x_sub)
     warm = None
     if warm_start is not None:
-        x, ys = warm_start.X.mat, [y.mat for y in warm_start.Y]
-        got = (x.shape, ys[0].shape, ys[1].shape)
+        x, y1, y2 = warm_start.X.mat, warm_start.Y[0].mat, warm_start.Y[1].mat
+        got = (x.shape, y1.shape, y2.shape)
         want = ((x_sub.ambient_dim,) * 2, r1.shape, r2.shape)
         if got != want:
             raise ValueError(
                 f"warm start shapes (X, Y1, Y2) {got} do not match the problem's {want}"
             )
-        for k, r in enumerate((r1, r2)):
-            u = _support_isometry(r)
-            if u.shape != r.shape:
-                q = u @ u.conj().T
-                ys[k] = q @ ys[k] @ q
-        warm = {"X": vbasis.conj().T @ x @ vbasis, "Y1": ys[0], "Y2": ys[1]}
-    sol = _overlap_core(
-        np.eye(x_sub.dim), r1, r2, maps, cfg, warm_start=warm, threshold=threshold
-    )
+        warm = {"X": vbasis.conj().T @ x @ vbasis, "Y1": y1, "Y2": y2}
+    sol = _overlap_on_support(np.eye(x_sub.dim), r1, r2, vbasis, cfg, warm, threshold)
     return SupportedOverlapSolution(
         value=sol.value,
         X=BipartiteOperator(

@@ -136,9 +136,9 @@ def _decide(
     the certificate checks, ``no_coupling`` when the dual bound of mu or of
     the supported solve falls below 1 - eps_decision, else ``undecided``. The
     supported solve is None when mu's dual bound already refutes a coupling;
-    otherwise it starts from mu's solution (see ``solve_supported_overlap``
-    for the support compression of mu's dual pair) and stops as soon as its
-    bracket clears 1 - eps_decision.
+    otherwise it starts from mu's solution and stops as soon as its bracket
+    clears 1 - eps_decision. Both solves handle a singular marginal alike, on
+    the support product (see ``sdp._overlap_on_support``).
     """
     r1 = _as_density(rho1, "rho1")
     r2 = _as_density(rho2, "rho2")

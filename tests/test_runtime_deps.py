@@ -1,0 +1,48 @@
+"""The package runs on the standard library and numpy alone.
+
+The source files are parsed, not imported, so an optional import behind a
+guard counts too. scipy may be installed next to numpy, but the package
+does not declare it and must not use it.
+"""
+
+from __future__ import annotations
+
+import ast
+import re
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+ALLOWED = {"numpy", "qstrassen"}
+
+
+def foreign_imports(source: str) -> set[str]:
+    """Top-level modules imported by ``source`` outside the stdlib, numpy and the package."""
+    roots = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            roots.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            roots.add(node.module.split(".")[0])
+    return {r for r in roots if r not in ALLOWED and r not in sys.stdlib_module_names}
+
+
+def test_foreign_import_detector():
+    source = "import math, scipy.linalg\nfrom numpy import linalg\nfrom . import sdp\n"
+    assert foreign_imports(source) == {"scipy"}
+
+
+def test_package_imports_only_stdlib_and_numpy():
+    files = sorted((ROOT / "src" / "qstrassen").glob("*.py"))
+    assert files
+    found = {p.name: foreign_imports(p.read_text()) for p in files}
+    assert {name: mods for name, mods in found.items() if mods} == {}
+
+
+def test_pyproject_declares_only_numpy():
+    tomllib = pytest.importorskip("tomllib")
+    project = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]
+    names = {re.match(r"[A-Za-z0-9_.-]+", dep).group(0).lower() for dep in project["dependencies"]}
+    assert names == {"numpy"}

@@ -21,9 +21,10 @@ from qstrassen.sdp import (
     DEFAULT_CONFIG,
     MarginalSdpProblem,
     SolverConfig,
+    _FEAS_SLACK,
     _admm,
     _f_min_c_step,
-    _subspace_marginal_maps,
+    _marginal_maps,
     _support_scaler,
     solve_f_min,
     solve_f_min_full,
@@ -278,7 +279,8 @@ def test_f_min_c_step_matches_dense_normal_equations(dims, n):
     d1, d2 = dims
     rng = np.random.default_rng(n + d1)
     sub = Subspace(d1 * d2, np.linalg.qr(crand(rng, d1 * d2, n))[0])
-    _, _, vbasis, maps = _subspace_marginal_maps(np.eye(d1) / d1, np.eye(d2) / d2, sub)
+    vbasis = sub.basis
+    maps = _marginal_maps(vbasis, d1, d2)
     u, g1, g2 = (hermitize(crand(rng, k, k)) for k in (n, d1, d2))
     step = _f_min_c_step(maps, d1, d2)
     want = f_min_c_step_dense(vbasis, d1, d2, u, g1, g2)
@@ -688,41 +690,39 @@ def scale_cases():
             w, v = np.linalg.eigh(r1)
             keep = v[:, w > 1e-12]
             m1 = keep @ keep.conj().T @ m1 @ keep @ keep.conj().T
-        allow = float(rng.choice([1e-12, 1e-9, 1e-6]))
-        yield m1, m2, r1, r2, allow
+        yield m1, m2, r1, r2
 
 
 def test_support_scale_matches_bisection_oracle():
     seen = set()
-    for m1, m2, r1, r2, allow in scale_cases():
-        t = _support_scaler(r1, r2, allow)(m1, m2)
-        ref = support_scale_bisect(m1, m2, r1, r2, allow)
+    for m1, m2, r1, r2 in scale_cases():
+        t = _support_scaler(r1, r2)(m1, m2)
+        ref = support_scale_bisect(m1, m2, r1, r2, _FEAS_SLACK)
         assert abs(t - ref) <= 1e-10
         assert 0.0 <= t <= 1.0
-        assert t == 0.0 or passes_scale_test(t, m1, m2, r1, r2, allow)
+        assert t == 0.0 or passes_scale_test(t, m1, m2, r1, r2, _FEAS_SLACK)
         seen.add("one" if t == 1.0 else "zero" if t < 1e-6 else "interior")
     assert seen == {"one", "zero", "interior"}
 
 
 def test_support_scale_is_zero_below_the_slack():
-    # lambda_min(R) < -allow: not even t = 0 passes, and both methods return 0
+    # lambda_min(R) < -_FEAS_SLACK: not even t = 0 passes, and both methods return 0
     r1 = np.diag([0.6, -1e-9])
     r2 = np.diag([0.5, 0.5 - 1e-9])
     m = np.eye(2) / 2
-    assert _support_scaler(r1, r2, 1e-12)(m, m) == 0.0
-    assert support_scale_bisect(m, m, r1, r2, 1e-12) == 0.0
-    # at lambda_min(R) + allow = 0 exactly the closed form also returns 0
-    assert _support_scaler(np.diag([0.5, -1e-12]), r2, 1e-12)(m, m) == 0.0
+    assert _support_scaler(r1, r2)(m, m) == 0.0
+    assert support_scale_bisect(m, m, r1, r2, _FEAS_SLACK) == 0.0
+    # at lambda_min(R) + _FEAS_SLACK = 0 exactly the closed form also returns 0
+    assert _support_scaler(np.diag([0.5, -_FEAS_SLACK]), r2)(m, m) == 0.0
 
 
 def test_support_scale_singular_marginal_with_leak():
-    # M puts mass on the kernel of R: only t <= allow / leak passes
+    # M puts mass on the kernel of R: only t <= _FEAS_SLACK / leak passes
     r1 = np.diag([1.0, 0.0])
     r2 = np.eye(2) / 2
     m1 = np.diag([0.5, 0.5])
     m2 = np.eye(2) / 4
-    for allow in (1e-12, 1e-9):
-        t = _support_scaler(r1, r2, allow)(m1, m2)
-        assert abs(t - support_scale_bisect(m1, m2, r1, r2, allow)) <= 1e-10
-        assert abs(t - 2.0 * allow) <= 1e-6 * allow
-        assert passes_scale_test(t, m1, m2, r1, r2, allow)
+    t = _support_scaler(r1, r2)(m1, m2)
+    assert abs(t - support_scale_bisect(m1, m2, r1, r2, _FEAS_SLACK)) <= 1e-10
+    assert abs(t - 2.0 * _FEAS_SLACK) <= 1e-6 * _FEAS_SLACK
+    assert passes_scale_test(t, m1, m2, r1, r2, _FEAS_SLACK)

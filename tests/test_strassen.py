@@ -165,6 +165,132 @@ def test_sdp_ladder_top_level_optimal_with_singular_marginal():
     assert top.gap <= CFG.gap_tol
 
 
+def test_supported_solve_optimal_with_singular_marginal():
+    # The subspace leaks onto ker rho1 (x) C^3, where no dominated operator
+    # lives; solved on the support product, the bracket closes.
+    r1, r2, sub = singular_instance()
+    sol = sdp.solve_supported_overlap(sub, r1, r2, CFG)
+    assert sol.status == "optimal"
+    assert sol.gap <= CFG.gap_tol
+
+
+def singular_supported_cases():
+    """Random 2x4 and 3x3 instances with singular marginals, the subspace leaking out of S.
+
+    rho is a rank-3 state on span(e1, ..) (x) C^d2, so rho1 has rank d1 - 1
+    (and on 2x4 rho2 has rank 3). The subspace is range rho (feasible) or a
+    random 2-dim subspace of S = supp rho1 (x) supp rho2, plus two random
+    vectors that leak out of S.
+    """
+    for d1, d2 in ((2, 4), (3, 3)):
+        for seed in range(6):
+            rng = np.random.default_rng(seed)
+            rho = np.zeros((d1, d2, d1, d2), dtype=complex)
+            block = random_state(rng, (d1 - 1) * d2, 3)
+            rho[1:, :, 1:, :] = block.reshape(d1 - 1, d2, d1 - 1, d2)
+            rho = rho.reshape(d1 * d2, d1 * d2)
+            r1, r2 = partial_trace_2(rho, d1, d2), partial_trace_1(rho, d1, d2)
+            if seed % 2:
+                w, v = np.linalg.eigh(rho)
+                inside = v[:, w > 1e-12 * w[-1]]
+            else:
+                w1, u1 = np.linalg.eigh(r1)
+                w2, u2 = np.linalg.eigh(r2)
+                s = np.kron(u1[:, w1 > 1e-12], u2[:, w2 > 1e-12])
+                inside = s @ crand(rng, s.shape[1], 2)
+            q, _ = np.linalg.qr(np.hstack([inside, crand(rng, d1 * d2, 2)]))
+            yield r1, r2, Subspace(d1 * d2, q)
+
+
+def assert_certified_bracket(sol, sub, r1, r2, cfg):
+    """The supported solve's pair is dual feasible on the original program and attains its dual."""
+    d1, d2 = len(r1), len(r2)
+    y1, y2 = sol.Y[0].mat, sol.Y[1].mat
+    assert min(np.linalg.eigvalsh(y1)[0], np.linalg.eigvalsh(y2)[0]) >= -1e-7
+    v = sub.basis
+    adjoint = v.conj().T @ (np.kron(y1, np.eye(d2)) + np.kron(np.eye(d1), y2)) @ v
+    assert np.linalg.eigvalsh(adjoint - np.eye(sub.dim))[0] >= -1e-7
+    assert abs(np.vdot(r1, y1).real + np.vdot(r2, y2).real - sol.dual) <= 1e-9
+    assert sol.dual >= sol.value - 1e-9
+    assert sol.status != "optimal" or sol.gap <= cfg.gap_tol
+
+
+def test_supported_dual_pair_certifies_original_program_with_singular_marginal():
+    refuted = 0
+    for r1, r2, sub in singular_supported_cases():
+        sol = sdp.solve_supported_overlap(sub, r1, r2, CFG)
+        assert sol.status == "optimal"
+        assert_certified_bracket(sol, sub, r1, r2, CFG)
+        refuted += sol.dual < 1.0 - CFG.eps_decision
+    assert 0 < refuted < 12
+
+
+def test_supported_lift_rereads_status_from_the_lifted_bracket():
+    # At a loose gap_tol the complement shift is small, and for a subspace
+    # the identity repair after it can cost more than the half of gap_tol
+    # the compressed solve leaves; the lifted bracket, not the compressed
+    # one, must then set the status.
+    loose = SolverConfig(gap_tol=0.03, max_iters=3000)
+    for r1, r2, sub in singular_supported_cases():
+        assert_certified_bracket(sdp.solve_supported_overlap(sub, r1, r2, loose), sub, r1, r2, loose)
+
+
+def test_supported_tiny_marginal_eigenvalue_keeps_a_certified_bracket():
+    # rho1 has an eigenvalue ~2e-13, below the support cut, and a vector of
+    # range rho has a 1e-6 component along its eigenvector: the complement
+    # shift would have to be ~1e18, so the lift cannot certify and the full
+    # space is solved.
+    for seed in range(2):
+        rng = np.random.default_rng(seed)
+        rho = np.zeros((3, 3, 3, 3), dtype=complex)
+        rho[:2, :, :2, :] = random_state(rng, 6, 3).reshape(2, 3, 2, 3)
+        phi, chi = np.zeros((3, 3), complex), np.zeros((3, 3), complex)
+        phi[:2], chi[2] = crand(rng, 2, 3), crand(rng, 1, 3)
+        psi = np.sqrt(1 - 1e-12) * phi / np.linalg.norm(phi) + 1e-6 * chi / np.linalg.norm(chi)
+        rho = 0.7 * rho.reshape(9, 9) + 0.3 * np.outer(psi.reshape(-1), psi.reshape(-1).conj())
+        r1, r2 = partial_trace_2(rho, 3, 3), partial_trace_1(rho, 3, 3)
+        assert 0.0 < np.linalg.eigvalsh(r1)[0] < 1e-12
+        w, v = np.linalg.eigh(rho)
+        sub = Subspace(9, np.linalg.qr(np.hstack([v[:, w > 1e-14], crand(rng, 9, 2)]))[0])
+        sol = sdp.solve_supported_overlap(sub, r1, r2, CFG)
+        assert sol.status == "optimal"
+        assert_certified_bracket(sol, sub, r1, r2, CFG)
+
+
+def test_supported_direction_just_outside_support_keeps_a_certified_bracket():
+    # One subspace vector lies 1e-9 outside S = supp rho1 (x) C^3. No
+    # dominated operator reaches it, but a lifted dual pair would need a
+    # complement shift of ~1e24 to cover it, far past what rounding allows;
+    # the full-space solve certifies the dual, the compressed one the primal.
+    cfg = SolverConfig(max_iters=2000)
+    for seed in range(2):
+        rng = np.random.default_rng(seed)
+        rho = np.zeros((3, 3, 3, 3), dtype=complex)
+        rho[:2, :, :2, :] = random_state(rng, 6, 3).reshape(2, 3, 2, 3)
+        rho = rho.reshape(9, 9)
+        r1, r2 = partial_trace_2(rho, 3, 3), partial_trace_1(rho, 3, 3)
+        inside, out = np.zeros((3, 3), complex), np.zeros((3, 3), complex)
+        inside[:2], out[2] = crand(rng, 2, 3), crand(rng, 1, 3)
+        near = inside / np.linalg.norm(inside) + 1e-9 * out / np.linalg.norm(out)
+        w, v = np.linalg.eigh(rho)
+        basis = np.column_stack([v[:, -2:], near.reshape(-1), crand(rng, 9, 1)])
+        sub = Subspace(9, np.linalg.qr(basis)[0])
+        sol = sdp.solve_supported_overlap(sub, r1, r2, cfg)
+        assert_certified_bracket(sol, sub, r1, r2, cfg)
+        assert 0.5 < sol.value <= sol.dual < 1.0
+
+
+def test_supported_zero_when_subspace_meets_support_only_at_zero():
+    # S = span{|00>}; the Bell vector is not orthogonal to S, but no nonzero
+    # vector of the subspace lies in S, so nothing dominated is supported there.
+    r = np.diag([1.0, 0.0])
+    sol = sdp.solve_supported_overlap(bell_subspace(), r, r, CFG)
+    assert sol.value == 0.0
+    assert sol.iterations == 0
+    assert sol.status == "optimal"
+    assert sol.dual <= CFG.gap_tol
+
+
 def test_mu_rejects_bad_inputs():
     with pytest.raises(ValueError, match="rho1"):
         mu(np.diag([1.5, -0.5]), np.eye(2) / 2, bell_subspace())
@@ -318,10 +444,10 @@ def test_warm_start_cuts_supported_iterations(decide_cases):
 
 def test_decide_warm_start_with_rank_deficient_marginal():
     # A state on span(e0, e1) (x) C^3, so rho1 has rank 2, in its range plus
-    # two random vectors. mu lifts its dual pair with a shift of about
-    # 0.5 / gap_tol on ker rho1; unless the supported re-solve compresses the
-    # pair to supp rho1 before starting from it, that shift swamps the
-    # multipliers and the re-solve runs to max_iters.
+    # two random vectors that leak onto ker rho1. Like mu, the supported
+    # re-solve runs on the support product, with mu's pair compressed to it
+    # as U_i^* Y_i U_i; this drops the shift of about 0.5 / gap_tol that
+    # mu's lift puts on ker rho1, which would swamp the multipliers.
     rng = np.random.default_rng(4)
     rho = np.zeros((3, 3, 3, 3), dtype=complex)
     rho[:2, :, :2, :] = random_state(rng, 6, 3).reshape(2, 3, 2, 3)
