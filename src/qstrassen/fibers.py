@@ -195,25 +195,19 @@ def _dist_solve(beta: np.ndarray, fiber: FiberSpec, cfg: SolverConfig):
         z = -_epigraph_test(lam[1], sigma)
         zw, zv = np.linalg.eigh(hermitize(z))
         z = (zv * np.clip(zw, -1.0, 1.0)) @ zv.conj().T
-        lower = _hs(z, beta) - _max_eig(z) * tr_fiber
-        if lower > best_lower:
-            best_lower = lower
-        # Marginal-constraint multiplier recovered from the projection step:
-        # the gamma subproblem KKT reads 3 sigma (gamma - target) + Phi*(Y) = 0,
-        # so Y = 3 sigma M at the latest correction M, shifted by the identity
-        # until Y1 (x) I + I (x) Y2 >= Z holds.
-        for sign in (1.0, -1.0):
-            y1, y2 = (hermitize(sign * 3.0 * sigma * m) for m in corrections)
-            y1, y2 = _shift_to_dominate(y1, y2, _kron_sum_mat, z)
-            cand = _hs(z, beta) - _hs(y1, r1) - _hs(y2, r2)
-            if cand > best_lower:
-                best_lower = cand
+        # Two completions Y of Z bound <Z, beta> - <Y1, rho1> - <Y2, rho2>:
+        # Y = (lambda_max(Z) I, 0), and Y = 3 sigma M from the gamma step's KKT
+        # condition 3 sigma (gamma - target) + Phi*(Y) = 0 at the latest
+        # correction M, shifted by the identity until Y1 (x) I + I (x) Y2 >= Z.
+        y1, y2 = (hermitize(3.0 * sigma * m) for m in corrections)
+        y1, y2 = _shift_to_dominate(y1, y2, _kron_sum_mat, z)
+        zb = _hs(z, beta)
+        best_lower = max(
+            best_lower, zb - _max_eig(z) * tr_fiber, zb - _hs(y1, r1) - _hs(y2, r2)
+        )
         return "optimal" if best_upper - best_lower <= cfg.gap_tol else None
 
-    status, it, _, _, _ = _admm(
-        affine, None, w, lam, cfg.penalty_init,
-        cfg.max_iters, certify,
-    )
+    status, it, _, _, _ = _admm(affine, w, lam, cfg.penalty_init, cfg.max_iters, certify)
     return best_upper, best_lower, best_member, it, status
 
 
@@ -258,8 +252,7 @@ def _sample_member(fiber: FiberSpec, objective: np.ndarray, cfg: SolverConfig) -
         return "optimal" if pres <= cfg.gap_tol and dres <= cfg.gap_tol else None
 
     _, _, (wg,), _, _ = _admm(
-        affine, None, [wg], [np.zeros_like(wg)], cfg.penalty_init,
-        cfg.max_iters, certify,
+        affine, [wg], [np.zeros_like(wg)], cfg.penalty_init, cfg.max_iters, certify
     )
     return _repair_to_member(wg, fiber, _support_scaler(r1, r2))
 

@@ -19,20 +19,20 @@ The method is a two-block ADMM with over-relaxation and residual balancing:
 one block is projected onto the affine slice (through the normal matrix of the
 marginal maps), the other onto the PSD cones (the only expensive kernel). One
 driver, ``_admm``, runs the iteration for every solver here and in
-``fibers``; each solver supplies only its affine step, its certify checkpoint
-and, for f_min's trace-capped coefficient block, that block's own projector.
-The driver keeps the iterate, the multipliers and the affine point in flat
-buffers, updates them with whole-buffer in-place ufuncs, and projects each
-run of equal-shape cone blocks, fixed once per solve, with one stacked
-``eigh`` on a view of the buffer. The penalty is balanced on relative
-residuals (Boyd et al. 2011, section 3.4.1): the primal residual over the
-larger of the affine and cone iterates' norms against the dual residual over
-the multipliers' norm. Reported values are certified: the
-primal value is evaluated at an exactly feasible restoration of the iterate,
-the dual value at an exactly feasible repair of the multipliers, so
-primal <= optimum <= dual holds up to the stated feasibility slack (~1e-12),
-not merely in the limit. The four fields of ``SolverConfig`` are the only
-knobs; that slack and the support cut are fixed constants.
+``fibers``; each solver supplies only its affine step and its certify
+checkpoint, and every block is projected onto the PSD cone. The driver keeps
+the iterate, the multipliers and the affine point in flat buffers, updates
+them with whole-buffer in-place ufuncs, and projects each run of equal-shape
+blocks, fixed once per solve, with one stacked ``eigh`` on a view of the
+buffer. The penalty is balanced on relative residuals (Boyd et al. 2011,
+section 3.4.1): the primal residual over the larger of the affine and cone
+iterates' norms against the dual residual over the multipliers' norm.
+Reported values are certified: the primal value is evaluated at an exactly
+feasible restoration of the iterate, the dual value at an exactly feasible
+repair of the multipliers, so primal <= optimum <= dual holds up to the
+stated feasibility slack (~1e-12), not merely in the limit. The four fields
+of ``SolverConfig`` are the only knobs; that slack and the support cut are
+fixed constants.
 """
 
 from __future__ import annotations
@@ -231,19 +231,18 @@ def _support_scaler(r1, r2):
     return scale
 
 
-def _admm(affine, own, w, lam, sigma: float, max_iters: int, certify):
+def _admm(affine, w, lam, sigma: float, max_iters: int, certify):
     """The one ADMM loop: over-relaxation, checkpoints and residual balancing.
 
-    ``w`` holds the consensus blocks and ``lam`` their scaled multipliers.
-    ``own``, when given, projects the first block on its own (one block in,
-    its projection out); every other block is projected onto the PSD cone.
-    Each iteration takes one point per block on the affine set from
-    ``affine(w, lam, sigma)``, over-relaxes it, projects the shifted blocks
-    and updates the multipliers. Every _CHECK_EVERY iterations and at the
-    last one the checkpoint ends the solve with status
-    ``infeasible_numerics`` when the first affine block is not finite, then
-    lets ``certify(w, lam, sigma, pres, dres)`` update the caller's bracket
-    and return a stop status or None, given the absolute primal and dual
+    ``w`` holds the consensus blocks and ``lam`` their scaled multipliers;
+    every block is projected onto the PSD cone. Each iteration takes one
+    point per block on the affine set from ``affine(w, lam, sigma)``,
+    over-relaxes it, projects the shifted blocks and updates the
+    multipliers. Every _CHECK_EVERY iterations and at the last one the
+    checkpoint ends the solve with status ``infeasible_numerics`` when the
+    first affine block is not finite, then lets
+    ``certify(w, lam, sigma, pres, dres)`` update the caller's bracket and
+    return a stop status or None, given the absolute primal and dual
     residuals. Otherwise it balances the penalty on the relative residuals,
     pres / max(||x||, ||w||) against dres / (sigma ||lam||) with the norms
     taken over all blocks, and leaves it alone when either normaliser is 0.
@@ -254,28 +253,25 @@ def _admm(affine, own, w, lam, sigma: float, max_iters: int, certify):
     buffer, and ``affine`` and ``certify`` see the blocks as views into them,
     valid for the call only. The iterate is double-buffered: each projection
     writes the other half, so the previous iterate stays there for the dual
-    residual. The cone blocks are laid out by shape, so that blocks of equal
+    residual. The blocks are laid out by shape, so that blocks of equal
     shape form one run, fixed here once per solve; each run is one
     ``psd_project`` call (one stacked ``eigh``) on a reshaped slice. The
     over-relaxation, the shift and the multiplier update are whole-buffer
     ufuncs, in place, in the same floating-point order as block by block.
     """
-    # Layout: the block with its own projector first, then the cone blocks
-    # grouped by shape. A run of one block keeps its 2-D shape, since
-    # stacking it would gain nothing.
+    # Layout: the blocks grouped by shape. A run of one block keeps its 2-D
+    # shape, since stacking it would gain nothing.
     shapes = [blk.shape for blk in w]
-    first = 0 if own is None else 1
     by_shape: dict = {}
-    for k in range(first, len(w)):
-        by_shape.setdefault(shapes[k], []).append(k)
-    spans, pos = [None] * len(w), 0
-    for k in [*range(first), *(k for ks in by_shape.values() for k in ks)]:
-        spans[k] = slice(pos, pos + w[k].size)
-        pos += w[k].size
-    runs = []
+    for k, shape in enumerate(shapes):
+        by_shape.setdefault(shape, []).append(k)
+    spans, runs, pos = [None] * len(w), [], 0
     for shape, ks in by_shape.items():
-        run = slice(spans[ks[0]].start, spans[ks[-1]].stop)
-        runs.append((run, shape if len(ks) == 1 else (len(ks), *shape)))
+        start = pos
+        for k in ks:
+            spans[k] = slice(pos, pos + w[k].size)
+            pos += w[k].size
+        runs.append((slice(start, pos), shape if len(ks) == 1 else (len(ks), *shape)))
     blocks = list(zip(spans, shapes))
 
     def views(buf, cuts):
@@ -285,7 +281,7 @@ def _admm(affine, own, w, lam, sigma: float, max_iters: int, certify):
     lbuf, xbuf, hbuf, zbuf = (np.empty(pos, dtype=complex) for _ in range(4))
     wv = [views(half, blocks) for half in wbuf]
     wr = [views(half, runs) for half in wbuf]
-    lv, xv, zv = views(lbuf, blocks), views(xbuf, blocks), views(zbuf, blocks)
+    lv, xv = views(lbuf, blocks), views(xbuf, blocks)
     zr = views(zbuf, runs)
     for dst, blk in zip(wv[0] + lv, list(w) + list(lam)):
         dst[...] = blk
@@ -303,8 +299,6 @@ def _admm(affine, own, w, lam, sigma: float, max_iters: int, certify):
         hbuf += zbuf
         np.add(hbuf, lbuf, out=zbuf)
         cur = 1 - cur
-        if own is not None:
-            wv[cur][0][...] = own(zv[0])
         for dst, src in zip(wr[cur], zr):
             dst[...] = psd_project(src)
         lbuf += hbuf
@@ -458,8 +452,8 @@ def _overlap_core(
     identity until L^*(Y1, Y2) >= B holds (the certified dual). The solve
     stops with ``optimal`` once dual - primal <= cfg.gap_tol and, given a
     ``threshold``, with ``decided`` once primal >= threshold or
-    dual < threshold. ``warm_start`` may carry a coefficient matrix "X", the
-    dual pair "Y1", "Y2" and the penalty "sigma".
+    dual < threshold. ``warm_start`` may carry a coefficient matrix "X" (C
+    starts at 0 without one) and the dual pair "Y1", "Y2".
     """
     d1, d2, n = r1.shape[0], r2.shape[0], b.shape[0]
     lmap, ladj = maps
@@ -477,7 +471,6 @@ def _overlap_core(
         wx = psd_project(as_matrix(warm_start.get("X", w[0])))
         m1, m2 = lmap(wx)
         w = [wx, psd_project(r1 - m1), psd_project(r2 - m2)]
-        sigma = float(warm_start.get("sigma", sigma))
         for k in (1, 2):
             if f"Y{k}" in warm_start:
                 lam[k] = -hermitize(as_matrix(warm_start[f"Y{k}"])) / sigma
@@ -525,7 +518,7 @@ def _overlap_core(
             return "decided"
         return None
 
-    status, it, w, lam, sigma = _admm(affine, None, w, lam, sigma, cfg.max_iters, certify)
+    status, it, w, lam, sigma = _admm(affine, w, lam, sigma, cfg.max_iters, certify)
     if not history:
         certify(w, lam, sigma, math.inf, math.inf)
     return _Overlap(history=history, iterations=it, status=status, **best)
@@ -710,24 +703,6 @@ class FMinSolution:
     residuals: dict
 
 
-def _psd_trace_cap_project(h: np.ndarray, cap: float) -> np.ndarray:
-    """Projection onto {C >= 0, tr C <= cap} (eigenvalue water-filling)."""
-    w, v = np.linalg.eigh(hermitize(h))
-    w = np.clip(w, 0.0, None)
-    total = float(w.sum())
-    if total > cap:
-        desc = np.sort(w)[::-1]
-        cums = np.cumsum(desc)
-        theta = 0.0
-        for j in range(len(desc), 0, -1):
-            cand = (cums[j - 1] - cap) / j
-            if cand <= desc[j - 1]:
-                theta = max(cand, 0.0)
-                break
-        w = np.clip(w - theta, 0.0, None)
-    return (v * w) @ v.conj().T
-
-
 def _f_value(x: np.ndarray, r1: np.ndarray, r2: np.ndarray, d1: int, d2: int) -> float:
     return trace_norm(partial_trace_2(x, d1, d2) - r1) + trace_norm(
         partial_trace_1(x, d1, d2) - r2
@@ -793,14 +768,14 @@ def solve_f_min_full(
 
     Writes X = V C V^* with V the subspace basis and solves the epigraph form:
     each trace norm becomes a PSD block constraint [[W_a, A],[A^*, W_b]] >= 0
-    with objective (tr W_a + tr W_b)/2. The coefficient matrix C is capped at
-    tr C <= tr rho1 + tr rho2 (no minimizer lies outside, since f grows at
-    least as 2||X||_1 minus that constant). The upper value is f evaluated at
-    an exactly PSD iterate, the lower bound comes from repaired epigraph
-    multipliers, so the pair brackets the true minimum. The solve stops with
-    status ``optimal`` at the first checkpoint where value - lower_bound is at
-    most cfg.gap_tol, else ends at ``max_iters`` (or ``infeasible_numerics``
-    on NaN/Inf breakdown); the ADMM residuals only steer the penalty.
+    with objective (tr W_a + tr W_b)/2. C is a plain PSD block: it needs no
+    trace cap, since f(X) >= 2 tr X - f(0) keeps every minimizer at
+    tr X <= f(0). The upper value is f evaluated at an exactly PSD iterate,
+    the lower bound comes from repaired epigraph multipliers, so the pair
+    brackets the true minimum. The solve stops with status ``optimal`` at the
+    first checkpoint where value - lower_bound is at most cfg.gap_tol, else
+    ends at ``max_iters`` (or ``infeasible_numerics`` on NaN/Inf breakdown);
+    the ADMM residuals only steer the penalty.
 
     ``warm_start`` is the warm dict a previous solve returned, on the same
     marginals and a subspace whose basis starts with the previous one; its
@@ -815,7 +790,6 @@ def solve_f_min_full(
     lmap, ladj = maps
     d1, d2, n = r1.shape[0], r2.shape[0], x_sub.dim
     c_step = _f_min_c_step(maps, d1, d2)
-    cap = _tr(r1) + _tr(r2)
 
     sigma = cfg.penalty_init
     w = [np.zeros((k, k), dtype=complex) for k in (n, 2 * d1, 2 * d2)]
@@ -894,10 +868,7 @@ def solve_f_min_full(
     if warm_start and threshold is not None and best_upper < threshold:
         status, it, warm_out = "decided", 0, warm_start
     else:
-        status, it, w, lam, sigma = _admm(
-            affine, lambda c: _psd_trace_cap_project(c, cap), w, lam, sigma,
-            cfg.max_iters, certify,
-        )
+        status, it, w, lam, sigma = _admm(affine, w, lam, sigma, cfg.max_iters, certify)
         warm_out = {
             "C": best_c,
             "WC": w[0],
@@ -912,7 +883,6 @@ def solve_f_min_full(
     x_best = hermitize(vbasis @ best_c @ vbasis.conj().T)
     residuals = {
         "psd_violation": max(0.0, -_min_eig(x_best)),
-        "constraint_violation": max(0.0, _tr(best_c) - cap),
         "adjoint_violation": max(0.0, best_lower - best_upper),
     }
     sol = FMinSolution(

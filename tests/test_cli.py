@@ -8,8 +8,11 @@ through ``main`` with its exit-code contract, and the output plumbing
 
 from __future__ import annotations
 
+import csv
+import io
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -280,7 +283,7 @@ def test_main_gen_writes_deterministic_file(tmp_path, capsys):
     code1, _, _ = run_main(capsys, ["gen", "--kind", "coupling", "--dims", "2x2", "--seed", "3", "--out", p1])
     code2, _, _ = run_main(capsys, ["gen", "--kind", "coupling", "--dims", "2x2", "--seed", "3", "--out", p2])
     assert code1 == 0 and code2 == 0
-    assert open(p1, "rb").read() == open(p2, "rb").read()
+    assert Path(p1).read_bytes() == Path(p2).read_bytes()
 
 
 def test_main_gen_stdout(capsys):
@@ -524,6 +527,15 @@ def test_main_kind_mismatch_exits_one(tmp_path, capsys):
     assert "needs a 'classical' problem" in err
 
 
+def test_main_value_error_after_load_exits_one(tmp_path, capsys):
+    # The file loads cleanly; f_ladder then rejects the level count.
+    path = write_json(tmp_path, "f.json", generate_instance({"kind": "f_ladder", "dims": (2, 2)}))
+    code, out, err = run_main(capsys, ["ladder-f", path, "--levels", "99"])
+    assert code == 1
+    assert out == ""
+    assert f"{path}: n_max = 99 out of range for basis of 4" in err
+
+
 def test_main_batch_combines_reports(tmp_path, capsys):
     p1 = write_json(tmp_path, "c1.json", generate_instance({"kind": "classical", "dims": (2, 2), "seed": 1}))
     p2 = write_json(tmp_path, "c2.json", generate_instance({"kind": "classical", "dims": (3, 3), "seed": 2}))
@@ -541,6 +553,19 @@ def test_main_batch_error_precedence(tmp_path, capsys):
     assert "x.json" in err
     combined = json.loads(out)
     assert good in combined
+
+
+def test_main_batch_value_error_keeps_other_reports(tmp_path, capsys):
+    good = write_json(tmp_path, "good.json", generate_instance({"kind": "f_ladder", "dims": (2, 2)}))
+    short = write_json(
+        tmp_path, "short.json", generate_instance({"kind": "f_ladder", "dims": (2, 2), "n_max": 2})
+    )
+    code, out, err = run_main(capsys, ["ladder-f", good, short, "--levels", "4"])
+    assert code == 1
+    assert f"{short}: n_max = 4 out of range for basis of 2" in err
+    combined = json.loads(out)
+    assert set(combined) == {good}
+    assert combined[good]["command"] == "ladder-f"
 
 
 def test_main_batch_undecided_precedence(tmp_path, capsys):
@@ -585,6 +610,39 @@ def test_csv_for_scalar_report_is_key_value(tmp_path, capsys):
     keys = [line.split(",", 1)[0] for line in lines[1:]]
     assert "feasible" in keys
     assert "coupling" not in keys  # bulk matrices stay out of csv
+
+
+def test_csv_renders_null_as_empty(tmp_path, capsys):
+    # mu refutes this instance, so the supported solve never runs.
+    obj = generate_instance(
+        {"kind": "coupling", "dims": (2, 2), "seed": 0, "feasible": False, "subspace_dim": 2}
+    )
+    path = write_json(tmp_path, "inf.json", obj)
+    code, out, _ = run_main(capsys, ["check", path, "--format", "csv"])
+    assert code == 0
+    lines = out.strip().splitlines()
+    assert "verdict,no_coupling" in lines
+    assert "supported," in lines
+
+
+def test_csv_renders_lists_as_json(tmp_path, capsys):
+    obj = {
+        "version": FORMAT_VERSION,
+        "kind": "fiber_dist",
+        "dims": [2, 2],
+        "rho1": mat_to_pairs(np.diag([0.75, 0.25])),
+        "rho2": mat_to_pairs(np.diag([0.5, 0.5])),
+        "rho1_b": mat_to_pairs(np.diag([0.25, 0.75])),
+        "rho2_b": mat_to_pairs(np.diag([0.5, 0.5])),
+    }
+    path = write_json(tmp_path, "semi.json", obj)
+    code, out, _ = run_main(capsys, ["fiber-dist", path, "--samples", "2"])
+    assert code == 0
+    report = json.loads(out)
+    rows = dict(csv.reader(io.StringIO(report_to_csv(report))))
+    assert len(report["sample_bounds"]) == 2
+    assert json.loads(rows["sample_bounds"]) == report["sample_bounds"]
+    assert rows["samples"] == "2"
 
 
 def test_csv_rejects_multiple_files(tmp_path, capsys):

@@ -536,10 +536,11 @@ def test_stop_rule_cases_cover_both_outcomes():
 
 
 def test_admm_zero_multipliers_leave_sigma_unchanged():
-    # The identity projection keeps every multiplier exactly 0 while the
-    # iterate still moves toward the fixed affine point, so at the checkpoint
-    # the dual residual is far above the primal one. The relative rule has a
-    # zero dual normaliser there and must leave sigma alone.
+    # Every shifted iterate is a positive multiple of the PSD target, so the
+    # PSD projection returns it unchanged and every multiplier stays exactly
+    # 0 while the iterate still moves toward the fixed affine point; at the
+    # checkpoint the dual residual is far above the primal one. The relative
+    # rule has a zero dual normaliser there and must leave sigma alone.
     target = np.diag([1.0, 2.0]).astype(complex)
     seen = []
 
@@ -548,7 +549,7 @@ def test_admm_zero_multipliers_leave_sigma_unchanged():
 
     w0 = [np.zeros((2, 2), dtype=complex)]
     status, it, _, _, sigma = _admm(
-        lambda w, lam, sigma: [target], list, w0, [np.zeros_like(w0[0])], 100.0, 25, certify
+        lambda w, lam, sigma: [target], w0, [np.zeros_like(w0[0])], 100.0, 25, certify
     )
     assert (status, it, sigma) == ("max_iters", 25, 100.0)
     [(pres, dres, lam_max)] = seen
@@ -616,9 +617,8 @@ def full_rank_instance(dims, k, seed):
         ("mu", (3, 3), 3, [(9, 9), (2, 3, 3)]),
         # C (6x6), S1 (2x2) and S2 (3x3) each alone.
         ("mu", (2, 3), 3, [(6, 6), (2, 2), (3, 3)]),
-        # The trace-capped C has its own projector and stays out of the run
-        # of the two 6x6 epigraph blocks, although it is 6x6 too.
-        ("f_min", (3, 3), 6, [(2, 6, 6)]),
+        # C (6x6) joins the run of the two 6x6 epigraph blocks.
+        ("f_min", (3, 3), 6, [(3, 6, 6)]),
     ],
 )
 def test_admm_projects_each_shape_run_once_per_iteration(
@@ -647,7 +647,7 @@ def test_admm_returns_blocks_that_own_their_memory():
 
     def solve():
         _, _, w, lam, _ = _admm(
-            lambda w, lam, sigma: targets, lambda c: 0.5 * c, w0,
+            lambda w, lam, sigma: targets, w0,
             [np.zeros_like(b) for b in w0], 1.0, 30, lambda *args: None,
         )
         return w + lam
