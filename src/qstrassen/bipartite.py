@@ -9,10 +9,11 @@ Every matrix in the package and in the file format uses this order; it is what
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
-from .linalg import DEFAULT_TOL, HermitianOperator, _identity, as_matrix, hermitize
+from .linalg import DEFAULT_TOL, HermitianOperator, as_matrix, hermitize
 
 __all__ = [
     "BipartiteOperator",
@@ -149,16 +150,28 @@ def _trace1_mat(m: np.ndarray, d1: int, d2: int) -> np.ndarray:
     return np.einsum("ipiq->pq", m.reshape(d1, d2, d1, d2))
 
 
-def _kron_sum_mat(y1: np.ndarray, y2: np.ndarray) -> np.ndarray:
-    """Y1 (x) I + I (x) Y2 as a raw matrix, the adjoint of (tr_2, tr_1).
+@lru_cache(maxsize=None)
+def _kron_sum_index(d1: int, d2: int):
+    """Read-only indices of Y1 (x) I and of I (x) Y2 into [vec Y1, vec Y2, 0]."""
+    i, p, j, q = np.ogrid[:d1, :d2, :d1, :d2]
+    zero = d1 * d1 + d2 * d2
+    idx = np.stack([np.where(p == q, i * d1 + j, zero),
+                    np.where(i == j, d1 * d1 + p * d2 + q, zero)]).reshape(2, d1 * d2, d1 * d2)
+    idx.setflags(write=False)
+    return idx
 
-    Broadcast products against the cached identities give the same entries
-    as np.kron at a third of its cost.
+
+def _kron_sum_mat(y1: np.ndarray, y2: np.ndarray) -> np.ndarray:
+    """Y1 (x) I + I (x) Y2 as a fresh complex matrix, the adjoint of (tr_2, tr_1).
+
+    Two ``take``s with cached index arrays give the entries of np.kron at
+    about half the cost of broadcast products.
     """
-    d1, d2 = y1.shape[0], y2.shape[0]
-    out = y1[:, None, :, None] * _identity(d2)[:, None, :]
-    out = out + _identity(d1)[:, None, :, None] * y2[:, None, :]
-    return out.reshape(d1 * d2, d1 * d2)
+    idx1, idx2 = _kron_sum_index(y1.shape[0], y2.shape[0])
+    flat = np.concatenate((y1.reshape(-1), y2.reshape(-1), [0j]))
+    out = flat.take(idx1)
+    out += flat.take(idx2)
+    return out
 
 
 def _resolve_bipartite(f, d1, d2):

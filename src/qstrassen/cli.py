@@ -15,6 +15,7 @@ import csv
 import io
 import json
 import math
+import os
 import sys
 import time
 from dataclasses import dataclass, field
@@ -873,15 +874,14 @@ def report_to_csv(report: dict) -> str:
 
 
 def _write_output(text: str, path: str | None) -> None:
+    if not text.endswith("\n"):
+        text += "\n"
     if path:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
-            if not text.endswith("\n"):
-                fh.write("\n")
     else:
         sys.stdout.write(text)
-        if not text.endswith("\n"):
-            sys.stdout.write("\n")
+        sys.stdout.flush()
 
 
 # ---------------------------------------------------------------------------
@@ -959,10 +959,7 @@ def _cmd_gen(args) -> int:
         "subspace_dim": args.subspace_dim,
         "n_max": args.levels,
     }
-    obj = generate_instance(spec)
-    text = save_problem(obj, args.out)
-    if not args.out:
-        sys.stdout.write(text + "\n")
+    _write_output(canonical_dumps(generate_instance(spec)), args.out)
     return 0
 
 
@@ -1013,11 +1010,11 @@ def main(argv=None) -> int:
             _write_output(text, args.out)
             return code
         return _cmd_run(args)
-    except CliError as exc:
+    except (CliError, ValueError, np.linalg.LinAlgError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (ValueError, np.linalg.LinAlgError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except BrokenPipeError:  # stdout closed: keep the flush at exit silent
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
 
 

@@ -131,11 +131,13 @@ def _project_marginal_affine(
     Returns the projected point gt - (M1 (x) I + I (x) M2) and the corrections
     (M1, M2). The normal operator of the marginal map has a one-dimensional
     kernel along (I, -I); any multiplier choice within it yields the same
-    projected point, so the trace split below is made symmetric.
+    projected point, so the trace split below is made symmetric. Complex
+    traces make it a projection for non-Hermitian ``gt`` too; a Python
+    complex ``tau`` divides each part by a real exactly, as numpy does not.
     """
     rr1 = partial_trace_2(gt, d1, d2) - r1
     rr2 = partial_trace_1(gt, d1, d2) - r2
-    tau = 0.5 * (_tr(rr1) + _tr(rr2))
+    tau = 0.5 * complex(np.trace(rr1) + np.trace(rr2))
     t1 = tau / (2.0 * d2)
     t2 = tau / (2.0 * d1)
     m1 = (rr1 - t2 * _identity(d1)) / d2

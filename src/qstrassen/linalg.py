@@ -85,9 +85,9 @@ def as_matrix(a) -> np.ndarray:
     return m
 
 
-def _herm_part(m: np.ndarray) -> np.ndarray:
-    """(M + M*)/2 of a matrix or of each matrix in a stack (..., n, n)."""
-    out = m + m.conj().swapaxes(-1, -2)
+def _herm_part(m: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """(M + M*)/2 of a matrix or of each matrix in a stack (..., n, n), into ``out`` if given."""
+    out = np.add(m, m.conj().swapaxes(-1, -2), out=out)
     out /= 2
     return out
 
@@ -195,12 +195,14 @@ def hermitian_eig(h, check: bool = False):
     return w, v
 
 
-def psd_project(h):
+def psd_project(h, out: np.ndarray | None = None):
     """Frobenius-nearest positive semidefinite matrix, or one per matrix of a stack.
 
-    Negative eigenvalues are clipped to zero in the input's own eigenbasis.
-    A stack of shape (..., n, n) is projected matrix by matrix through one
-    stacked ``eigh``; each result is bitwise equal to the single projection.
+    Reads only the lower triangle of ``h``, as ``eigh`` does: hermitize a
+    possibly non-Hermitian input first. Negative eigenvalues are clipped to
+    zero and the result is hermitized, exactly Hermitian. A stack (..., n, n)
+    goes through one stacked ``eigh``, each result bitwise the single one.
+    ``out`` (which may be ``h``) receives the same bits and is returned.
     Returns a HermitianOperator when given one, otherwise a plain array.
     """
     if isinstance(h, HermitianOperator):
@@ -208,11 +210,9 @@ def psd_project(h):
     m = np.asarray(h, dtype=complex)
     if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
         raise ValueError(f"expected a square matrix or a stack of them, got shape {m.shape}")
-    w, v = _eigh(_herm_part(m))
+    w, v = _eigh(m)
     np.maximum(w, 0.0, out=w)
-    if m.ndim > 2:
-        w = w[..., None, :]
-    return _herm_part((v * w) @ v.conj().swapaxes(-1, -2))
+    return _herm_part((v * w[..., None, :]) @ v.conj().swapaxes(-1, -2), out)
 
 
 def _guard_magnitude(m: np.ndarray) -> None:
@@ -232,10 +232,7 @@ def schatten_norm(a, p) -> float:
         return float(np.sqrt(np.sum(np.abs(m) ** 2)))
     if m.size == 0:
         return 0.0
-    try:
-        s = np.linalg.svd(m, compute_uv=False)
-    except np.linalg.LinAlgError as exc:
-        raise EigendecompositionError(f"SVD did not converge: {exc}") from exc
+    s = _svdvals(m)
     if p == 1:
         return float(np.sum(s))
     if p in (np.inf, float("inf")) or p == "inf":

@@ -23,10 +23,10 @@ driver, ``_admm``, runs the iteration for every solver here and in
 checkpoint, and every block is projected onto the PSD cone. The driver keeps
 the iterate, the multipliers and the affine point in flat buffers, updates
 them with whole-buffer in-place ufuncs, and projects each run of equal-shape
-blocks, fixed once per solve, with one stacked ``eigh`` on a view of the
-buffer. The penalty is balanced on relative residuals (Boyd et al. 2011,
-section 3.4.1): the primal residual over the larger of the affine and cone
-iterates' norms against the dual residual over the multipliers' norm.
+blocks with one stacked ``eigh``, in place into the other iterate half. The
+penalty is balanced on relative residuals (Boyd et al. 2011, section 3.4.1):
+the primal residual over the larger of the affine and cone iterates' norms
+against the dual residual over the multipliers' norm.
 Reported values are certified: the primal value is evaluated at an exactly
 feasible restoration of the iterate, the dual value at an exactly feasible
 repair of the multipliers, so primal <= optimum <= dual holds up to the
@@ -244,20 +244,20 @@ def _admm(affine, w, lam, sigma: float, max_iters: int, certify):
     ``certify(w, lam, sigma, pres, dres)`` update the caller's bracket and
     return a stop status or None, given the absolute primal and dual
     residuals. Otherwise it balances the penalty on the relative residuals,
-    pres / max(||x||, ||w||) against dres / (sigma ||lam||) with the norms
-    taken over all blocks, and leaves it alone when either normaliser is 0.
+    pres / max(||x||, ||w||) against dres / (sigma ||lam||), each norm over
+    a whole flat buffer, and leaves it alone when either normaliser is 0.
     Returns (status, iterations, w, lam, sigma) with blocks that own their
     memory; status is ``max_iters`` when the budget runs out first.
 
-    The iterate, the multipliers and the affine point each live in one flat
-    buffer, and ``affine`` and ``certify`` see the blocks as views into them,
-    valid for the call only. The iterate is double-buffered: each projection
-    writes the other half, so the previous iterate stays there for the dual
-    residual. The blocks are laid out by shape, so that blocks of equal
-    shape form one run, fixed here once per solve; each run is one
-    ``psd_project`` call (one stacked ``eigh``) on a reshaped slice. The
-    over-relaxation, the shift and the multiplier update are whole-buffer
-    ufuncs, in place, in the same floating-point order as block by block.
+    The iterate (twice: new and previous), the multipliers and the affine
+    point live in flat buffers, and ``affine`` and ``certify`` see views of
+    the blocks, valid for the call only. Blocks of equal shape form one run,
+    fixed once per solve, and each run is one ``psd_project(src, out=dst)``
+    call (one stacked ``eigh``) from a slice of z = h + lam into the other
+    iterate half. It reads only the lower triangle of z, Hermitian only up
+    to round-off, and writes an exactly Hermitian projection. The
+    over-relaxation and lam = z - w_new are whole-buffer in-place ufuncs, in
+    the same floating-point order as block by block.
     """
     # Layout: the blocks grouped by shape. A run of one block keeps its 2-D
     # shape, since stacking it would gain nothing.
@@ -278,7 +278,7 @@ def _admm(affine, w, lam, sigma: float, max_iters: int, certify):
         return [buf[s].reshape(shape) for s, shape in cuts]
 
     wbuf = [np.empty(pos, dtype=complex) for _ in range(2)]
-    lbuf, xbuf, hbuf, zbuf = (np.empty(pos, dtype=complex) for _ in range(4))
+    lbuf, xbuf, zbuf = (np.empty(pos, dtype=complex) for _ in range(3))
     wv = [views(half, blocks) for half in wbuf]
     wr = [views(half, runs) for half in wbuf]
     lv, xv = views(lbuf, blocks), views(xbuf, blocks)
@@ -292,31 +292,31 @@ def _admm(affine, w, lam, sigma: float, max_iters: int, certify):
         it += 1
         for dst, xb in zip(xv, affine(wv[cur], lv, sigma)):
             dst[...] = xb
-        # h = RELAX x + (1 - RELAX) w; the cone step projects h + lam into
-        # the other iterate buffer; lam += h - w_new.
-        np.multiply(_RELAX, xbuf, out=hbuf)
-        np.multiply(1.0 - _RELAX, wbuf[cur], out=zbuf)
-        hbuf += zbuf
-        np.add(hbuf, lbuf, out=zbuf)
+        # z = RELAX x + (1 - RELAX) w + lam, staging (1 - RELAX) w in the
+        # other iterate half, which the cone step then overwrites.
+        nxt = wbuf[1 - cur]
+        np.multiply(1.0 - _RELAX, wbuf[cur], out=nxt)
+        np.multiply(_RELAX, xbuf, out=zbuf)
+        zbuf += nxt
+        zbuf += lbuf
+        for dst, src in zip(wr[1 - cur], zr):
+            psd_project(src, out=dst)
+        np.subtract(zbuf, nxt, out=lbuf)
         cur = 1 - cur
-        for dst, src in zip(wr[cur], zr):
-            dst[...] = psd_project(src)
-        lbuf += hbuf
-        lbuf -= wbuf[cur]
         if it % _CHECK_EVERY == 0 or it == max_iters:
             if not np.isfinite(xv[0]).all():
                 status = "infeasible_numerics"
                 break
             # The residuals are read only here, so only checkpoints pay for them.
-            w, w_old = wv[cur], wv[1 - cur]
-            dres = sigma * _norm(wn - wb for wb, wn in zip(w_old, w))
-            pres = _norm(xb - wn for xb, wn in zip(xv, w))
-            stop = certify(w, lv, sigma, pres, dres)
+            w_new, w_old = wbuf[cur], wbuf[1 - cur]
+            dres = sigma * np.linalg.norm(w_new - w_old)
+            pres = np.linalg.norm(xbuf - w_new)
+            stop = certify(wv[cur], lv, sigma, pres, dres)
             if stop is not None:
                 status = stop
                 break
-            pscale = max(_norm(xv), _norm(w))
-            dscale = sigma * _norm(lv)
+            pscale = max(np.linalg.norm(xbuf), np.linalg.norm(w_new))
+            dscale = sigma * np.linalg.norm(lbuf)
             if pscale == 0.0 or dscale == 0.0:
                 continue
             prel, drel = pres / pscale, dres / dscale
@@ -327,11 +327,6 @@ def _admm(affine, w, lam, sigma: float, max_iters: int, certify):
                 sigma /= _BALANCE_SCALE
                 lbuf *= _BALANCE_SCALE
     return status, it, [b.copy() for b in wv[cur]], [b.copy() for b in lv], sigma
-
-
-def _norm(blocks) -> float:
-    """Frobenius norm of a list of blocks taken together."""
-    return math.sqrt(sum(np.linalg.norm(b) ** 2 for b in blocks))
 
 
 def _shift_to_dominate(y1: np.ndarray, y2: np.ndarray, adjoint, b: np.ndarray | float):
@@ -398,7 +393,8 @@ def _marginal_normal_solver(maps: tuple, d1: int, d2: int, weight: float):
 
     The matrix has side d1^2 + d2^2 whatever the subspace dimension; it is
     built column by column from the maps L and L^* of ``maps`` and inverted
-    once, so each call is one product.
+    once, so each call is one product. Each call fills the same preallocated
+    buffers, so the returned (M1, M2) are views valid until the next call.
     """
     lmap, ladj = maps
     k1 = d1 * d1
@@ -407,13 +403,15 @@ def _marginal_normal_solver(maps: tuple, d1: int, d2: int, weight: float):
         l1, l2 = lmap(ladj(unit[:k1].reshape(d1, d1), unit[k1:].reshape(d2, d2)))
         big[:, k] += weight * np.concatenate([l1.reshape(-1), l2.reshape(-1)])
     big_inv = np.linalg.inv(big)
-    rhs = np.empty(len(big), dtype=complex)
+    rhs, msol = np.empty((2, len(big)), dtype=complex)
+    v1, v2 = rhs[:k1].reshape(d1, d1), rhs[k1:].reshape(d2, d2)
+    m1, m2 = msol[:k1].reshape(d1, d1), msol[k1:].reshape(d2, d2)
 
-    def solve(v1, v2):
-        rhs[:k1] = v1.reshape(-1)
-        rhs[k1:] = v2.reshape(-1)
-        msol = big_inv @ rhs
-        return msol[:k1].reshape(d1, d1), msol[k1:].reshape(d2, d2)
+    def solve(t1, t2):
+        v1[...] = t1
+        v2[...] = t2
+        np.matmul(big_inv, rhs, out=msol)
+        return m1, m2
 
     return solve
 
@@ -461,16 +459,12 @@ def _overlap_core(
     support_scale = _support_scaler(r1, r2)
 
     sigma = cfg.penalty_init
-    w = [
-        np.zeros((n, n), dtype=complex),
-        psd_project(r1.astype(complex)),
-        psd_project(r2.astype(complex)),
-    ]
+    w = [np.zeros((n, n), dtype=complex), psd_project(r1), psd_project(r2)]
     lam = [np.zeros_like(blk) for blk in w]
     if warm_start:
-        wx = psd_project(as_matrix(warm_start.get("X", w[0])))
+        wx = psd_project(hermitize(warm_start.get("X", w[0])))
         m1, m2 = lmap(wx)
-        w = [wx, psd_project(r1 - m1), psd_project(r2 - m2)]
+        w = [wx, psd_project(hermitize(r1 - m1)), psd_project(hermitize(r2 - m2))]
         for k in (1, 2):
             if f"Y{k}" in warm_start:
                 lam[k] = -hermitize(as_matrix(warm_start[f"Y{k}"])) / sigma
@@ -808,12 +802,9 @@ def solve_f_min_full(
             out[: old.shape[0], : old.shape[1]] = old
             return out
 
-        w = [pad(as_matrix(warm_start["WC"]))] + [
-            as_matrix(warm_start[k]).copy() for k in ("WG1", "WG2")
-        ]
-        lam = [pad(as_matrix(warm_start["LC"]))] + [
-            as_matrix(warm_start[k]).copy() for k in ("LG1", "LG2")
-        ]
+        # _admm copies its starting blocks, so the warm dict's are not copied.
+        w = [pad(as_matrix(warm_start["WC"]))] + [as_matrix(warm_start[k]) for k in ("WG1", "WG2")]
+        lam = [pad(as_matrix(warm_start["LC"]))] + [as_matrix(warm_start[k]) for k in ("LG1", "LG2")]
         sigma = float(warm_start.get("sigma", sigma))
         # The padded previous minimizer spans the same operator on the larger
         # level, so its mismatch value carries over verbatim; seeding it keeps

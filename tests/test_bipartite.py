@@ -18,6 +18,7 @@ from qstrassen.bipartite import (
     EmptySubspaceError,
     Subspace,
     WeakTraceReport,
+    _kron_sum_mat,
     adjoint_marginal,
     composite_index,
     compress_subspace_h2_finite,
@@ -144,13 +145,19 @@ def test_adjoint_marginal_pairing_identity():
 
 
 def test_adjoint_marginal_equals_kron_reference():
-    # the broadcast form must give exactly the entries of the np.kron formula
+    # the indexed form must give exactly the entries of the np.kron formula,
+    # for every factor dimension 1-5 and for general (also real) factors
     rng = np.random.default_rng(7)
-    for d1, d2 in ((1, 1), (1, 3), (3, 1), (2, 5), (4, 4)):
-        y1 = herm(rng, d1)
-        y2 = herm(rng, d2)
-        ref = np.kron(y1, np.eye(d2)) + np.kron(np.eye(d1), y2)
-        assert np.array_equal(adjoint_marginal(y1, y2).mat, ref)
+    for d1 in range(1, 6):
+        for d2 in range(1, 6):
+            y1 = herm(rng, d1)
+            y2 = herm(rng, d2)
+            ref = np.kron(y1, np.eye(d2)) + np.kron(np.eye(d1), y2)
+            assert np.array_equal(adjoint_marginal(y1, y2).mat, ref)
+            for g1 in (crand(rng, d1, d1), rng.standard_normal((d1, d1))):
+                g2 = crand(rng, d2, d2)
+                ref = np.kron(g1, np.eye(d2)) + np.kron(np.eye(d1), g2)
+                assert np.array_equal(_kron_sum_mat(g1, g2), ref)
 
 
 def test_adjoint_marginal_kernel_direction():

@@ -12,11 +12,15 @@ import csv
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import qstrassen
 from qstrassen.cli import (
     CliError,
     FORMAT_VERSION,
@@ -369,6 +373,21 @@ def test_main_check_supported_refutation_carries_its_dual_pair(tmp_path, capsys)
     assert np.linalg.eigvalsh(adjoint - np.eye(v.shape[1]))[0] >= -1e-9
     value = np.vdot(prob.rho1, y1).real + np.vdot(prob.rho2, y2).real
     assert abs(value - supported["dual"]) <= 1e-12
+
+
+def test_main_closed_stdout_exits_one_without_traceback(tmp_path):
+    # The reader closes the pipe before the child writes its report.
+    path = write_json(tmp_path, "bell.json", coupling_file())
+    src = str(Path(qstrassen.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "qstrassen.cli", "mu", path],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=120)
+    assert proc.returncode == 1
+    assert b"Traceback" not in err
 
 
 def test_main_mu_reports_duality_block(tmp_path, capsys):

@@ -18,6 +18,7 @@ from qstrassen.fibers import (
     FiberSpec,
     SemidistanceBound,
     _dist_solve,
+    _project_marginal_affine,
     _sample_member,
     dist_to_fiber,
     glue_coupling,
@@ -200,6 +201,21 @@ def generated_fiber(dims, seed):
         generate_instance({"kind": "fiber_dist", "dims": dims, "seed": seed})
     )
     return p.beta, FiberSpec(p.rho1, p.rho2)
+
+
+def test_marginal_affine_projects_non_hermitian_input():
+    # The ADMM multipliers carry anti-Hermitian round-off into the affine
+    # step, so it must be an exact projection on any complex matrix.
+    _, fiber = generated_fiber((2, 3), 0)
+    r1, r2 = fiber.rho1.mat, fiber.rho2.mat
+    rng = np.random.default_rng(3)
+    k = crand(rng, 6, 6)
+    gt = hermitize(crand(rng, 6, 6)) + 1e-3 * (k - k.conj().T) / 2
+    p, _ = _project_marginal_affine(gt, r1, r2, 2, 3)
+    assert np.max(np.abs(partial_trace_2(p, 2, 3) - r1)) <= 1e-12
+    assert np.max(np.abs(partial_trace_1(p, 2, 3) - r2)) <= 1e-12
+    q, _ = _project_marginal_affine(p, r1, r2, 2, 3)
+    assert np.max(np.abs(q - p)) <= 1e-12
 
 
 # Reference results on generated instances; the solver must reproduce the

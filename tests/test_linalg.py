@@ -173,6 +173,26 @@ def test_psd_project_stack_equals_single_projections():
         psd_project(np.zeros((2, 3, 4)))
 
 
+def test_psd_project_into_out_is_bitwise_the_plain_form():
+    rng = np.random.default_rng(13)
+    for h in (herm(rng, 5), np.stack([herm(rng, 4) for _ in range(3)])):
+        out = np.empty_like(h)
+        assert psd_project(h, out=out) is out
+        assert np.array_equal(out, psd_project(h))
+        inplace = h.copy()
+        psd_project(inplace, out=inplace)
+        assert np.array_equal(inplace, out)
+        assert np.array_equal(out, out.conj().swapaxes(-1, -2))
+
+
+def test_psd_project_reads_only_the_lower_triangle():
+    rng = np.random.default_rng(14)
+    h = np.stack([herm(rng, 4) for _ in range(2)])
+    scrambled = h + np.triu(crand(rng, 4, 4), k=1)
+    assert np.array_equal(psd_project(scrambled), psd_project(h))
+    assert np.array_equal(psd_project(scrambled[0]), psd_project(h[0]))
+
+
 def test_psd_project_fixes_psd_input():
     rng = np.random.default_rng(8)
     a = crand(rng, 4, 4)

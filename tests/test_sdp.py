@@ -12,6 +12,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+import qstrassen.fibers as fibers
 import qstrassen.sdp as sdp
 from qstrassen.bipartite import BipartiteOperator, Subspace, partial_trace_1, partial_trace_2
 from qstrassen.cli import generate_instance, problem_from_dict
@@ -584,9 +585,9 @@ def admm_projection_counts(monkeypatch, solve):
     def counted_admm(*args):
         calls = []
 
-        def counted_project(h):
+        def counted_project(h, out=None):
             calls.append(np.shape(h))
-            return real_project(h)
+            return real_project(h, out=out)
 
         monkeypatch.setattr(sdp, "psd_project", counted_project)
         try:
@@ -636,6 +637,34 @@ def test_admm_projects_each_shape_run_once_per_iteration(
     [(iterations, calls)] = admm_projection_counts(monkeypatch, solve)
     assert iterations > 0
     assert calls == per_iteration * iterations
+
+
+def test_admm_returns_exactly_hermitian_iterates(monkeypatch):
+    # psd_project reads only the lower triangle of its input, and the ADMM
+    # input is Hermitian only up to round-off; the hermitized projection
+    # keeps every iterate block exactly Hermitian, so that round-off cannot
+    # build up in the iterates.
+    returned = []
+
+    def recording_admm(*args):
+        out = _admm(*args)
+        returned.extend(out[2])
+        return out
+
+    monkeypatch.setattr(sdp, "_admm", recording_admm)
+    monkeypatch.setattr(fibers, "_admm", recording_admm)
+    sub, r1, r2 = full_rank_instance((2, 3), 3, seed=4)
+    cfg = SolverConfig(max_iters=200)
+    solve_marginal_sdp(MarginalSdpProblem(BipartiteOperator(sub.projector.mat, 2, 3), r1, r2), cfg)
+    solve_supported_overlap(sub, r1, r2, cfg)
+    solve_f_min_full(r1, r2, sub, cfg)
+    beta = hermitize(crand(np.random.default_rng(4), 6, 6))
+    fiber = FiberSpec(r1, r2)
+    _dist_solve(beta, fiber, cfg)
+    fibers._sample_member(fiber, beta / np.linalg.norm(beta), cfg)
+    assert len(returned) == 3 + 3 + 3 + 2 + 1
+    for blk in returned:
+        assert np.array_equal(blk, blk.conj().T)
 
 
 def test_admm_returns_blocks_that_own_their_memory():
