@@ -5,7 +5,7 @@ File format "qstrassen/1" is JSON with matrices stored as nested arrays of
 echo the solver config and carry wall-clock timings separately from value
 fields, so reruns are bit-identical in every value field. Exit codes: 0 when
 a verdict or certified value was reached (including no_coupling), 2 when
-the outcome is undecided, 1 on errors.
+the outcome is undecided, 1 on errors, usage errors included.
 """
 
 from __future__ import annotations
@@ -18,7 +18,8 @@ import math
 import os
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -32,6 +33,7 @@ from .bipartite import (
 from .fibers import FiberSpec, _dist_solve, semidistance_lower_bound
 from .linalg import (
     DEFAULT_TOL,
+    EigendecompositionError,
     check_hs_product_bound,
     check_sv_product_bound,
     check_trace_inequality,
@@ -134,6 +136,8 @@ def _entry(cell, name: str) -> complex:
         or not all(isinstance(t, (int, float)) and not isinstance(t, bool) for t in cell)
     ):
         raise CliError(f"{name}: each entry must be a [re, im] pair of numbers")
+    if not all(math.isfinite(t) for t in cell):
+        raise CliError(f"{name}: non-finite entry {cell!r}")
     return complex(float(cell[0]), float(cell[1]))
 
 
@@ -190,7 +194,7 @@ def _config_from_dict(obj, name: str = "config") -> SolverConfig:
             max_iters=int(obj.get("max_iters", DEFAULT_CONFIG.max_iters)),
             penalty_init=float(obj.get("penalty_init", DEFAULT_CONFIG.penalty_init)),
         )
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise CliError(f"{name}: {exc}") from exc
 
 
@@ -246,19 +250,21 @@ def _load_basis(obj, dim: int, name: str = "basis") -> np.ndarray:
     return basis
 
 
-def _check_state(r: np.ndarray, name: str) -> None:
-    low = float(np.linalg.eigvalsh(r)[0])
-    if low < -1e-9:
-        raise CliError(f"{name} is not PSD: min eigenvalue {low:.3e}")
-
-
-def _check_sigma(r1: np.ndarray, r2: np.ndarray, names=("rho1", "rho2")) -> None:
-    dev = abs(float(np.trace(r1).real) - float(np.trace(r2).real))
+def _load_marginals(obj: dict, kind: str, d1: int, d2: int, suffix: str = "") -> list:
+    """rho1 and rho2 (or rho1_b and rho2_b): Hermitian, PSD and of equal trace."""
+    names = (f"rho1{suffix}", f"rho2{suffix}")
+    pair = [_load_hermitian(_require(obj, n, kind), d, n) for n, d in zip(names, (d1, d2))]
+    for r, name in zip(pair, names):
+        low = float(np.linalg.eigvalsh(r)[0])
+        if low < -1e-9:
+            raise CliError(f"{name} is not PSD: min eigenvalue {low:.3e}")
+    dev = abs(float(np.trace(pair[0]).real) - float(np.trace(pair[1]).real))
     if dev > 1e-9:
         raise CliError(
             f"Sigma membership violated: |tr {names[0]} - tr {names[1]}| = {dev:.3e} "
             "exceeds 1e-9"
         )
+    return pair
 
 
 def problem_from_dict(obj, source: str = "<memory>") -> LoadedProblem:
@@ -280,8 +286,8 @@ def problem_from_dict(obj, source: str = "<memory>") -> LoadedProblem:
     if not isinstance(metadata, dict):
         raise CliError("metadata must be an object")
 
+    d1, d2 = _load_dims(obj, kind)
     if kind == "classical":
-        m, n = _load_dims(obj, kind)
         mu1 = _require(obj, "mu1", kind)
         mu2 = _require(obj, "mu2", kind)
         edges = _require(obj, "edges", kind)
@@ -291,39 +297,25 @@ def problem_from_dict(obj, source: str = "<memory>") -> LoadedProblem:
         ):
             raise CliError("edges must be a list of [row, col] integer pairs")
         try:
-            inst = ClassicalInstance(m, n, mu1, mu2, [tuple(e) for e in edges])
+            inst = ClassicalInstance(d1, d2, mu1, mu2, [tuple(e) for e in edges])
         except (TypeError, ValueError) as exc:
             raise CliError(f"{source}: {exc}") from exc
         return LoadedProblem(
-            kind=kind,
-            config=cfg,
-            seed=seed,
-            metadata=metadata,
-            d1=m,
-            d2=n,
+            kind=kind, config=cfg, seed=seed, metadata=metadata, d1=d1, d2=d2,
             mu1=tuple(float(x) for x in inst.mu1),
             mu2=tuple(float(x) for x in inst.mu2),
             edges=tuple(sorted(inst.edges)),
         )
 
-    d1, d2 = _load_dims(obj, kind)
     dim = d1 * d2
-    rho1 = _load_hermitian(_require(obj, "rho1", kind), d1, "rho1")
-    rho2 = _load_hermitian(_require(obj, "rho2", kind), d2, "rho2")
-    _check_state(rho1, "rho1")
-    _check_state(rho2, "rho2")
-    _check_sigma(rho1, rho2)
+    rho1, rho2 = _load_marginals(obj, kind, d1, d2)
 
     if kind == "fiber_dist":
         beta = rho1_b = rho2_b = None
         if "beta" in obj:
             beta = _load_hermitian(obj["beta"], dim, "beta")
         if "rho1_b" in obj or "rho2_b" in obj:
-            rho1_b = _load_hermitian(_require(obj, "rho1_b", kind), d1, "rho1_b")
-            rho2_b = _load_hermitian(_require(obj, "rho2_b", kind), d2, "rho2_b")
-            _check_state(rho1_b, "rho1_b")
-            _check_state(rho2_b, "rho2_b")
-            _check_sigma(rho1_b, rho2_b, ("rho1_b", "rho2_b"))
+            rho1_b, rho2_b = _load_marginals(obj, kind, d1, d2, "_b")
         if beta is None and rho1_b is None:
             raise CliError("fiber_dist problem needs either beta or a second fiber (rho1_b, rho2_b)")
         return LoadedProblem(
@@ -390,46 +382,45 @@ def _base_file(kind: str, dims: list, seed: int, metadata: dict) -> dict:
     }
 
 
-def _gen_coupling(d1: int, d2: int, k: int, feasible: bool, seed: int, mix: float) -> dict:
-    rng = np.random.default_rng(seed)
-    dim = d1 * d2
-    k = max(1, min(k, dim))
-    basis = _random_subspace(rng, dim, k)
-    c = _ginibre_psd(rng, k, k)
-    rho = hermitize(basis @ c @ basis.conj().T)
+def _supported_file(
+    kind: str, rng, d1: int, d2: int, basis: np.ndarray, rho: np.ndarray,
+    feasible: bool, seed: int, mix: float, meta: dict,
+) -> dict:
+    """The file of a state rho supported in span(basis); infeasible ones mix rho1 last."""
     r1 = partial_trace_2(rho, d1, d2)
     r2 = partial_trace_1(rho, d1, d2)
-    meta: dict = {"subspace_dim": k, "feasible": feasible}
+    meta["feasible"] = feasible
     if not feasible:
         r1 = hermitize((1.0 - mix) * r1 + mix * _ginibre_psd(rng, d1, d1))
         meta["mixing_weight"] = mix
-    out = _base_file("coupling", [d1, d2], seed, meta)
+    out = _base_file(kind, [d1, d2], seed, meta)
     out["rho1"] = mat_to_pairs(r1)
     out["rho2"] = mat_to_pairs(r2)
-    out["basis"] = [vec_to_pairs(basis[:, j]) for j in range(k)]
+    out["basis"] = [vec_to_pairs(v) for v in basis.T]
     return out
+
+
+def _gen_coupling(d1: int, d2: int, k: int, feasible: bool, seed: int, mix: float) -> dict:
+    rng = np.random.default_rng(seed)
+    k = max(1, min(k, d1 * d2))
+    basis = _random_subspace(rng, d1 * d2, k)
+    rho = hermitize(basis @ _ginibre_psd(rng, k, k) @ basis.conj().T)
+    return _supported_file(
+        "coupling", rng, d1, d2, basis, rho, feasible, seed, mix, {"subspace_dim": k}
+    )
 
 
 def _gen_f_ladder(
     d1: int, d2: int, n_max: int, k: int, feasible: bool, seed: int, mix: float
 ) -> dict:
     rng = np.random.default_rng(seed)
-    dim = d1 * d2
-    n_max = max(1, min(n_max, dim))
+    n_max = max(1, min(n_max, d1 * d2))
     k = max(1, min(k, n_max))
-    basis = _random_subspace(rng, dim, n_max)
-    c = _ginibre_psd(rng, k, k)
-    rho = hermitize(basis[:, :k] @ c @ basis[:, :k].conj().T)
-    r1 = partial_trace_2(rho, d1, d2)
-    r2 = partial_trace_1(rho, d1, d2)
-    meta: dict = {"support_dim": k, "feasible": feasible}
-    if not feasible:
-        r1 = hermitize((1.0 - mix) * r1 + mix * _ginibre_psd(rng, d1, d1))
-        meta["mixing_weight"] = mix
-    out = _base_file("f_ladder", [d1, d2], seed, meta)
-    out["rho1"] = mat_to_pairs(r1)
-    out["rho2"] = mat_to_pairs(r2)
-    out["basis"] = [vec_to_pairs(basis[:, j]) for j in range(n_max)]
+    basis = _random_subspace(rng, d1 * d2, n_max)
+    rho = hermitize(basis[:, :k] @ _ginibre_psd(rng, k, k) @ basis[:, :k].conj().T)
+    out = _supported_file(
+        "f_ladder", rng, d1, d2, basis, rho, feasible, seed, mix, {"support_dim": k}
+    )
     out["n_max"] = n_max
     return out
 
@@ -440,8 +431,7 @@ def _gen_sdp_ladder(
     if not 0.0 < decay < 1.0:
         raise CliError(f"decay must lie in (0, 1), got {decay}")
     rng = np.random.default_rng(seed)
-    dim = d1 * d2
-    k = max(1, min(k, dim))
+    k = max(1, min(k, d1 * d2))
     w1 = np.sqrt(decay) ** np.arange(d1)
     w2 = np.sqrt(decay) ** np.arange(d2)
     cols = []
@@ -449,22 +439,14 @@ def _gen_sdp_ladder(
         g = rng.standard_normal((d1, d2)) + 1j * rng.standard_normal((d1, d2))
         v = ((w1[:, None] * g) * w2[None, :]).reshape(-1)
         cols.append(v / np.linalg.norm(v))
-    raw = np.stack(cols, axis=1)
-    q, _ = np.linalg.qr(raw)
-    basis = q[:, :k]
+    basis = np.linalg.qr(np.stack(cols, axis=1))[0][:, :k]
     lam = decay ** np.arange(k)
     lam = lam / lam.sum()
     rho = hermitize((basis * lam) @ basis.conj().T)
-    r1 = partial_trace_2(rho, d1, d2)
-    r2 = partial_trace_1(rho, d1, d2)
-    meta: dict = {"subspace_dim": k, "decay": decay, "feasible": feasible}
-    if not feasible:
-        r1 = hermitize((1.0 - mix) * r1 + mix * _ginibre_psd(rng, d1, d1))
-        meta["mixing_weight"] = mix
-    out = _base_file("sdp_ladder", [d1, d2], seed, meta)
-    out["rho1"] = mat_to_pairs(r1)
-    out["rho2"] = mat_to_pairs(r2)
-    out["basis"] = [vec_to_pairs(basis[:, j]) for j in range(k)]
+    out = _supported_file(
+        "sdp_ladder", rng, d1, d2, basis, rho, feasible, seed, mix,
+        {"subspace_dim": k, "decay": decay},
+    )
     out["n_max"] = min(d1, d2)
     return out
 
@@ -547,11 +529,6 @@ def generate_instance(spec: dict) -> dict:
 # Runners
 
 
-def _expect_kind(prob: LoadedProblem, kind: str, command: str) -> None:
-    if prob.kind != kind:
-        raise CliError(f"{command} needs a {kind!r} problem, got kind {prob.kind!r}")
-
-
 def _solution_block(sol) -> dict:
     return {
         "primal_value": sol.primal_value,
@@ -564,7 +541,6 @@ def _solution_block(sol) -> dict:
 
 
 def _run_check(prob: LoadedProblem, cfg: SolverConfig, _args) -> tuple[dict, int]:
-    _expect_kind(prob, "coupling", "check")
     x_sub = Subspace(prob.d1 * prob.d2, prob.basis)
     verdict, cert, value, sol, sup = _decide(prob.rho1, prob.rho2, x_sub, cfg)
     supported = None
@@ -594,7 +570,6 @@ def _run_check(prob: LoadedProblem, cfg: SolverConfig, _args) -> tuple[dict, int
 
 
 def _run_mu(prob: LoadedProblem, cfg: SolverConfig, _args) -> tuple[dict, int]:
-    _expect_kind(prob, "coupling", "mu")
     x_sub = Subspace(prob.d1 * prob.d2, prob.basis)
     value, sol = mu(prob.rho1, prob.rho2, x_sub, cfg)
     sdp_problem = MarginalSdpProblem(
@@ -617,60 +592,41 @@ def _run_mu(prob: LoadedProblem, cfg: SolverConfig, _args) -> tuple[dict, int]:
 
 
 def _levels_block(report) -> list:
-    rows = []
-    for lv in report.levels:
-        rows.append(
-            {
-                "level": list(lv.level) if isinstance(lv.level, tuple) else lv.level,
-                "dim": lv.dim,
-                "value": lv.value,
-                "dual_value": lv.dual_value,
-                "lower_bound": lv.lower_bound,
-                "gap": lv.gap,
-                "status": lv.status,
-                "wall_time": lv.wall_time,
-            }
-        )
-    return rows
+    return [
+        {
+            "level": list(lv.level) if isinstance(lv.level, tuple) else lv.level,
+            "dim": lv.dim,
+            "value": lv.value,
+            "dual_value": lv.dual_value,
+            "lower_bound": lv.lower_bound,
+            "gap": lv.gap,
+            "status": lv.status,
+            "wall_time": lv.wall_time,
+        }
+        for lv in report.levels
+    ]
 
 
-def _ladder_exit(verdict: str) -> int:
-    return 0 if verdict in ("coupling_exists", "no_coupling") else 2
-
-
-def _run_ladder_f(prob: LoadedProblem, cfg: SolverConfig, args) -> tuple[dict, int]:
-    _expect_kind(prob, "f_ladder", "ladder-f")
-    n_max = args.levels or prob.n_max or prob.basis.shape[1]
-    rep = f_ladder(prob.rho1, prob.rho2, prob.basis, n_max=n_max, cfg=cfg)
-    report = {
-        "command": "ladder-f",
-        "verdict": rep.verdict,
-        "criterion": rep.criterion,
-        "eps_decision": rep.eps_decision,
-        "scale": rep.scale,
-        "levels": _levels_block(rep),
-    }
-    return report, _ladder_exit(rep.verdict)
-
-
-def _run_ladder_sdp(prob: LoadedProblem, cfg: SolverConfig, args) -> tuple[dict, int]:
-    _expect_kind(prob, "sdp_ladder", "ladder-sdp")
-    x_sub = Subspace(prob.d1 * prob.d2, prob.basis)
-    n_max = args.levels or prob.n_max or min(prob.d1, prob.d2)
-    rep = sdp_ladder(prob.rho1, prob.rho2, x_sub, n_max=n_max, cfg=cfg)
-    report = {
-        "command": "ladder-sdp",
-        "verdict": rep.verdict,
-        "criterion": rep.criterion,
-        "eps_decision": rep.eps_decision,
-        "levels": _levels_block(rep),
-        "skipped_levels": list(rep.skipped_levels),
-    }
-    return report, _ladder_exit(rep.verdict)
+def _run_ladder(prob: LoadedProblem, cfg: SolverConfig, args) -> tuple[dict, int]:
+    n_max = args.levels or prob.n_max
+    if prob.kind == "f_ladder":
+        rep = f_ladder(prob.rho1, prob.rho2, prob.basis, n_max=n_max, cfg=cfg)
+        report = {"scale": rep.scale}
+    else:
+        x_sub = Subspace(prob.d1 * prob.d2, prob.basis)
+        rep = sdp_ladder(prob.rho1, prob.rho2, x_sub, n_max=n_max, cfg=cfg)
+        report = {"skipped_levels": list(rep.skipped_levels)}
+    report.update(
+        command=args.command,
+        verdict=rep.verdict,
+        criterion=rep.criterion,
+        eps_decision=rep.eps_decision,
+        levels=_levels_block(rep),
+    )
+    return report, 0 if rep.verdict in ("coupling_exists", "no_coupling") else 2
 
 
 def _run_fiber_dist(prob: LoadedProblem, cfg: SolverConfig, args) -> tuple[dict, int]:
-    _expect_kind(prob, "fiber_dist", "fiber-dist")
     fiber = FiberSpec(prob.rho1, prob.rho2)
     if prob.beta is not None:
         upper, lower, member, iterations, status = _dist_solve(prob.beta, fiber, cfg)
@@ -700,7 +656,6 @@ def _run_fiber_dist(prob: LoadedProblem, cfg: SolverConfig, args) -> tuple[dict,
 
 
 def _run_classical(prob: LoadedProblem, _cfg: SolverConfig, _args) -> tuple[dict, int]:
-    _expect_kind(prob, "classical", "classical")
     inst = ClassicalInstance(
         prob.d1, prob.d2, list(prob.mu1), list(prob.mu2), [tuple(e) for e in prob.edges]
     )
@@ -713,32 +668,65 @@ def _run_classical(prob: LoadedProblem, _cfg: SolverConfig, _args) -> tuple[dict
     return report, 0
 
 
-_RUNNERS = {
-    "check": _run_check,
-    "mu": _run_mu,
-    "ladder-f": _run_ladder_f,
-    "ladder-sdp": _run_ladder_sdp,
-    "fiber-dist": _run_fiber_dist,
-    "classical": _run_classical,
+class _Command(NamedTuple):
+    """One run command: the problem kind it reads, its runner and its flags."""
+
+    kind: str
+    runner: Callable[..., tuple[dict, int]]
+    flags: tuple[str, ...]
+    help: str
+
+
+_SOLVER_FLAGS = ("gap_tol", "eps_decision", "max_iters")  # the SolverConfig fields a flag sets
+_FLAG_TYPES = {
+    "gap_tol": float, "eps_decision": float, "max_iters": int, "levels": int, "samples": int,
+}
+# The table holds runners, not solvers: a runner looks its solver up in this
+# module's globals (mu, _decide, f_ladder, ...) at call time, so a wrapper
+# bound to one of those names sees every call.
+_COMMANDS = {
+    "check": _Command(
+        "coupling", _run_check, _SOLVER_FLAGS,
+        "decide coupling existence and emit a certificate",
+    ),
+    "mu": _Command(
+        "coupling", _run_mu, _SOLVER_FLAGS,
+        "solve the overlap program and report certified values",
+    ),
+    "ladder-f": _Command(
+        "f_ladder", _run_ladder, _SOLVER_FLAGS + ("levels",),
+        "run the mismatch-minimization truncation ladder",
+    ),
+    "ladder-sdp": _Command(
+        "sdp_ladder", _run_ladder, _SOLVER_FLAGS + ("levels",),
+        "run the two-sided truncation ladder of overlap programs",
+    ),
+    "fiber-dist": _Command(
+        "fiber_dist", _run_fiber_dist, _SOLVER_FLAGS + ("samples",),
+        "distance to a fiber, or a semidistance lower bound",
+    ),
+    "classical": _Command(
+        "classical", _run_classical, (), "max-flow feasibility for a diagonal instance"
+    ),
 }
 
 
 def _effective_config(prob: LoadedProblem, args) -> SolverConfig:
-    return SolverConfig(
-        gap_tol=args.gap_tol if args.gap_tol is not None else prob.config.gap_tol,
-        eps_decision=(
-            args.eps_decision if args.eps_decision is not None else prob.config.eps_decision
-        ),
-        max_iters=args.max_iters if args.max_iters is not None else prob.config.max_iters,
-        penalty_init=prob.config.penalty_init,
-    )
+    """The file's config under the solver flags the command was given."""
+    given = {f: getattr(args, f) for f in _COMMANDS[args.command].flags if f in _SOLVER_FLAGS}
+    return replace(prob.config, **{f: v for f, v in given.items() if v is not None})
 
 
-def _execute_file(command: str, path: str, args) -> tuple[dict, int]:
+def _execute_file(path: str, args) -> tuple[dict, int]:
     prob = load_problem(path)
+    command = _COMMANDS[args.command]
+    if prob.kind != command.kind:
+        raise CliError(
+            f"{args.command} needs a {command.kind!r} problem, got kind {prob.kind!r}"
+        )
     cfg = _effective_config(prob, args)
     started = time.perf_counter()
-    report, code = _RUNNERS[command](prob, cfg, args)
+    report, code = command.runner(prob, cfg, args)
     report["config"] = config_to_dict(cfg)
     report["kind"] = prob.kind
     report["timings"] = {"wall_time": time.perf_counter() - started}
@@ -884,42 +872,46 @@ def _write_output(text: str, path: str | None) -> None:
         sys.stdout.flush()
 
 
+def _write_report(report: dict, args) -> None:
+    text = report_to_csv(report) if args.format == "csv" else canonical_dumps(report)
+    _write_output(text, args.out)
+
+
 # ---------------------------------------------------------------------------
 # Argument parsing and dispatch
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors exit 1, as every other error does; exit 2 means undecided."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
+def _add_output_flags(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--out", default=None, help="write the report here instead of stdout")
+    p.add_argument("--format", choices=("json", "csv"), default="json")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="qstrassen",
         description="Bipartite coupling feasibility: SDP solvers, truncation ladders, fibers.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    run_flags = argparse.ArgumentParser(add_help=False)
-    run_flags.add_argument("files", nargs="+", help="problem files (format qstrassen/1)")
-    run_flags.add_argument("--gap-tol", type=float, default=None)
-    run_flags.add_argument("--eps-decision", type=float, default=None)
-    run_flags.add_argument("--max-iters", type=int, default=None)
-    run_flags.add_argument("--levels", type=int, default=None)
-    run_flags.add_argument("--samples", type=int, default=None)
-    run_flags.add_argument("--out", default=None, help="write the report here instead of stdout")
-    run_flags.add_argument("--format", choices=("json", "csv"), default="json")
-
-    for name, help_text in (
-        ("check", "decide coupling existence and emit a certificate"),
-        ("mu", "solve the overlap program and report certified values"),
-        ("ladder-f", "run the mismatch-minimization truncation ladder"),
-        ("ladder-sdp", "run the two-sided truncation ladder of overlap programs"),
-        ("fiber-dist", "distance to a fiber, or a semidistance lower bound"),
-        ("classical", "max-flow feasibility for a diagonal instance"),
-    ):
-        sub.add_parser(name, parents=[run_flags], help=help_text)
+    for name, cmd in _COMMANDS.items():
+        p_run = sub.add_parser(name, help=cmd.help)
+        p_run.add_argument("files", nargs="+", help="problem files (format qstrassen/1)")
+        for flag in cmd.flags:
+            p_run.add_argument("--" + flag.replace("_", "-"), type=_FLAG_TYPES[flag], default=None)
+        _add_output_flags(p_run)
 
     p_self = sub.add_parser("selftest", help="run the built-in property suites")
     p_self.add_argument("--seed", type=int, default=0)
     p_self.add_argument("--trials", type=int, default=100)
-    p_self.add_argument("--out", default=None)
-    p_self.add_argument("--format", choices=("json", "csv"), default="json")
+    _add_output_flags(p_self)
 
     p_gen = sub.add_parser("gen", help="generate a problem file")
     p_gen.add_argument("--kind", required=True, choices=KINDS)
@@ -963,54 +955,47 @@ def _cmd_gen(args) -> int:
     return 0
 
 
-def _cmd_run(args) -> int:
-    command = args.command
-    files = args.files
-    reports: dict[str, dict] = {}
-    codes: dict[str, int] = {}
-    errors: dict[str, str] = {}
+# What a file may raise besides CliError: a config check or a solver breakdown,
+# or OverflowError from an integer in the file beyond the float range.
+_SOLVE_ERRORS = (ValueError, OverflowError, np.linalg.LinAlgError, EigendecompositionError)
 
+
+def _cmd_run(args) -> int:
+    """Run each file in turn; the worst exit code wins (error 1, undecided 2, ok 0)."""
+    files = args.files
+    if args.format == "csv" and len(files) > 1:
+        raise CliError("csv output supports a single problem file")
+    reports: dict[str, dict] = {}
+    codes: list[int] = []
     for path in files:
         try:
-            reports[path], codes[path] = _execute_file(command, path, args)
+            reports[path], code = _execute_file(path, args)
         except CliError as exc:
-            errors[path] = str(exc)
-        except (ValueError, np.linalg.LinAlgError) as exc:
-            errors[path] = f"{path}: {exc}"
-        if path in errors:
-            print(errors[path], file=sys.stderr)
+            print(exc, file=sys.stderr)
+            code = 1
+        except _SOLVE_ERRORS as exc:
+            print(f"{path}: {exc}", file=sys.stderr)
+            code = 1
+        codes.append(code)
 
-    if len(files) == 1:
-        if files[0] in errors:
-            return 1
-        report = reports[files[0]]
-        text = report_to_csv(report) if args.format == "csv" else canonical_dumps(report)
-        _write_output(text, args.out)
-        return codes[files[0]]
-    if args.format == "csv":
-        raise CliError("csv output supports a single problem file")
-    combined = {path: reports[path] for path in files if path in reports}
-    _write_output(canonical_dumps(combined), args.out)
-    if errors:
-        return 1
-    if any(code == 2 for code in codes.values()):
-        return 2
-    return 0
+    if len(files) > 1:
+        _write_output(canonical_dumps(reports), args.out)
+    elif reports:
+        _write_report(reports[files[0]], args)
+    return 1 if 1 in codes else max(codes)
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
         if args.command == "gen":
             return _cmd_gen(args)
         if args.command == "selftest":
             report, code = _selftest(args.seed, args.trials)
-            text = report_to_csv(report) if args.format == "csv" else canonical_dumps(report)
-            _write_output(text, args.out)
+            _write_report(report, args)
             return code
         return _cmd_run(args)
-    except (CliError, ValueError, np.linalg.LinAlgError) as exc:
+    except (CliError, *_SOLVE_ERRORS) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except BrokenPipeError:  # stdout closed: keep the flush at exit silent

@@ -92,8 +92,10 @@ class SolverConfig:
     penalty_init: float = 1.0
 
     def __post_init__(self):
-        if self.gap_tol <= 0 or self.penalty_init <= 0:
-            raise ValueError("gap_tol and penalty_init must be positive")
+        if not all(math.isfinite(x) and x > 0 for x in (self.gap_tol, self.penalty_init)):
+            raise ValueError("gap_tol and penalty_init must be finite and positive")
+        if not 0.0 < self.eps_decision < 1.0:
+            raise ValueError("eps_decision must lie in (0, 1)")
         if self.max_iters < 1:
             raise ValueError("max_iters must be at least 1")
 

@@ -388,7 +388,7 @@ class ClassicalInstance:
         for name, v in (("mu1", v1), ("mu2", v2)):
             if (v < 0).any():
                 raise ValueError(f"{name} has a negative entry: {v.min():.3e}")
-            if abs(v.sum() - 1.0) > 1e-12:
+            if not abs(v.sum() - 1.0) <= 1e-12:  # also rejects NaN and inf
                 raise ValueError(
                     f"{name} does not sum to 1: deviation {abs(v.sum() - 1.0):.3e}"
                 )

@@ -8,11 +8,13 @@ through ``main`` with its exit-code contract, and the output plumbing
 
 from __future__ import annotations
 
+import argparse
 import csv
 import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -21,6 +23,7 @@ import numpy as np
 import pytest
 
 import qstrassen
+from qstrassen import cli
 from qstrassen.cli import (
     CliError,
     FORMAT_VERSION,
@@ -123,6 +126,9 @@ def test_codec_rejections():
         pairs_to_vec([[1.0, 2.0, 3.0]], 1, "v")
     with pytest.raises(CliError, match=r"\[re, im\] pair"):
         pairs_to_vec([[1.0, True]], 1, "v")
+    for cell in ([float("nan"), 0.0], [0.0, float("-inf")]):
+        with pytest.raises(CliError, match="non-finite entry"):
+            pairs_to_vec([cell], 1, "v")
     with pytest.raises(CliError, match="expected a vector of length 2"):
         pairs_to_vec([[1.0, 0.0]], 2, "v")
     with pytest.raises(CliError, match="expected 2 rows"):
@@ -227,10 +233,11 @@ def test_classical_problem_validation():
     bad["edges"] = [[0, 0, 0]]
     with pytest.raises(CliError, match="integer pairs"):
         problem_from_dict(bad)
-    bad = dict(obj)
-    bad["mu1"] = [0.4, 0.4]
-    with pytest.raises(CliError, match="does not sum to 1"):
-        problem_from_dict(bad)
+    for mu1 in ([0.4, 0.4], [float("nan"), 0.5]):
+        bad = dict(obj)
+        bad["mu1"] = mu1
+        with pytest.raises(CliError, match="does not sum to 1"):
+            problem_from_dict(bad)
 
 
 # ---------------------------------------------------------------------------
@@ -555,6 +562,94 @@ def test_main_value_error_after_load_exits_one(tmp_path, capsys):
     assert f"{path}: n_max = 99 out of range for basis of 4" in err
 
 
+# Each run command's flags besides files, --out and --format. The solver
+# flags form the config block every report echoes.
+RUN_FLAGS = {
+    "check": {"--gap-tol", "--eps-decision", "--max-iters"},
+    "mu": {"--gap-tol", "--eps-decision", "--max-iters"},
+    "ladder-f": {"--gap-tol", "--eps-decision", "--max-iters", "--levels"},
+    "ladder-sdp": {"--gap-tol", "--eps-decision", "--max-iters", "--levels"},
+    "fiber-dist": {"--gap-tol", "--eps-decision", "--max-iters", "--samples"},
+    "classical": set(),
+}
+ALL_RUN_FLAGS = set().union(*RUN_FLAGS.values())
+
+
+def test_each_run_command_offers_exactly_its_flags():
+    commands = next(
+        a for a in cli._build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+    ).choices
+    for name, flags in RUN_FLAGS.items():
+        options = {s for a in commands[name]._actions for s in a.option_strings}
+        assert options == flags | {"-h", "--help", "--out", "--format"}, name
+
+
+@pytest.mark.parametrize(
+    "command, flag",
+    [(c, f) for c in RUN_FLAGS for f in sorted(ALL_RUN_FLAGS - RUN_FLAGS[c])],
+)
+def test_flag_a_command_does_not_read_is_a_usage_error(command, flag, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "f.json", flag, "3"])
+    assert exc.value.code == 1
+    err = capsys.readouterr().err
+    assert "usage:" in err
+    assert f"unrecognized arguments: {flag} 3" in err
+
+
+def test_usage_errors_exit_one_and_help_exits_zero(capsys):
+    for argv in (["check", "--bogus", "p.json"], ["check", "p.json", "--max-iters", "abc"], []):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 1, argv
+        assert "usage:" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as exc:
+        main(["check", "--help"])
+    assert exc.value.code == 0
+    assert "--gap-tol" in capsys.readouterr().out
+
+
+def test_non_finite_input_is_rejected_at_load(tmp_path, capsys):
+    nan_basis = coupling_file()
+    nan_basis["basis"][0][1] = [float("nan"), 0.0]
+    inf_rho = coupling_file()
+    inf_rho["rho1"][0][0] = [float("inf"), 0.0]
+    nan_config = coupling_file(config={"gap_tol": float("nan")})
+    for name, obj, message in (
+        ("basis.json", nan_basis, "basis[0]: non-finite entry"),
+        ("rho.json", inf_rho, "rho1: non-finite entry"),
+        ("config.json", nan_config, "gap_tol and penalty_init must be finite and positive"),
+    ):
+        path = tmp_path / name
+        path.write_text(json.dumps(obj), encoding="utf-8")  # writes NaN / Infinity tokens
+        with pytest.raises(CliError, match=re.escape(message)):
+            load_problem(str(path))
+        code, out, err = run_main(capsys, ["check", str(path)])
+        assert (code, out) == (1, ""), name
+        assert message in err
+    big_int = coupling_file()
+    big_int["rho1"][0][0] = [10**400, 0]  # finite in JSON, beyond the float range
+    path = write_json(tmp_path, "int.json", big_int)
+    code, out, err = run_main(capsys, ["check", path])
+    assert (code, out) == (1, "")
+    assert f"{path}: int too large to convert to float" in err
+
+
+def test_solver_breakdown_keeps_the_other_reports(tmp_path, capsys):
+    # Every entry is finite, but at this scale the eigensolver fails.
+    obj = generate_instance({"kind": "fiber_dist", "dims": (2, 2), "seed": 0})
+    good = write_json(tmp_path, "good.json", obj)
+    for key in ("rho1", "rho2"):
+        obj[key] = [[[t * 1e300 for t in cell] for cell in row] for row in obj[key]]
+    huge = write_json(tmp_path, "huge.json", obj)
+    with np.errstate(all="ignore"):
+        code, out, err = run_main(capsys, ["fiber-dist", good, huge])
+    assert code == 1
+    assert set(json.loads(out)) == {good}
+    assert f"{huge}: eigendecomposition did not converge" in err
+    assert "Traceback" not in err
+
+
 def test_main_batch_combines_reports(tmp_path, capsys):
     p1 = write_json(tmp_path, "c1.json", generate_instance({"kind": "classical", "dims": (2, 2), "seed": 1}))
     p2 = write_json(tmp_path, "c2.json", generate_instance({"kind": "classical", "dims": (3, 3), "seed": 2}))
@@ -664,12 +759,16 @@ def test_csv_renders_lists_as_json(tmp_path, capsys):
     assert rows["samples"] == "2"
 
 
-def test_csv_rejects_multiple_files(tmp_path, capsys):
+def test_csv_rejects_multiple_files(tmp_path, capsys, monkeypatch):
     p1 = write_json(tmp_path, "c1.json", generate_instance({"kind": "classical", "dims": (2, 2), "seed": 1}))
     p2 = write_json(tmp_path, "c2.json", generate_instance({"kind": "classical", "dims": (2, 2), "seed": 2}))
-    code, _, err = run_main(capsys, ["classical", p1, p2, "--format", "csv"])
+    calls = []
+    monkeypatch.setattr(cli, "_execute_file", lambda *a: calls.append(a))
+    code, out, err = run_main(capsys, ["classical", p1, p2, "--format", "csv"])
     assert code == 1
     assert "single problem file" in err
+    assert out == ""
+    assert calls == []
 
 
 def test_report_to_csv_round_trips_through_module(tmp_path):
@@ -692,7 +791,7 @@ def test_parse_dims_variants():
         _parse_dims("banana")
 
 
-def test_batch_respects_thread_cap(tmp_path, capsys):
+def test_batch_keys_reports_by_path(tmp_path, capsys):
     # multi-file runs go file by file and key the combined report by path
     paths = [
         write_json(tmp_path, f"c{i}.json", generate_instance({"kind": "classical", "dims": (2, 2), "seed": i}))

@@ -69,6 +69,14 @@ def test_solver_config_validation():
         SolverConfig(penalty_init=-1.0)
     with pytest.raises(ValueError, match="max_iters"):
         SolverConfig(max_iters=0)
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="finite and positive"):
+            SolverConfig(gap_tol=bad)
+        with pytest.raises(ValueError, match="finite and positive"):
+            SolverConfig(penalty_init=bad)
+    for bad in (0.0, 1.0, float("nan")):
+        with pytest.raises(ValueError, match="eps_decision"):
+            SolverConfig(eps_decision=bad)
 
 
 def test_problem_rejects_bad_data():
