@@ -11,7 +11,9 @@ the outcome is undecided, 1 on errors, usage errors included.
 from __future__ import annotations
 
 import argparse
+import cmath
 import csv
+import functools
 import io
 import json
 import math
@@ -136,9 +138,10 @@ def _entry(cell, name: str) -> complex:
         or not all(isinstance(t, (int, float)) and not isinstance(t, bool) for t in cell)
     ):
         raise CliError(f"{name}: each entry must be a [re, im] pair of numbers")
-    if not all(math.isfinite(t) for t in cell):
+    z = complex(float(cell[0]), float(cell[1]))
+    if not cmath.isfinite(z):
         raise CliError(f"{name}: non-finite entry {cell!r}")
-    return complex(float(cell[0]), float(cell[1]))
+    return z
 
 
 def pairs_to_vec(obj, length: int, name: str) -> np.ndarray:
@@ -894,6 +897,7 @@ def _add_output_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--format", choices=("json", "csv"), default="json")
 
 
+@functools.cache  # one parser per process; in-process callers of main reuse it
 def _build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="qstrassen",
