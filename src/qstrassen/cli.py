@@ -680,9 +680,16 @@ class _Command(NamedTuple):
     help: str
 
 
+def _count(text: str) -> int:
+    """A count flag's value; anything but digits is a usage error that names the flag."""
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(f"expected a count of at least 0, got {text!r}")
+    return int(text)
+
+
 _SOLVER_FLAGS = ("gap_tol", "eps_decision", "max_iters")  # the SolverConfig fields a flag sets
 _FLAG_TYPES = {
-    "gap_tol": float, "eps_decision": float, "max_iters": int, "levels": int, "samples": int,
+    "gap_tol": float, "eps_decision": float, "max_iters": int, "levels": int, "samples": _count,
 }
 # The table holds runners, not solvers: a runner looks its solver up in this
 # module's globals (mu, _decide, f_ladder, ...) at call time, so a wrapper

@@ -17,18 +17,24 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bipartite import BipartiteOperator, _kron_sum_mat, partial_trace_1, partial_trace_2
-from .linalg import HermitianOperator, _identity, as_matrix, hermitize, psd_project, trace_norm
+from .linalg import (
+    HermitianOperator,
+    _guard_magnitude,
+    _identity,
+    as_matrix,
+    hermitize,
+    psd_project,
+    trace_norm,
+)
 from .sdp import (
     DEFAULT_CONFIG,
     SolverConfig,
     _admm,
-    _epigraph_mean,
-    _epigraph_point,
-    _epigraph_test,
     _hs,
     _max_eig,
     _min_eig,
     _shift_to_dominate,
+    _split_points,
     _support_scaler,
     _tr,
 )
@@ -43,7 +49,11 @@ __all__ = [
 
 
 class FiberSpec:
-    """Marginal pair with equal traces, naming a nonempty coupling fiber."""
+    """Marginal pair with equal traces, naming a nonempty coupling fiber.
+
+    Marginal entries above the magnitude guard (``linalg._MAGNITUDE_GUARD``)
+    are rejected, since the product member rho1 (x) rho2 would overflow.
+    """
 
     __slots__ = ("rho1", "rho2")
 
@@ -51,6 +61,7 @@ class FiberSpec:
         r1 = rho1 if isinstance(rho1, HermitianOperator) else HermitianOperator(rho1)
         r2 = rho2 if isinstance(rho2, HermitianOperator) else HermitianOperator(rho2)
         for name, r in (("rho1", r1), ("rho2", r2)):
+            _guard_magnitude(r.mat)
             low = _min_eig(r.mat)
             if low < -1e-9:
                 raise ValueError(f"{name} is not PSD: min eigenvalue {low:.3e}")
@@ -148,13 +159,16 @@ def _project_marginal_affine(
 def _dist_solve(beta: np.ndarray, fiber: FiberSpec, cfg: SolverConfig):
     """Certified bracket for min ||beta - gamma||_1 over the fiber.
 
-    Upper bounds come from exact members (scale-and-glue repair of the PSD
-    iterate), lower bounds from repaired dual pairs of the epigraph program,
-    so [lower, upper] always contains the true distance. The solve stops with
-    status ``optimal`` at the first checkpoint where upper - lower is at most
-    cfg.gap_tol, else ends at ``max_iters`` (or ``infeasible_numerics`` on
-    NaN/Inf breakdown); the ADMM residuals only steer the penalty. Returns
-    (upper, lower, member, iterations, status).
+    The trace norm is split into PSD blocks U = W + (beta - gamma) and
+    L = W - (beta - gamma) with objective (tr U + tr L)/2, so gamma, U and L
+    share one shape and each iteration projects them with one stacked
+    ``eigh``. Upper bounds come from exact members (scale-and-glue repair of
+    the PSD iterate), lower bounds from repaired dual pairs of the split
+    program, so [lower, upper] always contains the true distance. The solve
+    stops with status ``optimal`` at the first checkpoint where
+    upper - lower is at most cfg.gap_tol, else ends at ``max_iters`` (or
+    ``infeasible_numerics`` on NaN/Inf breakdown); the ADMM residuals only
+    steer the penalty. Returns (upper, lower, member, iterations, status).
     """
     d1, d2 = fiber.d1, fiber.d2
     dim = d1 * d2
@@ -164,7 +178,7 @@ def _dist_solve(beta: np.ndarray, fiber: FiberSpec, cfg: SolverConfig):
     support_scale = _support_scaler(r1, r2)
 
     gamma = _repair_to_member(fiber.product_coupling().mat, fiber, support_scale)
-    w = [gamma.astype(complex).copy(), np.zeros((2 * dim, 2 * dim), dtype=complex)]
+    w = [gamma.astype(complex).copy()] + [np.zeros((dim, dim), dtype=complex) for _ in range(2)]
     lam = [np.zeros_like(b) for b in w]
 
     best_upper = trace_norm(beta - gamma)
@@ -174,14 +188,14 @@ def _dist_solve(beta: np.ndarray, fiber: FiberSpec, cfg: SolverConfig):
 
     def affine(w, lam, sigma):
         nonlocal corrections
-        tbig = w[1] - lam[1]
-        # The epigraph target of beta - gamma is a general matrix even for a
-        # Hermitian consensus state; the variable space is Hermitian, so
-        # project the target onto it first.
-        e0 = _epigraph_mean(tbig)
-        target = hermitize((w[0] - lam[0] + 2.0 * (beta - e0)) / 3.0)
+        tu, tl = w[1] - lam[1], w[2] - lam[2]
+        # gamma's target weighs its own block once and the split's target
+        # (t_U - t_L)/2 for beta - gamma twice. The multipliers are Hermitian
+        # only up to round-off and the variable space is Hermitian, so the
+        # target is projected onto it first.
+        target = hermitize((w[0] - lam[0] + 2.0 * (beta - 0.5 * (tu - tl))) / 3.0)
         gamma, corrections = _project_marginal_affine(target, r1, r2, d1, d2)
-        return gamma, _epigraph_point(tbig, sigma, beta - gamma)
+        return (gamma, *_split_points(tu, tl, sigma, beta - gamma))
 
     def certify(w, lam, sigma, pres, dres):
         nonlocal best_upper, best_member, best_lower
@@ -190,12 +204,12 @@ def _dist_solve(beta: np.ndarray, fiber: FiberSpec, cfg: SolverConfig):
         if val < best_upper:
             best_upper = val
             best_member = member
-        # Dual test matrix from the epigraph multiplier block (the bound
-        # <Z, beta - gamma> needs the opposite sign of the block that pairs
-        # with beta - gamma inside the cone), clipped to the unit spectral
-        # ball; closed-form completions of Y then give valid bounds.
-        z = -_epigraph_test(lam[1], sigma)
-        zw, zv = np.linalg.eigh(hermitize(z))
+        # Dual test matrix Z = Lam_L - Lam_U from the split's multipliers
+        # (Lam = -sigma lam; Lam_U - Lam_L pairs with beta - gamma in
+        # U - L = 2(beta - gamma), and the bound <Z, beta - gamma> needs the
+        # opposite sign), clipped to the unit spectral ball; closed-form
+        # completions of Y then give valid bounds.
+        zw, zv = np.linalg.eigh(hermitize(sigma * (lam[1] - lam[2])))
         z = (zv * np.clip(zw, -1.0, 1.0)) @ zv.conj().T
         # Two completions Y of Z bound <Z, beta> - <Y1, rho1> - <Y2, rho2>:
         # Y = (lambda_max(Z) I, 0), and Y = 3 sigma M from the gamma step's KKT
@@ -290,10 +304,12 @@ def semidistance_lower_bound(
     fiber B, and folds in the marginal-difference floor
     (||r1A - r1B||_1 + ||r2A - r2B||_1) / 2, which every member's distance
     dominates. Sampling is deterministic and sequential, so the bound is
-    nondecreasing in ``samples``.
+    nondecreasing in ``samples``; a negative count raises ``ValueError``.
     """
     if fiber_a.d1 != fiber_b.d1 or fiber_a.d2 != fiber_b.d2:
         raise ValueError("fibers live on different dims")
+    if samples < 0:
+        raise ValueError(f"samples must be at least 0, got {samples}")
     floor = 0.5 * (
         trace_norm(fiber_a.rho1.mat - fiber_b.rho1.mat)
         + trace_norm(fiber_a.rho2.mat - fiber_b.rho2.mat)
@@ -307,7 +323,7 @@ def semidistance_lower_bound(
         penalty_init=cfg.penalty_init,
     )
     values = []
-    for _ in range(max(0, samples)):
+    for _ in range(samples):
         raw = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
         objective = hermitize(raw)
         objective /= max(float(np.linalg.norm(objective)), 1e-300)
@@ -319,5 +335,5 @@ def semidistance_lower_bound(
         bound=bound,
         marginal_floor=floor,
         sample_bounds=tuple(values),
-        samples=max(0, samples),
+        samples=samples,
     )

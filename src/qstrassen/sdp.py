@@ -12,8 +12,8 @@ subspace, which makes it the source of coupling certificates. Singular
 marginals are compressed to their supports before the core runs and the
 solution is lifted back after. ``solve_f_min`` minimizes the marginal mismatch
 f(X) = ||tr_2 X - rho1||_1 + ||tr_1 X - rho2||_1 over PSD X supported in a
-given subspace, with the trace norms encoded through their semidefinite
-epigraphs.
+given subspace, with each trace norm split into two PSD cones of the
+matrix's own size (``_split_points``).
 
 The method is a two-block ADMM with over-relaxation and residual balancing:
 one block is projected onto the affine slice (through the normal matrix of the
@@ -705,32 +705,20 @@ def _f_value(x: np.ndarray, r1: np.ndarray, r2: np.ndarray, d1: int, d2: int) ->
     )
 
 
-# A trace norm ||A||_1 enters a program through its semidefinite epigraph: the
-# block [[W_a, A], [A^*, W_b]] >= 0 with cost (tr W_a + tr W_b) / 2. The three
-# helpers below are its affine step and its dual test matrix, shared by
-# solve_f_min_full and the fiber distance.
+# A trace norm of a Hermitian A enters a program as two PSD cones:
+# ||A||_1 = min tr W over W + A >= 0 and W - A >= 0. With U = W + A and
+# L = W - A the cost is (tr U + tr L) / 2 under U - L = 2A. The semidefinite
+# epigraph [[W, A], [A, W]] >= 0, rotated by (1/sqrt 2)[[I, I], [I, -I]], is
+# exactly diag(U, L), so the two d x d cones replace one 2d x 2d cone. Given
+# the targets t_U, t_L of the pair, A's target in the affine step is
+# (t_U - t_L) / 2, and the dual test matrix is Lam_L - Lam_U, Lam = -sigma lam.
+# solve_f_min_full and the fiber distance share the helper below.
 
 
-def _epigraph_mean(t: np.ndarray) -> np.ndarray:
-    """Mean of the off-diagonal blocks of a 2d x 2d epigraph target: A's target."""
-    d = t.shape[0] // 2
-    return 0.5 * (t[:d, d:] + t[d:, :d].conj().T)
-
-
-def _epigraph_point(t: np.ndarray, sigma: float, a: np.ndarray) -> np.ndarray:
-    """The affine epigraph block: t's diagonal blocks less I/(2 sigma), A off the diagonal."""
-    d = t.shape[0] // 2
-    out = t - _identity(2 * d) / (2.0 * sigma)
-    out[:d, d:] = a
-    out[d:, :d] = a.conj().T
-    return out
-
-
-def _epigraph_test(lam: np.ndarray, sigma: float) -> np.ndarray:
-    """Test matrix K + K^* from the off-diagonal block K of the cone multiplier -sigma * lam."""
-    d = lam.shape[0] // 2
-    k = hermitize(-sigma * lam)[:d, d:]
-    return k + k.conj().T
+def _split_points(tu: np.ndarray, tl: np.ndarray, sigma: float, a: np.ndarray):
+    """The affine U and L points of a split trace norm: the mean target less I/(2 sigma), +- A."""
+    mid = 0.5 * (tu + tl) - _identity(len(a)) / (2.0 * sigma)
+    return mid + a, mid - a
 
 
 def _f_min_c_step(maps: tuple, d1: int, d2: int):
@@ -762,16 +750,17 @@ def solve_f_min_full(
 ) -> tuple[FMinSolution, dict]:
     """Minimize f(X) = ||tr_2 X - rho1||_1 + ||tr_1 X - rho2||_1 over PSD X in a subspace.
 
-    Writes X = V C V^* with V the subspace basis and solves the epigraph form:
-    each trace norm becomes a PSD block constraint [[W_a, A],[A^*, W_b]] >= 0
-    with objective (tr W_a + tr W_b)/2. C is a plain PSD block: it needs no
-    trace cap, since f(X) >= 2 tr X - f(0) keeps every minimizer at
-    tr X <= f(0). The upper value is f evaluated at an exactly PSD iterate,
-    the lower bound comes from repaired epigraph multipliers, so the pair
-    brackets the true minimum. The solve stops with status ``optimal`` at the
-    first checkpoint where value - lower_bound is at most cfg.gap_tol, else
-    ends at ``max_iters`` (or ``infeasible_numerics`` on NaN/Inf breakdown);
-    the ADMM residuals only steer the penalty.
+    Writes X = V C V^* with V the subspace basis and splits each trace norm
+    ||A_i||_1 (A_1 = tr_2 X - rho1, A_2 = tr_1 X - rho2) into PSD blocks
+    U_i = W_i + A_i and L_i = W_i - A_i with objective (tr U_i + tr L_i)/2.
+    C is a plain PSD block: it needs no trace cap, since
+    f(X) >= 2 tr X - f(0) keeps every minimizer at tr X <= f(0). The upper
+    value is f evaluated at an exactly PSD iterate, the lower bound comes
+    from repaired U_i, L_i multipliers, so the pair brackets the true
+    minimum. The solve stops with status ``optimal`` at the first checkpoint
+    where value - lower_bound is at most cfg.gap_tol, else ends at
+    ``max_iters`` (or ``infeasible_numerics`` on NaN/Inf breakdown); the
+    ADMM residuals only steer the penalty.
 
     ``warm_start`` is the warm dict a previous solve returned, on the same
     marginals and a subspace whose basis starts with the previous one; its
@@ -788,7 +777,8 @@ def solve_f_min_full(
     c_step = _f_min_c_step(maps, d1, d2)
 
     sigma = cfg.penalty_init
-    w = [np.zeros((k, k), dtype=complex) for k in (n, 2 * d1, 2 * d2)]
+    # The blocks: C, then U1, L1 (d1 x d1) and U2, L2 (d2 x d2).
+    w = [np.zeros((k, k), dtype=complex) for k in (n, d1, d1, d2, d2)]
     lam = [np.zeros_like(b) for b in w]
     best_upper = _tr(r1) + _tr(r2)  # f at X = 0, always an admissible point
     best_c = np.zeros_like(w[0])
@@ -805,8 +795,9 @@ def solve_f_min_full(
             return out
 
         # _admm copies its starting blocks, so the warm dict's are not copied.
-        w = [pad(as_matrix(warm_start["WC"]))] + [as_matrix(warm_start[k]) for k in ("WG1", "WG2")]
-        lam = [pad(as_matrix(warm_start["LC"]))] + [as_matrix(warm_start[k]) for k in ("LG1", "LG2")]
+        w = [as_matrix(b) for b in warm_start["W"]]
+        lam = [as_matrix(b) for b in warm_start["lam"]]
+        w[0], lam[0] = pad(w[0]), pad(lam[0])
         sigma = float(warm_start.get("sigma", sigma))
         # The padded previous minimizer spans the same operator on the larger
         # level, so its mismatch value carries over verbatim; seeding it keeps
@@ -818,16 +809,15 @@ def solve_f_min_full(
             best_c = cpad
 
     def affine(w, lam, sigma):
-        tg1 = w[1] - lam[1]
-        tg2 = w[2] - lam[2]
+        tu1, tl1, tu2, tl2 = (w[k] - lam[k] for k in range(1, 5))
         c = hermitize(
-            c_step(w[0] - lam[0], r1 + _epigraph_mean(tg1), r2 + _epigraph_mean(tg2))
+            c_step(w[0] - lam[0], r1 + 0.5 * (tu1 - tl1), r2 + 0.5 * (tu2 - tl2))
         )
         l1c, l2c = lmap(c)
         return (
             c,
-            _epigraph_point(tg1, sigma, l1c - r1),
-            _epigraph_point(tg2, sigma, l2c - r2),
+            *_split_points(tu1, tl1, sigma, l1c - r1),
+            *_split_points(tu2, tl2, sigma, l2c - r2),
         )
 
     def certify(w, lam, sigma, pres, dres):
@@ -837,21 +827,15 @@ def solve_f_min_full(
         if val < best_upper:
             best_upper = val
             best_c = w[0].copy()
-        # Multiplier blocks of the epigraph cones: the off-diagonal block of
-        # each (PSD) multiplier yields a test matrix Z with ||Z||_inf <= 1 at
-        # optimality; the identity-shift repair of -Z restores the sign
-        # constraint L^*(Z1, Z2) <= 0 exactly.
-        y1, y2 = (-_epigraph_test(lb, sigma) for lb in lam[1:])
+        # The (PSD) multipliers of each pair U_i, L_i yield a test matrix
+        # Z_i = Lam_U - Lam_L with ||Z_i||_inf <= 1 at optimality; the
+        # identity-shift repair of -Z restores the sign constraint
+        # L^*(Z1, Z2) <= 0 exactly.
+        y1, y2 = (hermitize(sigma * (lam[k] - lam[k + 1])) for k in (1, 3))
         y1, y2 = _shift_to_dominate(y1, y2, ladj, 0.0)
         z1, z2 = -y1, -y2
-        scale = max(
-            1.0,
-            float(np.max(np.abs(np.linalg.eigvalsh(hermitize(z1))))),
-            float(np.max(np.abs(np.linalg.eigvalsh(hermitize(z2))))),
-        )
-        lower = (_hs(z1, r1) + _hs(z2, r2)) / scale
-        if lower > best_lower:
-            best_lower = lower
+        scale = max(1.0, *(float(np.abs(np.linalg.eigvalsh(z)).max()) for z in (z1, z2)))
+        best_lower = max(best_lower, (_hs(z1, r1) + _hs(z2, r2)) / scale)
         if best_upper - best_lower <= cfg.gap_tol:
             return "optimal"
         if threshold is not None and best_upper < threshold:
@@ -862,16 +846,7 @@ def solve_f_min_full(
         status, it, warm_out = "decided", 0, warm_start
     else:
         status, it, w, lam, sigma = _admm(affine, w, lam, sigma, cfg.max_iters, certify)
-        warm_out = {
-            "C": best_c,
-            "WC": w[0],
-            "LC": lam[0],
-            "WG1": w[1],
-            "WG2": w[2],
-            "LG1": lam[1],
-            "LG2": lam[2],
-            "sigma": sigma,
-        }
+        warm_out = {"C": best_c, "W": w, "lam": lam, "sigma": sigma}
 
     x_best = hermitize(vbasis @ best_c @ vbasis.conj().T)
     residuals = {

@@ -101,3 +101,23 @@ def test_traced_projections_cover_every_iteration(tmp_path):
     )
     assert len(reports) == 3 and iterations > 0
     assert tracer.counters["psd_project.calls"] >= iterations
+
+
+def test_traced_fiber_distance_projects_once_per_iteration(tmp_path):
+    # gamma and the split trace norm's U and L share one shape, so each ADMM
+    # iteration of the fiber distance is one stacked psd_project call. The
+    # scale-and-glue repair adds one for the starting member and one at each
+    # checkpoint (every 25 iterations).
+    run = load_bench_run()
+    [op] = build_ops(run, tmp_path, [spec for spec in OPS if spec[0] == "fiber-dist"])
+    tracer = run.tracing.Tracer()
+    run.install_tracer(tracer, qstrassen)
+    try:
+        _, code, text, error = run.call(cli, op.argv, tracer)
+    finally:
+        tracer.uninstall()
+    assert (code, error) == (0, None)
+    iterations = json.loads(text)["iterations"]
+    checkpoints = -(-iterations // 25)
+    assert iterations > 0
+    assert tracer.counters["psd_project.calls"] == iterations + checkpoints + 1

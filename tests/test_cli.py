@@ -41,6 +41,7 @@ from qstrassen.cli import (
     vec_to_pairs,
     _parse_dims,
 )
+from qstrassen.linalg import EigendecompositionError
 from qstrassen.sdp import DEFAULT_CONFIG
 
 
@@ -635,19 +636,55 @@ def test_non_finite_input_is_rejected_at_load(tmp_path, capsys):
     assert f"{path}: int too large to convert to float" in err
 
 
-def test_solver_breakdown_keeps_the_other_reports(tmp_path, capsys):
-    # Every entry is finite, but at this scale the eigensolver fails.
+def test_solver_breakdown_keeps_the_other_reports(tmp_path, capsys, monkeypatch):
+    # An eigensolver breakdown inside one file's solve is reported under that
+    # file's name, and the other reports are still written. No finite input
+    # within the magnitude guard is known to break the solver, so the solve
+    # of the file marked by max_iters 7 raises the breakdown itself.
+    obj = generate_instance({"kind": "fiber_dist", "dims": (2, 2), "seed": 0})
+    good = write_json(tmp_path, "good.json", obj)
+    obj["config"]["max_iters"] = 7
+    broken = write_json(tmp_path, "broken.json", obj)
+    real = cli._dist_solve
+
+    def dist_solve(beta, fiber, cfg):
+        if cfg.max_iters == 7:
+            raise EigendecompositionError("eigendecomposition did not converge")
+        return real(beta, fiber, cfg)
+
+    monkeypatch.setattr(cli, "_dist_solve", dist_solve)
+    code, out, err = run_main(capsys, ["fiber-dist", good, broken])
+    assert code == 1
+    assert set(json.loads(out)) == {good}
+    assert f"{broken}: eigendecomposition did not converge" in err
+    assert "Traceback" not in err
+
+
+def test_marginals_beyond_the_magnitude_guard_fail_at_load(tmp_path, capsys):
+    # At 1e300 the product member rho1 (x) rho2 would overflow; the fiber
+    # rejects the marginals with the guard's message, before any warning
+    # (warnings are errors in this suite).
     obj = generate_instance({"kind": "fiber_dist", "dims": (2, 2), "seed": 0})
     good = write_json(tmp_path, "good.json", obj)
     for key in ("rho1", "rho2"):
         obj[key] = [[[t * 1e300 for t in cell] for cell in row] for row in obj[key]]
     huge = write_json(tmp_path, "huge.json", obj)
-    with np.errstate(all="ignore"):
-        code, out, err = run_main(capsys, ["fiber-dist", good, huge])
+    code, out, err = run_main(capsys, ["fiber-dist", good, huge])
     assert code == 1
     assert set(json.loads(out)) == {good}
-    assert f"{huge}: eigendecomposition did not converge" in err
-    assert "Traceback" not in err
+    assert f"{huge}: matrix entries exceed the magnitude guard 1e+150" in err
+
+
+def test_negative_sample_count_is_a_usage_error(tmp_path, capsys):
+    path = write_json(
+        tmp_path, "fd.json", generate_instance({"kind": "fiber_dist", "dims": (2, 2), "seed": 0})
+    )
+    for value in ("-3", "x"):
+        with pytest.raises(SystemExit) as exc:
+            main(["fiber-dist", path, "--samples", value])
+        assert exc.value.code == 1
+        err = capsys.readouterr().err
+        assert f"argument --samples: expected a count of at least 0, got '{value}'" in err
 
 
 def test_main_batch_combines_reports(tmp_path, capsys):

@@ -53,6 +53,8 @@ def test_fiber_spec_validation():
         FiberSpec(np.diag([1.5, -0.5]), np.eye(2) / 2)
     with pytest.raises(ValueError, match="Sigma membership violated"):
         FiberSpec(np.eye(2) / 2, np.eye(2) / 3)
+    with pytest.raises(ValueError, match=r"magnitude guard 1e\+150"):
+        FiberSpec(np.eye(2) * 1e300, np.eye(2) * 1e300)  # rho1 (x) rho2 would overflow
     fiber = maximally_mixed_fiber()
     assert fiber.d1 == 2 and fiber.d2 == 2
     with pytest.raises(AttributeError, match="immutable"):
@@ -292,6 +294,12 @@ def test_semidistance_rejects_dim_mismatch():
         semidistance_lower_bound(
             maximally_mixed_fiber(2), FiberSpec(np.eye(3) / 3, np.eye(3) / 3), samples=0
         )
+
+
+def test_semidistance_rejects_negative_sample_count():
+    fiber = maximally_mixed_fiber(2)
+    with pytest.raises(ValueError, match="samples must be at least 0, got -3"):
+        semidistance_lower_bound(fiber, fiber, samples=-3)
 
 
 def test_semidistance_floor_between_point_fibers():

@@ -606,6 +606,7 @@ def admm_projection_counts(monkeypatch, solve):
         return out
 
     monkeypatch.setattr(sdp, "_admm", counted_admm)
+    monkeypatch.setattr(fibers, "_admm", counted_admm)
     solve()
     return runs
 
@@ -626,8 +627,10 @@ def full_rank_instance(dims, k, seed):
         ("mu", (3, 3), 3, [(9, 9), (2, 3, 3)]),
         # C (6x6), S1 (2x2) and S2 (3x3) each alone.
         ("mu", (2, 3), 3, [(6, 6), (2, 2), (3, 3)]),
-        # C (6x6) joins the run of the two 6x6 epigraph blocks.
-        ("f_min", (3, 3), 6, [(3, 6, 6)]),
+        # C (6x6) alone, then U1, L1, U2 and L2 (3x3) stacked.
+        ("f_min", (3, 3), 6, [(6, 6), (4, 3, 3)]),
+        # gamma, U and L are all 9x9: one stacked run.
+        ("dist", (3, 3), 3, [(3, 9, 9)]),
     ],
 )
 def test_admm_projects_each_shape_run_once_per_iteration(
@@ -641,6 +644,7 @@ def test_admm_projects_each_shape_run_once_per_iteration(
             MarginalSdpProblem(BipartiteOperator(sub.projector.mat, *dims), r1, r2), cfg
         ),
         "f_min": lambda: solve_f_min_full(r1, r2, sub, cfg),
+        "dist": lambda: _dist_solve(sub.projector.mat, FiberSpec(r1, r2), cfg),
     }[solver]
     [(iterations, calls)] = admm_projection_counts(monkeypatch, solve)
     assert iterations > 0
@@ -670,7 +674,7 @@ def test_admm_returns_exactly_hermitian_iterates(monkeypatch):
     fiber = FiberSpec(r1, r2)
     _dist_solve(beta, fiber, cfg)
     fibers._sample_member(fiber, beta / np.linalg.norm(beta), cfg)
-    assert len(returned) == 3 + 3 + 3 + 2 + 1
+    assert len(returned) == 3 + 3 + 5 + 3 + 1
     for blk in returned:
         assert np.array_equal(blk, blk.conj().T)
 
