@@ -13,7 +13,9 @@ from functools import lru_cache
 
 import numpy as np
 
-from .linalg import DEFAULT_TOL, HermitianOperator, as_matrix, hermitize
+from .linalg import (
+    DEFAULT_TOL, HermitianOperator, _check_orthonormal, _check_psd, as_matrix, hermitize,
+)
 
 __all__ = [
     "BipartiteOperator",
@@ -79,10 +81,8 @@ class DensityOperator:
 
     def __init__(self, mat, trace_target: float = 1.0):
         op = mat if isinstance(mat, HermitianOperator) else HermitianOperator(mat)
-        eigs = np.linalg.eigvalsh(op.mat)
-        if eigs[0] < -1e-9:
-            raise ValueError(f"density operator is not PSD: min eigenvalue {eigs[0]:.3e}")
-        tr = float(np.trace(op.mat).real)
+        _check_psd(op.mat, "density operator")
+        tr = op.trace()
         if abs(tr - trace_target) > 1e-9:
             raise ValueError(f"trace {tr!r} deviates from target {trace_target!r} by {abs(tr - trace_target):.3e}")
         object.__setattr__(self, "op", op)
@@ -114,10 +114,7 @@ class Subspace:
             raise ValueError(f"basis must be {ambient_dim} x k, got shape {b.shape}")
         if b.shape[1] < 1:
             raise EmptySubspaceError("subspace needs at least one basis vector")
-        gram = b.conj().T @ b
-        dev = float(np.max(np.abs(gram - np.eye(b.shape[1]))))
-        if dev > DEFAULT_TOL.orthonormal:
-            raise ValueError(f"basis is not orthonormal: Gram deviation {dev:.3e} exceeds {DEFAULT_TOL.orthonormal:g}")
+        _check_orthonormal(b, "basis")
         b = b.copy()
         b.setflags(write=False)
         object.__setattr__(self, "ambient_dim", int(ambient_dim))
@@ -130,6 +127,11 @@ class Subspace:
     @property
     def dim(self) -> int:
         return self.basis.shape[1]
+
+    def check_factors(self, d1: int, d2: int) -> None:
+        """Raise ``ValueError`` unless the ambient space is d1 (x) d2."""
+        if self.ambient_dim != d1 * d2:
+            raise ValueError(f"subspace ambient dim {self.ambient_dim} does not match {d1}*{d2}")
 
     @property
     def projector(self) -> HermitianOperator:
@@ -281,8 +283,7 @@ def compress_subspace_h2_finite(x: Subspace, d1: int, d2: int) -> tuple[np.ndarr
     columns of shape d1 x d1') and the subspace re-expressed on the compressed
     d1' (x) d2 space.
     """
-    if x.ambient_dim != d1 * d2:
-        raise ValueError(f"subspace ambient dim {x.ambient_dim} does not match {d1}*{d2}")
+    x.check_factors(d1, d2)
     vr = x.basis.reshape(d1, d2, x.dim)
     slices = [vr[:, p, l] for l in range(x.dim) for p in range(d2)]
     embedding = orthonormalize(slices, d1, DEFAULT_TOL.subspace_drop)

@@ -34,8 +34,9 @@ from .bipartite import (
 )
 from .fibers import FiberSpec, _dist_solve, semidistance_lower_bound
 from .linalg import (
-    DEFAULT_TOL,
     EigendecompositionError,
+    _check_marginals,
+    _check_orthonormal,
     check_hs_product_bound,
     check_sv_product_bound,
     check_trace_inequality,
@@ -218,9 +219,7 @@ class LoadedProblem:
     beta: np.ndarray | None = None
     rho1_b: np.ndarray | None = None
     rho2_b: np.ndarray | None = None
-    mu1: tuple = ()
-    mu2: tuple = ()
-    edges: tuple = ()
+    instance: ClassicalInstance | None = None
 
 
 def _require(obj: dict, key: str, kind: str):
@@ -245,11 +244,7 @@ def _load_basis(obj, dim: int, name: str = "basis") -> np.ndarray:
         raise CliError(f"{name} must be a nonempty list of vectors")
     cols = [pairs_to_vec(v, dim, f"{name}[{i}]") for i, v in enumerate(obj)]
     basis = np.stack(cols, axis=1)
-    gram_dev = float(np.max(np.abs(basis.conj().T @ basis - np.eye(len(cols)))))
-    if gram_dev > DEFAULT_TOL.orthonormal:
-        raise CliError(
-            f"{name} is not orthonormal within {DEFAULT_TOL.orthonormal:g}: Gram deviation {gram_dev:.3e}"
-        )
+    _check_orthonormal(basis, name)
     return basis
 
 
@@ -257,30 +252,27 @@ def _load_marginals(obj: dict, kind: str, d1: int, d2: int, suffix: str = "") ->
     """rho1 and rho2 (or rho1_b and rho2_b): Hermitian, PSD and of equal trace."""
     names = (f"rho1{suffix}", f"rho2{suffix}")
     pair = [_load_hermitian(_require(obj, n, kind), d, n) for n, d in zip(names, (d1, d2))]
-    for r, name in zip(pair, names):
-        low = float(np.linalg.eigvalsh(r)[0])
-        if low < -1e-9:
-            raise CliError(f"{name} is not PSD: min eigenvalue {low:.3e}")
-    dev = abs(float(np.trace(pair[0]).real) - float(np.trace(pair[1]).real))
-    if dev > 1e-9:
-        raise CliError(
-            f"Sigma membership violated: |tr {names[0]} - tr {names[1]}| = {dev:.3e} "
-            "exceeds 1e-9"
-        )
+    _check_marginals(*pair, names)
     return pair
 
 
-def problem_from_dict(obj, source: str = "<memory>") -> LoadedProblem:
+def problem_from_dict(obj) -> LoadedProblem:
+    """Validate a parsed problem file; any invariant it breaks raises ``CliError``."""
+    try:
+        return _problem_from_dict(obj)
+    except (TypeError, ValueError) as exc:
+        raise CliError(str(exc)) from exc
+
+
+def _problem_from_dict(obj) -> LoadedProblem:
     if not isinstance(obj, dict):
-        raise CliError(f"{source}: top level must be a JSON object")
+        raise CliError("top level must be a JSON object")
     version = obj.get("version")
     if version != FORMAT_VERSION:
-        raise CliError(
-            f"{source}: version mismatch: expected {FORMAT_VERSION!r}, got {version!r}"
-        )
+        raise CliError(f"version mismatch: expected {FORMAT_VERSION!r}, got {version!r}")
     kind = obj.get("kind")
     if kind not in KINDS:
-        raise CliError(f"{source}: unknown kind {kind!r}; expected one of {KINDS}")
+        raise CliError(f"unknown kind {kind!r}; expected one of {KINDS}")
     cfg = _config_from_dict(obj.get("config", {}))
     seed = obj.get("seed")
     if seed is not None and not (isinstance(seed, int) and not isinstance(seed, bool)):
@@ -299,15 +291,9 @@ def problem_from_dict(obj, source: str = "<memory>") -> LoadedProblem:
             for e in edges
         ):
             raise CliError("edges must be a list of [row, col] integer pairs")
-        try:
-            inst = ClassicalInstance(d1, d2, mu1, mu2, [tuple(e) for e in edges])
-        except (TypeError, ValueError) as exc:
-            raise CliError(f"{source}: {exc}") from exc
         return LoadedProblem(
             kind=kind, config=cfg, seed=seed, metadata=metadata, d1=d1, d2=d2,
-            mu1=tuple(float(x) for x in inst.mu1),
-            mu2=tuple(float(x) for x in inst.mu2),
-            edges=tuple(sorted(inst.edges)),
+            instance=ClassicalInstance(d1, d2, mu1, mu2, [tuple(e) for e in edges]),
         )
 
     dim = d1 * d2
@@ -343,10 +329,10 @@ def load_problem(path: str) -> LoadedProblem:
         with open(path, "r", encoding="utf-8") as fh:
             obj = json.load(fh)
     except OSError as exc:
-        raise CliError(f"{path}: {exc}") from exc
+        raise CliError(exc.strerror or str(exc)) from exc
     except json.JSONDecodeError as exc:
-        raise CliError(f"{path}: parse error: {exc}") from exc
-    return problem_from_dict(obj, source=path)
+        raise CliError(f"parse error: {exc}") from exc
+    return problem_from_dict(obj)
 
 
 def save_problem(obj: dict, path: str | None) -> str:
@@ -659,10 +645,7 @@ def _run_fiber_dist(prob: LoadedProblem, cfg: SolverConfig, args) -> tuple[dict,
 
 
 def _run_classical(prob: LoadedProblem, _cfg: SolverConfig, _args) -> tuple[dict, int]:
-    inst = ClassicalInstance(
-        prob.d1, prob.d2, list(prob.mu1), list(prob.mu2), [tuple(e) for e in prob.edges]
-    )
-    feasible, coupling = classical_strassen(inst)
+    feasible, coupling = classical_strassen(prob.instance)
     report = {
         "command": "classical",
         "feasible": bool(feasible),
@@ -689,7 +672,7 @@ def _count(text: str) -> int:
 
 _SOLVER_FLAGS = ("gap_tol", "eps_decision", "max_iters")  # the SolverConfig fields a flag sets
 _FLAG_TYPES = {
-    "gap_tol": float, "eps_decision": float, "max_iters": int, "levels": int, "samples": _count,
+    "gap_tol": float, "eps_decision": float, "max_iters": int, "levels": _count, "samples": _count,
 }
 # The table holds runners, not solvers: a runner looks its solver up in this
 # module's globals (mu, _decide, f_ladder, ...) at call time, so a wrapper
@@ -921,14 +904,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_self = sub.add_parser("selftest", help="run the built-in property suites")
     p_self.add_argument("--seed", type=int, default=0)
-    p_self.add_argument("--trials", type=int, default=100)
+    p_self.add_argument("--trials", type=_count, default=100)
     _add_output_flags(p_self)
 
     p_gen = sub.add_parser("gen", help="generate a problem file")
     p_gen.add_argument("--kind", required=True, choices=KINDS)
     p_gen.add_argument("--dims", default="3x3", help="d1xd2 (or m x n for classical)")
-    p_gen.add_argument("--subspace-dim", type=int, default=0)
-    p_gen.add_argument("--levels", type=int, default=0, help="n_max for ladder kinds")
+    p_gen.add_argument("--subspace-dim", type=_count, default=0, help="0: default")
+    p_gen.add_argument("--levels", type=_count, default=0, help="ladder n_max (0: default)")
     p_gen.add_argument("--seed", type=int, default=0)
     p_gen.add_argument("--decay", type=float, default=0.5)
     p_gen.add_argument("--mix", type=float, default=0.2)
@@ -981,10 +964,7 @@ def _cmd_run(args) -> int:
     for path in files:
         try:
             reports[path], code = _execute_file(path, args)
-        except CliError as exc:
-            print(exc, file=sys.stderr)
-            code = 1
-        except _SOLVE_ERRORS as exc:
+        except (CliError, *_SOLVE_ERRORS) as exc:
             print(f"{path}: {exc}", file=sys.stderr)
             code = 1
         codes.append(code)

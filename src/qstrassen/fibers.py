@@ -19,8 +19,12 @@ import numpy as np
 from .bipartite import BipartiteOperator, _kron_sum_mat, partial_trace_1, partial_trace_2
 from .linalg import (
     HermitianOperator,
-    _guard_magnitude,
+    _check_marginals,
+    _hs,
     _identity,
+    _max_eig,
+    _min_eig,
+    _tr,
     as_matrix,
     hermitize,
     psd_project,
@@ -30,13 +34,9 @@ from .sdp import (
     DEFAULT_CONFIG,
     SolverConfig,
     _admm,
-    _hs,
-    _max_eig,
-    _min_eig,
     _shift_to_dominate,
     _split_points,
     _support_scaler,
-    _tr,
 )
 
 __all__ = [
@@ -51,8 +51,9 @@ __all__ = [
 class FiberSpec:
     """Marginal pair with equal traces, naming a nonempty coupling fiber.
 
-    Marginal entries above the magnitude guard (``linalg._MAGNITUDE_GUARD``)
-    are rejected, since the product member rho1 (x) rho2 would overflow.
+    Unequal traces (an empty fiber) are rejected, and so are marginal entries
+    above the magnitude guard (``linalg._MAGNITUDE_GUARD``), since the
+    product member rho1 (x) rho2 would overflow.
     """
 
     __slots__ = ("rho1", "rho2")
@@ -60,16 +61,7 @@ class FiberSpec:
     def __init__(self, rho1, rho2):
         r1 = rho1 if isinstance(rho1, HermitianOperator) else HermitianOperator(rho1)
         r2 = rho2 if isinstance(rho2, HermitianOperator) else HermitianOperator(rho2)
-        for name, r in (("rho1", r1), ("rho2", r2)):
-            _guard_magnitude(r.mat)
-            low = _min_eig(r.mat)
-            if low < -1e-9:
-                raise ValueError(f"{name} is not PSD: min eigenvalue {low:.3e}")
-        if abs(r1.trace() - r2.trace()) > 1e-9:
-            raise ValueError(
-                f"Sigma membership violated: |tr rho1 - tr rho2| = "
-                f"{abs(r1.trace() - r2.trace()):.3e} exceeds 1e-9 (fiber is empty)"
-            )
+        _check_marginals(r1.mat, r2.mat)
         object.__setattr__(self, "rho1", r1)
         object.__setattr__(self, "rho2", r2)
 

@@ -2,7 +2,9 @@
 
 Eigendecompositions, singular value decompositions, PSD projection, Schatten
 norms, and the singular-value inequality checkers the rest of the package
-builds on. Conventions used throughout:
+builds on, with the scalar helpers (extreme eigenvalues, traces, pairings)
+and the input checks (marginal pair, orthonormal basis) that every entry
+point shares. Conventions used throughout:
 
 - eigenvalues and singular values are returned sorted nonincreasing;
 - complex scalars are ordinary double-precision complex numbers, no arbitrary
@@ -220,6 +222,49 @@ def _guard_magnitude(m: np.ndarray) -> None:
         raise ValueError(f"matrix entries exceed the magnitude guard {_MAGNITUDE_GUARD:g}")
 
 
+def _tr(m: np.ndarray) -> float:
+    return float(np.trace(m).real)
+
+
+def _hs(a: np.ndarray, b: np.ndarray) -> float:
+    """Hilbert-Schmidt pairing Re tr(a^* b)."""
+    return float(np.vdot(a, b).real)
+
+
+def _min_eig(m: np.ndarray) -> float:
+    return float(np.linalg.eigvalsh(hermitize(m))[0])
+
+
+def _max_eig(m: np.ndarray) -> float:
+    return float(np.linalg.eigvalsh(hermitize(m))[-1])
+
+
+def _check_psd(m: np.ndarray, name: str) -> None:
+    low = _min_eig(m)
+    if low < -1e-9:
+        raise ValueError(f"{name} is not PSD: min eigenvalue {low:.3e}")
+
+
+def _check_marginals(r1, r2, names=("rho1", "rho2"), equal_traces: bool = True) -> None:
+    """Each marginal within the magnitude guard and PSD to -1e-9, then traces equal to 1e-9."""
+    for name, r in zip(names, (r1, r2)):
+        _guard_magnitude(r)
+        _check_psd(r, name)
+    dev = abs(_tr(r1) - _tr(r2))
+    if equal_traces and dev > 1e-9:
+        raise ValueError(
+            f"Sigma membership violated: |tr {names[0]} - tr {names[1]}| = {dev:.3e} exceeds 1e-9"
+        )
+
+
+def _check_orthonormal(v: np.ndarray, name: str) -> None:
+    """The columns of ``v`` are orthonormal: Gram deviation within DEFAULT_TOL.orthonormal."""
+    tol = DEFAULT_TOL.orthonormal
+    dev = float(np.max(np.abs(v.conj().T @ v - np.eye(v.shape[1])), initial=0.0))
+    if not dev <= tol:  # also rejects NaN
+        raise ValueError(f"{name} is not orthonormal within {tol:g}: Gram deviation {dev:.3e}")
+
+
 def schatten_norm(a, p) -> float:
     """Schatten p-norm for p in {1, 2, inf}.
 
@@ -357,13 +402,6 @@ def check_sv_product_bound(a, l) -> SvProductBound:
     )
 
 
-def _check_orthonormal(v: np.ndarray, tol: float, name: str) -> None:
-    gram = v.conj().T @ v
-    dev = float(np.max(np.abs(gram - np.eye(v.shape[1]))))
-    if dev > tol:
-        raise ValueError(f"{name} is not orthonormal: Gram deviation {dev:.3e} exceeds {tol:g}")
-
-
 def check_trace_inequality(l, xs, ys) -> TraceInequalityBound:
     """Check sum_i |<L x_i, y_i>| against the sum of L's top singular values.
 
@@ -384,8 +422,8 @@ def check_trace_inequality(l, xs, ys) -> TraceInequalityBound:
         )
     if n > min(lm.shape):
         raise ValueError(f"cardinality {n} exceeds min dimension {min(lm.shape)} of L")
-    _check_orthonormal(x, DEFAULT_TOL.orthonormal, "xs")
-    _check_orthonormal(y, DEFAULT_TOL.orthonormal, "ys")
+    _check_orthonormal(x, "xs")
+    _check_orthonormal(y, "ys")
     pair = np.einsum("ij,ik,kj->j", y.conj(), lm, x)
     lhs = float(np.sum(np.abs(pair)))
     rhs = float(np.sum(_svdvals(lm)[:n]))

@@ -51,9 +51,15 @@ from .bipartite import (
     partial_trace_2,
 )
 from .linalg import (
+    _MAGNITUDE_GUARD,
     DEFAULT_TOL,
     HermitianOperator,
+    _check_marginals,
+    _hs,
     _identity,
+    _max_eig,
+    _min_eig,
+    _tr,
     as_matrix,
     hermitize,
     psd_project,
@@ -94,6 +100,8 @@ class SolverConfig:
     def __post_init__(self):
         if not all(math.isfinite(x) and x > 0 for x in (self.gap_tol, self.penalty_init)):
             raise ValueError("gap_tol and penalty_init must be finite and positive")
+        if self.penalty_init < 1.0 / _MAGNITUDE_GUARD:  # the affine targets scale with 1 / sigma
+            raise ValueError(f"penalty_init {self.penalty_init:g} is below {1 / _MAGNITUDE_GUARD:g}")
         if not 0.0 < self.eps_decision < 1.0:
             raise ValueError("eps_decision must lie in (0, 1)")
         if self.max_iters < 1:
@@ -101,23 +109,6 @@ class SolverConfig:
 
 
 DEFAULT_CONFIG = SolverConfig()
-
-
-def _tr(m: np.ndarray) -> float:
-    return float(np.trace(m).real)
-
-
-def _hs(a: np.ndarray, b: np.ndarray) -> float:
-    """Hilbert-Schmidt pairing Re tr(a^* b)."""
-    return float(np.vdot(a, b).real)
-
-
-def _min_eig(m: np.ndarray) -> float:
-    return float(np.linalg.eigvalsh(hermitize(m))[0])
-
-
-def _max_eig(m: np.ndarray) -> float:
-    return float(np.linalg.eigvalsh(hermitize(m))[-1])
 
 
 class MarginalSdpProblem:
@@ -144,15 +135,7 @@ class MarginalSdpProblem:
                 f"marginal dims ({r1.dim}, {r2.dim}) do not match objective factors "
                 f"({objective.d1}, {objective.d2})"
             )
-        for name, r in (("rho1", r1), ("rho2", r2)):
-            low = _min_eig(r.mat)
-            if low < -1e-9:
-                raise ValueError(f"{name} is not PSD: min eigenvalue {low:.3e}")
-        if require_equal_traces and abs(r1.trace() - r2.trace()) > 1e-9:
-            raise ValueError(
-                f"Sigma membership violated: |tr rho1 - tr rho2| = "
-                f"{abs(r1.trace() - r2.trace()):.3e} exceeds 1e-9"
-            )
+        _check_marginals(r1.mat, r2.mat, equal_traces=require_equal_traces)
         a = objective.mat
         idem = float(np.max(np.abs(a @ a - a)))
         if idem > 1e-9:
@@ -349,12 +332,14 @@ def _shift_to_dominate(y1: np.ndarray, y2: np.ndarray, adjoint, b: np.ndarray | 
 
 
 def _subspace_marginals(rho1, rho2, x_sub: Subspace):
-    """Hermitian marginals and the basis V of ``x_sub``, checked against each other."""
+    """Hermitian marginals and the basis V of ``x_sub``, checked against each other.
+
+    The marginals must be PSD; their traces may differ.
+    """
     r1 = hermitize(rho1.mat if isinstance(rho1, HermitianOperator) else as_matrix(rho1))
     r2 = hermitize(rho2.mat if isinstance(rho2, HermitianOperator) else as_matrix(rho2))
-    d1, d2 = r1.shape[0], r2.shape[0]
-    if x_sub.ambient_dim != d1 * d2:
-        raise ValueError(f"subspace ambient dim {x_sub.ambient_dim} does not match {d1}*{d2}")
+    x_sub.check_factors(len(r1), len(r2))
+    _check_marginals(r1, r2, equal_traces=False)
     return r1, r2, x_sub.basis
 
 

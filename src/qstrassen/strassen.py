@@ -26,7 +26,7 @@ from .bipartite import (
     partial_trace_1,
     partial_trace_2,
 )
-from .linalg import DEFAULT_TOL, hermitize, trace_norm
+from .linalg import DEFAULT_TOL, _check_marginals, _tr, hermitize, trace_norm
 from .sdp import (
     DEFAULT_CONFIG,
     MarginalSdpProblem,
@@ -112,10 +112,7 @@ def mu(
     r1 = _as_density(rho1, "rho1")
     r2 = _as_density(rho2, "rho2")
     d1, d2 = r1.dim, r2.dim
-    if x_sub.ambient_dim != d1 * d2:
-        raise ValueError(
-            f"subspace ambient dim {x_sub.ambient_dim} does not match {d1}*{d2}"
-        )
+    x_sub.check_factors(d1, d2)
     objective = BipartiteOperator(x_sub.projector.mat, d1, d2)
     sol = solve_marginal_sdp(MarginalSdpProblem(objective, r1.mat, r2.mat), cfg)
     return sol.primal_value, sol
@@ -157,7 +154,7 @@ def _decide(
         x_sub, r1.op, r2.op, cfg, threshold=threshold, warm_start=sol
     )
     verdict = "no_coupling" if sup.dual < threshold else "undecided"
-    if sup.value < threshold or sup.value <= 0.0:
+    if sup.value < threshold:
         return verdict, None, value, sol, sup
     rho_hat = hermitize(sup.X.mat / sup.value)
     p = x_sub.projector.mat
@@ -208,8 +205,9 @@ def f_ladder(
 
     Level n minimizes f over PSD operators supported in the span of the first
     n basis vectors; the sequence is nonincreasing and reaches 0 in the limit
-    exactly when a coupling exists in the full span. Inputs are normalized to
-    unit mean trace and the factor recorded as ``scale``. The verdict is
+    exactly when a coupling exists in the full span. The marginals must be
+    PSD but may have different traces; they are normalized to unit mean
+    trace and the factor recorded as ``scale``. The verdict is
     ``coupling_exists`` when the last level falls below eps_decision and
     ``no_coupling`` when the last level spans the whole chain (n_max equals
     the number of basis vectors) and its certified lower bound is above
@@ -224,11 +222,12 @@ def f_ladder(
     """
     r1 = hermitize(np.asarray(rho1.mat if hasattr(rho1, "mat") else rho1, dtype=complex))
     r2 = hermitize(np.asarray(rho2.mat if hasattr(rho2, "mat") else rho2, dtype=complex))
+    _check_marginals(r1, r2, equal_traces=False)
     d1, d2 = r1.shape[0], r2.shape[0]
     basis = _coerce_basis(x_basis, d1 * d2)
     if not 1 <= n_max <= basis.shape[1]:
         raise ValueError(f"n_max = {n_max} out of range for basis of {basis.shape[1]}")
-    scale = 0.5 * (float(np.trace(r1).real) + float(np.trace(r2).real))
+    scale = 0.5 * (_tr(r1) + _tr(r2))
     if scale <= 0:
         raise ValueError("marginals must have positive trace")
     r1n = r1 / scale
@@ -295,10 +294,7 @@ def sdp_ladder(
     r1 = _as_density(rho1_full, "rho1_full")
     r2 = _as_density(rho2_full, "rho2_full")
     dd1, dd2 = r1.dim, r2.dim
-    if x_sub.ambient_dim != dd1 * dd2:
-        raise ValueError(
-            f"subspace ambient dim {x_sub.ambient_dim} does not match {dd1}*{dd2}"
-        )
+    x_sub.check_factors(dd1, dd2)
     if not 1 <= n_max <= min(dd1, dd2):
         raise ValueError(f"n_max = {n_max} out of range for dims ({dd1}, {dd2})")
     eps = cfg.eps_decision

@@ -210,6 +210,12 @@ def test_density_operator_trace_tolerance():
 # subspaces
 
 
+def test_subspace_rejects_a_nan_basis():
+    # A NaN Gram deviation fails every comparison, so the check tests for the good case.
+    with pytest.raises(ValueError, match="basis is not orthonormal"):
+        Subspace(2, np.array([[np.nan], [0.0]]))
+
+
 def test_subspace_validation_and_projector():
     rng = np.random.default_rng(7)
     q, _ = np.linalg.qr(crand(rng, 5, 3))

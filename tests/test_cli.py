@@ -229,7 +229,7 @@ def test_classical_problem_validation():
     }
     prob = problem_from_dict(obj)
     assert prob.kind == "classical"
-    assert prob.edges == ((0, 0), (1, 1))
+    assert prob.instance.edges == {(0, 0), (1, 1)}
     bad = dict(obj)
     bad["edges"] = [[0, 0, 0]]
     with pytest.raises(CliError, match="integer pairs"):
@@ -675,16 +675,66 @@ def test_marginals_beyond_the_magnitude_guard_fail_at_load(tmp_path, capsys):
     assert f"{huge}: matrix entries exceed the magnitude guard 1e+150" in err
 
 
-def test_negative_sample_count_is_a_usage_error(tmp_path, capsys):
-    path = write_json(
-        tmp_path, "fd.json", generate_instance({"kind": "fiber_dist", "dims": (2, 2), "seed": 0})
-    )
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["fiber-dist", "fd.json", "--samples"],
+        ["ladder-f", "f.json", "--levels"],
+        ["selftest", "--trials"],
+        ["gen", "--kind", "coupling", "--subspace-dim"],
+        ["gen", "--kind", "f_ladder", "--levels"],
+    ],
+    ids=["samples", "ladder-levels", "trials", "subspace-dim", "gen-levels"],
+)
+def test_negative_count_is_a_usage_error(argv, capsys):
+    # Counts are parsed before any file is read, so the files need not exist.
     for value in ("-3", "x"):
         with pytest.raises(SystemExit) as exc:
-            main(["fiber-dist", path, "--samples", value])
+            main([*argv, value])
         assert exc.value.code == 1
         err = capsys.readouterr().err
-        assert f"argument --samples: expected a count of at least 0, got '{value}'" in err
+        assert f"argument {argv[-1]}: expected a count of at least 0, got '{value}'" in err
+
+
+def test_each_per_file_error_line_starts_with_its_path(tmp_path, capsys):
+    good = write_json(tmp_path, "good.json", coupling_file())
+    bad = {
+        "badtrace.json": (coupling_file(rho2=eye_pairs(2, 0.3)), "Sigma membership violated"),
+        "badbasis.json": (
+            coupling_file(basis=[[[0.9, 0.0], [0.0, 0.0], [0.0, 0.0], [0.0, 0.0]]]),
+            "basis is not orthonormal",
+        ),
+        "badcfg.json": (coupling_file(config={"gap_tol": -1.0}), "config: gap_tol"),
+        "badkind.json": (
+            generate_instance({"kind": "classical", "dims": (2, 2), "seed": 1}),
+            "mu needs a 'coupling' problem",
+        ),
+    }
+    paths = [write_json(tmp_path, name, obj) for name, (obj, _) in bad.items()]
+    missing = str(tmp_path / "missing.json")
+    code, out, err = run_main(capsys, ["mu", good, *paths, missing])
+    assert code == 1
+    assert set(json.loads(out)) == {good}
+    expected = [f"{p}: {message}" for p, (_, message) in zip(paths, bad.values())]
+    expected.append(f"{missing}: No such file or directory")
+    lines = err.splitlines()
+    assert len(lines) == len(expected)
+    for line, start in zip(lines, expected):
+        assert line.startswith(start), line
+
+
+def test_penalty_init_below_its_floor_is_rejected_at_load(tmp_path, capsys):
+    # Below 1e-150 the affine targets, which scale with 1 / penalty, overflow
+    # when squared; the floor itself runs clean (warnings are errors here).
+    tiny = write_json(tmp_path, "tiny.json", coupling_file(config={"penalty_init": 1e-200}))
+    code, out, err = run_main(capsys, ["mu", tiny])
+    assert (code, out) == (1, "")
+    assert f"{tiny}: config: penalty_init 1e-200 is below 1e-150" in err
+    floor = write_json(tmp_path, "floor.json", coupling_file(config={"penalty_init": 1e-150}))
+    assert load_problem(floor).config.penalty_init == 1e-150
+    code, out, _ = run_main(capsys, ["mu", floor, "--max-iters", "50"])
+    assert code == 2
+    assert json.loads(out)["solution"]["status"] == "max_iters"
 
 
 def test_main_batch_combines_reports(tmp_path, capsys):

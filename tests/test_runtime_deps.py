@@ -1,4 +1,5 @@
-"""The package runs on the standard library and numpy alone.
+"""The package runs on the standard library and numpy alone, and its modules
+import from each other only what they share by design.
 
 The source files are parsed, not imported, so an optional import behind a
 guard counts too. scipy may be installed next to numpy, but the package
@@ -46,3 +47,24 @@ def test_pyproject_declares_only_numpy():
     project = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]
     names = {re.match(r"[A-Za-z0-9_.-]+", dep).group(0).lower() for dep in project["dependencies"]}
     assert names == {"numpy"}
+
+
+def test_fibers_imports_from_sdp_only_the_shared_solver_parts():
+    # The ADMM driver, its config and three solver steps; the scalar helpers
+    # and the input checks come from linalg.
+    tree = ast.parse((ROOT / "src" / "qstrassen" / "fibers.py").read_text())
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            if node.module == "sdp":
+                names.update(alias.name for alias in node.names)
+            elif node.module is None:
+                names.update(alias.name for alias in node.names if alias.name == "sdp")
+    assert names == {
+        "SolverConfig",
+        "DEFAULT_CONFIG",
+        "_admm",
+        "_shift_to_dominate",
+        "_split_points",
+        "_support_scaler",
+    }

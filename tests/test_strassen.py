@@ -18,7 +18,8 @@ from qstrassen.bipartite import (
     partial_trace_2,
 )
 from qstrassen import sdp, strassen
-from qstrassen.cli import generate_instance, problem_from_dict
+from qstrassen.cli import CliError, generate_instance, mat_to_pairs, problem_from_dict
+from qstrassen.fibers import FiberSpec
 from qstrassen.linalg import trace_norm
 from qstrassen.sdp import MarginalSdpProblem, SolverConfig, verify_duality_certificates
 from qstrassen.strassen import (
@@ -296,6 +297,38 @@ def test_mu_rejects_bad_inputs():
         mu(np.diag([1.5, -0.5]), np.eye(2) / 2, bell_subspace())
     with pytest.raises(ValueError, match="does not match"):
         mu(np.eye(2) / 2, np.eye(2) / 2, Subspace(6, np.eye(6)[:, :1]))
+
+
+def _coupling_file(r1, r2):
+    obj = generate_instance({"kind": "coupling", "dims": (2, 2), "seed": 0})
+    obj["rho1"], obj["rho2"] = mat_to_pairs(r1), mat_to_pairs(r2)
+    return obj
+
+
+# Every public entry point that takes marginals, called on (rho1, rho2, X).
+MARGINAL_ENTRY_POINTS = {
+    "mu": lambda r1, r2, sub: mu(r1, r2, sub),
+    "has_coupling": lambda r1, r2, sub: has_coupling(r1, r2, sub),
+    "f_ladder": lambda r1, r2, sub: f_ladder(r1, r2, sub.basis, 1),
+    "sdp_ladder": lambda r1, r2, sub: sdp_ladder(r1, r2, sub, 2),
+    "MarginalSdpProblem": lambda r1, r2, sub: MarginalSdpProblem(
+        BipartiteOperator(sub.projector, 2, 2), r1, r2
+    ),
+    "solve_supported_overlap": lambda r1, r2, sub: sdp.solve_supported_overlap(sub, r1, r2),
+    "solve_f_min_full": lambda r1, r2, sub: sdp.solve_f_min_full(r1, r2, sub),
+    "FiberSpec": lambda r1, r2, sub: FiberSpec(r1, r2),
+    "problem_from_dict": lambda r1, r2, sub: problem_from_dict(_coupling_file(r1, r2)),
+}
+
+
+@pytest.mark.parametrize("entry", MARGINAL_ENTRY_POINTS)
+def test_every_marginal_entry_point_rejects_a_non_psd_marginal(entry):
+    # Equal unit traces, so only the PSD test can refuse the pair.
+    call = MARGINAL_ENTRY_POINTS[entry]
+    sub = Subspace(4, np.eye(4)[:, :2])
+    with pytest.raises((ValueError, CliError), match="is not PSD: min eigenvalue -5.000e-01"):
+        call(np.diag([1.5, -0.5]), np.eye(2) / 2, sub)
+    call(np.eye(2) / 2, np.eye(2) / 2, sub)  # the same call on a valid pair passes
 
 
 # ---------------------------------------------------------------------------
