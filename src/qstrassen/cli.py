@@ -20,7 +20,7 @@ import math
 import os
 import sys
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -562,7 +562,7 @@ def _run_mu(prob: LoadedProblem, cfg: SolverConfig, _args) -> tuple[dict, int]:
     x_sub = Subspace(prob.d1 * prob.d2, prob.basis)
     value, sol = mu(prob.rho1, prob.rho2, x_sub, cfg)
     sdp_problem = MarginalSdpProblem(
-        BipartiteOperator(x_sub.projector.mat, prob.d1, prob.d2), prob.rho1, prob.rho2
+        BipartiteOperator(x_sub.projector, prob.d1, prob.d2), prob.rho1, prob.rho2
     )
     duality = verify_duality_certificates(sdp_problem, sol)
     report = {
@@ -580,22 +580,6 @@ def _run_mu(prob: LoadedProblem, cfg: SolverConfig, _args) -> tuple[dict, int]:
     return report, 0 if sol.status == "optimal" else 2
 
 
-def _levels_block(report) -> list:
-    return [
-        {
-            "level": list(lv.level) if isinstance(lv.level, tuple) else lv.level,
-            "dim": lv.dim,
-            "value": lv.value,
-            "dual_value": lv.dual_value,
-            "lower_bound": lv.lower_bound,
-            "gap": lv.gap,
-            "status": lv.status,
-            "wall_time": lv.wall_time,
-        }
-        for lv in report.levels
-    ]
-
-
 def _run_ladder(prob: LoadedProblem, cfg: SolverConfig, args) -> tuple[dict, int]:
     n_max = args.levels or prob.n_max
     if prob.kind == "f_ladder":
@@ -610,7 +594,7 @@ def _run_ladder(prob: LoadedProblem, cfg: SolverConfig, args) -> tuple[dict, int
         verdict=rep.verdict,
         criterion=rep.criterion,
         eps_decision=rep.eps_decision,
-        levels=_levels_block(rep),
+        levels=[asdict(lv) for lv in rep.levels],
     )
     return report, 0 if rep.verdict in ("coupling_exists", "no_coupling") else 2
 
@@ -733,44 +717,32 @@ def _execute_file(path: str, args) -> tuple[dict, int]:
 
 
 def _selftest(seed: int, trials: int) -> tuple[dict, int]:
+    """Each suite runs its trial function on the trial indices; a trial returns True on failure."""
     rng = np.random.default_rng(seed)
-    suites: dict[str, dict] = {}
 
     def crand(rows: int, cols: int) -> np.ndarray:
         return rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))
 
-    fails = 0
-    for _ in range(trials):
+    def sv_product(_) -> bool:
         d = int(rng.integers(2, 9))
         k = int(rng.integers(1, d + 1))
-        rep = check_sv_product_bound(crand(d, k), crand(k, d))
-        if rep.min_margin < -1e-9:
-            fails += 1
-    suites["sv_product"] = {"trials": trials, "failures": fails}
+        return check_sv_product_bound(crand(d, k), crand(k, d)).min_margin < -1e-9
 
-    fails = 0
-    for _ in range(trials):
+    def trace_inequality(_) -> bool:
         d = int(rng.integers(2, 9))
         r = int(rng.integers(1, d + 1))
         el = crand(d, d)
         xs, _ = np.linalg.qr(crand(d, r))
         ys, _ = np.linalg.qr(crand(d, r))
-        rep = check_trace_inequality(el, xs, ys)
-        if rep.margin < -1e-9:
-            fails += 1
-    suites["trace_inequality"] = {"trials": trials, "failures": fails}
+        return check_trace_inequality(el, xs, ys).margin < -1e-9
 
-    fails = 0
-    for _ in range(trials):
+    def hs_product(_) -> bool:
         d = int(rng.integers(2, 9))
         k = int(rng.integers(2, 9))
         rep = check_hs_product_bound(crand(d, k), crand(k, d))
-        if rep.margin < -1e-9 or rep.trace_identity_error > 1e-10:
-            fails += 1
-    suites["hs_product"] = {"trials": trials, "failures": fails}
+        return rep.margin < -1e-9 or rep.trace_identity_error > 1e-10
 
-    fails = 0
-    for _ in range(trials):
+    def partial_trace(_) -> bool:
         d1 = int(rng.integers(2, 5))
         d2 = int(rng.integers(2, 5))
         f = hermitize(crand(d1 * d2, d1 * d2))
@@ -787,19 +759,23 @@ def _selftest(seed: int, trials: int) -> tuple[dict, int]:
         if float(np.linalg.eigvalsh(f)[0]) >= 0.0:
             ok = ok and float(np.linalg.eigvalsh(t2)[0]) >= -1e-10
             ok = ok and float(np.linalg.eigvalsh(t1)[0]) >= -1e-10
-        if not ok:
-            fails += 1
-    suites["partial_trace"] = {"trials": trials, "failures": fails}
+        return not ok
 
-    fails = 0
-    shift_trials = 0
-    for n in range(4, 13):
-        shift_trials += 1
-        rep = weak_vs_trace_demo(n)
-        if rep.max_pairing != 0.0 or rep.trace_norm_gap != 1.0:
-            fails += 1
-    suites["shifting_state"] = {"trials": shift_trials, "failures": fails}
+    def shifting_state(i) -> bool:
+        rep = weak_vs_trace_demo(4 + i)
+        return rep.max_pairing != 0.0 or rep.trace_norm_gap != 1.0
 
+    table = (
+        ("sv_product", trials, sv_product),
+        ("trace_inequality", trials, trace_inequality),
+        ("hs_product", trials, hs_product),
+        ("partial_trace", trials, partial_trace),
+        ("shifting_state", 9, shifting_state),  # n = 4, ..., 12
+    )
+    suites = {
+        name: {"trials": count, "failures": sum(trial(i) for i in range(count))}
+        for name, count, trial in table
+    }
     passed = all(s["failures"] == 0 for s in suites.values())
     report = {"command": "selftest", "seed": seed, "suites": suites, "passed": passed}
     return report, 0 if passed else 1
@@ -809,41 +785,34 @@ def _selftest(seed: int, trials: int) -> tuple[dict, int]:
 # Output plumbing
 
 
+_LEVEL_COLUMNS = ("level", "dim", "value", "dual_value", "lower_bound", "gap", "status", "wall_time")
+
+
+def _cell(value) -> str:
+    """One CSV cell: lists as canonical JSON, floats at 17 digits, None empty."""
+    if isinstance(value, (list, tuple)):
+        return canonical_dumps(list(value))
+    if isinstance(value, float):
+        return _fmt_float(value)
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    return "" if value is None else str(value)
+
+
 def _flatten(prefix: str, value, rows: list) -> None:
     if isinstance(value, dict):
         for key in sorted(value):
             _flatten(f"{prefix}.{key}" if prefix else key, value[key], rows)
-    elif isinstance(value, (list, tuple)):
-        rows.append((prefix, canonical_dumps(list(value))))
-    elif isinstance(value, float):
-        rows.append((prefix, _fmt_float(value)))
-    elif isinstance(value, bool):
-        rows.append((prefix, "true" if value else "false"))
-    elif value is None:
-        rows.append((prefix, ""))
     else:
-        rows.append((prefix, str(value)))
+        rows.append((prefix, _cell(value)))
 
 
 def report_to_csv(report: dict) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     if "levels" in report:
-        header = ["level", "dim", "value", "dual_value", "lower_bound", "gap", "status", "wall_time"]
-        writer.writerow(header)
-        for row in report["levels"]:
-            writer.writerow(
-                [
-                    canonical_dumps(row["level"]) if isinstance(row["level"], list) else row["level"],
-                    row["dim"],
-                    _fmt_float(row["value"]),
-                    "" if row["dual_value"] is None else _fmt_float(row["dual_value"]),
-                    "" if row["lower_bound"] is None else _fmt_float(row["lower_bound"]),
-                    _fmt_float(row["gap"]),
-                    row["status"],
-                    _fmt_float(row["wall_time"]),
-                ]
-            )
+        writer.writerow(_LEVEL_COLUMNS)
+        writer.writerows([_cell(row[c]) for c in _LEVEL_COLUMNS] for row in report["levels"])
         return buf.getvalue()
     writer.writerow(["key", "value"])
     rows: list = []

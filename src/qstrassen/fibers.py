@@ -12,7 +12,7 @@ two fibers by sampling extreme-leaning members.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -20,12 +20,12 @@ from .bipartite import BipartiteOperator, _kron_sum_mat, partial_trace_1, partia
 from .linalg import (
     HermitianOperator,
     _check_marginals,
+    _Frozen,
     _hs,
     _identity,
     _max_eig,
     _min_eig,
     _tr,
-    as_matrix,
     hermitize,
     psd_project,
     trace_norm,
@@ -48,7 +48,7 @@ __all__ = [
 ]
 
 
-class FiberSpec:
+class FiberSpec(_Frozen):
     """Marginal pair with equal traces, naming a nonempty coupling fiber.
 
     Unequal traces (an empty fiber) are rejected, and so are marginal entries
@@ -59,14 +59,9 @@ class FiberSpec:
     __slots__ = ("rho1", "rho2")
 
     def __init__(self, rho1, rho2):
-        r1 = rho1 if isinstance(rho1, HermitianOperator) else HermitianOperator(rho1)
-        r2 = rho2 if isinstance(rho2, HermitianOperator) else HermitianOperator(rho2)
+        r1, r2 = HermitianOperator(rho1), HermitianOperator(rho2)
         _check_marginals(r1.mat, r2.mat)
-        object.__setattr__(self, "rho1", r1)
-        object.__setattr__(self, "rho2", r2)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("FiberSpec is immutable")
+        self._set(rho1=r1, rho2=r2)
 
     @property
     def d1(self) -> int:
@@ -230,14 +225,11 @@ def dist_to_fiber(
     cfg.gap_tol at status optimal.
     """
     d1, d2 = fiber.d1, fiber.d2
-    if isinstance(beta, BipartiteOperator):
-        if beta.d1 != d1 or beta.d2 != d2:
-            raise ValueError("beta dims do not match the fiber")
-        b = beta.mat
-    else:
-        b = hermitize(as_matrix(beta))
-        if b.shape != (d1 * d2, d1 * d2):
-            raise ValueError(f"beta shape {b.shape} does not match dims ({d1}, {d2})")
+    if isinstance(beta, BipartiteOperator) and (beta.d1, beta.d2) != (d1, d2):
+        raise ValueError("beta dims do not match the fiber")
+    b = hermitize(beta)
+    if b.shape != (d1 * d2, d1 * d2):
+        raise ValueError(f"beta shape {b.shape} does not match dims ({d1}, {d2})")
     upper, _, member, _, _ = _dist_solve(b, fiber, cfg)
     return upper, BipartiteOperator(member, d1, d2)
 
@@ -308,12 +300,7 @@ def semidistance_lower_bound(
     )
     dim = fiber_a.d1 * fiber_a.d2
     rng = np.random.default_rng(7)
-    sample_cfg = SolverConfig(
-        gap_tol=max(cfg.gap_tol, 1e-5),
-        eps_decision=cfg.eps_decision,
-        max_iters=min(cfg.max_iters, 4000),
-        penalty_init=cfg.penalty_init,
-    )
+    sample_cfg = replace(cfg, gap_tol=max(cfg.gap_tol, 1e-5), max_iters=min(cfg.max_iters, 4000))
     values = []
     for _ in range(samples):
         raw = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))

@@ -77,10 +77,30 @@ class EigendecompositionError(RuntimeError):
         self.residual = residual
 
 
+class _Frozen:
+    """Base of the package's immutable types: ``_set`` writes fields, assignment raises."""
+
+    __slots__ = ()
+
+    def _set(self, **fields) -> None:
+        for name, value in fields.items():
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+
 def as_matrix(a) -> np.ndarray:
-    """Coerce an operator-like argument (HermitianOperator or array) to a complex ndarray."""
-    if isinstance(a, HermitianOperator):
-        return a.mat
+    """The complex matrix of an operator argument, the one rule every entry point reads by.
+
+    Arrays (and nested lists) convert to a complex ndarray. A HermitianOperator
+    gives its matrix, and a DensityOperator or BipartiteOperator the matrix of
+    the HermitianOperator it holds in ``.op``.
+    """
+    if not isinstance(a, np.ndarray):  # so the ndarray path costs one check
+        a = getattr(a, "op", a)
+        if isinstance(a, HermitianOperator):
+            return a.mat
     m = np.asarray(a, dtype=complex)
     if m.ndim != 2:
         raise ValueError(f"expected a matrix, got array of ndim {m.ndim}")
@@ -110,7 +130,7 @@ def hermitize(a) -> np.ndarray:
     return _herm_part(m)
 
 
-class HermitianOperator:
+class HermitianOperator(_Frozen):
     """Dense complex Hermitian matrix with its dimension.
 
     Construction symmetrizes, so the stored matrix is exactly Hermitian up to
@@ -125,12 +145,10 @@ class HermitianOperator:
             raise ValueError(f"Hermitian operator must be square, got shape {m.shape}")
         if m.shape[0] < 1:
             raise ValueError("Hermitian operator must have dim >= 1")
-        m = (m + m.conj().T) / 2
+        with np.errstate(invalid="ignore"):  # an inf entry turns NaN; the input checks reject both
+            m = _herm_part(m)
         m.setflags(write=False)
-        object.__setattr__(self, "mat", m)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("HermitianOperator is immutable")
+        self._set(mat=m)
 
     @property
     def dim(self) -> int:
@@ -240,6 +258,9 @@ def _max_eig(m: np.ndarray) -> float:
 
 
 def _check_psd(m: np.ndarray, name: str) -> None:
+    """Finite entries and PSD to -1e-9; eigvalsh gives finite values for a NaN matrix."""
+    if not np.isfinite(m).all():
+        raise ValueError(f"{name} has a non-finite entry")
     low = _min_eig(m)
     if low < -1e-9:
         raise ValueError(f"{name} is not PSD: min eigenvalue {low:.3e}")
@@ -251,7 +272,7 @@ def _check_marginals(r1, r2, names=("rho1", "rho2"), equal_traces: bool = True) 
         _guard_magnitude(r)
         _check_psd(r, name)
     dev = abs(_tr(r1) - _tr(r2))
-    if equal_traces and dev > 1e-9:
+    if equal_traces and not dev <= 1e-9:
         raise ValueError(
             f"Sigma membership violated: |tr {names[0]} - tr {names[1]}| = {dev:.3e} exceeds 1e-9"
         )

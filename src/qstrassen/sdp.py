@@ -55,6 +55,7 @@ from .linalg import (
     DEFAULT_TOL,
     HermitianOperator,
     _check_marginals,
+    _Frozen,
     _hs,
     _identity,
     _max_eig,
@@ -111,7 +112,7 @@ class SolverConfig:
 DEFAULT_CONFIG = SolverConfig()
 
 
-class MarginalSdpProblem:
+class MarginalSdpProblem(_Frozen):
     """Overlap program data: objective block A and marginal bounds (rho1, rho2).
 
     ``require_equal_traces`` is relaxed for truncated-ladder levels, where the
@@ -128,8 +129,7 @@ class MarginalSdpProblem:
         rho2,
         require_equal_traces: bool = True,
     ):
-        r1 = rho1 if isinstance(rho1, HermitianOperator) else HermitianOperator(rho1)
-        r2 = rho2 if isinstance(rho2, HermitianOperator) else HermitianOperator(rho2)
+        r1, r2 = HermitianOperator(rho1), HermitianOperator(rho2)
         if r1.dim != objective.d1 or r2.dim != objective.d2:
             raise ValueError(
                 f"marginal dims ({r1.dim}, {r2.dim}) do not match objective factors "
@@ -138,15 +138,11 @@ class MarginalSdpProblem:
         _check_marginals(r1.mat, r2.mat, equal_traces=require_equal_traces)
         a = objective.mat
         idem = float(np.max(np.abs(a @ a - a)))
-        if idem > 1e-9:
+        if not idem <= 1e-9:  # also rejects NaN
             raise ValueError(f"objective is not a projector: ||A^2 - A|| = {idem:.3e}")
-        object.__setattr__(self, "objective", objective)
-        object.__setattr__(self, "rho1", r1)
-        object.__setattr__(self, "rho2", r2)
-        object.__setattr__(self, "require_equal_traces", bool(require_equal_traces))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("MarginalSdpProblem is immutable")
+        self._set(
+            objective=objective, rho1=r1, rho2=r2, require_equal_traces=bool(require_equal_traces)
+        )
 
     @property
     def d1(self) -> int:
@@ -331,13 +327,36 @@ def _shift_to_dominate(y1: np.ndarray, y2: np.ndarray, adjoint, b: np.ndarray | 
     return y1, y2
 
 
+def _repair_dual(y1, y2, adjoint, b, r1, r2):
+    """The overlap dual repair: (Y1, Y2, <rho1, Y1> + <rho2, Y2>) of a feasible pair.
+
+    Each Y_i is shifted to PSD, then both by the identity until
+    adjoint(Y1, Y2) >= B holds exactly.
+    """
+    y1, y2 = (y - min(0.0, _min_eig(y)) * np.eye(len(y)) for y in (y1, y2))
+    y1, y2 = _shift_to_dominate(y1, y2, adjoint, b)
+    return y1, y2, _hs(r1, y1) + _hs(r2, y2)
+
+
+def _overlap_stop(value: float, dual: float, gap_tol: float, threshold: float | None):
+    """The overlap stop rule on a certified bracket [value, dual], or None to go on.
+
+    ``optimal`` once dual - value <= gap_tol; given a threshold, ``decided``
+    once the bracket clears it: value >= threshold or dual < threshold.
+    """
+    if dual - value <= gap_tol:
+        return "optimal"
+    if threshold is not None and (value >= threshold or dual < threshold):
+        return "decided"
+    return None
+
+
 def _subspace_marginals(rho1, rho2, x_sub: Subspace):
     """Hermitian marginals and the basis V of ``x_sub``, checked against each other.
 
     The marginals must be PSD; their traces may differ.
     """
-    r1 = hermitize(rho1.mat if isinstance(rho1, HermitianOperator) else as_matrix(rho1))
-    r2 = hermitize(rho2.mat if isinstance(rho2, HermitianOperator) else as_matrix(rho2))
+    r1, r2 = HermitianOperator(rho1).mat, HermitianOperator(rho2).mat
     x_sub.check_factors(len(r1), len(r2))
     _check_marginals(r1, r2, equal_traces=False)
     return r1, r2, x_sub.basis
@@ -454,7 +473,7 @@ def _overlap_core(
         w = [wx, psd_project(hermitize(r1 - m1)), psd_project(hermitize(r2 - m2))]
         for k in (1, 2):
             if f"Y{k}" in warm_start:
-                lam[k] = -hermitize(as_matrix(warm_start[f"Y{k}"])) / sigma
+                lam[k] = -hermitize(warm_start[f"Y{k}"]) / sigma
 
     best = {
         "value": 0.0,
@@ -483,21 +502,12 @@ def _overlap_core(
         if val > best["value"]:
             best.update(value=val, c=t * cf)
         history.append(best["value"])
-        # Dual repair: each slack multiplier is shifted to PSD, then both by
-        # the identity until L^*(Y1, Y2) >= B holds exactly.
-        y1, y2 = (hermitize(-sigma * lb) for lb in lam[1:])
-        y1, y2 = (y - min(0.0, _min_eig(y)) * np.eye(len(y)) for y in (y1, y2))
-        y1, y2 = _shift_to_dominate(y1, y2, ladj, b)
-        dval = _hs(r1, y1) + _hs(r2, y2)
+        y1, y2, dval = _repair_dual(
+            *(hermitize(-sigma * lb) for lb in lam[1:]), ladj, b, r1, r2
+        )
         if dval < best["dual"]:
             best.update(dual=dval, y=(y1, y2))
-        if best["dual"] - best["value"] <= cfg.gap_tol:
-            return "optimal"
-        if threshold is not None and (
-            best["value"] >= threshold or best["dual"] < threshold
-        ):
-            return "decided"
-        return None
+        return _overlap_stop(best["value"], best["dual"], cfg.gap_tol, threshold)
 
     status, it, w, lam, sigma = _admm(affine, w, lam, sigma, cfg.max_iters, certify)
     if not history:
@@ -582,16 +592,16 @@ def _overlap_on_support(b, r1, r2, vbasis, cfg: SolverConfig, warm_start=None, t
     c = keep @ sol.c @ keep.conj().T
     shift = (1.0 + 0.5 / cfg.gap_tol) / gain
     if shift * np.finfo(float).eps * d1 * d2 <= cfg.gap_tol:
-        y1, y2 = (
-            hermitize(u @ y @ u.conj().T + shift * (w @ w.conj().T))
-            for u, w, y in zip((u1, u2), (w1, w2), sol.y)
+        y1, y2, dual = _repair_dual(
+            *(
+                hermitize(u @ y @ u.conj().T + shift * (w @ w.conj().T))
+                for u, w, y in zip((u1, u2), (w1, w2), sol.y)
+            ),
+            maps[1], b, r1, r2,
         )
-        y1, y2 = (y - min(0.0, _min_eig(y)) * np.eye(len(y)) for y in (y1, y2))
-        y1, y2 = _shift_to_dominate(y1, y2, maps[1], b)
-        dual, status = _hs(r1, y1) + _hs(r2, y2), sol.status
-        decides = threshold is not None and (sol.value >= threshold or dual < threshold)
+        status = sol.status
         if status in ("optimal", "decided"):
-            status = "optimal" if dual - sol.value <= cfg.gap_tol else "decided" if decides else None
+            status = _overlap_stop(sol.value, dual, cfg.gap_tol, threshold)
         if status is not None:
             return sol._replace(c=c, dual=dual, y=(y1, y2), status=status)
     full = _overlap_core(b, r1, r2, maps, cfg, warm_start, threshold)
@@ -770,24 +780,18 @@ def solve_f_min_full(
     best_lower = 0.0
     if warm_start:
         prev = as_matrix(warm_start["C"])
-        m = prev.shape[0]
-        if m > n:
+        if prev.shape[0] > n:
             raise ValueError("warm start is larger than the current subspace")
-
-        def pad(old: np.ndarray) -> np.ndarray:
-            out = np.zeros((n, n), dtype=complex)
-            out[: old.shape[0], : old.shape[1]] = old
-            return out
-
+        pad = (0, n - prev.shape[0])  # zeros after the previous level's rows and columns
         # _admm copies its starting blocks, so the warm dict's are not copied.
         w = [as_matrix(b) for b in warm_start["W"]]
         lam = [as_matrix(b) for b in warm_start["lam"]]
-        w[0], lam[0] = pad(w[0]), pad(lam[0])
+        w[0], lam[0] = np.pad(w[0], pad), np.pad(lam[0], pad)
         sigma = float(warm_start.get("sigma", sigma))
         # The padded previous minimizer spans the same operator on the larger
         # level, so its mismatch value carries over verbatim; seeding it keeps
         # the ladder values nonincreasing by construction.
-        cpad = pad(prev)
+        cpad = np.pad(prev, pad)
         seed = _f_value(vbasis @ cpad @ vbasis.conj().T, r1, r2, d1, d2)
         if seed < best_upper:
             best_upper = seed

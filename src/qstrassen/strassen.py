@@ -26,7 +26,7 @@ from .bipartite import (
     partial_trace_1,
     partial_trace_2,
 )
-from .linalg import DEFAULT_TOL, _check_marginals, _tr, hermitize, trace_norm
+from .linalg import DEFAULT_TOL, HermitianOperator, _check_marginals, _tr, hermitize, trace_norm
 from .sdp import (
     DEFAULT_CONFIG,
     MarginalSdpProblem,
@@ -113,8 +113,8 @@ def mu(
     r2 = _as_density(rho2, "rho2")
     d1, d2 = r1.dim, r2.dim
     x_sub.check_factors(d1, d2)
-    objective = BipartiteOperator(x_sub.projector.mat, d1, d2)
-    sol = solve_marginal_sdp(MarginalSdpProblem(objective, r1.mat, r2.mat), cfg)
+    objective = BipartiteOperator(x_sub.projector, d1, d2)
+    sol = solve_marginal_sdp(MarginalSdpProblem(objective, r1, r2), cfg)
     return sol.primal_value, sol
 
 
@@ -150,9 +150,7 @@ def _decide(
     # 4 * eps, since its marginals are dominated and its trace is >= 1 - eps.
     # mu's dual pair is feasible for this program and its optimizer is a
     # near-optimal start, so the re-solve begins from mu's solution.
-    sup = solve_supported_overlap(
-        x_sub, r1.op, r2.op, cfg, threshold=threshold, warm_start=sol
-    )
+    sup = solve_supported_overlap(x_sub, r1, r2, cfg, threshold=threshold, warm_start=sol)
     verdict = "no_coupling" if sup.dual < threshold else "undecided"
     if sup.value < threshold:
         return verdict, None, value, sol, sup
@@ -220,8 +218,7 @@ def f_ladder(
     whose seed (the previous level's minimizer) is already below eps_decision
     returns at 0 iterations. Levels above eps_decision run to gap_tol.
     """
-    r1 = hermitize(np.asarray(rho1.mat if hasattr(rho1, "mat") else rho1, dtype=complex))
-    r2 = hermitize(np.asarray(rho2.mat if hasattr(rho2, "mat") else rho2, dtype=complex))
+    r1, r2 = HermitianOperator(rho1).mat, HermitianOperator(rho2).mat
     _check_marginals(r1, r2, equal_traces=False)
     d1, d2 = r1.shape[0], r2.shape[0]
     basis = _coerce_basis(x_basis, d1 * d2)
@@ -316,13 +313,12 @@ def sdp_ladder(
         warm = None
         if prev is not None:
             m, xm, y1m, y2m = prev
-            xt = np.zeros((n, n, n, n), dtype=complex)
-            xt[:m, :m, :m, :m] = xm.reshape(m, m, m, m)
-            y1 = np.zeros((n, n), dtype=complex)
-            y1[:m, :m] = y1m
-            y2 = np.zeros((n, n), dtype=complex)
-            y2[:m, :m] = y2m
-            warm = {"X": xt.reshape(n * n, n * n), "Y1": y1, "Y2": y2}
+            pad = (0, n - m)  # zeros after the previous level's coordinates of each factor
+            warm = {
+                "X": np.pad(xm.reshape(m, m, m, m), pad).reshape(n * n, n * n),
+                "Y1": np.pad(y1m, pad),
+                "Y2": np.pad(y2m, pad),
+            }
         tic = time.perf_counter()
         sol = solve_marginal_sdp(problem, cfg, warm)
         levels.append(

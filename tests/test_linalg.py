@@ -31,6 +31,10 @@ from qstrassen.linalg import (
     trace_norm,
 )
 
+from qstrassen.bipartite import BipartiteOperator, DensityOperator, Subspace
+from qstrassen.fibers import FiberSpec
+from qstrassen.sdp import MarginalSdpProblem
+
 from oracles import charpoly_eigenvalues, psd_nearest_by_factor_descent
 
 
@@ -78,6 +82,28 @@ def test_hermitian_operator_symmetrizes_and_freezes():
         op.mat = np.eye(3)
     with pytest.raises(ValueError):
         op.mat[0, 0] = 5.0
+
+
+# One of each operator type; they share one immutability guard.
+OPERATOR_TYPES = {
+    "HermitianOperator": lambda: HermitianOperator(np.eye(2)),
+    "BipartiteOperator": lambda: BipartiteOperator(np.eye(4), 2, 2),
+    "DensityOperator": lambda: DensityOperator(np.eye(2) / 2),
+    "Subspace": lambda: Subspace(4, np.eye(4)[:, :1]),
+    "MarginalSdpProblem": lambda: MarginalSdpProblem(
+        BipartiteOperator(np.eye(4), 2, 2), np.eye(2) / 2, np.eye(2) / 2
+    ),
+    "FiberSpec": lambda: FiberSpec(np.eye(2) / 2, np.eye(2) / 2),
+}
+
+
+@pytest.mark.parametrize("name", OPERATOR_TYPES)
+def test_every_operator_type_is_immutable(name):
+    obj = OPERATOR_TYPES[name]()
+    assert type(obj).__name__ == name
+    for attr in (*type(obj).__slots__, "extra"):
+        with pytest.raises(AttributeError, match=f"^{name} is immutable$"):
+            setattr(obj, attr, None)
 
 
 def test_hermitian_operator_rejects_bad_shapes():

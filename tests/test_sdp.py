@@ -89,6 +89,8 @@ def test_problem_rejects_bad_data():
         problem_for(sub, np.eye(2) / 2, np.eye(2) / 3)
     with pytest.raises(ValueError, match="not a projector"):
         MarginalSdpProblem(BipartiteOperator(np.eye(4) * 0.5, 2, 2), np.eye(2) / 2, np.eye(2) / 2)
+    with pytest.raises(ValueError, match="not a projector"):  # ||A^2 - A|| is NaN
+        MarginalSdpProblem(BipartiteOperator(np.eye(4) * np.nan, 2, 2), np.eye(2) / 2, np.eye(2) / 2)
     prob = problem_for(sub, np.eye(2) / 2, np.eye(2) / 2)
     with pytest.raises(AttributeError, match="immutable"):
         prob.require_equal_traces = False

@@ -7,6 +7,8 @@ whose feasibility is known by design.
 
 from __future__ import annotations
 
+from dataclasses import fields, is_dataclass
+
 import numpy as np
 import pytest
 
@@ -17,10 +19,10 @@ from qstrassen.bipartite import (
     partial_trace_1,
     partial_trace_2,
 )
-from qstrassen import sdp, strassen
+from qstrassen import fibers, sdp, strassen
 from qstrassen.cli import CliError, generate_instance, mat_to_pairs, problem_from_dict
 from qstrassen.fibers import FiberSpec
-from qstrassen.linalg import trace_norm
+from qstrassen.linalg import HermitianOperator, trace_norm
 from qstrassen.sdp import MarginalSdpProblem, SolverConfig, verify_duality_certificates
 from qstrassen.strassen import (
     ClassicalInstance,
@@ -329,6 +331,53 @@ def test_every_marginal_entry_point_rejects_a_non_psd_marginal(entry):
     with pytest.raises((ValueError, CliError), match="is not PSD: min eigenvalue -5.000e-01"):
         call(np.diag([1.5, -0.5]), np.eye(2) / 2, sub)
     call(np.eye(2) / 2, np.eye(2) / 2, sub)  # the same call on a valid pair passes
+
+
+def _no_solve(*args, **kwargs):
+    raise AssertionError("a solve started on a non-finite marginal")
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+@pytest.mark.parametrize("entry", MARGINAL_ENTRY_POINTS)
+def test_every_marginal_entry_point_rejects_a_non_finite_marginal(entry, bad, monkeypatch):
+    # eigvalsh gives finite values for a NaN matrix, so the PSD test alone
+    # passes it; the input checks reject it before any eigh or ADMM step.
+    monkeypatch.setattr(np.linalg, "eigh", _no_solve)
+    monkeypatch.setattr(sdp, "_admm", _no_solve)
+    monkeypatch.setattr(fibers, "_admm", _no_solve)
+    sub = Subspace(4, np.eye(4)[:, :2])
+    with pytest.raises((ValueError, CliError), match="non-finite|magnitude guard"):
+        MARGINAL_ENTRY_POINTS[entry](np.diag([0.5, bad]), np.eye(2) / 2, sub)
+
+
+def _values(obj):
+    """A result's values bit for bit, wall times left out, for comparing results."""
+    if is_dataclass(obj):
+        return _values({f.name: getattr(obj, f.name) for f in fields(obj) if f.name != "wall_time"})
+    if isinstance(obj, dict):
+        return {k: _values(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_values(v) for v in obj]
+    if isinstance(obj, np.ndarray):
+        return obj.shape, obj.tobytes()
+    if hasattr(type(obj), "__slots__"):
+        return {s: _values(getattr(obj, s)) for s in type(obj).__slots__}
+    return obj
+
+
+@pytest.mark.parametrize("entry", [e for e in MARGINAL_ENTRY_POINTS if e != "problem_from_dict"])
+def test_every_library_entry_point_reads_every_operator_type_alike(entry):
+    # One input rule: an ndarray, a HermitianOperator and a DensityOperator of
+    # the same matrix give the same result, bit for bit.
+    r1 = np.array([[0.6, 0.1j], [-0.1j, 0.4]])
+    r2 = np.array([[0.5, 0.2], [0.2, 0.5]])
+    sub = Subspace(4, np.eye(4)[:, [0, 3]])
+    results = [
+        _values(MARGINAL_ENTRY_POINTS[entry](wrap(r1), wrap(r2), sub))
+        for wrap in (np.asarray, HermitianOperator, DensityOperator)
+    ]
+    assert results[1] == results[0]
+    assert results[2] == results[0]
 
 
 # ---------------------------------------------------------------------------
