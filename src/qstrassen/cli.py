@@ -785,7 +785,9 @@ def _selftest(seed: int, trials: int) -> tuple[dict, int]:
 # Output plumbing
 
 
-_LEVEL_COLUMNS = ("level", "dim", "value", "dual_value", "lower_bound", "gap", "status", "wall_time")
+_LEVEL_COLUMNS = (
+    "level", "dim", "value", "dual_value", "lower_bound", "gap", "status", "iterations", "wall_time"
+)
 
 
 def _cell(value) -> str:

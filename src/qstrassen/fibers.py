@@ -122,16 +122,17 @@ def _repair_to_member(candidate: np.ndarray, fiber: FiberSpec, support_scale) ->
 
 
 def _project_marginal_affine(
-    gt: np.ndarray, r1: np.ndarray, r2: np.ndarray, d1: int, d2: int
+    gt: np.ndarray, r1: np.ndarray, r2: np.ndarray, d1: int, d2: int, out=None
 ) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray]]:
     """Orthogonal projection onto {gamma : tr_2 gamma = r1, tr_1 gamma = r2}.
 
-    Returns the projected point gt - (M1 (x) I + I (x) M2) and the corrections
-    (M1, M2). The normal operator of the marginal map has a one-dimensional
-    kernel along (I, -I); any multiplier choice within it yields the same
-    projected point, so the trace split below is made symmetric. Complex
-    traces make it a projection for non-Hermitian ``gt`` too; a Python
-    complex ``tau`` divides each part by a real exactly, as numpy does not.
+    Returns the projected point gt - (M1 (x) I + I (x) M2), written into
+    ``out`` when given, and the corrections (M1, M2). The normal operator of
+    the marginal map has a one-dimensional kernel along (I, -I); any
+    multiplier choice within it yields the same projected point, so the
+    trace split below is made symmetric. Complex traces make it a projection
+    for non-Hermitian ``gt`` too; a Python complex ``tau`` divides each part
+    by a real exactly, as numpy does not.
     """
     rr1 = partial_trace_2(gt, d1, d2) - r1
     rr2 = partial_trace_1(gt, d1, d2) - r2
@@ -140,7 +141,7 @@ def _project_marginal_affine(
     t2 = tau / (2.0 * d1)
     m1 = (rr1 - t2 * _identity(d1)) / d2
     m2 = (rr2 - t1 * _identity(d2)) / d1
-    return gt - _kron_sum_mat(m1, m2), (m1, m2)
+    return np.subtract(gt, _kron_sum_mat(m1, m2), out=out), (m1, m2)
 
 
 def _dist_solve(beta: np.ndarray, fiber: FiberSpec, cfg: SolverConfig):
@@ -173,16 +174,16 @@ def _dist_solve(beta: np.ndarray, fiber: FiberSpec, cfg: SolverConfig):
     best_lower = 0.0
     corrections = ()
 
-    def affine(w, lam, sigma):
+    def affine(x, sigma):
         nonlocal corrections
-        tu, tl = w[1] - lam[1], w[2] - lam[2]
+        gamma, tu, tl = x
         # gamma's target weighs its own block once and the split's target
         # (t_U - t_L)/2 for beta - gamma twice. The multipliers are Hermitian
         # only up to round-off and the variable space is Hermitian, so the
         # target is projected onto it first.
-        target = hermitize((w[0] - lam[0] + 2.0 * (beta - 0.5 * (tu - tl))) / 3.0)
-        gamma, corrections = _project_marginal_affine(target, r1, r2, d1, d2)
-        return (gamma, *_split_points(tu, tl, sigma, beta - gamma))
+        target = hermitize((gamma + 2.0 * (beta - 0.5 * (tu - tl))) / 3.0)
+        _, corrections = _project_marginal_affine(target, r1, r2, d1, d2, out=gamma)
+        _split_points(tu, tl, sigma, beta - gamma)
 
     def certify(w, lam, sigma, pres, dres):
         nonlocal best_upper, best_member, best_lower
@@ -244,9 +245,9 @@ def _sample_member(fiber: FiberSpec, objective: np.ndarray, cfg: SolverConfig) -
     r1, r2 = fiber.rho1.mat, fiber.rho2.mat
     wg = fiber.product_coupling().mat.astype(complex)
 
-    def affine(w, lam, sigma):
-        target = w[0] - lam[0] + objective / sigma
-        return (_project_marginal_affine(target, r1, r2, d1, d2)[0],)
+    def affine(x, sigma):
+        x[0] += objective / sigma
+        _project_marginal_affine(x[0], r1, r2, d1, d2, out=x[0])
 
     def certify(w, lam, sigma, pres, dres):
         return "optimal" if pres <= cfg.gap_tol and dres <= cfg.gap_tol else None

@@ -235,9 +235,9 @@ def psd_project(h, out: np.ndarray | None = None):
     return _herm_part((v * w[..., None, :]) @ v.conj().swapaxes(-1, -2), out)
 
 
-def _guard_magnitude(m: np.ndarray) -> None:
+def _guard_magnitude(m: np.ndarray, name: str = "matrix") -> None:
     if m.size and float(np.max(np.abs(m))) > _MAGNITUDE_GUARD:
-        raise ValueError(f"matrix entries exceed the magnitude guard {_MAGNITUDE_GUARD:g}")
+        raise ValueError(f"{name} has entries above the magnitude guard {_MAGNITUDE_GUARD:g}")
 
 
 def _tr(m: np.ndarray) -> float:
@@ -269,7 +269,7 @@ def _check_psd(m: np.ndarray, name: str) -> None:
 def _check_marginals(r1, r2, names=("rho1", "rho2"), equal_traces: bool = True) -> None:
     """Each marginal within the magnitude guard and PSD to -1e-9, then traces equal to 1e-9."""
     for name, r in zip(names, (r1, r2)):
-        _guard_magnitude(r)
+        _guard_magnitude(r, name)
         _check_psd(r, name)
     dev = abs(_tr(r1) - _tr(r2))
     if equal_traces and not dev <= 1e-9:

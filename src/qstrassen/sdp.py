@@ -19,12 +19,15 @@ The method is a two-block ADMM with over-relaxation and residual balancing:
 one block is projected onto the affine slice (through the normal matrix of the
 marginal maps), the other onto the PSD cones (the only expensive kernel). One
 driver, ``_admm``, runs the iteration for every solver here and in
-``fibers``; each solver supplies only its affine step and its certify
-checkpoint, and every block is projected onto the PSD cone. The driver keeps
-the iterate, the multipliers and the affine point in flat buffers, updates
-them with whole-buffer in-place ufuncs, and projects each run of equal-shape
-blocks with one stacked ``eigh``, in place into the other iterate half. The
-penalty is balanced on relative residuals (Boyd et al. 2011, section 3.4.1):
+``fibers``; each solver supplies only its affine step, which overwrites
+w - lam in ``_admm``'s buffer with its point, and its certify checkpoint,
+and every block is projected onto the PSD cone. ``_admm`` keeps the
+iterate, the multipliers and the affine point in flat buffers and updates
+them with whole-buffer in-place ufuncs. It projects all blocks of side at
+most ``_PAD_SIDE`` (8) as one zero-padded stack and each larger side's
+blocks as another, one stacked ``eigh`` per run, in place into the other
+iterate half: below that side the fixed cost of a call outweighs the
+padding. The penalty is balanced on relative residuals (Boyd et al. 2011, section 3.4.1):
 the primal residual over the larger of the affine and cone iterates' norms
 against the dual residual over the multipliers' norm.
 Reported values are certified: the primal value is evaluated at an exactly
@@ -56,6 +59,7 @@ from .linalg import (
     HermitianOperator,
     _check_marginals,
     _Frozen,
+    _herm_part,
     _hs,
     _identity,
     _max_eig,
@@ -87,6 +91,7 @@ _BALANCE_RATIO = 10.0
 _BALANCE_SCALE = 2.0
 _RELAX = 1.6
 _FEAS_SLACK = 1e-12
+_PAD_SIDE = 8  # the largest block side that shares the zero-padded run
 
 
 @dataclass(frozen=True)
@@ -216,12 +221,13 @@ def _admm(affine, w, lam, sigma: float, max_iters: int, certify):
     """The one ADMM loop: over-relaxation, checkpoints and residual balancing.
 
     ``w`` holds the consensus blocks and ``lam`` their scaled multipliers;
-    every block is projected onto the PSD cone. Each iteration takes one
-    point per block on the affine set from ``affine(w, lam, sigma)``,
-    over-relaxes it, projects the shifted blocks and updates the
-    multipliers. Every _CHECK_EVERY iterations and at the last one the
-    checkpoint ends the solve with status ``infeasible_numerics`` when the
-    first affine block is not finite, then lets
+    every block is projected onto the PSD cone. Each iteration fills the
+    affine blocks x with w - lam and has ``affine(x, sigma)`` overwrite them
+    in place with its point on the affine set, over-relaxes that point,
+    projects the shifted blocks and updates the multipliers. Every
+    _CHECK_EVERY iterations and at the last one the checkpoint ends the
+    solve with status ``infeasible_numerics`` when the first affine block is
+    not finite, then lets
     ``certify(w, lam, sigma, pres, dres)`` update the caller's bracket and
     return a stop status or None, given the absolute primal and dual
     residuals. Otherwise it balances the penalty on the relative residuals,
@@ -232,38 +238,45 @@ def _admm(affine, w, lam, sigma: float, max_iters: int, certify):
 
     The iterate (twice: new and previous), the multipliers and the affine
     point live in flat buffers, and ``affine`` and ``certify`` see views of
-    the blocks, valid for the call only. Blocks of equal shape form one run,
-    fixed once per solve, and each run is one ``psd_project(src, out=dst)``
-    call (one stacked ``eigh``) from a slice of z = h + lam into the other
-    iterate half. It reads only the lower triangle of z, Hermitian only up
-    to round-off, and writes an exactly Hermitian projection. The
-    over-relaxation and lam = z - w_new are whole-buffer in-place ufuncs, in
-    the same floating-point order as block by block.
+    the blocks, valid for the call only. The blocks form runs, fixed once
+    per solve: every block of side at most _PAD_SIDE sits in one run, in a
+    slot of the largest such side with zeros outside its own corner, and
+    larger blocks form one run per side. Each run is one
+    ``psd_project(src, out=dst)`` call (one stacked ``eigh``) from a slice
+    of z = x + lam (over-relaxed) into the other iterate half. It reads
+    only the lower triangle of z, Hermitian only up to round-off, and
+    writes an exactly Hermitian projection. The pads stay exactly 0: the
+    affine step writes only its blocks, so the pads of x and z are those of
+    w and lam, and ``eigh`` of a zero-padded matrix keeps the pad's zeros.
+    x = w - lam, the over-relaxation and lam = z - w_new are whole-buffer
+    in-place ufuncs, in the same floating-point order as block by block.
     """
-    # Layout: the blocks grouped by shape. A run of one block keeps its 2-D
+    # Layout: each block sits in a slot of its run's side; the blocks of side
+    # at most _PAD_SIDE share one run. A run of one block keeps its 2-D
     # shape, since stacking it would gain nothing.
-    shapes = [blk.shape for blk in w]
-    by_shape: dict = {}
-    for k, shape in enumerate(shapes):
-        by_shape.setdefault(shape, []).append(k)
-    spans, runs, pos = [None] * len(w), [], 0
-    for shape, ks in by_shape.items():
+    sides = [len(blk) for blk in w]
+    pad = max((n for n in sides if n <= _PAD_SIDE), default=0)
+    by_side: dict = {}
+    for k, n in enumerate(sides):
+        by_side.setdefault(pad if n <= _PAD_SIDE else n, []).append(k)
+    slots, runs, pos = [None] * len(w), [], 0
+    for side, ks in by_side.items():
         start = pos
         for k in ks:
-            spans[k] = slice(pos, pos + w[k].size)
-            pos += w[k].size
-        runs.append((slice(start, pos), shape if len(ks) == 1 else (len(ks), *shape)))
-    blocks = list(zip(spans, shapes))
+            slots[k] = (slice(pos, pos + side * side), side, sides[k])
+            pos += side * side
+        runs.append((slice(start, pos), (side, side) if len(ks) == 1 else (len(ks), side, side)))
 
-    def views(buf, cuts):
-        return [buf[s].reshape(shape) for s, shape in cuts]
+    def blocks(buf):
+        return [buf[s].reshape(side, side)[:n, :n] for s, side, n in slots]
 
-    wbuf = [np.empty(pos, dtype=complex) for _ in range(2)]
-    lbuf, xbuf, zbuf = (np.empty(pos, dtype=complex) for _ in range(3))
-    wv = [views(half, blocks) for half in wbuf]
-    wr = [views(half, runs) for half in wbuf]
-    lv, xv = views(lbuf, blocks), views(xbuf, blocks)
-    zr = views(zbuf, runs)
+    def stacks(buf):
+        return [buf[s].reshape(shape) for s, shape in runs]
+
+    wbuf = [np.zeros(pos, dtype=complex) for _ in range(2)]
+    lbuf, xbuf, zbuf = (np.zeros(pos, dtype=complex) for _ in range(3))
+    wv, wr = [blocks(half) for half in wbuf], [stacks(half) for half in wbuf]
+    lv, xv, zr = blocks(lbuf), blocks(xbuf), stacks(zbuf)
     for dst, blk in zip(wv[0] + lv, list(w) + list(lam)):
         dst[...] = blk
 
@@ -271,8 +284,8 @@ def _admm(affine, w, lam, sigma: float, max_iters: int, certify):
     it = cur = 0
     while it < max_iters:
         it += 1
-        for dst, xb in zip(xv, affine(wv[cur], lv, sigma)):
-            dst[...] = xb
+        np.subtract(wbuf[cur], lbuf, out=xbuf)
+        affine(xv, sigma)
         # z = RELAX x + (1 - RELAX) w + lam, staging (1 - RELAX) w in the
         # other iterate half, which the cone step then overwrites.
         nxt = wbuf[1 - cur]
@@ -369,7 +382,8 @@ def _marginal_maps(vbasis: np.ndarray | None, d1: int, d2: int):
     coefficient matrices C. ``vbasis`` None stands for V = I: the maps are
     then the partial traces and their adjoint, which avoid the dense
     d^2 x (d1 d2)^2 map matrices, whose products OpenBLAS runs on several
-    threads from 4x4 on, doubling the CPU time of a solve.
+    threads from 4x4 on, doubling the CPU time of a solve. Both maps
+    return fresh arrays, which the affine steps overwrite.
     """
     if vbasis is None:
 
@@ -484,16 +498,21 @@ def _overlap_core(
     history: list[float] = []
     b_scaled = (None, None)  # (sigma, b / sigma), renewed when sigma changes
 
-    def affine(w, lam, sigma):
+    def affine(x, sigma):
         nonlocal b_scaled
         if b_scaled[0] != sigma:
             b_scaled = (sigma, b / sigma)
-        c0 = w[0] - lam[0] + b_scaled[1]
-        t1 = w[1] - lam[1]
-        t2 = w[2] - lam[2]
+        c0, t1, t2 = x
+        c0 += b_scaled[1]
         l1c0, l2c0 = lmap(c0)
-        m1, m2 = normal_solve(l1c0 + t1 - r1, l2c0 + t2 - r2)
-        return c0 - ladj(m1, m2), t1 - m1, t2 - m2
+        l1c0 += t1
+        l1c0 -= r1
+        l2c0 += t2
+        l2c0 -= r2
+        m1, m2 = normal_solve(l1c0, l2c0)
+        c0 -= ladj(m1, m2)
+        t1 -= m1
+        t2 -= m2
 
     def certify(w, lam, sigma, pres, dres):
         cf = w[0]
@@ -710,10 +729,14 @@ def _f_value(x: np.ndarray, r1: np.ndarray, r2: np.ndarray, d1: int, d2: int) ->
 # solve_f_min_full and the fiber distance share the helper below.
 
 
-def _split_points(tu: np.ndarray, tl: np.ndarray, sigma: float, a: np.ndarray):
-    """The affine U and L points of a split trace norm: the mean target less I/(2 sigma), +- A."""
+def _split_points(tu: np.ndarray, tl: np.ndarray, sigma: float, a: np.ndarray) -> None:
+    """Overwrite the U and L targets of a split trace norm with their affine points.
+
+    Each point is the mean target less I/(2 sigma), +- A.
+    """
     mid = 0.5 * (tu + tl) - _identity(len(a)) / (2.0 * sigma)
-    return mid + a, mid - a
+    np.add(mid, a, out=tu)
+    np.subtract(mid, a, out=tl)
 
 
 def _f_min_c_step(maps: tuple, d1: int, d2: int):
@@ -797,17 +820,12 @@ def solve_f_min_full(
             best_upper = seed
             best_c = cpad
 
-    def affine(w, lam, sigma):
-        tu1, tl1, tu2, tl2 = (w[k] - lam[k] for k in range(1, 5))
-        c = hermitize(
-            c_step(w[0] - lam[0], r1 + 0.5 * (tu1 - tl1), r2 + 0.5 * (tu2 - tl2))
-        )
+    def affine(x, sigma):
+        c, tu1, tl1, tu2, tl2 = x
+        _herm_part(c_step(c, r1 + 0.5 * (tu1 - tl1), r2 + 0.5 * (tu2 - tl2)), out=c)
         l1c, l2c = lmap(c)
-        return (
-            c,
-            *_split_points(tu1, tl1, sigma, l1c - r1),
-            *_split_points(tu2, tl2, sigma, l2c - r2),
-        )
+        _split_points(tu1, tl1, sigma, l1c - r1)
+        _split_points(tu2, tl2, sigma, l2c - r2)
 
     def certify(w, lam, sigma, pres, dres):
         nonlocal best_upper, best_c, best_lower

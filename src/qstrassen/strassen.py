@@ -26,7 +26,15 @@ from .bipartite import (
     partial_trace_1,
     partial_trace_2,
 )
-from .linalg import DEFAULT_TOL, HermitianOperator, _check_marginals, _tr, hermitize, trace_norm
+from .linalg import (
+    DEFAULT_TOL,
+    HermitianOperator,
+    _check_marginals,
+    _Frozen,
+    _tr,
+    hermitize,
+    trace_norm,
+)
 from .sdp import (
     DEFAULT_CONFIG,
     MarginalSdpProblem,
@@ -56,7 +64,7 @@ _STALL_WINDOW = 5
 
 @dataclass(frozen=True)
 class LadderLevel:
-    """One solved truncation level."""
+    """One solved truncation level; ``iterations`` is 0 for a level its seed decides."""
 
     level: object
     value: float
@@ -66,6 +74,7 @@ class LadderLevel:
     lower_bound: float | None = None
     dim: int = 0
     status: str = ""
+    iterations: int = 0
 
 
 @dataclass(frozen=True)
@@ -246,6 +255,7 @@ def f_ladder(
                 lower_bound=sol.lower_bound,
                 dim=n,
                 status=sol.status,
+                iterations=sol.iterations,
             )
         )
     last = levels[-1]
@@ -330,6 +340,7 @@ def sdp_ladder(
                 dual_value=sol.dual_value,
                 dim=x_sub.dim,
                 status=sol.status,
+                iterations=sol.iterations,
             )
         )
         prev = (n, sol.X.mat, sol.Y[0].mat, sol.Y[1].mat)
@@ -356,19 +367,14 @@ def sdp_ladder(
     )
 
 
-@dataclass(frozen=True)
-class ClassicalInstance:
+class ClassicalInstance(_Frozen):
     """Diagonal coupling instance: two probability vectors and a support graph.
 
     Edges are 0-based (row, column) pairs. Both vectors must sum to 1 within
     1e-12 with nonnegative entries.
     """
 
-    m: int
-    n: int
-    mu1: np.ndarray
-    mu2: np.ndarray
-    edges: frozenset
+    __slots__ = ("m", "n", "mu1", "mu2", "edges")
 
     def __init__(self, m: int, n: int, mu1, mu2, edges):
         if m < 1 or n < 1:
@@ -390,11 +396,7 @@ class ClassicalInstance:
                 raise ValueError(f"edge ({i}, {j}) out of range for ({m}, {n})")
         v1.setflags(write=False)
         v2.setflags(write=False)
-        object.__setattr__(self, "m", m)
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "mu1", v1)
-        object.__setattr__(self, "mu2", v2)
-        object.__setattr__(self, "edges", es)
+        self._set(m=m, n=n, mu1=v1, mu2=v2, edges=es)
 
 
 class _Dinic:

@@ -672,7 +672,7 @@ def test_marginals_beyond_the_magnitude_guard_fail_at_load(tmp_path, capsys):
     code, out, err = run_main(capsys, ["fiber-dist", good, huge])
     assert code == 1
     assert set(json.loads(out)) == {good}
-    assert f"{huge}: matrix entries exceed the magnitude guard 1e+150" in err
+    assert f"{huge}: rho1 has entries above the magnitude guard 1e+150" in err
 
 
 @pytest.mark.parametrize(
@@ -798,7 +798,7 @@ def test_csv_for_ladder_is_level_table(tmp_path, capsys):
     code, out, _ = run_main(capsys, ["ladder-f", path, "--format", "csv"])
     assert code == 0
     lines = out.strip().splitlines()
-    assert lines[0] == "level,dim,value,dual_value,lower_bound,gap,status,wall_time"
+    assert lines[0] == "level,dim,value,dual_value,lower_bound,gap,status,iterations,wall_time"
     assert len(lines) >= 2
 
 

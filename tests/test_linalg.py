@@ -34,6 +34,7 @@ from qstrassen.linalg import (
 from qstrassen.bipartite import BipartiteOperator, DensityOperator, Subspace
 from qstrassen.fibers import FiberSpec
 from qstrassen.sdp import MarginalSdpProblem
+from qstrassen.strassen import ClassicalInstance
 
 from oracles import charpoly_eigenvalues, psd_nearest_by_factor_descent
 
@@ -84,7 +85,7 @@ def test_hermitian_operator_symmetrizes_and_freezes():
         op.mat[0, 0] = 5.0
 
 
-# One of each operator type; they share one immutability guard.
+# One of each immutable type; they share one immutability guard.
 OPERATOR_TYPES = {
     "HermitianOperator": lambda: HermitianOperator(np.eye(2)),
     "BipartiteOperator": lambda: BipartiteOperator(np.eye(4), 2, 2),
@@ -94,6 +95,7 @@ OPERATOR_TYPES = {
         BipartiteOperator(np.eye(4), 2, 2), np.eye(2) / 2, np.eye(2) / 2
     ),
     "FiberSpec": lambda: FiberSpec(np.eye(2) / 2, np.eye(2) / 2),
+    "ClassicalInstance": lambda: ClassicalInstance(1, 1, [1.0], [1.0], {(0, 0)}),
 }
 
 

@@ -546,6 +546,16 @@ def test_stop_rule_cases_cover_both_outcomes():
 # penalty balancing on relative residuals
 
 
+def fixed_affine(targets):
+    """An affine step whose point is ``targets`` at every iteration."""
+
+    def affine(x, sigma):
+        for dst, target in zip(x, targets):
+            dst[...] = target
+
+    return affine
+
+
 def test_admm_zero_multipliers_leave_sigma_unchanged():
     # Every shifted iterate is a positive multiple of the PSD target, so the
     # PSD projection returns it unchanged and every multiplier stays exactly
@@ -560,7 +570,7 @@ def test_admm_zero_multipliers_leave_sigma_unchanged():
 
     w0 = [np.zeros((2, 2), dtype=complex)]
     status, it, _, _, sigma = _admm(
-        lambda w, lam, sigma: [target], w0, [np.zeros_like(w0[0])], 100.0, 25, certify
+        fixed_affine([target]), w0, [np.zeros_like(w0[0])], 100.0, 25, certify
     )
     assert (status, it, sigma) == ("max_iters", 25, 100.0)
     [(pres, dres, lam_max)] = seen
@@ -620,27 +630,10 @@ def full_rank_instance(dims, k, seed):
     return sub, random_state(rng, dims[0]), random_state(rng, dims[1])
 
 
-@pytest.mark.parametrize(
-    "solver, dims, k, per_iteration",
-    [
-        # C, S1 and S2 are all 3x3: one stacked run.
-        ("supported", (3, 3), 3, [(3, 3, 3)]),
-        # C is 9x9, then both 3x3 slacks stacked.
-        ("mu", (3, 3), 3, [(9, 9), (2, 3, 3)]),
-        # C (6x6), S1 (2x2) and S2 (3x3) each alone.
-        ("mu", (2, 3), 3, [(6, 6), (2, 2), (3, 3)]),
-        # C (6x6) alone, then U1, L1, U2 and L2 (3x3) stacked.
-        ("f_min", (3, 3), 6, [(6, 6), (4, 3, 3)]),
-        # gamma, U and L are all 9x9: one stacked run.
-        ("dist", (3, 3), 3, [(3, 9, 9)]),
-    ],
-)
-def test_admm_projects_each_shape_run_once_per_iteration(
-    monkeypatch, solver, dims, k, per_iteration
-):
+def small_solve(solver, dims, k, cfg):
+    """A call of one solver on the full-rank instance of seed 3."""
     sub, r1, r2 = full_rank_instance(dims, k, seed=3)
-    cfg = SolverConfig(max_iters=60)
-    solve = {
+    return {
         "supported": lambda: solve_supported_overlap(sub, r1, r2, cfg),
         "mu": lambda: solve_marginal_sdp(
             MarginalSdpProblem(BipartiteOperator(sub.projector.mat, *dims), r1, r2), cfg
@@ -648,9 +641,69 @@ def test_admm_projects_each_shape_run_once_per_iteration(
         "f_min": lambda: solve_f_min_full(r1, r2, sub, cfg),
         "dist": lambda: _dist_solve(sub.projector.mat, FiberSpec(r1, r2), cfg),
     }[solver]
+
+
+@pytest.mark.parametrize(
+    "solver, dims, k, per_iteration",
+    [
+        # C, S1 and S2 are all 3x3: one stacked run.
+        ("supported", (3, 3), 3, [(3, 3, 3)]),
+        # C is 9x9, then both 3x3 slacks stacked.
+        ("mu", (3, 3), 3, [(9, 9), (2, 3, 3)]),
+        # C (6x6), S1 (2x2) and S2 (3x3) in one run padded to side 6.
+        ("mu", (2, 3), 3, [(3, 6, 6)]),
+        # C (6x6), then U1, L1, U2 and L2 (3x3), padded to side 6.
+        ("f_min", (3, 3), 6, [(5, 6, 6)]),
+        # gamma, U and L are all 9x9: one stacked run.
+        ("dist", (3, 3), 3, [(3, 9, 9)]),
+        # C (12x12) alone, then S1 (3x3) and S2 (4x4) padded to side 4.
+        ("mu", (3, 4), 3, [(12, 12), (2, 4, 4)]),
+        # C (18x18) and S1 (9x9) are above side 8: no padding, each alone.
+        ("mu", (9, 2), 3, [(18, 18), (9, 9), (2, 2)]),
+    ],
+)
+def test_admm_projects_each_shape_run_once_per_iteration(
+    monkeypatch, solver, dims, k, per_iteration
+):
+    solve = small_solve(solver, dims, k, SolverConfig(max_iters=60))
     [(iterations, calls)] = admm_projection_counts(monkeypatch, solve)
     assert iterations > 0
     assert calls == per_iteration * iterations
+
+
+@pytest.mark.parametrize(
+    "solver, sides",
+    [("mu", [6, 2, 3]), ("supported", [3, 2, 3]), ("f_min", [3, 2, 2, 3, 3])],
+)
+def test_padded_run_keeps_its_pads_zero_and_projects_each_block_alone(
+    monkeypatch, solver, sides
+):
+    # Every block of a 2x3 solve is at most 8x8, so all share one run padded
+    # to the largest side. The pads of the projected stack must be exactly 0
+    # going in and coming out, so that no block leaks into another, and each
+    # block's projection must be its own.
+    real_project = sdp.psd_project
+    stacks = []
+
+    def pads_are_zero(stack):
+        return all(not m[n:].any() and not m[:, n:].any() for m, n in zip(stack, sides))
+
+    def checked_project(h, out=None):
+        if np.ndim(h) == 2:  # a projection outside the iteration
+            return real_project(h, out=out)
+        assert h.shape == (len(sides), max(sides), max(sides))
+        assert pads_are_zero(h)
+        own = [real_project(blk[:n, :n]) for blk, n in zip(h, sides)]
+        got = real_project(h, out=out)
+        assert pads_are_zero(got)
+        for blk, ref, n in zip(got, own, sides):
+            assert np.max(np.abs(blk[:n, :n] - ref)) <= 1e-15
+        stacks.append(h.shape)
+        return got
+
+    monkeypatch.setattr(sdp, "psd_project", checked_project)
+    small_solve(solver, (2, 3), 3, SolverConfig(max_iters=100))()
+    assert len(stacks) >= 75  # one per iteration
 
 
 def test_admm_returns_exactly_hermitian_iterates(monkeypatch):
@@ -690,7 +743,7 @@ def test_admm_returns_blocks_that_own_their_memory():
 
     def solve():
         _, _, w, lam, _ = _admm(
-            lambda w, lam, sigma: targets, w0,
+            fixed_affine(targets), w0,
             [np.zeros_like(b) for b in w0], 1.0, 30, lambda *args: None,
         )
         return w + lam

@@ -350,6 +350,19 @@ def test_every_marginal_entry_point_rejects_a_non_finite_marginal(entry, bad, mo
         MARGINAL_ENTRY_POINTS[entry](np.diag([0.5, bad]), np.eye(2) / 2, sub)
 
 
+@pytest.mark.parametrize("big", [1e300, np.inf], ids=["1e300", "inf"])
+@pytest.mark.parametrize("which", ["rho1", "rho2"])
+@pytest.mark.parametrize(
+    "entry",
+    ["FiberSpec", "f_ladder", "MarginalSdpProblem", "solve_supported_overlap", "solve_f_min_full"],
+)
+def test_marginal_above_the_magnitude_guard_is_named(entry, which, big):
+    huge, fine = np.diag([0.5, big]), np.eye(2) / 2
+    pair = (huge, fine) if which == "rho1" else (fine, huge)
+    with pytest.raises(ValueError, match=rf"^{which} has entries above the magnitude guard 1e\+150$"):
+        MARGINAL_ENTRY_POINTS[entry](*pair, Subspace(4, np.eye(4)[:, :2]))
+
+
 def _values(obj):
     """A result's values bit for bit, wall times left out, for comparing results."""
     if is_dataclass(obj):
@@ -655,6 +668,10 @@ def test_f_ladder_levels_stop_at_eps(seed, monkeypatch):
     assert rep.verdict == "coupling_exists"
     assert all(lv.status in ("optimal", "decided") for lv in rep.levels)
     assert len(iterations) == p.n_max and max(iterations) <= 2_500
+    # Each level reports its solve's count; the levels after the first one
+    # below eps are decided by their seed, at 0 iterations.
+    assert [lv.iterations for lv in rep.levels] == iterations
+    assert rep.levels[-1].iterations == 0
 
 
 def test_f_ladder_normalizes_subnormalized_inputs():
@@ -670,6 +687,22 @@ def test_f_ladder_rejects_bad_n_max():
 
 # ---------------------------------------------------------------------------
 # sdp ladder
+
+
+def test_sdp_ladder_levels_report_their_solves_iterations(monkeypatch):
+    iterations = []
+    solve = strassen.solve_marginal_sdp
+
+    def counted(*args, **kwargs):
+        sol = solve(*args, **kwargs)
+        iterations.append(sol.iterations)
+        return sol
+
+    monkeypatch.setattr(strassen, "solve_marginal_sdp", counted)
+    p = problem_from_dict(generate_instance({"kind": "sdp_ladder", "dims": (2, 2), "seed": 0}))
+    rep = sdp_ladder(p.rho1, p.rho2, Subspace(4, p.basis), p.n_max)
+    assert iterations and min(iterations) > 0
+    assert [lv.iterations for lv in rep.levels] == iterations
 
 
 def test_sdp_ladder_climbs_to_one_on_feasible_instance():
