@@ -658,6 +658,8 @@ _SOLVER_FLAGS = ("gap_tol", "eps_decision", "max_iters")  # the SolverConfig fie
 _FLAG_TYPES = {
     "gap_tol": float, "eps_decision": float, "max_iters": int, "levels": _count, "samples": _count,
 }
+_FLAG_HELP = {"max_iters": "iteration budget per solve: Newton steps for check, mu and ladder-sdp, "
+              "ADMM iterations for ladder-f and fiber-dist (penalty_init applies to these only)"}
 # The table holds runners, not solvers: a runner looks its solver up in this
 # module's globals (mu, _decide, f_ladder, ...) at call time, so a wrapper
 # bound to one of those names sees every call.
@@ -870,7 +872,8 @@ def _build_parser() -> argparse.ArgumentParser:
         p_run = sub.add_parser(name, help=cmd.help)
         p_run.add_argument("files", nargs="+", help="problem files (format qstrassen/1)")
         for flag in cmd.flags:
-            p_run.add_argument("--" + flag.replace("_", "-"), type=_FLAG_TYPES[flag], default=None)
+            p_run.add_argument("--" + flag.replace("_", "-"), type=_FLAG_TYPES[flag], default=None,
+                               help=_FLAG_HELP.get(flag))
         _add_output_flags(p_run)
 
     p_self = sub.add_parser("selftest", help="run the built-in property suites")

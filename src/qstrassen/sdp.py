@@ -1,4 +1,4 @@
-"""Splitting solvers for the conic programs behind coupling tests.
+"""Solvers for the conic programs behind coupling tests.
 
 The overlap program, over PSD coefficient matrices C,
 
@@ -15,26 +15,21 @@ f(X) = ||tr_2 X - rho1||_1 + ||tr_1 X - rho2||_1 over PSD X supported in a
 given subspace, with each trace norm split into two PSD cones of the
 matrix's own size (``_split_points``).
 
-The method is a two-block ADMM with over-relaxation and residual balancing:
-one block is projected onto the affine slice (through the normal matrix of the
-marginal maps), the other onto the PSD cones (the only expensive kernel). One
-driver, ``_admm``, runs the iteration for every solver here and in
-``fibers``; each solver supplies only its affine step, which overwrites
-w - lam in ``_admm``'s buffer with its point, and its certify checkpoint,
-and every block is projected onto the PSD cone. ``_admm`` keeps the
-iterate, the multipliers and the affine point in flat buffers and updates
-them with whole-buffer in-place ufuncs. It projects all blocks of side at
-most ``_PAD_SIDE`` (8) as one zero-padded stack and each larger side's
-blocks as another, one stacked ``eigh`` per run, in place into the other
-iterate half: below that side the fixed cost of a call outweighs the
-padding. The penalty is balanced on relative residuals (Boyd et al. 2011, section 3.4.1):
-the primal residual over the larger of the affine and cone iterates' norms
-against the dual residual over the multipliers' norm.
+The overlap core is a dual log-barrier method (Nesterov and Nemirovskii
+1994; Boyd and Vandenberghe 2004, section 11.5): damped Newton steps on the
+dual pair (Y1, Y2), systems of side d1^2 + d2^2 whatever the subspace.
+The mismatch minimization and the fiber solves use a two-block ADMM with
+over-relaxation and residual balancing (Boyd et al. 2011, section 3.4.1):
+one block is projected onto the affine slice, the other onto the PSD cones.
+One loop, ``_admm``, runs it for ``solve_f_min_full`` and ``fibers``; each
+solver supplies only its affine step and its certify checkpoint.
+
 Reported values are certified: the primal value is evaluated at an exactly
 feasible restoration of the iterate, the dual value at an exactly feasible
-repair of the multipliers, so primal <= optimum <= dual holds up to the
+repair of the dual point, so primal <= optimum <= dual holds up to the
 stated feasibility slack (~1e-12), not merely in the limit. The four fields
-of ``SolverConfig`` are the only knobs; that slack and the support cut are
+of ``SolverConfig`` are the only knobs (``penalty_init`` is the ADMM
+penalty; the overlap core has none); that slack and the support cut are
 fixed constants.
 """
 
@@ -92,6 +87,9 @@ _BALANCE_SCALE = 2.0
 _RELAX = 1.6
 _FEAS_SLACK = 1e-12
 _PAD_SIDE = 8  # the largest block side that shares the zero-padded run
+_GROWTH = 64.0  # the barrier weight t grows by this factor after each centering
+_CENTERED = 0.25  # Newton decrement below which a point counts as centered
+_CENTER_STEPS = 100  # a centering that needs this many Newton steps has stalled
 
 
 @dataclass(frozen=True)
@@ -383,7 +381,7 @@ def _marginal_maps(vbasis: np.ndarray | None, d1: int, d2: int):
     then the partial traces and their adjoint, which avoid the dense
     d^2 x (d1 d2)^2 map matrices, whose products OpenBLAS runs on several
     threads from 4x4 on, doubling the CPU time of a solve. Both maps
-    return fresh arrays, which the affine steps overwrite.
+    return fresh arrays.
     """
     if vbasis is None:
 
@@ -408,34 +406,6 @@ def _marginal_maps(vbasis: np.ndarray | None, d1: int, d2: int):
     return lmap, ladj
 
 
-def _marginal_normal_solver(maps: tuple, d1: int, d2: int, weight: float):
-    """Solver of (I + weight L L^*)(M1, M2) = (V1, V2) on the marginal space.
-
-    The matrix has side d1^2 + d2^2 whatever the subspace dimension; it is
-    built column by column from the maps L and L^* of ``maps`` and inverted
-    once, so each call is one product. Each call fills the same preallocated
-    buffers, so the returned (M1, M2) are views valid until the next call.
-    """
-    lmap, ladj = maps
-    k1 = d1 * d1
-    big = np.eye(k1 + d2 * d2, dtype=complex)
-    for k, unit in enumerate(big.copy()):
-        l1, l2 = lmap(ladj(unit[:k1].reshape(d1, d1), unit[k1:].reshape(d2, d2)))
-        big[:, k] += weight * np.concatenate([l1.reshape(-1), l2.reshape(-1)])
-    big_inv = np.linalg.inv(big)
-    rhs, msol = np.empty((2, len(big)), dtype=complex)
-    v1, v2 = rhs[:k1].reshape(d1, d1), rhs[k1:].reshape(d2, d2)
-    m1, m2 = msol[:k1].reshape(d1, d1), msol[k1:].reshape(d2, d2)
-
-    def solve(t1, t2):
-        v1[...] = t1
-        v2[...] = t2
-        np.matmul(big_inv, rhs, out=msol)
-        return m1, m2
-
-    return solve
-
-
 class _Overlap(NamedTuple):
     """Bracket of one core solve: ``c`` attains ``value``, ``y`` attains ``dual``."""
 
@@ -452,85 +422,129 @@ def _overlap_core(
     b: np.ndarray,
     r1: np.ndarray,
     r2: np.ndarray,
-    maps: tuple,
+    vbasis: np.ndarray | None,
     cfg: SolverConfig,
-    warm_start: dict | None = None,
     threshold: float | None = None,
 ) -> _Overlap:
     """The one overlap solve: max <B, C> over PSD C with dominated marginals.
 
-    The constraints are tr_2(V C V^*) <= rho1 and tr_1(V C V^*) <= rho2, and
-    ``maps`` holds the functions L: C -> (tr_2(V C V^*), tr_1(V C V^*)) and
-    its adjoint L^*: V = I and B = P is the overlap program, V the subspace
-    basis and B = I the supported one. The affine step projects (C, S1, S2)
-    onto {L1 C + S1 = rho1, L2 C + S2 = rho2} through the normal matrix
-    I + L L^*, built once from the maps. At each checkpoint the iterate is
-    scaled down until its marginals are dominated (the certified primal), and
-    the slack multipliers are shifted per block to PSD and then by the
-    identity until L^*(Y1, Y2) >= B holds (the certified dual). The solve
-    stops with ``optimal`` once dual - primal <= cfg.gap_tol and, given a
-    ``threshold``, with ``decided`` once primal >= threshold or
-    dual < threshold. ``warm_start`` may carry a coefficient matrix "X" (C
-    starts at 0 without one) and the dual pair "Y1", "Y2".
+    The constraints are tr_2(V C V^*) <= rho1 and tr_1(V C V^*) <= rho2
+    (``vbasis`` None stands for V = I): V = I and B = P is the overlap
+    program, V the subspace basis and B = I the supported one. Damped Newton
+    steps follow the central path of t (<R1, Y1> + <R2, Y2>) - log det Z -
+    log det Y1 - log det Y2, Z = L^*(Y1, Y2) - B, from Y = (I, I), where
+    Z = 2I - B > 0. R_i = rho_i + s I (s = _FEAS_SLACK, the slack the
+    certified primal may use anyway) keeps the path bounded when a marginal
+    is singular. The Hessian's Z part (tr_2, tr_1)(G (D1 (x) I + I (x) D2) G),
+    G = V Z^-1 V^*, is three products of G's regrouped entries. A step of
+    decrement lambda >= _CENTERED is damped to 1 / (1 + lambda), which keeps
+    Y and Z strictly feasible; below it the point counts as centered, is
+    certified, and t grows by _GROWTH.
+
+    At a centered point the Newton step Delta gives the primal
+    C = (Z^-1 - Z^-1 L^*(Delta) Z^-1) / t, whose marginals are
+    R_i - (Y_i^-1 - Y_i^-1 Delta_i Y_i^-1) / t <= R_i for lambda < 1 when
+    G and the Hessian rest on one exactly Hermitian Z^-1. Shifted to PSD
+    where rounding left it below 0 and scaled down until its marginals are
+    dominated, it is the certified primal; ``_repair_dual`` of Y gives the
+    certified dual. The solve stops with ``optimal`` once dual - primal <=
+    cfg.gap_tol and, given a ``threshold``, with ``decided`` once
+    primal >= threshold or dual < threshold. ``iterations`` counts Newton
+    steps; at cfg.max_iters the current point is certified. A singular or
+    non-finite Newton system, a point that leaves the cone in rounding, or a
+    centering of _CENTER_STEPS steps ends it with ``infeasible_numerics``.
+    The bracket starts at [0, tr rho1 + tr rho2] (C = 0, Y = (I, I)).
     """
     d1, d2, n = r1.shape[0], r2.shape[0], b.shape[0]
-    lmap, ladj = maps
-    normal_solve = _marginal_normal_solver(maps, d1, d2, 1.0)
+    k1, k2 = d1 * d1, d2 * d2
+    lmap, ladj = _marginal_maps(vbasis, d1, d2)
     support_scale = _support_scaler(r1, r2)
+    rho = np.concatenate([(r + _FEAS_SLACK * np.eye(len(r))).reshape(-1) for r in (r1, r2)])
+    # The Hessian's blocks as 4-index views [a, e, c, x]: output (a, e), input (c, x).
+    hess = np.empty((k1 + k2, k1 + k2), dtype=complex)
+    h11 = hess[:k1, :k1].reshape(d1, d1, d1, d1)
+    h12 = hess[:k1, k1:].reshape(d1, d1, d2, d2)
+    h22 = hess[k1:, k1:].reshape(d2, d2, d2, d2)
 
-    sigma = cfg.penalty_init
-    w = [np.zeros((n, n), dtype=complex), psd_project(r1), psd_project(r2)]
-    lam = [np.zeros_like(blk) for blk in w]
-    if warm_start:
-        wx = psd_project(hermitize(warm_start.get("X", w[0])))
-        m1, m2 = lmap(wx)
-        w = [wx, psd_project(hermitize(r1 - m1)), psd_project(hermitize(r2 - m2))]
-        for k in (1, 2):
-            if f"Y{k}" in warm_start:
-                lam[k] = -hermitize(warm_start[f"Y{k}"]) / sigma
-
+    # Z, Y1 and Y2 as one block-diagonal matrix: one definiteness test
+    # (Cholesky) and one inverse per step, hermitized because ``inv`` leaves
+    # a non-Hermitian part of size eps cond(Z) that the primal cannot bear.
+    blocks = np.zeros((n + d1 + d2,) * 2, dtype=complex)
+    zb, y1, y2 = blocks[:n, :n], blocks[n:n + d1, n:n + d1], blocks[n + d1:, n + d1:]
+    blocks[n:, n:] = np.eye(d1 + d2)
     best = {
         "value": 0.0,
         "c": np.zeros((n, n), dtype=complex),
-        "dual": math.inf,
-        "y": (np.eye(d1, dtype=complex), np.eye(d2, dtype=complex)),
+        "dual": _tr(r1) + _tr(r2),
+        "y": (y1.copy(), y2.copy()),
     }
     history: list[float] = []
-    b_scaled = (None, None)  # (sigma, b / sigma), renewed when sigma changes
 
-    def affine(x, sigma):
-        nonlocal b_scaled
-        if b_scaled[0] != sigma:
-            b_scaled = (sigma, b / sigma)
-        c0, t1, t2 = x
-        c0 += b_scaled[1]
-        l1c0, l2c0 = lmap(c0)
-        l1c0 += t1
-        l1c0 -= r1
-        l2c0 += t2
-        l2c0 -= r2
-        m1, m2 = normal_solve(l1c0, l2c0)
-        c0 -= ladj(m1, m2)
-        t1 -= m1
-        t2 -= m2
-
-    def certify(w, lam, sigma, pres, dres):
-        cf = w[0]
-        t = support_scale(*(hermitize(m) for m in lmap(cf)))
-        val = t * _hs(b, cf)
+    def certify(zinv, step, t):
+        dz = ladj(step[:k1].reshape(d1, d1), step[k1:].reshape(d2, d2))
+        cf = hermitize(zinv - zinv @ dz @ zinv) / t
+        cf -= min(0.0, _min_eig(cf)) * np.eye(n)  # PSD in exact arithmetic, so up to rounding
+        s = support_scale(*(hermitize(m) for m in lmap(cf)))
+        val = s * _hs(b, cf)
         if val > best["value"]:
-            best.update(value=val, c=t * cf)
+            best.update(value=val, c=s * cf)
         history.append(best["value"])
-        y1, y2, dval = _repair_dual(
-            *(hermitize(-sigma * lb) for lb in lam[1:]), ladj, b, r1, r2
-        )
+        ry1, ry2, dval = _repair_dual(y1, y2, ladj, b, r1, r2)
         if dval < best["dual"]:
-            best.update(dual=dval, y=(y1, y2))
+            best.update(dual=dval, y=(ry1, ry2))
         return _overlap_stop(best["value"], best["dual"], cfg.gap_tol, threshold)
 
-    status, it, w, lam, sigma = _admm(affine, w, lam, sigma, cfg.max_iters, certify)
-    if not history:
-        certify(w, lam, sigma, math.inf, math.inf)
+    t = 10.0 * (n + d1 + d2) / (_tr(r1) + _tr(r2))
+    status, it, steps = "max_iters", 0, 0  # steps: Newton steps of this centering
+    while True:
+        try:
+            np.subtract(ladj(y1, y2), b, out=zb)
+            np.linalg.cholesky(blocks)
+            inv = _herm_part(np.linalg.inv(blocks))
+            zinv, y1i, y2i = inv[:n, :n], inv[n:n + d1, n:n + d1], inv[n + d1:, n + d1:]
+            g = zinv if vbasis is None else vbasis @ zinv @ vbasis.conj().T
+            g4 = g.reshape(d1, d2, d1, d2)
+            p = g4.transpose(0, 2, 1, 3).reshape(k1, k2)  # [(a, c), (b, d)] = G[a, b, c, d]
+            q = g4.transpose(0, 3, 1, 2).reshape(d1 * d2, d1 * d2)  # [(a, d), (b, c)]
+            np.multiply(y1i[:, None, :, None], y1i.T[None, :, None, :], out=h11)
+            h11 += (p @ p.conj().T).reshape(d1, d1, d1, d1).transpose(0, 2, 1, 3)
+            np.multiply(y2i[:, None, :, None], y2i.T[None, :, None, :], out=h22)
+            h22 += (p.T @ p.conj()).reshape(d2, d2, d2, d2).transpose(0, 2, 1, 3)
+            h12[...] = (q @ q.conj().T).reshape(d1, d2, d1, d2).transpose(0, 2, 1, 3)
+            hess[k1:, :k1] = hess[:k1, k1:].conj().T
+            # The gradient is t rho + gbar, so the Newton step is t drho + dbar.
+            gbar = -np.concatenate([
+                (np.einsum("abcb->ac", g4) + y1i).reshape(-1),
+                (np.einsum("abad->bd", g4) + y2i).reshape(-1),
+            ])
+            drho, dbar = np.linalg.solve(hess, -np.stack([rho, gbar], axis=1)).T
+        except np.linalg.LinAlgError:
+            status = "infeasible_numerics"
+            break
+        certified = False
+        while True:
+            step = t * drho + dbar
+            lam2 = -np.vdot(t * rho + gbar, step).real
+            if not math.isfinite(lam2) or lam2 >= _CENTERED**2:
+                break
+            stop = certify(zinv, step, t)
+            if stop is not None:
+                return _Overlap(history=history, iterations=it, status=stop, **best)
+            certified = True
+            t *= _GROWTH
+            steps = 0
+        if not math.isfinite(lam2) or steps == _CENTER_STEPS:
+            status = "infeasible_numerics"
+            break
+        if it == cfg.max_iters:
+            if not certified:
+                status = certify(zinv, step, t) or status
+            break
+        damp = 1.0 + math.sqrt(lam2)
+        y1 += _herm_part(step[:k1].reshape(d1, d1)) / damp
+        y2 += _herm_part(step[k1:].reshape(d2, d2)) / damp
+        it += 1
+        steps += 1
     return _Overlap(history=history, iterations=it, status=status, **best)
 
 
@@ -567,26 +581,27 @@ def _marginal_solution(sol: _Overlap, a, r1, r2) -> MarginalSdpSolution:
     )
 
 
-def _overlap_on_support(b, r1, r2, vbasis, cfg: SolverConfig, warm_start=None, threshold=None):
+def _overlap_on_support(b, r1, r2, vbasis, cfg: SolverConfig, threshold=None):
     """``_overlap_core`` on the support product S = supp rho1 (x) supp rho2.
 
     V is ``vbasis`` (None for V = I). Dominated operators live on S, so where
     a marginal is singular R, a basis of the c with V c in S (U1 (x) U2 for
-    V = I), compresses B, the marginals, V and a warm start to the same
-    program, solved to half of gap_tol; C embeds back as R C R^*. Each Y_i
-    gains s W_i W_i^* (W_i the complement eigenvectors of rho_i), with
+    V = I), compresses B, the marginals and V to the same program, solved to
+    half of gap_tol; C embeds back as R C R^*. Each Y_i gains s W_i W_i^*
+    (W_i the complement eigenvectors of rho_i), with
     s = (1 + 0.5 / gap_tol) / g, g the least squared singular value of
     (I - Q) V off R (Q projects on S), then shifts to PSD and by the identity
-    until it dominates B, and the status is re-read from this bracket. Where
-    the lift's rounding (up to s eps d1 d2) exceeds gap_tol, or its bracket
-    neither closes nor decides, the core solves the full space and keeps the
-    better primal. A vanishing R^* B R gives 0 at 0 iterations.
+    until it dominates B, and the status is read from this bracket; a solve
+    that ran out or broke down keeps its own status unless the bracket stops.
+    Where the lift's rounding (up to s eps d1 d2) exceeds gap_tol, or the
+    lifted bracket of a stopped solve neither closes nor decides, the core
+    solves the full space, keeps the better primal and reads the status from
+    the merged bracket. A vanishing R^* B R gives 0 at 0 iterations.
     """
     d1, d2 = len(r1), len(r2)
-    maps = _marginal_maps(vbasis, d1, d2)
     (u1, w1), (u2, w2) = _support_split(r1), _support_split(r2)
     if w1.size + w2.size == 0:
-        return _overlap_core(b, r1, r2, maps, cfg, warm_start, threshold)
+        return _overlap_core(b, r1, r2, vbasis, cfg, threshold)
     lift = np.kron(u1, u2)
     k1, k2 = u1.shape[1], u2.shape[1]
     keep, vc, gain = lift, None, 1.0
@@ -601,13 +616,9 @@ def _overlap_on_support(b, r1, r2, vbasis, cfg: SolverConfig, warm_start=None, t
         y0 = (np.zeros((k1, k1)), np.zeros((k2, k2)))  # the optimum is exactly 0
         sol = _Overlap(0.0, np.zeros_like(bc), 0.0, y0, [0.0], 0, "optimal")
     else:
-        warm = dict(warm_start or {})
-        for key, u in (("X", keep), ("Y1", u1), ("Y2", u2)):
-            if key in warm:
-                warm[key] = u.conj().T @ as_matrix(warm[key]) @ u
         rc1, rc2 = (hermitize(u.conj().T @ r @ u) for u, r in ((u1, r1), (u2, r2)))
         half = replace(cfg, gap_tol=0.5 * cfg.gap_tol)
-        sol = _overlap_core(bc, rc1, rc2, _marginal_maps(vc, k1, k2), half, warm, threshold)
+        sol = _overlap_core(bc, rc1, rc2, vc, half, threshold)
     c = keep @ sol.c @ keep.conj().T
     shift = (1.0 + 0.5 / cfg.gap_tol) / gain
     if shift * np.finfo(float).eps * d1 * d2 <= cfg.gap_tol:
@@ -616,37 +627,42 @@ def _overlap_on_support(b, r1, r2, vbasis, cfg: SolverConfig, warm_start=None, t
                 hermitize(u @ y @ u.conj().T + shift * (w @ w.conj().T))
                 for u, w, y in zip((u1, u2), (w1, w2), sol.y)
             ),
-            maps[1], b, r1, r2,
+            _marginal_maps(vbasis, d1, d2)[1], b, r1, r2,
         )
-        status = sol.status
-        if status in ("optimal", "decided"):
-            status = _overlap_stop(sol.value, dual, cfg.gap_tol, threshold)
+        status = _overlap_stop(sol.value, dual, cfg.gap_tol, threshold)
+        if status is None and sol.status not in ("optimal", "decided"):
+            status = sol.status
         if status is not None:
             return sol._replace(c=c, dual=dual, y=(y1, y2), status=status)
-    full = _overlap_core(b, r1, r2, maps, cfg, warm_start, threshold)
+    full = _overlap_core(b, r1, r2, vbasis, cfg, threshold)
     full = full._replace(iterations=sol.iterations + full.iterations)
-    return full._replace(value=sol.value, c=c) if sol.value > full.value else full
+    if sol.value > full.value:
+        full = full._replace(value=sol.value, c=c)
+    return full._replace(
+        status=_overlap_stop(full.value, full.dual, cfg.gap_tol, threshold) or full.status
+    )
 
 
 def solve_marginal_sdp(
     problem: MarginalSdpProblem,
     cfg: SolverConfig = DEFAULT_CONFIG,
-    warm_start: dict | None = None,
 ) -> MarginalSdpSolution:
     """Solve the overlap program with certified primal and dual values.
 
     The returned primal value is attained by the returned X (feasible up to
     1e-12), the dual value by the returned Y (feasible after an exact identity
     shift repair), so the reported gap is a two-sided optimality certificate.
-    The solve stops with status ``optimal`` at the first checkpoint (every 25
-    iterations) where that certified gap is at most cfg.gap_tol; the ADMM
-    residuals only steer the penalty. Status is ``max_iters`` when the budget
-    runs out first, and ``infeasible_numerics`` only on NaN/Inf breakdown.
-    A singular marginal is handled by ``_overlap_on_support``, which solves on
-    the support product and lifts the solution back.
+    The dual barrier method of ``_overlap_core`` certifies a bracket at each
+    point of its central path and stops with status ``optimal`` at the first
+    one whose certified gap is at most cfg.gap_tol. ``iterations`` counts
+    Newton steps; status is ``max_iters`` when cfg.max_iters of them run out
+    first, and ``infeasible_numerics`` on a singular or non-finite Newton
+    system or a stalled centering. A singular marginal is handled by
+    ``_overlap_on_support``, which solves on the support product and lifts
+    the solution back.
     """
     a, r1, r2 = problem.objective.mat, problem.rho1.mat, problem.rho2.mat
-    sol = _overlap_on_support(a, r1, r2, None, cfg, warm_start)
+    sol = _overlap_on_support(a, r1, r2, None, cfg)
     return _marginal_solution(sol, a, r1, r2)
 
 
@@ -746,14 +762,21 @@ def _f_min_c_step(maps: tuple, d1: int, d2: int):
     a system of side n^2 on the coefficient space. By the matrix inversion
     lemma (Boyd et al. 2011, section 4.2) its solution is
     C = U + 2 L^*(I + 2 L L^*)^{-1}(G - L U), one solve of side d1^2 + d2^2
-    on the marginal space.
+    on the marginal space. That matrix is built column by column from the
+    maps L and L^* of ``maps`` and inverted once, so each step is one product.
     """
     lmap, ladj = maps
-    normal_solve = _marginal_normal_solver(maps, d1, d2, 2.0)
+    k1 = d1 * d1
+    big = np.eye(k1 + d2 * d2, dtype=complex)
+    for k, unit in enumerate(big.copy()):
+        l1, l2 = lmap(ladj(unit[:k1].reshape(d1, d1), unit[k1:].reshape(d2, d2)))
+        big[:, k] += 2.0 * np.concatenate([l1.reshape(-1), l2.reshape(-1)])
+    big_inv = np.linalg.inv(big)
 
     def step(u, g1, g2):
         l1u, l2u = lmap(u)
-        return u + 2.0 * ladj(*normal_solve(g1 - l1u, g2 - l2u))
+        m = big_inv @ np.concatenate([(g1 - l1u).reshape(-1), (g2 - l2u).reshape(-1)])
+        return u + 2.0 * ladj(m[:k1].reshape(d1, d1), m[k1:].reshape(d2, d2))
 
     return step
 
@@ -908,7 +931,6 @@ def solve_supported_overlap(
     rho2,
     cfg: SolverConfig = DEFAULT_CONFIG,
     threshold: float | None = None,
-    warm_start: MarginalSdpSolution | None = None,
 ) -> SupportedOverlapSolution:
     """Maximize tr X over PSD X supported exactly in the subspace with dominated marginals.
 
@@ -917,35 +939,18 @@ def solve_supported_overlap(
     program, the optimizer here carries no mass outside the subspace by
     construction (X = V C V^* throughout), which makes it the right source for
     coupling certificates. The value is attained by the returned X, which is
-    feasible up to ~1e-12. The solve stops with status ``optimal`` at the
-    first checkpoint where the certified gap is at most cfg.gap_tol, else ends
-    at ``max_iters`` (or ``infeasible_numerics`` on NaN/Inf breakdown); the
-    ADMM residuals only steer the penalty. With a ``threshold`` the solve
-    also stops, with status ``decided``, at the first checkpoint where the
-    bracket lies on one side of it: value >= threshold or dual < threshold.
-
-    ``warm_start`` may be the overlap solve of the same marginals and
-    subspace. Its optimizer starts the iterate as V^* X V, and its dual pair
-    starts the multipliers: Y1 (x) I + I (x) Y2 >= P implies
-    V^*(Y1 (x) I + I (x) Y2)V >= I, so the pair is already feasible here. As
-    for mu, ``_overlap_on_support`` compresses a singular marginal's program
-    and the warm pair (Y_i as U_i^* Y_i U_i) to the support product. The
-    bracket is certified from this solve's own iterates, so a warm start
-    changes only the iteration count; one whose shapes do not match the
-    marginals and the subspace raises ``ValueError``.
+    feasible up to ~1e-12. The solve runs the dual barrier method of
+    ``_overlap_core`` and stops with status ``optimal`` at the first
+    certified bracket whose gap is at most cfg.gap_tol, else ends at
+    ``max_iters`` Newton steps (or ``infeasible_numerics`` on a numerical
+    breakdown). With a ``threshold`` the solve also stops, with status
+    ``decided``, at the first bracket that lies on one side of it:
+    value >= threshold or dual < threshold. As for mu,
+    ``_overlap_on_support`` compresses a singular marginal's program to the
+    support product.
     """
     r1, r2, vbasis = _subspace_marginals(rho1, rho2, x_sub)
-    warm = None
-    if warm_start is not None:
-        x, y1, y2 = warm_start.X.mat, warm_start.Y[0].mat, warm_start.Y[1].mat
-        got = (x.shape, y1.shape, y2.shape)
-        want = ((x_sub.ambient_dim,) * 2, r1.shape, r2.shape)
-        if got != want:
-            raise ValueError(
-                f"warm start shapes (X, Y1, Y2) {got} do not match the problem's {want}"
-            )
-        warm = {"X": vbasis.conj().T @ x @ vbasis, "Y1": y1, "Y2": y2}
-    sol = _overlap_on_support(np.eye(x_sub.dim), r1, r2, vbasis, cfg, warm, threshold)
+    sol = _overlap_on_support(np.eye(x_sub.dim), r1, r2, vbasis, cfg, threshold)
     return SupportedOverlapSolution(
         value=sol.value,
         X=BipartiteOperator(

@@ -142,7 +142,7 @@ def _decide(
     the certificate checks, ``no_coupling`` when the dual bound of mu or of
     the supported solve falls below 1 - eps_decision, else ``undecided``. The
     supported solve is None when mu's dual bound already refutes a coupling;
-    otherwise it starts from mu's solution and stops as soon as its bracket
+    otherwise it runs from its own start and stops as soon as its bracket
     clears 1 - eps_decision. Both solves handle a singular marginal alike, on
     the support product (see ``sdp._overlap_on_support``).
     """
@@ -157,9 +157,7 @@ def _decide(
     # certificate has no mass outside the subspace at all. A value at or above
     # the threshold bounds the normalized certificate's marginal error by
     # 4 * eps, since its marginals are dominated and its trace is >= 1 - eps.
-    # mu's dual pair is feasible for this program and its optimizer is a
-    # near-optimal start, so the re-solve begins from mu's solution.
-    sup = solve_supported_overlap(x_sub, r1, r2, cfg, threshold=threshold, warm_start=sol)
+    sup = solve_supported_overlap(x_sub, r1, r2, cfg, threshold=threshold)
     verdict = "no_coupling" if sup.dual < threshold else "undecided"
     if sup.value < threshold:
         return verdict, None, value, sol, sup
@@ -294,6 +292,7 @@ def sdp_ladder(
     become leading principal blocks and the subspace is projected and
     re-orthonormalized. Levels where the projected subspace drops rank are
     skipped (the rank is known to stabilize once n passes a finite threshold).
+    Each level is a cold ``solve_marginal_sdp``, which starts at Y = (I, I).
     Verdict ``coupling_exists`` needs the top level to clear 1 - eps_decision
     with a nondecreasing trailing window; ``no_coupling`` is only declared
     when the top level is untruncated and its dual bound still falls short.
@@ -307,7 +306,6 @@ def sdp_ladder(
     eps = cfg.eps_decision
     levels = []
     skipped = []
-    prev: tuple[int, np.ndarray, np.ndarray, np.ndarray] | None = None
     for n in range(1, n_max + 1):
         basis = _truncate_subspace(x_sub, dd1, dd2, n)
         if basis.shape[1] < x_sub.dim:
@@ -320,17 +318,8 @@ def sdp_ladder(
             hermitize(r2.mat[:n, :n]),
             require_equal_traces=False,
         )
-        warm = None
-        if prev is not None:
-            m, xm, y1m, y2m = prev
-            pad = (0, n - m)  # zeros after the previous level's coordinates of each factor
-            warm = {
-                "X": np.pad(xm.reshape(m, m, m, m), pad).reshape(n * n, n * n),
-                "Y1": np.pad(y1m, pad),
-                "Y2": np.pad(y2m, pad),
-            }
         tic = time.perf_counter()
-        sol = solve_marginal_sdp(problem, cfg, warm)
+        sol = solve_marginal_sdp(problem, cfg)
         levels.append(
             LadderLevel(
                 level=(n, n),
@@ -343,7 +332,6 @@ def sdp_ladder(
                 iterations=sol.iterations,
             )
         )
-        prev = (n, sol.X.mat, sol.Y[0].mat, sol.Y[1].mat)
     if not levels:
         return LadderReport((), "undecided", "sdp_ladder", eps, skipped_levels=tuple(skipped))
     last = levels[-1]

@@ -72,35 +72,41 @@ def test_traced_pass_covers_every_wrapped_solver(tmp_path):
     assert counts["psd_project.calls"] > 0
     metrics = run.layer_metrics(tracer, result)
     assert metrics["sdp.supported.calls"] == 1
-    # Started from mu's solution, the supported solve stops at its first
-    # checkpoint: 3 x 25 projections plus 5 for its start. Cold, it takes
-    # 150 iterations and 452 projections.
-    assert metrics["sdp.supported.proj_calls"] < 100
+    # The supported solve runs the dual barrier method, which projects
+    # nothing: its Newton steps factor Z and solve one small system each.
+    assert metrics["sdp.supported.proj_calls"] == 0
     assert metrics["fibers.dist.calls"] == 1
 
 
 def test_traced_projections_cover_every_iteration(tmp_path):
-    # Every ADMM iteration projects at least once, so the traced
-    # psd_project count of the check and mu ops is at least their solves'
-    # iterations. A driver that bound psd_project anywhere but the sdp
-    # module global would escape the tracer and read 0 here.
+    # Every ADMM iteration projects at least once, so the traced psd_project
+    # count of the ladder-f op is at least its levels' iterations. An ADMM
+    # loop that bound psd_project anywhere but the sdp module global would
+    # escape the tracer and read 0 here. The overlap solves of the check and
+    # mu ops run Newton steps, which project nothing.
     run = load_bench_run()
-    tracer = run.tracing.Tracer()
-    run.install_tracer(tracer, qstrassen)
-    reports = []
-    try:
-        for op in build_ops(run, tmp_path, OPS[:2]):
-            _, code, text, error = run.call(cli, op.argv, tracer)
-            assert (code, error) == (0, None), op.argv
-            report = json.loads(text)
-            reports += [report] if "command" in report else list(report.values())
-    finally:
-        tracer.uninstall()
-    iterations = sum(
-        r[key]["iterations"] for r in reports for key in ("solution", "supported") if key in r
+    ladder = [spec for spec in OPS if spec[0] == "ladder-f"]
+    counts = []
+    for specs in (OPS[:2], ladder):
+        tracer = run.tracing.Tracer()
+        run.install_tracer(tracer, qstrassen)
+        reports = []
+        try:
+            for op in build_ops(run, tmp_path, specs):
+                _, code, text, error = run.call(cli, op.argv, tracer)
+                assert (code, error) == (0, None), op.argv
+                report = json.loads(text)
+                reports += [report] if "command" in report else list(report.values())
+        finally:
+            tracer.uninstall()
+        counts.append((reports, tracer.counters["psd_project.calls"]))
+    (overlap, overlap_calls), ([fladder], fladder_calls) = counts
+    newton = sum(
+        r[key]["iterations"] for r in overlap for key in ("solution", "supported") if r.get(key)
     )
-    assert len(reports) == 3 and iterations > 0
-    assert tracer.counters["psd_project.calls"] >= iterations
+    assert len(overlap) == 3 and newton > 0 and overlap_calls == 0
+    iterations = sum(level["iterations"] for level in fladder["levels"])
+    assert iterations > 0 and fladder_calls >= iterations
 
 
 def test_traced_fiber_distance_projects_once_per_iteration(tmp_path):

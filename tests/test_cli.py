@@ -343,12 +343,12 @@ def test_main_check_infeasible_generated(tmp_path, capsys):
 
 
 def test_main_check_undecided_at_max_iters(tmp_path, capsys):
-    # 25 iterations leave the mu bracket around 1 - eps: nothing refutes a
+    # 10 Newton steps leave the mu bracket around 1 - eps: nothing refutes a
     # coupling and no certificate passes, so the run is undecided (exit 2),
     # not a no_coupling answer.
     path = str(tmp_path / "g.json")
     run_main(capsys, ["gen", "--kind", "coupling", "--dims", "3x3", "--seed", "7", "--out", path])
-    code, out, _ = run_main(capsys, ["check", path, "--max-iters", "25"])
+    code, out, _ = run_main(capsys, ["check", path, "--max-iters", "10"])
     report = json.loads(out)
     threshold = 1.0 - report["config"]["eps_decision"]
     assert report["solution"]["status"] == "max_iters"
@@ -724,17 +724,22 @@ def test_each_per_file_error_line_starts_with_its_path(tmp_path, capsys):
 
 
 def test_penalty_init_below_its_floor_is_rejected_at_load(tmp_path, capsys):
-    # Below 1e-150 the affine targets, which scale with 1 / penalty, overflow
-    # when squared; the floor itself runs clean (warnings are errors here).
+    # Below 1e-150 the ADMM affine targets, which scale with 1 / penalty,
+    # overflow when squared; the floor itself runs clean in an ADMM solve,
+    # the fiber distance (warnings are errors here). The overlap programs
+    # of mu and check have no penalty.
     tiny = write_json(tmp_path, "tiny.json", coupling_file(config={"penalty_init": 1e-200}))
     code, out, err = run_main(capsys, ["mu", tiny])
     assert (code, out) == (1, "")
     assert f"{tiny}: config: penalty_init 1e-200 is below 1e-150" in err
-    floor = write_json(tmp_path, "floor.json", coupling_file(config={"penalty_init": 1e-150}))
+    obj = generate_instance({"kind": "fiber_dist", "dims": (2, 2), "seed": 10})
+    obj["config"]["penalty_init"] = 1e-150
+    floor = write_json(tmp_path, "floor.json", obj)
     assert load_problem(floor).config.penalty_init == 1e-150
-    code, out, _ = run_main(capsys, ["mu", floor, "--max-iters", "50"])
-    assert code == 2
-    assert json.loads(out)["solution"]["status"] == "max_iters"
+    code, out, _ = run_main(capsys, ["fiber-dist", floor, "--max-iters", "50"])
+    report = json.loads(out)
+    assert (code, report["status"], report["iterations"]) == (2, "max_iters", 50)
+    assert report["config"]["penalty_init"] == 1e-150
 
 
 def test_main_batch_combines_reports(tmp_path, capsys):
