@@ -658,8 +658,8 @@ _SOLVER_FLAGS = ("gap_tol", "eps_decision", "max_iters")  # the SolverConfig fie
 _FLAG_TYPES = {
     "gap_tol": float, "eps_decision": float, "max_iters": int, "levels": _count, "samples": _count,
 }
-_FLAG_HELP = {"max_iters": "iteration budget per solve: Newton steps for check, mu and ladder-sdp, "
-              "ADMM iterations for ladder-f and fiber-dist (penalty_init applies to these only)"}
+_FLAG_HELP = {"max_iters": "iteration budget per solve: Newton steps for check, mu, ladder-f and "
+              "ladder-sdp, ADMM iterations for fiber-dist (penalty_init applies to it only)"}
 # The table holds runners, not solvers: a runner looks its solver up in this
 # module's globals (mu, _decide, f_ladder, ...) at call time, so a wrapper
 # bound to one of those names sees every call.

@@ -35,7 +35,6 @@ from .sdp import (
     SolverConfig,
     _admm,
     _shift_to_dominate,
-    _split_points,
     _support_scaler,
 )
 
@@ -144,6 +143,26 @@ def _project_marginal_affine(
     return np.subtract(gt, _kron_sum_mat(m1, m2), out=out), (m1, m2)
 
 
+# A trace norm of a Hermitian A enters the distance program as two PSD
+# cones: ||A||_1 = min tr W over W + A >= 0 and W - A >= 0. With U = W + A
+# and L = W - A the cost is (tr U + tr L) / 2 under U - L = 2A. The
+# semidefinite epigraph [[W, A], [A, W]] >= 0, rotated by
+# (1/sqrt 2)[[I, I], [I, -I]], is exactly diag(U, L), so the two d x d cones
+# replace one 2d x 2d cone. Given the targets t_U, t_L of the pair, A's
+# target in the affine step is (t_U - t_L) / 2, and the dual test matrix is
+# Lam_L - Lam_U, Lam = -sigma lam.
+
+
+def _split_points(tu: np.ndarray, tl: np.ndarray, sigma: float, a: np.ndarray) -> None:
+    """Overwrite the U and L targets of a split trace norm with their affine points.
+
+    Each point is the mean target less I/(2 sigma), +- A.
+    """
+    mid = 0.5 * (tu + tl) - _identity(len(a)) / (2.0 * sigma)
+    np.add(mid, a, out=tu)
+    np.subtract(mid, a, out=tl)
+
+
 def _dist_solve(beta: np.ndarray, fiber: FiberSpec, cfg: SolverConfig):
     """Certified bracket for min ||beta - gamma||_1 over the fiber.
 
@@ -166,8 +185,6 @@ def _dist_solve(beta: np.ndarray, fiber: FiberSpec, cfg: SolverConfig):
     support_scale = _support_scaler(r1, r2)
 
     gamma = _repair_to_member(fiber.product_coupling().mat, fiber, support_scale)
-    w = [gamma.astype(complex).copy()] + [np.zeros((dim, dim), dtype=complex) for _ in range(2)]
-    lam = [np.zeros_like(b) for b in w]
 
     best_upper = trace_norm(beta - gamma)
     best_member = gamma.copy()
@@ -211,7 +228,8 @@ def _dist_solve(beta: np.ndarray, fiber: FiberSpec, cfg: SolverConfig):
         )
         return "optimal" if best_upper - best_lower <= cfg.gap_tol else None
 
-    status, it, _, _, _ = _admm(affine, w, lam, cfg.penalty_init, cfg.max_iters, certify)
+    w = [gamma, np.zeros((dim, dim)), np.zeros((dim, dim))]
+    status, it, _ = _admm(affine, w, cfg, certify)
     return best_upper, best_lower, best_member, it, status
 
 
@@ -243,7 +261,6 @@ def _sample_member(fiber: FiberSpec, objective: np.ndarray, cfg: SolverConfig) -
     """
     d1, d2 = fiber.d1, fiber.d2
     r1, r2 = fiber.rho1.mat, fiber.rho2.mat
-    wg = fiber.product_coupling().mat.astype(complex)
 
     def affine(x, sigma):
         x[0] += objective / sigma
@@ -252,9 +269,7 @@ def _sample_member(fiber: FiberSpec, objective: np.ndarray, cfg: SolverConfig) -
     def certify(w, lam, sigma, pres, dres):
         return "optimal" if pres <= cfg.gap_tol and dres <= cfg.gap_tol else None
 
-    _, _, (wg,), _, _ = _admm(
-        affine, [wg], [np.zeros_like(wg)], cfg.penalty_init, cfg.max_iters, certify
-    )
+    _, _, (wg,) = _admm(affine, [fiber.product_coupling().mat], cfg, certify)
     return _repair_to_member(wg, fiber, _support_scaler(r1, r2))
 
 

@@ -12,29 +12,36 @@ subspace, which makes it the source of coupling certificates. Singular
 marginals are compressed to their supports before the core runs and the
 solution is lifted back after. ``solve_f_min`` minimizes the marginal mismatch
 f(X) = ||tr_2 X - rho1||_1 + ||tr_1 X - rho2||_1 over PSD X supported in a
-given subspace, with each trace norm split into two PSD cones of the
-matrix's own size (``_split_points``).
+given subspace; with ||A||_1 = 2 tr A_+ - tr A that is the supported program
+with slack matrices, whose dual is capped at Y_i <= I, and the same core
+solves it.
 
 The overlap core is a dual log-barrier method (Nesterov and Nemirovskii
 1994; Boyd and Vandenberghe 2004, section 11.5): damped Newton steps on the
 dual pair (Y1, Y2), systems of side d1^2 + d2^2 whatever the subspace.
-The mismatch minimization and the fiber solves use a two-block ADMM with
-over-relaxation and residual balancing (Boyd et al. 2011, section 3.4.1):
-one block is projected onto the affine slice, the other onto the PSD cones.
-One loop, ``_admm``, runs it for ``solve_f_min_full`` and ``fibers``; each
-solver supplies only its affine step and its certify checkpoint.
+The fiber solves use a two-block ADMM with over-relaxation and residual
+balancing (Boyd et al. 2011, section 3.4.1): one block is projected onto the
+affine slice, the other onto the PSD cone. One loop, ``_admm``, runs it for
+the fiber distance and the fiber sampler of ``fibers``; each supplies only
+its affine step and its certify checkpoint.
 
 Reported values are certified: the primal value is evaluated at an exactly
 feasible restoration of the iterate, the dual value at an exactly feasible
 repair of the dual point, so primal <= optimum <= dual holds up to the
-stated feasibility slack (~1e-12), not merely in the limit. The four fields
-of ``SolverConfig`` are the only knobs (``penalty_init`` is the ADMM
-penalty; the overlap core has none); that slack and the support cut are
-fixed constants.
+feasibility slack s = _FEAS_SLACK = 1e-12 times the size of the dual point.
+For the overlap programs the primal may use marginals rho_i + s I, so the
+bracket can invert by up to s (tr Y1 + tr Y2): 8.5e-8 at tr Y1 = 9.7e4 on a
+direction just outside a singular marginal's support. The four fields of
+``SolverConfig`` are the only knobs. ``max_iters`` counts Newton steps for
+the overlap and mismatch programs (``check``, ``mu``, ``ladder-f``,
+``ladder-sdp``) and ADMM iterations for the fiber solves (``fiber-dist``),
+the only ones that read ``penalty_init``, the ADMM penalty; that slack and
+the support cut are fixed constants.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, replace
 from typing import NamedTuple
@@ -56,11 +63,9 @@ from .linalg import (
     _Frozen,
     _herm_part,
     _hs,
-    _identity,
     _max_eig,
     _min_eig,
     _tr,
-    as_matrix,
     hermitize,
     psd_project,
     trace_norm,
@@ -86,7 +91,6 @@ _BALANCE_RATIO = 10.0
 _BALANCE_SCALE = 2.0
 _RELAX = 1.6
 _FEAS_SLACK = 1e-12
-_PAD_SIDE = 8  # the largest block side that shares the zero-padded run
 _GROWTH = 64.0  # the barrier weight t grows by this factor after each centering
 _CENTERED = 0.25  # Newton decrement below which a point counts as centered
 _CENTER_STEPS = 100  # a centering that needs this many Newton steps has stalled
@@ -94,7 +98,13 @@ _CENTER_STEPS = 100  # a centering that needs this many Newton steps has stalled
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Knobs shared by every solve; the four fields are the serialized config."""
+    """Knobs shared by every solve; the four fields are the serialized config.
+
+    ``max_iters`` is the budget of one solve: Newton steps for the overlap
+    and mismatch programs (``check``, ``mu``, ``ladder-f``, ``ladder-sdp``),
+    ADMM iterations for the fiber solves (``fiber-dist``). ``penalty_init``
+    is the starting ADMM penalty and only the fiber solves read it.
+    """
 
     gap_tol: float = 1e-6
     eps_decision: float = 1e-4
@@ -215,110 +225,75 @@ def _support_scaler(r1, r2):
     return scale
 
 
-def _admm(affine, w, lam, sigma: float, max_iters: int, certify):
+def _admm(affine, w, cfg: SolverConfig, certify):
     """The one ADMM loop: over-relaxation, checkpoints and residual balancing.
 
-    ``w`` holds the consensus blocks and ``lam`` their scaled multipliers;
+    ``w`` holds the starting consensus blocks, all of one side; their scaled
+    multipliers lam start at 0, the penalty sigma at cfg.penalty_init, and
     every block is projected onto the PSD cone. Each iteration fills the
     affine blocks x with w - lam and has ``affine(x, sigma)`` overwrite them
     in place with its point on the affine set, over-relaxes that point,
     projects the shifted blocks and updates the multipliers. Every
-    _CHECK_EVERY iterations and at the last one the checkpoint ends the
-    solve with status ``infeasible_numerics`` when the first affine block is
-    not finite, then lets
-    ``certify(w, lam, sigma, pres, dres)`` update the caller's bracket and
-    return a stop status or None, given the absolute primal and dual
-    residuals. Otherwise it balances the penalty on the relative residuals,
-    pres / max(||x||, ||w||) against dres / (sigma ||lam||), each norm over
-    a whole flat buffer, and leaves it alone when either normaliser is 0.
-    Returns (status, iterations, w, lam, sigma) with blocks that own their
-    memory; status is ``max_iters`` when the budget runs out first.
+    _CHECK_EVERY iterations and at the last of cfg.max_iters the checkpoint
+    ends the solve with status ``infeasible_numerics`` when the first affine
+    block is not finite, then lets ``certify(w, lam, sigma, pres, dres)``
+    update the caller's bracket and return a stop status or None, given the
+    absolute primal and dual residuals. Otherwise it balances the penalty on
+    the relative residuals, pres / max(||x||, ||w||) against
+    dres / (sigma ||lam||), each norm over all blocks, and leaves it alone
+    when either normaliser is 0. Returns (status, iterations, w) with w a
+    fresh stack; status is ``max_iters`` when the budget runs out first.
 
     The iterate (twice: new and previous), the multipliers and the affine
-    point live in flat buffers, and ``affine`` and ``certify`` see views of
-    the blocks, valid for the call only. The blocks form runs, fixed once
-    per solve: every block of side at most _PAD_SIDE sits in one run, in a
-    slot of the largest such side with zeros outside its own corner, and
-    larger blocks form one run per side. Each run is one
-    ``psd_project(src, out=dst)`` call (one stacked ``eigh``) from a slice
-    of z = x + lam (over-relaxed) into the other iterate half. It reads
+    point are (m, d, d) stacks, and ``affine`` and ``certify`` see them
+    for the call only. Each iteration is one ``psd_project(z, out=w_new)``
+    call (one stacked ``eigh``) of z = x + lam (over-relaxed), which reads
     only the lower triangle of z, Hermitian only up to round-off, and
-    writes an exactly Hermitian projection. The pads stay exactly 0: the
-    affine step writes only its blocks, so the pads of x and z are those of
-    w and lam, and ``eigh`` of a zero-padded matrix keeps the pad's zeros.
-    x = w - lam, the over-relaxation and lam = z - w_new are whole-buffer
-    in-place ufuncs, in the same floating-point order as block by block.
+    writes an exactly Hermitian projection.
     """
-    # Layout: each block sits in a slot of its run's side; the blocks of side
-    # at most _PAD_SIDE share one run. A run of one block keeps its 2-D
-    # shape, since stacking it would gain nothing.
-    sides = [len(blk) for blk in w]
-    pad = max((n for n in sides if n <= _PAD_SIDE), default=0)
-    by_side: dict = {}
-    for k, n in enumerate(sides):
-        by_side.setdefault(pad if n <= _PAD_SIDE else n, []).append(k)
-    slots, runs, pos = [None] * len(w), [], 0
-    for side, ks in by_side.items():
-        start = pos
-        for k in ks:
-            slots[k] = (slice(pos, pos + side * side), side, sides[k])
-            pos += side * side
-        runs.append((slice(start, pos), (side, side) if len(ks) == 1 else (len(ks), side, side)))
-
-    def blocks(buf):
-        return [buf[s].reshape(side, side)[:n, :n] for s, side, n in slots]
-
-    def stacks(buf):
-        return [buf[s].reshape(shape) for s, shape in runs]
-
-    wbuf = [np.zeros(pos, dtype=complex) for _ in range(2)]
-    lbuf, xbuf, zbuf = (np.zeros(pos, dtype=complex) for _ in range(3))
-    wv, wr = [blocks(half) for half in wbuf], [stacks(half) for half in wbuf]
-    lv, xv, zr = blocks(lbuf), blocks(xbuf), stacks(zbuf)
-    for dst, blk in zip(wv[0] + lv, list(w) + list(lam)):
-        dst[...] = blk
-
+    wbuf = [np.array(w, dtype=complex) for _ in range(2)]
+    lam, x, z = (np.zeros_like(wbuf[0]) for _ in range(3))
+    sigma = cfg.penalty_init
     status = "max_iters"
     it = cur = 0
-    while it < max_iters:
+    while it < cfg.max_iters:
         it += 1
-        np.subtract(wbuf[cur], lbuf, out=xbuf)
-        affine(xv, sigma)
+        np.subtract(wbuf[cur], lam, out=x)
+        affine(x, sigma)
         # z = RELAX x + (1 - RELAX) w + lam, staging (1 - RELAX) w in the
         # other iterate half, which the cone step then overwrites.
         nxt = wbuf[1 - cur]
         np.multiply(1.0 - _RELAX, wbuf[cur], out=nxt)
-        np.multiply(_RELAX, xbuf, out=zbuf)
-        zbuf += nxt
-        zbuf += lbuf
-        for dst, src in zip(wr[1 - cur], zr):
-            psd_project(src, out=dst)
-        np.subtract(zbuf, nxt, out=lbuf)
+        np.multiply(_RELAX, x, out=z)
+        z += nxt
+        z += lam
+        psd_project(z, out=nxt)
+        np.subtract(z, nxt, out=lam)
         cur = 1 - cur
-        if it % _CHECK_EVERY == 0 or it == max_iters:
-            if not np.isfinite(xv[0]).all():
+        if it % _CHECK_EVERY == 0 or it == cfg.max_iters:
+            if not np.isfinite(x[0]).all():
                 status = "infeasible_numerics"
                 break
             # The residuals are read only here, so only checkpoints pay for them.
             w_new, w_old = wbuf[cur], wbuf[1 - cur]
             dres = sigma * np.linalg.norm(w_new - w_old)
-            pres = np.linalg.norm(xbuf - w_new)
-            stop = certify(wv[cur], lv, sigma, pres, dres)
+            pres = np.linalg.norm(x - w_new)
+            stop = certify(w_new, lam, sigma, pres, dres)
             if stop is not None:
                 status = stop
                 break
-            pscale = max(np.linalg.norm(xbuf), np.linalg.norm(w_new))
-            dscale = sigma * np.linalg.norm(lbuf)
+            pscale = max(np.linalg.norm(x), np.linalg.norm(w_new))
+            dscale = sigma * np.linalg.norm(lam)
             if pscale == 0.0 or dscale == 0.0:
                 continue
             prel, drel = pres / pscale, dres / dscale
             if prel > _BALANCE_RATIO * drel:
                 sigma *= _BALANCE_SCALE
-                lbuf /= _BALANCE_SCALE
+                lam /= _BALANCE_SCALE
             elif drel > _BALANCE_RATIO * prel:
                 sigma /= _BALANCE_SCALE
-                lbuf *= _BALANCE_SCALE
-    return status, it, [b.copy() for b in wv[cur]], [b.copy() for b in lv], sigma
+                lam *= _BALANCE_SCALE
+    return status, it, wbuf[cur]
 
 
 def _shift_to_dominate(y1: np.ndarray, y2: np.ndarray, adjoint, b: np.ndarray | float):
@@ -425,6 +400,7 @@ def _overlap_core(
     vbasis: np.ndarray | None,
     cfg: SolverConfig,
     threshold: float | None = None,
+    cap: bool = False,
 ) -> _Overlap:
     """The one overlap solve: max <B, C> over PSD C with dominated marginals.
 
@@ -454,11 +430,21 @@ def _overlap_core(
     non-finite Newton system, a point that leaves the cone in rounding, or a
     centering of _CENTER_STEPS steps ends it with ``infeasible_numerics``.
     The bracket starts at [0, tr rho1 + tr rho2] (C = 0, Y = (I, I)).
+
+    ``cap`` solves the mismatch program of ``solve_f_min_full`` instead
+    (B = I, V a basis): its dual adds Y_i <= I, so the barrier gains
+    -log det(I - Y1) - log det(I - Y2) and starts from Y = (3/4 I, 3/4 I),
+    where Z = I/2. The bracket is then f's: ``value`` is f(V C V^*) at the
+    PSD-shifted primal (any PSD C is admissible, so no scaling), starting at
+    f(0) = tr rho1 + tr rho2, and ``dual`` is the lower bound
+    -<W, rho> / max(1, ||W||_inf) of W = 2Y - I shifted by the identity
+    until L^*(W) >= 0, starting at 0. It stops with ``optimal`` once
+    value - dual <= cfg.gap_tol and, given a ``threshold``, with
+    ``decided`` once value < threshold.
     """
     d1, d2, n = r1.shape[0], r2.shape[0], b.shape[0]
     k1, k2 = d1 * d1, d2 * d2
     lmap, ladj = _marginal_maps(vbasis, d1, d2)
-    support_scale = _support_scaler(r1, r2)
     rho = np.concatenate([(r + _FEAS_SLACK * np.eye(len(r))).reshape(-1) for r in (r1, r2)])
     # The Hessian's blocks as 4-index views [a, e, c, x]: output (a, e), input (c, x).
     hess = np.empty((k1 + k2, k1 + k2), dtype=complex)
@@ -466,24 +452,42 @@ def _overlap_core(
     h12 = hess[:k1, k1:].reshape(d1, d1, d2, d2)
     h22 = hess[k1:, k1:].reshape(d2, d2, d2, d2)
 
-    # Z, Y1 and Y2 as one block-diagonal matrix: one definiteness test
-    # (Cholesky) and one inverse per step, hermitized because ``inv`` leaves
-    # a non-Hermitian part of size eps cond(Z) that the primal cannot bear.
-    blocks = np.zeros((n + d1 + d2,) * 2, dtype=complex)
-    zb, y1, y2 = blocks[:n, :n], blocks[n:n + d1, n:n + d1], blocks[n + d1:, n + d1:]
-    blocks[n:, n:] = np.eye(d1 + d2)
+    # Z, Y1 and Y2 (capped, also I - Y1 and I - Y2) as one block-diagonal
+    # matrix: one definiteness test (Cholesky) and one inverse per step,
+    # hermitized because ``inv`` leaves a non-Hermitian part of size
+    # eps cond(Z) that the primal cannot bear.
+    cuts = list(itertools.accumulate([0, n, d1, d2] + ([d1, d2] if cap else [])))
+    diag = [slice(i, j) for i, j in zip(cuts, cuts[1:])]
+    blocks = np.zeros((cuts[-1],) * 2, dtype=complex)
+    zb, y1, y2, *u = [blocks[sl, sl] for sl in diag]
+    blocks[n:, n:] = np.eye(cuts[-1] - n) * (0.75 if cap else 1.0)
+    f0 = _tr(r1) + _tr(r2)
     best = {
-        "value": 0.0,
+        "value": f0 if cap else 0.0,
         "c": np.zeros((n, n), dtype=complex),
-        "dual": _tr(r1) + _tr(r2),
+        "dual": 0.0 if cap else f0,
         "y": (y1.copy(), y2.copy()),
     }
     history: list[float] = []
+    support_scale = None if cap else _support_scaler(r1, r2)
 
     def certify(zinv, step, t):
         dz = ladj(step[:k1].reshape(d1, d1), step[k1:].reshape(d2, d2))
         cf = hermitize(zinv - zinv @ dz @ zinv) / t
         cf -= min(0.0, _min_eig(cf)) * np.eye(n)  # PSD in exact arithmetic, so up to rounding
+        if cap:
+            val = sum(trace_norm(hermitize(m) - r) for m, r in zip(lmap(cf), (r1, r2)))
+            if val < best["value"]:
+                best.update(value=val, c=cf)
+            history.append(best["value"])
+            w1, w2 = _shift_to_dominate(2.0 * y1 - np.eye(d1), 2.0 * y2 - np.eye(d2), ladj, 0.0)
+            scale = max(1.0, *(float(np.abs(np.linalg.eigvalsh(w)).max()) for w in (w1, w2)))
+            lower = -(_hs(w1, r1) + _hs(w2, r2)) / scale
+            if lower > best["dual"]:
+                best.update(dual=lower, y=(w1, w2))
+            if best["value"] - best["dual"] <= cfg.gap_tol:
+                return "optimal"
+            return "decided" if threshold is not None and best["value"] < threshold else None
         s = support_scale(*(hermitize(m) for m in lmap(cf)))
         val = s * _hs(b, cf)
         if val > best["value"]:
@@ -494,14 +498,16 @@ def _overlap_core(
             best.update(dual=dval, y=(ry1, ry2))
         return _overlap_stop(best["value"], best["dual"], cfg.gap_tol, threshold)
 
-    t = 10.0 * (n + d1 + d2) / (_tr(r1) + _tr(r2))
+    t = 10.0 * cuts[-1] / f0
     status, it, steps = "max_iters", 0, 0  # steps: Newton steps of this centering
     while True:
         try:
             np.subtract(ladj(y1, y2), b, out=zb)
+            for ub, y in zip(u, (y1, y2)):
+                np.subtract(np.eye(len(y)), y, out=ub)
             np.linalg.cholesky(blocks)
             inv = _herm_part(np.linalg.inv(blocks))
-            zinv, y1i, y2i = inv[:n, :n], inv[n:n + d1, n:n + d1], inv[n + d1:, n + d1:]
+            zinv, y1i, y2i, *uinv = [inv[sl, sl] for sl in diag]
             g = zinv if vbasis is None else vbasis @ zinv @ vbasis.conj().T
             g4 = g.reshape(d1, d2, d1, d2)
             p = g4.transpose(0, 2, 1, 3).reshape(k1, k2)  # [(a, c), (b, d)] = G[a, b, c, d]
@@ -510,12 +516,16 @@ def _overlap_core(
             h11 += (p @ p.conj().T).reshape(d1, d1, d1, d1).transpose(0, 2, 1, 3)
             np.multiply(y2i[:, None, :, None], y2i.T[None, :, None, :], out=h22)
             h22 += (p.T @ p.conj()).reshape(d2, d2, d2, d2).transpose(0, 2, 1, 3)
+            # The cap's -log det(I - Y_i) adds (I - Y_i)^-1 to the Y_i^-1 terms.
+            for h, a in zip((h11, h22), uinv):
+                h += a[:, None, :, None] * a.T[None, :, None, :]
             h12[...] = (q @ q.conj().T).reshape(d1, d2, d1, d2).transpose(0, 2, 1, 3)
             hess[k1:, :k1] = hess[:k1, k1:].conj().T
             # The gradient is t rho + gbar, so the Newton step is t drho + dbar.
+            gy1, gy2 = (y1i - uinv[0], y2i - uinv[1]) if cap else (y1i, y2i)
             gbar = -np.concatenate([
-                (np.einsum("abcb->ac", g4) + y1i).reshape(-1),
-                (np.einsum("abad->bd", g4) + y2i).reshape(-1),
+                (np.einsum("abcb->ac", g4) + gy1).reshape(-1),
+                (np.einsum("abad->bd", g4) + gy2).reshape(-1),
             ])
             drho, dbar = np.linalg.solve(hess, -np.stack([rho, gbar], axis=1)).T
         except np.linalg.LinAlgError:
@@ -729,170 +739,46 @@ class FMinSolution:
     residuals: dict
 
 
-def _f_value(x: np.ndarray, r1: np.ndarray, r2: np.ndarray, d1: int, d2: int) -> float:
-    return trace_norm(partial_trace_2(x, d1, d2) - r1) + trace_norm(
-        partial_trace_1(x, d1, d2) - r2
-    )
-
-
-# A trace norm of a Hermitian A enters a program as two PSD cones:
-# ||A||_1 = min tr W over W + A >= 0 and W - A >= 0. With U = W + A and
-# L = W - A the cost is (tr U + tr L) / 2 under U - L = 2A. The semidefinite
-# epigraph [[W, A], [A, W]] >= 0, rotated by (1/sqrt 2)[[I, I], [I, -I]], is
-# exactly diag(U, L), so the two d x d cones replace one 2d x 2d cone. Given
-# the targets t_U, t_L of the pair, A's target in the affine step is
-# (t_U - t_L) / 2, and the dual test matrix is Lam_L - Lam_U, Lam = -sigma lam.
-# solve_f_min_full and the fiber distance share the helper below.
-
-
-def _split_points(tu: np.ndarray, tl: np.ndarray, sigma: float, a: np.ndarray) -> None:
-    """Overwrite the U and L targets of a split trace norm with their affine points.
-
-    Each point is the mean target less I/(2 sigma), +- A.
-    """
-    mid = 0.5 * (tu + tl) - _identity(len(a)) / (2.0 * sigma)
-    np.add(mid, a, out=tu)
-    np.subtract(mid, a, out=tl)
-
-
-def _f_min_c_step(maps: tuple, d1: int, d2: int):
-    """The C-step of ``solve_f_min_full``: step(U, G1, G2) -> C.
-
-    C minimizes ||C - U||^2 + 2 ||L C - G||^2, so (I + 2 L^*L) C = U + 2 L^*G,
-    a system of side n^2 on the coefficient space. By the matrix inversion
-    lemma (Boyd et al. 2011, section 4.2) its solution is
-    C = U + 2 L^*(I + 2 L L^*)^{-1}(G - L U), one solve of side d1^2 + d2^2
-    on the marginal space. That matrix is built column by column from the
-    maps L and L^* of ``maps`` and inverted once, so each step is one product.
-    """
-    lmap, ladj = maps
-    k1 = d1 * d1
-    big = np.eye(k1 + d2 * d2, dtype=complex)
-    for k, unit in enumerate(big.copy()):
-        l1, l2 = lmap(ladj(unit[:k1].reshape(d1, d1), unit[k1:].reshape(d2, d2)))
-        big[:, k] += 2.0 * np.concatenate([l1.reshape(-1), l2.reshape(-1)])
-    big_inv = np.linalg.inv(big)
-
-    def step(u, g1, g2):
-        l1u, l2u = lmap(u)
-        m = big_inv @ np.concatenate([(g1 - l1u).reshape(-1), (g2 - l2u).reshape(-1)])
-        return u + 2.0 * ladj(m[:k1].reshape(d1, d1), m[k1:].reshape(d2, d2))
-
-    return step
-
-
 def solve_f_min_full(
     rho1,
     rho2,
     x_sub: Subspace,
     cfg: SolverConfig = DEFAULT_CONFIG,
-    warm_start: dict | None = None,
     threshold: float | None = None,
-) -> tuple[FMinSolution, dict]:
+) -> FMinSolution:
     """Minimize f(X) = ||tr_2 X - rho1||_1 + ||tr_1 X - rho2||_1 over PSD X in a subspace.
 
-    Writes X = V C V^* with V the subspace basis and splits each trace norm
-    ||A_i||_1 (A_1 = tr_2 X - rho1, A_2 = tr_1 X - rho2) into PSD blocks
-    U_i = W_i + A_i and L_i = W_i - A_i with objective (tr U_i + tr L_i)/2.
-    C is a plain PSD block: it needs no trace cap, since
-    f(X) >= 2 tr X - f(0) keeps every minimizer at tr X <= f(0). The upper
-    value is f evaluated at an exactly PSD iterate, the lower bound comes
-    from repaired U_i, L_i multipliers, so the pair brackets the true
-    minimum. The solve stops with status ``optimal`` at the first checkpoint
-    where value - lower_bound is at most cfg.gap_tol, else ends at
-    ``max_iters`` (or ``infeasible_numerics`` on NaN/Inf breakdown); the
-    ADMM residuals only steer the penalty.
-
-    ``warm_start`` is the warm dict a previous solve returned, on the same
-    marginals and a subspace whose basis starts with the previous one; its
-    minimizer, padded with zeros, seeds the value. With a ``threshold`` the
-    solve also stops, with status ``decided``, at the first checkpoint where
-    the value is below it; a value in [0, threshold) then brackets the
-    minimum, and the gap may exceed cfg.gap_tol. A seeded value already below
-    the threshold returns at 0 iterations with the incoming warm dict.
+    With X = V C V^* (V the subspace basis) and ||A||_1 = 2 tr A_+ - tr A,
+    the minimum is tr rho1 + tr rho2 - 2 max{tr C - tr S1 - tr S2 :
+    C, S_i >= 0, L_i(C) <= rho_i + S_i}: the supported overlap program with
+    the slacks S_i, whose dual is capped at Y_i <= I. ``_overlap_core``
+    solves it with ``cap``. The upper value is f at an exactly PSD primal,
+    the lower bound comes from the repaired dual pair, so the pair brackets
+    the true minimum. The solve stops with status ``optimal`` at the first
+    certified bracket whose gap is at most cfg.gap_tol, else ends at
+    ``max_iters`` Newton steps (or ``infeasible_numerics`` on a numerical
+    breakdown). With a ``threshold`` the solve also stops, with status
+    ``decided``, at the first bracket whose value is below it; a value in
+    [0, threshold) then brackets the minimum, and the gap may exceed
+    cfg.gap_tol.
     """
     r1, r2, vbasis = _subspace_marginals(rho1, rho2, x_sub)
-    maps = _marginal_maps(vbasis, len(r1), len(r2))
-    lmap, ladj = maps
-    d1, d2, n = r1.shape[0], r2.shape[0], x_sub.dim
-    c_step = _f_min_c_step(maps, d1, d2)
-
-    sigma = cfg.penalty_init
-    # The blocks: C, then U1, L1 (d1 x d1) and U2, L2 (d2 x d2).
-    w = [np.zeros((k, k), dtype=complex) for k in (n, d1, d1, d2, d2)]
-    lam = [np.zeros_like(b) for b in w]
-    best_upper = _tr(r1) + _tr(r2)  # f at X = 0, always an admissible point
-    best_c = np.zeros_like(w[0])
-    best_lower = 0.0
-    if warm_start:
-        prev = as_matrix(warm_start["C"])
-        if prev.shape[0] > n:
-            raise ValueError("warm start is larger than the current subspace")
-        pad = (0, n - prev.shape[0])  # zeros after the previous level's rows and columns
-        # _admm copies its starting blocks, so the warm dict's are not copied.
-        w = [as_matrix(b) for b in warm_start["W"]]
-        lam = [as_matrix(b) for b in warm_start["lam"]]
-        w[0], lam[0] = np.pad(w[0], pad), np.pad(lam[0], pad)
-        sigma = float(warm_start.get("sigma", sigma))
-        # The padded previous minimizer spans the same operator on the larger
-        # level, so its mismatch value carries over verbatim; seeding it keeps
-        # the ladder values nonincreasing by construction.
-        cpad = np.pad(prev, pad)
-        seed = _f_value(vbasis @ cpad @ vbasis.conj().T, r1, r2, d1, d2)
-        if seed < best_upper:
-            best_upper = seed
-            best_c = cpad
-
-    def affine(x, sigma):
-        c, tu1, tl1, tu2, tl2 = x
-        _herm_part(c_step(c, r1 + 0.5 * (tu1 - tl1), r2 + 0.5 * (tu2 - tl2)), out=c)
-        l1c, l2c = lmap(c)
-        _split_points(tu1, tl1, sigma, l1c - r1)
-        _split_points(tu2, tl2, sigma, l2c - r2)
-
-    def certify(w, lam, sigma, pres, dres):
-        nonlocal best_upper, best_c, best_lower
-        x = vbasis @ w[0] @ vbasis.conj().T
-        val = _f_value(x, r1, r2, d1, d2)
-        if val < best_upper:
-            best_upper = val
-            best_c = w[0].copy()
-        # The (PSD) multipliers of each pair U_i, L_i yield a test matrix
-        # Z_i = Lam_U - Lam_L with ||Z_i||_inf <= 1 at optimality; the
-        # identity-shift repair of -Z restores the sign constraint
-        # L^*(Z1, Z2) <= 0 exactly.
-        y1, y2 = (hermitize(sigma * (lam[k] - lam[k + 1])) for k in (1, 3))
-        y1, y2 = _shift_to_dominate(y1, y2, ladj, 0.0)
-        z1, z2 = -y1, -y2
-        scale = max(1.0, *(float(np.abs(np.linalg.eigvalsh(z)).max()) for z in (z1, z2)))
-        best_lower = max(best_lower, (_hs(z1, r1) + _hs(z2, r2)) / scale)
-        if best_upper - best_lower <= cfg.gap_tol:
-            return "optimal"
-        if threshold is not None and best_upper < threshold:
-            return "decided"
-        return None
-
-    if warm_start and threshold is not None and best_upper < threshold:
-        status, it, warm_out = "decided", 0, warm_start
-    else:
-        status, it, w, lam, sigma = _admm(affine, w, lam, sigma, cfg.max_iters, certify)
-        warm_out = {"C": best_c, "W": w, "lam": lam, "sigma": sigma}
-
-    x_best = hermitize(vbasis @ best_c @ vbasis.conj().T)
+    d1, d2 = r1.shape[0], r2.shape[0]
+    sol = _overlap_core(np.eye(x_sub.dim), r1, r2, vbasis, cfg, threshold, cap=True)
+    x = hermitize(vbasis @ sol.c @ vbasis.conj().T)
     residuals = {
-        "psd_violation": max(0.0, -_min_eig(x_best)),
-        "adjoint_violation": max(0.0, best_lower - best_upper),
+        "psd_violation": max(0.0, -_min_eig(x)),
+        "adjoint_violation": max(0.0, sol.dual - sol.value),
     }
-    sol = FMinSolution(
-        value=best_upper,
-        lower_bound=best_lower,
-        X=BipartiteOperator(x_best, d1, d2),
-        gap=best_upper - best_lower,
-        iterations=it,
-        status=status,
+    return FMinSolution(
+        value=sol.value,
+        lower_bound=sol.dual,
+        X=BipartiteOperator(x, d1, d2),
+        gap=sol.value - sol.dual,
+        iterations=sol.iterations,
+        status=sol.status,
         residuals=residuals,
     )
-    return sol, warm_out
 
 
 def solve_f_min(
@@ -903,7 +789,7 @@ def solve_f_min(
     There is no threshold here: the solve runs until its certified gap is
     within cfg.gap_tol (or the budget runs out).
     """
-    sol, _ = solve_f_min_full(rho1, rho2, x_sub, cfg)
+    sol = solve_f_min_full(rho1, rho2, x_sub, cfg)
     return sol.value, sol.X
 
 

@@ -13,7 +13,7 @@ and serves as an independent cross-check of the quantum pipeline.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 import numpy as np
@@ -221,9 +221,10 @@ def f_ladder(
 
     A level stops with status ``decided`` once its certified value is below
     eps_decision, since that already settles ``coupling_exists``; its value
-    then lies in [0, eps_decision) and its gap can exceed gap_tol. A level
-    whose seed (the previous level's minimizer) is already below eps_decision
-    returns at 0 iterations. Levels above eps_decision run to gap_tol.
+    then lies in [0, eps_decision) and its gap can exceed gap_tol. Every
+    later level keeps that level's minimizer and value, with status
+    ``decided``, lower bound 0 and 0 iterations. Levels above eps_decision
+    run to gap_tol.
     """
     r1, r2 = HermitianOperator(rho1).mat, HermitianOperator(rho2).mat
     _check_marginals(r1, r2, equal_traces=False)
@@ -237,12 +238,17 @@ def f_ladder(
     r1n = r1 / scale
     r2n = r2 / scale
     eps = cfg.eps_decision
-    levels = []
-    warm = None
+    levels, sol = [], None
     for n in range(1, n_max + 1):
-        sub = Subspace(d1 * d2, basis[:, :n])
         tic = time.perf_counter()
-        sol, warm = solve_f_min_full(r1n, r2n, sub, cfg, warm_start=warm, threshold=eps)
+        if sol is not None and sol.value < eps:
+            # The previous level's minimizer lies in this span too, so its
+            # value decides the level at 0 iterations; a smaller span's lower
+            # bound does not carry over, which leaves 0.
+            sol = replace(sol, lower_bound=0.0, gap=sol.value, iterations=0, status="decided")
+        else:
+            sub = Subspace(d1 * d2, basis[:, :n])
+            sol = solve_f_min_full(r1n, r2n, sub, cfg, threshold=eps)
         levels.append(
             LadderLevel(
                 level=n,

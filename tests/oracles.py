@@ -92,31 +92,6 @@ def partial_trace_1_sum(f: np.ndarray, d1: int, d2: int) -> np.ndarray:
     return out
 
 
-def f_min_c_step_dense(
-    basis: np.ndarray, d1: int, d2: int, u: np.ndarray, g1: np.ndarray, g2: np.ndarray
-) -> np.ndarray:
-    """C-step of the f-minimizer from its n^2 x n^2 normal equations.
-
-    C minimizes ||C - U||^2 + 2 ||L C - G||^2 with L: C -> (tr_2 V C V^*,
-    tr_1 V C V^*) and V = ``basis``; the matrix of L is built column by column
-    from the index-sum partial traces and (I + 2 L^*L) C = U + 2 L^*G is
-    solved densely.
-    """
-    n = basis.shape[1]
-    cols = []
-    for unit in np.eye(n * n):
-        x = basis @ unit.reshape(n, n) @ basis.conj().T
-        cols.append(
-            np.concatenate(
-                [partial_trace_2_sum(x, d1, d2).reshape(-1), partial_trace_1_sum(x, d1, d2).reshape(-1)]
-            )
-        )
-    lmat = np.array(cols).T
-    normal = np.eye(n * n) + 2.0 * lmat.conj().T @ lmat
-    rhs = u.reshape(-1) + 2.0 * lmat.conj().T @ np.concatenate([g1.reshape(-1), g2.reshape(-1)])
-    return np.linalg.solve(normal, rhs).reshape(n, n)
-
-
 def golden_section_min(fn, lo: float, hi: float, tol: float = 1e-12) -> tuple[float, float]:
     """Minimize a unimodal scalar function on [lo, hi]; returns (argmin, min)."""
     invphi = (np.sqrt(5.0) - 1.0) / 2.0

@@ -80,14 +80,15 @@ def test_traced_pass_covers_every_wrapped_solver(tmp_path):
 
 def test_traced_projections_cover_every_iteration(tmp_path):
     # Every ADMM iteration projects at least once, so the traced psd_project
-    # count of the ladder-f op is at least its levels' iterations. An ADMM
-    # loop that bound psd_project anywhere but the sdp module global would
-    # escape the tracer and read 0 here. The overlap solves of the check and
-    # mu ops run Newton steps, which project nothing.
+    # count of the fiber-dist op is at least its iterations. An ADMM loop
+    # that bound psd_project anywhere but the sdp module global would escape
+    # the tracer and read 0 here. The overlap and mismatch solves of the
+    # check, mu and ladder-f ops run Newton steps, which project nothing.
     run = load_bench_run()
-    ladder = [spec for spec in OPS if spec[0] == "ladder-f"]
+    newton_ops = [spec for spec in OPS if spec[0] in ("check", "mu", "ladder-f")]
+    admm_ops = [spec for spec in OPS if spec[0] == "fiber-dist"]
     counts = []
-    for specs in (OPS[:2], ladder):
+    for specs in (newton_ops, admm_ops):
         tracer = run.tracing.Tracer()
         run.install_tracer(tracer, qstrassen)
         reports = []
@@ -100,13 +101,15 @@ def test_traced_projections_cover_every_iteration(tmp_path):
         finally:
             tracer.uninstall()
         counts.append((reports, tracer.counters["psd_project.calls"]))
-    (overlap, overlap_calls), ([fladder], fladder_calls) = counts
+    (newton_reports, newton_calls), ([dist], dist_calls) = counts
+    [fladder] = [r for r in newton_reports if r["command"] == "ladder-f"]
+    overlap = [r for r in newton_reports if r["command"] != "ladder-f"]
     newton = sum(
         r[key]["iterations"] for r in overlap for key in ("solution", "supported") if r.get(key)
     )
-    assert len(overlap) == 3 and newton > 0 and overlap_calls == 0
-    iterations = sum(level["iterations"] for level in fladder["levels"])
-    assert iterations > 0 and fladder_calls >= iterations
+    newton += sum(level["iterations"] for level in fladder["levels"])
+    assert len(overlap) == 3 and newton > 0 and newton_calls == 0
+    assert dist["iterations"] > 0 and dist_calls >= dist["iterations"]
 
 
 def test_traced_fiber_distance_projects_once_per_iteration(tmp_path):

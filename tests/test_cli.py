@@ -456,6 +456,19 @@ def test_main_ladder_f_truncated_chain_exits_undecided(tmp_path, capsys):
     assert json.loads(out)["verdict"] == "coupling_exists"
 
 
+def test_main_ladder_f_one_newton_step_per_level_exits_undecided(tmp_path, capsys):
+    # A budget of one Newton step certifies each level at its first point.
+    obj = generate_instance({"kind": "f_ladder", "dims": (2, 2), "seed": 8})
+    path = write_json(tmp_path, "lf.json", obj)
+    code, out, _ = run_main(capsys, ["ladder-f", path, "--max-iters", "1"])
+    report = json.loads(out)
+    assert (code, report["verdict"]) == (2, "undecided")
+    assert len(report["levels"]) == obj["n_max"]
+    for row in report["levels"]:
+        assert (row["status"], row["iterations"]) == ("max_iters", 1)
+        assert row["lower_bound"] <= row["value"]
+
+
 def test_main_ladder_sdp(tmp_path, capsys):
     obj = generate_instance({"kind": "sdp_ladder", "dims": (3, 3), "seed": 9})
     path = write_json(tmp_path, "ls.json", obj)

@@ -50,7 +50,7 @@ def test_pyproject_declares_only_numpy():
 
 
 def test_fibers_imports_from_sdp_only_the_shared_solver_parts():
-    # The ADMM driver, its config and three solver steps; the scalar helpers
+    # The ADMM driver, its config and two solver steps; the scalar helpers
     # and the input checks come from linalg.
     tree = ast.parse((ROOT / "src" / "qstrassen" / "fibers.py").read_text())
     names = set()
@@ -65,6 +65,5 @@ def test_fibers_imports_from_sdp_only_the_shared_solver_parts():
         "DEFAULT_CONFIG",
         "_admm",
         "_shift_to_dominate",
-        "_split_points",
         "_support_scaler",
     }

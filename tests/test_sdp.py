@@ -9,6 +9,8 @@ overlap and mismatch programs.
 
 from __future__ import annotations
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -18,14 +20,13 @@ from qstrassen.bipartite import BipartiteOperator, Subspace, partial_trace_1, pa
 from qstrassen.cli import generate_instance, problem_from_dict
 from qstrassen.fibers import FiberSpec, _dist_solve
 from qstrassen.linalg import hermitize, trace_norm
+from qstrassen.strassen import _Dinic
 from qstrassen.sdp import (
     DEFAULT_CONFIG,
     MarginalSdpProblem,
     SolverConfig,
     _FEAS_SLACK,
     _admm,
-    _f_min_c_step,
-    _marginal_maps,
     _support_scaler,
     solve_f_min,
     solve_f_min_full,
@@ -34,7 +35,7 @@ from qstrassen.sdp import (
     verify_duality_certificates,
 )
 
-from oracles import f_min_c_step_dense, golden_section_min, support_scale_bisect
+from oracles import golden_section_min, support_scale_bisect
 
 
 def crand(rng, p, q):
@@ -253,7 +254,7 @@ def test_f_min_matches_golden_section_oracle():
 
     _, truth = golden_section_min(mismatch, 0.0, 2.0)
     assert abs(truth - (2.0 - 2.0 * min(a, b))) < 1e-9
-    sol, _ = solve_f_min_full(r1, r2, sub)
+    sol = solve_f_min_full(r1, r2, sub)
     assert sol.status == "optimal"
     assert abs(sol.value - truth) <= 1e-5
     assert sol.lower_bound <= truth + 1e-9
@@ -263,39 +264,12 @@ def test_f_min_matches_golden_section_oracle():
 def test_f_min_value_is_attained_by_returned_point():
     r1 = np.diag([0.3, 0.7]).astype(complex)
     r2 = np.diag([0.55, 0.45]).astype(complex)
-    sol, _ = solve_f_min_full(r1, r2, corner_subspace())
+    sol = solve_f_min_full(r1, r2, corner_subspace())
     x = sol.X.mat
     recomputed = trace_norm(partial_trace_2(x, 2, 2) - r1) + trace_norm(
         partial_trace_1(x, 2, 2) - r2
     )
     assert abs(recomputed - sol.value) < 1e-9
-
-
-def test_f_min_warm_start_keeps_values_nonincreasing():
-    rng = np.random.default_rng(1)
-    d1 = d2 = 3
-    q, _ = np.linalg.qr(crand(rng, d1 * d2, 3))
-    r1 = np.eye(d1) / d1
-    r2 = np.eye(d2) / d2
-    sub1 = Subspace(d1 * d2, q[:, :1])
-    sub2 = Subspace(d1 * d2, q[:, :2])
-    sol1, warm = solve_f_min_full(r1, r2, sub1)
-    sol2, _ = solve_f_min_full(r1, r2, sub2, warm_start=warm)
-    assert sol2.value <= sol1.value + 2e-6
-
-
-@pytest.mark.parametrize("dims, n", [((3, 3), 2), ((4, 3), 12), ((2, 6), 12)])
-def test_f_min_c_step_matches_dense_normal_equations(dims, n):
-    # n^2 below d1^2 + d2^2 on 3x3, above it on 4x3 and 2x6.
-    d1, d2 = dims
-    rng = np.random.default_rng(n + d1)
-    sub = Subspace(d1 * d2, np.linalg.qr(crand(rng, d1 * d2, n))[0])
-    vbasis = sub.basis
-    maps = _marginal_maps(vbasis, d1, d2)
-    u, g1, g2 = (hermitize(crand(rng, k, k)) for k in (n, d1, d2))
-    step = _f_min_c_step(maps, d1, d2)
-    want = f_min_c_step_dense(vbasis, d1, d2, u, g1, g2)
-    assert np.max(np.abs(step(u, g1, g2) - want)) <= 1e-12
 
 
 def test_f_min_rejects_ambient_mismatch():
@@ -413,26 +387,26 @@ def test_marginal_sdp_reproduces_golden_values():
         assert abs(sol.dual_value - dual) <= 1e-12
 
 
-# Warm-started f-ladder chains, one entry per level:
+# f-ladder chains, one entry per level, each level a cold solve:
 # (dims, seed, max_iters) -> [(value, lower_bound, iterations, status), ...].
 F_MIN_CHAIN_GOLDEN = {
     ((2, 3), 0, 50_000): [
-        (1.313520275044532, 1.3135202439516336, 100, "optimal"),
-        (0.720186191461468, 0.7201861604070006, 100, "optimal"),
-        (0.4272075214692814, 0.4272070380628201, 125, "optimal"),
-        (4.800428620578789e-07, 0.0, 100, "optimal"),
-        (1.5660695052815271e-09, 0.0, 25, "optimal"),
-        (9.659299848215814e-14, 0.0, 25, "optimal"),
+        (1.3135203607283104, 1.3135195533300688, 35, "optimal"),
+        (0.7201862490675383, 0.7201855145615056, 34, "optimal"),
+        (0.42720766607607885, 0.42720676987328443, 32, "optimal"),
+        (4.397044971318768e-09, 0.0, 21, "optimal"),
+        (2.9261858213798305e-09, 0.0, 23, "optimal"),
+        (1.7342421806045218e-09, 0.0, 26, "optimal"),
     ],
-    ((3, 3), 1, 50): [
-        (1.4750440638113531, 1.4750215745124393, 50, "max_iters"),
-        (0.9645199575104342, 0.9644905720390008, 50, "max_iters"),
-        (0.7430104100242118, 0.7430050638634672, 50, "max_iters"),
-        (0.006363356249557627, 0.0, 50, "max_iters"),
-        (0.0016409389072196616, 0.0, 50, "max_iters"),
-        (7.046966898477753e-06, 0.0, 50, "max_iters"),
-        (1.993760171635597e-08, 0.0, 25, "optimal"),
-        (2.0171458120338134e-11, 0.0, 25, "optimal"),
+    ((3, 3), 1, 20): [
+        (1.4750423478770471, 1.4739967264913283, 20, "max_iters"),
+        (0.9645183797009351, 0.9632306851908312, 20, "max_iters"),
+        (0.7430287083412193, 0.7426195290966763, 20, "max_iters"),
+        (3.1682168832527536e-09, 0.0, 20, "optimal"),
+        (3.026165399162984e-08, 0.0, 20, "optimal"),
+        (1.9805739460808901e-07, 0.0, 20, "optimal"),
+        (5.956219838288108e-07, 0.0, 20, "optimal"),
+        (1.6943635731948169e-06, 0.0, 20, "max_iters"),
     ],
 }
 
@@ -441,42 +415,59 @@ def test_f_min_chain_reproduces_golden_values():
     for (dims, seed, max_iters), levels in F_MIN_CHAIN_GOLDEN.items():
         p = generated("f_ladder", dims, seed)
         assert p.n_max == len(levels)
-        warm = None
         for n, (value, lower, iterations, status) in enumerate(levels, start=1):
             chain = Subspace(p.d1 * p.d2, p.basis[:, :n])
-            sol, warm = solve_f_min_full(
-                p.rho1, p.rho2, chain, SolverConfig(max_iters=max_iters), warm
-            )
+            sol = solve_f_min_full(p.rho1, p.rho2, chain, SolverConfig(max_iters=max_iters))
             assert (sol.iterations, sol.status) == (iterations, status), (dims, n)
             assert abs(sol.value - value) <= 1e-12
             assert abs(sol.lower_bound - lower) <= 1e-12
 
 
 def test_f_min_chain_threshold_stops_levels_below_it():
-    # Thresholded chains decide each level once its value is below 1e-4 and
-    # never take more iterations than the gap_tol run of the golden table;
-    # a level seeded below the threshold returns at once with its warm dict.
+    # Thresholded solves decide each level once its value is below 1e-4 and
+    # never take more Newton steps than the gap_tol run of the golden table.
     threshold = 1e-4
-    decided = seeded = 0
+    decided = 0
     for (dims, seed, max_iters), levels in F_MIN_CHAIN_GOLDEN.items():
         p = generated("f_ladder", dims, seed)
         cfg = SolverConfig(max_iters=max_iters)
-        warm, prev = None, None
-        for n, (_, _, iterations, _) in enumerate(levels, start=1):
+        for n, (value, _, iterations, _) in enumerate(levels, start=1):
             chain = Subspace(p.d1 * p.d2, p.basis[:, :n])
-            sol, out = solve_f_min_full(p.rho1, p.rho2, chain, cfg, warm, threshold)
+            sol = solve_f_min_full(p.rho1, p.rho2, chain, cfg, threshold)
             assert sol.iterations <= iterations, (dims, n)
             assert sol.lower_bound <= sol.value
             if sol.status == "decided":
                 decided += 1
                 assert sol.value < threshold
-            if prev is not None and prev.value < threshold:
-                seeded += 1
-                assert (sol.status, sol.iterations) == ("decided", 0)
-                assert abs(sol.value - prev.value) <= 1e-12
-                assert out is warm
-            warm, prev = out, sol
-    assert decided >= 4 and seeded >= 3
+            assert (sol.value < threshold) == (value < threshold), (dims, n)
+    assert decided >= 4
+
+
+def test_f_min_brackets_the_classical_flow_value():
+    # On a diagonal instance with V the edge coordinates, min f is
+    # tr mu1 + tr mu2 - 2F, F the exact max-flow value of the transport
+    # network, since dephasing X lowers both trace norms.
+    for dims in ((2, 2), (2, 3), (3, 3), (3, 4)):
+        for feasible in (True, False):
+            for seed in range(12):
+                inst = generated("classical", dims, seed, feasible=feasible).instance
+                m, n = inst.m, inst.n
+                net = _Dinic(m + n + 2)
+                for i, x in enumerate(inst.mu1):
+                    net.add_edge(0, 1 + i, Fraction(float(x)))
+                for j, x in enumerate(inst.mu2):
+                    net.add_edge(1 + m + j, m + n + 1, Fraction(float(x)))
+                for i, j in sorted(inst.edges):
+                    net.add_edge(1 + i, 1 + m + j, Fraction(2))
+                flow = float(net.max_flow(0, m + n + 1))
+                target = float(np.sum(inst.mu1) + np.sum(inst.mu2)) - 2.0 * flow
+                basis = np.eye(m * n)[:, [i * n + j for i, j in sorted(inst.edges)]]
+                sol = solve_f_min_full(
+                    np.diag(inst.mu1), np.diag(inst.mu2), Subspace(m * n, basis)
+                )
+                case = (dims, feasible, seed)
+                assert sol.status == "optimal", case
+                assert sol.lower_bound - 1e-12 <= target <= sol.value + 1e-12, case
 
 
 # ---------------------------------------------------------------------------
@@ -496,9 +487,7 @@ def generated(kind, dims, seed, **spec):
 def stop_rule_cases(max_iters):
     """(solver, gap, status) of every gap-checked solve on generated 2x3 and 3x3 instances.
 
-    The f-minimizer runs whole warm-started ladder chains, as ``f_ladder``
-    does; their later levels close the bracket long before the ADMM
-    residuals settle.
+    The f-minimizer runs every level of the ladder chains.
     """
     cfg = SolverConfig(max_iters=max_iters)
     out = []
@@ -512,10 +501,9 @@ def stop_rule_cases(max_iters):
             sup = solve_supported_overlap(sub, p.rho1, p.rho2, cfg)
             out.append(("supported", sup.gap, sup.status))
             p = generated("f_ladder", dims, seed)
-            warm = None
             for n in range(1, p.n_max + 1):
                 chain = Subspace(p.d1 * p.d2, p.basis[:, :n])
-                fmin, warm = solve_f_min_full(p.rho1, p.rho2, chain, cfg, warm)
+                fmin = solve_f_min_full(p.rho1, p.rho2, chain, cfg)
                 out.append(("f_min", fmin.gap, fmin.status))
             p = generated("fiber_dist", dims, seed)
             upper, lower, _, _, status = _dist_solve(p.beta, FiberSpec(p.rho1, p.rho2), cfg)
@@ -714,11 +702,19 @@ def test_barrier_core_newton_breakdown_is_infeasible_numerics(monkeypatch, break
     assert 0.8 < sol.primal_value <= sol.dual_value < 1.2
     assert len(sol.primal_history) >= 1
     assert_overlap_bracket(sol, prob)
+    # The mismatch program runs on the same core: level 3 of a ladder chain,
+    # whose golden bracket lies inside the one kept at the breakdown.
+    calls.clear()
+    p = generated("f_ladder", (2, 3), 0)
+    fmin = solve_f_min_full(p.rho1, p.rho2, Subspace(6, p.basis[:, :3]))
+    assert (fmin.status, fmin.iterations) == ("infeasible_numerics", 11)
+    value, lower, _, _ = F_MIN_CHAIN_GOLDEN[((2, 3), 0, 50_000)][2]
+    assert 0.0 < fmin.lower_bound <= lower <= value <= fmin.value < 2.0
 
 
 def test_overlap_programs_run_without_admm_or_projections(monkeypatch):
     def forbidden(*args, **kwargs):
-        raise AssertionError("an overlap program called _admm or psd_project")
+        raise AssertionError("an overlap or mismatch program called _admm or psd_project")
 
     monkeypatch.setattr(sdp, "_admm", forbidden)
     monkeypatch.setattr(sdp, "psd_project", forbidden)
@@ -726,6 +722,10 @@ def test_overlap_programs_run_without_admm_or_projections(monkeypatch):
     assert solve_marginal_sdp(generated_problem((2, 3), 0)).status == "optimal"
     assert solve_supported_overlap(sub, r1, r2).status == "optimal"
     assert solve_supported_overlap(sub, r1, r2, threshold=0.99).status == "decided"
+    p = generated("f_ladder", (2, 3), 0)
+    chain = Subspace(6, p.basis[:, :4])
+    assert solve_f_min_full(p.rho1, p.rho2, chain).status == "optimal"
+    assert solve_f_min_full(p.rho1, p.rho2, chain, threshold=1e-4).status == "decided"
 
 
 # ---------------------------------------------------------------------------
@@ -746,21 +746,20 @@ def test_admm_zero_multipliers_leave_sigma_unchanged():
     # Every shifted iterate is a positive multiple of the PSD target, so the
     # PSD projection returns it unchanged and every multiplier stays exactly
     # 0 while the iterate still moves toward the fixed affine point; at the
-    # checkpoint the dual residual is far above the primal one. The relative
-    # rule has a zero dual normaliser there and must leave sigma alone.
+    # first checkpoint the dual residual is far above the primal one. The
+    # relative rule has a zero dual normaliser there and must leave sigma
+    # alone, which the second checkpoint sees.
     target = np.diag([1.0, 2.0]).astype(complex)
     seen = []
 
     def certify(w, lam, sigma, pres, dres):
-        seen.append((pres, dres, max(float(np.linalg.norm(lb)) for lb in lam)))
+        seen.append((pres, dres, float(np.linalg.norm(lam)), sigma))
 
-    w0 = [np.zeros((2, 2), dtype=complex)]
-    status, it, _, _, sigma = _admm(
-        fixed_affine([target]), w0, [np.zeros_like(w0[0])], 100.0, 25, certify
-    )
-    assert (status, it, sigma) == ("max_iters", 25, 100.0)
-    [(pres, dres, lam_max)] = seen
-    assert lam_max == 0.0
+    cfg = SolverConfig(max_iters=50, penalty_init=100.0)
+    status, it, _ = _admm(fixed_affine([target]), [np.zeros((2, 2))], cfg, certify)
+    assert (status, it) == ("max_iters", 50)
+    (pres, dres, lam_norm, sigma), (_, _, _, sigma_next) = seen
+    assert lam_norm == 0.0 and sigma == sigma_next == 100.0
     assert dres > 10.0 * pres > 0.0
 
 
@@ -780,7 +779,7 @@ def test_relative_balancing_cuts_overlap_iterations():
 
 
 # ---------------------------------------------------------------------------
-# the driver's flat buffers
+# the driver's stacked buffers
 
 
 def admm_projection_counts(monkeypatch, solve):
@@ -803,7 +802,6 @@ def admm_projection_counts(monkeypatch, solve):
         runs.append((out[1], calls))
         return out
 
-    monkeypatch.setattr(sdp, "_admm", counted_admm)
     monkeypatch.setattr(fibers, "_admm", counted_admm)
     solve()
     return runs
@@ -816,94 +814,25 @@ def full_rank_instance(dims, k, seed):
     return sub, random_state(rng, dims[0]), random_state(rng, dims[1])
 
 
-def bare_admm(sides, cfg):
-    """A bare ``_admm`` run on PSD blocks of the given sides, each pulled to a fixed target.
-
-    The "mu" and "supported" cases use the overlap programs' block sides (C
-    of side d1 d2 or k, then the d1 x d1 and d2 x d2 slacks) to cover the
-    layout cases of ``_admm``.
-    """
-    rng = np.random.default_rng(3)
-    targets = [hermitize(crand(rng, n, n)) for n in sides]
-    w0 = [np.zeros((n, n), dtype=complex) for n in sides]
-    lam0 = [np.zeros_like(b) for b in w0]
-    return lambda: sdp._admm(
-        fixed_affine(targets), w0, lam0, 1.0, cfg.max_iters, lambda *args: None
-    )
-
-
-def small_solve(solver, dims, k, cfg):
-    """A call of one solver on the full-rank instance of seed 3, or a bare run of its blocks."""
-    sub, r1, r2 = full_rank_instance(dims, k, seed=3)
-    return {
-        "supported": bare_admm([k, *dims], cfg),
-        "mu": bare_admm([dims[0] * dims[1], *dims], cfg),
-        "f_min": lambda: solve_f_min_full(r1, r2, sub, cfg),
-        "dist": lambda: _dist_solve(sub.projector.mat, FiberSpec(r1, r2), cfg),
-    }[solver]
-
-
 @pytest.mark.parametrize(
-    "solver, dims, k, per_iteration",
+    "solver, dims, per_iteration",
     [
-        # C, S1 and S2 are all 3x3: one stacked run.
-        ("supported", (3, 3), 3, [(3, 3, 3)]),
-        # C is 9x9, then both 3x3 slacks stacked.
-        ("mu", (3, 3), 3, [(9, 9), (2, 3, 3)]),
-        # C (6x6), S1 (2x2) and S2 (3x3) in one run padded to side 6.
-        ("mu", (2, 3), 3, [(3, 6, 6)]),
-        # C (6x6), then U1, L1, U2 and L2 (3x3), padded to side 6.
-        ("f_min", (3, 3), 6, [(5, 6, 6)]),
-        # gamma, U and L are all 9x9: one stacked run.
-        ("dist", (3, 3), 3, [(3, 9, 9)]),
-        # C (12x12) alone, then S1 (3x3) and S2 (4x4) padded to side 4.
-        ("mu", (3, 4), 3, [(12, 12), (2, 4, 4)]),
-        # C (18x18) and S1 (9x9) are above side 8: no padding, each alone.
-        ("mu", (9, 2), 3, [(18, 18), (9, 9), (2, 2)]),
+        # gamma, U and L are all 9x9: one stack of three.
+        ("dist", (3, 3), [(3, 9, 9)]),
+        # The sampler's one 6x6 block: a stack of one.
+        ("sample", (2, 3), [(1, 6, 6)]),
     ],
 )
-def test_admm_projects_each_shape_run_once_per_iteration(
-    monkeypatch, solver, dims, k, per_iteration
-):
-    solve = small_solve(solver, dims, k, SolverConfig(max_iters=60))
+def test_admm_projects_its_stack_once_per_iteration(monkeypatch, solver, dims, per_iteration):
+    sub, r1, r2 = full_rank_instance(dims, 3, seed=3)
+    fiber, cfg = FiberSpec(r1, r2), SolverConfig(max_iters=60)
+    solve = {
+        "dist": lambda: _dist_solve(sub.projector.mat, fiber, cfg),
+        "sample": lambda: fibers._sample_member(fiber, sub.projector.mat, cfg),
+    }[solver]
     [(iterations, calls)] = admm_projection_counts(monkeypatch, solve)
     assert iterations > 0
     assert calls == per_iteration * iterations
-
-
-@pytest.mark.parametrize(
-    "solver, sides",
-    [("mu", [6, 2, 3]), ("supported", [3, 2, 3]), ("f_min", [3, 2, 2, 3, 3])],
-)
-def test_padded_run_keeps_its_pads_zero_and_projects_each_block_alone(
-    monkeypatch, solver, sides
-):
-    # Every block of a 2x3 problem is at most 8x8, so all share one run padded
-    # to the largest side. The pads of the projected stack must be exactly 0
-    # going in and coming out, so that no block leaks into another, and each
-    # block's projection must be its own.
-    real_project = sdp.psd_project
-    stacks = []
-
-    def pads_are_zero(stack):
-        return all(not m[n:].any() and not m[:, n:].any() for m, n in zip(stack, sides))
-
-    def checked_project(h, out=None):
-        if np.ndim(h) == 2:  # a projection outside the iteration
-            return real_project(h, out=out)
-        assert h.shape == (len(sides), max(sides), max(sides))
-        assert pads_are_zero(h)
-        own = [real_project(blk[:n, :n]) for blk, n in zip(h, sides)]
-        got = real_project(h, out=out)
-        assert pads_are_zero(got)
-        for blk, ref, n in zip(got, own, sides):
-            assert np.max(np.abs(blk[:n, :n] - ref)) <= 1e-15
-        stacks.append(h.shape)
-        return got
-
-    monkeypatch.setattr(sdp, "psd_project", checked_project)
-    small_solve(solver, (2, 3), 3, SolverConfig(max_iters=100))()
-    assert len(stacks) >= 75  # one per iteration
 
 
 def test_admm_returns_exactly_hermitian_iterates(monkeypatch):
@@ -918,42 +847,34 @@ def test_admm_returns_exactly_hermitian_iterates(monkeypatch):
         returned.extend(out[2])
         return out
 
-    monkeypatch.setattr(sdp, "_admm", recording_admm)
     monkeypatch.setattr(fibers, "_admm", recording_admm)
-    sub, r1, r2 = full_rank_instance((2, 3), 3, seed=4)
+    _, r1, r2 = full_rank_instance((2, 3), 3, seed=4)
     cfg = SolverConfig(max_iters=200)
-    solve_f_min_full(r1, r2, sub, cfg)
     beta = hermitize(crand(np.random.default_rng(4), 6, 6))
     fiber = FiberSpec(r1, r2)
     _dist_solve(beta, fiber, cfg)
     fibers._sample_member(fiber, beta / np.linalg.norm(beta), cfg)
-    assert len(returned) == 5 + 3 + 1
+    assert len(returned) == 3 + 1
     for blk in returned:
         assert np.array_equal(blk, blk.conj().T)
 
 
 def test_admm_returns_blocks_that_own_their_memory():
-    # f_min's warm dict carries the returned blocks into the next ladder
-    # level, so no block may alias another or the driver's next solve.
+    # The returned stack is fresh: it aliases neither the starting blocks,
+    # which stay as they were, nor the stack of another solve.
     rng = np.random.default_rng(5)
     targets = [hermitize(crand(rng, 3, 3)) for _ in range(3)]
     w0 = [np.zeros((3, 3), dtype=complex) for _ in targets]
 
     def solve():
-        _, _, w, lam, _ = _admm(
-            fixed_affine(targets), w0,
-            [np.zeros_like(b) for b in w0], 1.0, 30, lambda *args: None,
-        )
-        return w + lam
+        return _admm(fixed_affine(targets), w0, SolverConfig(max_iters=30), lambda *args: None)[2]
 
     first, second = solve(), solve()
-    blocks = first + second
-    for i, a in enumerate(blocks):
+    for a in (first, second):
         assert a.flags.owndata
-        for b in blocks[i + 1:]:
-            assert not np.shares_memory(a, b)
-    for a, b in zip(first, second):
-        assert np.array_equal(a, b)
+        assert not any(np.shares_memory(a, b) or b.any() for b in w0)
+    assert not np.shares_memory(first, second)
+    assert np.array_equal(first, second)
 
 
 # ---------------------------------------------------------------------------
