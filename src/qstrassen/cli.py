@@ -32,6 +32,8 @@ from .bipartite import (
     partial_trace_2,
     weak_vs_trace_demo,
 )
+# The fiber solvers are bound here by name, not reached through ``fibers``:
+# bench/run.py traces cli._dist_solve and cli.semidistance_lower_bound.
 from .fibers import FiberSpec, _dist_solve, semidistance_lower_bound
 from .linalg import (
     EigendecompositionError,
@@ -180,11 +182,11 @@ def config_to_dict(cfg: SolverConfig) -> dict:
         "eps_decision": cfg.eps_decision,
         "gap_tol": cfg.gap_tol,
         "max_iters": cfg.max_iters,
-        "penalty_init": cfg.penalty_init,
     }
 
 
 def _config_from_dict(obj, name: str = "config") -> SolverConfig:
+    """The solver config of a file; ``penalty_init``, the old ADMM penalty, is accepted and ignored."""
     if not isinstance(obj, dict):
         raise CliError(f"{name} must be an object")
     known = {"gap_tol", "eps_decision", "max_iters", "penalty_init"}
@@ -196,7 +198,6 @@ def _config_from_dict(obj, name: str = "config") -> SolverConfig:
             gap_tol=float(obj.get("gap_tol", DEFAULT_CONFIG.gap_tol)),
             eps_decision=float(obj.get("eps_decision", DEFAULT_CONFIG.eps_decision)),
             max_iters=int(obj.get("max_iters", DEFAULT_CONFIG.max_iters)),
-            penalty_init=float(obj.get("penalty_init", DEFAULT_CONFIG.penalty_init)),
         )
     except (TypeError, ValueError, OverflowError) as exc:
         raise CliError(f"{name}: {exc}") from exc
@@ -658,8 +659,7 @@ _SOLVER_FLAGS = ("gap_tol", "eps_decision", "max_iters")  # the SolverConfig fie
 _FLAG_TYPES = {
     "gap_tol": float, "eps_decision": float, "max_iters": int, "levels": _count, "samples": _count,
 }
-_FLAG_HELP = {"max_iters": "iteration budget per solve: Newton steps for check, mu, ladder-f and "
-              "ladder-sdp, ADMM iterations for fiber-dist (penalty_init applies to it only)"}
+_FLAG_HELP = {"max_iters": "Newton step budget per solve"}
 # The table holds runners, not solvers: a runner looks its solver up in this
 # module's globals (mu, _decide, f_ladder, ...) at call time, so a wrapper
 # bound to one of those names sees every call.

@@ -12,6 +12,7 @@ two fibers by sampling extreme-leaning members.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -21,8 +22,8 @@ from .linalg import (
     HermitianOperator,
     _check_marginals,
     _Frozen,
+    _herm_part,
     _hs,
-    _identity,
     _max_eig,
     _min_eig,
     _tr,
@@ -31,11 +32,16 @@ from .linalg import (
     trace_norm,
 )
 from .sdp import (
+    _CENTER_STEPS,
+    _CENTERED,
+    _GROWTH,
     DEFAULT_CONFIG,
     SolverConfig,
-    _admm,
+    _kron_sum_gram,
+    _overlap_on_support,
     _shift_to_dominate,
     _support_scaler,
+    _support_split,
 )
 
 __all__ = [
@@ -120,117 +126,172 @@ def _repair_to_member(candidate: np.ndarray, fiber: FiberSpec, support_scale) ->
     return member.mat
 
 
-def _project_marginal_affine(
-    gt: np.ndarray, r1: np.ndarray, r2: np.ndarray, d1: int, d2: int, out=None
-) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray]]:
-    """Orthogonal projection onto {gamma : tr_2 gamma = r1, tr_1 gamma = r2}.
-
-    Returns the projected point gt - (M1 (x) I + I (x) M2), written into
-    ``out`` when given, and the corrections (M1, M2). The normal operator of
-    the marginal map has a one-dimensional kernel along (I, -I); any
-    multiplier choice within it yields the same projected point, so the
-    trace split below is made symmetric. Complex traces make it a projection
-    for non-Hermitian ``gt`` too; a Python complex ``tau`` divides each part
-    by a real exactly, as numpy does not.
-    """
-    rr1 = partial_trace_2(gt, d1, d2) - r1
-    rr2 = partial_trace_1(gt, d1, d2) - r2
-    tau = 0.5 * complex(np.trace(rr1) + np.trace(rr2))
-    t1 = tau / (2.0 * d2)
-    t2 = tau / (2.0 * d1)
-    m1 = (rr1 - t2 * _identity(d1)) / d2
-    m2 = (rr2 - t1 * _identity(d2)) / d1
-    return np.subtract(gt, _kron_sum_mat(m1, m2), out=out), (m1, m2)
-
-
-# A trace norm of a Hermitian A enters the distance program as two PSD
-# cones: ||A||_1 = min tr W over W + A >= 0 and W - A >= 0. With U = W + A
-# and L = W - A the cost is (tr U + tr L) / 2 under U - L = 2A. The
-# semidefinite epigraph [[W, A], [A, W]] >= 0, rotated by
-# (1/sqrt 2)[[I, I], [I, -I]], is exactly diag(U, L), so the two d x d cones
-# replace one 2d x 2d cone. Given the targets t_U, t_L of the pair, A's
-# target in the affine step is (t_U - t_L) / 2, and the dual test matrix is
-# Lam_L - Lam_U, Lam = -sigma lam.
-
-
-def _split_points(tu: np.ndarray, tl: np.ndarray, sigma: float, a: np.ndarray) -> None:
-    """Overwrite the U and L targets of a split trace norm with their affine points.
-
-    Each point is the mean target less I/(2 sigma), +- A.
-    """
-    mid = 0.5 * (tu + tl) - _identity(len(a)) / (2.0 * sigma)
-    np.add(mid, a, out=tu)
-    np.subtract(mid, a, out=tl)
-
-
 def _dist_solve(beta: np.ndarray, fiber: FiberSpec, cfg: SolverConfig):
     """Certified bracket for min ||beta - gamma||_1 over the fiber.
 
-    The trace norm is split into PSD blocks U = W + (beta - gamma) and
-    L = W - (beta - gamma) with objective (tr U + tr L)/2, so gamma, U and L
-    share one shape and each iteration projects them with one stacked
-    ``eigh``. Upper bounds come from exact members (scale-and-glue repair of
-    the PSD iterate), lower bounds from repaired dual pairs of the split
-    program, so [lower, upper] always contains the true distance. The solve
-    stops with status ``optimal`` at the first checkpoint where
-    upper - lower is at most cfg.gap_tol, else ends at ``max_iters`` (or
-    ``infeasible_numerics`` on NaN/Inf breakdown); the ADMM residuals only
-    steer the penalty. Returns (upper, lower, member, iterations, status).
+    The dual program is max <Z, beta> - <Y1, rho1> - <Y2, rho2> over
+    -I <= Z <= I and Y1 (x) I + I (x) Y2 >= Z with Y free, and damped Newton
+    steps follow the central path of t (<Y1, rho1> + <Y2, rho2> - <Z, beta>)
+    - log det(I + Z) - log det(I - Z) - log det S, S = Y1 (x) I + I (x) Y2 - Z,
+    from Z = 0, Y = (I, 0). Members live on the support product
+    supp rho1 (x) supp rho2 with basis W = U1 (x) U2, so S is compressed to
+    it, S = Y1 (x) I + I (x) Y2 - W^* Z W with Y_i on supp rho_i, and the
+    path stays bounded for singular marginals. The (I, -I) gauge of Y, a
+    kernel direction of the Newton system, gets a rank-one term. A step goes
+    0.9 of the way to the boundary of the cones, at most the full step.
+
+    A point whose Newton decrement is below _CENTERED is certified and t
+    grows by _GROWTH. Upper bounds are exact members: the primal
+    W (S^-1 - S^-1 dS S^-1) W^* / t of the step, repaired by scale and glue.
+    Lower bounds are the dual value at Z clipped to the unit ball and Y
+    lifted to the whole space, each Y_i gaining s (I - U_i U_i^*), s large
+    enough that S's Schur complement stays PSD, then shifted by the identity
+    until it dominates Z. So [lower, upper] always contains the true
+    distance. The solve stops with status ``optimal`` at the first bracket
+    whose width is at most cfg.gap_tol, else ends at ``max_iters`` Newton
+    steps (or ``infeasible_numerics`` on a singular or non-finite Newton
+    system, or a centering of _CENTER_STEPS steps). Returns
+    (upper, lower, member, steps, status); bench/run.py traces this name and
+    unpacks the 5-tuple, as does ``cli._run_fiber_dist``.
     """
     d1, d2 = fiber.d1, fiber.d2
-    dim = d1 * d2
-    r1 = fiber.rho1.mat
-    r2 = fiber.rho2.mat
-    tr_fiber = _tr(r1)
+    n = d1 * d2
+    r1, r2 = fiber.rho1.mat, fiber.rho2.mat
     support_scale = _support_scaler(r1, r2)
+    (u1, w1), (u2, w2) = _support_split(r1), _support_split(r2)
+    k1, k2 = u1.shape[1], u2.shape[1]
+    wb = np.kron(u1, u2)
+    rc1, rc2 = (hermitize(u.conj().T @ r @ u) for u, r in ((u1, r1), (u2, r2)))
 
-    gamma = _repair_to_member(fiber.product_coupling().mat, fiber, support_scale)
+    member = _repair_to_member(fiber.product_coupling().mat, fiber, support_scale)
+    best = {"upper": trace_norm(beta - member), "member": member, "lower": 0.0}
+    if not k1 * k2:  # zero marginals: the fiber is {0}
+        return best["upper"], best["upper"], member, 0, "optimal"
 
-    best_upper = trace_norm(beta - gamma)
-    best_member = gamma.copy()
-    best_lower = 0.0
-    corrections = ()
+    # Unknowns (Z, Y1, Y2) flattened row-major; the Hessian's blocks as
+    # 4-index views [a, e, c, x]: output (a, e), input (c, x).
+    m0, m1 = n * n, n * n + k1 * k1
+    size = m1 + k2 * k2
+    hess = np.empty((size, size), dtype=complex)
+    hzz = hess[:m0, :m0].reshape(n, n, n, n)
+    hz1 = hess[:m0, m0:m1].reshape(n, n, k1, k1)
+    hz2 = hess[:m0, m1:].reshape(n, n, k2, k2)
+    h11 = hess[m0:m1, m0:m1].reshape(k1, k1, k1, k1)
+    h12 = hess[m0:m1, m1:].reshape(k1, k1, k2, k2)
+    h22 = hess[m1:, m1:].reshape(k2, k2, k2, k2)
+    gauge = np.concatenate([np.zeros(m0), np.eye(k1).reshape(-1), -np.eye(k2).reshape(-1)])
+    gauge = np.outer(gauge, gauge) / (k1 + k2)
+    cost = np.concatenate([-beta.reshape(-1), rc1.reshape(-1), rc2.reshape(-1)])
 
-    def affine(x, sigma):
-        nonlocal corrections
-        gamma, tu, tl = x
-        # gamma's target weighs its own block once and the split's target
-        # (t_U - t_L)/2 for beta - gamma twice. The multipliers are Hermitian
-        # only up to round-off and the variable space is Hermitian, so the
-        # target is projected onto it first.
-        target = hermitize((gamma + 2.0 * (beta - 0.5 * (tu - tl))) / 3.0)
-        _, corrections = _project_marginal_affine(target, r1, r2, d1, d2, out=gamma)
-        _split_points(tu, tl, sigma, beta - gamma)
+    # I + Z, I - Z and S as one block-diagonal matrix: one Cholesky and one
+    # inverse per step, as in _overlap_core.
+    cuts = [0, n, 2 * n, 2 * n + k1 * k2]
+    diag = [slice(i, j) for i, j in zip(cuts, cuts[1:])]
+    blocks = np.zeros((cuts[-1],) * 2, dtype=complex)
+    move = np.zeros_like(blocks)
+    z = np.zeros((n, n), dtype=complex)
+    y1, y2 = np.eye(k1, dtype=complex), np.zeros((k2, k2), dtype=complex)
 
-    def certify(w, lam, sigma, pres, dres):
-        nonlocal best_upper, best_member, best_lower
-        member = _repair_to_member(w[0], fiber, support_scale)
-        val = trace_norm(beta - member)
-        if val < best_upper:
-            best_upper = val
-            best_member = member
-        # Dual test matrix Z = Lam_L - Lam_U from the split's multipliers
-        # (Lam = -sigma lam; Lam_U - Lam_L pairs with beta - gamma in
-        # U - L = 2(beta - gamma), and the bound <Z, beta - gamma> needs the
-        # opposite sign), clipped to the unit spectral ball; closed-form
-        # completions of Y then give valid bounds.
-        zw, zv = np.linalg.eigh(hermitize(sigma * (lam[1] - lam[2])))
-        z = (zv * np.clip(zw, -1.0, 1.0)) @ zv.conj().T
-        # Two completions Y of Z bound <Z, beta> - <Y1, rho1> - <Y2, rho2>:
-        # Y = (lambda_max(Z) I, 0), and Y = 3 sigma M from the gamma step's KKT
-        # condition 3 sigma (gamma - target) + Phi*(Y) = 0 at the latest
-        # correction M, shifted by the identity until Y1 (x) I + I (x) Y2 >= Z.
-        y1, y2 = (hermitize(3.0 * sigma * m) for m in corrections)
-        y1, y2 = _shift_to_dominate(y1, y2, _kron_sum_mat, z)
-        zb = _hs(z, beta)
-        best_lower = max(
-            best_lower, zb - _max_eig(z) * tr_fiber, zb - _hs(y1, r1) - _hs(y2, r2)
+    def slack_step(step):
+        """(dZ, dY1, dY2, dS) of a flat Newton step."""
+        dz = _herm_part(step[:m0].reshape(n, n))
+        dy1 = _herm_part(step[m0:m1].reshape(k1, k1))
+        dy2 = _herm_part(step[m1:].reshape(k2, k2))
+        return dz, dy1, dy2, _kron_sum_mat(dy1, dy2) - wb.conj().T @ dz @ wb
+
+    def certify(g, step, t):
+        ds = slack_step(step)[3]
+        gamma = wb @ _herm_part(g - g @ ds @ g) @ wb.conj().T / t
+        member = _repair_to_member(gamma, fiber, support_scale)
+        upper = trace_norm(beta - member)
+        if upper < best["upper"]:
+            best.update(upper=upper, member=member)
+        zw, zv = np.linalg.eigh(z)
+        zc = (zv * np.clip(zw, -1.0, 1.0)) @ zv.conj().T
+        # Off the support product S's Schur complement needs
+        # s + min(lambda_min Y1, lambda_min Y2) >= ||Z|| + ||S^-1||.
+        s = 1.0 + _max_eig(g) - min(0.0, _min_eig(y1), _min_eig(y2))
+        f1, f2 = (
+            hermitize(u @ y @ u.conj().T + s * (w @ w.conj().T))
+            for u, w, y in ((u1, w1, y1), (u2, w2, y2))
         )
-        return "optimal" if best_upper - best_lower <= cfg.gap_tol else None
+        f1, f2 = _shift_to_dominate(f1, f2, _kron_sum_mat, zc)
+        best["lower"] = max(best["lower"], _hs(zc, beta) - _hs(f1, r1) - _hs(f2, r2))
+        return "optimal" if best["upper"] - best["lower"] <= cfg.gap_tol else None
 
-    w = [gamma, np.zeros((dim, dim)), np.zeros((dim, dim))]
-    status, it, _ = _admm(affine, w, cfg, certify)
-    return best_upper, best_lower, best_member, it, status
+    def result(steps, status):
+        return best["upper"], best["lower"], best["member"], steps, status
+
+    t = 10.0 * cuts[-1] / (_tr(r1) + trace_norm(beta))
+    status, it, steps = "max_iters", 0, 0  # steps: Newton steps of this centering
+    while True:
+        try:
+            blocks[diag[0], diag[0]] = np.eye(n) + z
+            blocks[diag[1], diag[1]] = np.eye(n) - z
+            blocks[diag[2], diag[2]] = _kron_sum_mat(y1, y2) - wb.conj().T @ z @ wb
+            chol_inv = np.linalg.inv(np.linalg.cholesky(blocks))
+            inv = _herm_part(chol_inv.conj().T @ chol_inv)
+            ap, am, g = (inv[sl, sl] for sl in diag)
+            f = wb @ g
+            gz = f @ wb.conj().T  # W S^-1 W^*, S^-1 seen from Z
+            np.multiply(ap[:, None, :, None], ap.T[None, :, None, :], out=hzz)
+            hzz += am[:, None, :, None] * am.T[None, :, None, :]
+            hzz += gz[:, None, :, None] * gz.T[None, :, None, :]
+            # The Z-Y blocks -F (D1 (x) I) F^* and -F (I (x) D2) F^*, F = W G:
+            # [a, e, c, x] = -sum_p F[a, (c, p)] F^*[(x, p), e], and likewise.
+            f3, fh3 = f.reshape(n, k1, k2), f.conj().T.reshape(k1, k2, n)
+            p1 = f3.reshape(n * k1, k2) @ fh3.transpose(1, 0, 2).reshape(k2, k1 * n)
+            p2 = f3.transpose(0, 2, 1).reshape(n * k2, k1) @ fh3.reshape(k1, k2 * n)
+            np.negative(p1.reshape(n, k1, k1, n).transpose(0, 3, 1, 2), out=hz1)
+            np.negative(p2.reshape(n, k2, k2, n).transpose(0, 3, 1, 2), out=hz2)
+            h11[...], h12[...], h22[...] = _kron_sum_gram(g.reshape(k1, k2, k1, k2))
+            hess[m0:, :m0] = hess[:m0, m0:].conj().T
+            hess[m1:, m0:m1] = hess[m0:m1, m1:].conj().T
+            hess += hess.diagonal()[m0:].real.mean() * gauge
+            gbar = np.concatenate([
+                (gz + am - ap).reshape(-1),
+                -np.einsum("abcb->ac", g.reshape(k1, k2, k1, k2)).reshape(-1),
+                -np.einsum("abad->bd", g.reshape(k1, k2, k1, k2)).reshape(-1),
+            ])
+            dcost, dbar = np.linalg.solve(hess, -np.stack([cost, gbar], axis=1)).T
+        except np.linalg.LinAlgError:
+            status = "infeasible_numerics"
+            break
+        certified = False
+        while True:
+            step = t * dcost + dbar
+            lam2 = -np.vdot(t * cost + gbar, step).real
+            if not math.isfinite(lam2) or lam2 >= _CENTERED**2:
+                break
+            stop = certify(g, step, t)
+            if stop is not None:
+                return result(it, stop)
+            certified = True
+            t *= _GROWTH
+            steps = 0
+        if not math.isfinite(lam2) or steps == _CENTER_STEPS:
+            status = "infeasible_numerics"
+            break
+        if it == cfg.max_iters:
+            if not certified:
+                status = certify(g, step, t) or status
+            break
+        dz, dy1, dy2, ds = slack_step(step)
+        alpha = 1.0
+        if lam2 > 0.81:
+            # Within the Dikin ellipsoid (lambda < 1) the boundary is at least
+            # 1 / lambda away, so only a longer step needs the distance.
+            move[diag[0], diag[0]] = dz
+            move[diag[1], diag[1]] = -dz
+            move[diag[2], diag[2]] = ds
+            low = float(np.linalg.eigvalsh(chol_inv @ move @ chol_inv.conj().T)[0])
+            alpha = min(1.0, -0.9 / low) if low < 0.0 else 1.0
+        z += alpha * dz
+        y1 += alpha * dy1
+        y2 += alpha * dy2
+        it += 1
+        steps += 1
+    return result(it, status)
 
 
 def dist_to_fiber(
@@ -256,21 +317,19 @@ def dist_to_fiber(
 def _sample_member(fiber: FiberSpec, objective: np.ndarray, cfg: SolverConfig) -> np.ndarray:
     """A fiber member leaning toward max <objective, gamma> (feasibility certified).
 
-    The one solve without a bracket: it stops once both ADMM residuals are at
-    most cfg.gap_tol, and the iterate is then repaired into an exact member.
+    With B = (O + ||O|| I) / (1.01 ||O||), which is PSD with ||B|| < 2, the
+    overlap program max <B, C> over PSD C with dominated marginals has its
+    optimum on the fiber, since gluing the deficit product onto a dominated
+    C raises <B, C>; on the fiber <B, gamma> is <O, gamma> up to a constant.
+    ``_overlap_on_support`` solves it to cfg.gap_tol, and the solution is
+    repaired into an exact member, so every sample is genuine whatever the
+    solve's status. bench/run.py traces this name.
     """
-    d1, d2 = fiber.d1, fiber.d2
     r1, r2 = fiber.rho1.mat, fiber.rho2.mat
-
-    def affine(x, sigma):
-        x[0] += objective / sigma
-        _project_marginal_affine(x[0], r1, r2, d1, d2, out=x[0])
-
-    def certify(w, lam, sigma, pres, dres):
-        return "optimal" if pres <= cfg.gap_tol and dres <= cfg.gap_tol else None
-
-    _, _, (wg,) = _admm(affine, [fiber.product_coupling().mat], cfg, certify)
-    return _repair_to_member(wg, fiber, _support_scaler(r1, r2))
+    size = max(float(np.linalg.norm(objective)), 1e-300)
+    b = (objective + size * np.eye(len(objective))) / (1.01 * size)
+    sol = _overlap_on_support(b, r1, r2, None, cfg)
+    return _repair_to_member(sol.c, fiber, _support_scaler(r1, r2))
 
 
 @dataclass(frozen=True)
@@ -316,7 +375,7 @@ def semidistance_lower_bound(
     )
     dim = fiber_a.d1 * fiber_a.d2
     rng = np.random.default_rng(7)
-    sample_cfg = replace(cfg, gap_tol=max(cfg.gap_tol, 1e-5), max_iters=min(cfg.max_iters, 4000))
+    sample_cfg = replace(cfg, gap_tol=max(cfg.gap_tol, 1e-5))
     values = []
     for _ in range(samples):
         raw = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))

@@ -19,7 +19,6 @@ share across threads.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -112,14 +111,6 @@ def _herm_part(m: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     out = np.add(m, m.conj().swapaxes(-1, -2), out=out)
     out /= 2
     return out
-
-
-@lru_cache(maxsize=None)
-def _identity(n: int) -> np.ndarray:
-    """The real n x n identity, built once and read-only, for the solvers' hot loops."""
-    eye = np.eye(n)
-    eye.setflags(write=False)
-    return eye
 
 
 def hermitize(a) -> np.ndarray:

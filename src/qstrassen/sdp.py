@@ -19,11 +19,10 @@ solves it.
 The overlap core is a dual log-barrier method (Nesterov and Nemirovskii
 1994; Boyd and Vandenberghe 2004, section 11.5): damped Newton steps on the
 dual pair (Y1, Y2), systems of side d1^2 + d2^2 whatever the subspace.
-The fiber solves use a two-block ADMM with over-relaxation and residual
-balancing (Boyd et al. 2011, section 3.4.1): one block is projected onto the
-affine slice, the other onto the PSD cone. One loop, ``_admm``, runs it for
-the fiber distance and the fiber sampler of ``fibers``; each supplies only
-its affine step and its certify checkpoint.
+Every solve of the package is a barrier method of this kind: the fiber
+sampler of ``fibers`` runs this core, and the fiber distance runs its own
+Newton steps on the same central path rules (_GROWTH, _CENTERED,
+_CENTER_STEPS) and shares the Hessian blocks of ``_kron_sum_gram``.
 
 Reported values are certified: the primal value is evaluated at an exactly
 feasible restoration of the iterate, the dual value at an exactly feasible
@@ -31,12 +30,9 @@ repair of the dual point, so primal <= optimum <= dual holds up to the
 feasibility slack s = _FEAS_SLACK = 1e-12 times the size of the dual point.
 For the overlap programs the primal may use marginals rho_i + s I, so the
 bracket can invert by up to s (tr Y1 + tr Y2): 8.5e-8 at tr Y1 = 9.7e4 on a
-direction just outside a singular marginal's support. The four fields of
-``SolverConfig`` are the only knobs. ``max_iters`` counts Newton steps for
-the overlap and mismatch programs (``check``, ``mu``, ``ladder-f``,
-``ladder-sdp``) and ADMM iterations for the fiber solves (``fiber-dist``),
-the only ones that read ``penalty_init``, the ADMM penalty; that slack and
-the support cut are fixed constants.
+direction just outside a singular marginal's support. The three fields of
+``SolverConfig`` are the only knobs, and ``max_iters`` counts Newton steps
+in every solve; that slack and the support cut are fixed constants.
 """
 
 from __future__ import annotations
@@ -56,7 +52,6 @@ from .bipartite import (
     partial_trace_2,
 )
 from .linalg import (
-    _MAGNITUDE_GUARD,
     DEFAULT_TOL,
     HermitianOperator,
     _check_marginals,
@@ -67,7 +62,7 @@ from .linalg import (
     _min_eig,
     _tr,
     hermitize,
-    psd_project,
+    psd_project,  # noqa: F401  (unused here; bench/run.py traces sdp.psd_project by name)
     trace_norm,
 )
 
@@ -86,10 +81,6 @@ __all__ = [
     "verify_duality_certificates",
 ]
 
-_CHECK_EVERY = 25
-_BALANCE_RATIO = 10.0
-_BALANCE_SCALE = 2.0
-_RELAX = 1.6
 _FEAS_SLACK = 1e-12
 _GROWTH = 64.0  # the barrier weight t grows by this factor after each centering
 _CENTERED = 0.25  # Newton decrement below which a point counts as centered
@@ -98,24 +89,19 @@ _CENTER_STEPS = 100  # a centering that needs this many Newton steps has stalled
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Knobs shared by every solve; the four fields are the serialized config.
+    """Knobs shared by every solve; the three fields are the serialized config.
 
-    ``max_iters`` is the budget of one solve: Newton steps for the overlap
-    and mismatch programs (``check``, ``mu``, ``ladder-f``, ``ladder-sdp``),
-    ADMM iterations for the fiber solves (``fiber-dist``). ``penalty_init``
-    is the starting ADMM penalty and only the fiber solves read it.
+    ``max_iters`` is the budget of one solve in Newton steps, for every
+    program (``check``, ``mu``, ``ladder-f``, ``ladder-sdp``, ``fiber-dist``).
     """
 
     gap_tol: float = 1e-6
     eps_decision: float = 1e-4
     max_iters: int = 50_000
-    penalty_init: float = 1.0
 
     def __post_init__(self):
-        if not all(math.isfinite(x) and x > 0 for x in (self.gap_tol, self.penalty_init)):
-            raise ValueError("gap_tol and penalty_init must be finite and positive")
-        if self.penalty_init < 1.0 / _MAGNITUDE_GUARD:  # the affine targets scale with 1 / sigma
-            raise ValueError(f"penalty_init {self.penalty_init:g} is below {1 / _MAGNITUDE_GUARD:g}")
+        if not (math.isfinite(self.gap_tol) and self.gap_tol > 0):
+            raise ValueError("gap_tol must be finite and positive")
         if not 0.0 < self.eps_decision < 1.0:
             raise ValueError("eps_decision must lie in (0, 1)")
         if self.max_iters < 1:
@@ -225,77 +211,6 @@ def _support_scaler(r1, r2):
     return scale
 
 
-def _admm(affine, w, cfg: SolverConfig, certify):
-    """The one ADMM loop: over-relaxation, checkpoints and residual balancing.
-
-    ``w`` holds the starting consensus blocks, all of one side; their scaled
-    multipliers lam start at 0, the penalty sigma at cfg.penalty_init, and
-    every block is projected onto the PSD cone. Each iteration fills the
-    affine blocks x with w - lam and has ``affine(x, sigma)`` overwrite them
-    in place with its point on the affine set, over-relaxes that point,
-    projects the shifted blocks and updates the multipliers. Every
-    _CHECK_EVERY iterations and at the last of cfg.max_iters the checkpoint
-    ends the solve with status ``infeasible_numerics`` when the first affine
-    block is not finite, then lets ``certify(w, lam, sigma, pres, dres)``
-    update the caller's bracket and return a stop status or None, given the
-    absolute primal and dual residuals. Otherwise it balances the penalty on
-    the relative residuals, pres / max(||x||, ||w||) against
-    dres / (sigma ||lam||), each norm over all blocks, and leaves it alone
-    when either normaliser is 0. Returns (status, iterations, w) with w a
-    fresh stack; status is ``max_iters`` when the budget runs out first.
-
-    The iterate (twice: new and previous), the multipliers and the affine
-    point are (m, d, d) stacks, and ``affine`` and ``certify`` see them
-    for the call only. Each iteration is one ``psd_project(z, out=w_new)``
-    call (one stacked ``eigh``) of z = x + lam (over-relaxed), which reads
-    only the lower triangle of z, Hermitian only up to round-off, and
-    writes an exactly Hermitian projection.
-    """
-    wbuf = [np.array(w, dtype=complex) for _ in range(2)]
-    lam, x, z = (np.zeros_like(wbuf[0]) for _ in range(3))
-    sigma = cfg.penalty_init
-    status = "max_iters"
-    it = cur = 0
-    while it < cfg.max_iters:
-        it += 1
-        np.subtract(wbuf[cur], lam, out=x)
-        affine(x, sigma)
-        # z = RELAX x + (1 - RELAX) w + lam, staging (1 - RELAX) w in the
-        # other iterate half, which the cone step then overwrites.
-        nxt = wbuf[1 - cur]
-        np.multiply(1.0 - _RELAX, wbuf[cur], out=nxt)
-        np.multiply(_RELAX, x, out=z)
-        z += nxt
-        z += lam
-        psd_project(z, out=nxt)
-        np.subtract(z, nxt, out=lam)
-        cur = 1 - cur
-        if it % _CHECK_EVERY == 0 or it == cfg.max_iters:
-            if not np.isfinite(x[0]).all():
-                status = "infeasible_numerics"
-                break
-            # The residuals are read only here, so only checkpoints pay for them.
-            w_new, w_old = wbuf[cur], wbuf[1 - cur]
-            dres = sigma * np.linalg.norm(w_new - w_old)
-            pres = np.linalg.norm(x - w_new)
-            stop = certify(w_new, lam, sigma, pres, dres)
-            if stop is not None:
-                status = stop
-                break
-            pscale = max(np.linalg.norm(x), np.linalg.norm(w_new))
-            dscale = sigma * np.linalg.norm(lam)
-            if pscale == 0.0 or dscale == 0.0:
-                continue
-            prel, drel = pres / pscale, dres / dscale
-            if prel > _BALANCE_RATIO * drel:
-                sigma *= _BALANCE_SCALE
-                lam /= _BALANCE_SCALE
-            elif drel > _BALANCE_RATIO * prel:
-                sigma /= _BALANCE_SCALE
-                lam *= _BALANCE_SCALE
-    return status, it, wbuf[cur]
-
-
 def _shift_to_dominate(y1: np.ndarray, y2: np.ndarray, adjoint, b: np.ndarray | float):
     """Identity shifts of (Y1, Y2) until adjoint(Y1, Y2) >= B holds exactly.
 
@@ -379,6 +294,24 @@ def _marginal_maps(vbasis: np.ndarray | None, d1: int, d2: int):
         return (mm1h @ y1.reshape(-1) + mm2h @ y2.reshape(-1)).reshape(n, n)
 
     return lmap, ladj
+
+
+def _kron_sum_gram(g4: np.ndarray):
+    """The (Y1, Y2) Hessian blocks of -log det S, S = Y1 (x) I + I (x) Y2 - const.
+
+    With G = S^-1 reshaped to ``g4`` (d1, d2, d1, d2), the Hessian maps
+    (D1, D2) to (tr_2, tr_1)(G (D1 (x) I + I (x) D2) G). Returns its (1, 1),
+    (1, 2) and (2, 2) blocks as 4-index views [a, e, c, x]: output (a, e),
+    input (c, x), each from one product of G's regrouped entries.
+    """
+    d1, d2 = g4.shape[:2]
+    p = g4.transpose(0, 2, 1, 3).reshape(d1 * d1, d2 * d2)  # [(a, c), (b, d)] = G[a, b, c, d]
+    q = g4.transpose(0, 3, 1, 2).reshape(d1 * d2, d1 * d2)  # [(a, d), (b, c)]
+    return (
+        (p @ p.conj().T).reshape(d1, d1, d1, d1).transpose(0, 2, 1, 3),
+        (q @ q.conj().T).reshape(d1, d2, d1, d2).transpose(0, 2, 1, 3),
+        (p.T @ p.conj()).reshape(d2, d2, d2, d2).transpose(0, 2, 1, 3),
+    )
 
 
 class _Overlap(NamedTuple):
@@ -510,16 +443,15 @@ def _overlap_core(
             zinv, y1i, y2i, *uinv = [inv[sl, sl] for sl in diag]
             g = zinv if vbasis is None else vbasis @ zinv @ vbasis.conj().T
             g4 = g.reshape(d1, d2, d1, d2)
-            p = g4.transpose(0, 2, 1, 3).reshape(k1, k2)  # [(a, c), (b, d)] = G[a, b, c, d]
-            q = g4.transpose(0, 3, 1, 2).reshape(d1 * d2, d1 * d2)  # [(a, d), (b, c)]
+            g11, g12, g22 = _kron_sum_gram(g4)
             np.multiply(y1i[:, None, :, None], y1i.T[None, :, None, :], out=h11)
-            h11 += (p @ p.conj().T).reshape(d1, d1, d1, d1).transpose(0, 2, 1, 3)
+            h11 += g11
             np.multiply(y2i[:, None, :, None], y2i.T[None, :, None, :], out=h22)
-            h22 += (p.T @ p.conj()).reshape(d2, d2, d2, d2).transpose(0, 2, 1, 3)
+            h22 += g22
             # The cap's -log det(I - Y_i) adds (I - Y_i)^-1 to the Y_i^-1 terms.
             for h, a in zip((h11, h22), uinv):
                 h += a[:, None, :, None] * a.T[None, :, None, :]
-            h12[...] = (q @ q.conj().T).reshape(d1, d2, d1, d2).transpose(0, 2, 1, 3)
+            h12[...] = g12
             hess[k1:, :k1] = hess[:k1, k1:].conj().T
             # The gradient is t rho + gbar, so the Newton step is t drho + dbar.
             gy1, gy2 = (y1i - uinv[0], y2i - uinv[1]) if cap else (y1i, y2i)

@@ -16,6 +16,7 @@ from pathlib import Path
 
 import qstrassen
 import qstrassen.cli as cli
+import qstrassen.fibers as fibers
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 
@@ -79,16 +80,17 @@ def test_traced_pass_covers_every_wrapped_solver(tmp_path):
 
 
 def test_traced_projections_cover_every_iteration(tmp_path):
-    # Every ADMM iteration projects at least once, so the traced psd_project
-    # count of the fiber-dist op is at least its iterations. An ADMM loop
-    # that bound psd_project anywhere but the sdp module global would escape
-    # the tracer and read 0 here. The overlap and mismatch solves of the
-    # check, mu and ladder-f ops run Newton steps, which project nothing.
+    # Every solve runs Newton steps, which project nothing: the overlap and
+    # mismatch solves of the check, mu and ladder-f ops make no psd_project
+    # call, and the fiber-dist op projects only in its member repairs, a few
+    # per solve, so the tracer sees fewer projections than Newton steps, but
+    # some. A repair that bound psd_project anywhere but the fibers module
+    # global would escape the tracer and read 0 here.
     run = load_bench_run()
     newton_ops = [spec for spec in OPS if spec[0] in ("check", "mu", "ladder-f")]
-    admm_ops = [spec for spec in OPS if spec[0] == "fiber-dist"]
+    dist_ops = [spec for spec in OPS if spec[0] == "fiber-dist"]
     counts = []
-    for specs in (newton_ops, admm_ops):
+    for specs in (newton_ops, dist_ops):
         tracer = run.tracing.Tracer()
         run.install_tracer(tracer, qstrassen)
         reports = []
@@ -109,14 +111,21 @@ def test_traced_projections_cover_every_iteration(tmp_path):
     )
     newton += sum(level["iterations"] for level in fladder["levels"])
     assert len(overlap) == 3 and newton > 0 and newton_calls == 0
-    assert dist["iterations"] > 0 and dist_calls >= dist["iterations"]
+    assert 0 < dist_calls < dist["iterations"]
 
 
-def test_traced_fiber_distance_projects_once_per_iteration(tmp_path):
-    # gamma and the split trace norm's U and L share one shape, so each ADMM
-    # iteration of the fiber distance is one stacked psd_project call. The
-    # scale-and-glue repair adds one for the starting member and one at each
-    # checkpoint (every 25 iterations).
+def test_traced_fiber_distance_projects_once_per_repair(tmp_path, monkeypatch):
+    # The scale-and-glue repair projects once, for the starting member and
+    # at each certified point of the central path; the Newton steps between
+    # them project nothing.
+    repairs = []
+    real_repair = fibers._repair_to_member
+
+    def counted_repair(*args):
+        repairs.append(args)
+        return real_repair(*args)
+
+    monkeypatch.setattr(fibers, "_repair_to_member", counted_repair)
     run = load_bench_run()
     [op] = build_ops(run, tmp_path, [spec for spec in OPS if spec[0] == "fiber-dist"])
     tracer = run.tracing.Tracer()
@@ -127,6 +136,5 @@ def test_traced_fiber_distance_projects_once_per_iteration(tmp_path):
         tracer.uninstall()
     assert (code, error) == (0, None)
     iterations = json.loads(text)["iterations"]
-    checkpoints = -(-iterations // 25)
-    assert iterations > 0
-    assert tracer.counters["psd_project.calls"] == iterations + checkpoints + 1
+    assert 1 < len(repairs) < iterations
+    assert tracer.counters["psd_project.calls"] == len(repairs)

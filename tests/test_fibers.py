@@ -18,14 +18,13 @@ from qstrassen.fibers import (
     FiberSpec,
     SemidistanceBound,
     _dist_solve,
-    _project_marginal_affine,
     _sample_member,
     dist_to_fiber,
     glue_coupling,
     semidistance_lower_bound,
 )
 from qstrassen.linalg import hermitize, trace_norm
-from qstrassen.sdp import DEFAULT_CONFIG, SolverConfig
+from qstrassen.sdp import DEFAULT_CONFIG, SolverConfig, _overlap_on_support
 
 from oracles import marginal_kernel_directions, marginal_map_real_matrix
 
@@ -172,6 +171,15 @@ def test_dist_lower_bound_holds_against_kernel_grid_oracle():
     assert tested >= 20
 
 
+def test_dist_to_the_zero_fiber_is_the_trace_norm():
+    # Zero marginals leave 0 the only member and nothing to solve.
+    fiber = FiberSpec(np.zeros((2, 2)), np.zeros((2, 2)))
+    beta = np.diag([1.0, -0.5, 0.2, 0.0])
+    upper, lower, member, steps, status = _dist_solve(beta, fiber, DEFAULT_CONFIG)
+    assert (upper, lower, steps, status) == (1.7, 1.7, 0, "optimal")
+    assert not member.any()
+
+
 def test_dist_is_lipschitz_in_beta():
     fiber = maximally_mixed_fiber()
     rng = np.random.default_rng(4)
@@ -205,66 +213,46 @@ def generated_fiber(dims, seed):
     return p.beta, FiberSpec(p.rho1, p.rho2)
 
 
-def test_marginal_affine_projects_non_hermitian_input():
-    # The ADMM multipliers carry anti-Hermitian round-off into the affine
-    # step, so it must be an exact projection on any complex matrix.
-    _, fiber = generated_fiber((2, 3), 0)
-    r1, r2 = fiber.rho1.mat, fiber.rho2.mat
-    rng = np.random.default_rng(3)
-    k = crand(rng, 6, 6)
-    gt = hermitize(crand(rng, 6, 6)) + 1e-3 * (k - k.conj().T) / 2
-    p, _ = _project_marginal_affine(gt, r1, r2, 2, 3)
-    assert np.max(np.abs(partial_trace_2(p, 2, 3) - r1)) <= 1e-12
-    assert np.max(np.abs(partial_trace_1(p, 2, 3) - r2)) <= 1e-12
-    q, _ = _project_marginal_affine(p, r1, r2, 2, 3)
-    assert np.max(np.abs(q - p)) <= 1e-12
-
-
 # Reference results on generated instances; the solver must reproduce the
-# iterations and status exactly and the values to 1e-12:
-# (dims, seed, max_iters) -> (upper, lower, iterations, status).
+# steps and status exactly and the values to 1e-12:
+# (dims, seed, max_iters) -> (upper, lower, steps, status). Each bracket
+# meets the one the ADMM solver recorded here before, [0.7491703971,
+# 0.7491710966], [0.3825952429, 0.3825958945] and (at 50 iterations)
+# [0.3553117234, 0.3553330946].
 DIST_GOLDEN = {
-    ((2, 3), 0, 50_000): (0.7491710966325283, 0.7491703971032349, 450, "optimal"),
-    ((3, 3), 1, 50_000): (0.38259589446944536, 0.3825952428793211, 425, "optimal"),
-    ((2, 2), 2, 50): (0.35533309455132633, 0.3553117234457819, 50, "max_iters"),
+    ((2, 3), 0, 50_000): (0.7491711986505215, 0.7491706969616497, 24, "optimal"),
+    ((3, 3), 1, 50_000): (0.38259581390400654, 0.38259532671381236, 23, "optimal"),
+    ((2, 2), 2, 10): (0.355333107421953, 0.35352204414914934, 10, "max_iters"),
 }
 
 
 def test_dist_solve_reproduces_golden_values():
     for (dims, seed, max_iters), golden in DIST_GOLDEN.items():
         beta, fiber = generated_fiber(dims, seed)
-        upper, lower, member, iterations, status = _dist_solve(
+        upper, lower, member, steps, status = _dist_solve(
             beta, fiber, SolverConfig(max_iters=max_iters)
         )
-        assert (iterations, status) == golden[2:]
+        assert (steps, status) == golden[2:]
         assert abs(upper - golden[0]) <= 1e-12
         assert abs(lower - golden[1]) <= 1e-12
         assert abs(trace_norm(beta - member) - upper) <= 1e-12
 
 
-# Reference members sampled with the semidistance sampler's settings
-# (gap_tol 1e-5) and its first objective: (dims, seed, max_iters) -> member.
+def assert_exact_member(member, fiber):
+    d1, d2 = fiber.d1, fiber.d2
+    assert np.max(np.abs(partial_trace_2(member, d1, d2) - fiber.rho1.mat)) <= 1e-12
+    assert np.max(np.abs(partial_trace_1(member, d1, d2) - fiber.rho2.mat)) <= 1e-12
+    assert np.linalg.eigvalsh(member).min() >= -1e-12
+
+
+# <O, member> of members sampled with the semidistance sampler's settings
+# (gap_tol 1e-5) and its first objective O: (dims, seed, max_iters) -> value.
+# Members that maximize <O, gamma> are not unique, so the values are the
+# reference, not the entries. ADMM's members gave 0.4217484115 and (at 50
+# iterations) 0.3788628961.
 SAMPLE_GOLDEN = {
-    ((2, 2), 0, 4000): [
-        [(0.21628442483413537+0j), (-0.041427302954226856+0.13862101262714094j),
-         (-0.08817790875918317-0.11877540555242627j), (-0.2756474167058874-0.16205120471453774j)],
-        [(-0.041427302954226856-0.13862101262714094j), (0.14173371045352998+0j),
-         (-0.05139223036861258+0.09215140935741208j), (-0.02050773402979969+0.2512885187122663j)],
-        [(-0.08817790875918317+0.11877540555242627j), (-0.05139223036861258-0.09215140935741208j),
-         (0.10623929436051005+0j), (0.2191970511730727-0.08646276338303381j)],
-        [(-0.2756474167058874+0.16205120471453774j), (-0.02050773402979969-0.2512885187122663j),
-         (0.2191970511730727+0.08646276338303381j), (0.5357425703518246+0j)],
-    ],
-    ((2, 2), 1, 50): [
-        [(0.2168178787544203+0j), (-0.10320870778546473+0.03731493657160807j),
-         (-0.007354591464998386+0.0008002722599780093j), (-0.17986846927484576-0.19435783185521183j)],
-        [(-0.10320870778546473-0.03731493657160807j), (0.0777459709107467+0j),
-         (0.00676421184335402-0.08101108529729738j), (0.07497471616364193+0.12319241397943885j)],
-        [(-0.007354591464998386-0.0008002722599780093j), (0.00676421184335402+0.08101108529729738j),
-         (0.3519307022453967+0j), (0.014636303760318577+0.1076078732523785j)],
-        [(-0.17986846927484576+0.19435783185521183j), (0.07497471616364193-0.12319241397943885j),
-         (0.014636303760318577-0.1076078732523785j), (0.35350544808943624+0j)],
-    ],
+    ((2, 2), 0, 50_000): 0.4217485885462753,
+    ((2, 2), 1, 10): 0.38237098832871946,
 }
 
 
@@ -276,7 +264,50 @@ def test_sample_member_reproduces_golden_members():
         objective /= np.linalg.norm(objective)
         cfg = SolverConfig(gap_tol=1e-5, max_iters=max_iters)
         member = _sample_member(fiber, objective, cfg)
-        assert np.max(np.abs(member - np.array(golden))) <= 1e-12
+        assert_exact_member(member, fiber)
+        assert abs(np.vdot(objective, member).real - golden) <= 1e-12
+
+
+def random_state(rng, d, rank):
+    a = crand(rng, d, rank)
+    r = a @ a.conj().T
+    return r / np.trace(r).real
+
+
+@pytest.mark.parametrize(
+    "dims, ranks", [((3, 2), (1, 2)), ((3, 3), (2, 2)), ((3, 3), (2, 3)), ((2, 2), (1, 1))]
+)
+def test_dist_solve_closes_on_singular_marginals(dims, ranks):
+    # The fiber lives on supp rho1 (x) supp rho2, so the barrier's S block
+    # is compressed there and the dual lifted back; ADMM ran these to
+    # 50,000 iterations with gaps of 5e-4 to 0.17.
+    rng = np.random.default_rng(0)
+    fiber = FiberSpec(*(random_state(rng, d, k) for d, k in zip(dims, ranks)))
+    n = dims[0] * dims[1]
+    beta = hermitize(crand(rng, n, n)) / n
+    upper, lower, member, steps, status = _dist_solve(beta, fiber, DEFAULT_CONFIG)
+    assert status == "optimal" and steps <= 30
+    assert 0.0 <= upper - lower <= DEFAULT_CONFIG.gap_tol
+    assert abs(trace_norm(beta - member) - upper) <= 1e-12
+    assert_exact_member(member, fiber)
+
+
+def test_sample_member_on_a_singular_fiber_maximizes_the_objective():
+    # On a rank-2 fiber the sampled member attains the certified optimum of
+    # max <O, gamma> to within the sampler's gap_tol: the overlap core's
+    # dual bound of max <B, C> caps it.
+    rng = np.random.default_rng(1)
+    fiber = FiberSpec(random_state(rng, 3, 2), random_state(rng, 3, 2))
+    objective = hermitize(crand(rng, 9, 9))
+    objective /= np.linalg.norm(objective)
+    cfg = SolverConfig(gap_tol=1e-5)
+    member = _sample_member(fiber, objective, cfg)
+    assert_exact_member(member, fiber)
+    b = (objective + np.eye(9)) / 1.01
+    top = _overlap_on_support(b, fiber.rho1.mat, fiber.rho2.mat, None, cfg)
+    ceiling = 1.01 * top.dual - 1.0  # <O, gamma> = 1.01 <B, gamma> - tr gamma
+    assert top.status == "optimal"
+    assert ceiling - 2e-5 <= np.vdot(objective, member).real <= ceiling + 1e-9
 
 
 # ---------------------------------------------------------------------------

@@ -50,8 +50,10 @@ def test_pyproject_declares_only_numpy():
 
 
 def test_fibers_imports_from_sdp_only_the_shared_solver_parts():
-    # The ADMM driver, its config and two solver steps; the scalar helpers
-    # and the input checks come from linalg.
+    # The config, the overlap core behind the sampler, the central path
+    # constants and Hessian blocks the distance's Newton steps share with it,
+    # the support split and two repair steps; the scalar helpers and the
+    # input checks come from linalg.
     tree = ast.parse((ROOT / "src" / "qstrassen" / "fibers.py").read_text())
     names = set()
     for node in ast.walk(tree):
@@ -63,7 +65,12 @@ def test_fibers_imports_from_sdp_only_the_shared_solver_parts():
     assert names == {
         "SolverConfig",
         "DEFAULT_CONFIG",
-        "_admm",
+        "_CENTERED",
+        "_CENTER_STEPS",
+        "_GROWTH",
+        "_kron_sum_gram",
+        "_overlap_on_support",
         "_shift_to_dominate",
         "_support_scaler",
+        "_support_split",
     }

@@ -19,7 +19,7 @@ from qstrassen.bipartite import (
     partial_trace_1,
     partial_trace_2,
 )
-from qstrassen import fibers, sdp, strassen
+from qstrassen import sdp, strassen
 from qstrassen.cli import CliError, generate_instance, mat_to_pairs, problem_from_dict
 from qstrassen.fibers import FiberSpec
 from qstrassen.linalg import HermitianOperator, trace_norm
@@ -341,10 +341,9 @@ def _no_solve(*args, **kwargs):
 @pytest.mark.parametrize("entry", MARGINAL_ENTRY_POINTS)
 def test_every_marginal_entry_point_rejects_a_non_finite_marginal(entry, bad, monkeypatch):
     # eigvalsh gives finite values for a NaN matrix, so the PSD test alone
-    # passes it; the input checks reject it before any eigh or ADMM step.
+    # passes it; the input checks reject it before any eigh or Newton step.
     monkeypatch.setattr(np.linalg, "eigh", _no_solve)
-    monkeypatch.setattr(sdp, "_admm", _no_solve)
-    monkeypatch.setattr(fibers, "_admm", _no_solve)
+    monkeypatch.setattr(sdp, "_overlap_core", _no_solve)
     sub = Subspace(4, np.eye(4)[:, :2])
     with pytest.raises((ValueError, CliError), match="non-finite|magnitude guard"):
         MARGINAL_ENTRY_POINTS[entry](np.diag([0.5, bad]), np.eye(2) / 2, sub)
