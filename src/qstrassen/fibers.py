@@ -12,7 +12,6 @@ two fibers by sampling extreme-leaning members.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -32,11 +31,9 @@ from .linalg import (
     trace_norm,
 )
 from .sdp import (
-    _CENTER_STEPS,
-    _CENTERED,
-    _GROWTH,
     DEFAULT_CONFIG,
     SolverConfig,
+    _barrier_path,
     _kron_sum_gram,
     _overlap_on_support,
     _shift_to_dominate,
@@ -130,27 +127,24 @@ def _dist_solve(beta: np.ndarray, fiber: FiberSpec, cfg: SolverConfig):
     """Certified bracket for min ||beta - gamma||_1 over the fiber.
 
     The dual program is max <Z, beta> - <Y1, rho1> - <Y2, rho2> over
-    -I <= Z <= I and Y1 (x) I + I (x) Y2 >= Z with Y free, and damped Newton
-    steps follow the central path of t (<Y1, rho1> + <Y2, rho2> - <Z, beta>)
-    - log det(I + Z) - log det(I - Z) - log det S, S = Y1 (x) I + I (x) Y2 - Z,
-    from Z = 0, Y = (I, 0). Members live on the support product
+    -I <= Z <= I and Y1 (x) I + I (x) Y2 >= Z with Y free.
+    ``sdp._barrier_path`` follows the barrier t (<Y1, rho1> + <Y2, rho2> -
+    <Z, beta>) - log det(I + Z) - log det(I - Z) - log det S,
+    S = Y1 (x) I + I (x) Y2 - Z, from Z = 0, Y = (I, 0), with scale
+    tr rho1 + ||beta||_1. Members live on the support product
     supp rho1 (x) supp rho2 with basis W = U1 (x) U2, so S is compressed to
     it, S = Y1 (x) I + I (x) Y2 - W^* Z W with Y_i on supp rho_i, and the
     path stays bounded for singular marginals. The (I, -I) gauge of Y, a
-    kernel direction of the Newton system, gets a rank-one term. A step goes
-    0.9 of the way to the boundary of the cones, at most the full step.
+    kernel direction of the Newton system, gets a rank-one term.
 
-    A point whose Newton decrement is below _CENTERED is certified and t
-    grows by _GROWTH. Upper bounds are exact members: the primal
-    W (S^-1 - S^-1 dS S^-1) W^* / t of the step, repaired by scale and glue.
-    Lower bounds are the dual value at Z clipped to the unit ball and Y
-    lifted to the whole space, each Y_i gaining s (I - U_i U_i^*), s large
-    enough that S's Schur complement stays PSD, then shifted by the identity
-    until it dominates Z. So [lower, upper] always contains the true
-    distance. The solve stops with status ``optimal`` at the first bracket
-    whose width is at most cfg.gap_tol, else ends at ``max_iters`` Newton
-    steps (or ``infeasible_numerics`` on a singular or non-finite Newton
-    system, or a centering of _CENTER_STEPS steps). Returns
+    Upper bounds are exact members: the primal W (S^-1 - S^-1 dS S^-1) W^* / t
+    of a centered point's step, repaired by scale and glue. Lower bounds are
+    the dual value at Z clipped to the unit ball and Y lifted to the whole
+    space, each Y_i gaining s (I - U_i U_i^*), s large enough that S's Schur
+    complement stays PSD, then shifted by the identity until it dominates Z.
+    So [lower, upper] always contains the true distance. The solve stops
+    with status ``optimal`` at the first bracket whose width is at most
+    cfg.gap_tol, or with the driver's status. Returns
     (upper, lower, member, steps, status); bench/run.py traces this name and
     unpacks the 5-tuple, as does ``cli._run_fiber_dist``.
     """
@@ -182,25 +176,43 @@ def _dist_solve(beta: np.ndarray, fiber: FiberSpec, cfg: SolverConfig):
     gauge = np.concatenate([np.zeros(m0), np.eye(k1).reshape(-1), -np.eye(k2).reshape(-1)])
     gauge = np.outer(gauge, gauge) / (k1 + k2)
     cost = np.concatenate([-beta.reshape(-1), rc1.reshape(-1), rc2.reshape(-1)])
-
-    # I + Z, I - Z and S as one block-diagonal matrix: one Cholesky and one
-    # inverse per step, as in _overlap_core.
-    cuts = [0, n, 2 * n, 2 * n + k1 * k2]
-    diag = [slice(i, j) for i, j in zip(cuts, cuts[1:])]
-    blocks = np.zeros((cuts[-1],) * 2, dtype=complex)
-    move = np.zeros_like(blocks)
     z = np.zeros((n, n), dtype=complex)
     y1, y2 = np.eye(k1, dtype=complex), np.zeros((k2, k2), dtype=complex)
 
-    def slack_step(step):
-        """(dZ, dY1, dY2, dS) of a flat Newton step."""
-        dz = _herm_part(step[:m0].reshape(n, n))
-        dy1 = _herm_part(step[m0:m1].reshape(k1, k1))
-        dy2 = _herm_part(step[m1:].reshape(k2, k2))
-        return dz, dy1, dy2, _kron_sum_mat(dy1, dy2) - wb.conj().T @ dz @ wb
+    def slacks():
+        return [np.eye(n) + z, np.eye(n) - z, _kron_sum_mat(y1, y2) - wb.conj().T @ z @ wb]
 
-    def certify(g, step, t):
-        ds = slack_step(step)[3]
+    def moves(dx):
+        dz, dy1, dy2 = dx
+        return [dz, -dz, _kron_sum_mat(dy1, dy2) - wb.conj().T @ dz @ wb]
+
+    def system(inverses):
+        ap, am, g = inverses
+        f = wb @ g
+        gz = f @ wb.conj().T  # W S^-1 W^*, S^-1 seen from Z
+        np.multiply(ap[:, None, :, None], ap.T[None, :, None, :], out=hzz)
+        hzz[...] += am[:, None, :, None] * am.T[None, :, None, :]
+        hzz[...] += gz[:, None, :, None] * gz.T[None, :, None, :]
+        # The Z-Y blocks -F (D1 (x) I) F^* and -F (I (x) D2) F^*, F = W G:
+        # [a, e, c, x] = -sum_p F[a, (c, p)] F^*[(x, p), e], and likewise.
+        f3, fh3 = f.reshape(n, k1, k2), f.conj().T.reshape(k1, k2, n)
+        p1 = f3.reshape(n * k1, k2) @ fh3.transpose(1, 0, 2).reshape(k2, k1 * n)
+        p2 = f3.transpose(0, 2, 1).reshape(n * k2, k1) @ fh3.reshape(k1, k2 * n)
+        np.negative(p1.reshape(n, k1, k1, n).transpose(0, 3, 1, 2), out=hz1)
+        np.negative(p2.reshape(n, k2, k2, n).transpose(0, 3, 1, 2), out=hz2)
+        h11[...], h12[...], h22[...] = _kron_sum_gram(g.reshape(k1, k2, k1, k2))
+        hess[m0:, :m0] = hess[:m0, m0:].conj().T
+        hess[m1:, m0:m1] = hess[m0:m1, m1:].conj().T
+        hess[...] += hess.diagonal()[m0:].real.mean() * gauge
+        gbar = np.concatenate([
+            (gz + am - ap).reshape(-1),
+            -np.einsum("abcb->ac", g.reshape(k1, k2, k1, k2)).reshape(-1),
+            -np.einsum("abad->bd", g.reshape(k1, k2, k1, k2)).reshape(-1),
+        ])
+        return hess, gbar
+
+    def certify(inverses, changes, t):
+        g, ds = inverses[2], changes[2]
         gamma = wb @ _herm_part(g - g @ ds @ g) @ wb.conj().T / t
         member = _repair_to_member(gamma, fiber, support_scale)
         upper = trace_norm(beta - member)
@@ -219,79 +231,9 @@ def _dist_solve(beta: np.ndarray, fiber: FiberSpec, cfg: SolverConfig):
         best["lower"] = max(best["lower"], _hs(zc, beta) - _hs(f1, r1) - _hs(f2, r2))
         return "optimal" if best["upper"] - best["lower"] <= cfg.gap_tol else None
 
-    def result(steps, status):
-        return best["upper"], best["lower"], best["member"], steps, status
-
-    t = 10.0 * cuts[-1] / (_tr(r1) + trace_norm(beta))
-    status, it, steps = "max_iters", 0, 0  # steps: Newton steps of this centering
-    while True:
-        try:
-            blocks[diag[0], diag[0]] = np.eye(n) + z
-            blocks[diag[1], diag[1]] = np.eye(n) - z
-            blocks[diag[2], diag[2]] = _kron_sum_mat(y1, y2) - wb.conj().T @ z @ wb
-            chol_inv = np.linalg.inv(np.linalg.cholesky(blocks))
-            inv = _herm_part(chol_inv.conj().T @ chol_inv)
-            ap, am, g = (inv[sl, sl] for sl in diag)
-            f = wb @ g
-            gz = f @ wb.conj().T  # W S^-1 W^*, S^-1 seen from Z
-            np.multiply(ap[:, None, :, None], ap.T[None, :, None, :], out=hzz)
-            hzz += am[:, None, :, None] * am.T[None, :, None, :]
-            hzz += gz[:, None, :, None] * gz.T[None, :, None, :]
-            # The Z-Y blocks -F (D1 (x) I) F^* and -F (I (x) D2) F^*, F = W G:
-            # [a, e, c, x] = -sum_p F[a, (c, p)] F^*[(x, p), e], and likewise.
-            f3, fh3 = f.reshape(n, k1, k2), f.conj().T.reshape(k1, k2, n)
-            p1 = f3.reshape(n * k1, k2) @ fh3.transpose(1, 0, 2).reshape(k2, k1 * n)
-            p2 = f3.transpose(0, 2, 1).reshape(n * k2, k1) @ fh3.reshape(k1, k2 * n)
-            np.negative(p1.reshape(n, k1, k1, n).transpose(0, 3, 1, 2), out=hz1)
-            np.negative(p2.reshape(n, k2, k2, n).transpose(0, 3, 1, 2), out=hz2)
-            h11[...], h12[...], h22[...] = _kron_sum_gram(g.reshape(k1, k2, k1, k2))
-            hess[m0:, :m0] = hess[:m0, m0:].conj().T
-            hess[m1:, m0:m1] = hess[m0:m1, m1:].conj().T
-            hess += hess.diagonal()[m0:].real.mean() * gauge
-            gbar = np.concatenate([
-                (gz + am - ap).reshape(-1),
-                -np.einsum("abcb->ac", g.reshape(k1, k2, k1, k2)).reshape(-1),
-                -np.einsum("abad->bd", g.reshape(k1, k2, k1, k2)).reshape(-1),
-            ])
-            dcost, dbar = np.linalg.solve(hess, -np.stack([cost, gbar], axis=1)).T
-        except np.linalg.LinAlgError:
-            status = "infeasible_numerics"
-            break
-        certified = False
-        while True:
-            step = t * dcost + dbar
-            lam2 = -np.vdot(t * cost + gbar, step).real
-            if not math.isfinite(lam2) or lam2 >= _CENTERED**2:
-                break
-            stop = certify(g, step, t)
-            if stop is not None:
-                return result(it, stop)
-            certified = True
-            t *= _GROWTH
-            steps = 0
-        if not math.isfinite(lam2) or steps == _CENTER_STEPS:
-            status = "infeasible_numerics"
-            break
-        if it == cfg.max_iters:
-            if not certified:
-                status = certify(g, step, t) or status
-            break
-        dz, dy1, dy2, ds = slack_step(step)
-        alpha = 1.0
-        if lam2 > 0.81:
-            # Within the Dikin ellipsoid (lambda < 1) the boundary is at least
-            # 1 / lambda away, so only a longer step needs the distance.
-            move[diag[0], diag[0]] = dz
-            move[diag[1], diag[1]] = -dz
-            move[diag[2], diag[2]] = ds
-            low = float(np.linalg.eigvalsh(chol_inv @ move @ chol_inv.conj().T)[0])
-            alpha = min(1.0, -0.9 / low) if low < 0.0 else 1.0
-        z += alpha * dz
-        y1 += alpha * dy1
-        y2 += alpha * dy2
-        it += 1
-        steps += 1
-    return result(it, status)
+    scale = _tr(r1) + trace_norm(beta)
+    status, steps = _barrier_path([z, y1, y2], cost, scale, slacks, moves, system, certify, cfg)
+    return best["upper"], best["lower"], best["member"], steps, status
 
 
 def dist_to_fiber(

@@ -16,13 +16,11 @@ given subspace; with ||A||_1 = 2 tr A_+ - tr A that is the supported program
 with slack matrices, whose dual is capped at Y_i <= I, and the same core
 solves it.
 
-The overlap core is a dual log-barrier method (Nesterov and Nemirovskii
-1994; Boyd and Vandenberghe 2004, section 11.5): damped Newton steps on the
-dual pair (Y1, Y2), systems of side d1^2 + d2^2 whatever the subspace.
-Every solve of the package is a barrier method of this kind: the fiber
-sampler of ``fibers`` runs this core, and the fiber distance runs its own
-Newton steps on the same central path rules (_GROWTH, _CENTERED,
-_CENTER_STEPS) and shares the Hessian blocks of ``_kron_sum_gram``.
+Every solve of the package is a dual log-barrier method (Nesterov and
+Nemirovskii 1994; Boyd and Vandenberghe 2004, section 11.5) on the one
+path-following driver ``_barrier_path``. The overlap core's unknowns are
+the dual pair (Y1, Y2), systems of side d1^2 + d2^2 whatever the subspace;
+the fiber distance of ``fibers`` is the driver's other barrier.
 
 Reported values are certified: the primal value is evaluated at an exactly
 feasible restoration of the iterate, the dual value at an exactly feasible
@@ -314,6 +312,100 @@ def _kron_sum_gram(g4: np.ndarray):
     )
 
 
+def _barrier_path(point, cost, scale, slacks, moves, system, certify, cfg: SolverConfig):
+    """Follow the central path of one dual log-barrier; return (status, steps).
+
+    The barrier is t <cost, x> - sum_j log det S_j(x), the unknowns x the
+    Hermitian matrices of ``point`` (flattened row-major in order, updated in
+    place), the slack blocks S_j affine in x. It supplies four pieces:
+    ``slacks()``, the S_j at the current point; ``moves(dx)``, their changes
+    along a step dx (one Hermitian matrix per unknown); ``system(inverses)``,
+    the Hessian and the t-free gradient part gbar (the gradient is
+    t cost + gbar) from the S_j^-1; and ``certify(inverses, changes, t)``,
+    which certifies the current point from its Newton step's block changes
+    and returns a stop status or None.
+
+    Each step factors S = diag(S_1, ..., S_k) once: the Cholesky factor L
+    (which tests that the point is strictly feasible), L^-1 and
+    S^-1 = L^-* L^-1, hermitized because rounding leaves a non-Hermitian part
+    of size eps cond(S) that a primal built from it cannot bear. One solve
+    with the right-hand sides cost and gbar gives the Newton step
+    t dcost + dbar for every t. t starts at 10 m / ``scale``, m the side of
+    S. A point whose Newton decrement lambda is below _CENTERED counts as
+    centered: it is certified and t grows by _GROWTH on the same solve,
+    until the point is no longer centered or ``certify`` stops the path.
+    Otherwise the step goes 0.9 of the way to the boundary of the slack
+    cones, at most the full step: alpha = min(1, -0.9 / lambda_min), with
+    lambda_min the least eigenvalue of L^-1 dS L^-* (S is block-diagonal,
+    so each block's cone counts). The boundary lies at least 1 / lambda
+    away (the Dikin ellipsoid), so for lambda <= 0.9 the full step obeys the
+    rule and lambda_min is computed only when lambda^2 > 0.81.
+
+    The status is ``certify``'s, or ``max_iters`` after cfg.max_iters
+    Newton steps (the current point is then certified unless it just was),
+    or ``infeasible_numerics`` on a singular or non-finite Newton
+    system, a point that leaves the cone in rounding, or a centering of
+    _CENTER_STEPS steps.
+    """
+    def spans(sizes):
+        ends = list(itertools.accumulate(sizes))
+        return [slice(i, j) for i, j in zip([0] + ends, ends)]
+
+    diag, parts = spans(len(s) for s in slacks()), spans(x.size for x in point)
+    m = diag[-1].stop
+    blocks = np.zeros((m, m), dtype=complex)
+    move = np.zeros_like(blocks)
+
+    def split(step):
+        return [_herm_part(step[sl].reshape(x.shape)) for sl, x in zip(parts, point)]
+
+    t = 10.0 * m / scale
+    status, it, steps = "max_iters", 0, 0  # steps: Newton steps of this centering
+    while True:
+        try:
+            for sl, s in zip(diag, slacks()):
+                blocks[sl, sl] = s
+            chol_inv = np.linalg.inv(np.linalg.cholesky(blocks))
+            inv = _herm_part(chol_inv.conj().T @ chol_inv)
+            inverses = [inv[sl, sl] for sl in diag]
+            hess, gbar = system(inverses)
+            dcost, dbar = np.linalg.solve(hess, -np.stack([cost, gbar], axis=1)).T
+        except np.linalg.LinAlgError:
+            status = "infeasible_numerics"
+            break
+        certified = False
+        while True:
+            step = t * dcost + dbar
+            lam2 = -np.vdot(t * cost + gbar, step).real
+            if not math.isfinite(lam2) or lam2 >= _CENTERED**2:
+                break
+            stop = certify(inverses, moves(split(step)), t)
+            if stop is not None:
+                return stop, it
+            certified = True
+            t *= _GROWTH
+            steps = 0
+        if not math.isfinite(lam2) or steps == _CENTER_STEPS:
+            status = "infeasible_numerics"
+            break
+        if it == cfg.max_iters:
+            if not certified:
+                status = certify(inverses, moves(split(step)), t) or status
+            break
+        dx = split(step)
+        alpha = 1.0
+        if lam2 > 0.81:
+            for sl, ds in zip(diag, moves(dx)):
+                move[sl, sl] = ds
+            low = float(np.linalg.eigvalsh(chol_inv @ move @ chol_inv.conj().T)[0])
+            alpha = min(1.0, -0.9 / low) if low < 0.0 else 1.0
+        for x, d in zip(point, dx):
+            x += alpha * d
+        it += 1
+        steps += 1
+    return status, it
+
+
 class _Overlap(NamedTuple):
     """Bracket of one core solve: ``c`` attains ``value``, ``y`` attains ``dual``."""
 
@@ -339,30 +431,24 @@ def _overlap_core(
 
     The constraints are tr_2(V C V^*) <= rho1 and tr_1(V C V^*) <= rho2
     (``vbasis`` None stands for V = I): V = I and B = P is the overlap
-    program, V the subspace basis and B = I the supported one. Damped Newton
-    steps follow the central path of t (<R1, Y1> + <R2, Y2>) - log det Z -
-    log det Y1 - log det Y2, Z = L^*(Y1, Y2) - B, from Y = (I, I), where
-    Z = 2I - B > 0. R_i = rho_i + s I (s = _FEAS_SLACK, the slack the
-    certified primal may use anyway) keeps the path bounded when a marginal
-    is singular. The Hessian's Z part (tr_2, tr_1)(G (D1 (x) I + I (x) D2) G),
-    G = V Z^-1 V^*, is three products of G's regrouped entries. A step of
-    decrement lambda >= _CENTERED is damped to 1 / (1 + lambda), which keeps
-    Y and Z strictly feasible; below it the point counts as centered, is
-    certified, and t grows by _GROWTH.
+    program, V the subspace basis and B = I the supported one.
+    ``_barrier_path`` follows the barrier t (<R1, Y1> + <R2, Y2>) -
+    log det Z - log det Y1 - log det Y2, Z = L^*(Y1, Y2) - B, from
+    Y = (I, I), where Z = 2I - B > 0, with scale tr rho1 + tr rho2.
+    R_i = rho_i + s I (s = _FEAS_SLACK, the slack the certified primal may
+    use anyway) keeps the path bounded when a marginal is singular. The
+    Hessian's Z part (tr_2, tr_1)(G (D1 (x) I + I (x) D2) G), G = V Z^-1 V^*,
+    is three products of G's regrouped entries.
 
     At a centered point the Newton step Delta gives the primal
     C = (Z^-1 - Z^-1 L^*(Delta) Z^-1) / t, whose marginals are
-    R_i - (Y_i^-1 - Y_i^-1 Delta_i Y_i^-1) / t <= R_i for lambda < 1 when
-    G and the Hessian rest on one exactly Hermitian Z^-1. Shifted to PSD
-    where rounding left it below 0 and scaled down until its marginals are
-    dominated, it is the certified primal; ``_repair_dual`` of Y gives the
-    certified dual. The solve stops with ``optimal`` once dual - primal <=
-    cfg.gap_tol and, given a ``threshold``, with ``decided`` once
-    primal >= threshold or dual < threshold. ``iterations`` counts Newton
-    steps; at cfg.max_iters the current point is certified. A singular or
-    non-finite Newton system, a point that leaves the cone in rounding, or a
-    centering of _CENTER_STEPS steps ends it with ``infeasible_numerics``.
-    The bracket starts at [0, tr rho1 + tr rho2] (C = 0, Y = (I, I)).
+    R_i - (Y_i^-1 - Y_i^-1 Delta_i Y_i^-1) / t <= R_i for lambda < 1.
+    Shifted to PSD where rounding left it below 0 and scaled down until its
+    marginals are dominated, it is the certified primal; ``_repair_dual`` of
+    Y gives the certified dual. The solve stops with ``optimal`` once
+    dual - primal <= cfg.gap_tol and, given a ``threshold``, with
+    ``decided`` once primal >= threshold or dual < threshold. The bracket
+    starts at [0, tr rho1 + tr rho2] (C = 0, Y = (I, I)).
 
     ``cap`` solves the mismatch program of ``solve_f_min_full`` instead
     (B = I, V a basis): its dual adds Y_i <= I, so the barrier gains
@@ -384,16 +470,7 @@ def _overlap_core(
     h11 = hess[:k1, :k1].reshape(d1, d1, d1, d1)
     h12 = hess[:k1, k1:].reshape(d1, d1, d2, d2)
     h22 = hess[k1:, k1:].reshape(d2, d2, d2, d2)
-
-    # Z, Y1 and Y2 (capped, also I - Y1 and I - Y2) as one block-diagonal
-    # matrix: one definiteness test (Cholesky) and one inverse per step,
-    # hermitized because ``inv`` leaves a non-Hermitian part of size
-    # eps cond(Z) that the primal cannot bear.
-    cuts = list(itertools.accumulate([0, n, d1, d2] + ([d1, d2] if cap else [])))
-    diag = [slice(i, j) for i, j in zip(cuts, cuts[1:])]
-    blocks = np.zeros((cuts[-1],) * 2, dtype=complex)
-    zb, y1, y2, *u = [blocks[sl, sl] for sl in diag]
-    blocks[n:, n:] = np.eye(cuts[-1] - n) * (0.75 if cap else 1.0)
+    y1, y2 = (np.eye(d, dtype=complex) * (0.75 if cap else 1.0) for d in (d1, d2))
     f0 = _tr(r1) + _tr(r2)
     best = {
         "value": f0 if cap else 0.0,
@@ -404,8 +481,36 @@ def _overlap_core(
     history: list[float] = []
     support_scale = None if cap else _support_scaler(r1, r2)
 
-    def certify(zinv, step, t):
-        dz = ladj(step[:k1].reshape(d1, d1), step[k1:].reshape(d2, d2))
+    def slacks():
+        return [ladj(y1, y2) - b, y1, y2] + ([np.eye(d1) - y1, np.eye(d2) - y2] if cap else [])
+
+    def moves(dx):
+        dy1, dy2 = dx
+        return [ladj(dy1, dy2), dy1, dy2] + ([-dy1, -dy2] if cap else [])
+
+    def system(inverses):
+        zinv, y1i, y2i, *uinv = inverses
+        g = zinv if vbasis is None else vbasis @ zinv @ vbasis.conj().T
+        g4 = g.reshape(d1, d2, d1, d2)
+        g11, g12, g22 = _kron_sum_gram(g4)
+        np.multiply(y1i[:, None, :, None], y1i.T[None, :, None, :], out=h11)
+        h11[...] += g11
+        np.multiply(y2i[:, None, :, None], y2i.T[None, :, None, :], out=h22)
+        h22[...] += g22
+        # The cap's -log det(I - Y_i) adds (I - Y_i)^-1 to the Y_i^-1 terms.
+        for h, a in zip((h11, h22), uinv):
+            h += a[:, None, :, None] * a.T[None, :, None, :]
+        h12[...] = g12
+        hess[k1:, :k1] = hess[:k1, k1:].conj().T
+        gy1, gy2 = (y1i - uinv[0], y2i - uinv[1]) if cap else (y1i, y2i)
+        gbar = -np.concatenate([
+            (np.einsum("abcb->ac", g4) + gy1).reshape(-1),
+            (np.einsum("abad->bd", g4) + gy2).reshape(-1),
+        ])
+        return hess, gbar
+
+    def certify(inverses, changes, t):
+        zinv, dz = inverses[0], changes[0]
         cf = hermitize(zinv - zinv @ dz @ zinv) / t
         cf -= min(0.0, _min_eig(cf)) * np.eye(n)  # PSD in exact arithmetic, so up to rounding
         if cap:
@@ -431,62 +536,7 @@ def _overlap_core(
             best.update(dual=dval, y=(ry1, ry2))
         return _overlap_stop(best["value"], best["dual"], cfg.gap_tol, threshold)
 
-    t = 10.0 * cuts[-1] / f0
-    status, it, steps = "max_iters", 0, 0  # steps: Newton steps of this centering
-    while True:
-        try:
-            np.subtract(ladj(y1, y2), b, out=zb)
-            for ub, y in zip(u, (y1, y2)):
-                np.subtract(np.eye(len(y)), y, out=ub)
-            np.linalg.cholesky(blocks)
-            inv = _herm_part(np.linalg.inv(blocks))
-            zinv, y1i, y2i, *uinv = [inv[sl, sl] for sl in diag]
-            g = zinv if vbasis is None else vbasis @ zinv @ vbasis.conj().T
-            g4 = g.reshape(d1, d2, d1, d2)
-            g11, g12, g22 = _kron_sum_gram(g4)
-            np.multiply(y1i[:, None, :, None], y1i.T[None, :, None, :], out=h11)
-            h11 += g11
-            np.multiply(y2i[:, None, :, None], y2i.T[None, :, None, :], out=h22)
-            h22 += g22
-            # The cap's -log det(I - Y_i) adds (I - Y_i)^-1 to the Y_i^-1 terms.
-            for h, a in zip((h11, h22), uinv):
-                h += a[:, None, :, None] * a.T[None, :, None, :]
-            h12[...] = g12
-            hess[k1:, :k1] = hess[:k1, k1:].conj().T
-            # The gradient is t rho + gbar, so the Newton step is t drho + dbar.
-            gy1, gy2 = (y1i - uinv[0], y2i - uinv[1]) if cap else (y1i, y2i)
-            gbar = -np.concatenate([
-                (np.einsum("abcb->ac", g4) + gy1).reshape(-1),
-                (np.einsum("abad->bd", g4) + gy2).reshape(-1),
-            ])
-            drho, dbar = np.linalg.solve(hess, -np.stack([rho, gbar], axis=1)).T
-        except np.linalg.LinAlgError:
-            status = "infeasible_numerics"
-            break
-        certified = False
-        while True:
-            step = t * drho + dbar
-            lam2 = -np.vdot(t * rho + gbar, step).real
-            if not math.isfinite(lam2) or lam2 >= _CENTERED**2:
-                break
-            stop = certify(zinv, step, t)
-            if stop is not None:
-                return _Overlap(history=history, iterations=it, status=stop, **best)
-            certified = True
-            t *= _GROWTH
-            steps = 0
-        if not math.isfinite(lam2) or steps == _CENTER_STEPS:
-            status = "infeasible_numerics"
-            break
-        if it == cfg.max_iters:
-            if not certified:
-                status = certify(zinv, step, t) or status
-            break
-        damp = 1.0 + math.sqrt(lam2)
-        y1 += _herm_part(step[:k1].reshape(d1, d1)) / damp
-        y2 += _herm_part(step[k1:].reshape(d2, d2)) / damp
-        it += 1
-        steps += 1
+    status, it = _barrier_path([y1, y2], rho, f0, slacks, moves, system, certify, cfg)
     return _Overlap(history=history, iterations=it, status=status, **best)
 
 

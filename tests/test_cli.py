@@ -411,7 +411,7 @@ def test_main_mu_reports_duality_block(tmp_path, capsys):
 def test_main_mu_exit_two_when_not_converged(tmp_path, capsys):
     obj = generate_instance({"kind": "coupling", "dims": (3, 3), "seed": 7, "subspace_dim": 4})
     path = write_json(tmp_path, "slow.json", obj)
-    code, out, _ = run_main(capsys, ["mu", path, "--max-iters", "25"])
+    code, out, _ = run_main(capsys, ["mu", path, "--max-iters", "15"])
     assert code == 2
     report = json.loads(out)
     assert report["solution"]["status"] == "max_iters"
@@ -801,7 +801,7 @@ def test_main_batch_undecided_precedence(tmp_path, capsys):
     obj = generate_instance({"kind": "coupling", "dims": (3, 3), "seed": 7, "subspace_dim": 4})
     slow = write_json(tmp_path, "slow.json", obj)
     fast = write_json(tmp_path, "fast.json", coupling_file())
-    code, out, _ = run_main(capsys, ["mu", fast, slow, "--max-iters", "25"])
+    code, out, _ = run_main(capsys, ["mu", fast, slow, "--max-iters", "15"])
     assert code == 2
     assert set(json.loads(out)) == {fast, slow}
 

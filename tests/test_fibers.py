@@ -12,6 +12,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+import qstrassen.sdp as sdp
 from qstrassen.bipartite import BipartiteOperator, partial_trace_1, partial_trace_2
 from qstrassen.cli import generate_instance, problem_from_dict
 from qstrassen.fibers import (
@@ -245,14 +246,25 @@ def assert_exact_member(member, fiber):
     assert np.linalg.eigvalsh(member).min() >= -1e-12
 
 
+def test_dist_solve_shares_the_core_stall_guard(monkeypatch):
+    # One path driver reads the stall guard for every barrier: a centering
+    # allowed a single Newton step never completes, in the distance too.
+    monkeypatch.setattr(sdp, "_CENTER_STEPS", 1)
+    beta, fiber = generated_fiber((2, 3), 0)
+    upper, lower, member, steps, status = _dist_solve(beta, fiber, DEFAULT_CONFIG)
+    assert (status, steps) == ("infeasible_numerics", 1)
+    assert 0.0 <= lower <= upper
+    assert_exact_member(member, fiber)
+
+
 # <O, member> of members sampled with the semidistance sampler's settings
 # (gap_tol 1e-5) and its first objective O: (dims, seed, max_iters) -> value.
 # Members that maximize <O, gamma> are not unique, so the values are the
 # reference, not the entries. ADMM's members gave 0.4217484115 and (at 50
 # iterations) 0.3788628961.
 SAMPLE_GOLDEN = {
-    ((2, 2), 0, 50_000): 0.4217485885462753,
-    ((2, 2), 1, 10): 0.38237098832871946,
+    ((2, 2), 0, 50_000): 0.42174858854628394,
+    ((2, 2), 1, 10): 0.38237108262808917,
 }
 
 

@@ -50,10 +50,9 @@ def test_pyproject_declares_only_numpy():
 
 
 def test_fibers_imports_from_sdp_only_the_shared_solver_parts():
-    # The config, the overlap core behind the sampler, the central path
-    # constants and Hessian blocks the distance's Newton steps share with it,
-    # the support split and two repair steps; the scalar helpers and the
-    # input checks come from linalg.
+    # The config, the path driver the distance runs on, the overlap core
+    # behind the sampler, the Hessian blocks, the support split and two
+    # repair steps; the scalar helpers and the input checks come from linalg.
     tree = ast.parse((ROOT / "src" / "qstrassen" / "fibers.py").read_text())
     names = set()
     for node in ast.walk(tree):
@@ -65,12 +64,50 @@ def test_fibers_imports_from_sdp_only_the_shared_solver_parts():
     assert names == {
         "SolverConfig",
         "DEFAULT_CONFIG",
-        "_CENTERED",
-        "_CENTER_STEPS",
-        "_GROWTH",
+        "_barrier_path",
         "_kron_sum_gram",
         "_overlap_on_support",
         "_shift_to_dominate",
         "_support_scaler",
         "_support_split",
     }
+
+
+PATH_RULES = {"_GROWTH", "_CENTERED", "_CENTER_STEPS"}
+
+
+def path_rule_reads(source: str) -> list[str]:
+    """Functions of ``source`` that read a central path constant, by name or attribute."""
+    readers = []
+
+    def visit(node, scope):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            scope = node.name
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load) and node.id in PATH_RULES:
+            readers.append(scope)
+        elif isinstance(node, ast.Attribute) and node.attr in PATH_RULES:
+            readers.append(scope)
+        elif isinstance(node, ast.alias) and node.name in PATH_RULES:
+            readers.append(scope)
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    visit(ast.parse(source), "<module>")
+    return readers
+
+
+def test_path_rule_reader_detector():
+    source = (
+        "from .sdp import _GROWTH\n_CENTERED = 0.25\n"
+        "def f():\n    return sdp._CENTER_STEPS\n"
+        "def _barrier_path():\n    return _CENTERED\n"
+    )
+    assert path_rule_reads(source) == ["<module>", "f", "_barrier_path"]
+
+
+def test_only_the_path_driver_reads_the_path_rules():
+    # Growth of t, the centering test and the stall guard are the driver's
+    # alone: no barrier and no other module reads or imports them.
+    files = sorted((ROOT / "src" / "qstrassen").glob("*.py"))
+    readers = {p.name: set(path_rule_reads(p.read_text())) for p in files}
+    assert {name: r for name, r in readers.items() if r} == {"sdp.py": {"_barrier_path"}}

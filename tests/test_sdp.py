@@ -315,13 +315,12 @@ def test_supported_overlap_value_is_trace_of_returned_point():
 
 
 # Values of the full solve (no threshold): (dims, seed, feasible) -> (value,
-# gap, iterations). Recorded again when the overlap programs moved from ADMM
-# to the dual barrier method, whose iterations count Newton steps (300, 1350
-# and 575 ADMM iterations before); each new bracket meets the old one.
+# gap, iterations), iterations in Newton steps. Each bracket meets the ones
+# recorded under ADMM and under the earlier damped step rule.
 SUPPORTED_GOLDEN = {
-    ((2, 3), 0, True): (0.999999576147826, 7.696269965773439e-07, 29),
-    ((3, 3), 1, True): (0.9999995422398976, 7.689608355621047e-07, 29),
-    ((2, 4), 15, False): (0.9951431243075636, 7.735415457066352e-07, 33),
+    ((2, 3), 0, True): (0.9999995761478226, 7.478732872989724e-07, 22),
+    ((3, 3), 1, True): (0.9999995422398933, 7.471354315224943e-07, 21),
+    ((2, 4), 15, False): (0.9951431243075246, 7.55065299506974e-07, 21),
 }
 
 
@@ -360,11 +359,12 @@ def test_supported_overlap_threshold_only_stops_early():
 # iterations and status exactly and the values to 1e-12:
 # (dims, seed, feasible, max_iters) -> (primal, dual, iterations, status).
 # Iterations are Newton steps of the dual barrier method; the last entry's
-# budget of 10 stops it before its bracket closes (30 steps).
+# budget of 10 stops it before its bracket closes (19 steps). Each bracket
+# meets the one recorded under the earlier damped step rule.
 MARGINAL_GOLDEN = {
-    ((2, 3), 0, True, 50_000): (0.999999514494402, 1.000000282866719, 29, "optimal"),
-    ((3, 3), 1, False, 50_000): (0.9990745836715853, 0.999075367240106, 26, "optimal"),
-    ((3, 3), 2, True, 10): (0.9976790486985369, 1.0046747240970793, 10, "max_iters"),
+    ((2, 3), 0, True, 50_000): (0.9999995144944656, 1.0000002558690375, 19, "optimal"),
+    ((3, 3), 1, False, 50_000): (0.9990745836716399, 0.9990753338548268, 23, "optimal"),
+    ((3, 3), 2, True, 10): (0.9999646486309285, 1.0001212175854937, 10, "max_iters"),
 }
 
 
@@ -383,24 +383,26 @@ def test_marginal_sdp_reproduces_golden_values():
 
 # f-ladder chains, one entry per level, each level a cold solve:
 # (dims, seed, max_iters) -> [(value, lower_bound, iterations, status), ...].
+# Each bracket meets the one recorded under the earlier damped step rule.
+# The second chain's budget of 17 stops levels 1-3 before they close.
 F_MIN_CHAIN_GOLDEN = {
     ((2, 3), 0, 50_000): [
-        (1.3135203607283104, 1.3135195533300688, 35, "optimal"),
-        (0.7201862490675383, 0.7201855145615056, 34, "optimal"),
-        (0.42720766607607885, 0.42720676987328443, 32, "optimal"),
-        (4.397044971318768e-09, 0.0, 21, "optimal"),
-        (2.9261858213798305e-09, 0.0, 23, "optimal"),
-        (1.7342421806045218e-09, 0.0, 26, "optimal"),
+        (1.3135203607283117, 1.3135195966545496, 22, "optimal"),
+        (0.7201862490675405, 0.7201855548057925, 23, "optimal"),
+        (0.42720766607638455, 0.4272068118241417, 21, "optimal"),
+        (4.412245107504547e-09, 0.0, 17, "optimal"),
+        (2.936302834829872e-09, 0.0, 14, "optimal"),
+        (1.7170911608111553e-09, 0.0, 15, "optimal"),
     ],
-    ((3, 3), 1, 20): [
-        (1.4750423478770471, 1.4739967264913283, 20, "max_iters"),
-        (0.9645183797009351, 0.9632306851908312, 20, "max_iters"),
-        (0.7430287083412193, 0.7426195290966763, 20, "max_iters"),
-        (3.1682168832527536e-09, 0.0, 20, "optimal"),
-        (3.026165399162984e-08, 0.0, 20, "optimal"),
-        (1.9805739460808901e-07, 0.0, 20, "optimal"),
-        (5.956219838288108e-07, 0.0, 20, "optimal"),
-        (1.6943635731948169e-06, 0.0, 20, "max_iters"),
+    ((3, 3), 1, 17): [
+        (1.4750391524441868, 1.4750371943735798, 17, "max_iters"),
+        (0.9645166597911887, 0.9644646647458046, 17, "max_iters"),
+        (0.7430264068462159, 0.7429799739768401, 17, "max_iters"),
+        (4.9849085761105535e-09, 0.0, 14, "optimal"),
+        (4.347169595518548e-09, 0.0, 16, "optimal"),
+        (3.7050244652241776e-09, 0.0, 17, "optimal"),
+        (2.6734872154547853e-09, 0.0, 16, "optimal"),
+        (2.456448491458755e-09, 0.0, 16, "optimal"),
     ],
 }
 
@@ -514,7 +516,7 @@ def test_status_is_optimal_exactly_when_gap_within_tolerance(max_iters):
 
 
 def test_stop_rule_cases_cover_both_outcomes():
-    statuses = {status for m in (25, 400) for _, _, status in stop_rule_cases(m)}
+    statuses = {status for m in (20, 400) for _, _, status in stop_rule_cases(m)}
     assert statuses == {"optimal", "max_iters"}
 
 
@@ -672,6 +674,21 @@ def test_barrier_core_stalled_centering_is_infeasible_numerics(monkeypatch):
     sol = solve_marginal_sdp(prob)
     assert (sol.status, sol.iterations) == ("infeasible_numerics", 1)
     assert_overlap_bracket(sol, prob)
+
+
+def test_barrier_core_centers_on_thermal_marginals():
+    # Thermal marginals p_k ~ q^k on 14 x 14 (least eigenvalues 6.1e-5 and
+    # 1.1e-7) with X = span{|k, k>}, where mu = sum_k min(p_k, p'_k). The
+    # first centering from Y = (I, I) lies far from these marginals' scale
+    # and must still finish well inside _CENTER_STEPS.
+    n = 14
+    p, q = (r ** np.arange(n) / np.sum(r ** np.arange(n)) for r in (0.5, 0.3))
+    basis = np.zeros((n * n, n))
+    basis[np.arange(n) * (n + 1), np.arange(n)] = 1.0
+    obj = BipartiteOperator(basis @ basis.T, n, n)
+    sol = solve_marginal_sdp(MarginalSdpProblem(obj, np.diag(p), np.diag(q)))
+    assert sol.status == "optimal" and sol.iterations <= 80
+    assert sol.primal_value <= np.minimum(p, q).sum() <= sol.dual_value
 
 
 @pytest.mark.parametrize("breakdown", ["singular", "nan"])
