@@ -173,7 +173,9 @@ def _dist_solve(beta: np.ndarray, fiber: FiberSpec, cfg: SolverConfig):
     h11 = hess[m0:m1, m0:m1].reshape(k1, k1, k1, k1)
     h12 = hess[m0:m1, m1:].reshape(k1, k1, k2, k2)
     h22 = hess[m1:, m1:].reshape(k2, k2, k2, k2)
-    gauge = np.concatenate([np.zeros(m0), np.eye(k1).reshape(-1), -np.eye(k2).reshape(-1)])
+    # The gauge direction (I, -I) is nonzero only at the Y diagonal entries.
+    y_diag = np.r_[m0 + np.arange(k1) * (k1 + 1), m1 + np.arange(k2) * (k2 + 1)]
+    gauge_at, gauge = np.ix_(y_diag, y_diag), np.r_[np.ones(k1), -np.ones(k2)]
     gauge = np.outer(gauge, gauge) / (k1 + k2)
     cost = np.concatenate([-beta.reshape(-1), rc1.reshape(-1), rc2.reshape(-1)])
     z = np.zeros((n, n), dtype=complex)
@@ -190,9 +192,9 @@ def _dist_solve(beta: np.ndarray, fiber: FiberSpec, cfg: SolverConfig):
         ap, am, g = inverses
         f = wb @ g
         gz = f @ wb.conj().T  # W S^-1 W^*, S^-1 seen from Z
-        np.multiply(ap[:, None, :, None], ap.T[None, :, None, :], out=hzz)
-        hzz[...] += am[:, None, :, None] * am.T[None, :, None, :]
-        hzz[...] += gz[:, None, :, None] * gz.T[None, :, None, :]
+        # [a, e, c, x] = sum_M M[a, c] M[x, e] over M = ap, am, gz: one product.
+        p = np.stack([ap, am, gz]).reshape(3, n * n)
+        hzz[...] = (p.T @ p).reshape(n, n, n, n).transpose(0, 3, 1, 2)
         # The Z-Y blocks -F (D1 (x) I) F^* and -F (I (x) D2) F^*, F = W G:
         # [a, e, c, x] = -sum_p F[a, (c, p)] F^*[(x, p), e], and likewise.
         f3, fh3 = f.reshape(n, k1, k2), f.conj().T.reshape(k1, k2, n)
@@ -203,7 +205,7 @@ def _dist_solve(beta: np.ndarray, fiber: FiberSpec, cfg: SolverConfig):
         h11[...], h12[...], h22[...] = _kron_sum_gram(g.reshape(k1, k2, k1, k2))
         hess[m0:, :m0] = hess[:m0, m0:].conj().T
         hess[m1:, m0:m1] = hess[m0:m1, m1:].conj().T
-        hess[...] += hess.diagonal()[m0:].real.mean() * gauge
+        hess[gauge_at] += hess.diagonal()[m0:].real.mean() * gauge
         gbar = np.concatenate([
             (gz + am - ap).reshape(-1),
             -np.einsum("abcb->ac", g.reshape(k1, k2, k1, k2)).reshape(-1),

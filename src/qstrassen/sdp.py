@@ -81,7 +81,7 @@ __all__ = [
 
 _FEAS_SLACK = 1e-12
 _GROWTH = 64.0  # the barrier weight t grows by this factor after each centering
-_CENTERED = 0.25  # Newton decrement below which a point counts as centered
+_CENTERED = 0.7  # Newton decrement below which a point counts as centered (must stay below 1)
 _CENTER_STEPS = 100  # a centering that needs this many Newton steps has stalled
 
 
@@ -334,6 +334,9 @@ def _barrier_path(point, cost, scale, slacks, moves, system, certify, cfg: Solve
     S. A point whose Newton decrement lambda is below _CENTERED counts as
     centered: it is certified and t grows by _GROWTH on the same solve,
     until the point is no longer centered or ``certify`` stops the path.
+    _CENTERED must stay below 1: for lambda < 1 the step dS lies in the
+    Dikin ellipsoid of S, so the primal (S^-1 - S^-1 dS S^-1) / t that
+    certifies the point is PSD.
     Otherwise the step goes 0.9 of the way to the boundary of the slack
     cones, at most the full step: alpha = min(1, -0.9 / lambda_min), with
     lambda_min the least eigenvalue of L^-1 dS L^-* (S is block-diagonal,
@@ -727,6 +730,8 @@ def solve_f_min_full(
     x_sub: Subspace,
     cfg: SolverConfig = DEFAULT_CONFIG,
     threshold: float | None = None,
+    *,
+    _checked: bool = False,
 ) -> FMinSolution:
     """Minimize f(X) = ||tr_2 X - rho1||_1 + ||tr_1 X - rho2||_1 over PSD X in a subspace.
 
@@ -742,9 +747,15 @@ def solve_f_min_full(
     breakdown). With a ``threshold`` the solve also stops, with status
     ``decided``, at the first bracket whose value is below it; a value in
     [0, threshold) then brackets the minimum, and the gap may exceed
-    cfg.gap_tol.
+    cfg.gap_tol. ``_checked`` marks Hermitian arrays that the caller has
+    already checked against ``x_sub``: ``strassen.f_ladder`` checks its pair
+    once and solves every level through this name, which bench/run.py
+    traces.
     """
-    r1, r2, vbasis = _subspace_marginals(rho1, rho2, x_sub)
+    if _checked:
+        r1, r2, vbasis = rho1, rho2, x_sub.basis
+    else:
+        r1, r2, vbasis = _subspace_marginals(rho1, rho2, x_sub)
     d1, d2 = r1.shape[0], r2.shape[0]
     sol = _overlap_core(np.eye(x_sub.dim), r1, r2, vbasis, cfg, threshold, cap=True)
     x = hermitize(vbasis @ sol.c @ vbasis.conj().T)

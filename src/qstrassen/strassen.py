@@ -248,7 +248,7 @@ def f_ladder(
             sol = replace(sol, lower_bound=0.0, gap=sol.value, iterations=0, status="decided")
         else:
             sub = Subspace(d1 * d2, basis[:, :n])
-            sol = solve_f_min_full(r1n, r2n, sub, cfg, threshold=eps)
+            sol = solve_f_min_full(r1n, r2n, sub, cfg, threshold=eps, _checked=True)
         levels.append(
             LadderLevel(
                 level=n,

@@ -343,12 +343,12 @@ def test_main_check_infeasible_generated(tmp_path, capsys):
 
 
 def test_main_check_undecided_at_max_iters(tmp_path, capsys):
-    # 10 Newton steps leave the mu bracket around 1 - eps: nothing refutes a
+    # 7 Newton steps leave the mu bracket around 1 - eps: nothing refutes a
     # coupling and no certificate passes, so the run is undecided (exit 2),
     # not a no_coupling answer.
     path = str(tmp_path / "g.json")
     run_main(capsys, ["gen", "--kind", "coupling", "--dims", "3x3", "--seed", "7", "--out", path])
-    code, out, _ = run_main(capsys, ["check", path, "--max-iters", "10"])
+    code, out, _ = run_main(capsys, ["check", path, "--max-iters", "7"])
     report = json.loads(out)
     threshold = 1.0 - report["config"]["eps_decision"]
     assert report["solution"]["status"] == "max_iters"

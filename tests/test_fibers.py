@@ -219,11 +219,12 @@ def generated_fiber(dims, seed):
 # (dims, seed, max_iters) -> (upper, lower, steps, status). Each bracket
 # meets the one the ADMM solver recorded here before, [0.7491703971,
 # 0.7491710966], [0.3825952429, 0.3825958945] and (at 50 iterations)
-# [0.3553117234, 0.3553330946].
+# [0.3553117234, 0.3553330946], and the one recorded under the centering
+# threshold 1/4 (24, 23 and 10 steps).
 DIST_GOLDEN = {
-    ((2, 3), 0, 50_000): (0.7491711986505215, 0.7491706969616497, 24, "optimal"),
-    ((3, 3), 1, 50_000): (0.38259581390400654, 0.38259532671381236, 23, "optimal"),
-    ((2, 2), 2, 10): (0.355333107421953, 0.35352204414914934, 10, "max_iters"),
+    ((2, 3), 0, 50_000): (0.7491711986499341, 0.749170747726335, 20, "optimal"),
+    ((3, 3), 1, 50_000): (0.382595813901266, 0.3825953625998959, 19, "optimal"),
+    ((2, 2), 2, 10): (0.35533309500856053, 0.3549450235476565, 10, "max_iters"),
 }
 
 
@@ -261,10 +262,11 @@ def test_dist_solve_shares_the_core_stall_guard(monkeypatch):
 # (gap_tol 1e-5) and its first objective O: (dims, seed, max_iters) -> value.
 # Members that maximize <O, gamma> are not unique, so the values are the
 # reference, not the entries. ADMM's members gave 0.4217484115 and (at 50
-# iterations) 0.3788628961.
+# iterations) 0.3788628961; under the centering threshold 1/4 they gave
+# 0.4217485885 and 0.3823710826.
 SAMPLE_GOLDEN = {
-    ((2, 2), 0, 50_000): 0.42174858854628394,
-    ((2, 2), 1, 10): 0.38237108262808917,
+    ((2, 2), 0, 50_000): 0.4217485890048517,
+    ((2, 2), 1, 10): 0.38237108268134373,
 }
 
 

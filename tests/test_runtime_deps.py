@@ -111,3 +111,13 @@ def test_only_the_path_driver_reads_the_path_rules():
     files = sorted((ROOT / "src" / "qstrassen").glob("*.py"))
     readers = {p.name: set(path_rule_reads(p.read_text())) for p in files}
     assert {name: r for name, r in readers.items() if r} == {"sdp.py": {"_barrier_path"}}
+
+
+def test_centering_threshold_keeps_the_certificates_psd():
+    # A centered point is certified by its Newton primal (S^-1 - S^-1 dS S^-1) / t,
+    # which is PSD only when the Newton decrement is below 1 (dS then lies in
+    # the Dikin ellipsoid of S). A threshold of 1 or more would only weaken
+    # the certificates, silently; this test fails instead.
+    from qstrassen import sdp
+
+    assert 0.0 < sdp._CENTERED < 1.0

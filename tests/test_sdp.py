@@ -316,11 +316,12 @@ def test_supported_overlap_value_is_trace_of_returned_point():
 
 # Values of the full solve (no threshold): (dims, seed, feasible) -> (value,
 # gap, iterations), iterations in Newton steps. Each bracket meets the ones
-# recorded under ADMM and under the earlier damped step rule.
+# recorded under ADMM, under the earlier damped step rule and under the
+# centering threshold 1/4.
 SUPPORTED_GOLDEN = {
-    ((2, 3), 0, True): (0.9999995761478226, 7.478732872989724e-07, 22),
-    ((3, 3), 1, True): (0.9999995422398933, 7.471354315224943e-07, 21),
-    ((2, 4), 15, False): (0.9951431243075246, 7.55065299506974e-07, 21),
+    ((2, 3), 0, True): (0.9999995761478017, 7.153861604214384e-07, 15),
+    ((3, 3), 1, True): (0.9999995422398589, 7.165398725472727e-07, 16),
+    ((2, 4), 15, False): (0.9951431243075805, 6.977124274998303e-07, 16),
 }
 
 
@@ -359,12 +360,13 @@ def test_supported_overlap_threshold_only_stops_early():
 # iterations and status exactly and the values to 1e-12:
 # (dims, seed, feasible, max_iters) -> (primal, dual, iterations, status).
 # Iterations are Newton steps of the dual barrier method; the last entry's
-# budget of 10 stops it before its bracket closes (19 steps). Each bracket
-# meets the one recorded under the earlier damped step rule.
+# budget of 10 stops it before its bracket closes (15 steps). Each bracket
+# meets the ones recorded under the earlier damped step rule and under the
+# centering threshold 1/4.
 MARGINAL_GOLDEN = {
-    ((2, 3), 0, True, 50_000): (0.9999995144944656, 1.0000002558690375, 19, "optimal"),
-    ((3, 3), 1, False, 50_000): (0.9990745836716399, 0.9990753338548268, 23, "optimal"),
-    ((3, 3), 2, True, 10): (0.9999646486309285, 1.0001212175854937, 10, "max_iters"),
+    ((2, 3), 0, True, 50_000): (0.9999995144944485, 1.000000227952722, 15, "optimal"),
+    ((3, 3), 1, False, 50_000): (0.9990745836824086, 0.9990753116255358, 17, "optimal"),
+    ((3, 3), 2, True, 10): (0.9999641929382398, 1.0000133755925336, 10, "max_iters"),
 }
 
 
@@ -383,26 +385,28 @@ def test_marginal_sdp_reproduces_golden_values():
 
 # f-ladder chains, one entry per level, each level a cold solve:
 # (dims, seed, max_iters) -> [(value, lower_bound, iterations, status), ...].
-# Each bracket meets the one recorded under the earlier damped step rule.
-# The second chain's budget of 17 stops levels 1-3 before they close.
+# Each bracket meets the ones recorded under the earlier damped step rule
+# and under the centering threshold 1/4 (the second chain then at a budget
+# of 17). The second chain's budget of 13 stops levels 1-3 before they
+# close (16 to 18 steps).
 F_MIN_CHAIN_GOLDEN = {
     ((2, 3), 0, 50_000): [
-        (1.3135203607283117, 1.3135195966545496, 22, "optimal"),
-        (0.7201862490675405, 0.7201855548057925, 23, "optimal"),
-        (0.42720766607638455, 0.4272068118241417, 21, "optimal"),
-        (4.412245107504547e-09, 0.0, 17, "optimal"),
-        (2.936302834829872e-09, 0.0, 14, "optimal"),
-        (1.7170911608111553e-09, 0.0, 15, "optimal"),
+        (1.313520360728329, 1.3135197064417743, 16, "optimal"),
+        (0.7201862490675933, 0.7201856057043178, 16, "optimal"),
+        (0.4272076660767733, 0.4272068369388726, 15, "optimal"),
+        (4.218266672307948e-09, 0.0, 11, "optimal"),
+        (2.808917858271757e-09, 0.0, 11, "optimal"),
+        (1.6418242143530276e-09, 0.0, 12, "optimal"),
     ],
-    ((3, 3), 1, 17): [
-        (1.4750391524441868, 1.4750371943735798, 17, "max_iters"),
-        (0.9645166597911887, 0.9644646647458046, 17, "max_iters"),
-        (0.7430264068462159, 0.7429799739768401, 17, "max_iters"),
-        (4.9849085761105535e-09, 0.0, 14, "optimal"),
-        (4.347169595518548e-09, 0.0, 16, "optimal"),
-        (3.7050244652241776e-09, 0.0, 17, "optimal"),
-        (2.6734872154547853e-09, 0.0, 16, "optimal"),
-        (2.456448491458755e-09, 0.0, 16, "optimal"),
+    ((3, 3), 1, 13): [
+        (1.4750391525821835, 1.475030461225741, 13, "max_iters"),
+        (0.9645166606994643, 0.9644695288956766, 13, "max_iters"),
+        (0.7430263999831949, 0.7429810280677954, 13, "max_iters"),
+        (4.876794905117307e-09, 0.0, 11, "optimal"),
+        (4.272551197024109e-09, 0.0, 11, "optimal"),
+        (3.677988957676162e-09, 0.0, 11, "optimal"),
+        (2.5697077349948e-09, 0.0, 11, "optimal"),
+        (2.4262059494560415e-09, 0.0, 12, "optimal"),
     ],
 }
 
@@ -516,7 +520,7 @@ def test_status_is_optimal_exactly_when_gap_within_tolerance(max_iters):
 
 
 def test_stop_rule_cases_cover_both_outcomes():
-    statuses = {status for m in (20, 400) for _, _, status in stop_rule_cases(m)}
+    statuses = {status for m in (15, 400) for _, _, status in stop_rule_cases(m)}
     assert statuses == {"optimal", "max_iters"}
 
 
@@ -691,6 +695,26 @@ def test_barrier_core_centers_on_thermal_marginals():
     assert sol.primal_value <= np.minimum(p, q).sum() <= sol.dual_value
 
 
+def test_barrier_core_step_count_on_generated_couplings():
+    # The 80 generated coupling solves README "Numerics" cites: mu and the
+    # supported program on 2x3 to 4x4 files, seeds 0-3, feasible and not.
+    # A point counts as centered below Newton decrement 0.7; under the old
+    # threshold 1/4 the same solves took 1,731 steps.
+    steps = []
+    for dims in ((2, 3), (3, 3), (2, 4), (3, 4), (4, 4)):
+        for seed in range(4):
+            for feasible in (True, False):
+                sub, r1, r2 = golden_instance(dims, seed, feasible)
+                obj = BipartiteOperator(sub.projector.mat, *dims)
+                for sol in (
+                    solve_marginal_sdp(MarginalSdpProblem(obj, r1, r2)),
+                    solve_supported_overlap(sub, r1, r2),
+                ):
+                    assert sol.status == "optimal", (dims, seed, feasible)
+                    steps.append(sol.iterations)
+    assert (len(steps), sum(steps)) == (80, 1326)
+
+
 @pytest.mark.parametrize("breakdown", ["singular", "nan"])
 def test_barrier_core_newton_breakdown_is_infeasible_numerics(monkeypatch, breakdown):
     # The Newton system fails at the 12th point, after the first centerings
@@ -744,13 +768,14 @@ def test_overlap_programs_run_without_admm_or_projections(monkeypatch):
 
 def test_fiber_distance_steps_stay_flat_in_size():
     # The barrier's step count does not grow with the fiber: 3x4 and 4x4
-    # distances close gap_tol in 23 to 44 Newton steps, as the 2x2 to 3x3
-    # workload distances do.
+    # distances close gap_tol in 19 to 41 Newton steps, as the 2x2 to 3x3
+    # workload distances do (these two take 25 and 41; a centering threshold
+    # of 0.9 would take 53 on the second).
     for dims, seed in (((3, 4), 1), ((4, 4), 1)):
         p = generated("fiber_dist", dims, seed)
         upper, lower, _, steps, status = _dist_solve(p.beta, FiberSpec(p.rho1, p.rho2), DEFAULT_CONFIG)
         assert status == "optimal" and upper - lower <= DEFAULT_CONFIG.gap_tol
-        assert steps <= 50
+        assert steps <= 45
 
 
 # ---------------------------------------------------------------------------

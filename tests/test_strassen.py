@@ -657,6 +657,24 @@ def test_f_ladder_levels_stop_at_eps(seed, monkeypatch):
     assert all(lv.status == "decided" for lv in rep.levels[below:])
 
 
+def test_f_ladder_checks_its_marginals_once(monkeypatch):
+    # f_ladder checks the pair once; every level solves on the checked,
+    # normalized pair without checking it again.
+    calls = []
+    check = strassen._check_marginals
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return check(*args, **kwargs)
+
+    for module in (strassen, sdp):
+        monkeypatch.setattr(module, "_check_marginals", counted)
+    p = problem_from_dict(generate_instance({"kind": "f_ladder", "dims": (2, 3), "seed": 0}))
+    rep = f_ladder(p.rho1, p.rho2, p.basis, p.n_max)
+    assert sum(lv.iterations > 0 for lv in rep.levels) >= 3
+    assert len(calls) == 1
+
+
 def test_f_ladder_normalizes_subnormalized_inputs():
     rep = f_ladder(np.eye(2) / 4, np.eye(2) / 4, bell_subspace().basis, 1)
     assert abs(rep.scale - 0.5) < 1e-12
