@@ -519,35 +519,21 @@ def generate_instance(spec: dict) -> dict:
 # Runners
 
 
-def _solution_block(sol) -> dict:
-    return {
-        "primal_value": sol.primal_value,
-        "dual_value": sol.dual_value,
-        "gap": sol.gap,
-        "iterations": sol.iterations,
-        "status": sol.status,
-        "residuals": dict(sol.residuals),
-    }
-
-
 def _run_check(prob: LoadedProblem, cfg: SolverConfig, _args) -> tuple[dict, int]:
     x_sub = Subspace(prob.d1 * prob.d2, prob.basis)
-    verdict, cert, value, sol, sup = _decide(prob.rho1, prob.rho2, x_sub, cfg)
-    supported = None
-    if sup is not None:
-        supported = {
-            "status": sup.status,
-            "iterations": sup.iterations,
-            "gap": sup.gap,
-            "dual": sup.dual,
-            "dual_pair": [mat_to_pairs(y.mat) for y in sup.Y],
-        }
+    verdict, cert, sup = _decide(prob.rho1, prob.rho2, x_sub, cfg)
     report = {
         "command": "check",
         "verdict": verdict,
-        "mu_value": value,
-        "solution": _solution_block(sol),
-        "supported": supported,
+        "value": sup.value,
+        "solution": {
+            "primal_value": sup.value,
+            "dual_value": sup.dual,
+            "gap": sup.gap,
+            "iterations": sup.iterations,
+            "status": sup.status,
+            "dual_pair": [mat_to_pairs(y.mat) for y in sup.Y],
+        },
     }
     if cert is not None:
         cmat = cert.mat
@@ -569,7 +555,14 @@ def _run_mu(prob: LoadedProblem, cfg: SolverConfig, _args) -> tuple[dict, int]:
     report = {
         "command": "mu",
         "value": value,
-        "solution": _solution_block(sol),
+        "solution": {
+            "primal_value": sol.primal_value,
+            "dual_value": sol.dual_value,
+            "gap": sol.gap,
+            "iterations": sol.iterations,
+            "status": sol.status,
+            "residuals": dict(sol.residuals),
+        },
         "duality": {
             "trivial_feasible": duality.trivial_feasible,
             "trivial_margin": duality.trivial_margin,

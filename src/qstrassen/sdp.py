@@ -8,9 +8,10 @@ is solved by one core, ``_overlap_core``. With V = I and B the subspace
 projector (``solve_marginal_sdp``) its value mu equals 1 exactly when a
 coupling supported in the subspace exists; with V a basis of the subspace and
 B = I (``solve_supported_overlap``) every feasible V C V^* lies in the
-subspace, which makes it the source of coupling certificates. Singular
-marginals are compressed to their supports before the core runs and the
-solution is lifted back after. ``solve_f_min`` minimizes the marginal mismatch
+subspace, which makes it the source of coupling certificates and, through
+its dual pair, of refutations. Singular marginals are compressed to their
+supports before the core runs and the solution is lifted back after.
+``solve_f_min`` minimizes the marginal mismatch
 f(X) = ||tr_2 X - rho1||_1 + ||tr_1 X - rho2||_1 over PSD X supported in a
 given subspace; with ||A||_1 = 2 tr A_+ - tr A that is the supported program
 with slack matrices, whose dual is capped at Y_i <= I, and the same core
@@ -237,19 +238,6 @@ def _repair_dual(y1, y2, adjoint, b, r1, r2):
     return y1, y2, _hs(r1, y1) + _hs(r2, y2)
 
 
-def _overlap_stop(value: float, dual: float, gap_tol: float, threshold: float | None):
-    """The overlap stop rule on a certified bracket [value, dual], or None to go on.
-
-    ``optimal`` once dual - value <= gap_tol; given a threshold, ``decided``
-    once the bracket clears it: value >= threshold or dual < threshold.
-    """
-    if dual - value <= gap_tol:
-        return "optimal"
-    if threshold is not None and (value >= threshold or dual < threshold):
-        return "decided"
-    return None
-
-
 def _subspace_marginals(rho1, rho2, x_sub: Subspace):
     """Hermitian marginals and the basis V of ``x_sub``, checked against each other.
 
@@ -449,9 +437,8 @@ def _overlap_core(
     Shifted to PSD where rounding left it below 0 and scaled down until its
     marginals are dominated, it is the certified primal; ``_repair_dual`` of
     Y gives the certified dual. The solve stops with ``optimal`` once
-    dual - primal <= cfg.gap_tol and, given a ``threshold``, with
-    ``decided`` once primal >= threshold or dual < threshold. The bracket
-    starts at [0, tr rho1 + tr rho2] (C = 0, Y = (I, I)).
+    dual - primal <= cfg.gap_tol. The bracket starts at
+    [0, tr rho1 + tr rho2] (C = 0, Y = (I, I)).
 
     ``cap`` solves the mismatch program of ``solve_f_min_full`` instead
     (B = I, V a basis): its dual adds Y_i <= I, so the barrier gains
@@ -461,8 +448,8 @@ def _overlap_core(
     f(0) = tr rho1 + tr rho2, and ``dual`` is the lower bound
     -<W, rho> / max(1, ||W||_inf) of W = 2Y - I shifted by the identity
     until L^*(W) >= 0, starting at 0. It stops with ``optimal`` once
-    value - dual <= cfg.gap_tol and, given a ``threshold``, with
-    ``decided`` once value < threshold.
+    value - dual <= cfg.gap_tol and, given a ``threshold`` (read only with
+    ``cap``), with ``decided`` once value < threshold.
     """
     d1, d2, n = r1.shape[0], r2.shape[0], b.shape[0]
     k1, k2 = d1 * d1, d2 * d2
@@ -537,7 +524,7 @@ def _overlap_core(
         ry1, ry2, dval = _repair_dual(y1, y2, ladj, b, r1, r2)
         if dval < best["dual"]:
             best.update(dual=dval, y=(ry1, ry2))
-        return _overlap_stop(best["value"], best["dual"], cfg.gap_tol, threshold)
+        return "optimal" if best["dual"] - best["value"] <= cfg.gap_tol else None
 
     status, it = _barrier_path([y1, y2], rho, f0, slacks, moves, system, certify, cfg)
     return _Overlap(history=history, iterations=it, status=status, **best)
@@ -576,7 +563,7 @@ def _marginal_solution(sol: _Overlap, a, r1, r2) -> MarginalSdpSolution:
     )
 
 
-def _overlap_on_support(b, r1, r2, vbasis, cfg: SolverConfig, threshold=None):
+def _overlap_on_support(b, r1, r2, vbasis, cfg: SolverConfig):
     """``_overlap_core`` on the support product S = supp rho1 (x) supp rho2.
 
     V is ``vbasis`` (None for V = I). Dominated operators live on S, so where
@@ -586,17 +573,18 @@ def _overlap_on_support(b, r1, r2, vbasis, cfg: SolverConfig, threshold=None):
     (W_i the complement eigenvectors of rho_i), with
     s = (1 + 0.5 / gap_tol) / g, g the least squared singular value of
     (I - Q) V off R (Q projects on S), then shifts to PSD and by the identity
-    until it dominates B, and the status is read from this bracket; a solve
-    that ran out or broke down keeps its own status unless the bracket stops.
-    Where the lift's rounding (up to s eps d1 d2) exceeds gap_tol, or the
-    lifted bracket of a stopped solve neither closes nor decides, the core
-    solves the full space, keeps the better primal and reads the status from
-    the merged bracket. A vanishing R^* B R gives 0 at 0 iterations.
+    until it dominates B; the status is ``optimal`` once this bracket closes
+    to gap_tol, and a solve that ran out or broke down keeps its own status
+    otherwise. Where the lift's rounding (up to s eps d1 d2) exceeds
+    gap_tol, or the lifted bracket of an ``optimal`` solve does not close,
+    the core solves the full space, keeps the better primal and is
+    ``optimal`` if the merged bracket closes. A vanishing R^* B R gives 0 at
+    0 iterations.
     """
     d1, d2 = len(r1), len(r2)
     (u1, w1), (u2, w2) = _support_split(r1), _support_split(r2)
     if w1.size + w2.size == 0:
-        return _overlap_core(b, r1, r2, vbasis, cfg, threshold)
+        return _overlap_core(b, r1, r2, vbasis, cfg)
     lift = np.kron(u1, u2)
     k1, k2 = u1.shape[1], u2.shape[1]
     keep, vc, gain = lift, None, 1.0
@@ -613,7 +601,7 @@ def _overlap_on_support(b, r1, r2, vbasis, cfg: SolverConfig, threshold=None):
     else:
         rc1, rc2 = (hermitize(u.conj().T @ r @ u) for u, r in ((u1, r1), (u2, r2)))
         half = replace(cfg, gap_tol=0.5 * cfg.gap_tol)
-        sol = _overlap_core(bc, rc1, rc2, vc, half, threshold)
+        sol = _overlap_core(bc, rc1, rc2, vc, half)
     c = keep @ sol.c @ keep.conj().T
     shift = (1.0 + 0.5 / cfg.gap_tol) / gain
     if shift * np.finfo(float).eps * d1 * d2 <= cfg.gap_tol:
@@ -624,18 +612,17 @@ def _overlap_on_support(b, r1, r2, vbasis, cfg: SolverConfig, threshold=None):
             ),
             _marginal_maps(vbasis, d1, d2)[1], b, r1, r2,
         )
-        status = _overlap_stop(sol.value, dual, cfg.gap_tol, threshold)
-        if status is None and sol.status not in ("optimal", "decided"):
-            status = sol.status
-        if status is not None:
+        closed = dual - sol.value <= cfg.gap_tol
+        if closed or sol.status != "optimal":
+            status = "optimal" if closed else sol.status
             return sol._replace(c=c, dual=dual, y=(y1, y2), status=status)
-    full = _overlap_core(b, r1, r2, vbasis, cfg, threshold)
+    full = _overlap_core(b, r1, r2, vbasis, cfg)
     full = full._replace(iterations=sol.iterations + full.iterations)
     if sol.value > full.value:
         full = full._replace(value=sol.value, c=c)
-    return full._replace(
-        status=_overlap_stop(full.value, full.dual, cfg.gap_tol, threshold) or full.status
-    )
+    if full.dual - full.value <= cfg.gap_tol:
+        full = full._replace(status="optimal")
+    return full
 
 
 def solve_marginal_sdp(
@@ -809,7 +796,6 @@ def solve_supported_overlap(
     rho1,
     rho2,
     cfg: SolverConfig = DEFAULT_CONFIG,
-    threshold: float | None = None,
 ) -> SupportedOverlapSolution:
     """Maximize tr X over PSD X supported exactly in the subspace with dominated marginals.
 
@@ -822,14 +808,13 @@ def solve_supported_overlap(
     ``_overlap_core`` and stops with status ``optimal`` at the first
     certified bracket whose gap is at most cfg.gap_tol, else ends at
     ``max_iters`` Newton steps (or ``infeasible_numerics`` on a numerical
-    breakdown). With a ``threshold`` the solve also stops, with status
-    ``decided``, at the first bracket that lies on one side of it:
-    value >= threshold or dual < threshold. As for mu,
+    breakdown). Its dual pair refutes a coupling by itself once ``dual``
+    falls below 1, so ``strassen._decide`` needs no other solve. As for mu,
     ``_overlap_on_support`` compresses a singular marginal's program to the
     support product.
     """
     r1, r2, vbasis = _subspace_marginals(rho1, rho2, x_sub)
-    sol = _overlap_on_support(np.eye(x_sub.dim), r1, r2, vbasis, cfg, threshold)
+    sol = _overlap_on_support(np.eye(x_sub.dim), r1, r2, vbasis, cfg)
     return SupportedOverlapSolution(
         value=sol.value,
         X=BipartiteOperator(

@@ -129,48 +129,37 @@ def mu(
 
 def _decide(
     rho1, rho2, x_sub: Subspace, cfg: SolverConfig
-) -> tuple[
-    str,
-    DensityOperator | None,
-    float,
-    MarginalSdpSolution,
-    SupportedOverlapSolution | None,
-]:
-    """Verdict, certificate, mu value, the mu solve, and the supported solve.
+) -> tuple[str, DensityOperator | None, SupportedOverlapSolution]:
+    """Verdict, certificate and the supported solve that decides both.
 
-    The verdict is ``coupling`` when the normalized supported optimizer passes
-    the certificate checks, ``no_coupling`` when the dual bound of mu or of
-    the supported solve falls below 1 - eps_decision, else ``undecided``. The
-    supported solve is None when mu's dual bound already refutes a coupling;
-    otherwise it runs from its own start and stops as soon as its bracket
-    clears 1 - eps_decision. Both solves handle a singular marginal alike, on
-    the support product (see ``sdp._overlap_on_support``).
+    One ``solve_supported_overlap`` to gap_tol settles the question: its
+    value is 1 exactly when a coupling supported in the subspace exists. The
+    verdict is ``coupling`` when the value is at least 1 - eps_decision and
+    the normalized optimizer passes the certificate checks, ``no_coupling``
+    when the dual bound, attained by the returned pair Y_i >= 0,
+    V^*(Y1 (x) I + I (x) Y2)V >= I, falls below 1 - eps_decision, else
+    ``undecided``. A singular marginal is handled on the support product
+    (see ``sdp._overlap_on_support``).
     """
     r1 = _as_density(rho1, "rho1")
     r2 = _as_density(rho2, "rho2")
-    value, sol = mu(r1, r2, x_sub, cfg)
-    eps = cfg.eps_decision
-    threshold = 1.0 - eps
-    if sol.dual_value < threshold:
-        return "no_coupling", None, value, sol, None
-    # Polish: re-solve with the support constraint built in, so the candidate
-    # certificate has no mass outside the subspace at all. A value at or above
-    # the threshold bounds the normalized certificate's marginal error by
-    # 4 * eps, since its marginals are dominated and its trace is >= 1 - eps.
-    sup = solve_supported_overlap(x_sub, r1, r2, cfg, threshold=threshold)
+    sup = solve_supported_overlap(x_sub, r1, r2, cfg)
+    threshold = 1.0 - cfg.eps_decision
     verdict = "no_coupling" if sup.dual < threshold else "undecided"
     if sup.value < threshold:
-        return verdict, None, value, sol, sup
+        return verdict, None, sup
+    # A value at or above the threshold bounds the normalized certificate's
+    # marginal error by 4 * eps, since its marginals are dominated and its
+    # trace is >= 1 - eps; it carries no mass outside the subspace.
     rho_hat = hermitize(sup.X.mat / sup.value)
-    p = x_sub.projector.mat
-    off = np.eye(x_sub.ambient_dim) - p
+    off = np.eye(x_sub.ambient_dim) - x_sub.projector.mat
     supp_leak = trace_norm(off @ rho_hat @ off)
     marg_err = trace_norm(partial_trace_2(rho_hat, r1.dim, r2.dim) - r1.mat) + trace_norm(
         partial_trace_1(rho_hat, r1.dim, r2.dim) - r2.mat
     )
-    if supp_leak > 1e-7 or marg_err > 10.0 * eps:
-        return verdict, None, value, sol, sup
-    return "coupling", DensityOperator(rho_hat), value, sol, sup
+    if supp_leak > 1e-7 or marg_err > 10.0 * cfg.eps_decision:
+        return verdict, None, sup
+    return "coupling", DensityOperator(rho_hat), sup
 
 
 def has_coupling(
@@ -181,12 +170,13 @@ def has_coupling(
 ) -> tuple[bool, DensityOperator | None]:
     """Decide coupling existence; on success return a certificate state.
 
-    The verdict is true only when the support-constrained overlap reaches
-    1 - eps_decision and the normalized certificate passes direct checks:
-    support leak outside the subspace at most 1e-7 and total marginal error
-    at most 10 * eps_decision. Ties and undecided runs resolve toward false.
+    The verdict is true only when the support-constrained overlap, solved to
+    gap_tol, reaches 1 - eps_decision and the normalized certificate passes
+    direct checks: support leak outside the subspace at most 1e-7 and total
+    marginal error at most 10 * eps_decision. Ties and undecided runs resolve
+    toward false.
     """
-    verdict, cert, _, _, _ = _decide(rho1, rho2, x_sub, cfg)
+    verdict, cert, _ = _decide(rho1, rho2, x_sub, cfg)
     return verdict == "coupling", cert
 
 
@@ -484,7 +474,7 @@ class ClassicalQuantumReport:
     classical_feasible: bool
     quantum_verdict: bool
     agree: bool
-    mu_value: float
+    value: float
     dual_value: float
     classical_coupling: object = None
     certificate: object = None
@@ -507,7 +497,7 @@ def classical_quantum_consistency(
             classical_feasible=feasible,
             quantum_verdict=False,
             agree=(feasible is False),
-            mu_value=0.0,
+            value=0.0,
             dual_value=0.0,
             classical_coupling=coupling,
         )
@@ -519,14 +509,14 @@ def classical_quantum_consistency(
         e[i * n + j] = 1.0
         vecs.append(e)
     sub = Subspace(m * n, np.column_stack(vecs))
-    verdict, cert, value, sol, _ = _decide(rho1, rho2, sub, cfg)
+    verdict, cert, sup = _decide(rho1, rho2, sub, cfg)
     coupled = verdict == "coupling"
     return ClassicalQuantumReport(
         classical_feasible=feasible,
         quantum_verdict=coupled,
         agree=(feasible == coupled),
-        mu_value=value,
-        dual_value=sol.dual_value,
+        value=sup.value,
+        dual_value=sup.dual,
         classical_coupling=coupling,
         certificate=cert,
     )

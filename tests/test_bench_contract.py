@@ -106,12 +106,26 @@ def test_traced_projections_cover_every_iteration(tmp_path):
     (newton_reports, newton_calls), ([dist], dist_calls) = counts
     [fladder] = [r for r in newton_reports if r["command"] == "ladder-f"]
     overlap = [r for r in newton_reports if r["command"] != "ladder-f"]
-    newton = sum(
-        r[key]["iterations"] for r in overlap for key in ("solution", "supported") if r.get(key)
-    )
+    newton = sum(r["solution"]["iterations"] for r in overlap)
     newton += sum(level["iterations"] for level in fladder["levels"])
     assert len(overlap) == 3 and newton > 0 and newton_calls == 0
     assert 0 < dist_calls < dist["iterations"]
+
+
+def test_check_refutes_from_the_supported_dual_alone(tmp_path, capsys):
+    # mu's dual bound on this infeasible 2x4 file is 0.99996, above 1 - eps;
+    # the supported solve's is below it, and the check report carries that
+    # bound, so the benchmark's own check counts the answer as correct.
+    run = load_bench_run()
+    spec = {"kind": "coupling", "dims": [2, 4], "feasible": False}
+    path = tmp_path / "015.json"
+    cli.save_problem(run.make_instance(cli, spec, 15, 1), str(path))
+    code = cli.main(["check", str(path)])
+    text = capsys.readouterr().out
+    report = json.loads(text)
+    assert (code, report["verdict"]) == (0, "no_coupling")
+    inputs = [run.checks.load_input(str(path))]
+    assert run.checks.check_op("check", [str(path)], inputs, code, text) is None
 
 
 def test_traced_fiber_distance_projects_once_per_repair(tmp_path, monkeypatch):

@@ -312,18 +312,16 @@ def test_main_check_feasible_handcrafted(tmp_path, capsys):
     assert code == 0
     report = json.loads(out)
     assert report["verdict"] == "coupling"
-    assert report["mu_value"] >= 1.0 - 1e-4
+    assert report["value"] >= 1.0 - 1e-4
     assert report["certificate_marginal_error"] <= 1e-3
     assert report["kind"] == "coupling"
     assert "wall_time" in report["timings"]
-    supported = report["supported"]
-    threshold = 1.0 - report["config"]["eps_decision"]
-    assert supported["status"] in ("optimal", "decided")
-    assert supported["iterations"] >= 1
-    assert supported["gap"] >= 0.0
-    assert supported["dual"] < threshold or (
-        supported["dual"] - supported["gap"] >= threshold
-    )
+    solution = report["solution"]
+    assert solution["status"] == "optimal"
+    assert solution["iterations"] >= 1
+    assert 0.0 <= solution["gap"] <= report["config"]["gap_tol"]
+    assert solution["primal_value"] == report["value"]
+    assert solution["dual_value"] - solution["gap"] >= 1.0 - report["config"]["eps_decision"]
 
 
 def test_main_check_infeasible_generated(tmp_path, capsys):
@@ -336,16 +334,13 @@ def test_main_check_infeasible_generated(tmp_path, capsys):
     report = json.loads(out)
     assert report["verdict"] == "no_coupling"
     assert "certificate" not in report
-    # mu's dual bound already falls short of 1 - eps, so the supported solve
-    # never runs
     assert report["solution"]["dual_value"] < 1.0 - report["config"]["eps_decision"]
-    assert report["supported"] is None
 
 
 def test_main_check_undecided_at_max_iters(tmp_path, capsys):
-    # 7 Newton steps leave the mu bracket around 1 - eps: nothing refutes a
-    # coupling and no certificate passes, so the run is undecided (exit 2),
-    # not a no_coupling answer.
+    # 7 Newton steps leave the supported bracket around 1 - eps: nothing
+    # refutes a coupling and no certificate passes, so the run is undecided
+    # (exit 2), not a no_coupling answer.
     path = str(tmp_path / "g.json")
     run_main(capsys, ["gen", "--kind", "coupling", "--dims", "3x3", "--seed", "7", "--out", path])
     code, out, _ = run_main(capsys, ["check", path, "--max-iters", "7"])
@@ -353,7 +348,7 @@ def test_main_check_undecided_at_max_iters(tmp_path, capsys):
     threshold = 1.0 - report["config"]["eps_decision"]
     assert report["solution"]["status"] == "max_iters"
     assert report["solution"]["dual_value"] >= threshold
-    assert report["supported"]["dual"] >= threshold
+    assert report["solution"]["primal_value"] < threshold
     assert report["verdict"] == "undecided"
     assert "certificate" not in report
     assert code == 2
@@ -365,14 +360,15 @@ def test_main_check_supported_refutation_carries_its_dual_pair(tmp_path, capsys)
     path = str(tmp_path / "g.json")
     run_main(capsys, ["gen", "--kind", "coupling", "--dims", "2x4", "--seed", "15",
                       "--infeasible", "--out", path])
+    code, out, _ = run_main(capsys, ["mu", path])
+    threshold = 1.0 - json.loads(out)["config"]["eps_decision"]
+    assert json.loads(out)["solution"]["dual_value"] >= threshold
     code, out, _ = run_main(capsys, ["check", path])
     report = json.loads(out)
-    threshold = 1.0 - report["config"]["eps_decision"]
     assert code == 0
     assert report["verdict"] == "no_coupling"
-    assert report["solution"]["dual_value"] >= threshold
-    supported = report["supported"]
-    assert supported["dual"] < threshold
+    supported = report["solution"]
+    assert supported["dual_value"] < threshold
     prob = load_problem(path)
     y1, y2 = (pairs_to_mat(y, d, d, "Y") for y, d in zip(supported["dual_pair"], (2, 4)))
     assert min(np.linalg.eigvalsh(y1)[0], np.linalg.eigvalsh(y2)[0]) >= -1e-9
@@ -380,7 +376,7 @@ def test_main_check_supported_refutation_carries_its_dual_pair(tmp_path, capsys)
     adjoint = v.conj().T @ (np.kron(y1, np.eye(4)) + np.kron(np.eye(2), y2)) @ v
     assert np.linalg.eigvalsh(adjoint - np.eye(v.shape[1]))[0] >= -1e-9
     value = np.vdot(prob.rho1, y1).real + np.vdot(prob.rho2, y2).real
-    assert abs(value - supported["dual"]) <= 1e-12
+    assert abs(value - supported["dual_value"]) <= 1e-12
 
 
 def test_main_closed_stdout_exits_one_without_traceback(tmp_path):
@@ -842,16 +838,15 @@ def test_csv_for_scalar_report_is_key_value(tmp_path, capsys):
 
 
 def test_csv_renders_null_as_empty(tmp_path, capsys):
-    # mu refutes this instance, so the supported solve never runs.
-    obj = generate_instance(
-        {"kind": "coupling", "dims": (2, 2), "seed": 0, "feasible": False, "subspace_dim": 2}
-    )
-    path = write_json(tmp_path, "inf.json", obj)
-    code, out, _ = run_main(capsys, ["check", path, "--format", "csv"])
+    # sdp-ladder levels carry no lower bound: None, an empty cell.
+    obj = generate_instance({"kind": "sdp_ladder", "dims": (2, 2), "seed": 0})
+    path = write_json(tmp_path, "ls.json", obj)
+    code, out, _ = run_main(capsys, ["ladder-sdp", path, "--format", "csv"])
     assert code == 0
-    lines = out.strip().splitlines()
-    assert "verdict,no_coupling" in lines
-    assert "supported," in lines
+    header, *rows = list(csv.reader(io.StringIO(out)))
+    column = header.index("lower_bound")
+    assert rows and all(row[column] == "" for row in rows)
+    assert all(row[header.index("value")] != "" for row in rows)
 
 
 def test_csv_renders_lists_as_json(tmp_path, capsys):

@@ -314,7 +314,7 @@ def test_supported_overlap_value_is_trace_of_returned_point():
     assert abs(sol.value - float(np.trace(sol.X.mat).real)) < 1e-9
 
 
-# Values of the full solve (no threshold): (dims, seed, feasible) -> (value,
+# Values of the supported solve to gap_tol: (dims, seed, feasible) -> (value,
 # gap, iterations), iterations in Newton steps. Each bracket meets the ones
 # recorded under ADMM, under the earlier damped step rule and under the
 # centering threshold 1/4.
@@ -338,22 +338,6 @@ def test_supported_overlap_without_threshold_reproduces_full_solve():
         assert abs(sol.value - value) <= 1e-12
         assert abs(sol.gap - gap) <= 1e-12
         assert abs(sol.dual - (value + gap)) <= 1e-12
-
-
-def test_supported_overlap_threshold_only_stops_early():
-    # The threshold changes no iterate: a decided solve equals the full solve
-    # cut at the same iteration, and its bracket lies on one side.
-    for key in SUPPORTED_GOLDEN:
-        sub, r1, r2 = golden_instance(*key)
-        for threshold in (0.5, 0.99, 1.0 - 1e-4, 1.0 + 1e-3):
-            sol = solve_supported_overlap(sub, r1, r2, threshold=threshold)
-            assert sol.status == "decided", (key, threshold)
-            assert sol.value >= threshold or sol.dual < threshold
-            cut = solve_supported_overlap(
-                sub, r1, r2, SolverConfig(max_iters=sol.iterations)
-            )
-            assert (cut.value, cut.dual, cut.gap) == (sol.value, sol.dual, sol.gap)
-            assert np.array_equal(cut.X.mat, sol.X.mat)
 
 
 # Reference results on generated instances; the solver must reproduce the
@@ -634,17 +618,6 @@ def test_lifted_bracket_sets_the_status(monkeypatch):
     assert_overlap_bracket(sol, prob)
 
 
-def test_barrier_core_threshold_decides_early():
-    sub, r1, r2 = golden_instance((3, 3), 1, True)
-    full = solve_supported_overlap(sub, r1, r2)
-    sol = solve_supported_overlap(sub, r1, r2, threshold=0.99)
-    assert (full.status, sol.status) == ("optimal", "decided")
-    assert sol.value >= 0.99 and sol.gap > DEFAULT_CONFIG.gap_tol
-    assert 0 < sol.iterations < full.iterations
-    infeasible = solve_supported_overlap(*golden_instance((2, 4), 15, False), threshold=0.999)
-    assert infeasible.status == "decided" and infeasible.dual < 0.999
-
-
 def test_barrier_core_budget_below_need_keeps_a_certified_bracket():
     prob = generated_problem((3, 3), 2)
     for max_iters in (1, 3, 12):
@@ -755,7 +728,6 @@ def test_overlap_programs_run_without_admm_or_projections(monkeypatch):
     sub, r1, r2 = golden_instance((2, 3), 0, True)
     assert solve_marginal_sdp(generated_problem((2, 3), 0)).status == "optimal"
     assert solve_supported_overlap(sub, r1, r2).status == "optimal"
-    assert solve_supported_overlap(sub, r1, r2, threshold=0.99).status == "decided"
     p = generated("f_ladder", (2, 3), 0)
     chain = Subspace(6, p.basis[:, :4])
     assert solve_f_min_full(p.rho1, p.rho2, chain).status == "optimal"

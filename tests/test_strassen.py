@@ -439,19 +439,16 @@ def test_has_coupling_on_random_constructed_instance():
 
 
 # ---------------------------------------------------------------------------
-# _decide: the supported solve stops once its bracket clears 1 - eps
+# _decide: one supported solve to gap_tol decides
 
 
 @pytest.fixture(scope="module")
 def decide_cases():
-    """(feasible, marginals, _decide, _decide with a full supported solve) per instance.
-
-    The full supported solve runs to gap_tol: the reference that the
-    threshold stop is measured against.
+    """(feasible, marginals, _decide's result) per generated coupling instance.
 
     Generated coupling instances from 2x3 to 4x4, half infeasible; seeds 15
-    (2x4) and 26 (2x3) are infeasible with mu within eps_decision of 1, so only
-    the supported solve can refute them.
+    (2x4) and 26 (2x3) are infeasible with mu within eps_decision of 1, so
+    only a dual bound below mu's can refute them.
     """
     specs = [
         {"dims": dims, "seed": seed, "feasible": feasible}
@@ -469,32 +466,25 @@ def decide_cases():
             spec["subspace_dim"] = 3  # with 4 the perturbed marginals stay feasible
         p = problem_from_dict(generate_instance({"kind": "coupling", **spec}))
         sub = Subspace(p.d1 * p.d2, p.basis)
-        decided = _decide(p.rho1, p.rho2, sub, CFG)
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(
-                strassen,
-                "solve_supported_overlap",
-                lambda *args, threshold=None: sdp.solve_supported_overlap(*args),
-            )
-            full = _decide(p.rho1, p.rho2, sub, CFG)
-        cases.append((spec["feasible"], p, decided, full))
+        cases.append((spec["feasible"], p, _decide(p.rho1, p.rho2, sub, CFG)))
     return cases
 
 
-def test_threshold_stop_keeps_every_verdict(decide_cases):
-    verdicts = set()
-    for feasible, _, decided, full in decide_cases:
-        assert decided[0] == full[0], (feasible, decided[0], full[0])
-        assert decided[2] == full[2]  # mu is solved the same way
-        verdicts.add(decided[0])
-    assert verdicts == {"coupling", "no_coupling"}
+def test_decide_verdict_matches_generated_feasibility(decide_cases):
+    threshold = 1.0 - CFG.eps_decision
+    assert len(decide_cases) == 22
+    for feasible, _, (verdict, cert, sup) in decide_cases:
+        assert sup.status == "optimal" and sup.gap <= CFG.gap_tol
+        assert verdict == ("coupling" if feasible else "no_coupling"), (feasible, verdict)
+        assert (cert is not None) == feasible
+        assert sup.value >= threshold if feasible else sup.dual < threshold
 
 
 def test_decided_coupling_certificate_within_four_eps(decide_cases):
     eps = CFG.eps_decision
     seen = 0
-    for _, p, (verdict, cert, _, _, sup), _ in decide_cases:
-        if verdict != "coupling" or sup.status != "decided":
+    for _, p, (verdict, cert, sup) in decide_cases:
+        if verdict != "coupling" or sup.status != "optimal":
             continue
         seen += 1
         assert sup.value >= 1.0 - eps
@@ -505,24 +495,11 @@ def test_decided_coupling_certificate_within_four_eps(decide_cases):
     assert seen > 0
 
 
-def test_decided_refutation_only_on_infeasible(decide_cases):
-    threshold = 1.0 - CFG.eps_decision
-    seen = 0
-    for feasible, _, (verdict, cert, _, sol, sup), _ in decide_cases:
-        if sup is None or sup.status != "decided" or verdict == "coupling":
-            continue
-        seen += 1
-        assert not feasible
-        assert verdict == "no_coupling" and cert is None
-        assert sup.dual < threshold <= sol.dual_value
-    assert seen > 0
-
-
 def test_decide_certifies_a_rank_deficient_marginal():
     # A state on span(e0, e1) (x) C^3, so rho1 has rank 2, in its range plus
-    # two random vectors that leak onto ker rho1. Like mu, the supported
-    # re-solve runs on the support product; its certificate passes and its
-    # lifted dual pair brackets the original program's value.
+    # two random vectors that leak onto ker rho1. The supported solve runs on
+    # the support product; its certificate passes and its lifted dual pair
+    # brackets the original program's value.
     rng = np.random.default_rng(4)
     rho = np.zeros((3, 3, 3, 3), dtype=complex)
     rho[:2, :, :2, :] = random_state(rng, 6, 3).reshape(2, 3, 2, 3)
@@ -532,17 +509,18 @@ def test_decide_certifies_a_rank_deficient_marginal():
     sub = Subspace(9, q)
     r1, r2 = partial_trace_2(rho, 3, 3), partial_trace_1(rho, 3, 3)
     assert np.linalg.matrix_rank(r1, tol=1e-12) == 2
-    verdict, cert, _, sol, sup = _decide(r1, r2, sub, CFG)
+    verdict, cert, sup = _decide(r1, r2, sub, CFG)
     assert verdict == "coupling" and cert is not None
-    assert sol.status == "optimal" and sup.status in {"optimal", "decided"}
+    assert sup.status == "optimal"
     assert sup.value >= 1.0 - CFG.eps_decision
     assert_certified_bracket(sup, sub, r1, r2, CFG)
 
 
-def test_mu_refutation_carries_a_feasible_dual_pair():
-    # Every no_coupling that _decide takes from mu alone must rest on a dual
-    # pair feasible for the original program, whose value is the reported
-    # dual bound and lies below 1 - eps.
+def test_supported_refutation_carries_a_feasible_dual_pair():
+    # Every no_coupling from _decide rests on the supported solve's dual
+    # pair: Y_i >= 0 and V^*(Y1 (x) I + I (x) Y2)V >= I, so its value
+    # <rho1, Y1> + <rho2, Y2>, the reported dual bound, caps every coupling
+    # supported in the subspace, and it lies below 1 - eps.
     threshold = 1.0 - CFG.eps_decision
     seen = 0
     for dims in ((2, 2), (2, 3), (2, 4)):
@@ -550,21 +528,20 @@ def test_mu_refutation_carries_a_feasible_dual_pair():
             spec = {"kind": "coupling", "dims": dims, "seed": seed, "feasible": False}
             p = problem_from_dict(generate_instance({**spec, "subspace_dim": 3}))
             sub = Subspace(p.d1 * p.d2, p.basis)
-            verdict, cert, _, sol, sup = _decide(p.rho1, p.rho2, sub, CFG)
-            if sup is not None:
+            verdict, cert, sup = _decide(p.rho1, p.rho2, sub, CFG)
+            if verdict != "no_coupling":
                 continue
             seen += 1
-            assert verdict == "no_coupling" and cert is None
-            y1, y2 = sol.Y[0].mat, sol.Y[1].mat
-            adjoint = (
-                np.kron(y1, np.eye(p.d2)) + np.kron(np.eye(p.d1), y2) - sub.projector.mat
-            )
-            assert np.linalg.eigvalsh(adjoint)[0] >= -1e-9, (dims, seed)
+            assert cert is None
+            y1, y2 = sup.Y[0].mat, sup.Y[1].mat
             assert min(np.linalg.eigvalsh(y1)[0], np.linalg.eigvalsh(y2)[0]) >= -1e-9
+            v = sub.basis
+            adjoint = v.conj().T @ (np.kron(y1, np.eye(p.d2)) + np.kron(np.eye(p.d1), y2)) @ v
+            assert np.linalg.eigvalsh(adjoint - np.eye(sub.dim))[0] >= -1e-9, (dims, seed)
             value = np.vdot(p.rho1, y1).real + np.vdot(p.rho2, y2).real
-            assert abs(value - sol.dual_value) <= 1e-12
-            assert sol.dual_value < threshold
-    assert seen >= 50
+            assert abs(value - sup.dual) <= 1e-12
+            assert sup.dual < threshold
+    assert seen >= 60
 
 
 # ---------------------------------------------------------------------------
@@ -835,6 +812,28 @@ def test_classical_quantum_consistency_on_random_instances():
         rep = classical_quantum_consistency(ClassicalInstance(m, n, mu1, mu2, edges))
         assert rep.agree, (m, n, sorted(edges))
         assert rep.classical_feasible == rep.quantum_verdict
+
+
+def test_classical_quantum_consistency_with_singular_marginals():
+    # Each mu1 has a zero entry and every other instance's mu2 has one too,
+    # so rho_i = diag(mu_i) is singular and the supported solve runs on the
+    # support product; the verdict must still match the exact flow oracle.
+    rng = np.random.default_rng(11)
+    verdicts = []
+    for k in range(60):
+        m = int(rng.integers(2, 5))
+        n = int(rng.integers(2, 5))
+        vecs = []
+        for size, zero in ((m, True), (n, k % 2 == 0)):
+            v = rng.dirichlet(np.ones(size))
+            if zero:
+                v[rng.integers(size)] = 0.0
+            vecs.append(v / v.sum())
+        edges = {(i, j) for i in range(m) for j in range(n) if rng.random() < 0.6}
+        rep = classical_quantum_consistency(ClassicalInstance(m, n, *vecs, edges))
+        assert rep.agree, (k, m, n, sorted(edges))
+        verdicts.append(rep.classical_feasible)
+    assert 5 <= sum(verdicts) < len(verdicts)
 
 
 def test_classical_quantum_consistency_empty_support():
