@@ -470,14 +470,34 @@ def decide_cases():
     return cases
 
 
-def test_decide_verdict_matches_generated_feasibility(decide_cases):
-    threshold = 1.0 - CFG.eps_decision
+def test_threshold_stop_keeps_every_verdict(decide_cases):
+    # The supported solve has no threshold stop: it runs to gap_tol, and its
+    # verdict is the one a thresholded run had to keep, the generated
+    # feasibility, on every instance.
     assert len(decide_cases) == 22
+    verdicts = set()
     for feasible, _, (verdict, cert, sup) in decide_cases:
         assert sup.status == "optimal" and sup.gap <= CFG.gap_tol
         assert verdict == ("coupling" if feasible else "no_coupling"), (feasible, verdict)
         assert (cert is not None) == feasible
-        assert sup.value >= threshold if feasible else sup.dual < threshold
+        verdicts.add(verdict)
+    assert verdicts == {"coupling", "no_coupling"}
+
+
+def test_decided_refutation_only_on_infeasible(decide_cases):
+    # A refutation rests on the supported dual bound alone: it falls below
+    # 1 - eps only on infeasible instances, and a coupling's value clears it.
+    threshold = 1.0 - CFG.eps_decision
+    seen = 0
+    for feasible, _, (verdict, cert, sup) in decide_cases:
+        if verdict == "coupling":
+            assert feasible and sup.value >= threshold
+            continue
+        seen += 1
+        assert not feasible
+        assert verdict == "no_coupling" and cert is None
+        assert sup.dual < threshold
+    assert seen > 0
 
 
 def test_decided_coupling_certificate_within_four_eps(decide_cases):
