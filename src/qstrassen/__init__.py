@@ -41,7 +41,6 @@ from .bipartite import (
     weak_vs_trace_demo,
 )
 from .sdp import (
-    MarginalSdpProblem,
     MarginalSdpSolution,
     SolverConfig,
     solve_f_min,
@@ -96,7 +95,6 @@ __all__ = [
     "subspace_from_vectors",
     "truncation_projector",
     "weak_vs_trace_demo",
-    "MarginalSdpProblem",
     "MarginalSdpSolution",
     "SolverConfig",
     "solve_f_min",

@@ -26,7 +26,6 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .bipartite import (
-    BipartiteOperator,
     Subspace,
     partial_trace_1,
     partial_trace_2,
@@ -48,7 +47,6 @@ from .linalg import (
 )
 from .sdp import (
     DEFAULT_CONFIG,
-    MarginalSdpProblem,
     SolverConfig,
     verify_duality_certificates,
 )
@@ -548,10 +546,7 @@ def _run_check(prob: LoadedProblem, cfg: SolverConfig, _args) -> tuple[dict, int
 def _run_mu(prob: LoadedProblem, cfg: SolverConfig, _args) -> tuple[dict, int]:
     x_sub = Subspace(prob.d1 * prob.d2, prob.basis)
     value, sol = mu(prob.rho1, prob.rho2, x_sub, cfg)
-    sdp_problem = MarginalSdpProblem(
-        BipartiteOperator(x_sub.projector, prob.d1, prob.d2), prob.rho1, prob.rho2
-    )
-    duality = verify_duality_certificates(sdp_problem, sol)
+    duality = verify_duality_certificates(x_sub, prob.rho1, prob.rho2, sol)
     report = {
         "command": "mu",
         "value": value,
@@ -575,7 +570,7 @@ def _run_mu(prob: LoadedProblem, cfg: SolverConfig, _args) -> tuple[dict, int]:
 
 
 def _run_ladder(prob: LoadedProblem, cfg: SolverConfig, args) -> tuple[dict, int]:
-    n_max = args.levels or prob.n_max
+    n_max = prob.n_max if args.levels is None else args.levels
     if prob.kind == "f_ladder":
         rep = f_ladder(prob.rho1, prob.rho2, prob.basis, n_max=n_max, cfg=cfg)
         report = {"scale": rep.scale}

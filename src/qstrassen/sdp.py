@@ -54,12 +54,12 @@ from .linalg import (
     DEFAULT_TOL,
     HermitianOperator,
     _check_marginals,
-    _Frozen,
     _herm_part,
     _hs,
     _max_eig,
     _min_eig,
     _tr,
+    as_matrix,
     hermitize,
     psd_project,  # noqa: F401  (unused here; bench/run.py traces sdp.psd_project by name)
     trace_norm,
@@ -68,7 +68,6 @@ from .linalg import (
 __all__ = [
     "SolverConfig",
     "DEFAULT_CONFIG",
-    "MarginalSdpProblem",
     "MarginalSdpSolution",
     "DualityCertificateReport",
     "FMinSolution",
@@ -108,47 +107,6 @@ class SolverConfig:
 
 
 DEFAULT_CONFIG = SolverConfig()
-
-
-class MarginalSdpProblem(_Frozen):
-    """Overlap program data: objective block A and marginal bounds (rho1, rho2).
-
-    ``require_equal_traces`` is relaxed for truncated-ladder levels, where the
-    two marginal bounds are compressions of a common state and their traces
-    legitimately differ.
-    """
-
-    __slots__ = ("objective", "rho1", "rho2", "require_equal_traces")
-
-    def __init__(
-        self,
-        objective: BipartiteOperator,
-        rho1,
-        rho2,
-        require_equal_traces: bool = True,
-    ):
-        r1, r2 = HermitianOperator(rho1), HermitianOperator(rho2)
-        if r1.dim != objective.d1 or r2.dim != objective.d2:
-            raise ValueError(
-                f"marginal dims ({r1.dim}, {r2.dim}) do not match objective factors "
-                f"({objective.d1}, {objective.d2})"
-            )
-        _check_marginals(r1.mat, r2.mat, equal_traces=require_equal_traces)
-        a = objective.mat
-        idem = float(np.max(np.abs(a @ a - a)))
-        if not idem <= 1e-9:  # also rejects NaN
-            raise ValueError(f"objective is not a projector: ||A^2 - A|| = {idem:.3e}")
-        self._set(
-            objective=objective, rho1=r1, rho2=r2, require_equal_traces=bool(require_equal_traces)
-        )
-
-    @property
-    def d1(self) -> int:
-        return self.objective.d1
-
-    @property
-    def d2(self) -> int:
-        return self.objective.d2
 
 
 @dataclass(frozen=True)
@@ -626,11 +584,16 @@ def _overlap_on_support(b, r1, r2, vbasis, cfg: SolverConfig):
 
 
 def solve_marginal_sdp(
-    problem: MarginalSdpProblem,
+    x_sub: Subspace,
+    rho1,
+    rho2,
     cfg: SolverConfig = DEFAULT_CONFIG,
 ) -> MarginalSdpSolution:
-    """Solve the overlap program with certified primal and dual values.
+    """Solve the overlap program of ``x_sub``'s projector with certified primal and dual values.
 
+    The marginals must be PSD (``_subspace_marginals``); their traces may
+    differ, as for truncated ladder levels. With unit traces the value is 1
+    exactly when a coupling supported in the subspace exists (``strassen.mu``).
     The returned primal value is attained by the returned X (feasible up to
     1e-12), the dual value by the returned Y (feasible after an exact identity
     shift repair), so the reported gap is a two-sided optimality certificate.
@@ -643,7 +606,8 @@ def solve_marginal_sdp(
     ``_overlap_on_support``, which solves on the support product and lifts
     the solution back.
     """
-    a, r1, r2 = problem.objective.mat, problem.rho1.mat, problem.rho2.mat
+    r1, r2, _ = _subspace_marginals(rho1, rho2, x_sub)
+    a = x_sub.projector.mat
     sol = _overlap_on_support(a, r1, r2, None, cfg)
     return _marginal_solution(sol, a, r1, r2)
 
@@ -663,18 +627,19 @@ class DualityCertificateReport:
 
 
 def verify_duality_certificates(
-    problem: MarginalSdpProblem, solution: MarginalSdpSolution
+    x_sub: Subspace, rho1, rho2, solution: MarginalSdpSolution
 ) -> DualityCertificateReport:
     """Report-only certificate checks for a solved overlap program.
 
     Verifies that the trivial pair Y = (I, I) is dual feasible (its adjoint
-    image 2I dominates any projector objective), that the returned dual pair
+    image 2I dominates the subspace projector), that the returned dual pair
     is feasible within 1e-7, and that weak duality holds against the returned
-    primal value.
+    primal value. The marginals enter only through the trivial value
+    tr rho1 + tr rho2; the solve has already checked them.
     """
-    a = problem.objective.mat
-    trivial_margin = _min_eig(2.0 * np.eye(problem.d1 * problem.d2) - a)
-    trivial_value = problem.rho1.trace() + problem.rho2.trace()
+    a = x_sub.projector.mat
+    trivial_margin = _min_eig(2.0 * np.eye(x_sub.ambient_dim) - a)
+    trivial_value = _tr(as_matrix(rho1)) + _tr(as_matrix(rho2))
     y1 = solution.Y[0].mat
     y2 = solution.Y[1].mat
     dual_margin = _min_eig(_kron_sum_mat(y1, y2) - a)
@@ -708,7 +673,6 @@ class FMinSolution:
     gap: float
     iterations: int
     status: str
-    residuals: dict
 
 
 def solve_f_min_full(
@@ -746,10 +710,6 @@ def solve_f_min_full(
     d1, d2 = r1.shape[0], r2.shape[0]
     sol = _overlap_core(np.eye(x_sub.dim), r1, r2, vbasis, cfg, threshold, cap=True)
     x = hermitize(vbasis @ sol.c @ vbasis.conj().T)
-    residuals = {
-        "psd_violation": max(0.0, -_min_eig(x)),
-        "adjoint_violation": max(0.0, sol.dual - sol.value),
-    }
     return FMinSolution(
         value=sol.value,
         lower_bound=sol.dual,
@@ -757,7 +717,6 @@ def solve_f_min_full(
         gap=sol.value - sol.dual,
         iterations=sol.iterations,
         status=sol.status,
-        residuals=residuals,
     )
 
 

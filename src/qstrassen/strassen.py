@@ -19,7 +19,6 @@ from fractions import Fraction
 import numpy as np
 
 from .bipartite import (
-    BipartiteOperator,
     DensityOperator,
     Subspace,
     orthonormalize,
@@ -37,7 +36,6 @@ from .linalg import (
 )
 from .sdp import (
     DEFAULT_CONFIG,
-    MarginalSdpProblem,
     MarginalSdpSolution,
     SolverConfig,
     SupportedOverlapSolution,
@@ -64,7 +62,7 @@ _STALL_WINDOW = 5
 
 @dataclass(frozen=True)
 class LadderLevel:
-    """One solved truncation level; ``iterations`` is 0 for a level its seed decides."""
+    """One solved truncation level; ``iterations`` is 0 for a level the previous level decides."""
 
     level: object
     value: float
@@ -116,14 +114,12 @@ def mu(
     coupling of (rho1, rho2) supported inside the subspace. Singular
     marginals are handled by ``solve_marginal_sdp`` (support compression and
     lift), so the returned X and Y are feasible for the original program and
-    [primal, dual] brackets its optimum.
+    [primal, dual] brackets its optimum. The marginals must be density
+    operators: unit trace is what makes value 1 mean a coupling.
     """
     r1 = _as_density(rho1, "rho1")
     r2 = _as_density(rho2, "rho2")
-    d1, d2 = r1.dim, r2.dim
-    x_sub.check_factors(d1, d2)
-    objective = BipartiteOperator(x_sub.projector, d1, d2)
-    sol = solve_marginal_sdp(MarginalSdpProblem(objective, r1, r2), cfg)
+    sol = solve_marginal_sdp(x_sub, r1, r2, cfg)
     return sol.primal_value, sol
 
 
@@ -285,7 +281,8 @@ def sdp_ladder(
     """Overlap values of coordinate truncations, climbing to 1 when coupled.
 
     Level n compresses both factors to their leading n coordinates: marginals
-    become leading principal blocks and the subspace is projected and
+    become leading principal blocks (their traces differ in general, which
+    the overlap program allows) and the subspace is projected and
     re-orthonormalized. Levels where the projected subspace drops rank are
     skipped (the rank is known to stabilize once n passes a finite threshold).
     Each level is a cold ``solve_marginal_sdp``, which starts at Y = (I, I).
@@ -308,14 +305,8 @@ def sdp_ladder(
             skipped.append(n)
             continue
         sub = Subspace(n * n, basis)
-        problem = MarginalSdpProblem(
-            BipartiteOperator(sub.projector, n, n),
-            hermitize(r1.mat[:n, :n]),
-            hermitize(r2.mat[:n, :n]),
-            require_equal_traces=False,
-        )
         tic = time.perf_counter()
-        sol = solve_marginal_sdp(problem, cfg)
+        sol = solve_marginal_sdp(sub, r1.mat[:n, :n], r2.mat[:n, :n], cfg)
         levels.append(
             LadderLevel(
                 level=(n, n),

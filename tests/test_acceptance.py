@@ -30,7 +30,6 @@ from qstrassen.linalg import (
     trace_norm,
 )
 from qstrassen.sdp import (
-    MarginalSdpProblem,
     SolverConfig,
     solve_marginal_sdp,
     verify_duality_certificates,
@@ -248,25 +247,19 @@ def test_06_duality_certificates(capsys):
     e00 = np.zeros(4, dtype=complex)
     e00[0] = 1.0
     problems = [
-        MarginalSdpProblem(BipartiteOperator(Subspace(4, bell.reshape(-1, 1)).projector, 2, 2), np.eye(2) / 2, np.eye(2) / 2),
-        MarginalSdpProblem(BipartiteOperator(Subspace(4, e00.reshape(-1, 1)).projector, 2, 2), np.diag([0.3, 0.7]).astype(complex), np.diag([0.55, 0.45]).astype(complex)),
-        MarginalSdpProblem(BipartiteOperator(Subspace(4, e00.reshape(-1, 1)).projector, 2, 2), np.diag([0.0, 1.0]).astype(complex), np.diag([1.0, 0.0]).astype(complex)),
+        (Subspace(4, bell.reshape(-1, 1)), np.eye(2) / 2, np.eye(2) / 2),
+        (Subspace(4, e00.reshape(-1, 1)), np.diag([0.3, 0.7]).astype(complex), np.diag([0.55, 0.45]).astype(complex)),
+        (Subspace(4, e00.reshape(-1, 1)), np.diag([0.0, 1.0]).astype(complex), np.diag([1.0, 0.0]).astype(complex)),
     ]
     for d1, d2 in ((2, 2), (2, 3), (3, 2), (3, 3)):
         dim = d1 * d2
         k = int(rng.integers(1, dim))
         sub = Subspace(dim, haar_frame(rng, dim, k))
         state = ginibre_state(rng, dim)
-        problems.append(
-            MarginalSdpProblem(
-                BipartiteOperator(sub.projector, d1, d2),
-                partial_trace_2(state, d1, d2),
-                partial_trace_1(state, d1, d2),
-            )
-        )
+        problems.append((sub, partial_trace_2(state, d1, d2), partial_trace_1(state, d1, d2)))
     for idx, problem in enumerate(problems):
-        sol = solve_marginal_sdp(problem)
-        rep = verify_duality_certificates(problem, sol)
+        sol = solve_marginal_sdp(*problem)
+        rep = verify_duality_certificates(*problem, sol)
         if not rep.trivial_feasible or rep.trivial_margin < 1.0 - 1e-9:
             bad.append(f"problem {idx}: trivial pair margin {rep.trivial_margin:.2e}")
         if not rep.passed:

@@ -579,6 +579,57 @@ def test_main_value_error_after_load_exits_one(tmp_path, capsys):
     assert f"{path}: n_max = 99 out of range for basis of 4" in err
 
 
+LEVELS_ZERO_ERRORS = {
+    "ladder-f": ("f_ladder", "n_max = 0 out of range for basis of 4"),
+    "ladder-sdp": ("sdp_ladder", "n_max = 0 out of range for dims (2, 2)"),
+}
+
+
+@pytest.mark.parametrize("command", LEVELS_ZERO_ERRORS)
+def test_main_levels_zero_reaches_the_range_check(tmp_path, capsys, command):
+    # An explicit --levels 0 is a level count like any other, not "use the
+    # file's n_max": the library's range check refuses it.
+    kind, message = LEVELS_ZERO_ERRORS[command]
+    path = write_json(tmp_path, "l.json", generate_instance({"kind": kind, "dims": (2, 2)}))
+    code, out, err = run_main(capsys, [command, path, "--levels", "0"])
+    assert code == 1
+    assert out == ""
+    assert f"{path}: {message}" in err
+
+
+# PSD tests of the marginals per op: the loader's, the DensityOperator's of
+# mu, _decide or sdp_ladder, then one per solve (_subspace_marginals; check
+# adds its certificate's DensityOperator, and the 3x3 ladder solves two
+# levels).
+PSD_CHECKS_PER_OP = {
+    "mu": ("coupling", (2, 2), 6),
+    "check": ("coupling", (2, 2), 7),
+    "ladder-sdp": ("sdp_ladder", (3, 3), 8),
+}
+
+
+@pytest.mark.parametrize("command", PSD_CHECKS_PER_OP)
+def test_each_op_tests_the_marginals_for_psd_a_pinned_number_of_times(
+    tmp_path, capsys, monkeypatch, command
+):
+    kind, dims, expected = PSD_CHECKS_PER_OP[command]
+    calls = []
+    check_psd = qstrassen.linalg._check_psd
+
+    def counted(m, name):
+        calls.append(name)
+        return check_psd(m, name)
+
+    # bipartite binds the name itself (DensityOperator); linalg's callers
+    # look it up in linalg.
+    monkeypatch.setattr(qstrassen.linalg, "_check_psd", counted)
+    monkeypatch.setattr(qstrassen.bipartite, "_check_psd", counted)
+    path = write_json(tmp_path, "p.json", generate_instance({"kind": kind, "dims": dims}))
+    code, _, _ = run_main(capsys, [command, path])
+    assert code == 0
+    assert len(calls) == expected, calls
+
+
 # Each run command's flags besides files, --out and --format. The solver
 # flags form the config block every report echoes.
 RUN_FLAGS = {

@@ -33,7 +33,6 @@ from qstrassen.linalg import (
 
 from qstrassen.bipartite import BipartiteOperator, DensityOperator, Subspace
 from qstrassen.fibers import FiberSpec
-from qstrassen.sdp import MarginalSdpProblem
 from qstrassen.strassen import ClassicalInstance
 
 from oracles import charpoly_eigenvalues, psd_nearest_by_factor_descent
@@ -91,9 +90,6 @@ OPERATOR_TYPES = {
     "BipartiteOperator": lambda: BipartiteOperator(np.eye(4), 2, 2),
     "DensityOperator": lambda: DensityOperator(np.eye(2) / 2),
     "Subspace": lambda: Subspace(4, np.eye(4)[:, :1]),
-    "MarginalSdpProblem": lambda: MarginalSdpProblem(
-        BipartiteOperator(np.eye(4), 2, 2), np.eye(2) / 2, np.eye(2) / 2
-    ),
     "FiberSpec": lambda: FiberSpec(np.eye(2) / 2, np.eye(2) / 2),
     "ClassicalInstance": lambda: ClassicalInstance(1, 1, [1.0], [1.0], {(0, 0)}),
 }

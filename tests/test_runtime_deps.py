@@ -1,5 +1,6 @@
-"""The package runs on the standard library and numpy alone, and its modules
-import from each other only what they share by design.
+"""The package runs on the standard library and numpy alone, its modules
+import from each other only what they share by design, and every name they
+export exists.
 
 The source files are parsed, not imported, so an optional import behind a
 guard counts too. scipy may be installed next to numpy, but the package
@@ -9,6 +10,7 @@ does not declare it and must not use it.
 from __future__ import annotations
 
 import ast
+import importlib
 import re
 import sys
 from pathlib import Path
@@ -121,3 +123,19 @@ def test_centering_threshold_keeps_the_certificates_psd():
     from qstrassen import sdp
 
     assert 0.0 < sdp._CENTERED < 1.0
+
+
+MODULES = ["qstrassen"] + [
+    f"qstrassen.{p.stem}" for p in sorted((ROOT / "src" / "qstrassen").glob("*.py"))
+    if p.stem != "__init__"
+]
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_every_exported_name_resolves(name):
+    # A deleted name left in __all__ fails here, not at the first
+    # ``from qstrassen import *``.
+    module = importlib.import_module(name)
+    exports = getattr(module, "__all__", [])
+    assert [n for n in exports if not hasattr(module, n)] == []
+    assert len(set(exports)) == len(exports)

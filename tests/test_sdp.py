@@ -15,14 +15,13 @@ import numpy as np
 import pytest
 
 import qstrassen.sdp as sdp
-from qstrassen.bipartite import BipartiteOperator, Subspace, partial_trace_1, partial_trace_2
+from qstrassen.bipartite import Subspace, partial_trace_1, partial_trace_2
 from qstrassen.cli import generate_instance, problem_from_dict
 from qstrassen.fibers import FiberSpec, _dist_solve
 from qstrassen.linalg import hermitize, trace_norm
 from qstrassen.strassen import _Dinic
 from qstrassen.sdp import (
     DEFAULT_CONFIG,
-    MarginalSdpProblem,
     SolverConfig,
     _FEAS_SLACK,
     _support_scaler,
@@ -52,11 +51,6 @@ def corner_subspace() -> Subspace:
     return Subspace(4, v.reshape(4, 1))
 
 
-def problem_for(sub: Subspace, rho1, rho2, **kw) -> MarginalSdpProblem:
-    obj = BipartiteOperator(sub.projector.mat, 2, 2)
-    return MarginalSdpProblem(obj, rho1, rho2, **kw)
-
-
 # ---------------------------------------------------------------------------
 # problem validation
 
@@ -76,27 +70,20 @@ def test_solver_config_validation():
 
 def test_problem_rejects_bad_data():
     sub = bell_subspace()
-    with pytest.raises(ValueError, match="do not match objective factors"):
-        problem_for(sub, np.eye(3), np.eye(2))
-    with pytest.raises(ValueError, match="not PSD"):
-        problem_for(sub, np.diag([1.0, -0.5]), np.eye(2) / 4)
-    with pytest.raises(ValueError, match="Sigma membership violated"):
-        problem_for(sub, np.eye(2) / 2, np.eye(2) / 3)
-    with pytest.raises(ValueError, match="not a projector"):
-        MarginalSdpProblem(BipartiteOperator(np.eye(4) * 0.5, 2, 2), np.eye(2) / 2, np.eye(2) / 2)
-    with pytest.raises(ValueError, match="not a projector"):  # ||A^2 - A|| is NaN
-        MarginalSdpProblem(BipartiteOperator(np.eye(4) * np.nan, 2, 2), np.eye(2) / 2, np.eye(2) / 2)
-    prob = problem_for(sub, np.eye(2) / 2, np.eye(2) / 2)
-    with pytest.raises(AttributeError, match="immutable"):
-        prob.require_equal_traces = False
+    with pytest.raises(ValueError, match="subspace ambient dim 4 does not match 3\\*2"):
+        solve_marginal_sdp(sub, np.eye(3) / 3, np.eye(2) / 2)
+    with pytest.raises(ValueError, match="rho1 is not PSD"):
+        solve_marginal_sdp(sub, np.diag([1.0, -0.5]), np.eye(2) / 4)
 
 
 def test_problem_allows_unequal_traces_when_relaxed():
-    prob = problem_for(
-        bell_subspace(), np.eye(2) / 2, np.eye(2) / 3, require_equal_traces=False
-    )
-    assert abs(prob.rho1.trace() - 1.0) < 1e-12
-    assert abs(prob.rho2.trace() - 2.0 / 3.0) < 1e-12
+    # The overlap program takes marginals of different traces, as truncated
+    # ladder levels give; strassen.mu alone asks for unit traces. Here the
+    # Bell state scaled to trace 2/3 attains the bound <P, X> <= tr X <= 2/3.
+    sol = solve_marginal_sdp(bell_subspace(), np.eye(2) / 2, np.eye(2) / 3)
+    assert sol.status == "optimal"
+    assert sol.primal_value <= 2.0 / 3.0 <= sol.dual_value + 1e-9
+    assert sol.primal_value >= 2.0 / 3.0 - DEFAULT_CONFIG.gap_tol
 
 
 # ---------------------------------------------------------------------------
@@ -105,8 +92,7 @@ def test_problem_allows_unequal_traces_when_relaxed():
 
 def test_overlap_on_maximally_entangled_pair():
     # the maximally entangled vector couples (I/2, I/2), so the optimum is 1
-    prob = problem_for(bell_subspace(), np.eye(2) / 2, np.eye(2) / 2)
-    sol = solve_marginal_sdp(prob)
+    sol = solve_marginal_sdp(bell_subspace(), np.eye(2) / 2, np.eye(2) / 2)
     assert sol.status == "optimal"
     assert sol.primal_value >= 1.0 - 1e-4
     assert sol.dual_value >= sol.primal_value
@@ -115,9 +101,7 @@ def test_overlap_on_maximally_entangled_pair():
 
 def test_overlap_on_orthogonal_obstruction():
     # support forces mass on e0 in factor 1, but rho1 lives on e1: optimum 0
-    sol = solve_marginal_sdp(
-        problem_for(corner_subspace(), np.diag([0.0, 1.0]), np.diag([1.0, 0.0]))
-    )
+    sol = solve_marginal_sdp(corner_subspace(), np.diag([0.0, 1.0]), np.diag([1.0, 0.0]))
     assert sol.primal_value <= 1e-9
     assert sol.dual_value <= 1e-4
 
@@ -125,54 +109,47 @@ def test_overlap_on_orthogonal_obstruction():
 def test_overlap_with_zero_marginal_is_exactly_zero():
     # rho1 = 0 (a truncated ladder level can give one): the support of rho1 is
     # empty, so every dominated operator is 0 and the certified bracket is [0, 0]
-    prob = MarginalSdpProblem(
-        BipartiteOperator(bell_subspace().projector.mat, 2, 2),
-        np.zeros((2, 2)),
-        np.eye(2) / 2,
-        require_equal_traces=False,
-    )
-    sol = solve_marginal_sdp(prob)
+    prob = (bell_subspace(), np.zeros((2, 2)), np.eye(2) / 2)
+    sol = solve_marginal_sdp(*prob)
     assert (sol.status, sol.iterations) == ("optimal", 0)
     assert sol.primal_value == 0.0 and abs(sol.dual_value) <= 1e-12
-    assert verify_duality_certificates(prob, sol).passed
+    assert verify_duality_certificates(*prob, sol).passed
 
 
 def test_overlap_corner_value_is_min_of_weights():
     # X = c e00 e00^*: c <= a from factor 1, c <= b from factor 2, so mu = min(a, b)
     a, b = 0.3, 0.55
-    sol = solve_marginal_sdp(
-        problem_for(corner_subspace(), np.diag([a, 1 - a]), np.diag([b, 1 - b]))
-    )
+    sol = solve_marginal_sdp(corner_subspace(), np.diag([a, 1 - a]), np.diag([b, 1 - b]))
     assert sol.status == "optimal"
     assert abs(sol.primal_value - min(a, b)) <= 1e-5
     assert abs(sol.dual_value - min(a, b)) <= 1e-5
 
 
 def test_overlap_value_is_attained_by_returned_point():
-    prob = problem_for(bell_subspace(), np.eye(2) / 2, np.eye(2) / 2)
-    sol = solve_marginal_sdp(prob)
+    sub, r1, r2 = bell_subspace(), np.eye(2) / 2, np.eye(2) / 2
+    sol = solve_marginal_sdp(sub, r1, r2)
     x = sol.X.mat
-    attained = float(np.vdot(prob.objective.mat, x).real)
+    attained = float(np.vdot(sub.projector.mat, x).real)
     assert abs(attained - sol.primal_value) < 1e-9
     assert np.linalg.eigvalsh(x).min() >= -1e-11
     t2x = partial_trace_2(sol.X).mat
     t1x = partial_trace_1(sol.X).mat
-    assert np.linalg.eigvalsh(prob.rho1.mat - t2x).min() >= -1e-9
-    assert np.linalg.eigvalsh(prob.rho2.mat - t1x).min() >= -1e-9
+    assert np.linalg.eigvalsh(r1 - t2x).min() >= -1e-9
+    assert np.linalg.eigvalsh(r2 - t1x).min() >= -1e-9
 
 
 def test_overlap_dual_point_is_feasible():
-    prob = problem_for(corner_subspace(), np.diag([0.3, 0.7]), np.diag([0.55, 0.45]))
-    sol = solve_marginal_sdp(prob)
+    sub, r1, r2 = corner_subspace(), np.diag([0.3, 0.7]), np.diag([0.55, 0.45])
+    sol = solve_marginal_sdp(sub, r1, r2)
     y1, y2 = sol.Y[0].mat, sol.Y[1].mat
     adj = np.kron(y1, np.eye(2)) + np.kron(np.eye(2), y2)
-    assert np.linalg.eigvalsh(adj - prob.objective.mat).min() >= -1e-12
-    dval = float(np.vdot(prob.rho1.mat, y1).real + np.vdot(prob.rho2.mat, y2).real)
+    assert np.linalg.eigvalsh(adj - sub.projector.mat).min() >= -1e-12
+    dval = float(np.vdot(r1, y1).real + np.vdot(r2, y2).real)
     assert abs(dval - sol.dual_value) < 1e-9
 
 
 def test_overlap_history_is_nondecreasing():
-    sol = solve_marginal_sdp(problem_for(bell_subspace(), np.eye(2) / 2, np.eye(2) / 2))
+    sol = solve_marginal_sdp(bell_subspace(), np.eye(2) / 2, np.eye(2) / 2)
     hist = np.array(sol.primal_history)
     assert hist.size >= 1
     assert np.all(np.diff(hist) >= -1e-15)
@@ -182,20 +159,19 @@ def test_overlap_scale_covariance():
     sub = corner_subspace()
     r1 = np.diag([0.3, 0.7])
     r2 = np.diag([0.55, 0.45])
-    base = solve_marginal_sdp(problem_for(sub, r1, r2))
-    half = solve_marginal_sdp(problem_for(sub, 0.5 * r1, 0.5 * r2))
+    base = solve_marginal_sdp(sub, r1, r2)
+    half = solve_marginal_sdp(sub, 0.5 * r1, 0.5 * r2)
     assert abs(half.primal_value - 0.5 * base.primal_value) < 1e-5
 
 
 def test_overlap_certified_intervals_from_different_budgets_intersect():
     # the [primal, dual] interval brackets the optimum wherever the solve stops
     sub, r1, r2 = golden_instance((3, 3), 1, False)
-    prob = MarginalSdpProblem(BipartiteOperator(sub.projector.mat, 3, 3), r1, r2)
     intervals = []
     for max_iters in (2, 5, 12, 50_000):
-        sol = solve_marginal_sdp(prob, SolverConfig(max_iters=max_iters))
+        sol = solve_marginal_sdp(sub, r1, r2, SolverConfig(max_iters=max_iters))
         intervals.append((sol.primal_value, sol.dual_value))
-        rep = verify_duality_certificates(prob, sol)
+        rep = verify_duality_certificates(sub, r1, r2, sol)
         assert rep.passed
     assert len(set(intervals)) == len(intervals)
     lo = max(p for p, _ in intervals)
@@ -208,9 +184,9 @@ def test_overlap_certified_intervals_from_different_budgets_intersect():
 
 
 def test_certificate_report_on_solved_instance():
-    prob = problem_for(bell_subspace(), np.eye(2) / 2, np.eye(2) / 2)
-    sol = solve_marginal_sdp(prob)
-    rep = verify_duality_certificates(prob, sol)
+    prob = (bell_subspace(), np.eye(2) / 2, np.eye(2) / 2)
+    sol = solve_marginal_sdp(*prob)
+    rep = verify_duality_certificates(*prob, sol)
     assert rep.passed
     assert rep.trivial_feasible
     # 2I - P has min eigenvalue exactly 1 for a projector P
@@ -305,7 +281,7 @@ def test_supported_overlap_never_exceeds_overlap_dual():
     r2 = np.diag([b, 1 - b])
     sub = corner_subspace()
     nu = solve_supported_overlap(sub, r1, r2).value
-    sol = solve_marginal_sdp(problem_for(sub, r1, r2))
+    sol = solve_marginal_sdp(sub, r1, r2)
     assert nu <= sol.dual_value + 1e-9
 
 
@@ -357,10 +333,7 @@ MARGINAL_GOLDEN = {
 def test_marginal_sdp_reproduces_golden_values():
     for (dims, seed, feasible, max_iters), golden in MARGINAL_GOLDEN.items():
         sub, r1, r2 = golden_instance(dims, seed, feasible)
-        obj = BipartiteOperator(sub.projector.mat, *dims)
-        sol = solve_marginal_sdp(
-            MarginalSdpProblem(obj, r1, r2), SolverConfig(max_iters=max_iters)
-        )
+        sol = solve_marginal_sdp(sub, r1, r2, SolverConfig(max_iters=max_iters))
         primal, dual, iterations, status = golden
         assert (sol.iterations, sol.status) == (iterations, status)
         assert abs(sol.primal_value - primal) <= 1e-12
@@ -479,8 +452,7 @@ def stop_rule_cases(max_iters):
         for dims in ((2, 3), (3, 3)):
             p = generated("coupling", dims, seed, feasible=seed != 1)
             sub = Subspace(p.d1 * p.d2, p.basis)
-            obj = BipartiteOperator(sub.projector.mat, p.d1, p.d2)
-            sol = solve_marginal_sdp(MarginalSdpProblem(obj, p.rho1, p.rho2), cfg)
+            sol = solve_marginal_sdp(sub, p.rho1, p.rho2, cfg)
             out.append(("marginal", sol.gap, sol.status))
             sup = solve_supported_overlap(sub, p.rho1, p.rho2, cfg)
             out.append(("supported", sup.gap, sup.status))
@@ -512,10 +484,9 @@ def test_stop_rule_cases_cover_both_outcomes():
 # the dual barrier core of the overlap programs
 
 
-def assert_overlap_bracket(sol, problem):
+def assert_overlap_bracket(sol, sub, r1, r2):
     """X is feasible and attains the primal value, Y is feasible and attains the dual value."""
-    a, r1, r2 = problem.objective.mat, problem.rho1.mat, problem.rho2.mat
-    d1, d2 = problem.d1, problem.d2
+    a, d1, d2 = sub.projector.mat, len(r1), len(r2)
     x, y1, y2 = sol.X.mat, sol.Y[0].mat, sol.Y[1].mat
     assert abs(np.vdot(a, x).real - sol.primal_value) <= 1e-9
     assert np.linalg.eigvalsh(x)[0] >= -1e-11
@@ -528,21 +499,15 @@ def assert_overlap_bracket(sol, problem):
     assert sol.primal_value <= sol.dual_value + 1e-9
 
 
-def generated_problem(dims, seed, feasible=True):
-    sub, r1, r2 = golden_instance(dims, seed, feasible)
-    return MarginalSdpProblem(BipartiteOperator(sub.projector.mat, *dims), r1, r2)
-
-
 def test_barrier_core_on_a_one_dimensional_factor():
     # With d1 = 1 a dominated X is any 0 <= X <= rho2 (tr X <= 1 follows), so
     # mu = max tr(P X) over 0 <= X <= rho2 is tr(P rho2), attained at rho2.
     rng = np.random.default_rng(7)
     r2 = random_state(rng, 3)
     sub = Subspace(3, np.linalg.qr(crand(rng, 3, 2))[0])
-    prob = MarginalSdpProblem(BipartiteOperator(sub.projector.mat, 1, 3), np.eye(1), r2)
-    sol = solve_marginal_sdp(prob)
+    sol = solve_marginal_sdp(sub, np.eye(1), r2)
     assert sol.status == "optimal" and sol.iterations > 0
-    assert_overlap_bracket(sol, prob)
+    assert_overlap_bracket(sol, sub, np.eye(1), r2)
     truth = float(np.vdot(sub.projector.mat, r2).real)
     assert sol.primal_value <= truth + 1e-9 <= sol.dual_value + 2e-9
     sup = solve_supported_overlap(sub, np.eye(1), r2)
@@ -585,11 +550,10 @@ def test_barrier_core_lifts_an_exactly_singular_marginal(monkeypatch):
         return real_core(b, *args)
 
     monkeypatch.setattr(sdp, "_overlap_core", recording_core)
-    prob = MarginalSdpProblem(BipartiteOperator(sub.projector.mat, 3, 3), r1, r2)
-    sol = solve_marginal_sdp(prob)
+    sol = solve_marginal_sdp(sub, r1, r2)
     assert sides == [6]
     assert sol.status == "optimal" and sol.gap <= DEFAULT_CONFIG.gap_tol
-    assert_overlap_bracket(sol, prob)
+    assert_overlap_bracket(sol, sub, r1, r2)
 
 
 def test_lifted_bracket_sets_the_status(monkeypatch):
@@ -609,22 +573,21 @@ def test_lifted_bracket_sets_the_status(monkeypatch):
     psi = np.array([0.6, 0.8j])
     r2 = np.outer(psi, psi.conj())
     sub = Subspace(2, psi.reshape(2, 1))
-    prob = MarginalSdpProblem(BipartiteOperator(sub.projector.mat, 1, 2), np.eye(1), r2)
-    sol = solve_marginal_sdp(prob)
+    sol = solve_marginal_sdp(sub, np.eye(1), r2)
     sup = solve_supported_overlap(sub, np.eye(1), r2)
     assert statuses == ["infeasible_numerics"] * 2
     assert (sol.status, sup.status) == ("optimal", "optimal")
     assert max(sol.gap, sup.gap) <= DEFAULT_CONFIG.gap_tol
-    assert_overlap_bracket(sol, prob)
+    assert_overlap_bracket(sol, sub, np.eye(1), r2)
 
 
 def test_barrier_core_budget_below_need_keeps_a_certified_bracket():
-    prob = generated_problem((3, 3), 2)
+    prob = golden_instance((3, 3), 2, True)
     for max_iters in (1, 3, 12):
-        sol = solve_marginal_sdp(prob, SolverConfig(max_iters=max_iters))
+        sol = solve_marginal_sdp(*prob, SolverConfig(max_iters=max_iters))
         assert (sol.status, sol.iterations) == ("max_iters", max_iters)
         assert sol.gap > DEFAULT_CONFIG.gap_tol
-        assert_overlap_bracket(sol, prob)
+        assert_overlap_bracket(sol, *prob)
 
 
 def test_barrier_core_tight_gap_tol_stops_in_bounded_steps():
@@ -632,13 +595,12 @@ def test_barrier_core_tight_gap_tol_stops_in_bounded_steps():
     # closes the bracket or ends honestly, within a few hundred steps.
     cfg = SolverConfig(gap_tol=1e-9)
     for dims, seed, feasible in (((2, 3), 0, True), ((3, 3), 1, False), ((4, 4), 0, True)):
-        prob = generated_problem(dims, seed, feasible)
-        sol = solve_marginal_sdp(prob, cfg)
+        sub, r1, r2 = golden_instance(dims, seed, feasible)
+        sol = solve_marginal_sdp(sub, r1, r2, cfg)
         assert sol.status in ("optimal", "infeasible_numerics")
         assert (sol.status == "optimal") == (sol.gap <= cfg.gap_tol)
         assert sol.iterations <= 300
-        assert_overlap_bracket(sol, prob)
-        sub, r1, r2 = golden_instance(dims, seed, feasible)
+        assert_overlap_bracket(sol, sub, r1, r2)
         sup = solve_supported_overlap(sub, r1, r2, cfg)
         assert sup.status in ("optimal", "infeasible_numerics") and sup.iterations <= 300
         assert (sup.status == "optimal") == (sup.gap <= cfg.gap_tol)
@@ -647,10 +609,10 @@ def test_barrier_core_tight_gap_tol_stops_in_bounded_steps():
 def test_barrier_core_stalled_centering_is_infeasible_numerics(monkeypatch):
     # A centering allowed a single Newton step never completes.
     monkeypatch.setattr(sdp, "_CENTER_STEPS", 1)
-    prob = generated_problem((2, 3), 0)
-    sol = solve_marginal_sdp(prob)
+    prob = golden_instance((2, 3), 0, True)
+    sol = solve_marginal_sdp(*prob)
     assert (sol.status, sol.iterations) == ("infeasible_numerics", 1)
-    assert_overlap_bracket(sol, prob)
+    assert_overlap_bracket(sol, *prob)
 
 
 def test_barrier_core_centers_on_thermal_marginals():
@@ -662,8 +624,7 @@ def test_barrier_core_centers_on_thermal_marginals():
     p, q = (r ** np.arange(n) / np.sum(r ** np.arange(n)) for r in (0.5, 0.3))
     basis = np.zeros((n * n, n))
     basis[np.arange(n) * (n + 1), np.arange(n)] = 1.0
-    obj = BipartiteOperator(basis @ basis.T, n, n)
-    sol = solve_marginal_sdp(MarginalSdpProblem(obj, np.diag(p), np.diag(q)))
+    sol = solve_marginal_sdp(Subspace(n * n, basis), np.diag(p), np.diag(q))
     assert sol.status == "optimal" and sol.iterations <= 80
     assert sol.primal_value <= np.minimum(p, q).sum() <= sol.dual_value
 
@@ -678,9 +639,8 @@ def test_barrier_core_step_count_on_generated_couplings():
         for seed in range(4):
             for feasible in (True, False):
                 sub, r1, r2 = golden_instance(dims, seed, feasible)
-                obj = BipartiteOperator(sub.projector.mat, *dims)
                 for sol in (
-                    solve_marginal_sdp(MarginalSdpProblem(obj, r1, r2)),
+                    solve_marginal_sdp(sub, r1, r2),
                     solve_supported_overlap(sub, r1, r2),
                 ):
                     assert sol.status == "optimal", (dims, seed, feasible)
@@ -704,12 +664,12 @@ def test_barrier_core_newton_breakdown_is_infeasible_numerics(monkeypatch, break
         return np.full(np.shape(b), np.nan, dtype=complex)
 
     monkeypatch.setattr(np.linalg, "solve", failing_solve)
-    prob = generated_problem((2, 3), 0)
-    sol = solve_marginal_sdp(prob)
+    prob = golden_instance((2, 3), 0, True)
+    sol = solve_marginal_sdp(*prob)
     assert (sol.status, sol.iterations) == ("infeasible_numerics", 11)
     assert 0.8 < sol.primal_value <= sol.dual_value < 1.2
     assert len(sol.primal_history) >= 1
-    assert_overlap_bracket(sol, prob)
+    assert_overlap_bracket(sol, *prob)
     # The mismatch program runs on the same core: level 3 of a ladder chain,
     # whose golden bracket lies inside the one kept at the breakdown.
     calls.clear()
@@ -726,7 +686,7 @@ def test_overlap_programs_run_without_admm_or_projections(monkeypatch):
 
     monkeypatch.setattr(sdp, "psd_project", forbidden)
     sub, r1, r2 = golden_instance((2, 3), 0, True)
-    assert solve_marginal_sdp(generated_problem((2, 3), 0)).status == "optimal"
+    assert solve_marginal_sdp(sub, r1, r2).status == "optimal"
     assert solve_supported_overlap(sub, r1, r2).status == "optimal"
     p = generated("f_ladder", (2, 3), 0)
     chain = Subspace(6, p.basis[:, :4])

@@ -13,7 +13,6 @@ import numpy as np
 import pytest
 
 from qstrassen.bipartite import (
-    BipartiteOperator,
     DensityOperator,
     Subspace,
     partial_trace_1,
@@ -23,7 +22,7 @@ from qstrassen import sdp, strassen
 from qstrassen.cli import CliError, generate_instance, mat_to_pairs, problem_from_dict
 from qstrassen.fibers import FiberSpec
 from qstrassen.linalg import HermitianOperator, trace_norm
-from qstrassen.sdp import MarginalSdpProblem, SolverConfig, verify_duality_certificates
+from qstrassen.sdp import SolverConfig, verify_duality_certificates
 from qstrassen.strassen import (
     ClassicalInstance,
     _decide,
@@ -109,8 +108,7 @@ def test_mu_dual_pair_certifies_the_full_program_with_singular_marginal():
     assert sol.status == "optimal"
     assert sol.gap <= CFG.gap_tol
     assert sol.primal_value <= value <= sol.dual_value
-    problem = MarginalSdpProblem(BipartiteOperator(sub.projector.mat, 3, 3), r1, r2)
-    rep = verify_duality_certificates(problem, sol)
+    rep = verify_duality_certificates(sub, r1, r2, sol)
     assert rep.passed
     assert rep.dual_feasibility_margin >= -1e-9
     y1, y2 = sol.Y[0].mat, sol.Y[1].mat
@@ -148,11 +146,10 @@ def test_marginal_sdp_certifies_singular_marginal_like_mu():
     # direct solve (as sdp_ladder makes) is as certified as mu
     r1, r2, sub = singular_instance()
     assert np.linalg.matrix_rank(r1, tol=1e-12) == 2
-    problem = MarginalSdpProblem(BipartiteOperator(sub.projector.mat, 3, 3), r1, r2)
-    sol = sdp.solve_marginal_sdp(problem, SolverConfig(max_iters=20_000))
+    sol = sdp.solve_marginal_sdp(sub, r1, r2, SolverConfig(max_iters=20_000))
     assert sol.status == "optimal"
     assert sol.gap <= CFG.gap_tol
-    assert verify_duality_certificates(problem, sol).passed
+    assert verify_duality_certificates(sub, r1, r2, sol).passed
     value, _ = mu(r1, r2, sub)
     assert abs(sol.primal_value - value) <= CFG.gap_tol
 
@@ -299,6 +296,10 @@ def test_mu_rejects_bad_inputs():
         mu(np.diag([1.5, -0.5]), np.eye(2) / 2, bell_subspace())
     with pytest.raises(ValueError, match="does not match"):
         mu(np.eye(2) / 2, np.eye(2) / 2, Subspace(6, np.eye(6)[:, :1]))
+    # Unit traces make mu = 1 mean a coupling; the overlap program alone
+    # takes unequal ones.
+    with pytest.raises(ValueError, match="^rho2: trace .* deviates from target 1.0"):
+        mu(np.eye(2) / 2, np.eye(2) / 3, bell_subspace())
 
 
 def _coupling_file(r1, r2):
@@ -313,9 +314,7 @@ MARGINAL_ENTRY_POINTS = {
     "has_coupling": lambda r1, r2, sub: has_coupling(r1, r2, sub),
     "f_ladder": lambda r1, r2, sub: f_ladder(r1, r2, sub.basis, 1),
     "sdp_ladder": lambda r1, r2, sub: sdp_ladder(r1, r2, sub, 2),
-    "MarginalSdpProblem": lambda r1, r2, sub: MarginalSdpProblem(
-        BipartiteOperator(sub.projector, 2, 2), r1, r2
-    ),
+    "solve_marginal_sdp": lambda r1, r2, sub: sdp.solve_marginal_sdp(sub, r1, r2),
     "solve_supported_overlap": lambda r1, r2, sub: sdp.solve_supported_overlap(sub, r1, r2),
     "solve_f_min_full": lambda r1, r2, sub: sdp.solve_f_min_full(r1, r2, sub),
     "FiberSpec": lambda r1, r2, sub: FiberSpec(r1, r2),
@@ -353,7 +352,7 @@ def test_every_marginal_entry_point_rejects_a_non_finite_marginal(entry, bad, mo
 @pytest.mark.parametrize("which", ["rho1", "rho2"])
 @pytest.mark.parametrize(
     "entry",
-    ["FiberSpec", "f_ladder", "MarginalSdpProblem", "solve_supported_overlap", "solve_f_min_full"],
+    ["FiberSpec", "f_ladder", "solve_marginal_sdp", "solve_supported_overlap", "solve_f_min_full"],
 )
 def test_marginal_above_the_magnitude_guard_is_named(entry, which, big):
     huge, fine = np.diag([0.5, big]), np.eye(2) / 2
