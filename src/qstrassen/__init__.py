@@ -41,7 +41,7 @@ from .bipartite import (
     weak_vs_trace_demo,
 )
 from .sdp import (
-    MarginalSdpSolution,
+    OverlapSolution,
     SolverConfig,
     solve_f_min,
     solve_marginal_sdp,
@@ -95,7 +95,7 @@ __all__ = [
     "subspace_from_vectors",
     "truncation_projector",
     "weak_vs_trace_demo",
-    "MarginalSdpSolution",
+    "OverlapSolution",
     "SolverConfig",
     "solve_f_min",
     "solve_marginal_sdp",

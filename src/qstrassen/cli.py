@@ -191,13 +191,16 @@ def _config_from_dict(obj, name: str = "config") -> SolverConfig:
     unknown = set(obj) - known
     if unknown:
         raise CliError(f"{name} has unknown fields: {sorted(unknown)}")
+    fields = {}
     try:
-        return SolverConfig(
-            gap_tol=float(obj.get("gap_tol", DEFAULT_CONFIG.gap_tol)),
-            eps_decision=float(obj.get("eps_decision", DEFAULT_CONFIG.eps_decision)),
-            max_iters=int(obj.get("max_iters", DEFAULT_CONFIG.max_iters)),
-        )
-    except (TypeError, ValueError, OverflowError) as exc:
+        for key, kind in (("gap_tol", float), ("eps_decision", float), ("max_iters", int)):
+            value = obj.get(key, getattr(DEFAULT_CONFIG, key))
+            if isinstance(value, bool) or not isinstance(value, (int, kind)):
+                noun = "an integer" if kind is int else "a number"
+                raise CliError(f"{name}: {key} must be {noun}, got {value!r}")
+            fields[key] = kind(value)
+        return SolverConfig(**fields)
+    except (ValueError, OverflowError) as exc:
         raise CliError(f"{name}: {exc}") from exc
 
 
@@ -551,12 +554,11 @@ def _run_mu(prob: LoadedProblem, cfg: SolverConfig, _args) -> tuple[dict, int]:
         "command": "mu",
         "value": value,
         "solution": {
-            "primal_value": sol.primal_value,
-            "dual_value": sol.dual_value,
+            "primal_value": sol.value,
+            "dual_value": sol.dual,
             "gap": sol.gap,
             "iterations": sol.iterations,
             "status": sol.status,
-            "residuals": dict(sol.residuals),
         },
         "duality": {
             "trivial_feasible": duality.trivial_feasible,

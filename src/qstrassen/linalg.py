@@ -106,11 +106,9 @@ def as_matrix(a) -> np.ndarray:
     return m
 
 
-def _herm_part(m: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """(M + M*)/2 of a matrix or of each matrix in a stack (..., n, n), into ``out`` if given."""
-    out = np.add(m, m.conj().swapaxes(-1, -2), out=out)
-    out /= 2
-    return out
+def _herm_part(m: np.ndarray) -> np.ndarray:
+    """(M + M*)/2 of a square matrix, as a fresh array."""
+    return (m + m.conj().T) / 2
 
 
 def hermitize(a) -> np.ndarray:
@@ -206,24 +204,22 @@ def hermitian_eig(h, check: bool = False):
     return w, v
 
 
-def psd_project(h, out: np.ndarray | None = None):
-    """Frobenius-nearest positive semidefinite matrix, or one per matrix of a stack.
+def psd_project(h):
+    """Frobenius-nearest positive semidefinite matrix.
 
     Reads only the lower triangle of ``h``, as ``eigh`` does: hermitize a
     possibly non-Hermitian input first. Negative eigenvalues are clipped to
-    zero and the result is hermitized, exactly Hermitian. A stack (..., n, n)
-    goes through one stacked ``eigh``, each result bitwise the single one.
-    ``out`` (which may be ``h``) receives the same bits and is returned.
-    Returns a HermitianOperator when given one, otherwise a plain array.
+    zero and the result is hermitized, exactly Hermitian. Returns a
+    HermitianOperator when given one, otherwise a plain array.
     """
     if isinstance(h, HermitianOperator):
         return HermitianOperator(psd_project(h.mat))
     m = np.asarray(h, dtype=complex)
-    if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
-        raise ValueError(f"expected a square matrix or a stack of them, got shape {m.shape}")
+    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+        raise ValueError(f"expected a square matrix, got shape {m.shape}")
     w, v = _eigh(m)
     np.maximum(w, 0.0, out=w)
-    return _herm_part((v * w[..., None, :]) @ v.conj().swapaxes(-1, -2), out)
+    return _herm_part((v * w) @ v.conj().T)
 
 
 def _guard_magnitude(m: np.ndarray, name: str = "matrix") -> None:

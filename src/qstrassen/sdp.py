@@ -38,6 +38,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 from dataclasses import dataclass, replace
 from typing import NamedTuple
 
@@ -68,9 +69,8 @@ from .linalg import (
 __all__ = [
     "SolverConfig",
     "DEFAULT_CONFIG",
-    "MarginalSdpSolution",
+    "OverlapSolution",
     "DualityCertificateReport",
-    "FMinSolution",
     "SupportedOverlapSolution",
     "solve_marginal_sdp",
     "solve_f_min",
@@ -102,6 +102,9 @@ class SolverConfig:
             raise ValueError("gap_tol must be finite and positive")
         if not 0.0 < self.eps_decision < 1.0:
             raise ValueError("eps_decision must lie in (0, 1)")
+        # A fractional budget would never meet the driver's step count.
+        if isinstance(self.max_iters, bool) or not isinstance(self.max_iters, numbers.Integral):
+            raise ValueError(f"max_iters must be an integer, got {self.max_iters!r}")
         if self.max_iters < 1:
             raise ValueError("max_iters must be at least 1")
 
@@ -110,24 +113,25 @@ DEFAULT_CONFIG = SolverConfig()
 
 
 @dataclass(frozen=True)
-class MarginalSdpSolution:
-    """Certified output of the overlap program.
+class OverlapSolution:
+    """Certified output of the overlap program and of the mismatch minimization.
 
-    ``X`` is exactly feasible up to ~1e-12 slack (PSD, marginals dominated) and
-    ``Y`` is an exactly feasible dual pair, so primal_value <= mu <= dual_value.
-    ``residuals`` reports the violations of the returned pair; ``primal_history``
-    collects the certified primal values at solver checkpoints (nondecreasing).
+    ``value`` is attained by ``X``, ``dual`` by ``Y``, and ``gap`` is
+    |dual - value|. For ``solve_marginal_sdp`` X is feasible up to ~1e-12
+    slack and Y is an exactly feasible dual pair, so value <= mu <= dual.
+    For ``solve_f_min_full`` value = f(X), and dual is the lower bound
+    -(<W1, rho1> + <W2, rho2>) / max(1, ||W||_inf) of the test pair
+    Y = (W1, W2), V^*(W1 (x) I + I (x) W2)V >= 0. The fields are
+    ``SupportedOverlapSolution``'s, in its order, but this is not a tuple.
     """
 
+    value: float
     X: BipartiteOperator
-    Y: tuple[HermitianOperator, HermitianOperator]
-    primal_value: float
-    dual_value: float
     gap: float
-    residuals: dict
     iterations: int
     status: str
-    primal_history: tuple = ()
+    dual: float
+    Y: tuple[HermitianOperator, HermitianOperator]
 
 
 def _support_scaler(r1, r2):
@@ -362,7 +366,6 @@ class _Overlap(NamedTuple):
     c: np.ndarray
     dual: float
     y: tuple
-    history: list
     iterations: int
     status: str
 
@@ -405,9 +408,10 @@ def _overlap_core(
     PSD-shifted primal (any PSD C is admissible, so no scaling), starting at
     f(0) = tr rho1 + tr rho2, and ``dual`` is the lower bound
     -<W, rho> / max(1, ||W||_inf) of W = 2Y - I shifted by the identity
-    until L^*(W) >= 0, starting at 0. It stops with ``optimal`` once
-    value - dual <= cfg.gap_tol and, given a ``threshold`` (read only with
-    ``cap``), with ``decided`` once value < threshold.
+    until L^*(W) >= 0, with ``y`` = W, starting at 0 with W = 0. It stops
+    with ``optimal`` once value - dual <= cfg.gap_tol and, given a
+    ``threshold`` (read only with ``cap``), with ``decided`` once
+    value < threshold.
     """
     d1, d2, n = r1.shape[0], r2.shape[0], b.shape[0]
     k1, k2 = d1 * d1, d2 * d2
@@ -424,9 +428,8 @@ def _overlap_core(
         "value": f0 if cap else 0.0,
         "c": np.zeros((n, n), dtype=complex),
         "dual": 0.0 if cap else f0,
-        "y": (y1.copy(), y2.copy()),
+        "y": tuple(np.zeros_like(y) if cap else y.copy() for y in (y1, y2)),
     }
-    history: list[float] = []
     support_scale = None if cap else _support_scaler(r1, r2)
 
     def slacks():
@@ -465,7 +468,6 @@ def _overlap_core(
             val = sum(trace_norm(hermitize(m) - r) for m, r in zip(lmap(cf), (r1, r2)))
             if val < best["value"]:
                 best.update(value=val, c=cf)
-            history.append(best["value"])
             w1, w2 = _shift_to_dominate(2.0 * y1 - np.eye(d1), 2.0 * y2 - np.eye(d2), ladj, 0.0)
             scale = max(1.0, *(float(np.abs(np.linalg.eigvalsh(w)).max()) for w in (w1, w2)))
             lower = -(_hs(w1, r1) + _hs(w2, r2)) / scale
@@ -478,14 +480,13 @@ def _overlap_core(
         val = s * _hs(b, cf)
         if val > best["value"]:
             best.update(value=val, c=s * cf)
-        history.append(best["value"])
         ry1, ry2, dval = _repair_dual(y1, y2, ladj, b, r1, r2)
         if dval < best["dual"]:
             best.update(dual=dval, y=(ry1, ry2))
         return "optimal" if best["dual"] - best["value"] <= cfg.gap_tol else None
 
     status, it = _barrier_path([y1, y2], rho, f0, slacks, moves, system, certify, cfg)
-    return _Overlap(history=history, iterations=it, status=status, **best)
+    return _Overlap(iterations=it, status=status, **best)
 
 
 def _support_split(mat: np.ndarray):
@@ -495,29 +496,20 @@ def _support_split(mat: np.ndarray):
     return v[:, on], v[:, ~on]
 
 
-def _marginal_solution(sol: _Overlap, a, r1, r2) -> MarginalSdpSolution:
-    """Wrap a core solve of the overlap program (V = I, B = A) with its residuals."""
-    d1, d2 = r1.shape[0], r2.shape[0]
-    y1, y2 = sol.y
-    residuals = {
-        "psd_violation": max(0.0, -_min_eig(sol.c)),
-        "constraint_violation": max(
-            0.0,
-            _max_eig(partial_trace_2(sol.c, d1, d2) - r1),
-            _max_eig(partial_trace_1(sol.c, d1, d2) - r2),
-        ),
-        "adjoint_violation": max(0.0, -_min_eig(_kron_sum_mat(y1, y2) - a)),
-    }
-    return MarginalSdpSolution(
-        X=BipartiteOperator(hermitize(sol.c), d1, d2),
-        Y=(HermitianOperator(y1), HermitianOperator(y2)),
-        primal_value=sol.value,
-        dual_value=sol.dual,
+def _solution(cls, sol: _Overlap, vbasis):
+    """``OverlapSolution`` or ``SupportedOverlapSolution`` (``cls``) of a core solve.
+
+    X = V C V^* (``vbasis`` None for V = I) on the factors of the dual pair.
+    """
+    c = sol.c if vbasis is None else vbasis @ sol.c @ vbasis.conj().T
+    return cls(
+        value=sol.value,
+        X=BipartiteOperator(hermitize(c), *(len(y) for y in sol.y)),
         gap=abs(sol.dual - sol.value),
-        residuals=residuals,
         iterations=sol.iterations,
         status=sol.status,
-        primal_history=tuple(sol.history),
+        dual=sol.dual,
+        Y=tuple(HermitianOperator(y) for y in sol.y),
     )
 
 
@@ -555,7 +547,7 @@ def _overlap_on_support(b, r1, r2, vbasis, cfg: SolverConfig):
     bc = hermitize(keep.conj().T @ b @ keep)
     if bc.size == 0 or _max_eig(bc) <= 1e-12:
         y0 = (np.zeros((k1, k1)), np.zeros((k2, k2)))  # the optimum is exactly 0
-        sol = _Overlap(0.0, np.zeros_like(bc), 0.0, y0, [0.0], 0, "optimal")
+        sol = _Overlap(0.0, np.zeros_like(bc), 0.0, y0, 0, "optimal")
     else:
         rc1, rc2 = (hermitize(u.conj().T @ r @ u) for u, r in ((u1, r1), (u2, r2)))
         half = replace(cfg, gap_tol=0.5 * cfg.gap_tol)
@@ -588,7 +580,7 @@ def solve_marginal_sdp(
     rho1,
     rho2,
     cfg: SolverConfig = DEFAULT_CONFIG,
-) -> MarginalSdpSolution:
+) -> OverlapSolution:
     """Solve the overlap program of ``x_sub``'s projector with certified primal and dual values.
 
     The marginals must be PSD (``_subspace_marginals``); their traces may
@@ -607,9 +599,8 @@ def solve_marginal_sdp(
     the solution back.
     """
     r1, r2, _ = _subspace_marginals(rho1, rho2, x_sub)
-    a = x_sub.projector.mat
-    sol = _overlap_on_support(a, r1, r2, None, cfg)
-    return _marginal_solution(sol, a, r1, r2)
+    sol = _overlap_on_support(x_sub.projector.mat, r1, r2, None, cfg)
+    return _solution(OverlapSolution, sol, None)
 
 
 @dataclass(frozen=True)
@@ -627,7 +618,7 @@ class DualityCertificateReport:
 
 
 def verify_duality_certificates(
-    x_sub: Subspace, rho1, rho2, solution: MarginalSdpSolution
+    x_sub: Subspace, rho1, rho2, solution: OverlapSolution
 ) -> DualityCertificateReport:
     """Report-only certificate checks for a solved overlap program.
 
@@ -644,7 +635,7 @@ def verify_duality_certificates(
     y2 = solution.Y[1].mat
     dual_margin = _min_eig(_kron_sum_mat(y1, y2) - a)
     dual_psd = min(_min_eig(y1), _min_eig(y2))
-    slack = solution.dual_value - solution.primal_value
+    slack = solution.dual - solution.value
     passed = (
         trivial_margin >= 0.0
         and dual_margin >= -1e-7
@@ -663,18 +654,6 @@ def verify_duality_certificates(
     )
 
 
-@dataclass(frozen=True)
-class FMinSolution:
-    """Certified output of the marginal-mismatch minimization."""
-
-    value: float
-    lower_bound: float
-    X: BipartiteOperator
-    gap: float
-    iterations: int
-    status: str
-
-
 def solve_f_min_full(
     rho1,
     rho2,
@@ -683,18 +662,18 @@ def solve_f_min_full(
     threshold: float | None = None,
     *,
     _checked: bool = False,
-) -> FMinSolution:
+) -> OverlapSolution:
     """Minimize f(X) = ||tr_2 X - rho1||_1 + ||tr_1 X - rho2||_1 over PSD X in a subspace.
 
     With X = V C V^* (V the subspace basis) and ||A||_1 = 2 tr A_+ - tr A,
     the minimum is tr rho1 + tr rho2 - 2 max{tr C - tr S1 - tr S2 :
     C, S_i >= 0, L_i(C) <= rho_i + S_i}: the supported overlap program with
     the slacks S_i, whose dual is capped at Y_i <= I. ``_overlap_core``
-    solves it with ``cap``. The upper value is f at an exactly PSD primal,
-    the lower bound comes from the repaired dual pair, so the pair brackets
-    the true minimum. The solve stops with status ``optimal`` at the first
-    certified bracket whose gap is at most cfg.gap_tol, else ends at
-    ``max_iters`` Newton steps (or ``infeasible_numerics`` on a numerical
+    solves it with ``cap``. The upper ``value`` is f at an exactly PSD
+    primal, the lower bound ``dual`` comes from the repaired test pair
+    ``Y``, so the pair brackets the true minimum. The solve stops with
+    status ``optimal`` at the first certified bracket whose gap is at most
+    cfg.gap_tol, else ends at ``max_iters`` Newton steps (or ``infeasible_numerics`` on a numerical
     breakdown). With a ``threshold`` the solve also stops, with status
     ``decided``, at the first bracket whose value is below it; a value in
     [0, threshold) then brackets the minimum, and the gap may exceed
@@ -707,17 +686,8 @@ def solve_f_min_full(
         r1, r2, vbasis = rho1, rho2, x_sub.basis
     else:
         r1, r2, vbasis = _subspace_marginals(rho1, rho2, x_sub)
-    d1, d2 = r1.shape[0], r2.shape[0]
     sol = _overlap_core(np.eye(x_sub.dim), r1, r2, vbasis, cfg, threshold, cap=True)
-    x = hermitize(vbasis @ sol.c @ vbasis.conj().T)
-    return FMinSolution(
-        value=sol.value,
-        lower_bound=sol.dual,
-        X=BipartiteOperator(x, d1, d2),
-        gap=sol.value - sol.dual,
-        iterations=sol.iterations,
-        status=sol.status,
-    )
+    return _solution(OverlapSolution, sol, vbasis)
 
 
 def solve_f_min(
@@ -733,12 +703,11 @@ def solve_f_min(
 
 
 class SupportedOverlapSolution(NamedTuple):
-    """Certified output of the support-constrained overlap program.
+    """``OverlapSolution``'s fields for the support-constrained overlap program.
 
-    ``value`` is attained by ``X`` and ``dual`` by the dual pair ``Y``, which
-    satisfies Y_i >= 0 and V^*(Y1 (x) I + I (x) Y2)V >= I, so
-    value <= optimum <= dual and ``gap`` is |dual - value|. A named tuple, so
-    positional access works too: ``[0]`` value, ``[1]`` X, ``[2]`` gap.
+    The dual pair satisfies Y_i >= 0 and V^*(Y1 (x) I + I (x) Y2)V >= I, so
+    value <= optimum <= dual. A named tuple, so positional access works too:
+    ``[0]`` value, ``[1]`` X, ``[2]`` gap.
     """
 
     value: float
@@ -774,14 +743,4 @@ def solve_supported_overlap(
     """
     r1, r2, vbasis = _subspace_marginals(rho1, rho2, x_sub)
     sol = _overlap_on_support(np.eye(x_sub.dim), r1, r2, vbasis, cfg)
-    return SupportedOverlapSolution(
-        value=sol.value,
-        X=BipartiteOperator(
-            hermitize(vbasis @ sol.c @ vbasis.conj().T), r1.shape[0], r2.shape[0]
-        ),
-        gap=abs(sol.dual - sol.value),
-        iterations=sol.iterations,
-        status=sol.status,
-        dual=sol.dual,
-        Y=(HermitianOperator(sol.y[0]), HermitianOperator(sol.y[1])),
-    )
+    return _solution(SupportedOverlapSolution, sol, vbasis)

@@ -36,7 +36,7 @@ from .linalg import (
 )
 from .sdp import (
     DEFAULT_CONFIG,
-    MarginalSdpSolution,
+    OverlapSolution,
     SolverConfig,
     SupportedOverlapSolution,
     solve_f_min_full,
@@ -107,7 +107,7 @@ def mu(
     rho2,
     x_sub: Subspace,
     cfg: SolverConfig = DEFAULT_CONFIG,
-) -> tuple[float, MarginalSdpSolution]:
+) -> tuple[float, OverlapSolution]:
     """Optimal overlap of a marginal-dominated PSD operator with the subspace.
 
     Value 1 (within solver tolerance) is equivalent to the existence of a
@@ -120,7 +120,7 @@ def mu(
     r1 = _as_density(rho1, "rho1")
     r2 = _as_density(rho2, "rho2")
     sol = solve_marginal_sdp(x_sub, r1, r2, cfg)
-    return sol.primal_value, sol
+    return sol.value, sol
 
 
 def _decide(
@@ -230,8 +230,9 @@ def f_ladder(
         if sol is not None and sol.value < eps:
             # The previous level's minimizer lies in this span too, so its
             # value decides the level at 0 iterations; a smaller span's lower
-            # bound does not carry over, which leaves 0.
-            sol = replace(sol, lower_bound=0.0, gap=sol.value, iterations=0, status="decided")
+            # bound does not carry over, which leaves 0 and its test pair W = 0.
+            w0 = tuple(HermitianOperator(np.zeros((d, d))) for d in (d1, d2))
+            sol = replace(sol, dual=0.0, Y=w0, gap=sol.value, iterations=0, status="decided")
         else:
             sub = Subspace(d1 * d2, basis[:, :n])
             sol = solve_f_min_full(r1n, r2n, sub, cfg, threshold=eps, _checked=True)
@@ -241,8 +242,8 @@ def f_ladder(
                 value=sol.value,
                 gap=sol.gap,
                 wall_time=time.perf_counter() - tic,
-                dual_value=sol.lower_bound,
-                lower_bound=sol.lower_bound,
+                dual_value=sol.dual,
+                lower_bound=sol.dual,
                 dim=n,
                 status=sol.status,
                 iterations=sol.iterations,
@@ -310,10 +311,10 @@ def sdp_ladder(
         levels.append(
             LadderLevel(
                 level=(n, n),
-                value=sol.primal_value,
+                value=sol.value,
                 gap=sol.gap,
                 wall_time=time.perf_counter() - tic,
-                dual_value=sol.dual_value,
+                dual_value=sol.dual,
                 dim=x_sub.dim,
                 status=sol.status,
                 iterations=sol.iterations,

@@ -230,8 +230,8 @@ def test_05_infeasibility_detection(capsys):
         cap = 1.0 - s * outside
         if value > cap + 1e-6:
             bad.append(f"trial {trial}: mu {value:.6f} exceeds the provable cap {cap:.6f}")
-        if sol.dual_value >= 1.0 - 1e-4:
-            bad.append(f"trial {trial}: dual bound {sol.dual_value:.6f} does not refute")
+        if sol.dual >= 1.0 - 1e-4:
+            bad.append(f"trial {trial}: dual bound {sol.dual:.6f} does not refute")
         verdict, _ = has_coupling(r1, r2, sub)
         if verdict:
             bad.append(f"trial {trial}: verdict true on a perturbed instance (mu {value:.6f})")

@@ -204,6 +204,25 @@ def test_problem_config_and_seed_validation():
         problem_from_dict(coupling_file(config={"gap_tol": -1.0}))
 
 
+def test_problem_config_rejects_what_it_would_coerce():
+    # Bools, strings and fractional budgets are rejected, not converted.
+    for field, bad in (
+        ("max_iters", 2.7),
+        ("max_iters", True),
+        ("max_iters", "12"),
+        ("gap_tol", True),
+        ("gap_tol", "1e-3"),
+        ("eps_decision", False),
+        ("eps_decision", None),
+    ):
+        message = f"config: {field} must be {'an integer' if field == 'max_iters' else 'a number'}"
+        with pytest.raises(CliError, match=re.escape(message)):
+            problem_from_dict(coupling_file(config={field: bad}))
+    cfg = problem_from_dict(coupling_file(config={"gap_tol": 1, "max_iters": 12})).config
+    assert (cfg.gap_tol, cfg.max_iters) == (1.0, 12)
+    assert isinstance(cfg.gap_tol, float)
+
+
 def test_ladder_problem_needs_n_max():
     obj = coupling_file(kind="f_ladder")
     obj.pop("n_max", None)
@@ -402,6 +421,7 @@ def test_main_mu_reports_duality_block(tmp_path, capsys):
     assert report["duality"]["passed"] is True
     assert report["duality"]["trivial_feasible"] is True
     assert abs(report["value"] - 1.0) < 1e-4
+    assert set(report["solution"]) == {"primal_value", "dual_value", "gap", "iterations", "status"}
 
 
 def test_main_mu_exit_two_when_not_converged(tmp_path, capsys):

@@ -9,6 +9,7 @@ overlap and mismatch programs.
 
 from __future__ import annotations
 
+import dataclasses
 from fractions import Fraction
 
 import numpy as np
@@ -22,7 +23,9 @@ from qstrassen.linalg import hermitize, trace_norm
 from qstrassen.strassen import _Dinic
 from qstrassen.sdp import (
     DEFAULT_CONFIG,
+    OverlapSolution,
     SolverConfig,
+    SupportedOverlapSolution,
     _FEAS_SLACK,
     _support_scaler,
     solve_f_min,
@@ -60,6 +63,11 @@ def test_solver_config_validation():
         SolverConfig(gap_tol=0.0)
     with pytest.raises(ValueError, match="max_iters"):
         SolverConfig(max_iters=0)
+    # A fractional budget never meets the driver's integer step count.
+    for bad in (2.5, 3.0, True, "3"):
+        with pytest.raises(ValueError, match="max_iters must be an integer"):
+            SolverConfig(max_iters=bad)
+    assert SolverConfig(max_iters=np.int64(3)).max_iters == 3
     for bad in (float("nan"), float("inf")):
         with pytest.raises(ValueError, match="finite and positive"):
             SolverConfig(gap_tol=bad)
@@ -82,8 +90,8 @@ def test_problem_allows_unequal_traces_when_relaxed():
     # Bell state scaled to trace 2/3 attains the bound <P, X> <= tr X <= 2/3.
     sol = solve_marginal_sdp(bell_subspace(), np.eye(2) / 2, np.eye(2) / 3)
     assert sol.status == "optimal"
-    assert sol.primal_value <= 2.0 / 3.0 <= sol.dual_value + 1e-9
-    assert sol.primal_value >= 2.0 / 3.0 - DEFAULT_CONFIG.gap_tol
+    assert sol.value <= 2.0 / 3.0 <= sol.dual + 1e-9
+    assert sol.value >= 2.0 / 3.0 - DEFAULT_CONFIG.gap_tol
 
 
 # ---------------------------------------------------------------------------
@@ -94,16 +102,16 @@ def test_overlap_on_maximally_entangled_pair():
     # the maximally entangled vector couples (I/2, I/2), so the optimum is 1
     sol = solve_marginal_sdp(bell_subspace(), np.eye(2) / 2, np.eye(2) / 2)
     assert sol.status == "optimal"
-    assert sol.primal_value >= 1.0 - 1e-4
-    assert sol.dual_value >= sol.primal_value
+    assert sol.value >= 1.0 - 1e-4
+    assert sol.dual >= sol.value
     assert sol.gap <= 1e-6
 
 
 def test_overlap_on_orthogonal_obstruction():
     # support forces mass on e0 in factor 1, but rho1 lives on e1: optimum 0
     sol = solve_marginal_sdp(corner_subspace(), np.diag([0.0, 1.0]), np.diag([1.0, 0.0]))
-    assert sol.primal_value <= 1e-9
-    assert sol.dual_value <= 1e-4
+    assert sol.value <= 1e-9
+    assert sol.dual <= 1e-4
 
 
 def test_overlap_with_zero_marginal_is_exactly_zero():
@@ -112,7 +120,7 @@ def test_overlap_with_zero_marginal_is_exactly_zero():
     prob = (bell_subspace(), np.zeros((2, 2)), np.eye(2) / 2)
     sol = solve_marginal_sdp(*prob)
     assert (sol.status, sol.iterations) == ("optimal", 0)
-    assert sol.primal_value == 0.0 and abs(sol.dual_value) <= 1e-12
+    assert sol.value == 0.0 and abs(sol.dual) <= 1e-12
     assert verify_duality_certificates(*prob, sol).passed
 
 
@@ -121,8 +129,8 @@ def test_overlap_corner_value_is_min_of_weights():
     a, b = 0.3, 0.55
     sol = solve_marginal_sdp(corner_subspace(), np.diag([a, 1 - a]), np.diag([b, 1 - b]))
     assert sol.status == "optimal"
-    assert abs(sol.primal_value - min(a, b)) <= 1e-5
-    assert abs(sol.dual_value - min(a, b)) <= 1e-5
+    assert abs(sol.value - min(a, b)) <= 1e-5
+    assert abs(sol.dual - min(a, b)) <= 1e-5
 
 
 def test_overlap_value_is_attained_by_returned_point():
@@ -130,7 +138,7 @@ def test_overlap_value_is_attained_by_returned_point():
     sol = solve_marginal_sdp(sub, r1, r2)
     x = sol.X.mat
     attained = float(np.vdot(sub.projector.mat, x).real)
-    assert abs(attained - sol.primal_value) < 1e-9
+    assert abs(attained - sol.value) < 1e-9
     assert np.linalg.eigvalsh(x).min() >= -1e-11
     t2x = partial_trace_2(sol.X).mat
     t1x = partial_trace_1(sol.X).mat
@@ -145,14 +153,7 @@ def test_overlap_dual_point_is_feasible():
     adj = np.kron(y1, np.eye(2)) + np.kron(np.eye(2), y2)
     assert np.linalg.eigvalsh(adj - sub.projector.mat).min() >= -1e-12
     dval = float(np.vdot(r1, y1).real + np.vdot(r2, y2).real)
-    assert abs(dval - sol.dual_value) < 1e-9
-
-
-def test_overlap_history_is_nondecreasing():
-    sol = solve_marginal_sdp(bell_subspace(), np.eye(2) / 2, np.eye(2) / 2)
-    hist = np.array(sol.primal_history)
-    assert hist.size >= 1
-    assert np.all(np.diff(hist) >= -1e-15)
+    assert abs(dval - sol.dual) < 1e-9
 
 
 def test_overlap_scale_covariance():
@@ -161,7 +162,7 @@ def test_overlap_scale_covariance():
     r2 = np.diag([0.55, 0.45])
     base = solve_marginal_sdp(sub, r1, r2)
     half = solve_marginal_sdp(sub, 0.5 * r1, 0.5 * r2)
-    assert abs(half.primal_value - 0.5 * base.primal_value) < 1e-5
+    assert abs(half.value - 0.5 * base.value) < 1e-5
 
 
 def test_overlap_certified_intervals_from_different_budgets_intersect():
@@ -170,7 +171,7 @@ def test_overlap_certified_intervals_from_different_budgets_intersect():
     intervals = []
     for max_iters in (2, 5, 12, 50_000):
         sol = solve_marginal_sdp(sub, r1, r2, SolverConfig(max_iters=max_iters))
-        intervals.append((sol.primal_value, sol.dual_value))
+        intervals.append((sol.value, sol.dual))
         rep = verify_duality_certificates(sub, r1, r2, sol)
         assert rep.passed
     assert len(set(intervals)) == len(intervals)
@@ -227,7 +228,7 @@ def test_f_min_matches_golden_section_oracle():
     sol = solve_f_min_full(r1, r2, sub)
     assert sol.status == "optimal"
     assert abs(sol.value - truth) <= 1e-5
-    assert sol.lower_bound <= truth + 1e-9
+    assert sol.dual <= truth + 1e-9
     assert sol.value >= truth - 1e-9
 
 
@@ -282,7 +283,7 @@ def test_supported_overlap_never_exceeds_overlap_dual():
     sub = corner_subspace()
     nu = solve_supported_overlap(sub, r1, r2).value
     sol = solve_marginal_sdp(sub, r1, r2)
-    assert nu <= sol.dual_value + 1e-9
+    assert nu <= sol.dual + 1e-9
 
 
 def test_supported_overlap_value_is_trace_of_returned_point():
@@ -336,8 +337,8 @@ def test_marginal_sdp_reproduces_golden_values():
         sol = solve_marginal_sdp(sub, r1, r2, SolverConfig(max_iters=max_iters))
         primal, dual, iterations, status = golden
         assert (sol.iterations, sol.status) == (iterations, status)
-        assert abs(sol.primal_value - primal) <= 1e-12
-        assert abs(sol.dual_value - dual) <= 1e-12
+        assert abs(sol.value - primal) <= 1e-12
+        assert abs(sol.dual - dual) <= 1e-12
 
 
 # f-ladder chains, one entry per level, each level a cold solve:
@@ -377,7 +378,34 @@ def test_f_min_chain_reproduces_golden_values():
             sol = solve_f_min_full(p.rho1, p.rho2, chain, SolverConfig(max_iters=max_iters))
             assert (sol.iterations, sol.status) == (iterations, status), (dims, n)
             assert abs(sol.value - value) <= 1e-12
-            assert abs(sol.lower_bound - lower) <= 1e-12
+            assert abs(sol.dual - lower) <= 1e-12
+
+
+def test_f_min_test_pair_attains_the_lower_bound():
+    # The returned pair Y = (W1, W2), re-checked in plain numpy: it satisfies
+    # V^*(W1 (x) I + I (x) W2)V >= 0 and its bound -<W, rho> / max(1, ||W||_inf)
+    # is the reported dual.
+    for (dims, seed, max_iters), levels in F_MIN_CHAIN_GOLDEN.items():
+        p = generated("f_ladder", dims, seed)
+        for n in range(1, len(levels) + 1):
+            v = p.basis[:, :n]
+            sol = solve_f_min_full(
+                p.rho1, p.rho2, Subspace(p.d1 * p.d2, v), SolverConfig(max_iters=max_iters)
+            )
+            w1, w2 = sol.Y[0].mat, sol.Y[1].mat
+            adj = np.kron(w1, np.eye(p.d2)) + np.kron(np.eye(p.d1), w2)
+            assert np.linalg.eigvalsh(v.conj().T @ adj @ v).min() >= -1e-9, (dims, n)
+            norm = max(1.0, *(np.abs(np.linalg.eigvalsh(w)).max() for w in (w1, w2)))
+            bound = -(np.vdot(w1, p.rho1).real + np.vdot(w2, p.rho2).real) / norm
+            assert abs(bound - sol.dual) <= 1e-12, (dims, n)
+
+
+def test_overlap_solution_shares_the_supported_fields():
+    names = tuple(f.name for f in dataclasses.fields(OverlapSolution))
+    assert names == SupportedOverlapSolution._fields
+    sol = solve_marginal_sdp(bell_subspace(), np.eye(2) / 2, np.eye(2) / 2)
+    assert isinstance(sol, OverlapSolution) and not isinstance(sol, tuple)
+    assert sol.gap == abs(sol.dual - sol.value)
 
 
 def test_f_min_chain_threshold_stops_levels_below_it():
@@ -392,7 +420,7 @@ def test_f_min_chain_threshold_stops_levels_below_it():
             chain = Subspace(p.d1 * p.d2, p.basis[:, :n])
             sol = solve_f_min_full(p.rho1, p.rho2, chain, cfg, threshold)
             assert sol.iterations <= iterations, (dims, n)
-            assert sol.lower_bound <= sol.value
+            assert sol.dual <= sol.value
             if sol.status == "decided":
                 decided += 1
                 assert sol.value < threshold
@@ -424,7 +452,7 @@ def test_f_min_brackets_the_classical_flow_value():
                 )
                 case = (dims, feasible, seed)
                 assert sol.status == "optimal", case
-                assert sol.lower_bound - 1e-12 <= target <= sol.value + 1e-12, case
+                assert sol.dual - 1e-12 <= target <= sol.value + 1e-12, case
 
 
 # ---------------------------------------------------------------------------
@@ -488,15 +516,15 @@ def assert_overlap_bracket(sol, sub, r1, r2):
     """X is feasible and attains the primal value, Y is feasible and attains the dual value."""
     a, d1, d2 = sub.projector.mat, len(r1), len(r2)
     x, y1, y2 = sol.X.mat, sol.Y[0].mat, sol.Y[1].mat
-    assert abs(np.vdot(a, x).real - sol.primal_value) <= 1e-9
+    assert abs(np.vdot(a, x).real - sol.value) <= 1e-9
     assert np.linalg.eigvalsh(x)[0] >= -1e-11
     assert np.linalg.eigvalsh(r1 - partial_trace_2(x, d1, d2))[0] >= -1e-9
     assert np.linalg.eigvalsh(r2 - partial_trace_1(x, d1, d2))[0] >= -1e-9
     assert min(np.linalg.eigvalsh(y1)[0], np.linalg.eigvalsh(y2)[0]) >= -1e-12
     adjoint = np.kron(y1, np.eye(d2)) + np.kron(np.eye(d1), y2) - a
     assert np.linalg.eigvalsh(adjoint)[0] >= -1e-12
-    assert abs(np.vdot(r1, y1).real + np.vdot(r2, y2).real - sol.dual_value) <= 1e-9
-    assert sol.primal_value <= sol.dual_value + 1e-9
+    assert abs(np.vdot(r1, y1).real + np.vdot(r2, y2).real - sol.dual) <= 1e-9
+    assert sol.value <= sol.dual + 1e-9
 
 
 def test_barrier_core_on_a_one_dimensional_factor():
@@ -509,7 +537,7 @@ def test_barrier_core_on_a_one_dimensional_factor():
     assert sol.status == "optimal" and sol.iterations > 0
     assert_overlap_bracket(sol, sub, np.eye(1), r2)
     truth = float(np.vdot(sub.projector.mat, r2).real)
-    assert sol.primal_value <= truth + 1e-9 <= sol.dual_value + 2e-9
+    assert sol.value <= truth + 1e-9 <= sol.dual + 2e-9
     sup = solve_supported_overlap(sub, np.eye(1), r2)
     assert sup.status == "optimal" and sup.value <= truth + 1e-9
 
@@ -626,7 +654,7 @@ def test_barrier_core_centers_on_thermal_marginals():
     basis[np.arange(n) * (n + 1), np.arange(n)] = 1.0
     sol = solve_marginal_sdp(Subspace(n * n, basis), np.diag(p), np.diag(q))
     assert sol.status == "optimal" and sol.iterations <= 80
-    assert sol.primal_value <= np.minimum(p, q).sum() <= sol.dual_value
+    assert sol.value <= np.minimum(p, q).sum() <= sol.dual
 
 
 def test_barrier_core_step_count_on_generated_couplings():
@@ -667,8 +695,7 @@ def test_barrier_core_newton_breakdown_is_infeasible_numerics(monkeypatch, break
     prob = golden_instance((2, 3), 0, True)
     sol = solve_marginal_sdp(*prob)
     assert (sol.status, sol.iterations) == ("infeasible_numerics", 11)
-    assert 0.8 < sol.primal_value <= sol.dual_value < 1.2
-    assert len(sol.primal_history) >= 1
+    assert 0.8 < sol.value <= sol.dual < 1.2
     assert_overlap_bracket(sol, *prob)
     # The mismatch program runs on the same core: level 3 of a ladder chain,
     # whose golden bracket lies inside the one kept at the breakdown.
@@ -677,7 +704,7 @@ def test_barrier_core_newton_breakdown_is_infeasible_numerics(monkeypatch, break
     fmin = solve_f_min_full(p.rho1, p.rho2, Subspace(6, p.basis[:, :3]))
     assert (fmin.status, fmin.iterations) == ("infeasible_numerics", 11)
     value, lower, _, _ = F_MIN_CHAIN_GOLDEN[((2, 3), 0, 50_000)][2]
-    assert 0.0 < fmin.lower_bound <= lower <= value <= fmin.value < 2.0
+    assert 0.0 < fmin.dual <= lower <= value <= fmin.value < 2.0
 
 
 def test_overlap_programs_run_without_admm_or_projections(monkeypatch):

@@ -107,13 +107,13 @@ def test_mu_dual_pair_certifies_the_full_program_with_singular_marginal():
     value, sol = mu(r1, r2, sub)
     assert sol.status == "optimal"
     assert sol.gap <= CFG.gap_tol
-    assert sol.primal_value <= value <= sol.dual_value
+    assert sol.value <= value <= sol.dual
     rep = verify_duality_certificates(sub, r1, r2, sol)
     assert rep.passed
     assert rep.dual_feasibility_margin >= -1e-9
     y1, y2 = sol.Y[0].mat, sol.Y[1].mat
     dual = float(np.vdot(r1, y1).real + np.vdot(r2, y2).real)
-    assert abs(dual - sol.dual_value) <= 1e-9
+    assert abs(dual - sol.dual) <= 1e-9
     # the returned X attains the value in the original program
     x = sol.X.mat
     assert abs(float(np.vdot(sub.projector.mat, x).real) - value) <= 1e-9
@@ -151,7 +151,7 @@ def test_marginal_sdp_certifies_singular_marginal_like_mu():
     assert sol.gap <= CFG.gap_tol
     assert verify_duality_certificates(sub, r1, r2, sol).passed
     value, _ = mu(r1, r2, sub)
-    assert abs(sol.primal_value - value) <= CFG.gap_tol
+    assert abs(sol.value - value) <= CFG.gap_tol
 
 
 def test_sdp_ladder_top_level_optimal_with_singular_marginal():
