@@ -200,11 +200,15 @@ def _repair_dual(y1, y2, adjoint, b, r1, r2):
     return y1, y2, _hs(r1, y1) + _hs(r2, y2)
 
 
-def _subspace_marginals(rho1, rho2, x_sub: Subspace):
+def _subspace_marginals(rho1, rho2, x_sub: Subspace, checked: bool = False):
     """Hermitian marginals and the basis V of ``x_sub``, checked against each other.
 
-    The marginals must be PSD; their traces may differ.
+    The marginals must be PSD; their traces may differ. ``checked`` marks
+    Hermitian arrays that the caller has already checked against ``x_sub``:
+    they pass through untested.
     """
+    if checked:
+        return rho1, rho2, x_sub.basis
     r1, r2 = HermitianOperator(rho1).mat, HermitianOperator(rho2).mat
     x_sub.check_factors(len(r1), len(r2))
     _check_marginals(r1, r2, equal_traces=False)
@@ -262,7 +266,9 @@ def _kron_sum_gram(g4: np.ndarray):
     )
 
 
-def _barrier_path(point, cost, scale, slacks, moves, system, certify, cfg: SolverConfig):
+def _barrier_path(
+    point, cost, scale, slacks, moves, system, certify, cfg: SolverConfig, defer: bool = False
+):
     """Follow the central path of one dual log-barrier; return (status, steps).
 
     The barrier is t <cost, x> - sum_j log det S_j(x), the unknowns x the
@@ -282,8 +288,9 @@ def _barrier_path(point, cost, scale, slacks, moves, system, certify, cfg: Solve
     with the right-hand sides cost and gbar gives the Newton step
     t dcost + dbar for every t. t starts at 10 m / ``scale``, m the side of
     S. A point whose Newton decrement lambda is below _CENTERED counts as
-    centered: it is certified and t grows by _GROWTH on the same solve,
-    until the point is no longer centered or ``certify`` stops the path.
+    centered: it is certified (but see ``defer``) and t grows by _GROWTH on
+    the same solve, until the point is no longer centered or ``certify``
+    stops the path.
     _CENTERED must stay below 1: for lambda < 1 the step dS lies in the
     Dikin ellipsoid of S, so the primal (S^-1 - S^-1 dS S^-1) / t that
     certifies the point is PSD.
@@ -294,11 +301,24 @@ def _barrier_path(point, cost, scale, slacks, moves, system, certify, cfg: Solve
     away (the Dikin ellipsoid), so for lambda <= 0.9 the full step obeys the
     rule and lambda_min is computed only when lambda^2 > 0.81.
 
+    With ``defer`` a centered point is certified only once its barrier gap
+    bound (m - sqrt(m max(lambda^2, 0))) / t, the least width of its own
+    bracket, is at most sqrt(_GROWTH) cfg.gap_tol, halfway (on a log scale)
+    between two centerings; the bound falls by _GROWTH per centering, so
+    only the last point of a solve passes. Every other centered point is
+    kept: a copy of its unknowns, its Newton step and t. When the path ends
+    without a stop, the kept points are certified in order, before the
+    current one, so a solve that runs out or breaks down keeps the bracket
+    of every centered point. A kept point's S_j^-1 are factored again from
+    its unknowns, bit for bit those it had, and its Newton system is not
+    solved again; copies of the S_j^-1 would hold their blocks (n x n for
+    mu's Z) per kept point.
+
     The status is ``certify``'s, or ``max_iters`` after cfg.max_iters
-    Newton steps (the current point is then certified unless it just was),
-    or ``infeasible_numerics`` on a singular or non-finite Newton
-    system, a point that leaves the cone in rounding, or a centering of
-    _CENTER_STEPS steps.
+    Newton steps (the current point is then certified, last, unless it was
+    centered), or ``infeasible_numerics`` on a singular or non-finite
+    Newton system, a point that leaves the cone in rounding, or a centering
+    of _CENTER_STEPS steps.
     """
     def spans(sizes):
         ends = list(itertools.accumulate(sizes))
@@ -312,38 +332,46 @@ def _barrier_path(point, cost, scale, slacks, moves, system, certify, cfg: Solve
     def split(step):
         return [_herm_part(step[sl].reshape(x.shape)) for sl, x in zip(parts, point)]
 
+    def factor():
+        for sl, s in zip(diag, slacks()):
+            blocks[sl, sl] = s
+        chol_inv = np.linalg.inv(np.linalg.cholesky(blocks))
+        inv = _herm_part(chol_inv.conj().T @ chol_inv)
+        return chol_inv, [inv[sl, sl] for sl in diag]
+
     t = 10.0 * m / scale
+    reach = math.sqrt(_GROWTH) * cfg.gap_tol
+    kept = []  # centered points left uncertified: (unknowns, Newton step, t)
     status, it, steps = "max_iters", 0, 0  # steps: Newton steps of this centering
     while True:
         try:
-            for sl, s in zip(diag, slacks()):
-                blocks[sl, sl] = s
-            chol_inv = np.linalg.inv(np.linalg.cholesky(blocks))
-            inv = _herm_part(chol_inv.conj().T @ chol_inv)
-            inverses = [inv[sl, sl] for sl in diag]
+            chol_inv, inverses = factor()
             hess, gbar = system(inverses)
             dcost, dbar = np.linalg.solve(hess, -np.stack([cost, gbar], axis=1)).T
         except np.linalg.LinAlgError:
             status = "infeasible_numerics"
             break
-        certified = False
+        centered = False
         while True:
             step = t * dcost + dbar
             lam2 = -np.vdot(t * cost + gbar, step).real
             if not math.isfinite(lam2) or lam2 >= _CENTERED**2:
                 break
-            stop = certify(inverses, moves(split(step)), t)
-            if stop is not None:
-                return stop, it
-            certified = True
+            if defer and m - math.sqrt(m * max(lam2, 0.0)) > reach * t:
+                kept.append(([x.copy() for x in point], step, t))
+            else:
+                stop = certify(inverses, moves(split(step)), t)
+                if stop is not None:
+                    return stop, it
+            centered = True
             t *= _GROWTH
             steps = 0
         if not math.isfinite(lam2) or steps == _CENTER_STEPS:
             status = "infeasible_numerics"
             break
         if it == cfg.max_iters:
-            if not certified:
-                status = certify(inverses, moves(split(step)), t) or status
+            if not centered:
+                kept.append(([x.copy() for x in point], step, t))
             break
         dx = split(step)
         alpha = 1.0
@@ -356,6 +384,12 @@ def _barrier_path(point, cost, scale, slacks, moves, system, certify, cfg: Solve
             x += alpha * d
         it += 1
         steps += 1
+    for xs, step, t in kept:
+        for x, v in zip(point, xs):
+            x[...] = v
+        stop = certify(factor()[1], moves(split(step)), t)
+        if stop is not None:
+            return stop, it
     return status, it
 
 
@@ -399,7 +433,10 @@ def _overlap_core(
     marginals are dominated, it is the certified primal; ``_repair_dual`` of
     Y gives the certified dual. The solve stops with ``optimal`` once
     dual - primal <= cfg.gap_tol. The bracket starts at
-    [0, tr rho1 + tr rho2] (C = 0, Y = (I, I)).
+    [0, tr rho1 + tr rho2] (C = 0, Y = (I, I)). The driver defers every
+    centered point whose barrier gap bound keeps its bracket open (its
+    ``defer``), so a solve that closes runs one certificate: one support
+    scale and one ``_repair_dual``.
 
     ``cap`` solves the mismatch program of ``solve_f_min_full`` instead
     (B = I, V a basis): its dual adds Y_i <= I, so the barrier gains
@@ -411,7 +448,9 @@ def _overlap_core(
     until L^*(W) >= 0, with ``y`` = W, starting at 0 with W = 0. It stops
     with ``optimal`` once value - dual <= cfg.gap_tol and, given a
     ``threshold`` (read only with ``cap``), with ``decided`` once
-    value < threshold.
+    value < threshold. With ``cap`` every centered point is certified: the
+    threshold reads each one, and this bracket closes far above the
+    barrier gap bound.
     """
     d1, d2, n = r1.shape[0], r2.shape[0], b.shape[0]
     k1, k2 = d1 * d1, d2 * d2
@@ -485,7 +524,7 @@ def _overlap_core(
             best.update(dual=dval, y=(ry1, ry2))
         return "optimal" if best["dual"] - best["value"] <= cfg.gap_tol else None
 
-    status, it = _barrier_path([y1, y2], rho, f0, slacks, moves, system, certify, cfg)
+    status, it = _barrier_path([y1, y2], rho, f0, slacks, moves, system, certify, cfg, not cap)
     return _Overlap(iterations=it, status=status, **best)
 
 
@@ -580,6 +619,8 @@ def solve_marginal_sdp(
     rho1,
     rho2,
     cfg: SolverConfig = DEFAULT_CONFIG,
+    *,
+    _checked: bool = False,
 ) -> OverlapSolution:
     """Solve the overlap program of ``x_sub``'s projector with certified primal and dual values.
 
@@ -589,16 +630,19 @@ def solve_marginal_sdp(
     The returned primal value is attained by the returned X (feasible up to
     1e-12), the dual value by the returned Y (feasible after an exact identity
     shift repair), so the reported gap is a two-sided optimality certificate.
-    The dual barrier method of ``_overlap_core`` certifies a bracket at each
-    point of its central path and stops with status ``optimal`` at the first
-    one whose certified gap is at most cfg.gap_tol. ``iterations`` counts
-    Newton steps; status is ``max_iters`` when cfg.max_iters of them run out
-    first, and ``infeasible_numerics`` on a singular or non-finite Newton
-    system or a stalled centering. A singular marginal is handled by
-    ``_overlap_on_support``, which solves on the support product and lifts
-    the solution back.
+    The dual barrier method of ``_overlap_core`` follows its central path
+    and certifies a bracket at the centered points whose barrier gap bound
+    lets it close; it stops with status ``optimal`` at the first one whose
+    certified gap is at most cfg.gap_tol. ``iterations`` counts Newton
+    steps; status is ``max_iters`` when cfg.max_iters of them run out first,
+    and ``infeasible_numerics`` on a singular or non-finite Newton system or
+    a stalled centering; the bracket is then the best of every centered
+    point. A singular marginal is handled by ``_overlap_on_support``, which
+    solves on the support product and lifts the solution back. ``_checked``
+    marks Hermitian arrays already checked against ``x_sub``
+    (``strassen.mu`` and each ``strassen.sdp_ladder`` level).
     """
-    r1, r2, _ = _subspace_marginals(rho1, rho2, x_sub)
+    r1, r2, _ = _subspace_marginals(rho1, rho2, x_sub, _checked)
     sol = _overlap_on_support(x_sub.projector.mat, r1, r2, None, cfg)
     return _solution(OverlapSolution, sol, None)
 
@@ -682,10 +726,7 @@ def solve_f_min_full(
     once and solves every level through this name, which bench/run.py
     traces.
     """
-    if _checked:
-        r1, r2, vbasis = rho1, rho2, x_sub.basis
-    else:
-        r1, r2, vbasis = _subspace_marginals(rho1, rho2, x_sub)
+    r1, r2, vbasis = _subspace_marginals(rho1, rho2, x_sub, _checked)
     sol = _overlap_core(np.eye(x_sub.dim), r1, r2, vbasis, cfg, threshold, cap=True)
     return _solution(OverlapSolution, sol, vbasis)
 
@@ -724,6 +765,8 @@ def solve_supported_overlap(
     rho1,
     rho2,
     cfg: SolverConfig = DEFAULT_CONFIG,
+    *,
+    _checked: bool = False,
 ) -> SupportedOverlapSolution:
     """Maximize tr X over PSD X supported exactly in the subspace with dominated marginals.
 
@@ -739,8 +782,9 @@ def solve_supported_overlap(
     breakdown). Its dual pair refutes a coupling by itself once ``dual``
     falls below 1, so ``strassen._decide`` needs no other solve. As for mu,
     ``_overlap_on_support`` compresses a singular marginal's program to the
-    support product.
+    support product. ``_checked`` marks Hermitian arrays already checked
+    against ``x_sub`` (``strassen._decide``).
     """
-    r1, r2, vbasis = _subspace_marginals(rho1, rho2, x_sub)
+    r1, r2, vbasis = _subspace_marginals(rho1, rho2, x_sub, _checked)
     sol = _overlap_on_support(np.eye(x_sub.dim), r1, r2, vbasis, cfg)
     return _solution(SupportedOverlapSolution, sol, vbasis)

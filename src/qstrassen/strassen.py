@@ -115,11 +115,13 @@ def mu(
     marginals are handled by ``solve_marginal_sdp`` (support compression and
     lift), so the returned X and Y are feasible for the original program and
     [primal, dual] brackets its optimum. The marginals must be density
-    operators: unit trace is what makes value 1 mean a coupling.
+    operators: unit trace is what makes value 1 mean a coupling. They are
+    checked here, once; the solve does not test them again.
     """
     r1 = _as_density(rho1, "rho1")
     r2 = _as_density(rho2, "rho2")
-    sol = solve_marginal_sdp(x_sub, r1, r2, cfg)
+    x_sub.check_factors(r1.dim, r2.dim)
+    sol = solve_marginal_sdp(x_sub, r1.mat, r2.mat, cfg, _checked=True)
     return sol.value, sol
 
 
@@ -135,11 +137,12 @@ def _decide(
     when the dual bound, attained by the returned pair Y_i >= 0,
     V^*(Y1 (x) I + I (x) Y2)V >= I, falls below 1 - eps_decision, else
     ``undecided``. A singular marginal is handled on the support product
-    (see ``sdp._overlap_on_support``).
+    (see ``sdp._overlap_on_support``). The marginals are checked here, once.
     """
     r1 = _as_density(rho1, "rho1")
     r2 = _as_density(rho2, "rho2")
-    sup = solve_supported_overlap(x_sub, r1, r2, cfg)
+    x_sub.check_factors(r1.dim, r2.dim)
+    sup = solve_supported_overlap(x_sub, r1.mat, r2.mat, cfg, _checked=True)
     threshold = 1.0 - cfg.eps_decision
     verdict = "no_coupling" if sup.dual < threshold else "undecided"
     if sup.value < threshold:
@@ -286,7 +289,9 @@ def sdp_ladder(
     the overlap program allows) and the subspace is projected and
     re-orthonormalized. Levels where the projected subspace drops rank are
     skipped (the rank is known to stabilize once n passes a finite threshold).
-    Each level is a cold ``solve_marginal_sdp``, which starts at Y = (I, I).
+    Each level is a cold ``solve_marginal_sdp``, which starts at Y = (I, I),
+    on leading blocks of the checked pair: they are PSD by construction and
+    are not tested again.
     Verdict ``coupling_exists`` needs the top level to clear 1 - eps_decision
     with a nondecreasing trailing window; ``no_coupling`` is only declared
     when the top level is untruncated and its dual bound still falls short.
@@ -307,7 +312,7 @@ def sdp_ladder(
             continue
         sub = Subspace(n * n, basis)
         tic = time.perf_counter()
-        sol = solve_marginal_sdp(sub, r1.mat[:n, :n], r2.mat[:n, :n], cfg)
+        sol = solve_marginal_sdp(sub, r1.mat[:n, :n], r2.mat[:n, :n], cfg, _checked=True)
         levels.append(
             LadderLevel(
                 level=(n, n),

@@ -617,14 +617,13 @@ def test_main_levels_zero_reaches_the_range_check(tmp_path, capsys, command):
     assert f"{path}: {message}" in err
 
 
-# PSD tests of the marginals per op: the loader's, the DensityOperator's of
-# mu, _decide or sdp_ladder, then one per solve (_subspace_marginals; check
-# adds its certificate's DensityOperator, and the 3x3 ladder solves two
-# levels).
+# PSD tests of the marginals per op: the loader's and the DensityOperator's
+# of mu, _decide or sdp_ladder, which pass the checked pair down, so no solve
+# tests it again (check adds its certificate's DensityOperator).
 PSD_CHECKS_PER_OP = {
-    "mu": ("coupling", (2, 2), 6),
-    "check": ("coupling", (2, 2), 7),
-    "ladder-sdp": ("sdp_ladder", (3, 3), 8),
+    "mu": ("coupling", (2, 2), 4),
+    "check": ("coupling", (2, 2), 5),
+    "ladder-sdp": ("sdp_ladder", (3, 3), 4),
 }
 
 

@@ -18,7 +18,7 @@ import pytest
 import qstrassen.sdp as sdp
 from qstrassen.bipartite import Subspace, partial_trace_1, partial_trace_2
 from qstrassen.cli import generate_instance, problem_from_dict
-from qstrassen.fibers import FiberSpec, _dist_solve
+from qstrassen.fibers import FiberSpec, _dist_solve, _sample_member
 from qstrassen.linalg import hermitize, trace_norm
 from qstrassen.strassen import _Dinic
 from qstrassen.sdp import (
@@ -678,8 +678,8 @@ def test_barrier_core_step_count_on_generated_couplings():
 
 @pytest.mark.parametrize("breakdown", ["singular", "nan"])
 def test_barrier_core_newton_breakdown_is_infeasible_numerics(monkeypatch, breakdown):
-    # The Newton system fails at the 12th point, after the first centerings
-    # have certified a bracket; the solve ends there and keeps it.
+    # The Newton system fails at the 12th point, after the first centerings;
+    # the solve ends there and keeps their bracket.
     real_solve = np.linalg.solve
     calls = []
 
@@ -697,6 +697,12 @@ def test_barrier_core_newton_breakdown_is_infeasible_numerics(monkeypatch, break
     assert (sol.status, sol.iterations) == ("infeasible_numerics", 11)
     assert 0.8 < sol.value <= sol.dual < 1.2
     assert_overlap_bracket(sol, *prob)
+    # Those centered points were deferred and are certified at the end from
+    # the Newton steps they kept (only S^-1 is factored again), bit for bit
+    # as if each had been certified on the way.
+    calls.clear()
+    reference = certifying_every_point(monkeypatch, lambda: solve_marginal_sdp(*prob))
+    assert outcome(sol) == outcome(reference)
     # The mismatch program runs on the same core: level 3 of a ladder chain,
     # whose golden bracket lies inside the one kept at the breakdown.
     calls.clear()
@@ -735,6 +741,175 @@ def test_fiber_distance_steps_stay_flat_in_size():
         upper, lower, _, steps, status = _dist_solve(p.beta, FiberSpec(p.rho1, p.rho2), DEFAULT_CONFIG)
         assert status == "optimal" and upper - lower <= DEFAULT_CONFIG.gap_tol
         assert steps <= 45
+
+
+# ---------------------------------------------------------------------------
+# deferred certificates: the overlap core certifies only the centered points
+# whose barrier gap bound lets the bracket close
+
+
+def outcome(sol):
+    """Everything a solve reports, as bits: bracket, steps, status, X and Y."""
+    mats = (sol.X.mat, *(y.mat for y in sol.Y))
+    return (sol.value, sol.dual, sol.iterations, sol.status, *(m.tobytes() for m in mats))
+
+
+def certifying_every_point(monkeypatch, run):
+    """``run()`` with the overlap core's driver certifying every centered point.
+
+    The core passes ``defer`` as the driver's ninth positional argument; the
+    wrapper drops it, which restores certifying at each centering.
+    """
+    real = sdp._barrier_path
+    with monkeypatch.context() as m:
+        m.setattr(sdp, "_barrier_path", lambda *args: real(*args[:8]))
+        return run()
+
+
+def counting_repairs(monkeypatch, run):
+    """(``run()``, the number of ``_repair_dual`` calls it made)."""
+    calls = []
+    real = sdp._repair_dual
+
+    def counted(*args):
+        calls.append(1)
+        return real(*args)
+
+    with monkeypatch.context() as m:
+        m.setattr(sdp, "_repair_dual", counted)
+        return run(), len(calls)
+
+
+def singular_couplings(gap_tol, seed=0):
+    """(label, sub, rho1, rho2, cfg) of pure-state and rank-2 couplings on 2x2 to 3x3.
+
+    Pure states are kept on purpose: at their centered points the computed
+    Newton decrement squared comes out slightly negative. Each coupling is
+    posed on its range (feasible), on the range and one random direction,
+    and on a generic subspace of one dimension more than its rank.
+    """
+    cfg = SolverConfig(gap_tol=gap_tol)
+    rng = np.random.default_rng(seed)
+    out = []
+    for d1, d2 in ((2, 2), (2, 3), (3, 3)):
+        n = d1 * d2
+        for rank in (1, 2):
+            rho = random_state(rng, n, rank)
+            r1, r2 = partial_trace_2(rho, d1, d2), partial_trace_1(rho, d1, d2)
+            w, v = np.linalg.eigh(rho)
+            inside = v[:, w > 1e-12]
+            wider = np.linalg.qr(np.column_stack([inside, crand(rng, n, 1)]))[0]
+            generic = np.linalg.qr(crand(rng, n, rank + 1))[0]
+            for name, basis in (("range", inside), ("wider", wider), ("generic", generic)):
+                label = ((d1, d2), rank, name, gap_tol, seed)
+                out.append((label, Subspace(n, basis), r1, r2, cfg))
+    return out
+
+
+def stopping_cases():
+    """(label, sub, rho1, rho2, cfg) of overlap solves that stop or break down, not run out."""
+    cases = []
+    for (dims, seed, feasible, max_iters), golden in MARGINAL_GOLDEN.items():
+        if golden[3] == "optimal":
+            cfg = SolverConfig(max_iters=max_iters)
+            cases.append(((dims, seed, feasible), *golden_instance(dims, seed, feasible), cfg))
+    for dims in ((2, 3), (3, 3), (2, 4), (3, 4), (4, 4)):
+        for seed in range(4):
+            for feasible in (True, False):
+                key = (dims, seed, feasible)
+                cases.append((key, *golden_instance(*key), DEFAULT_CONFIG))
+    for gap_tol in (1e-6, 1e-8):
+        cases.extend(singular_couplings(gap_tol))
+    # Pure states on 2x3 that keep the factor at sqrt(64): with 2 in its
+    # place, a point whose bound lies between 2 and 8 gap_tol is deferred,
+    # although the reference closes on its primal, and the steps change.
+    cases.extend(c for c in singular_couplings(1e-8, seed=6) if c[0][:2] == ((2, 3), 1))
+    return cases
+
+
+def test_deferred_certificates_reproduce_every_stopping_solve(monkeypatch):
+    # mu and the supported program report the same bits whether the core
+    # certifies every centered point or only those whose barrier gap bound
+    # is within sqrt(64) gap_tol, with one exception. Where the optimum is 0
+    # the certified primal shrinks along the path, so a deferred point's
+    # primal can beat the last one's: here on the supported program of a
+    # 2x3 pure state on a generic plane at gap_tol 1e-8, which runs the full
+    # space because its support lift cannot close 1e-8 in rounding. Its
+    # steps, status and dual pair are the reference's, its bracket closes,
+    # and only its primal value and point are lower.
+    def solve_all():
+        return [
+            (label, solve.__name__, outcome(solve(sub, r1, r2, cfg)))
+            for label, sub, r1, r2, cfg in stopping_cases()
+            for solve in (solve_marginal_sdp, solve_supported_overlap)
+        ]
+
+    deferred = solve_all()
+    reference = certifying_every_point(monkeypatch, solve_all)
+    assert len(deferred) == 2 * (2 + 40 + 36 + 3)
+    assert [o[3] for _, _, o in deferred].count("optimal") >= 140
+    differ = []
+    for (label, name, got), (_, _, want) in zip(deferred, reference):
+        if got != want:
+            differ.append((label, name))
+            assert got[1:4] == want[1:4] and got[5:] == want[5:]
+            assert 0.0 <= got[0] < want[0] and got[1] - got[0] <= 1e-8
+    assert differ == [(((2, 3), 1, "generic", 1e-8, 0), "solve_supported_overlap")]
+
+
+def test_a_closing_solve_runs_one_certificate(monkeypatch):
+    # The optimal golden solves close at their last centering; they used to
+    # certify each of their four centered points.
+    for (dims, seed, feasible, max_iters), golden in MARGINAL_GOLDEN.items():
+        if golden[3] != "optimal":
+            continue
+        prob = golden_instance(dims, seed, feasible)
+
+        def solve():
+            return solve_marginal_sdp(*prob, SolverConfig(max_iters=max_iters))
+
+        sol, repairs = counting_repairs(monkeypatch, solve)
+        assert (sol.value, sol.dual, sol.iterations, sol.status) == golden
+        assert repairs == 1
+        every = certifying_every_point(monkeypatch, lambda: counting_repairs(monkeypatch, solve))
+        assert every[1] == 4
+
+
+def test_deferred_certificates_reproduce_budget_limited_solves(monkeypatch):
+    # A path that runs out certifies the points it deferred, in order and
+    # before the current one, so every budget gives the reference bracket.
+    def solve_all():
+        out = []
+        for dims, seed, feasible, _ in MARGINAL_GOLDEN:
+            prob = golden_instance(dims, seed, feasible)
+            for max_iters in range(1, 31):
+                cfg = SolverConfig(max_iters=max_iters)
+                out.append(outcome(solve_marginal_sdp(*prob, cfg)))
+                out.append(outcome(solve_supported_overlap(*prob, cfg)))
+        return out
+
+    deferred = solve_all()
+    assert [o[3] for o in deferred].count("max_iters") >= 60
+    assert deferred == certifying_every_point(monkeypatch, solve_all)
+
+
+def test_deferred_certificates_reproduce_budget_limited_samples(monkeypatch):
+    # The fiber sampler runs the same core; its members at every budget,
+    # SAMPLE_GOLDEN's budget-10 entry among them, are the reference's.
+    def sample_all():
+        out = []
+        for seed in (0, 1):
+            p = generated("fiber_dist", (2, 2), seed)
+            fiber = FiberSpec(p.rho1, p.rho2)
+            rng = np.random.default_rng(7)
+            objective = hermitize(crand(rng, 4, 4))
+            objective /= np.linalg.norm(objective)
+            for max_iters in range(1, 31):
+                cfg = SolverConfig(gap_tol=1e-5, max_iters=max_iters)
+                out.append(_sample_member(fiber, objective, cfg).tobytes())
+        return out
+
+    assert sample_all() == certifying_every_point(monkeypatch, sample_all)
 
 
 # ---------------------------------------------------------------------------
