@@ -312,7 +312,9 @@ def _barrier_path(
     of every centered point. A kept point's S_j^-1 are factored again from
     its unknowns, bit for bit those it had, and its Newton system is not
     solved again; copies of the S_j^-1 would hold their blocks (n x n for
-    mu's Z) per kept point.
+    mu's Z) per kept point. The uncapped overlap core and the fiber
+    distance defer; the mismatch program, whose threshold reads every
+    centered point, does not.
 
     The status is ``certify``'s, or ``max_iters`` after cfg.max_iters
     Newton steps (the current point is then certified, last, unless it was

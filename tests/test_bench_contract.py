@@ -82,10 +82,11 @@ def test_traced_pass_covers_every_wrapped_solver(tmp_path):
 def test_traced_projections_cover_every_iteration(tmp_path):
     # Every solve runs Newton steps, which project nothing: the overlap and
     # mismatch solves of the check, mu and ladder-f ops make no psd_project
-    # call, and the fiber-dist op projects only in its member repairs, a few
-    # per solve, so the tracer sees fewer projections than Newton steps, but
-    # some. A repair that bound psd_project anywhere but the fibers module
-    # global would escape the tracer and read 0 here.
+    # call, and the fiber-dist op projects only in its member repairs, two
+    # per closing solve (the start member and the closing point), so the
+    # tracer sees fewer projections than Newton steps, but some. A repair
+    # that bound psd_project anywhere but the fibers module global would
+    # escape the tracer and read 0 here.
     run = load_bench_run()
     newton_ops = [spec for spec in OPS if spec[0] in ("check", "mu", "ladder-f")]
     dist_ops = [spec for spec in OPS if spec[0] == "fiber-dist"]
@@ -130,8 +131,8 @@ def test_check_refutes_from_the_supported_dual_alone(tmp_path, capsys):
 
 def test_traced_fiber_distance_projects_once_per_repair(tmp_path, monkeypatch):
     # The scale-and-glue repair projects once, for the starting member and
-    # at each certified point of the central path; the Newton steps between
-    # them project nothing.
+    # at the one certified point of a closing path, its last centering; the
+    # Newton steps between them project nothing.
     repairs = []
     real_repair = fibers._repair_to_member
 
@@ -149,6 +150,6 @@ def test_traced_fiber_distance_projects_once_per_repair(tmp_path, monkeypatch):
     finally:
         tracer.uninstall()
     assert (code, error) == (0, None)
-    iterations = json.loads(text)["iterations"]
-    assert 1 < len(repairs) < iterations
+    assert json.loads(text)["status"] == "optimal"
+    assert len(repairs) == 2
     assert tracer.counters["psd_project.calls"] == len(repairs)

@@ -619,11 +619,13 @@ def test_main_levels_zero_reaches_the_range_check(tmp_path, capsys, command):
 
 # PSD tests of the marginals per op: the loader's and the DensityOperator's
 # of mu, _decide or sdp_ladder, which pass the checked pair down, so no solve
-# tests it again (check adds its certificate's DensityOperator).
+# tests it again (check adds its certificate's DensityOperator). fiber-dist's
+# distance mode tests the pair at load and in its FiberSpec.
 PSD_CHECKS_PER_OP = {
     "mu": ("coupling", (2, 2), 4),
     "check": ("coupling", (2, 2), 5),
     "ladder-sdp": ("sdp_ladder", (3, 3), 4),
+    "fiber-dist": ("fiber_dist", (2, 3), 4),
 }
 
 

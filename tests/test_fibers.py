@@ -12,6 +12,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+import qstrassen.fibers as fibers
 import qstrassen.sdp as sdp
 from qstrassen.bipartite import BipartiteOperator, partial_trace_1, partial_trace_2
 from qstrassen.cli import generate_instance, problem_from_dict
@@ -288,17 +289,23 @@ def random_state(rng, d, rank):
     return r / np.trace(r).real
 
 
-@pytest.mark.parametrize(
-    "dims, ranks", [((3, 2), (1, 2)), ((3, 3), (2, 2)), ((3, 3), (2, 3)), ((2, 2), (1, 1))]
-)
+SINGULAR = [((3, 2), (1, 2)), ((3, 3), (2, 2)), ((3, 3), (2, 3)), ((2, 2), (1, 1))]
+
+
+def singular_fiber(dims, ranks):
+    """(beta, fiber) with marginals of the given ranks, drawn from seed 0."""
+    rng = np.random.default_rng(0)
+    fiber = FiberSpec(*(random_state(rng, d, k) for d, k in zip(dims, ranks)))
+    n = dims[0] * dims[1]
+    return hermitize(crand(rng, n, n)) / n, fiber
+
+
+@pytest.mark.parametrize("dims, ranks", SINGULAR)
 def test_dist_solve_closes_on_singular_marginals(dims, ranks):
     # The fiber lives on supp rho1 (x) supp rho2, so the barrier's S block
     # is compressed there and the dual lifted back; ADMM ran these to
     # 50,000 iterations with gaps of 5e-4 to 0.17.
-    rng = np.random.default_rng(0)
-    fiber = FiberSpec(*(random_state(rng, d, k) for d, k in zip(dims, ranks)))
-    n = dims[0] * dims[1]
-    beta = hermitize(crand(rng, n, n)) / n
+    beta, fiber = singular_fiber(dims, ranks)
     upper, lower, member, steps, status = _dist_solve(beta, fiber, DEFAULT_CONFIG)
     assert status == "optimal" and steps <= 30
     assert 0.0 <= upper - lower <= DEFAULT_CONFIG.gap_tol
@@ -322,6 +329,187 @@ def test_sample_member_on_a_singular_fiber_maximizes_the_objective():
     ceiling = 1.01 * top.dual - 1.0  # <O, gamma> = 1.01 <B, gamma> - tr gamma
     assert top.status == "optimal"
     assert ceiling - 2e-5 <= np.vdot(objective, member).real <= ceiling + 1e-9
+
+
+# ---------------------------------------------------------------------------
+# deferred certificates and the start bracket
+
+
+def certifying_every_point(monkeypatch, run):
+    """``run()`` with the fiber distance's driver certifying every centered point.
+
+    ``_dist_solve`` passes ``defer`` as the driver's ninth positional
+    argument; the wrapper drops it, which restores certifying at each
+    centering.
+    """
+    real = fibers._barrier_path
+    with monkeypatch.context() as m:
+        m.setattr(fibers, "_barrier_path", lambda *args: real(*args[:8]))
+        return run()
+
+
+def counting_repairs(monkeypatch, run):
+    """(``run()``, the number of ``_repair_to_member`` calls it made)."""
+    calls = []
+    real = fibers._repair_to_member
+
+    def counted(*args):
+        calls.append(1)
+        return real(*args)
+
+    with monkeypatch.context() as m:
+        m.setattr(fibers, "_repair_to_member", counted)
+        return run(), len(calls)
+
+
+def near_singular_fiber(eps, seed):
+    """(beta, fiber) on 3x2 with rho1 = Q diag(0.6, 0.4 - eps, eps) Q^*."""
+    rng = np.random.default_rng(seed)
+    q, _ = np.linalg.qr(crand(rng, 3, 3))
+    rho1 = hermitize(q @ np.diag([0.6, 0.4 - eps, eps]) @ q.conj().T)
+    fiber = FiberSpec(rho1, random_state(rng, 2, 2))
+    return hermitize(crand(rng, 6, 6)) / 6, fiber
+
+
+def off_fiber_cases():
+    """(label, beta, fiber, cfg) whose distance exceeds the default gap_tol."""
+    cases = []
+
+    def add(label, case, cfg=DEFAULT_CONFIG):
+        cases.append((label, *case, cfg))
+
+    for dims, seed, max_iters in DIST_GOLDEN:
+        add(("golden", dims, seed), generated_fiber(dims, seed), SolverConfig(max_iters=max_iters))
+    for dims in ((2, 2), (2, 3), (3, 3), (3, 4)):
+        for seed in range(5):
+            add(("generated", dims, seed), generated_fiber(dims, seed))
+    for dims, ranks in SINGULAR:
+        add(("singular", dims, ranks), singular_fiber(dims, ranks))
+    for dims, seed in (((2, 2), 2), ((2, 3), 0)):
+        case = generated_fiber(dims, seed)
+        for budget in range(1, 31):
+            add(("budget", dims, budget), case, SolverConfig(max_iters=budget))
+    for eps in (1e-9, 3e-9, 1e-8, 2e-8, 3e-8, 1e-7):
+        for seed in (0, 1):
+            add(("near-singular", eps, seed), near_singular_fiber(eps, seed))
+    return cases
+
+
+def test_deferred_dist_solve_matches_certifying_every_point(monkeypatch):
+    # Only the last centered point of a closing path can close the bracket,
+    # so certifying it alone leaves every result as it was; paths that end
+    # without a stop (budgets, the near-singular fibers' breakdowns)
+    # certify their kept points and keep every bracket too.
+    cases = off_fiber_cases()
+
+    def solve_all():
+        return [_dist_solve(beta, fiber, cfg) for _, beta, fiber, cfg in cases]
+
+    got = solve_all()
+    want = certifying_every_point(monkeypatch, solve_all)
+    statuses = {w[4] for w in want}
+    assert statuses == {"optimal", "max_iters", "infeasible_numerics"}
+    for (label, *_), g, w in zip(cases, got, want):
+        assert w[0] > DEFAULT_CONFIG.gap_tol, label
+        assert (g[0], g[1], g[3], g[4]) == (w[0], w[1], w[3], w[4]), label
+        assert np.array_equal(g[2], w[2]), label
+
+
+def test_deferred_dist_from_zero_matches_up_to_rounding(monkeypatch):
+    # Every member gamma has ||0 - gamma||_1 = tr rho1, so the upper bound
+    # is that trace, rounded; which certified point supplies the member
+    # sets its last bits. The lower bound, steps and status are the same.
+    for dims in ((2, 2), (2, 3), (3, 3)):
+        for seed in range(5):
+            _, fiber = generated_fiber(dims, seed)
+            zero = np.zeros((fiber.d1 * fiber.d2,) * 2, dtype=complex)
+            got = _dist_solve(zero, fiber, DEFAULT_CONFIG)
+            want = certifying_every_point(
+                monkeypatch, lambda: _dist_solve(zero, fiber, DEFAULT_CONFIG)
+            )
+            assert (got[1], got[3], got[4]) == (want[1], want[3], want[4]), (dims, seed)
+            assert abs(got[0] - want[0]) <= 1e-14
+            assert_exact_member(got[2], fiber)
+
+
+def test_closing_dist_solve_repairs_at_the_start_and_the_closing_point(monkeypatch):
+    # The product member and the last centered point are repaired; the
+    # reference repairs every one of the path's four centered points.
+    beta, fiber = generated_fiber((2, 3), 0)
+
+    def solve():
+        return _dist_solve(beta, fiber, DEFAULT_CONFIG)
+
+    (_, _, _, steps, status), repairs = counting_repairs(monkeypatch, solve)
+    _, every = counting_repairs(monkeypatch, lambda: certifying_every_point(monkeypatch, solve))
+    assert (steps, status, repairs, every) == (20, "optimal", 2, 5)
+
+
+def in_fiber_betas():
+    """(label, beta, fiber) with beta a member of the fiber."""
+    rng = np.random.default_rng(5)
+    _, fiber = generated_fiber((2, 3), 1)
+    state = random_state(rng, 6, 6)
+    ginibre = FiberSpec(partial_trace_2(state, 2, 3), partial_trace_1(state, 2, 3))
+    objective = hermitize(crand(rng, 6, 6))
+    sampled = _sample_member(fiber, objective / np.linalg.norm(objective), DEFAULT_CONFIG)
+    _, singular = singular_fiber(*SINGULAR[0])
+    return [
+        ("product", fiber.product_coupling().mat, fiber),
+        ("ginibre", state, ginibre),
+        ("sampled", sampled, fiber),
+        ("singular product", singular.product_coupling().mat, singular),
+    ]
+
+
+def test_in_fiber_betas_close_before_the_first_newton_step(monkeypatch):
+    # A member's marginal floor is 0, so its own repair runs next to the
+    # product member's and closes [0, upper] at once.
+    for label, beta, fiber in in_fiber_betas():
+        (upper, lower, member, steps, status), repairs = counting_repairs(
+            monkeypatch, lambda: _dist_solve(beta, fiber, DEFAULT_CONFIG)
+        )
+        assert (steps, status, lower, repairs) == (0, "optimal", 0.0, 2), label
+        assert upper <= DEFAULT_CONFIG.gap_tol, label
+        assert abs(trace_norm(beta - member) - upper) <= 1e-15, label
+        assert_exact_member(member, fiber)
+
+
+def test_non_psd_beta_on_the_fiber_marginals_runs_the_path(monkeypatch):
+    # beta = P + c sx (x) sx has the fiber's marginals exactly (sx is
+    # traceless) but is not PSD: the floor admits it, its repair lands 0.38
+    # away, and the path closes the bracket around the reference's.
+    sx = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
+    fiber = FiberSpec(np.diag([0.6, 0.4]), np.diag([0.7, 0.3]))
+    beta = fiber.product_coupling().mat + 0.3 * np.kron(sx, sx)
+    assert np.linalg.eigvalsh(beta)[0] < -0.07
+    assert np.allclose(partial_trace_2(beta, 2, 2), fiber.rho1.mat, rtol=0, atol=1e-15)
+    assert np.allclose(partial_trace_1(beta, 2, 2), fiber.rho2.mat, rtol=0, atol=1e-15)
+    scale = sdp._support_scaler(fiber.rho1.mat, fiber.rho2.mat)
+    own = fibers._repair_to_member(beta, fiber, scale)
+    assert trace_norm(beta - own) > 0.3
+    upper, lower, member, steps, status = _dist_solve(beta, fiber, DEFAULT_CONFIG)
+    want = certifying_every_point(monkeypatch, lambda: _dist_solve(beta, fiber, DEFAULT_CONFIG))
+    assert status == want[4] == "optimal" and steps > 0
+    assert lower <= want[1] <= want[0] <= upper <= lower + DEFAULT_CONFIG.gap_tol
+    assert_exact_member(member, fiber)
+
+
+def test_beta_just_off_the_fiber_takes_the_full_path(monkeypatch):
+    # A 2x3 beta 1.5e-6 (in trace norm) off its product member is within
+    # gap_tol of the fiber but its own repair does not close [0, upper].
+    # Certifying every point closed it at 8 steps, through an early member
+    # met by the a-priori lower bound 0; the deferred path runs to its last
+    # centering, 17 steps, and closes there.
+    _, fiber = generated_fiber((2, 3), 1)
+    h = hermitize(crand(np.random.default_rng(1), 6, 6))
+    beta = fiber.product_coupling().mat + 1.5e-6 * h / trace_norm(h)
+    upper, lower, member, steps, status = _dist_solve(beta, fiber, DEFAULT_CONFIG)
+    want = certifying_every_point(monkeypatch, lambda: _dist_solve(beta, fiber, DEFAULT_CONFIG))
+    assert (status, steps, want[4], want[3]) == ("optimal", 17, "optimal", 8)
+    assert 0.0 < lower <= upper <= lower + DEFAULT_CONFIG.gap_tol
+    assert abs(trace_norm(beta - member) - upper) <= 1e-15
+    assert_exact_member(member, fiber)
 
 
 # ---------------------------------------------------------------------------
