@@ -80,10 +80,27 @@ def _fmt_float(x: float) -> str:
 
 
 def canonical_dumps(obj) -> str:
-    """Deterministic JSON: sorted keys, floats at 17 significant digits."""
+    """Deterministic JSON: sorted keys, floats at 17 significant digits.
+
+    An ndarray is written as ``mat_to_pairs`` would write it: nested
+    [re, im] pairs of complex entries.
+    """
     parts: list[str] = []
     _emit(obj, parts)
     return "".join(parts)
+
+
+def _emit_pairs(a: np.ndarray, out: list[str]) -> None:
+    """``_emit(mat_to_pairs(a))`` in one pass over the array's floats."""
+    a = np.ascontiguousarray(a, dtype=complex)
+    flat = a.view(float).ravel().tolist()
+    if not np.isfinite(a).all():
+        _fmt_float(next(x for x in flat if not math.isfinite(x)))  # raises CliError
+    nums = [format(x, ".17g") if x else "0" for x in flat]
+    items = [f"[{re},{im}]" for re, im in zip(nums[::2], nums[1::2])]
+    for size in reversed(a.shape):
+        items = ["[" + ",".join(items[i : i + size]) + "]" for i in range(0, len(items), size)]
+    out.append(items[0])
 
 
 def _emit(obj, out: list[str]) -> None:
@@ -104,6 +121,8 @@ def _emit(obj, out: list[str]) -> None:
                 out.append(",")
             _emit(item, out)
         out.append("]")
+    elif isinstance(obj, np.ndarray):
+        _emit_pairs(obj, out)
     elif isinstance(obj, dict):
         out.append("{")
         for i, key in enumerate(sorted(obj)):
@@ -533,12 +552,12 @@ def _run_check(prob: LoadedProblem, cfg: SolverConfig, _args) -> tuple[dict, int
             "gap": sup.gap,
             "iterations": sup.iterations,
             "status": sup.status,
-            "dual_pair": [mat_to_pairs(y.mat) for y in sup.Y],
+            "dual_pair": [y.mat for y in sup.Y],
         },
     }
     if cert is not None:
         cmat = cert.mat
-        report["certificate"] = mat_to_pairs(cmat)
+        report["certificate"] = cmat
         report["certificate_marginal_error"] = float(
             trace_norm(partial_trace_2(cmat, prob.d1, prob.d2) - prob.rho1)
             + trace_norm(partial_trace_1(cmat, prob.d1, prob.d2) - prob.rho2)
@@ -602,7 +621,7 @@ def _run_fiber_dist(prob: LoadedProblem, cfg: SolverConfig, args) -> tuple[dict,
             "gap": upper - lower,
             "iterations": iterations,
             "status": status,
-            "nearest_member": mat_to_pairs(member),
+            "nearest_member": member,
         }
         return report, 0 if status == "optimal" else 2
     fiber_b = FiberSpec(prob.rho1_b, prob.rho2_b)

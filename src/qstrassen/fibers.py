@@ -146,14 +146,16 @@ def _dist_solve(beta: np.ndarray, fiber: FiberSpec, cfg: SolverConfig):
     every centered point whose barrier gap bound keeps the bracket open (its
     ``defer``), so a solve that closes certifies one point.
 
-    The bracket starts at [0, ||beta - P||_1], P the repaired product
-    member. Every member's distance is at least the marginal floor
-    max(||tr_2 beta - rho1||_1, ||tr_1 beta - rho2||_1), so when that floor
-    is within cfg.gap_tol, and only then, beta itself is repaired by scale
-    and glue as a second start member; if [0, upper] is then closed the
-    solve returns ``optimal`` after 0 steps. Zero marginals end the solve
-    before that. The solve stops with status ``optimal`` at the first
-    bracket whose width is at most cfg.gap_tol, or with the driver's
+    Every member's distance is at least the marginal floor
+    max(||tr_2 beta - rho1||_1, ||tr_1 beta - rho2||_1), a certified lower
+    bound, so the bracket starts at [min(floor, upper), upper], upper
+    = ||beta - P||_1 for P the repaired product member; the clip keeps
+    lower <= upper where rounding puts the floor above a member. When the
+    floor is within cfg.gap_tol, and only then, beta itself is repaired by
+    scale and glue as a second start member. If the start bracket is
+    closed the solve returns ``optimal`` after 0 steps. Zero marginals end
+    the solve before that. The solve stops with status ``optimal`` at the
+    first bracket whose width is at most cfg.gap_tol, or with the driver's
     status. Returns
     (upper, lower, member, steps, status); bench/run.py traces this name and
     unpacks the 5-tuple, as does ``cli._run_fiber_dist``.
@@ -168,7 +170,7 @@ def _dist_solve(beta: np.ndarray, fiber: FiberSpec, cfg: SolverConfig):
     rc1, rc2 = (hermitize(u.conj().T @ r @ u) for u, r in ((u1, r1), (u2, r2)))
 
     member = _repair_to_member(fiber.product_coupling().mat, fiber, support_scale)
-    best = {"upper": trace_norm(beta - member), "member": member, "lower": 0.0}
+    best = {"upper": trace_norm(beta - member), "member": member}
     if not k1 * k2:  # zero marginals: the fiber is {0}
         return best["upper"], best["upper"], member, 0, "optimal"
     floor = max(
@@ -180,8 +182,9 @@ def _dist_solve(beta: np.ndarray, fiber: FiberSpec, cfg: SolverConfig):
         upper = trace_norm(beta - own)
         if upper < best["upper"]:
             best.update(upper=upper, member=own)
-        if best["upper"] <= cfg.gap_tol:
-            return best["upper"], 0.0, best["member"], 0, "optimal"
+    best["lower"] = min(floor, best["upper"])
+    if best["upper"] - best["lower"] <= cfg.gap_tol:
+        return best["upper"], best["lower"], best["member"], 0, "optimal"
 
     # Unknowns (Z, Y1, Y2) flattened row-major; the Hessian's blocks as
     # 4-index views [a, e, c, x]: output (a, e), input (c, x).
@@ -268,9 +271,10 @@ def dist_to_fiber(
 
     The distance is the certified achieved value ||beta - gamma||_1 at the
     returned member gamma (marginals exact up to roundoff), bracketed from
-    below by a repaired dual bound; the bracket width falls under
-    cfg.gap_tol at status optimal. A member of the fiber (up to rounding)
-    is answered by its own scale-and-glue repair, without a Newton step.
+    below by the marginal floor or a repaired dual bound; the bracket width
+    falls under cfg.gap_tol at status optimal. A member of the fiber (up to
+    rounding) is answered by its own scale-and-glue repair, without a
+    Newton step.
     """
     d1, d2 = fiber.d1, fiber.d2
     if isinstance(beta, BipartiteOperator) and (beta.d1, beta.d2) != (d1, d2):

@@ -83,6 +83,7 @@ _FEAS_SLACK = 1e-12
 _GROWTH = 64.0  # the barrier weight t grows by this factor after each centering
 _CENTERED = 0.7  # Newton decrement below which a point counts as centered (must stay below 1)
 _CENTER_STEPS = 100  # a centering that needs this many Newton steps has stalled
+_STEP_GRID = np.arange(10, 3, -1) / 10.0  # fractions 1, 0.9, ..., 0.4 of a damped step
 
 
 @dataclass(frozen=True)
@@ -266,6 +267,27 @@ def _kron_sum_gram(g4: np.ndarray):
     )
 
 
+def _damped_step(mu: np.ndarray, lam2: float, grid: np.ndarray) -> float:
+    """Length of a damped Newton step: the barrier's least value along it on ``grid``.
+
+    ``mu`` is the ascending spectrum of L^-1 dS L^-* (S = L L^*) and ``lam2``
+    the squared Newton decrement. Along the step the barrier changes by
+    phi(alpha) = alpha s - sum_i log(1 + alpha mu_i), whose slope at 0,
+    s - sum mu = -lam2, fixes s = t <cost, dx> = sum mu - lam2. The step
+    first goes 0.9 of the way to the boundary of the slack cones, at most
+    the full step: alpha0 = min(1, -0.9 / mu_0). Where phi still falls
+    there (phi'(alpha0) <= 0) that is the step; where it rises, the step
+    is the alpha0 * grid[k] of least phi (grid[0] = 1, so never above
+    phi(alpha0)).
+    """
+    alpha = min(1.0, -0.9 / mu[0]) if mu[0] < 0.0 else 1.0
+    slope = mu.sum() - lam2
+    if slope <= np.sum(mu / (1.0 + alpha * mu)):
+        return alpha
+    alphas = alpha * grid
+    return float(alphas[np.argmin(alphas * slope - np.log1p(np.outer(alphas, mu)).sum(axis=1))])
+
+
 def _barrier_path(
     point, cost, scale, slacks, moves, system, certify, cfg: SolverConfig, defer: bool = False
 ):
@@ -294,12 +316,16 @@ def _barrier_path(
     _CENTERED must stay below 1: for lambda < 1 the step dS lies in the
     Dikin ellipsoid of S, so the primal (S^-1 - S^-1 dS S^-1) / t that
     certifies the point is PSD.
-    Otherwise the step goes 0.9 of the way to the boundary of the slack
-    cones, at most the full step: alpha = min(1, -0.9 / lambda_min), with
-    lambda_min the least eigenvalue of L^-1 dS L^-* (S is block-diagonal,
-    so each block's cone counts). The boundary lies at least 1 / lambda
+    Otherwise the step is damped (``_damped_step``): it goes 0.9 of the
+    way to the boundary of the slack cones, at most the full step,
+    alpha0 = min(1, -0.9 / mu_0) with mu the spectrum of L^-1 dS L^-* (S is
+    block-diagonal, so each block's cone counts), and where the barrier
+    rises at alpha0 it stops at the least barrier value among
+    alpha0 (1, 0.9, ..., 0.4) (_STEP_GRID), read off the same mu: the
+    damped Newton step of a line search on the barrier (Boyd and
+    Vandenberghe 2004, section 9.5). The boundary lies at least 1 / lambda
     away (the Dikin ellipsoid), so for lambda <= 0.9 the full step obeys the
-    rule and lambda_min is computed only when lambda^2 > 0.81.
+    rule and mu is computed (one eigvalsh) only when lambda^2 > 0.81.
 
     With ``defer`` a centered point is certified only once its barrier gap
     bound (m - sqrt(m max(lambda^2, 0))) / t, the least width of its own
@@ -380,8 +406,8 @@ def _barrier_path(
         if lam2 > 0.81:
             for sl, ds in zip(diag, moves(dx)):
                 move[sl, sl] = ds
-            low = float(np.linalg.eigvalsh(chol_inv @ move @ chol_inv.conj().T)[0])
-            alpha = min(1.0, -0.9 / low) if low < 0.0 else 1.0
+            mu = np.linalg.eigvalsh(chol_inv @ move @ chol_inv.conj().T)
+            alpha = _damped_step(mu, lam2, _STEP_GRID)
         for x, d in zip(point, dx):
             x += alpha * d
         it += 1

@@ -110,6 +110,28 @@ def test_canonical_dumps_rejects_bad_values():
         canonical_dumps({"a": object()})
 
 
+def test_canonical_dumps_writes_arrays_as_their_pairs():
+    # A report's matrices go in as arrays; the text is byte for byte that of
+    # their mat_to_pairs lists, signed zeros, subnormals and extremes included.
+    rng = np.random.default_rng(11)
+    mats = [rng.standard_normal(s) + 1j * rng.standard_normal(s) for s in ((1, 1), (3, 4), (16, 16))]
+    mats += [
+        np.array([[0.0, -0.0 + 5e-324j], [1e308 - 1e308j, complex(-0.0, -0.0)]]),
+        rng.standard_normal((4, 4)),  # real entries are written with imaginary part 0
+        (rng.standard_normal((3, 5)) + 1j).T,  # not contiguous
+    ]
+    for m in mats:
+        want = canonical_dumps({"m": mat_to_pairs(m), "pair": [mat_to_pairs(m)] * 2})
+        assert canonical_dumps({"m": m, "pair": [m, m]}) == want
+    v = rng.standard_normal(5) + 1j * rng.standard_normal(5)
+    assert canonical_dumps(v) == canonical_dumps(vec_to_pairs(v))
+    for bad in (np.nan, np.inf, -np.inf, complex(0.0, np.nan), complex(1.0, -np.inf)):
+        m = np.eye(3, dtype=complex)
+        m[1, 2] = bad
+        with pytest.raises(CliError, match="non-finite"):
+            canonical_dumps({"m": m})
+
+
 # ---------------------------------------------------------------------------
 # matrix codecs
 
@@ -427,7 +449,7 @@ def test_main_mu_reports_duality_block(tmp_path, capsys):
 def test_main_mu_exit_two_when_not_converged(tmp_path, capsys):
     obj = generate_instance({"kind": "coupling", "dims": (3, 3), "seed": 7, "subspace_dim": 4})
     path = write_json(tmp_path, "slow.json", obj)
-    code, out, _ = run_main(capsys, ["mu", path, "--max-iters", "15"])
+    code, out, _ = run_main(capsys, ["mu", path, "--max-iters", "10"])
     assert code == 2
     report = json.loads(out)
     assert report["solution"]["status"] == "max_iters"
@@ -869,7 +891,7 @@ def test_main_batch_undecided_precedence(tmp_path, capsys):
     obj = generate_instance({"kind": "coupling", "dims": (3, 3), "seed": 7, "subspace_dim": 4})
     slow = write_json(tmp_path, "slow.json", obj)
     fast = write_json(tmp_path, "fast.json", coupling_file())
-    code, out, _ = run_main(capsys, ["mu", fast, slow, "--max-iters", "15"])
+    code, out, _ = run_main(capsys, ["mu", fast, slow, "--max-iters", "10"])
     assert code == 2
     assert set(json.loads(out)) == {fast, slow}
 

@@ -217,15 +217,20 @@ def generated_fiber(dims, seed):
 
 # Reference results on generated instances; the solver must reproduce the
 # steps and status exactly and the values to 1e-12:
-# (dims, seed, max_iters) -> (upper, lower, steps, status). Each bracket
-# meets the one the ADMM solver recorded here before, [0.7491703971,
-# 0.7491710966], [0.3825952429, 0.3825958945] and (at 50 iterations)
-# [0.3553117234, 0.3553330946], and the one recorded under the centering
-# threshold 1/4 (24, 23 and 10 steps).
+# (dims, seed, max_iters) -> (upper, lower, steps, status). Each of the first
+# three brackets meets the one the ADMM solver recorded here before,
+# [0.7491703971, 0.7491710966], [0.3825952429, 0.3825958945] and (at 50
+# iterations) [0.3553117234, 0.3553330946], the one recorded under the
+# centering threshold 1/4 (24, 23 and 10 steps) and the one under the full
+# boundary step (20, 19 and 10 steps). The 2x2 fiber's marginal floor is its
+# distance, so its bracket closes at the budget of 10 (it ran out there when
+# the bracket opened at 0); the budget of 10 stops the 3x3 solve before it
+# closes (17 steps).
 DIST_GOLDEN = {
-    ((2, 3), 0, 50_000): (0.7491711986499341, 0.749170747726335, 20, "optimal"),
-    ((3, 3), 1, 50_000): (0.382595813901266, 0.3825953625998959, 19, "optimal"),
-    ((2, 2), 2, 10): (0.35533309500856053, 0.3549450235476565, 10, "max_iters"),
+    ((2, 3), 0, 50_000): (0.7491711986503651, 0.7491706918224025, 15, "optimal"),
+    ((3, 3), 1, 50_000): (0.3825958139037302, 0.38259533840615134, 17, "optimal"),
+    ((2, 2), 2, 10): (0.35533310762602827, 0.35533309455132656, 10, "optimal"),
+    ((3, 3), 1, 10): (0.3826355584627411, 0.38233896004260237, 10, "max_iters"),
 }
 
 
@@ -264,10 +269,11 @@ def test_dist_solve_shares_the_core_stall_guard(monkeypatch):
 # Members that maximize <O, gamma> are not unique, so the values are the
 # reference, not the entries. ADMM's members gave 0.4217484115 and (at 50
 # iterations) 0.3788628961; under the centering threshold 1/4 they gave
-# 0.4217485885 and 0.3823710826.
+# 0.4217485885 and 0.3823710826, under the full boundary step 0.4217485890
+# and 0.3823710827.
 SAMPLE_GOLDEN = {
-    ((2, 2), 0, 50_000): 0.4217485890048517,
-    ((2, 2), 1, 10): 0.38237108268134373,
+    ((2, 2), 0, 50_000): 0.42174858870178655,
+    ((2, 2), 1, 10): 0.3823898027753697,
 }
 
 
@@ -379,7 +385,8 @@ def off_fiber_cases():
         cases.append((label, *case, cfg))
 
     for dims, seed, max_iters in DIST_GOLDEN:
-        add(("golden", dims, seed), generated_fiber(dims, seed), SolverConfig(max_iters=max_iters))
+        label = ("golden", dims, seed, max_iters)
+        add(label, generated_fiber(dims, seed), SolverConfig(max_iters=max_iters))
     for dims in ((2, 2), (2, 3), (3, 3), (3, 4)):
         for seed in range(5):
             add(("generated", dims, seed), generated_fiber(dims, seed))
@@ -395,11 +402,24 @@ def off_fiber_cases():
     return cases
 
 
+def marginal_floor(beta, fiber):
+    """max(||tr_2 beta - rho1||_1, ||tr_1 beta - rho2||_1), computed as ``_dist_solve`` does."""
+    d1, d2 = fiber.d1, fiber.d2
+    return max(
+        trace_norm(partial_trace_2(beta, d1, d2) - fiber.rho1.mat),
+        trace_norm(partial_trace_1(beta, d1, d2) - fiber.rho2.mat),
+    )
+
+
 def test_deferred_dist_solve_matches_certifying_every_point(monkeypatch):
-    # Only the last centered point of a closing path can close the bracket,
-    # so certifying it alone leaves every result as it was; paths that end
-    # without a stop (budgets, the near-singular fibers' breakdowns)
-    # certify their kept points and keep every bracket too.
+    # Against the barrier's own lower bound only the last centered point of
+    # a closing path can close the bracket, so certifying it alone leaves
+    # those results as they were; paths that end without a stop (budgets,
+    # the near-singular fibers' breakdowns) certify their kept points and
+    # keep every bracket too. Where the marginal floor is the distance (the
+    # 2x2 seed-2 fiber, 10 more generated fibers and 23 of that fiber's
+    # budgets), an earlier centered point's member already meets the floor:
+    # the reference closes there, sooner, at the same lower bound.
     cases = off_fiber_cases()
 
     def solve_all():
@@ -409,10 +429,16 @@ def test_deferred_dist_solve_matches_certifying_every_point(monkeypatch):
     want = certifying_every_point(monkeypatch, solve_all)
     statuses = {w[4] for w in want}
     assert statuses == {"optimal", "max_iters", "infeasible_numerics"}
-    for (label, *_), g, w in zip(cases, got, want):
+    sooner = []
+    for (label, beta, fiber, _), g, w in zip(cases, got, want):
         assert w[0] > DEFAULT_CONFIG.gap_tol, label
-        assert (g[0], g[1], g[3], g[4]) == (w[0], w[1], w[3], w[4]), label
-        assert np.array_equal(g[2], w[2]), label
+        if (g[0], g[1], g[3], g[4]) == (w[0], w[1], w[3], w[4]) and np.array_equal(g[2], w[2]):
+            continue
+        sooner.append(label)
+        assert g[1] == w[1] == marginal_floor(beta, fiber), label
+        assert g[4] == w[4] == "optimal" and w[3] < g[3], label
+        assert_exact_member(g[2], fiber)
+    assert len(sooner) == 34
 
 
 def test_deferred_dist_from_zero_matches_up_to_rounding(monkeypatch):
@@ -434,7 +460,8 @@ def test_deferred_dist_from_zero_matches_up_to_rounding(monkeypatch):
 
 def test_closing_dist_solve_repairs_at_the_start_and_the_closing_point(monkeypatch):
     # The product member and the last centered point are repaired; the
-    # reference repairs every one of the path's four centered points.
+    # reference, which closes after the same 15 steps, repairs every one of
+    # the path's four centered points.
     beta, fiber = generated_fiber((2, 3), 0)
 
     def solve():
@@ -442,7 +469,7 @@ def test_closing_dist_solve_repairs_at_the_start_and_the_closing_point(monkeypat
 
     (_, _, _, steps, status), repairs = counting_repairs(monkeypatch, solve)
     _, every = counting_repairs(monkeypatch, lambda: certifying_every_point(monkeypatch, solve))
-    assert (steps, status, repairs, every) == (20, "optimal", 2, 5)
+    assert (steps, status, repairs, every) == (15, "optimal", 2, 5)
 
 
 def in_fiber_betas():
@@ -463,13 +490,14 @@ def in_fiber_betas():
 
 
 def test_in_fiber_betas_close_before_the_first_newton_step(monkeypatch):
-    # A member's marginal floor is 0, so its own repair runs next to the
-    # product member's and closes [0, upper] at once.
+    # A member's marginal floor is 0 up to rounding, so its own repair runs
+    # next to the product member's and closes [floor, upper] at once.
     for label, beta, fiber in in_fiber_betas():
         (upper, lower, member, steps, status), repairs = counting_repairs(
             monkeypatch, lambda: _dist_solve(beta, fiber, DEFAULT_CONFIG)
         )
-        assert (steps, status, lower, repairs) == (0, "optimal", 0.0, 2), label
+        floor = min(marginal_floor(beta, fiber), upper)
+        assert (steps, status, lower, repairs) == (0, "optimal", floor, 2), label
         assert upper <= DEFAULT_CONFIG.gap_tol, label
         assert abs(trace_norm(beta - member) - upper) <= 1e-15, label
         assert_exact_member(member, fiber)
@@ -495,19 +523,38 @@ def test_non_psd_beta_on_the_fiber_marginals_runs_the_path(monkeypatch):
     assert_exact_member(member, fiber)
 
 
-def test_beta_just_off_the_fiber_takes_the_full_path(monkeypatch):
-    # A 2x3 beta 1.5e-6 (in trace norm) off its product member is within
-    # gap_tol of the fiber but its own repair does not close [0, upper].
-    # Certifying every point closed it at 8 steps, through an early member
-    # met by the a-priori lower bound 0; the deferred path runs to its last
-    # centering, 17 steps, and closes there.
+def beta_off_the_fiber(size):
+    """(beta, fiber): a 2x3 beta ``size`` (in trace norm) off its product member."""
     _, fiber = generated_fiber((2, 3), 1)
     h = hermitize(crand(np.random.default_rng(1), 6, 6))
-    beta = fiber.product_coupling().mat + 1.5e-6 * h / trace_norm(h)
+    return fiber.product_coupling().mat + size * h / trace_norm(h), fiber
+
+
+def test_marginal_floor_closes_a_beta_just_off_the_fiber_at_the_start(monkeypatch):
+    # 1.5e-6 off, the floor 6.9e-7 is within gap_tol, so beta's own repair
+    # runs; it lands 1.04e-6 away, which does not close [0, upper], but it
+    # closes [floor, upper] before the first Newton step.
+    beta, fiber = beta_off_the_fiber(1.5e-6)
+    (upper, lower, member, steps, status), repairs = counting_repairs(
+        monkeypatch, lambda: _dist_solve(beta, fiber, DEFAULT_CONFIG)
+    )
+    assert (steps, status, lower, repairs) == (0, "optimal", marginal_floor(beta, fiber), 2)
+    assert DEFAULT_CONFIG.gap_tol < upper <= lower + DEFAULT_CONFIG.gap_tol
+    assert abs(trace_norm(beta - member) - upper) <= 1e-15
+    assert_exact_member(member, fiber)
+
+
+def test_beta_just_off_the_fiber_takes_the_full_path(monkeypatch):
+    # 3e-6 off, the floor 1.4e-6 exceeds gap_tol and is the distance.
+    # Certifying every point closed the bracket at 6 steps, through an early
+    # member that meets the floor; the deferred path runs to its last
+    # centering, 14 steps, and closes there.
+    beta, fiber = beta_off_the_fiber(3e-6)
     upper, lower, member, steps, status = _dist_solve(beta, fiber, DEFAULT_CONFIG)
     want = certifying_every_point(monkeypatch, lambda: _dist_solve(beta, fiber, DEFAULT_CONFIG))
-    assert (status, steps, want[4], want[3]) == ("optimal", 17, "optimal", 8)
-    assert 0.0 < lower <= upper <= lower + DEFAULT_CONFIG.gap_tol
+    assert (status, steps, want[4], want[3]) == ("optimal", 14, "optimal", 6)
+    assert lower == want[1] == marginal_floor(beta, fiber) > DEFAULT_CONFIG.gap_tol
+    assert upper <= lower + DEFAULT_CONFIG.gap_tol
     assert abs(trace_norm(beta - member) - upper) <= 1e-15
     assert_exact_member(member, fiber)
 

@@ -75,7 +75,7 @@ def test_fibers_imports_from_sdp_only_the_shared_solver_parts():
     }
 
 
-PATH_RULES = {"_GROWTH", "_CENTERED", "_CENTER_STEPS"}
+PATH_RULES = {"_GROWTH", "_CENTERED", "_CENTER_STEPS", "_STEP_GRID"}
 
 
 def path_rule_reads(source: str) -> list[str]:
@@ -108,8 +108,9 @@ def test_path_rule_reader_detector():
 
 
 def test_only_the_path_driver_reads_the_path_rules():
-    # Growth of t, the centering test and the stall guard are the driver's
-    # alone: no barrier and no other module reads or imports them.
+    # Growth of t, the centering test, the stall guard and the damped step's
+    # grid are the driver's alone: no barrier and no other module reads or
+    # imports them (``_damped_step`` takes the grid from the driver).
     files = sorted((ROOT / "src" / "qstrassen").glob("*.py"))
     readers = {p.name: set(path_rule_reads(p.read_text())) for p in files}
     assert {name: r for name, r in readers.items() if r} == {"sdp.py": {"_barrier_path"}}

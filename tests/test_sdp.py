@@ -10,6 +10,7 @@ overlap and mismatch programs.
 from __future__ import annotations
 
 import dataclasses
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -296,9 +297,9 @@ def test_supported_overlap_value_is_trace_of_returned_point():
 # recorded under ADMM, under the earlier damped step rule and under the
 # centering threshold 1/4.
 SUPPORTED_GOLDEN = {
-    ((2, 3), 0, True): (0.9999995761478017, 7.153861604214384e-07, 15),
-    ((3, 3), 1, True): (0.9999995422398589, 7.165398725472727e-07, 16),
-    ((2, 4), 15, False): (0.9951431243075805, 6.977124274998303e-07, 16),
+    ((2, 3), 0, True): (0.9999995761477737, 7.515957031190013e-07, 14),
+    ((3, 3), 1, True): (0.9999995422427955, 7.697934311101662e-07, 14),
+    ((2, 4), 15, False): (0.9951431243664949, 7.192880208117813e-07, 15),
 }
 
 
@@ -321,13 +322,13 @@ def test_supported_overlap_without_threshold_reproduces_full_solve():
 # iterations and status exactly and the values to 1e-12:
 # (dims, seed, feasible, max_iters) -> (primal, dual, iterations, status).
 # Iterations are Newton steps of the dual barrier method; the last entry's
-# budget of 10 stops it before its bracket closes (15 steps). Each bracket
-# meets the ones recorded under the earlier damped step rule and under the
-# centering threshold 1/4.
+# budget of 10 stops it before its bracket closes (14 steps). Each bracket
+# meets the ones recorded under the full boundary step, under the earlier
+# damped step rule and under the centering threshold 1/4.
 MARGINAL_GOLDEN = {
-    ((2, 3), 0, True, 50_000): (0.9999995144944485, 1.000000227952722, 15, "optimal"),
-    ((3, 3), 1, False, 50_000): (0.9990745836824086, 0.9990753116255358, 17, "optimal"),
-    ((3, 3), 2, True, 10): (0.9999641929382398, 1.0000133755925336, 10, "max_iters"),
+    ((2, 3), 0, True, 50_000): (0.999999514495326, 1.0000002562427326, 14, "optimal"),
+    ((3, 3), 1, False, 50_000): (0.9990745837444939, 0.9990753336805198, 14, "optimal"),
+    ((3, 3), 2, True, 10): (0.9999641931937167, 1.0000144378372062, 10, "max_iters"),
 }
 
 
@@ -343,28 +344,28 @@ def test_marginal_sdp_reproduces_golden_values():
 
 # f-ladder chains, one entry per level, each level a cold solve:
 # (dims, seed, max_iters) -> [(value, lower_bound, iterations, status), ...].
-# Each bracket meets the ones recorded under the earlier damped step rule
-# and under the centering threshold 1/4 (the second chain then at a budget
-# of 17). The second chain's budget of 13 stops levels 1-3 before they
-# close (16 to 18 steps).
+# Each bracket meets the ones recorded under the full boundary step, under
+# the earlier damped step rule and under the centering threshold 1/4 (the
+# second chain then at a budget of 17). The second chain's budget of 13
+# stops levels 1-3 before they close (14 steps each).
 F_MIN_CHAIN_GOLDEN = {
     ((2, 3), 0, 50_000): [
-        (1.313520360728329, 1.3135197064417743, 16, "optimal"),
-        (0.7201862490675933, 0.7201856057043178, 16, "optimal"),
-        (0.4272076660767733, 0.4272068369388726, 15, "optimal"),
-        (4.218266672307948e-09, 0.0, 11, "optimal"),
-        (2.808917858271757e-09, 0.0, 11, "optimal"),
-        (1.6418242143530276e-09, 0.0, 12, "optimal"),
+        (1.3135203607283215, 1.3135195821484573, 14, "optimal"),
+        (0.7201862490675326, 0.7201854597072459, 14, "optimal"),
+        (0.42720766608146465, 0.4272067262906805, 14, "optimal"),
+        (4.4423920014151805e-09, 0.0, 9, "optimal"),
+        (2.845478806710275e-09, 0.0, 9, "optimal"),
+        (1.6795409533249572e-09, 0.0, 9, "optimal"),
     ],
     ((3, 3), 1, 13): [
-        (1.4750391525821835, 1.475030461225741, 13, "max_iters"),
-        (0.9645166606994643, 0.9644695288956766, 13, "max_iters"),
-        (0.7430263999831949, 0.7429810280677954, 13, "max_iters"),
-        (4.876794905117307e-09, 0.0, 11, "optimal"),
-        (4.272551197024109e-09, 0.0, 11, "optimal"),
-        (3.677988957676162e-09, 0.0, 11, "optimal"),
-        (2.5697077349948e-09, 0.0, 11, "optimal"),
-        (2.4262059494560415e-09, 0.0, 12, "optimal"),
+        (1.4750391524390225, 1.4750380906519345, 13, "max_iters"),
+        (0.9645117493137824, 0.9645093461750162, 13, "max_iters"),
+        (0.7430071281955273, 0.7430060093667317, 13, "max_iters"),
+        (4.7436338259900645e-09, 0.0, 10, "optimal"),
+        (4.285089392819934e-09, 0.0, 10, "optimal"),
+        (3.707728544681621e-09, 0.0, 10, "optimal"),
+        (2.7128290480250816e-09, 0.0, 10, "optimal"),
+        (2.4389458407574404e-09, 0.0, 10, "optimal"),
     ],
 }
 
@@ -504,7 +505,7 @@ def test_status_is_optimal_exactly_when_gap_within_tolerance(max_iters):
 
 
 def test_stop_rule_cases_cover_both_outcomes():
-    statuses = {status for m in (15, 400) for _, _, status in stop_rule_cases(m)}
+    statuses = {status for m in (10, 400) for _, _, status in stop_rule_cases(m)}
     assert statuses == {"optimal", "max_iters"}
 
 
@@ -660,8 +661,9 @@ def test_barrier_core_centers_on_thermal_marginals():
 def test_barrier_core_step_count_on_generated_couplings():
     # The 80 generated coupling solves README "Numerics" cites: mu and the
     # supported program on 2x3 to 4x4 files, seeds 0-3, feasible and not.
-    # A point counts as centered below Newton decrement 0.7; under the old
-    # threshold 1/4 the same solves took 1,731 steps.
+    # A point counts as centered below Newton decrement 0.7 and a damped step
+    # stops at the barrier's least value on its grid; the full boundary step
+    # took 1,326 steps and the old threshold 1/4 took 1,731.
     steps = []
     for dims in ((2, 3), (3, 3), (2, 4), (3, 4), (4, 4)):
         for seed in range(4):
@@ -673,7 +675,7 @@ def test_barrier_core_step_count_on_generated_couplings():
                 ):
                     assert sol.status == "optimal", (dims, seed, feasible)
                     steps.append(sol.iterations)
-    assert (len(steps), sum(steps)) == (80, 1326)
+    assert (len(steps), sum(steps)) == (80, 1137)
 
 
 @pytest.mark.parametrize("breakdown", ["singular", "nan"])
@@ -728,14 +730,77 @@ def test_overlap_programs_run_without_admm_or_projections(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
+# the damped step length
+
+
+def barrier_along(alpha, mu, lam2):
+    """The barrier's change along a Newton step of spectrum mu and decrement^2 lam2."""
+    return alpha * (mu.sum() - lam2) - np.log1p(alpha * mu).sum()
+
+
+def test_damped_step_length_on_synthetic_spectra():
+    # Spectra of L^-1 dS L^-* with lam2 at least sum mu^2 (equal for a pure
+    # log det Hessian; the fiber distance's gauge term adds to it), with
+    # and without a negative eigenvalue beyond -0.9.
+    rng = np.random.default_rng(4)
+    kept = shortened = 0
+    for _ in range(400):
+        mu = np.sort(rng.standard_normal(int(rng.integers(2, 40))) * rng.choice([0.2, 1.0, 5.0]))
+        lam2 = max(float(mu @ mu) * rng.uniform(1.0, 1.5), 0.82)
+        alpha0 = min(1.0, -0.9 / mu[0]) if mu[0] < 0.0 else 1.0
+        alpha = sdp._damped_step(mu, lam2, sdp._STEP_GRID)
+        assert 0.4 * alpha0 <= alpha <= alpha0 <= 1.0
+        assert barrier_along(alpha, mu, lam2) <= barrier_along(alpha0, mu, lam2)
+        if mu.sum() - lam2 - np.sum(mu / (1.0 + alpha0 * mu)) <= 0.0:  # phi'(alpha0) <= 0
+            assert alpha == alpha0
+            kept += 1
+        else:
+            grid = [alpha0 * k / 10 for k in range(10, 3, -1)]
+            least = min(barrier_along(a, mu, lam2) for a in grid)
+            assert barrier_along(alpha, mu, lam2) <= least + 1e-12
+            shortened += alpha < alpha0
+    assert kept > 50 and shortened > 50
+
+
+def test_newton_step_linalg_calls_stay_one_factorization_solve_and_eigvalsh(monkeypatch):
+    # Per Newton step the driver factors S once (cholesky, inv), solves the
+    # Newton system once and, for a damped step only, takes one eigvalsh;
+    # the step length is read off that spectrum with no LAPACK call of its
+    # own. Counted on one golden solve, calls made from the driver's frames.
+    calls, damped = [], []
+    driver = {sdp._barrier_path.__code__.co_name, "factor"}
+    for name in np.linalg.__all__:
+        real = getattr(np.linalg, name)
+        if not callable(real) or isinstance(real, type):
+            continue
+
+        def counted(*args, _name=name, _real=real, **kwargs):
+            frame = sys._getframe(1).f_code
+            if frame.co_filename == sdp.__file__ and frame.co_name in driver:
+                calls.append(_name)
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    real_step = sdp._damped_step
+    monkeypatch.setattr(sdp, "_damped_step", lambda *a: damped.append(1) or real_step(*a))
+    sol = solve_marginal_sdp(*golden_instance((2, 3), 0, True))
+    assert (sol.status, sol.iterations) == ("optimal", 14)
+    factors = sol.iterations + 1  # the closing point is factored, then certified
+    want = {"cholesky": factors, "inv": factors, "solve": factors, "eigvalsh": len(damped)}
+    assert {name: calls.count(name) for name in set(calls)} == want
+    assert 0 < len(damped) <= sol.iterations
+
+
+# ---------------------------------------------------------------------------
 # the fiber distance's Newton steps
 
 
 def test_fiber_distance_steps_stay_flat_in_size():
     # The barrier's step count does not grow with the fiber: 3x4 and 4x4
-    # distances close gap_tol in 19 to 41 Newton steps, as the 2x2 to 3x3
-    # workload distances do (these two take 25 and 41; a centering threshold
-    # of 0.9 would take 53 on the second).
+    # distances close gap_tol in about as many Newton steps as the 2x2 to
+    # 3x3 workload distances do (these two take 23 and 42, 25 and 41 under
+    # the full boundary step; a centering threshold of 0.9 took 53 on the
+    # second).
     for dims, seed in (((3, 4), 1), ((4, 4), 1)):
         p = generated("fiber_dist", dims, seed)
         upper, lower, _, steps, status = _dist_solve(p.beta, FiberSpec(p.rho1, p.rho2), DEFAULT_CONFIG)
