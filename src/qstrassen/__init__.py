@@ -43,7 +43,7 @@ from .bipartite import (
 from .sdp import (
     OverlapSolution,
     SolverConfig,
-    solve_f_min,
+    solve_f_min_full,
     solve_marginal_sdp,
     verify_duality_certificates,
 )
@@ -97,7 +97,7 @@ __all__ = [
     "weak_vs_trace_demo",
     "OverlapSolution",
     "SolverConfig",
-    "solve_f_min",
+    "solve_f_min_full",
     "solve_marginal_sdp",
     "verify_duality_certificates",
     "ClassicalInstance",

@@ -37,7 +37,6 @@ from .fibers import FiberSpec, _dist_solve, semidistance_lower_bound
 from .linalg import (
     EigendecompositionError,
     _check_marginals,
-    _check_orthonormal,
     check_hs_product_bound,
     check_sv_product_bound,
     check_trace_inequality,
@@ -151,12 +150,13 @@ def vec_to_pairs(v: np.ndarray) -> list:
     return [[float(x.real), float(x.imag)] for x in np.asarray(v, dtype=complex)]
 
 
+def _is_number(t) -> bool:
+    """A JSON number: bools are ints in Python but not numbers in a file."""
+    return isinstance(t, (int, float)) and not isinstance(t, bool)
+
+
 def _entry(cell, name: str) -> complex:
-    if (
-        not isinstance(cell, (list, tuple))
-        or len(cell) != 2
-        or not all(isinstance(t, (int, float)) and not isinstance(t, bool) for t in cell)
-    ):
+    if not isinstance(cell, (list, tuple)) or len(cell) != 2 or not all(map(_is_number, cell)):
         raise CliError(f"{name}: each entry must be a [re, im] pair of numbers")
     z = complex(float(cell[0]), float(cell[1]))
     if not cmath.isfinite(z):
@@ -235,7 +235,7 @@ class LoadedProblem:
     d2: int = 0
     rho1: np.ndarray | None = None
     rho2: np.ndarray | None = None
-    basis: np.ndarray | None = None
+    x_sub: Subspace | None = None
     n_max: int = 0
     beta: np.ndarray | None = None
     rho1_b: np.ndarray | None = None
@@ -260,13 +260,12 @@ def _load_dims(obj: dict, kind: str) -> tuple[int, int]:
     return dims[0], dims[1]
 
 
-def _load_basis(obj, dim: int, name: str = "basis") -> np.ndarray:
+def _load_subspace(obj, dim: int) -> Subspace:
+    """The span of the file's basis vectors; ``Subspace`` checks them for orthonormality."""
     if not isinstance(obj, list) or not obj:
-        raise CliError(f"{name} must be a nonempty list of vectors")
-    cols = [pairs_to_vec(v, dim, f"{name}[{i}]") for i, v in enumerate(obj)]
-    basis = np.stack(cols, axis=1)
-    _check_orthonormal(basis, name)
-    return basis
+        raise CliError("basis must be a nonempty list of vectors")
+    cols = [pairs_to_vec(v, dim, f"basis[{i}]") for i, v in enumerate(obj)]
+    return Subspace(dim, np.stack(cols, axis=1))
 
 
 def _load_marginals(obj: dict, kind: str, d1: int, d2: int, suffix: str = "") -> list:
@@ -304,11 +303,13 @@ def _problem_from_dict(obj) -> LoadedProblem:
 
     d1, d2 = _load_dims(obj, kind)
     if kind == "classical":
-        mu1 = _require(obj, "mu1", kind)
-        mu2 = _require(obj, "mu2", kind)
-        edges = _require(obj, "edges", kind)
+        mu1, mu2, edges = (_require(obj, name, kind) for name in ("mu1", "mu2", "edges"))
+        for name, vec in (("mu1", mu1), ("mu2", mu2)):
+            if not isinstance(vec, list) or not all(map(_is_number, vec)):
+                raise CliError(f"{name} must be a list of numbers")
         if not isinstance(edges, list) or not all(
-            isinstance(e, list) and len(e) == 2 and all(isinstance(t, int) for t in e)
+            isinstance(e, list) and len(e) == 2
+            and all(isinstance(t, int) and not isinstance(t, bool) for t in e)
             for e in edges
         ):
             raise CliError("edges must be a list of [row, col] integer pairs")
@@ -334,14 +335,14 @@ def _problem_from_dict(obj) -> LoadedProblem:
             beta=beta, rho1_b=rho1_b, rho2_b=rho2_b,
         )
 
-    basis = _load_basis(_require(obj, "basis", kind), dim)
+    x_sub = _load_subspace(_require(obj, "basis", kind), dim)
     n_max = obj.get("n_max", 0)
     if kind in ("f_ladder", "sdp_ladder"):
         if not isinstance(n_max, int) or isinstance(n_max, bool) or n_max < 1:
             raise CliError(f"{kind} problem needs a positive integer n_max")
     return LoadedProblem(
         kind=kind, config=cfg, seed=seed, metadata=metadata,
-        d1=d1, d2=d2, rho1=rho1, rho2=rho2, basis=basis, n_max=int(n_max),
+        d1=d1, d2=d2, rho1=rho1, rho2=rho2, x_sub=x_sub, n_max=int(n_max),
     )
 
 
@@ -540,8 +541,7 @@ def generate_instance(spec: dict) -> dict:
 
 
 def _run_check(prob: LoadedProblem, cfg: SolverConfig, _args) -> tuple[dict, int]:
-    x_sub = Subspace(prob.d1 * prob.d2, prob.basis)
-    verdict, cert, sup = _decide(prob.rho1, prob.rho2, x_sub, cfg)
+    verdict, cert, sup = _decide(prob.rho1, prob.rho2, prob.x_sub, cfg)
     report = {
         "command": "check",
         "verdict": verdict,
@@ -566,9 +566,8 @@ def _run_check(prob: LoadedProblem, cfg: SolverConfig, _args) -> tuple[dict, int
 
 
 def _run_mu(prob: LoadedProblem, cfg: SolverConfig, _args) -> tuple[dict, int]:
-    x_sub = Subspace(prob.d1 * prob.d2, prob.basis)
-    value, sol = mu(prob.rho1, prob.rho2, x_sub, cfg)
-    duality = verify_duality_certificates(x_sub, prob.rho1, prob.rho2, sol)
+    value, sol = mu(prob.rho1, prob.rho2, prob.x_sub, cfg)
+    duality = verify_duality_certificates(prob.x_sub, prob.rho1, prob.rho2, sol)
     report = {
         "command": "mu",
         "value": value,
@@ -593,11 +592,10 @@ def _run_mu(prob: LoadedProblem, cfg: SolverConfig, _args) -> tuple[dict, int]:
 def _run_ladder(prob: LoadedProblem, cfg: SolverConfig, args) -> tuple[dict, int]:
     n_max = prob.n_max if args.levels is None else args.levels
     if prob.kind == "f_ladder":
-        rep = f_ladder(prob.rho1, prob.rho2, prob.basis, n_max=n_max, cfg=cfg)
+        rep = f_ladder(prob.rho1, prob.rho2, prob.x_sub, n_max=n_max, cfg=cfg)
         report = {"scale": rep.scale}
     else:
-        x_sub = Subspace(prob.d1 * prob.d2, prob.basis)
-        rep = sdp_ladder(prob.rho1, prob.rho2, x_sub, n_max=n_max, cfg=cfg)
+        rep = sdp_ladder(prob.rho1, prob.rho2, prob.x_sub, n_max=n_max, cfg=cfg)
         report = {"skipped_levels": list(rep.skipped_levels)}
     report.update(
         command=args.command,
@@ -840,8 +838,11 @@ def _write_output(text: str, path: str | None) -> None:
     if not text.endswith("\n"):
         text += "\n"
     if path:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise CliError(f"{path}: {exc.strerror or exc}") from exc
     else:
         sys.stdout.write(text)
         sys.stdout.flush()

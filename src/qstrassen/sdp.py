@@ -11,7 +11,7 @@ B = I (``solve_supported_overlap``) every feasible V C V^* lies in the
 subspace, which makes it the source of coupling certificates and, through
 its dual pair, of refutations. Singular marginals are compressed to their
 supports before the core runs and the solution is lifted back after.
-``solve_f_min`` minimizes the marginal mismatch
+``solve_f_min_full`` minimizes the marginal mismatch
 f(X) = ||tr_2 X - rho1||_1 + ||tr_1 X - rho2||_1 over PSD X supported in a
 given subspace; with ||A||_1 = 2 tr A_+ - tr A that is the supported program
 with slack matrices, whose dual is capped at Y_i <= I, and the same core
@@ -73,7 +73,6 @@ __all__ = [
     "DualityCertificateReport",
     "SupportedOverlapSolution",
     "solve_marginal_sdp",
-    "solve_f_min",
     "solve_f_min_full",
     "solve_supported_overlap",
     "verify_duality_certificates",
@@ -202,9 +201,11 @@ def _repair_dual(y1, y2, adjoint, b, r1, r2):
 
 
 def _subspace_marginals(rho1, rho2, x_sub: Subspace, checked: bool = False):
-    """Hermitian marginals and the basis V of ``x_sub``, checked against each other.
+    """The input check of every entry point that takes a pair and a subspace.
 
-    The marginals must be PSD; their traces may differ. ``checked`` marks
+    Returns the Hermitian marginals and the basis V of ``x_sub`` once the
+    factor dimensions match ``x_sub`` and each marginal is within the
+    magnitude guard, finite and PSD; their traces may differ. ``checked`` marks
     Hermitian arrays that the caller has already checked against ``x_sub``:
     they pass through untested.
     """
@@ -757,18 +758,6 @@ def solve_f_min_full(
     r1, r2, vbasis = _subspace_marginals(rho1, rho2, x_sub, _checked)
     sol = _overlap_core(np.eye(x_sub.dim), r1, r2, vbasis, cfg, threshold, cap=True)
     return _solution(OverlapSolution, sol, vbasis)
-
-
-def solve_f_min(
-    rho1, rho2, x_sub: Subspace, cfg: SolverConfig = DEFAULT_CONFIG
-) -> tuple[float, BipartiteOperator]:
-    """Minimum of the marginal mismatch f over PSD X supported in ``x_sub``.
-
-    There is no threshold here: the solve runs until its certified gap is
-    within cfg.gap_tol (or the budget runs out).
-    """
-    sol = solve_f_min_full(rho1, rho2, x_sub, cfg)
-    return sol.value, sol.X
 
 
 class SupportedOverlapSolution(NamedTuple):

@@ -28,7 +28,6 @@ from .bipartite import (
 from .linalg import (
     DEFAULT_TOL,
     HermitianOperator,
-    _check_marginals,
     _Frozen,
     _tr,
     hermitize,
@@ -39,6 +38,7 @@ from .sdp import (
     OverlapSolution,
     SolverConfig,
     SupportedOverlapSolution,
+    _subspace_marginals,
     solve_f_min_full,
     solve_marginal_sdp,
     solve_supported_overlap,
@@ -93,13 +93,14 @@ class LadderReport:
     skipped_levels: tuple = ()
 
 
-def _as_density(rho, name: str) -> DensityOperator:
-    if isinstance(rho, DensityOperator):
-        return rho
-    try:
-        return DensityOperator(rho)
-    except ValueError as exc:
-        raise ValueError(f"{name}: {exc}") from exc
+def _unit_marginals(rho1, rho2, x_sub: Subspace):
+    """The checked Hermitian marginals of ``x_sub``, each of unit trace to 1e-9."""
+    r1, r2, _ = _subspace_marginals(rho1, rho2, x_sub)
+    for name, r in (("rho1", r1), ("rho2", r2)):
+        dev = abs(_tr(r) - 1.0)
+        if not dev <= 1e-9:
+            raise ValueError(f"{name}: trace {_tr(r)!r} deviates from target 1.0 by {dev:.3e}")
+    return r1, r2
 
 
 def mu(
@@ -118,10 +119,8 @@ def mu(
     operators: unit trace is what makes value 1 mean a coupling. They are
     checked here, once; the solve does not test them again.
     """
-    r1 = _as_density(rho1, "rho1")
-    r2 = _as_density(rho2, "rho2")
-    x_sub.check_factors(r1.dim, r2.dim)
-    sol = solve_marginal_sdp(x_sub, r1.mat, r2.mat, cfg, _checked=True)
+    r1, r2 = _unit_marginals(rho1, rho2, x_sub)
+    sol = solve_marginal_sdp(x_sub, r1, r2, cfg, _checked=True)
     return sol.value, sol
 
 
@@ -139,10 +138,9 @@ def _decide(
     ``undecided``. A singular marginal is handled on the support product
     (see ``sdp._overlap_on_support``). The marginals are checked here, once.
     """
-    r1 = _as_density(rho1, "rho1")
-    r2 = _as_density(rho2, "rho2")
-    x_sub.check_factors(r1.dim, r2.dim)
-    sup = solve_supported_overlap(x_sub, r1.mat, r2.mat, cfg, _checked=True)
+    r1, r2 = _unit_marginals(rho1, rho2, x_sub)
+    d1, d2 = len(r1), len(r2)
+    sup = solve_supported_overlap(x_sub, r1, r2, cfg, _checked=True)
     threshold = 1.0 - cfg.eps_decision
     verdict = "no_coupling" if sup.dual < threshold else "undecided"
     if sup.value < threshold:
@@ -153,8 +151,8 @@ def _decide(
     rho_hat = hermitize(sup.X.mat / sup.value)
     off = np.eye(x_sub.ambient_dim) - x_sub.projector.mat
     supp_leak = trace_norm(off @ rho_hat @ off)
-    marg_err = trace_norm(partial_trace_2(rho_hat, r1.dim, r2.dim) - r1.mat) + trace_norm(
-        partial_trace_1(rho_hat, r1.dim, r2.dim) - r2.mat
+    marg_err = trace_norm(partial_trace_2(rho_hat, d1, d2) - r1) + trace_norm(
+        partial_trace_1(rho_hat, d1, d2) - r2
     )
     if supp_leak > 1e-7 or marg_err > 10.0 * cfg.eps_decision:
         return verdict, None, sup
@@ -179,27 +177,18 @@ def has_coupling(
     return verdict == "coupling", cert
 
 
-def _coerce_basis(x_basis, ambient: int) -> np.ndarray:
-    b = np.asarray(x_basis, dtype=complex)
-    if b.ndim != 2:
-        raise ValueError("basis must be a matrix of column vectors")
-    if b.shape[0] != ambient:
-        raise ValueError(f"basis vectors have length {b.shape[0]}, expected {ambient}")
-    return b
-
-
 def f_ladder(
     rho1,
     rho2,
-    x_basis,
+    x_sub: Subspace,
     n_max: int,
     cfg: SolverConfig = DEFAULT_CONFIG,
 ) -> LadderReport:
     """Minimize the marginal mismatch over the nested spans of an ordered basis.
 
     Level n minimizes f over PSD operators supported in the span of the first
-    n basis vectors; the sequence is nonincreasing and reaches 0 in the limit
-    exactly when a coupling exists in the full span. The marginals must be
+    n basis vectors of ``x_sub``; the sequence is nonincreasing and reaches 0
+    in the limit exactly when a coupling exists in the full span. The marginals must be
     PSD but may have different traces; they are normalized to unit mean
     trace and the factor recorded as ``scale``. The verdict is
     ``coupling_exists`` when the last level falls below eps_decision and
@@ -215,12 +204,10 @@ def f_ladder(
     ``decided``, lower bound 0 and 0 iterations. Levels above eps_decision
     run to gap_tol.
     """
-    r1, r2 = HermitianOperator(rho1).mat, HermitianOperator(rho2).mat
-    _check_marginals(r1, r2, equal_traces=False)
-    d1, d2 = r1.shape[0], r2.shape[0]
-    basis = _coerce_basis(x_basis, d1 * d2)
-    if not 1 <= n_max <= basis.shape[1]:
-        raise ValueError(f"n_max = {n_max} out of range for basis of {basis.shape[1]}")
+    r1, r2, basis = _subspace_marginals(rho1, rho2, x_sub)
+    d1, d2 = len(r1), len(r2)
+    if not 1 <= n_max <= x_sub.dim:
+        raise ValueError(f"n_max = {n_max} out of range for basis of {x_sub.dim}")
     scale = 0.5 * (_tr(r1) + _tr(r2))
     if scale <= 0:
         raise ValueError("marginals must have positive trace")
@@ -255,7 +242,7 @@ def f_ladder(
     last = levels[-1]
     if last.value < eps:
         verdict = "coupling_exists"
-    elif n_max == basis.shape[1] and last.lower_bound > eps:
+    elif n_max == x_sub.dim and last.lower_bound > eps:
         verdict = "no_coupling"
     else:
         verdict = "undecided"
@@ -296,10 +283,8 @@ def sdp_ladder(
     with a nondecreasing trailing window; ``no_coupling`` is only declared
     when the top level is untruncated and its dual bound still falls short.
     """
-    r1 = _as_density(rho1_full, "rho1_full")
-    r2 = _as_density(rho2_full, "rho2_full")
-    dd1, dd2 = r1.dim, r2.dim
-    x_sub.check_factors(dd1, dd2)
+    r1, r2 = _unit_marginals(rho1_full, rho2_full, x_sub)
+    dd1, dd2 = len(r1), len(r2)
     if not 1 <= n_max <= min(dd1, dd2):
         raise ValueError(f"n_max = {n_max} out of range for dims ({dd1}, {dd2})")
     eps = cfg.eps_decision
@@ -312,7 +297,7 @@ def sdp_ladder(
             continue
         sub = Subspace(n * n, basis)
         tic = time.perf_counter()
-        sol = solve_marginal_sdp(sub, r1.mat[:n, :n], r2.mat[:n, :n], cfg, _checked=True)
+        sol = solve_marginal_sdp(sub, r1[:n, :n], r2[:n, :n], cfg, _checked=True)
         levels.append(
             LadderLevel(
                 level=(n, n),
@@ -498,15 +483,8 @@ def classical_quantum_consistency(
             dual_value=0.0,
             classical_coupling=coupling,
         )
-    rho1 = DensityOperator(np.diag(inst.mu1).astype(complex))
-    rho2 = DensityOperator(np.diag(inst.mu2).astype(complex))
-    vecs = []
-    for i, j in sorted(inst.edges):
-        e = np.zeros(m * n, dtype=complex)
-        e[i * n + j] = 1.0
-        vecs.append(e)
-    sub = Subspace(m * n, np.column_stack(vecs))
-    verdict, cert, sup = _decide(rho1, rho2, sub, cfg)
+    sub = Subspace(m * n, np.eye(m * n)[:, [i * n + j for i, j in sorted(inst.edges)]])
+    verdict, cert, sup = _decide(np.diag(inst.mu1), np.diag(inst.mu2), sub, cfg)
     coupled = verdict == "coupling"
     return ClassicalQuantumReport(
         classical_feasible=feasible,

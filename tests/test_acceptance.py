@@ -285,7 +285,7 @@ def test_07_f_ladder_monotone_limit(capsys):
         rho = hermitize(basis[:, :k] @ ginibre_state(rng, k) @ basis[:, :k].conj().T)
         r1 = partial_trace_2(rho, d1, d2)
         r2 = partial_trace_1(rho, d1, d2)
-        rep = f_ladder(r1, r2, basis, n_max)
+        rep = f_ladder(r1, r2, Subspace(d1 * d2, basis), n_max)
         values = [lv.value for lv in rep.levels]
         for j in range(len(values) - 1):
             if values[j + 1] > values[j] + 2e-6:

@@ -171,7 +171,7 @@ def test_problem_round_trip_through_disk(tmp_path):
     assert prob.kind == "coupling"
     assert prob.d1 == 2 and prob.d2 == 2
     assert np.allclose(prob.rho1, np.eye(2) / 2)
-    assert prob.basis.shape == (4, 1)
+    assert prob.x_sub.basis.shape == (4, 1)
     # rewriting the parsed file must reproduce it bitwise
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read()
@@ -280,6 +280,15 @@ def test_classical_problem_validation():
         bad["mu1"] = mu1
         with pytest.raises(CliError, match="does not sum to 1"):
             problem_from_dict(bad)
+    # Bools and strings are not numbers here either, as in every other field.
+    for field, value, message in (
+        ("mu1", [True, False], "mu1 must be a list of numbers"),
+        ("mu2", ["0.5", "0.5"], "mu2 must be a list of numbers"),
+        ("mu1", 0.5, "mu1 must be a list of numbers"),
+        ("edges", [[True, False]], "edges must be a list of [row, col] integer pairs"),
+    ):
+        with pytest.raises(CliError, match=re.escape(message)):
+            problem_from_dict({**obj, field: value})
 
 
 # ---------------------------------------------------------------------------
@@ -413,7 +422,7 @@ def test_main_check_supported_refutation_carries_its_dual_pair(tmp_path, capsys)
     prob = load_problem(path)
     y1, y2 = (pairs_to_mat(y, d, d, "Y") for y, d in zip(supported["dual_pair"], (2, 4)))
     assert min(np.linalg.eigvalsh(y1)[0], np.linalg.eigvalsh(y2)[0]) >= -1e-9
-    v = prob.basis
+    v = prob.x_sub.basis
     adjoint = v.conj().T @ (np.kron(y1, np.eye(4)) + np.kron(np.eye(2), y2)) @ v
     assert np.linalg.eigvalsh(adjoint - np.eye(v.shape[1]))[0] >= -1e-9
     value = np.vdot(prob.rho1, y1).real + np.vdot(prob.rho2, y2).real
@@ -639,7 +648,30 @@ def test_main_levels_zero_reaches_the_range_check(tmp_path, capsys, command):
     assert f"{path}: {message}" in err
 
 
-# PSD tests of the marginals per op: the loader's and the DensityOperator's
+def test_ladder_sdp_whose_levels_all_drop_rank_is_undecided(tmp_path, capsys):
+    # This 4x4 subspace loses rank under the 1x1 truncation, so --levels 1
+    # skips the only level: no level decides, and the CSV is its header.
+    path = str(tmp_path / "s.json")
+    run_main(capsys, ["gen", "--kind", "sdp_ladder", "--dims", "4x4", "--seed", "4", "--out", path])
+    code, out, _ = run_main(capsys, ["ladder-sdp", path, "--levels", "1"])
+    report = json.loads(out)
+    assert code == 2
+    assert (report["verdict"], report["levels"], report["skipped_levels"]) == ("undecided", [], [1])
+    code, out, _ = run_main(capsys, ["ladder-sdp", path, "--levels", "1", "--format", "csv"])
+    assert code == 2
+    assert out == ",".join(cli._LEVEL_COLUMNS) + "\n"
+    # At --levels 2 the top level is solved but truncated: its value stays
+    # below 1 - eps, and a truncated level refutes nothing.
+    code, out, _ = run_main(capsys, ["ladder-sdp", path, "--levels", "2"])
+    report = json.loads(out)
+    assert code == 2
+    assert report["verdict"] == "undecided"
+    [level] = report["levels"]
+    assert level["level"] == [2, 2] and level["status"] == "optimal"
+    assert abs(level["value"] - 0.7778) < 1e-4
+
+
+# PSD tests of the marginals per op: the loader's and _subspace_marginals'
 # of mu, _decide or sdp_ladder, which pass the checked pair down, so no solve
 # tests it again (check adds its certificate's DensityOperator). fiber-dist's
 # distance mode tests the pair at load and in its FiberSpec.
@@ -904,6 +936,21 @@ def test_main_respects_out_flag(tmp_path, capsys):
     assert out == ""
     report = json.loads(out_path.read_text(encoding="utf-8"))
     assert report["command"] == "classical"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["gen", "--kind", "coupling", "--dims", "2x2"], ["classical", "{problem}"]],
+    ids=["gen", "run"],
+)
+def test_main_unwritable_out_path_is_one_error_line(tmp_path, capsys, argv):
+    problem = write_json(tmp_path, "c.json", generate_instance({"kind": "classical", "dims": (2, 2)}))
+    argv = [a.format(problem=problem) for a in argv]
+    for out_path in (tmp_path / "missing" / "x.json", tmp_path):
+        code, out, err = run_main(capsys, argv + ["--out", str(out_path)])
+        assert code == 1
+        assert out == ""
+        assert err.startswith(f"error: {out_path}: ") and err.count("\n") == 1
 
 
 # ---------------------------------------------------------------------------

@@ -75,6 +75,59 @@ def test_fibers_imports_from_sdp_only_the_shared_solver_parts():
     }
 
 
+INPUT_CHECKS = {"_check_marginals", "_check_psd", "DensityOperator"}
+
+
+def input_check_calls(source: str) -> list[tuple[str, str]]:
+    """(function, check) for each call of an input check in ``source``; methods as Class.method."""
+    calls = []
+
+    def visit(node, scope):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            scope = node.name if scope == "<module>" else f"{scope}.{node.name}"
+        if isinstance(node, ast.Call):
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            if name in INPUT_CHECKS:
+                calls.append((scope, name))
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    visit(ast.parse(source), "<module>")
+    return calls
+
+
+def test_input_check_call_detector():
+    source = (
+        "from .linalg import _check_psd\n"
+        "class F:\n    def __init__(self):\n        linalg._check_marginals(a, b)\n"
+        "def g():\n    return DensityOperator(m)\n_check_psd(m, 'x')\n"
+    )
+    assert input_check_calls(source) == [
+        ("F.__init__", "_check_marginals"), ("g", "DensityOperator"), ("<module>", "_check_psd"),
+    ]
+
+
+def test_every_entry_point_checks_its_marginals_through_one_function():
+    # sdp._subspace_marginals checks the pair of every solve, of mu, the
+    # decision and both ladders; FiberSpec and the file loader check a pair
+    # that comes without a subspace. strassen tests no marginal itself and
+    # builds a DensityOperator only as the decision's certificate.
+    src = ROOT / "src" / "qstrassen"
+    calls = {
+        (f"{p.stem}.{scope}", name)
+        for p in sorted(src.glob("*.py"))
+        for scope, name in input_check_calls(p.read_text())
+    }
+    assert {scope for scope, name in calls if name == "_check_marginals"} == {
+        "sdp._subspace_marginals", "fibers.FiberSpec.__init__", "cli._load_marginals",
+    }
+    assert {c for c in calls if c[0].startswith("strassen.")} == {("strassen._decide", "DensityOperator")}
+    tree = ast.parse((src / "strassen.py").read_text())
+    imported = {a.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) for a in node.names}
+    assert imported & {"_check_marginals", "_check_psd"} == set()
+
+
 PATH_RULES = {"_GROWTH", "_CENTERED", "_CENTER_STEPS", "_STEP_GRID"}
 
 

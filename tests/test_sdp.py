@@ -29,7 +29,6 @@ from qstrassen.sdp import (
     SupportedOverlapSolution,
     _FEAS_SLACK,
     _support_scaler,
-    solve_f_min,
     solve_f_min_full,
     solve_marginal_sdp,
     solve_supported_overlap,
@@ -205,9 +204,9 @@ def test_certificate_report_on_solved_instance():
 
 
 def test_f_min_vanishes_on_feasible_instance():
-    value, x = solve_f_min(np.eye(2) / 2, np.eye(2) / 2, bell_subspace())
-    assert value <= 1e-5
-    assert np.linalg.eigvalsh(x.mat).min() >= -1e-10
+    sol = solve_f_min_full(np.eye(2) / 2, np.eye(2) / 2, bell_subspace())
+    assert sol.value <= 1e-5
+    assert np.linalg.eigvalsh(sol.X.mat).min() >= -1e-10
 
 
 def test_f_min_matches_golden_section_oracle():
@@ -246,7 +245,7 @@ def test_f_min_value_is_attained_by_returned_point():
 
 def test_f_min_rejects_ambient_mismatch():
     with pytest.raises(ValueError, match="does not match"):
-        solve_f_min(np.eye(2) / 2, np.eye(2) / 2, Subspace(6, np.eye(6)[:, :1]))
+        solve_f_min_full(np.eye(2) / 2, np.eye(2) / 2, Subspace(6, np.eye(6)[:, :1]))
 
 
 # ---------------------------------------------------------------------------
@@ -305,7 +304,7 @@ SUPPORTED_GOLDEN = {
 
 def golden_instance(dims, seed, feasible):
     p = generated("coupling", dims, seed, feasible=feasible)
-    return Subspace(p.d1 * p.d2, p.basis), p.rho1, p.rho2
+    return p.x_sub, p.rho1, p.rho2
 
 
 def test_supported_overlap_without_threshold_reproduces_full_solve():
@@ -375,7 +374,7 @@ def test_f_min_chain_reproduces_golden_values():
         p = generated("f_ladder", dims, seed)
         assert p.n_max == len(levels)
         for n, (value, lower, iterations, status) in enumerate(levels, start=1):
-            chain = Subspace(p.d1 * p.d2, p.basis[:, :n])
+            chain = Subspace(p.d1 * p.d2, p.x_sub.basis[:, :n])
             sol = solve_f_min_full(p.rho1, p.rho2, chain, SolverConfig(max_iters=max_iters))
             assert (sol.iterations, sol.status) == (iterations, status), (dims, n)
             assert abs(sol.value - value) <= 1e-12
@@ -389,7 +388,7 @@ def test_f_min_test_pair_attains_the_lower_bound():
     for (dims, seed, max_iters), levels in F_MIN_CHAIN_GOLDEN.items():
         p = generated("f_ladder", dims, seed)
         for n in range(1, len(levels) + 1):
-            v = p.basis[:, :n]
+            v = p.x_sub.basis[:, :n]
             sol = solve_f_min_full(
                 p.rho1, p.rho2, Subspace(p.d1 * p.d2, v), SolverConfig(max_iters=max_iters)
             )
@@ -418,7 +417,7 @@ def test_f_min_chain_threshold_stops_levels_below_it():
         p = generated("f_ladder", dims, seed)
         cfg = SolverConfig(max_iters=max_iters)
         for n, (value, _, iterations, _) in enumerate(levels, start=1):
-            chain = Subspace(p.d1 * p.d2, p.basis[:, :n])
+            chain = Subspace(p.d1 * p.d2, p.x_sub.basis[:, :n])
             sol = solve_f_min_full(p.rho1, p.rho2, chain, cfg, threshold)
             assert sol.iterations <= iterations, (dims, n)
             assert sol.dual <= sol.value
@@ -480,14 +479,14 @@ def stop_rule_cases(max_iters):
     for seed in range(3):
         for dims in ((2, 3), (3, 3)):
             p = generated("coupling", dims, seed, feasible=seed != 1)
-            sub = Subspace(p.d1 * p.d2, p.basis)
+            sub = p.x_sub
             sol = solve_marginal_sdp(sub, p.rho1, p.rho2, cfg)
             out.append(("marginal", sol.gap, sol.status))
             sup = solve_supported_overlap(sub, p.rho1, p.rho2, cfg)
             out.append(("supported", sup.gap, sup.status))
             p = generated("f_ladder", dims, seed)
             for n in range(1, p.n_max + 1):
-                chain = Subspace(p.d1 * p.d2, p.basis[:, :n])
+                chain = Subspace(p.d1 * p.d2, p.x_sub.basis[:, :n])
                 fmin = solve_f_min_full(p.rho1, p.rho2, chain, cfg)
                 out.append(("f_min", fmin.gap, fmin.status))
             p = generated("fiber_dist", dims, seed)
@@ -709,7 +708,7 @@ def test_barrier_core_newton_breakdown_is_infeasible_numerics(monkeypatch, break
     # whose golden bracket lies inside the one kept at the breakdown.
     calls.clear()
     p = generated("f_ladder", (2, 3), 0)
-    fmin = solve_f_min_full(p.rho1, p.rho2, Subspace(6, p.basis[:, :3]))
+    fmin = solve_f_min_full(p.rho1, p.rho2, Subspace(6, p.x_sub.basis[:, :3]))
     assert (fmin.status, fmin.iterations) == ("infeasible_numerics", 11)
     value, lower, _, _ = F_MIN_CHAIN_GOLDEN[((2, 3), 0, 50_000)][2]
     assert 0.0 < fmin.dual <= lower <= value <= fmin.value < 2.0
@@ -724,7 +723,7 @@ def test_overlap_programs_run_without_admm_or_projections(monkeypatch):
     assert solve_marginal_sdp(sub, r1, r2).status == "optimal"
     assert solve_supported_overlap(sub, r1, r2).status == "optimal"
     p = generated("f_ladder", (2, 3), 0)
-    chain = Subspace(6, p.basis[:, :4])
+    chain = Subspace(6, p.x_sub.basis[:, :4])
     assert solve_f_min_full(p.rho1, p.rho2, chain).status == "optimal"
     assert solve_f_min_full(p.rho1, p.rho2, chain, threshold=1e-4).status == "decided"
 

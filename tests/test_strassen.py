@@ -312,7 +312,7 @@ def _coupling_file(r1, r2):
 MARGINAL_ENTRY_POINTS = {
     "mu": lambda r1, r2, sub: mu(r1, r2, sub),
     "has_coupling": lambda r1, r2, sub: has_coupling(r1, r2, sub),
-    "f_ladder": lambda r1, r2, sub: f_ladder(r1, r2, sub.basis, 1),
+    "f_ladder": lambda r1, r2, sub: f_ladder(r1, r2, sub, 1),
     "sdp_ladder": lambda r1, r2, sub: sdp_ladder(r1, r2, sub, 2),
     "solve_marginal_sdp": lambda r1, r2, sub: sdp.solve_marginal_sdp(sub, r1, r2),
     "solve_supported_overlap": lambda r1, r2, sub: sdp.solve_supported_overlap(sub, r1, r2),
@@ -352,7 +352,10 @@ def test_every_marginal_entry_point_rejects_a_non_finite_marginal(entry, bad, mo
 @pytest.mark.parametrize("which", ["rho1", "rho2"])
 @pytest.mark.parametrize(
     "entry",
-    ["FiberSpec", "f_ladder", "solve_marginal_sdp", "solve_supported_overlap", "solve_f_min_full"],
+    [
+        "FiberSpec", "mu", "has_coupling", "f_ladder", "sdp_ladder",
+        "solve_marginal_sdp", "solve_supported_overlap", "solve_f_min_full",
+    ],
 )
 def test_marginal_above_the_magnitude_guard_is_named(entry, which, big):
     huge, fine = np.diag([0.5, big]), np.eye(2) / 2
@@ -464,8 +467,7 @@ def decide_cases():
         if spec["dims"] == (2, 3) and not spec["feasible"]:
             spec["subspace_dim"] = 3  # with 4 the perturbed marginals stay feasible
         p = problem_from_dict(generate_instance({"kind": "coupling", **spec}))
-        sub = Subspace(p.d1 * p.d2, p.basis)
-        cases.append((spec["feasible"], p, _decide(p.rho1, p.rho2, sub, CFG)))
+        cases.append((spec["feasible"], p, _decide(p.rho1, p.rho2, p.x_sub, CFG)))
     return cases
 
 
@@ -546,7 +548,7 @@ def test_supported_refutation_carries_a_feasible_dual_pair():
         for seed in range(30):
             spec = {"kind": "coupling", "dims": dims, "seed": seed, "feasible": False}
             p = problem_from_dict(generate_instance({**spec, "subspace_dim": 3}))
-            sub = Subspace(p.d1 * p.d2, p.basis)
+            sub = p.x_sub
             verdict, cert, sup = _decide(p.rho1, p.rho2, sub, CFG)
             if verdict != "no_coupling":
                 continue
@@ -575,7 +577,7 @@ def test_f_ladder_decreases_to_zero_on_feasible_chain():
     bell = np.zeros(4, dtype=complex)
     bell[0] = bell[3] = 1.0 / np.sqrt(2.0)
     basis = np.column_stack([e01, bell])
-    rep = f_ladder(np.eye(2) / 2, np.eye(2) / 2, basis, 2)
+    rep = f_ladder(np.eye(2) / 2, np.eye(2) / 2, Subspace(4, basis), 2)
     assert rep.verdict == "coupling_exists"
     assert rep.criterion == "f_ladder"
     values = [lv.value for lv in rep.levels]
@@ -592,7 +594,7 @@ def test_f_ladder_monotone_under_warm_starts():
     r1 = partial_trace_2(rho, d, d)
     r2 = partial_trace_1(rho, d, d)
     q, _ = np.linalg.qr(crand(rng, d * d, 4))
-    rep = f_ladder(r1, r2, q, 4)
+    rep = f_ladder(r1, r2, Subspace(d * d, q), 4)
     values = [lv.value for lv in rep.levels]
     assert all(values[i + 1] <= values[i] + 2e-6 for i in range(len(values) - 1))
 
@@ -601,7 +603,7 @@ def test_f_ladder_no_coupling_on_obstruction():
     rep = f_ladder(
         np.diag([0.0, 1.0]).astype(complex),
         np.diag([1.0, 0.0]).astype(complex),
-        corner_subspace().basis,
+        corner_subspace(),
         1,
     )
     assert rep.verdict == "no_coupling"
@@ -612,15 +614,15 @@ def truncation_chain():
     # rho1 = rho2 = I/3 on 3x3: the first three vectors |0,p> cannot couple
     # the pair (f = 4/3), the fourth completes (|0,0> + |1,1> + |2,2>)/sqrt 3.
     e = np.eye(9, dtype=complex)
-    return np.column_stack([e[0], e[1], e[2], (e[4] + e[8]) / np.sqrt(2.0)])
+    return Subspace(9, np.column_stack([e[0], e[1], e[2], (e[4] + e[8]) / np.sqrt(2.0)]))
 
 
 def test_f_ladder_truncated_chain_is_undecided():
-    basis = truncation_chain()
-    rep = f_ladder(np.eye(3) / 3, np.eye(3) / 3, basis, 3)
+    chain = truncation_chain()
+    rep = f_ladder(np.eye(3) / 3, np.eye(3) / 3, chain, 3)
     assert rep.verdict == "undecided"
     assert all(lv.lower_bound > rep.eps_decision for lv in rep.levels)
-    rep = f_ladder(np.eye(3) / 3, np.eye(3) / 3, basis, 4)
+    rep = f_ladder(np.eye(3) / 3, np.eye(3) / 3, chain, 4)
     assert rep.verdict == "coupling_exists"
     assert rep.levels[-1].value < rep.eps_decision
 
@@ -640,7 +642,7 @@ def test_f_ladder_levels_stop_at_eps(seed, monkeypatch):
 
     monkeypatch.setattr(strassen, "solve_f_min_full", counted)
     p = problem_from_dict(generate_instance({"kind": "f_ladder", "dims": (3, 3), "seed": seed}))
-    rep = f_ladder(p.rho1, p.rho2, p.basis, p.n_max)
+    rep = f_ladder(p.rho1, p.rho2, p.x_sub, p.n_max)
     assert rep.verdict == "coupling_exists"
     assert all(lv.status in ("optimal", "decided") for lv in rep.levels)
     assert max(iterations) <= 100
@@ -657,29 +659,34 @@ def test_f_ladder_checks_its_marginals_once(monkeypatch):
     # f_ladder checks the pair once; every level solves on the checked,
     # normalized pair without checking it again.
     calls = []
-    check = strassen._check_marginals
+    check = sdp._check_marginals
 
     def counted(*args, **kwargs):
         calls.append(args)
         return check(*args, **kwargs)
 
-    for module in (strassen, sdp):
-        monkeypatch.setattr(module, "_check_marginals", counted)
+    monkeypatch.setattr(sdp, "_check_marginals", counted)
     p = problem_from_dict(generate_instance({"kind": "f_ladder", "dims": (2, 3), "seed": 0}))
-    rep = f_ladder(p.rho1, p.rho2, p.basis, p.n_max)
+    rep = f_ladder(p.rho1, p.rho2, p.x_sub, p.n_max)
     assert sum(lv.iterations > 0 for lv in rep.levels) >= 3
     assert len(calls) == 1
 
 
 def test_f_ladder_normalizes_subnormalized_inputs():
-    rep = f_ladder(np.eye(2) / 4, np.eye(2) / 4, bell_subspace().basis, 1)
+    rep = f_ladder(np.eye(2) / 4, np.eye(2) / 4, bell_subspace(), 1)
     assert abs(rep.scale - 0.5) < 1e-12
     assert rep.verdict == "coupling_exists"
 
 
+def test_f_ladder_rejects_zero_marginals():
+    # PSD with equal traces passes the input check, but 0 cannot be normalized.
+    with pytest.raises(ValueError, match="^marginals must have positive trace$"):
+        f_ladder(np.zeros((2, 2)), np.zeros((2, 2)), bell_subspace(), 1)
+
+
 def test_f_ladder_rejects_bad_n_max():
     with pytest.raises(ValueError, match="out of range"):
-        f_ladder(np.eye(2) / 2, np.eye(2) / 2, bell_subspace().basis, 5)
+        f_ladder(np.eye(2) / 2, np.eye(2) / 2, bell_subspace(), 5)
 
 
 # ---------------------------------------------------------------------------
@@ -697,7 +704,7 @@ def test_sdp_ladder_levels_report_their_solves_iterations(monkeypatch):
 
     monkeypatch.setattr(strassen, "solve_marginal_sdp", counted)
     p = problem_from_dict(generate_instance({"kind": "sdp_ladder", "dims": (2, 2), "seed": 0}))
-    rep = sdp_ladder(p.rho1, p.rho2, Subspace(4, p.basis), p.n_max)
+    rep = sdp_ladder(p.rho1, p.rho2, p.x_sub, p.n_max)
     assert iterations and min(iterations) > 0
     assert [lv.iterations for lv in rep.levels] == iterations
 
