@@ -22,6 +22,7 @@ from .linalg import (
     _check_marginals,
     _Frozen,
     _herm_part,
+    _herm_trace_norm,
     _hs,
     _max_eig,
     _min_eig,
@@ -102,25 +103,31 @@ def glue_coupling(gamma_trunc: BipartiteOperator, fiber: FiberSpec) -> Bipartite
             f"marginal deficit is not PSD: min eigenvalue {low:.3e}; "
             "the input must be dominated by the fiber marginals"
         )
+    glued = _glue(g, delta1, delta2)
+    return gamma_trunc if glued is g else BipartiteOperator(glued, d1, d2)
+
+
+def _glue(g: np.ndarray, delta1: np.ndarray, delta2: np.ndarray) -> np.ndarray:
+    """g + delta1 (x) delta2 / tr delta1, or g itself below deficit trace 1e-12."""
     tau = _tr(delta1)
-    if tau <= 1e-12:
-        return gamma_trunc
-    return BipartiteOperator(g + np.kron(delta1, delta2) / tau, d1, d2)
+    return g if tau <= 1e-12 else g + np.kron(delta1, delta2) / tau
 
 
 def _repair_to_member(candidate: np.ndarray, fiber: FiberSpec, support_scale) -> np.ndarray:
     """Exact fiber member near a PSD candidate: scale into domination, then glue.
 
     ``support_scale`` is ``_support_scaler`` of the fiber marginals,
-    factored once per solve.
+    factored once per solve. It confirms rho_i - s m_i >= -1e-12 on the
+    deficits it returns, so they are glued here without ``glue_coupling``'s
+    PSD check and its second pair of partial traces; the deficits are
+    exactly Hermitian, as differences of Hermitian matrices.
     """
     d1, d2 = fiber.d1, fiber.d2
     g = psd_project(candidate)
     m1 = partial_trace_2(g, d1, d2)
     m2 = partial_trace_1(g, d1, d2)
     s = support_scale(m1, m2)
-    member = glue_coupling(BipartiteOperator(s * g, d1, d2), fiber)
-    return member.mat
+    return _glue(s * g, fiber.rho1.mat - s * m1, fiber.rho2.mat - s * m2)
 
 
 def _dist_solve(beta: np.ndarray, fiber: FiberSpec, cfg: SolverConfig):
@@ -138,13 +145,20 @@ def _dist_solve(beta: np.ndarray, fiber: FiberSpec, cfg: SolverConfig):
     kernel direction of the Newton system, gets a rank-one term.
 
     Upper bounds are exact members: the primal W (S^-1 - S^-1 dS S^-1) W^* / t
-    of a centered point's step, repaired by scale and glue. Lower bounds are
+    of a centered point's step, repaired by scale and glue, at the distance
+    ||beta - member||_1 of one eigvalsh (beta is Hermitian). Lower bounds are
     the dual value at Z clipped to the unit ball and Y lifted to the whole
     space, each Y_i gaining s (I - U_i U_i^*), s large enough that S's Schur
     complement stays PSD, then shifted by the identity until it dominates Z.
     So [lower, upper] always contains the true distance. The driver defers
-    every centered point whose barrier gap bound keeps the bracket open (its
-    ``defer``), so a solve that closes certifies one point.
+    every centered point whose barrier gap bound keeps the bracket open, so
+    a solve that closes computes one dual bound. Its ``defer`` check still
+    repairs a kept point's member, and the bracket closes there when that
+    member lands within cfg.gap_tol of the lower bound, as it does where the
+    marginal floor below is the distance. The check skips the repair when
+    the point's own dual value <Z, beta> - <Y1, U1^* rho1 U1> -
+    <Y2, U2^* rho2 U2> already exceeds lower + cfg.gap_tol, since then no
+    member can close the bracket.
 
     Every member's distance is at least the marginal floor
     max(||tr_2 beta - rho1||_1, ||tr_1 beta - rho2||_1), a certified lower
@@ -170,7 +184,7 @@ def _dist_solve(beta: np.ndarray, fiber: FiberSpec, cfg: SolverConfig):
     rc1, rc2 = (hermitize(u.conj().T @ r @ u) for u, r in ((u1, r1), (u2, r2)))
 
     member = _repair_to_member(fiber.product_coupling().mat, fiber, support_scale)
-    best = {"upper": trace_norm(beta - member), "member": member}
+    best = {"upper": _herm_trace_norm(beta - member), "member": member}
     if not k1 * k2:  # zero marginals: the fiber is {0}
         return best["upper"], best["upper"], member, 0, "optimal"
     floor = max(
@@ -179,7 +193,7 @@ def _dist_solve(beta: np.ndarray, fiber: FiberSpec, cfg: SolverConfig):
     )
     if floor <= cfg.gap_tol:
         own = _repair_to_member(beta, fiber, support_scale)
-        upper = trace_norm(beta - own)
+        upper = _herm_trace_norm(beta - own)
         if upper < best["upper"]:
             best.update(upper=upper, member=own)
     best["lower"] = min(floor, best["upper"])
@@ -237,13 +251,28 @@ def _dist_solve(beta: np.ndarray, fiber: FiberSpec, cfg: SolverConfig):
         ])
         return hess, gbar
 
-    def certify(inverses, changes, t):
+    def closed():
+        return "optimal" if best["upper"] - best["lower"] <= cfg.gap_tol else None
+
+    def repair(inverses, changes, t):
         g, ds = inverses[2], changes[2]
         gamma = wb @ _herm_part(g - g @ ds @ g) @ wb.conj().T / t
         member = _repair_to_member(gamma, fiber, support_scale)
-        upper = trace_norm(beta - member)
+        upper = _herm_trace_norm(beta - member)
         if upper < best["upper"]:
             best.update(upper=upper, member=member)
+
+    def check_kept(inverses, changes, t):
+        # The point's own dual value bounds the distance of the compressed
+        # program; above lower + gap_tol no member can close the bracket.
+        if _hs(z, beta) - _hs(y1, rc1) - _hs(y2, rc2) > best["lower"] + cfg.gap_tol:
+            return None
+        repair(inverses, changes, t)
+        return closed()
+
+    def certify(inverses, changes, t):
+        repair(inverses, changes, t)
+        g = inverses[2]
         zw, zv = np.linalg.eigh(z)
         zc = (zv * np.clip(zw, -1.0, 1.0)) @ zv.conj().T
         # Off the support product S's Schur complement needs
@@ -255,11 +284,11 @@ def _dist_solve(beta: np.ndarray, fiber: FiberSpec, cfg: SolverConfig):
         )
         f1, f2 = _shift_to_dominate(f1, f2, _kron_sum_mat, zc)
         best["lower"] = max(best["lower"], _hs(zc, beta) - _hs(f1, r1) - _hs(f2, r2))
-        return "optimal" if best["upper"] - best["lower"] <= cfg.gap_tol else None
+        return closed()
 
     scale = _tr(r1) + trace_norm(beta)
     status, steps = _barrier_path(
-        [z, y1, y2], cost, scale, slacks, moves, system, certify, cfg, True
+        [z, y1, y2], cost, scale, slacks, moves, system, certify, cfg, check_kept
     )
     return best["upper"], best["lower"], best["member"], steps, status
 

@@ -298,6 +298,19 @@ def trace_norm(a) -> float:
     return schatten_norm(a, 1)
 
 
+def _herm_trace_norm(m: np.ndarray) -> float:
+    """Trace norm of a Hermitian array: sum |lambda| from one eigvalsh, no SVD.
+
+    Reads only the lower triangle, as eigvalsh does, so the caller passes an
+    exactly Hermitian matrix; the magnitude guard is ``trace_norm``'s.
+    """
+    _guard_magnitude(m)
+    try:
+        return float(np.abs(np.linalg.eigvalsh(m)).sum())
+    except np.linalg.LinAlgError as exc:
+        raise EigendecompositionError(f"eigvalsh did not converge: {exc}") from exc
+
+
 def singular_values(a, check: bool = False) -> SingularSpectrum:
     """Full singular value decomposition as a SingularSpectrum.
 

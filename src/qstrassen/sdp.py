@@ -56,6 +56,7 @@ from .linalg import (
     HermitianOperator,
     _check_marginals,
     _herm_part,
+    _herm_trace_norm,
     _hs,
     _max_eig,
     _min_eig,
@@ -63,7 +64,6 @@ from .linalg import (
     as_matrix,
     hermitize,
     psd_project,  # noqa: F401  (unused here; bench/run.py traces sdp.psd_project by name)
-    trace_norm,
 )
 
 __all__ = [
@@ -290,7 +290,7 @@ def _damped_step(mu: np.ndarray, lam2: float, grid: np.ndarray) -> float:
 
 
 def _barrier_path(
-    point, cost, scale, slacks, moves, system, certify, cfg: SolverConfig, defer: bool = False
+    point, cost, scale, slacks, moves, system, certify, cfg: SolverConfig, defer=False
 ):
     """Follow the central path of one dual log-barrier; return (status, steps).
 
@@ -339,9 +339,13 @@ def _barrier_path(
     of every centered point. A kept point's S_j^-1 are factored again from
     its unknowns, bit for bit those it had, and its Newton system is not
     solved again; copies of the S_j^-1 would hold their blocks (n x n for
-    mu's Z) per kept point. The uncapped overlap core and the fiber
-    distance defer; the mismatch program, whose threshold reads every
-    centered point, does not.
+    mu's Z) per kept point. ``defer`` may also be a check, called at each
+    point as it is kept with the arguments ``certify`` takes; it may stop the
+    path as ``certify`` does, and the point stays kept. The uncapped overlap
+    core defers (``defer`` True); the fiber distance defers with a check
+    that repairs the kept point's member against the marginal floor; the
+    mismatch program, whose threshold reads every centered point, does not
+    defer.
 
     The status is ``certify``'s, or ``max_iters`` after cfg.max_iters
     Newton steps (the current point is then certified, last, unless it was
@@ -388,10 +392,11 @@ def _barrier_path(
                 break
             if defer and m - math.sqrt(m * max(lam2, 0.0)) > reach * t:
                 kept.append(([x.copy() for x in point], step, t))
+                stop = defer(inverses, moves(split(step)), t) if callable(defer) else None
             else:
                 stop = certify(inverses, moves(split(step)), t)
-                if stop is not None:
-                    return stop, it
+            if stop is not None:
+                return stop, it
             centered = True
             t *= _GROWTH
             steps = 0
@@ -533,7 +538,7 @@ def _overlap_core(
         cf = hermitize(zinv - zinv @ dz @ zinv) / t
         cf -= min(0.0, _min_eig(cf)) * np.eye(n)  # PSD in exact arithmetic, so up to rounding
         if cap:
-            val = sum(trace_norm(hermitize(m) - r) for m, r in zip(lmap(cf), (r1, r2)))
+            val = sum(_herm_trace_norm(hermitize(m) - r) for m, r in zip(lmap(cf), (r1, r2)))
             if val < best["value"]:
                 best.update(value=val, c=cf)
             w1, w2 = _shift_to_dominate(2.0 * y1 - np.eye(d1), 2.0 * y2 - np.eye(d2), ladj, 0.0)

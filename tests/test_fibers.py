@@ -25,7 +25,7 @@ from qstrassen.fibers import (
     glue_coupling,
     semidistance_lower_bound,
 )
-from qstrassen.linalg import hermitize, trace_norm
+from qstrassen.linalg import hermitize, psd_project, trace_norm
 from qstrassen.sdp import DEFAULT_CONFIG, SolverConfig, _overlap_on_support
 
 from oracles import marginal_kernel_directions, marginal_map_real_matrix
@@ -107,6 +107,37 @@ def test_glue_rejects_dim_mismatch():
     fiber = FiberSpec(np.eye(3) / 3, np.eye(2) / 2)
     with pytest.raises(ValueError, match="do not match the fiber"):
         glue_coupling(BipartiteOperator(np.zeros((4, 4)), 2, 2), fiber)
+
+
+def repair_candidates():
+    """(label, candidate, fiber): random, rank-deficient, member and singular-marginal cases."""
+    rng = np.random.default_rng(3)
+    _, fiber = generated_fiber((2, 3), 0)
+    _, singular = singular_fiber(*SINGULAR[1])
+    low = crand(rng, 6, 2)
+    return [
+        ("random", hermitize(crand(rng, 6, 6)), fiber),
+        ("rank 2", low @ low.conj().T, fiber),
+        ("rank 1", np.outer(low[:, 0], low[:, 0].conj()), fiber),
+        ("member", fiber.product_coupling().mat, fiber),
+        ("singular marginals", hermitize(crand(rng, 9, 9)), singular),
+        ("singular rank 3", (lambda a: a @ a.conj().T)(crand(rng, 9, 3)), singular),
+    ]
+
+
+def test_repair_to_member_glues_as_glue_coupling_does():
+    # The repair glues the deficits the support scaler has just confirmed
+    # PSD, without glue_coupling's own check and partial traces; its members
+    # are exact and equal glue_coupling's to rounding.
+    for label, candidate, fiber in repair_candidates():
+        scale = sdp._support_scaler(fiber.rho1.mat, fiber.rho2.mat)
+        member = fibers._repair_to_member(candidate, fiber, scale)
+        assert_exact_member(member, fiber)
+        g = psd_project(candidate)
+        d1, d2 = fiber.d1, fiber.d2
+        s = scale(partial_trace_2(g, d1, d2), partial_trace_1(g, d1, d2))
+        glued = glue_coupling(BipartiteOperator(s * g, d1, d2), fiber).mat
+        assert np.max(np.abs(member - glued)) <= 1e-14, label
 
 
 # ---------------------------------------------------------------------------
@@ -223,13 +254,14 @@ def generated_fiber(dims, seed):
 # iterations) [0.3553117234, 0.3553330946], the one recorded under the
 # centering threshold 1/4 (24, 23 and 10 steps) and the one under the full
 # boundary step (20, 19 and 10 steps). The 2x2 fiber's marginal floor is its
-# distance, so its bracket closes at the budget of 10 (it ran out there when
-# the bracket opened at 0); the budget of 10 stops the 3x3 solve before it
-# closes (17 steps).
+# distance, so its bracket closes within the budget of 10 (it ran out there
+# when the bracket opened at 0): after 7 steps, where a kept point's member
+# meets the floor (10 while only the last centered point was repaired); the
+# budget of 10 stops the 3x3 solve before it closes (17 steps).
 DIST_GOLDEN = {
     ((2, 3), 0, 50_000): (0.7491711986503651, 0.7491706918224025, 15, "optimal"),
     ((3, 3), 1, 50_000): (0.3825958139037302, 0.38259533840615134, 17, "optimal"),
-    ((2, 2), 2, 10): (0.35533310762602827, 0.35533309455132656, 10, "optimal"),
+    ((2, 2), 2, 10): (0.35533310762602827, 0.35533309455132656, 7, "optimal"),
     ((3, 3), 1, 10): (0.3826355584627411, 0.38233896004260237, 10, "max_iters"),
 }
 
@@ -413,13 +445,14 @@ def marginal_floor(beta, fiber):
 
 def test_deferred_dist_solve_matches_certifying_every_point(monkeypatch):
     # Against the barrier's own lower bound only the last centered point of
-    # a closing path can close the bracket, so certifying it alone leaves
-    # those results as they were; paths that end without a stop (budgets,
-    # the near-singular fibers' breakdowns) certify their kept points and
-    # keep every bracket too. Where the marginal floor is the distance (the
-    # 2x2 seed-2 fiber, 10 more generated fibers and 23 of that fiber's
-    # budgets), an earlier centered point's member already meets the floor:
-    # the reference closes there, sooner, at the same lower bound.
+    # a closing path can close the bracket, and a kept point's member is
+    # repaired whenever its own dual value leaves the marginal floor within
+    # reach, so certifying the last point alone leaves every result as it
+    # was, bit for bit. Paths that end without a stop (budgets, the
+    # near-singular fibers' breakdowns) certify their kept points and keep
+    # every bracket too. 38 of the cases close at the floor: the 2x2 seed-2
+    # golden, 10 more generated fibers and 27 of that fiber's budgets, most
+    # of them at a kept point's member.
     cases = off_fiber_cases()
 
     def solve_all():
@@ -429,16 +462,13 @@ def test_deferred_dist_solve_matches_certifying_every_point(monkeypatch):
     want = certifying_every_point(monkeypatch, solve_all)
     statuses = {w[4] for w in want}
     assert statuses == {"optimal", "max_iters", "infeasible_numerics"}
-    sooner = []
+    at_floor = 0
     for (label, beta, fiber, _), g, w in zip(cases, got, want):
         assert w[0] > DEFAULT_CONFIG.gap_tol, label
-        if (g[0], g[1], g[3], g[4]) == (w[0], w[1], w[3], w[4]) and np.array_equal(g[2], w[2]):
-            continue
-        sooner.append(label)
-        assert g[1] == w[1] == marginal_floor(beta, fiber), label
-        assert g[4] == w[4] == "optimal" and w[3] < g[3], label
-        assert_exact_member(g[2], fiber)
-    assert len(sooner) == 34
+        assert (g[0], g[1], g[3], g[4]) == (w[0], w[1], w[3], w[4]), label
+        assert np.array_equal(g[2], w[2]), label
+        at_floor += g[4] == "optimal" and g[1] == marginal_floor(beta, fiber)
+    assert at_floor == 38
 
 
 def test_deferred_dist_from_zero_matches_up_to_rounding(monkeypatch):
@@ -470,6 +500,33 @@ def test_closing_dist_solve_repairs_at_the_start_and_the_closing_point(monkeypat
     (_, _, _, steps, status), repairs = counting_repairs(monkeypatch, solve)
     _, every = counting_repairs(monkeypatch, lambda: certifying_every_point(monkeypatch, solve))
     assert (steps, status, repairs, every) == (15, "optimal", 2, 5)
+
+
+def test_kept_point_checks_skip_every_repair_above_the_floor(monkeypatch):
+    # The 2x3 seed-0 fiber's floor lies below its distance, and each kept
+    # point's own dual value is already above floor + gap_tol: the driver
+    # calls the kept-point check at the path's first three centered points,
+    # and none of them repairs a member.
+    beta, fiber = generated_fiber((2, 3), 0)
+    assert marginal_floor(beta, fiber) + DEFAULT_CONFIG.gap_tol < DIST_GOLDEN[(2, 3), 0, 50_000][1]
+    checks = []
+    real = fibers._barrier_path
+
+    def counting_checks(*args):
+        check = args[8]
+
+        def counted(*a):
+            checks.append(1)
+            return check(*a)
+
+        return real(*args[:8], counted)
+
+    with monkeypatch.context() as m:
+        m.setattr(fibers, "_barrier_path", counting_checks)
+        (_, _, _, steps, status), repairs = counting_repairs(
+            monkeypatch, lambda: _dist_solve(beta, fiber, DEFAULT_CONFIG)
+        )
+    assert (steps, status, len(checks), repairs) == (15, "optimal", 3, 2)
 
 
 def in_fiber_betas():
@@ -544,17 +601,18 @@ def test_marginal_floor_closes_a_beta_just_off_the_fiber_at_the_start(monkeypatc
     assert_exact_member(member, fiber)
 
 
-def test_beta_just_off_the_fiber_takes_the_full_path(monkeypatch):
-    # 3e-6 off, the floor 1.4e-6 exceeds gap_tol and is the distance.
-    # Certifying every point closed the bracket at 6 steps, through an early
-    # member that meets the floor; the deferred path runs to its last
-    # centering, 14 steps, and closes there.
+def test_beta_just_off_the_fiber_closes_at_a_kept_points_member(monkeypatch):
+    # 3e-6 off, the floor 1.4e-6 exceeds gap_tol and is the distance. An
+    # early centered point's member meets it: certifying every point closes
+    # the bracket there, at 6 steps, and so does the deferred path, which
+    # repairs that kept point's member (it ran to its last centering, 14
+    # steps, while only that point was repaired).
     beta, fiber = beta_off_the_fiber(3e-6)
     upper, lower, member, steps, status = _dist_solve(beta, fiber, DEFAULT_CONFIG)
     want = certifying_every_point(monkeypatch, lambda: _dist_solve(beta, fiber, DEFAULT_CONFIG))
-    assert (status, steps, want[4], want[3]) == ("optimal", 14, "optimal", 6)
+    assert (status, steps, want[4], want[3]) == ("optimal", 6, "optimal", 6)
     assert lower == want[1] == marginal_floor(beta, fiber) > DEFAULT_CONFIG.gap_tol
-    assert upper <= lower + DEFAULT_CONFIG.gap_tol
+    assert upper == want[0] <= lower + DEFAULT_CONFIG.gap_tol
     assert abs(trace_norm(beta - member) - upper) <= 1e-15
     assert_exact_member(member, fiber)
 

@@ -19,6 +19,7 @@ from qstrassen.linalg import (
     EigendecompositionError,
     HermitianOperator,
     ToleranceConfig,
+    _herm_trace_norm,
     as_matrix,
     check_hs_product_bound,
     check_sv_product_bound,
@@ -257,6 +258,21 @@ def test_singular_spectrum_reconstructs():
 
 def test_trace_norm_of_zero():
     assert trace_norm(np.zeros((3, 3), dtype=complex)) == 0.0
+
+
+def test_hermitian_trace_norm_matches_the_svd_one():
+    # One eigvalsh in place of an SVD: on Hermitian input the singular values
+    # are the |eigenvalues|, so the two sums agree to rounding, on indefinite,
+    # rank-deficient, real and 1x1 matrices alike; the empty sum is 0.
+    rng = np.random.default_rng(12)
+    cases = [hermitize(crand(rng, n, n)) for n in (1, 2, 4, 6, 12)]
+    low = crand(rng, 9, 2)
+    cases += [low @ low.conj().T, hermitize(rng.standard_normal((5, 5))), np.zeros((3, 3))]
+    for m in cases:
+        assert abs(_herm_trace_norm(m) - trace_norm(m)) <= 1e-13
+    assert _herm_trace_norm(np.zeros((0, 0), dtype=complex)) == 0.0
+    with pytest.raises(ValueError, match="magnitude guard"):
+        _herm_trace_norm(np.diag([1e151, 1.0]).astype(complex))
 
 
 # ---------------------------------------------------------------------------
