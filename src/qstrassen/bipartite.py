@@ -15,6 +15,7 @@ import numpy as np
 
 from .linalg import (
     DEFAULT_TOL, HermitianOperator, _check_orthonormal, _check_psd, _Frozen, as_matrix, hermitize,
+    trace_norm,
 )
 
 __all__ = [
@@ -316,6 +317,5 @@ def weak_vs_trace_demo(n: int) -> WeakTraceReport:
     rho = np.outer(v, v.conj())
     # The pairing of e_j (x) e_q with rho (e_i (x) e_p) is the entry rho[(j, q), (i, p)].
     max_pairing = np.abs(rho.reshape(d1, d2, d1, d2)[:3, :3, :3, :3]).max()
-    marg2 = _trace1_mat(rho, d1, d2)
-    gap = float(np.sum(np.abs(np.linalg.eigvalsh(marg2))))
+    gap = trace_norm(_trace1_mat(rho, d1, d2))
     return WeakTraceReport(n=n, d1=d1, d2=d2, max_pairing=float(max_pairing), trace_norm_gap=gap)

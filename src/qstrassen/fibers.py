@@ -22,7 +22,6 @@ from .linalg import (
     _check_marginals,
     _Frozen,
     _herm_part,
-    _herm_trace_norm,
     _hs,
     _max_eig,
     _min_eig,
@@ -146,7 +145,7 @@ def _dist_solve(beta: np.ndarray, fiber: FiberSpec, cfg: SolverConfig):
 
     Upper bounds are exact members: the primal W (S^-1 - S^-1 dS S^-1) W^* / t
     of a centered point's step, repaired by scale and glue, at the distance
-    ||beta - member||_1 of one eigvalsh (beta is Hermitian). Lower bounds are
+    ||beta - member||_1, one eigvalsh of a Hermitian difference. Lower bounds are
     the dual value at Z clipped to the unit ball and Y lifted to the whole
     space, each Y_i gaining s (I - U_i U_i^*), s large enough that S's Schur
     complement stays PSD, then shifted by the identity until it dominates Z.
@@ -158,7 +157,7 @@ def _dist_solve(beta: np.ndarray, fiber: FiberSpec, cfg: SolverConfig):
     marginal floor below is the distance. The check skips the repair when
     the point's own dual value <Z, beta> - <Y1, U1^* rho1 U1> -
     <Y2, U2^* rho2 U2> already exceeds lower + cfg.gap_tol, since then no
-    member can close the bracket.
+    member can close the bracket; a repaired kept point is not repaired again.
 
     Every member's distance is at least the marginal floor
     max(||tr_2 beta - rho1||_1, ||tr_1 beta - rho2||_1), a certified lower
@@ -184,7 +183,7 @@ def _dist_solve(beta: np.ndarray, fiber: FiberSpec, cfg: SolverConfig):
     rc1, rc2 = (hermitize(u.conj().T @ r @ u) for u, r in ((u1, r1), (u2, r2)))
 
     member = _repair_to_member(fiber.product_coupling().mat, fiber, support_scale)
-    best = {"upper": _herm_trace_norm(beta - member), "member": member}
+    best = {"upper": trace_norm(beta - member), "member": member}
     if not k1 * k2:  # zero marginals: the fiber is {0}
         return best["upper"], best["upper"], member, 0, "optimal"
     floor = max(
@@ -193,7 +192,7 @@ def _dist_solve(beta: np.ndarray, fiber: FiberSpec, cfg: SolverConfig):
     )
     if floor <= cfg.gap_tol:
         own = _repair_to_member(beta, fiber, support_scale)
-        upper = _herm_trace_norm(beta - own)
+        upper = trace_norm(beta - own)
         if upper < best["upper"]:
             best.update(upper=upper, member=own)
     best["lower"] = min(floor, best["upper"])
@@ -258,9 +257,11 @@ def _dist_solve(beta: np.ndarray, fiber: FiberSpec, cfg: SolverConfig):
         g, ds = inverses[2], changes[2]
         gamma = wb @ _herm_part(g - g @ ds @ g) @ wb.conj().T / t
         member = _repair_to_member(gamma, fiber, support_scale)
-        upper = _herm_trace_norm(beta - member)
+        upper = trace_norm(beta - member)
         if upper < best["upper"]:
             best.update(upper=upper, member=member)
+
+    repaired = set()  # t of each kept point whose member check_kept has repaired
 
     def check_kept(inverses, changes, t):
         # The point's own dual value bounds the distance of the compressed
@@ -268,10 +269,12 @@ def _dist_solve(beta: np.ndarray, fiber: FiberSpec, cfg: SolverConfig):
         if _hs(z, beta) - _hs(y1, rc1) - _hs(y2, rc2) > best["lower"] + cfg.gap_tol:
             return None
         repair(inverses, changes, t)
+        repaired.add(t)
         return closed()
 
     def certify(inverses, changes, t):
-        repair(inverses, changes, t)
+        if t not in repaired:  # a kept point's member is the same bit for bit
+            repair(inverses, changes, t)
         g = inverses[2]
         zw, zv = np.linalg.eigh(z)
         zc = (zv * np.clip(zw, -1.0, 1.0)) @ zv.conj().T

@@ -274,41 +274,33 @@ def _check_orthonormal(v: np.ndarray, name: str) -> None:
 
 
 def schatten_norm(a, p) -> float:
-    """Schatten p-norm for p in {1, 2, inf}.
+    """Schatten p-norm for p in {1, 2, inf}, the package's one trace-norm kernel.
 
-    p=1 sums the singular values, p=2 is the Frobenius norm computed directly
-    from the entries, p=inf is the largest singular value.
+    p=2 is the Frobenius norm of the entries. p=1 sums the singular values,
+    p=inf is the largest: the |eigenvalues| of one eigvalsh when the matrix
+    equals its conjugate transpose exactly, otherwise the values of an SVD.
     """
     m = as_matrix(a)
     _guard_magnitude(m)
     if p == 2:
         return float(np.sqrt(np.sum(np.abs(m) ** 2)))
+    if p not in (1, np.inf, "inf"):
+        raise ValueError(f"unsupported Schatten index {p!r}; use 1, 2, or inf")
     if m.size == 0:
         return 0.0
-    s = _svdvals(m)
-    if p == 1:
-        return float(np.sum(s))
-    if p in (np.inf, float("inf")) or p == "inf":
-        return float(s[0])
-    raise ValueError(f"unsupported Schatten index {p!r}; use 1, 2, or inf")
+    if m.shape[0] == m.shape[1] and np.array_equal(m, m.conj().T):
+        try:
+            s = np.abs(np.linalg.eigvalsh(m))
+        except np.linalg.LinAlgError as exc:
+            raise EigendecompositionError(f"eigvalsh did not converge: {exc}") from exc
+    else:
+        s = _svdvals(m)
+    return float(np.sum(s) if p == 1 else s.max())
 
 
 def trace_norm(a) -> float:
     """Trace norm ||A||_1 (sum of singular values)."""
     return schatten_norm(a, 1)
-
-
-def _herm_trace_norm(m: np.ndarray) -> float:
-    """Trace norm of a Hermitian array: sum |lambda| from one eigvalsh, no SVD.
-
-    Reads only the lower triangle, as eigvalsh does, so the caller passes an
-    exactly Hermitian matrix; the magnitude guard is ``trace_norm``'s.
-    """
-    _guard_magnitude(m)
-    try:
-        return float(np.abs(np.linalg.eigvalsh(m)).sum())
-    except np.linalg.LinAlgError as exc:
-        raise EigendecompositionError(f"eigvalsh did not converge: {exc}") from exc
 
 
 def singular_values(a, check: bool = False) -> SingularSpectrum:

@@ -56,7 +56,6 @@ from .linalg import (
     HermitianOperator,
     _check_marginals,
     _herm_part,
-    _herm_trace_norm,
     _hs,
     _max_eig,
     _min_eig,
@@ -64,6 +63,8 @@ from .linalg import (
     as_matrix,
     hermitize,
     psd_project,  # noqa: F401  (unused here; bench/run.py traces sdp.psd_project by name)
+    schatten_norm,
+    trace_norm,
 )
 
 __all__ = [
@@ -538,11 +539,11 @@ def _overlap_core(
         cf = hermitize(zinv - zinv @ dz @ zinv) / t
         cf -= min(0.0, _min_eig(cf)) * np.eye(n)  # PSD in exact arithmetic, so up to rounding
         if cap:
-            val = sum(_herm_trace_norm(hermitize(m) - r) for m, r in zip(lmap(cf), (r1, r2)))
+            val = sum(trace_norm(hermitize(m) - r) for m, r in zip(lmap(cf), (r1, r2)))
             if val < best["value"]:
                 best.update(value=val, c=cf)
             w1, w2 = _shift_to_dominate(2.0 * y1 - np.eye(d1), 2.0 * y2 - np.eye(d2), ladj, 0.0)
-            scale = max(1.0, *(float(np.abs(np.linalg.eigvalsh(w)).max()) for w in (w1, w2)))
+            scale = max(1.0, *(schatten_norm(w, np.inf) for w in (w1, w2)))
             lower = -(_hs(w1, r1) + _hs(w2, r2)) / scale
             if lower > best["dual"]:
                 best.update(dual=lower, y=(w1, w2))
@@ -600,9 +601,9 @@ def _overlap_on_support(b, r1, r2, vbasis, cfg: SolverConfig):
     to gap_tol, and a solve that ran out or broke down keeps its own status
     otherwise. Where the lift's rounding (up to s eps d1 d2) exceeds
     gap_tol, or the lifted bracket of an ``optimal`` solve does not close,
-    the core solves the full space, keeps the better primal and is
-    ``optimal`` if the merged bracket closes. A vanishing R^* B R gives 0 at
-    0 iterations.
+    the core solves the full space, keeps the better primal and the better
+    (lower) dual with its pair, and is ``optimal`` if the merged bracket
+    closes. A vanishing R^* B R gives 0 at 0 iterations.
     """
     d1, d2 = len(r1), len(r2)
     (u1, w1), (u2, w2) = _support_split(r1), _support_split(r2)
@@ -627,8 +628,9 @@ def _overlap_on_support(b, r1, r2, vbasis, cfg: SolverConfig):
         sol = _overlap_core(bc, rc1, rc2, vc, half)
     c = keep @ sol.c @ keep.conj().T
     shift = (1.0 + 0.5 / cfg.gap_tol) / gain
+    pair, dual = None, math.inf  # the lifted dual, where the lift's rounding allows one
     if shift * np.finfo(float).eps * d1 * d2 <= cfg.gap_tol:
-        y1, y2, dual = _repair_dual(
+        *pair, dual = _repair_dual(
             *(
                 hermitize(u @ y @ u.conj().T + shift * (w @ w.conj().T))
                 for u, w, y in zip((u1, u2), (w1, w2), sol.y)
@@ -638,11 +640,13 @@ def _overlap_on_support(b, r1, r2, vbasis, cfg: SolverConfig):
         closed = dual - sol.value <= cfg.gap_tol
         if closed or sol.status != "optimal":
             status = "optimal" if closed else sol.status
-            return sol._replace(c=c, dual=dual, y=(y1, y2), status=status)
+            return sol._replace(c=c, dual=dual, y=tuple(pair), status=status)
     full = _overlap_core(b, r1, r2, vbasis, cfg)
     full = full._replace(iterations=sol.iterations + full.iterations)
     if sol.value > full.value:
         full = full._replace(value=sol.value, c=c)
+    if dual < full.dual:
+        full = full._replace(dual=dual, y=tuple(pair))
     if full.dual - full.value <= cfg.gap_tol:
         full = full._replace(status="optimal")
     return full

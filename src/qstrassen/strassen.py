@@ -126,8 +126,8 @@ def mu(
 
 def _decide(
     rho1, rho2, x_sub: Subspace, cfg: SolverConfig
-) -> tuple[str, DensityOperator | None, SupportedOverlapSolution]:
-    """Verdict, certificate and the supported solve that decides both.
+) -> tuple[str, DensityOperator | None, SupportedOverlapSolution, float | None]:
+    """Verdict, certificate, the supported solve that decides both, and the marginal error.
 
     One ``solve_supported_overlap`` to gap_tol settles the question: its
     value is 1 exactly when a coupling supported in the subspace exists. The
@@ -137,6 +137,7 @@ def _decide(
     V^*(Y1 (x) I + I (x) Y2)V >= I, falls below 1 - eps_decision, else
     ``undecided``. A singular marginal is handled on the support product
     (see ``sdp._overlap_on_support``). The marginals are checked here, once.
+    The marginal error is the one the certificate passed, None without one.
     """
     r1, r2 = _unit_marginals(rho1, rho2, x_sub)
     d1, d2 = len(r1), len(r2)
@@ -144,19 +145,19 @@ def _decide(
     threshold = 1.0 - cfg.eps_decision
     verdict = "no_coupling" if sup.dual < threshold else "undecided"
     if sup.value < threshold:
-        return verdict, None, sup
+        return verdict, None, sup, None
     # A value at or above the threshold bounds the normalized certificate's
     # marginal error by 4 * eps, since its marginals are dominated and its
     # trace is >= 1 - eps; it carries no mass outside the subspace.
     rho_hat = hermitize(sup.X.mat / sup.value)
     off = np.eye(x_sub.ambient_dim) - x_sub.projector.mat
-    supp_leak = trace_norm(off @ rho_hat @ off)
+    supp_leak = trace_norm(hermitize(off @ rho_hat @ off))
     marg_err = trace_norm(partial_trace_2(rho_hat, d1, d2) - r1) + trace_norm(
         partial_trace_1(rho_hat, d1, d2) - r2
     )
     if supp_leak > 1e-7 or marg_err > 10.0 * cfg.eps_decision:
-        return verdict, None, sup
-    return "coupling", DensityOperator(rho_hat), sup
+        return verdict, None, sup, None
+    return "coupling", DensityOperator(rho_hat), sup, marg_err
 
 
 def has_coupling(
@@ -173,7 +174,7 @@ def has_coupling(
     marginal error at most 10 * eps_decision. Ties and undecided runs resolve
     toward false.
     """
-    verdict, cert, _ = _decide(rho1, rho2, x_sub, cfg)
+    verdict, cert, _, _ = _decide(rho1, rho2, x_sub, cfg)
     return verdict == "coupling", cert
 
 
@@ -484,7 +485,7 @@ def classical_quantum_consistency(
             classical_coupling=coupling,
         )
     sub = Subspace(m * n, np.eye(m * n)[:, [i * n + j for i, j in sorted(inst.edges)]])
-    verdict, cert, sup = _decide(np.diag(inst.mu1), np.diag(inst.mu2), sub, cfg)
+    verdict, cert, sup, _ = _decide(np.diag(inst.mu1), np.diag(inst.mu2), sub, cfg)
     coupled = verdict == "coupling"
     return ClassicalQuantumReport(
         classical_feasible=feasible,

@@ -564,6 +564,33 @@ def test_main_fiber_dist_semidistance_mode(tmp_path, capsys):
     assert report["sample_bounds"] == []
 
 
+def test_run_commands_take_their_trace_norms_without_an_svd(tmp_path, capsys, monkeypatch):
+    # Every trace norm a run command takes is of a Hermitian matrix (the
+    # f-ladder's mismatch, the fiber distance, its floor and scale, the
+    # certificate tests), so one eigvalsh serves: with numpy's SVD failing
+    # each command still ends with exit code 0, as it does with the SVD.
+    def failing_svd(*args, **kwargs):
+        raise np.linalg.LinAlgError("SVD did not converge")
+
+    fiber, other = (generate_instance({"kind": "fiber_dist", "dims": (2, 3), "seed": s}) for s in (3, 4))
+    semi = {k: v for k, v in fiber.items() if k != "beta"}
+    semi["rho1_b"], semi["rho2_b"] = other["rho1"], other["rho2"]
+    runs = [
+        (["check"], generate_instance({"kind": "coupling", "dims": (2, 3), "seed": 0})),
+        (["check"], generate_instance(
+            {"kind": "coupling", "dims": (2, 3), "seed": 0, "feasible": False, "subspace_dim": 3}
+        )),
+        (["ladder-f"], generate_instance({"kind": "f_ladder", "dims": (2, 3), "seed": 0})),
+        (["fiber-dist"], fiber),
+        (["fiber-dist", "--samples", "2"], semi),
+    ]
+    monkeypatch.setattr(np.linalg, "svd", failing_svd)
+    for i, (argv, obj) in enumerate(runs):
+        path = write_json(tmp_path, f"{i}.json", obj)
+        code, _, err = run_main(capsys, [argv[0], path, *argv[1:]])
+        assert (code, err) == (0, ""), argv
+
+
 def test_main_classical_both_verdicts(tmp_path, capsys):
     good = generate_instance({"kind": "classical", "dims": (3, 3), "seed": 11})
     bad = generate_instance({"kind": "classical", "dims": (3, 3), "seed": 11, "feasible": False})

@@ -502,6 +502,21 @@ def test_closing_dist_solve_repairs_at_the_start_and_the_closing_point(monkeypat
     assert (steps, status, repairs, every) == (15, "optimal", 2, 5)
 
 
+def test_budget_limited_dist_solve_repairs_each_kept_point_once(monkeypatch):
+    # The 3x3 seed-1 solve runs out at 10 steps: the product member, the
+    # kept points' checks and the last point make 4 repairs of 4 distinct
+    # candidates. The final certification of the kept points does not repair
+    # a point its check already repaired, and the golden bracket stays.
+    key = ((3, 3), 1, 10)
+    beta, fiber = generated_fiber(*key[:2])
+    (upper, lower, _, steps, status), repairs = counting_repairs(
+        monkeypatch, lambda: _dist_solve(beta, fiber, SolverConfig(max_iters=key[2]))
+    )
+    assert (steps, status, repairs) == (*DIST_GOLDEN[key][2:], 4)
+    assert abs(upper - DIST_GOLDEN[key][0]) <= 1e-12
+    assert abs(lower - DIST_GOLDEN[key][1]) <= 1e-12
+
+
 def test_kept_point_checks_skip_every_repair_above_the_floor(monkeypatch):
     # The 2x3 seed-0 fiber's floor lies below its distance, and each kept
     # point's own dual value is already above floor + gap_tol: the driver

@@ -19,7 +19,6 @@ from qstrassen.linalg import (
     EigendecompositionError,
     HermitianOperator,
     ToleranceConfig,
-    _herm_trace_norm,
     as_matrix,
     check_hs_product_bound,
     check_sv_product_bound,
@@ -225,8 +224,9 @@ def test_schatten_norms_on_known_diagonal():
 
 
 def test_schatten_rejects_unsupported_index():
-    with pytest.raises(ValueError, match="unsupported Schatten index"):
-        schatten_norm(np.eye(2), 3)
+    for m in (np.eye(2), np.zeros((0, 0))):  # the empty matrix too, before its 0
+        with pytest.raises(ValueError, match="unsupported Schatten index"):
+            schatten_norm(m, 3)
 
 
 def test_magnitude_guard_trips():
@@ -260,19 +260,44 @@ def test_trace_norm_of_zero():
     assert trace_norm(np.zeros((3, 3), dtype=complex)) == 0.0
 
 
-def test_hermitian_trace_norm_matches_the_svd_one():
-    # One eigvalsh in place of an SVD: on Hermitian input the singular values
-    # are the |eigenvalues|, so the two sums agree to rounding, on indefinite,
-    # rank-deficient, real and 1x1 matrices alike; the empty sum is 0.
+def test_hermitian_trace_norm_matches_the_svd_one(monkeypatch):
+    # On a matrix equal to its conjugate transpose the singular values are
+    # the |eigenvalues|: trace_norm and the operator norm read one eigvalsh,
+    # no SVD, and agree with the SVD to rounding on indefinite,
+    # rank-deficient, real and 1x1 matrices alike; the empty matrix gives 0.
     rng = np.random.default_rng(12)
     cases = [hermitize(crand(rng, n, n)) for n in (1, 2, 4, 6, 12)]
     low = crand(rng, 9, 2)
-    cases += [low @ low.conj().T, hermitize(rng.standard_normal((5, 5))), np.zeros((3, 3))]
-    for m in cases:
-        assert abs(_herm_trace_norm(m) - trace_norm(m)) <= 1e-13
-    assert _herm_trace_norm(np.zeros((0, 0), dtype=complex)) == 0.0
+    cases += [hermitize(low @ low.conj().T), hermitize(rng.standard_normal((5, 5))), np.zeros((3, 3))]
+    svd = [np.linalg.svd(m, compute_uv=False) for m in cases]
+
+    def no_svd(*args, **kwargs):
+        raise AssertionError("a Hermitian norm ran an SVD")
+
+    monkeypatch.setattr(np.linalg, "svd", no_svd)
+    for m, s in zip(cases, svd):
+        assert abs(trace_norm(m) - s.sum()) <= 1e-13
+        assert abs(schatten_norm(m, np.inf) - s[0]) <= 1e-13
+    for p in (1, np.inf):
+        assert schatten_norm(np.zeros((0, 0), dtype=complex), p) == 0.0
     with pytest.raises(ValueError, match="magnitude guard"):
-        _herm_trace_norm(np.diag([1e151, 1.0]).astype(complex))
+        trace_norm(np.diag([1e151, 1.0]).astype(complex))
+
+
+def test_non_hermitian_schatten_norms_take_the_svd():
+    # Anything short of exact Hermitian symmetry, a rounding-level
+    # asymmetry or a NaN (NaN != NaN) included, goes to the SVD, which
+    # reads the whole matrix and raises the package's error on a NaN.
+    rng = np.random.default_rng(13)
+    a = crand(rng, 4, 4)
+    for m in (a, crand(rng, 3, 5), hermitize(a) + 1e-17 * a):
+        s = np.linalg.svd(m, compute_uv=False)
+        assert abs(trace_norm(m) - s.sum()) <= 1e-13
+        assert abs(schatten_norm(m, np.inf) - s[0]) <= 1e-13
+    nan = np.eye(3, dtype=complex)
+    nan[1, 1] = np.nan
+    with pytest.raises(EigendecompositionError, match="SVD did not converge"):
+        trace_norm(nan)
 
 
 # ---------------------------------------------------------------------------

@@ -128,6 +128,89 @@ def test_every_entry_point_checks_its_marginals_through_one_function():
     assert imported & {"_check_marginals", "_check_psd"} == set()
 
 
+def scoped_nodes(source: str):
+    """(innermost function name, node) for every node of ``source``."""
+
+    def visit(node, scope):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            scope = node.name
+        yield scope, node
+        for child in ast.iter_child_nodes(node):
+            yield from visit(child, scope)
+
+    return visit(ast.parse(source), "<module>")
+
+
+def np_linalg_name(node) -> str | None:
+    """``X`` for a call of np.linalg.X, else None."""
+    if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+        if ast.unparse(node.func.value) in ("np.linalg", "numpy.linalg"):
+            return node.func.attr
+    return None
+
+
+SPECTRA = {"eigvalsh", "eigh"}
+ABS = {"np.abs", "np.absolute", "numpy.abs", "abs"}
+
+
+def spectrum_norms(source: str) -> list[str]:
+    """Functions of ``source`` that take abs of an eigenvalue array of np.linalg.eigvalsh or eigh.
+
+    The array counts when the abs argument calls the solver or names a
+    variable that the same function assigned from such a call.
+    """
+    spectra, found = set(), []
+
+    def holds_spectrum(node, scope):
+        return any(
+            np_linalg_name(n) in SPECTRA or isinstance(n, ast.Name) and (scope, n.id) in spectra
+            for n in ast.walk(node)
+        )
+
+    for scope, node in scoped_nodes(source):
+        if isinstance(node, ast.Assign) and holds_spectrum(node.value, scope):
+            for target in node.targets:
+                target = target.elts[0] if isinstance(target, ast.Tuple) else target
+                if isinstance(target, ast.Name):
+                    spectra.add((scope, target.id))
+        elif isinstance(node, ast.Call) and ast.unparse(node.func) in ABS:
+            if any(holds_spectrum(arg, scope) for arg in node.args):
+                found.append(scope)
+    return found
+
+
+def svd_callers(source: str) -> list[str]:
+    """Functions of ``source`` that call np.linalg.svd."""
+    return [scope for scope, node in scoped_nodes(source) if np_linalg_name(node) == "svd"]
+
+
+def test_spectrum_norm_and_svd_detectors():
+    source = (
+        "def f(m):\n    return np.abs(np.linalg.eigvalsh(m)).sum()\n"
+        "def g(m):\n    w, v = np.linalg.eigh(m)\n    return abs(w).max()\n"
+        "def h(m, w):\n    s = np.linalg.svd(m, compute_uv=False)\n"
+        "    return np.abs(s).sum() + np.abs(w).max() + np.linalg.eigvalsh(m)[0]\n"
+    )
+    assert spectrum_norms(source) == ["f", "g"]
+    assert svd_callers(source) == ["h"]
+
+
+def test_only_linalg_turns_a_spectrum_into_a_norm():
+    # linalg.schatten_norm is the one trace-norm kernel: on Hermitian input
+    # it reads |lambda| of one eigvalsh, on any other an SVD. Besides the
+    # kernel, the SVD serves linalg's singular-value checks and, outside
+    # linalg, only the support lift, which needs the singular vectors of the
+    # subspace's leak, not a norm.
+    files = sorted((ROOT / "src" / "qstrassen").glob("*.py"))
+    norms = {p.stem: set(spectrum_norms(p.read_text())) for p in files}
+    assert {m: f for m, f in norms.items() if f} == {"linalg": {"schatten_norm"}}
+    svd = {p.stem: set(svd_callers(p.read_text())) for p in files}
+    assert {m: f for m, f in svd.items() if f} == {
+        "linalg": {"singular_values", "_svdvals"},
+        "sdp": {"_overlap_on_support"},
+    }
+
+
 PATH_RULES = {"_GROWTH", "_CENTERED", "_CENTER_STEPS", "_STEP_GRID"}
 
 

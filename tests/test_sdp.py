@@ -609,6 +609,54 @@ def test_lifted_bracket_sets_the_status(monkeypatch):
     assert_overlap_bracket(sol, sub, np.eye(1), r2)
 
 
+def test_support_lift_fallback_keeps_the_lifted_dual(monkeypatch):
+    # rho1's least eigenvalue, 1e-11 of its largest, falls below the support
+    # cut. The compressed solve is optimal, but its lifted bracket stays
+    # open, so the core solves the full space too, which breaks down. The
+    # merged bracket keeps the lifted dual, the lower one: the gap is 5.5e-6
+    # (4.6e-4 for the supported program, 1.4e-5 merged), not the full
+    # solve's 6.3e-4.
+    rng = np.random.default_rng(0)
+    v, _ = np.linalg.qr(crand(rng, 4, 3))
+    rho = v @ random_state(rng, 3) @ v.conj().T
+    r1, r2 = partial_trace_2(rho, 2, 2), partial_trace_1(rho, 2, 2)
+    w, u = np.linalg.eigh(r1)
+    w[0] = 1e-11 * w[-1]
+    r1 = (u * w) @ u.conj().T
+    r1 /= np.trace(r1).real
+    sub = Subspace(4, v)
+    statuses = []
+    real_core = sdp._overlap_core
+
+    def recording_core(*args):
+        sol = real_core(*args)
+        statuses.append(sol.status)
+        return sol
+
+    monkeypatch.setattr(sdp, "_overlap_core", recording_core)
+    sol = solve_marginal_sdp(sub, r1, r2)
+    assert statuses == ["optimal", "infeasible_numerics"]
+    assert (sol.status, sol.iterations) == ("infeasible_numerics", 54)
+    assert sol.gap <= 1e-5
+    # The lifted Y1 carries the shift s = 1 + 0.5 / gap_tol on rho1's cut
+    # direction, so the pair dominates the projector up to rounding
+    # relative to its size, 5e5.
+    y1, y2 = sol.Y[0].mat, sol.Y[1].mat
+    size = np.linalg.norm(y1) + np.linalg.norm(y2)
+    assert min(np.linalg.eigvalsh(y1)[0], np.linalg.eigvalsh(y2)[0]) >= -1e-15 * size
+    adjoint = np.kron(y1, np.eye(2)) + np.kron(np.eye(2), y2) - sub.projector.mat
+    assert np.linalg.eigvalsh(adjoint)[0] >= -1e-15 * size
+    assert abs(np.vdot(r1, y1).real + np.vdot(r2, y2).real - sol.dual) <= 1e-9
+    x = sol.X.mat
+    assert abs(np.vdot(sub.projector.mat, x).real - sol.value) <= 1e-9
+    assert np.linalg.eigvalsh(x)[0] >= -1e-11
+    assert np.linalg.eigvalsh(r1 - partial_trace_2(x, 2, 2))[0] >= -1e-9
+    assert np.linalg.eigvalsh(r2 - partial_trace_1(x, 2, 2))[0] >= -1e-9
+    sup = solve_supported_overlap(sub, r1, r2)
+    assert statuses[2:] == ["optimal", "infeasible_numerics"]
+    assert sup.status == "infeasible_numerics" and sup.gap <= 2e-5
+
+
 def test_barrier_core_budget_below_need_keeps_a_certified_bracket():
     prob = golden_instance((3, 3), 2, True)
     for max_iters in (1, 3, 12):

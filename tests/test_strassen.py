@@ -477,7 +477,7 @@ def test_threshold_stop_keeps_every_verdict(decide_cases):
     # feasibility, on every instance.
     assert len(decide_cases) == 22
     verdicts = set()
-    for feasible, _, (verdict, cert, sup) in decide_cases:
+    for feasible, _, (verdict, cert, sup, _) in decide_cases:
         assert sup.status == "optimal" and sup.gap <= CFG.gap_tol
         assert verdict == ("coupling" if feasible else "no_coupling"), (feasible, verdict)
         assert (cert is not None) == feasible
@@ -490,7 +490,7 @@ def test_decided_refutation_only_on_infeasible(decide_cases):
     # 1 - eps only on infeasible instances, and a coupling's value clears it.
     threshold = 1.0 - CFG.eps_decision
     seen = 0
-    for feasible, _, (verdict, cert, sup) in decide_cases:
+    for feasible, _, (verdict, cert, sup, _) in decide_cases:
         if verdict == "coupling":
             assert feasible and sup.value >= threshold
             continue
@@ -504,14 +504,19 @@ def test_decided_refutation_only_on_infeasible(decide_cases):
 def test_decided_coupling_certificate_within_four_eps(decide_cases):
     eps = CFG.eps_decision
     seen = 0
-    for _, p, (verdict, cert, sup) in decide_cases:
-        if verdict != "coupling" or sup.status != "optimal":
+    for _, p, (verdict, cert, sup, tested) in decide_cases:
+        if verdict != "coupling":
+            assert tested is None
+            continue
+        if sup.status != "optimal":
             continue
         seen += 1
         assert sup.value >= 1.0 - eps
         marg_err = trace_norm(partial_trace_2(cert.mat, p.d1, p.d2) - p.rho1) + trace_norm(
             partial_trace_1(cert.mat, p.d1, p.d2) - p.rho2
         )
+        # _decide returns the error its certificate test read, the same sum.
+        assert abs(tested - marg_err) <= 1e-15
         assert marg_err <= 4.0 * eps + 1e-9
     assert seen > 0
 
@@ -530,7 +535,7 @@ def test_decide_certifies_a_rank_deficient_marginal():
     sub = Subspace(9, q)
     r1, r2 = partial_trace_2(rho, 3, 3), partial_trace_1(rho, 3, 3)
     assert np.linalg.matrix_rank(r1, tol=1e-12) == 2
-    verdict, cert, sup = _decide(r1, r2, sub, CFG)
+    verdict, cert, sup, _ = _decide(r1, r2, sub, CFG)
     assert verdict == "coupling" and cert is not None
     assert sup.status == "optimal"
     assert sup.value >= 1.0 - CFG.eps_decision
@@ -549,7 +554,7 @@ def test_supported_refutation_carries_a_feasible_dual_pair():
             spec = {"kind": "coupling", "dims": dims, "seed": seed, "feasible": False}
             p = problem_from_dict(generate_instance({**spec, "subspace_dim": 3}))
             sub = p.x_sub
-            verdict, cert, sup = _decide(p.rho1, p.rho2, sub, CFG)
+            verdict, cert, sup, _ = _decide(p.rho1, p.rho2, sub, CFG)
             if verdict != "no_coupling":
                 continue
             seen += 1
